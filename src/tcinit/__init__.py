@@ -11,7 +11,6 @@ from .errors import (
     AxisOutOfRange,
     DimensionMismatch,
     DuplicateAxis,
-    EmptyTensor,
     InvalidDummySpec,
     InvalidPadding,
     InvalidParams,
@@ -19,6 +18,7 @@ from .errors import (
     PlanIncomplete,
     ShapeMismatch,
     TcinitError,
+    TooManyIndices,
     UnboundAxis,
     ValidationError,
 )
@@ -76,18 +76,16 @@ from .tensor import (
     ACTIVATIONS,
     DenseTensor,
     DummySpec,
-    TensorStats,
-    apply_activation,
     build_dummy,
     contract,
     multi_contract,
     reversal_matrix,
-    tensor_stats,
     transformation_matrix,
 )
 from .transform import (
     BackwardDummySpec,
     backward_dummy,
+    backward_pattern,
     build_backward_dummy,
     build_backward_format,
     verify_theorem1,

@@ -195,12 +195,11 @@ def closure_sweep(random_seeds: int, first_seed: int = 0) -> dict:
         for act in ("tanh", "relu"):
             p_a = ACTIVATION_SCALE[act]
             for side, mode in ((graph.FAN_IN, "graph-in"), (graph.FAN_OUT, "graph-out")):
-                bg = graph.extract_bg(f, side)
                 plan = graph.make_plan(f, mode, act)
-                prod = 1.0
-                for v in plan.variances.values():
-                    prod *= v
-                value = p_a * f.phi * prod * float(graph.edge_product(bg))
+                value = graph.predicted_output_variance(
+                    graph.extract_bg(f, side), 1.0, plan.variances.values(),
+                    p_a, f.phi,
+                )
                 worst = max(worst, abs(value - 1.0))
                 count += 1
     return {"cases": count, "max_error": worst, "ok": worst < 1e-9}

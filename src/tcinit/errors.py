@@ -29,8 +29,8 @@ class InvalidPadding(TcinitError):
     """Backward construction requires padding <= window - 1."""
 
 
-class EmptyTensor(TcinitError):
-    """Statistics requested on a tensor with no elements."""
+class TooManyIndices(TcinitError):
+    """A contraction needs more distinct indices than einsum has letters."""
 
 
 class ParseError(TcinitError):

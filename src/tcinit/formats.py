@@ -28,8 +28,7 @@ directives or kernel attributes are parse errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 

@@ -13,7 +13,6 @@ per-vertex variances yields the graph initialization.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass
 
@@ -22,12 +21,9 @@ from .formats import (
     INPUT_CHANNEL,
     KERNEL,
     OUTPUT_CHANNEL,
-    RANK,
     LayerFormat,
 )
 from .transform import build_backward_format
-
-log = logging.getLogger(__name__)
 
 FAN_IN = "fan-in"
 FAN_OUT = "fan-out"
@@ -112,13 +108,22 @@ def edge_product(bg: BackboneGraph) -> int:
     for i in range(bg.tau):
         for j in range(i + 1, bg.tau):
             prod *= bg.adjacency[i][j]
-    if prod > 2**63 - 1:
-        log.warning(
-            "edge product %e exceeds 64-bit range; downstream float math "
-            "may lose precision",
-            float(prod),
-        )
     return prod
+
+
+def _log_space_power(factors, edge_prod: int, power: float) -> float:
+    """``(prod(factors) * edge_prod) ** power`` summed in log space.
+
+    For an exact ``edge_prod`` beyond the float range, where the plain
+    product would overflow (and the factors alone may underflow).
+    """
+    if not all(factors):
+        return 0.0
+    log = math.fsum(math.log(v) for v in factors) + math.log(edge_prod)
+    try:
+        return math.exp(power * log)
+    except OverflowError:
+        return math.inf
 
 
 def predicted_output_variance(
@@ -129,10 +134,18 @@ def predicted_output_variance(
     phi: int,
 ) -> float:
     """Linear-output variance: p_a * phi * var(x) * prod(var(w)) * prod(e)."""
+    vertex_vars = list(vertex_vars)
     prod = 1.0
     for v in vertex_vars:
         prod *= v
-    return p_a * phi * input_var * prod * float(edge_product(bg))
+    e = edge_product(bg)
+    try:
+        out = p_a * phi * input_var * prod * float(e)
+    except OverflowError:
+        out = math.inf
+    if math.isfinite(out):
+        return out
+    return _log_space_power([p_a, phi, input_var, *vertex_vars], e, 1.0)
 
 
 def graph_init_variance(bg: BackboneGraph, n: int, p_a: float, phi: int) -> float:
@@ -145,7 +158,14 @@ def graph_init_variance(bg: BackboneGraph, n: int, p_a: float, phi: int) -> floa
         raise InvalidParams(
             f"n = {n} does not match the graph's {bg.weight_count} weight vertices"
         )
-    return (p_a * phi * float(edge_product(bg))) ** (-1.0 / n)
+    e = edge_product(bg)
+    try:
+        base = p_a * phi * float(e)
+    except OverflowError:
+        base = math.inf
+    if math.isfinite(base):
+        return base ** (-1.0 / n)
+    return _log_space_power([p_a, phi], e, -1.0 / n)
 
 
 def _channel_products(f: LayerFormat) -> tuple[int, int, int]:
@@ -166,21 +186,21 @@ def baseline_variance(f: LayerFormat, mode: str) -> dict[str, float]:
     """
     k2, c_in, c_out = _channel_products(f)
     if mode == "xavier-in":
-        value = 1.0 / (k2 * c_in)
+        value = 1 / (k2 * c_in)
     elif mode == "xavier-out":
-        value = 1.0 / (k2 * c_out)
+        value = 1 / (k2 * c_out)
     elif mode == "xavier-harmonic":
-        value = 2.0 / (k2 * (c_in + c_out))
+        value = 2 / (k2 * (c_in + c_out))
     elif mode == "kaiming-in":
-        value = 2.0 / (k2 * c_in)
+        value = 2 / (k2 * c_in)
     elif mode == "kaiming-out":
-        value = 2.0 / (k2 * c_out)
+        value = 2 / (k2 * c_out)
     elif mode == "xavier-vertex":
         out = {}
         for vid in f.weight_ids:
             dims = f.weight_mode_dims(vid)
             fan = math.prod(dims[:-1]) if len(dims) > 1 else 1
-            out[vid] = 1.0 / fan
+            out[vid] = 1 / fan
         return out
     else:
         raise InvalidParams(f"unknown baseline mode {mode!r}")

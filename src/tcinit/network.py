@@ -1,9 +1,13 @@
 """Turn a layer format plus an initialization plan into executable tensors.
 
 A materialized layer holds ``phi`` independent replicas of the weight
-vertices (the layer output is their sum), the forward convolution index
-patterns, and enough bookkeeping to run the layer forward and to push a
-gradient back to the layer input.
+vertices (the layer output is their sum) and the forward convolution index
+patterns.  Both directions run through one contraction engine, which wires a
+format with :func:`contraction_map` and contracts each replica in one einsum.
+The backward pass is the forward pass of ``build_backward_format(f)``: the
+output gradient is its input, its kernel patterns are ``P' x T`` and the
+weights are flipped along their kernel-window axes, which supplies the ``R``
+factor of the backward identity.
 
 Axis conventions (all carry a leading batch axis):
 
@@ -16,7 +20,6 @@ Axis conventions (all carry a leading batch axis):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from string import ascii_letters
 
 import numpy as np
 
@@ -29,8 +32,8 @@ from .formats import (
     LayerFormat,
 )
 from .graph import InitPlan
-from .tensor import DenseTensor, build_dummy, multi_contract, transformation_matrix
-from .transform import backward_dummy, build_backward_dummy
+from .tensor import DenseTensor, _einsum, _einsum_spec, build_dummy
+from .transform import backward_pattern, build_backward_format
 
 
 @dataclass(frozen=True)
@@ -59,12 +62,6 @@ def materialize(f: LayerFormat, plan: InitPlan, rng) -> MaterializedLayer:
     missing = [vid for vid in f.weight_ids if vid not in plan.variances]
     if missing:
         raise PlanIncomplete(f"plan assigns no variance to vertices {missing}")
-    for e in f.edges_of_kind(OUTPUT_CHANNEL):
-        if len(e.endpoints) != 1:
-            raise ShapeMismatch(
-                f"output-channel edge {e.id!r} joins several weight vertices; "
-                "execution supports a single endpoint"
-            )
     replicas = []
     for _ in range(f.phi):
         weights = {}
@@ -78,53 +75,76 @@ def materialize(f: LayerFormat, plan: InitPlan, rng) -> MaterializedLayer:
     return MaterializedLayer(f, plan, tuple(replicas), dummies)
 
 
-def _axis_maps(f: LayerFormat):
-    """Edge-id -> axis position maps for the input and each weight vertex."""
+def _input_perm(f: LayerFormat) -> list[int]:
+    """Transpose order taking (batch, channels..., spatial...) to the
+    layer's input layout (incident edges of the input vertex in order)."""
+    x_edges = f.edges_of(f.input_vertex.id)
+    n_c = sum(1 for e in x_edges if e.kind == INPUT_CHANNEL)
+    perm = [0]
+    ci, ki = 1, 1 + n_c
+    for e in x_edges:
+        if e.kind == KERNEL:
+            perm.append(ki)
+            ki += 1
+        else:
+            perm.append(ci)
+            ci += 1
+    return perm
+
+
+def contraction_map(f: LayerFormat):
+    """Summation groups and open indices wiring one replica's forward pass.
+
+    Tensor slots: 0 is the batched input, then the weight vertices in
+    declaration order, then one convolution pattern per kernel edge.  The
+    input's axes are shifted by one for the batch axis, which is the first
+    open index.  Each open index lists every ``(slot, axis)`` it joins: an
+    output-channel edge shared by several weight vertices stays one index.
+    """
     xid = f.input_vertex.id
     x_axes = {e.id: i for i, e in enumerate(f.edges_of(xid))}
     w_axes = {
         vid: {e.id: i for i, e in enumerate(f.edges_of(vid))}
         for vid in f.weight_ids
     }
-    return xid, x_axes, w_axes
-
-
-def contraction_map(f: LayerFormat):
-    """Summation groups and open axes wiring one replica's forward pass.
-
-    Tensor slots: 0 is the batched input, then the weight vertices in
-    declaration order, then one convolution pattern per kernel edge.  The
-    input's axes are shifted by one for the batch axis, which is the first
-    open axis.
-    """
-    xid, x_axes, w_axes = _axis_maps(f)
     w_slot = {vid: 1 + i for i, vid in enumerate(f.weight_ids)}
     d_slot = {
         e.id: 1 + len(f.weight_ids) + i for i, e in enumerate(f.kernel_edges)
     }
 
+    def weight_axes(e):
+        return [(w_slot[p], w_axes[p][e.id]) for p in e.endpoints if p != xid]
+
     groups = []
     for e in f.edges:
         if e.kind == INPUT_CHANNEL:
-            group = [(0, 1 + x_axes[e.id])]
-            group += [
-                (w_slot[p], w_axes[p][e.id]) for p in e.endpoints if p != xid
-            ]
-            groups.append(group)
+            groups.append([(0, 1 + x_axes[e.id])] + weight_axes(e))
         elif e.kind == RANK:
-            groups.append([(w_slot[p], w_axes[p][e.id]) for p in e.endpoints])
+            groups.append(weight_axes(e))
         elif e.kind == KERNEL:
-            weight = next(p for p in e.endpoints if p != xid)
             groups.append([(0, 1 + x_axes[e.id]), (d_slot[e.id], 0)])
-            groups.append([(d_slot[e.id], 2), (w_slot[weight], w_axes[weight][e.id])])
+            groups.append([(d_slot[e.id], 2)] + weight_axes(e))
 
-    open_axes = [(0, 0)]
-    for e in f.edges_of_kind(OUTPUT_CHANNEL):
-        p = e.endpoints[0]
-        open_axes.append((w_slot[p], w_axes[p][e.id]))
-    for e in f.kernel_edges:
-        open_axes.append((d_slot[e.id], 1))
+    open_axes = [[(0, 0)]]
+    open_axes += [weight_axes(e) for e in f.edges_of_kind(OUTPUT_CHANNEL)]
+    open_axes += [[(d_slot[e.id], 1)] for e in f.kernel_edges]
     return groups, open_axes
+
+
+def _contract(f: LayerFormat, x: np.ndarray, replicas, patterns) -> np.ndarray:
+    """Sum over replicas of the contraction that ``contraction_map(f)`` wires.
+
+    ``x`` is the batched input in ``f``'s input layout, each replica lists
+    its weight arrays in ``f.weight_ids`` order, and ``patterns`` holds one
+    index pattern per kernel edge.
+    """
+    shapes = [x.shape] + [w.shape for w in replicas[0]] + [p.shape for p in patterns]
+    spec = _einsum_spec(shapes, *contraction_map(f))
+    out = None
+    for weights in replicas:
+        part = _einsum(spec, [x, *weights, *patterns])
+        out = part if out is None else out + part
+    return out
 
 
 def forward_apply(layer: MaterializedLayer, x: DenseTensor) -> DenseTensor:
@@ -140,84 +160,36 @@ def forward_apply(layer: MaterializedLayer, x: DenseTensor) -> DenseTensor:
         raise ShapeMismatch(
             f"input shape {x.shape[1:]} does not match layer input {expected}"
         )
-    groups, open_axes = contraction_map(f)
-    dummy_list = [layer.dummies[e.id] for e in f.kernel_edges]
-    out = None
-    for weights in layer.replicas:
-        tensors = [x] + [weights[vid] for vid in f.weight_ids] + dummy_list
-        part = multi_contract(tensors, groups, open_axes).array
-        out = part if out is None else out + part
-    return DenseTensor.from_array(out)
+    replicas = [[w[vid].array for vid in f.weight_ids] for w in layer.replicas]
+    patterns = [layer.dummies[e.id].array for e in f.kernel_edges]
+    return DenseTensor.from_array(_contract(f, x.array, replicas, patterns))
 
 
 def backward_apply(layer: MaterializedLayer, grad: DenseTensor) -> DenseTensor:
     """Gradient of the layer input given the gradient of the layer output.
 
-    ``grad`` uses the layer-output axis convention.  The backward pass runs
-    as a convolution: the gradient is stride-expanded, contracted with the
-    backward index patterns, and paired with each replica's weights flipped
-    along their kernel-window axes.
+    ``grad`` uses the layer-output axis convention.  The backward pass is
+    the forward pass of ``build_backward_format(f)``: the gradient, as a
+    transposed view, is contracted with the ``P' x T`` patterns and with
+    each replica's weights flipped along their kernel-window axes; the
+    result is transposed back to the layer-input layout.
     """
     f = layer.format
-    xid, x_axes, w_axes = _axis_maps(f)
-    out_edges = f.edges_of_kind(OUTPUT_CHANNEL)
-    kernel_edges = f.kernel_edges
     expected = f.output_mode_dims()
     if grad.shape[1:] != expected:
         raise ShapeMismatch(
             f"gradient shape {grad.shape[1:]} does not match layer output {expected}"
         )
-
-    pool = iter(ascii_letters)
-    batch = next(pool)
-    edge_letter = {e.id: next(pool) for e in f.edges if e.kind != KERNEL}
-    # Per kernel edge: gradient spatial, expanded, input spatial, window.
-    kl = {
-        e.id: (next(pool), next(pool), next(pool), next(pool))
-        for e in kernel_edges
+    bf = build_backward_format(f)
+    flips = {
+        vid: tuple(i for i, e in enumerate(f.edges_of(vid)) if e.kind == KERNEL)
+        for vid in f.weight_ids
     }
-
-    grad_sub = (
-        batch
-        + "".join(edge_letter[e.id] for e in out_edges)
-        + "".join(kl[e.id][0] for e in kernel_edges)
-    )
-    fixed_ops = [grad.array]
-    fixed_subs = [grad_sub]
-    for e in kernel_edges:
-        bspec = backward_dummy(e.window)
-        g, z, j, q = kl[e.id]
-        fixed_ops.append(transformation_matrix(e.window.alpha_prime, e.window.stride).array)
-        fixed_subs.append(g + z)
-        fixed_ops.append(build_backward_dummy(bspec).array)
-        fixed_subs.append(j + z + q)
-
-    out_sub = batch + "".join(
-        kl[e.id][2] if e.kind == KERNEL else edge_letter[e.id]
-        for e in f.edges_of(xid)
-    )
-
-    result = None
-    for weights in layer.replicas:
-        ops = list(fixed_ops)
-        subs = list(fixed_subs)
-        for vid in f.weight_ids:
-            incident = f.edges_of(vid)
-            sub = "".join(
-                kl[e.id][3] if e.kind == KERNEL else edge_letter[e.id]
-                for e in incident
-            )
-            flip = tuple(
-                i for i, e in enumerate(incident) if e.kind == KERNEL
-            )
-            arr = weights[vid].array
-            if flip:
-                arr = np.flip(arr, axis=flip)
-            ops.append(arr)
-            subs.append(sub)
-        spec = ",".join(subs) + "->" + out_sub
-        # Same memory-limit override as multi_contract: the default path
-        # optimizer refuses intermediates larger than the biggest operand.
-        part = np.einsum(spec, *ops, optimize=("greedy", 1e8))
-        result = part if result is None else result + part
-    return DenseTensor.from_array(result)
+    replicas = [
+        [np.flip(w[vid].array, axis=flips[vid]) for vid in f.weight_ids]
+        for w in layer.replicas
+    ]
+    patterns = [backward_pattern(e.window).array for e in bf.kernel_edges]
+    x = grad.array.transpose(_input_perm(bf))
+    out = _contract(bf, x, replicas, patterns)
+    return DenseTensor.from_array(out.transpose(_input_perm(f)))

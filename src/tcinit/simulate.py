@@ -9,14 +9,20 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParams, ShapeMismatch
-from .formats import INPUT_CHANNEL, KERNEL, LayerFormat
-from .graph import FAN_IN, InitPlan, edge_product, extract_bg, make_plan
-from .network import MaterializedLayer, backward_apply, forward_apply, materialize
+from .formats import LayerFormat
+from .graph import (
+    FAN_IN,
+    InitPlan,
+    extract_bg,
+    make_plan,
+    predicted_output_variance,
+)
+from .network import _input_perm, backward_apply, forward_apply, materialize
 from .tensor import DenseTensor, _activation, _activation_derivative
 
 DEFAULT_CHAIN_DIMS = (96, 200, 400, 600, 800, 1000, 800, 600, 400, 200, 100)
@@ -90,23 +96,6 @@ def report_csv(report: TraceReport) -> str:
 
 
 # -- network wiring ---------------------------------------------------------
-
-
-def _input_perm(f: LayerFormat) -> list[int]:
-    """Transpose order taking (batch, channels..., spatial...) to the
-    layer's input layout (incident edges of the input vertex in order)."""
-    x_edges = f.edges_of(f.input_vertex.id)
-    n_c = sum(1 for e in x_edges if e.kind == INPUT_CHANNEL)
-    perm = [0]
-    ci, ki = 1, 1 + n_c
-    for e in x_edges:
-        if e.kind == KERNEL:
-            perm.append(ki)
-            ki += 1
-        else:
-            perm.append(ci)
-            ci += 1
-    return perm
 
 
 def validate_network(net: NetworkSpec) -> None:
@@ -299,11 +288,13 @@ def variance_mc(
     backbone graph; the measurement is taken before any activation, so the
     two agree for every plan mode up to sampling noise.
     """
-    bg = extract_bg(f, FAN_IN)
-    prod = 1.0
-    for vid in f.weight_ids:
-        prod *= plan.variances[vid]
-    predicted = f.phi * prod * float(edge_product(bg))
+    predicted = predicted_output_variance(
+        extract_bg(f, FAN_IN),
+        1.0,
+        [plan.variances[vid] for vid in f.weight_ids],
+        1.0,
+        f.phi,
+    )
 
     def one(trial):
         ss = np.random.SeedSequence([seed, trial])

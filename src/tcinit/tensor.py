@@ -14,7 +14,7 @@ mandated by the math, and every caller in the package relies on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from string import ascii_letters
 from typing import Iterable, Sequence
 
@@ -24,8 +24,8 @@ from .errors import (
     AxisOutOfRange,
     DimensionMismatch,
     DuplicateAxis,
-    EmptyTensor,
     InvalidDummySpec,
+    TooManyIndices,
     UnboundAxis,
 )
 
@@ -150,6 +150,62 @@ def contract(
     return DenseTensor.from_array(out)
 
 
+def _einsum_spec(shapes, groups, open_axes) -> str:
+    """Einsum subscripts wiring tensors of the given shapes.
+
+    ``groups`` are the summation indices and ``open_axes`` the output
+    indices in order; each is a list of ``(tensor_index, axis)`` pairs that
+    share one letter.  Raises the typed errors documented on
+    :func:`multi_contract`.
+    """
+    indices = [list(g) for g in groups]
+    n_summed = len(indices)
+    indices += [list(g) for g in open_axes]
+    if len(indices) > len(ascii_letters):
+        raise TooManyIndices(
+            f"contraction needs {len(indices)} distinct indices; einsum "
+            f"supports at most {len(ascii_letters)}"
+        )
+    letters: list[dict[int, str]] = [dict() for _ in shapes]
+    for letter, index in zip(ascii_letters, indices):
+        dim = None
+        for ti, ax in index:
+            if not 0 <= ti < len(shapes):
+                raise AxisOutOfRange(f"tensor index {ti} out of range")
+            shape = shapes[ti]
+            if not 0 <= ax < len(shape):
+                raise AxisOutOfRange(f"axis {ax} out of range for rank {len(shape)}")
+            if ax in letters[ti]:
+                raise DuplicateAxis(f"axis {ax} of tensor {ti} bound twice")
+            if dim is None:
+                dim = shape[ax]
+            elif shape[ax] != dim:
+                raise DimensionMismatch(
+                    f"axis {ax} of tensor {ti} has size {shape[ax]}, expected {dim}"
+                )
+            letters[ti][ax] = letter
+
+    for ti, shape in enumerate(shapes):
+        for ax in range(len(shape)):
+            if ax not in letters[ti]:
+                raise UnboundAxis(
+                    f"axis {ax} of tensor {ti} is neither contracted nor open"
+                )
+
+    operands = ",".join(
+        "".join(letters[ti][ax] for ax in range(len(shape)))
+        for ti, shape in enumerate(shapes)
+    )
+    return operands + "->" + ascii_letters[n_summed : len(indices)]
+
+
+def _einsum(spec: str, arrays) -> np.ndarray:
+    # The default path optimizer caps intermediates at the largest operand
+    # size, which forces a catastrophic all-at-once contraction on small
+    # outputs; allow desk-scale intermediates explicitly.
+    return np.einsum(spec, *arrays, optimize=("greedy", 1e8))
+
+
 def multi_contract(
     tensors: Sequence[DenseTensor],
     groups: Iterable[Sequence[tuple[int, int]]],
@@ -162,56 +218,13 @@ def multi_contract(
     the output axes in order.  Every axis of every tensor must appear in
     exactly one group or in ``open_axes``.  The result equals any sequence of
     pairwise :func:`contract` calls realizing the same network; the actual
-    contraction order is chosen internally.
+    contraction order is chosen internally.  More than 52 indices in total
+    raise :class:`~tcinit.errors.TooManyIndices`.
     """
     tensors = list(tensors)
-    letters: list[dict[int, str]] = [dict() for _ in tensors]
-    pool = iter(ascii_letters)
-
-    def assign(ti: int, ax: int, letter: str, dim: int):
-        if not 0 <= ti < len(tensors):
-            raise AxisOutOfRange(f"tensor index {ti} out of range")
-        t = tensors[ti]
-        if not 0 <= ax < t.rank:
-            raise AxisOutOfRange(f"axis {ax} out of range for rank {t.rank}")
-        if ax in letters[ti]:
-            raise DuplicateAxis(f"axis {ax} of tensor {ti} bound twice")
-        if dim is not None and t.shape[ax] != dim:
-            raise DimensionMismatch(
-                f"axis {ax} of tensor {ti} has size {t.shape[ax]}, expected {dim}"
-            )
-        letters[ti][ax] = letter
-
-    for group in groups:
-        group = list(group)
-        letter = next(pool)
-        dim = tensors[group[0][0]].shape[group[0][1]] if group else None
-        for ti, ax in group:
-            assign(ti, ax, letter, dim)
-
-    out_subscript = []
-    for ti, ax in open_axes:
-        letter = next(pool)
-        assign(ti, ax, letter, None)
-        out_subscript.append(letter)
-
-    for ti, t in enumerate(tensors):
-        for ax in range(t.rank):
-            if ax not in letters[ti]:
-                raise UnboundAxis(
-                    f"axis {ax} of tensor {ti} is neither contracted nor open"
-                )
-
-    operands = ",".join(
-        "".join(letters[ti][ax] for ax in range(t.rank))
-        for ti, t in enumerate(tensors)
-    )
-    spec = operands + "->" + "".join(out_subscript)
-    # The default path optimizer caps intermediates at the largest operand
-    # size, which forces a catastrophic all-at-once contraction on small
-    # outputs; allow desk-scale intermediates explicitly.
-    out = np.einsum(spec, *(t.array for t in tensors), optimize=("greedy", 1e8))
-    return DenseTensor.from_array(out)
+    open_groups = [[pair] for pair in open_axes]
+    spec = _einsum_spec([t.shape for t in tensors], groups, open_groups)
+    return DenseTensor.from_array(_einsum(spec, [t.array for t in tensors]))
 
 
 def build_dummy(spec: DummySpec) -> DenseTensor:
@@ -248,11 +261,6 @@ def transformation_matrix(t: int, epsilon: int) -> DenseTensor:
     return DenseTensor.from_array(mat)
 
 
-def apply_activation(x: DenseTensor, kind: str) -> DenseTensor:
-    """Elementwise activation; shape preserved."""
-    return DenseTensor.from_array(_activation(x.array, kind))
-
-
 def _activation(arr: np.ndarray, kind: str) -> np.ndarray:
     if kind == "identity":
         return arr
@@ -271,22 +279,3 @@ def _activation_derivative(pre: np.ndarray, kind: str) -> np.ndarray:
     if kind == "tanh":
         return 1.0 - np.tanh(pre) ** 2
     raise ValueError(f"unknown activation {kind!r}; expected one of {ACTIVATIONS}")
-
-
-@dataclass(frozen=True)
-class TensorStats:
-    mean: float
-    variance: float
-    saturation_fraction: float
-
-
-def tensor_stats(x: DenseTensor, saturation_threshold: float = 0.99) -> TensorStats:
-    """Population mean/variance and share of elements above the threshold."""
-    if x.size == 0:
-        raise EmptyTensor("cannot compute statistics of an empty tensor")
-    arr = x.data
-    return TensorStats(
-        mean=float(arr.mean()),
-        variance=float(arr.var()),
-        saturation_fraction=float((np.abs(arr) > saturation_threshold).mean()),
-    )

@@ -14,7 +14,8 @@ one at ``(j, jt, k)`` exactly when ``jt = j + k - (beta - padding - 1)``.
 Note the kernel axis of ``P'`` indexes the *reversed* kernel: executing the
 backward convolution must pair it with the flipped weight (equivalently,
 contract with the reversal matrix), which is exactly what the ``R`` factor in
-the identity supplies.
+the identity supplies.  :func:`backward_pattern` folds ``T`` into ``P'`` so
+that :func:`build_backward_format` layers execute like forward ones.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .formats import (
     INPUT_CHANNEL,
     KERNEL,
     OUTPUT_CHANNEL,
-    HyperEdge,
     LayerFormat,
 )
 from .tensor import (
@@ -105,6 +105,17 @@ def build_backward_dummy(spec: BackwardDummySpec) -> DenseTensor:
     k = np.arange(spec.beta)[None, None, :]
     pattern = (jt == j + k - spec.padding).astype(np.float64)
     return DenseTensor.from_array(pattern)
+
+
+def backward_pattern(spec: BackwardDummySpec) -> DenseTensor:
+    """Executable backward pattern ``P' x T``, shape ``[alpha, alpha_fwd, beta]``.
+
+    Axis 0 indexes the unexpanded gradient, axis 1 the forward input and
+    axis 2 the reversed kernel, matching the ``[input, output, window]``
+    layout of :func:`~tcinit.tensor.build_dummy`.
+    """
+    t = transformation_matrix(spec.alpha, spec.forward.stride)
+    return contract(t, [1], build_backward_dummy(spec), [1])
 
 
 def verify_theorem1(fwd: DummySpec) -> bool:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -70,6 +71,23 @@ class TestAnalyze:
         assert out1 == out2
 
 
+    def test_edge_product_beyond_float_range(self, capsys):
+        code, out, err = run(
+            capsys,
+            "analyze", "--builtin", "tt",
+            "-P", "i_dims=" + ",".join(["100000"] * 66),
+            "-P", "o_dims=" + ",".join(["2"] * 66),
+            "-P", "rank=2",
+        )
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["fan_in"]["edge_product"] == 100000**66 * 2**65
+        for key in ("graph_in_sigma2", "graph_out_sigma2"):
+            assert math.isfinite(report[key]) and report[key] > 0
+        for values in report["baselines"].values():
+            assert all(math.isfinite(v) and v >= 0 for v in values.values())
+
+
 class TestSimulate:
     ARGS = (
         "simulate", "--builtin", "tt",
@@ -109,6 +127,17 @@ class TestSimulate:
         )
         assert code == 2
         assert "layer 1" in err
+
+    def test_too_many_einsum_indices_exits_2(self, capsys):
+        code, _, err = run(
+            capsys,
+            "simulate", "--builtin", "tt",
+            "-P", "i_dims=" + ",".join(["2"] * 20),
+            "-P", "o_dims=" + ",".join(["2"] * 20),
+            "-P", "rank=2", "--seed", "0", "--trials", "1", "--batch", "2",
+        )
+        assert code == 2
+        assert err.startswith("error:") and "60 distinct indices" in err
 
 
 class TestVerify:

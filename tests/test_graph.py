@@ -14,6 +14,7 @@ from tcinit.formats import (
 )
 from tcinit.graph import (
     BASELINE_MODES,
+    BackboneGraph,
     FAN_IN,
     FAN_OUT,
     baseline_variance,
@@ -107,7 +108,8 @@ class TestEdgeProduct:
             value = edge_product(extract_bg(f, FAN_IN))
         assert value == 512**4 * 512**3
         assert value > 2**63 - 1
-        assert any("64-bit" in r.message for r in caplog.records)
+        # Python ints do not overflow, so an exact product is no warning.
+        assert not caplog.records
 
 
 class TestGraphInit:
@@ -173,8 +175,6 @@ class TestPrediction:
         assert out == pytest.approx(0.7, rel=1e-12)
 
     def test_no_edges_reduces_to_plain_product(self):
-        from tcinit.graph import BackboneGraph
-
         bg = BackboneGraph(("x", "w"), ((1, 1), (1, 1)))
         assert predicted_output_variance(bg, 2.0, [0.5], 0.5, 3) == pytest.approx(1.5)
 
@@ -184,6 +184,48 @@ class TestPrediction:
         sigma2 = 1.0 / (9 * 96)
         out = predicted_output_variance(bg, 1.0, [sigma2] * 3, 1.0, 4)
         assert out == pytest.approx(4 * 10 * 10 / (9 * 96) ** 2, rel=1e-12)
+
+
+class TestBeyondFloatRange:
+    # Edge product 10**400 exceeds the float range (about 1.8e308).
+    BG = BackboneGraph(
+        ("x", "w0", "w1"),
+        ((1, 10**200, 1), (10**200, 1, 10**200), (1, 10**200, 1)),
+    )
+
+    def test_graph_init_variance_in_log_space(self):
+        assert graph_init_variance(self.BG, 2, 1.0, 1) == pytest.approx(
+            1e-200, rel=1e-12
+        )
+        assert graph_init_variance(self.BG, 2, 0.5, 4) == pytest.approx(
+            2 ** -0.5 * 1e-200, rel=1e-12
+        )
+
+    def test_predicted_output_variance_in_log_space(self):
+        # The vertex variances alone underflow to zero as a float product.
+        sigma2 = graph_init_variance(self.BG, 2, 1.0, 1)
+        out = predicted_output_variance(self.BG, 0.7, [sigma2] * 2, 1.0, 1)
+        assert out == pytest.approx(0.7, rel=1e-9)
+        assert predicted_output_variance(self.BG, 1.0, [0.0, 1.0], 1.0, 1) == 0.0
+        assert predicted_output_variance(self.BG, 1.0, [1.0, 1.0], 1.0, 1) == math.inf
+
+    def test_float_product_overflowing_to_inf(self):
+        # 10**308 converts to a float, but 4 * 1e308 overflows.
+        bg = BackboneGraph(("x", "w0"), ((1, 10**308), (10**308, 1)))
+        assert graph_init_variance(bg, 1, 1.0, 4) == pytest.approx(
+            2.5e-309, rel=1e-9
+        )
+        # The vertex variances overflow on the way to a product of 1.
+        huge_then_tiny = [1e300, 1e300, 1e-300, 1e-300]
+        out = predicted_output_variance(bg, 1e-10, huge_then_tiny, 1.0, 4)
+        assert out == pytest.approx(4e298, rel=1e-9)
+
+    def test_baselines_of_huge_channel_products(self):
+        f = builtin_format("tt", i_dims=(10**6,) * 60, o_dims=(2,) * 60, rank=2)
+        for mode in BASELINE_MODES:
+            values = baseline_variance(f, mode).values()
+            assert all(math.isfinite(v) and v >= 0.0 for v in values)
+        assert baseline_variance(f, "xavier-out")["w0"] == 1 / (2**60)
 
 
 class TestBaselines:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tcinit.errors import PlanIncomplete, ShapeMismatch
-from tcinit.formats import builtin_format
+from tcinit.formats import BUILTIN_NAMES, builtin_format, parse_format
 from tcinit.graph import InitPlan, make_plan
 from tcinit.network import backward_apply, forward_apply, materialize
 from tcinit.tensor import DenseTensor
@@ -197,3 +197,85 @@ class TestBackward:
         layer = materialize(f, make_plan(f, "graph-in", "identity"), 0)
         with pytest.raises(ShapeMismatch):
             backward_apply(layer, DenseTensor.from_array(np.ones((2, 4, 5, 5))))
+
+
+ADJOINT_BUILTINS = {
+    "standard": dict(c_in=3, c_out=4, k=3, alpha=7, stride=2, padding=1),
+    "lowrank": dict(c_in=3, c_out=4, rank=2, k=3, alpha=(6, 8), padding=2),
+    "tucker2": dict(c_in=3, c_out=4, r0=2, r1=3, k=2, alpha=7, stride=3),
+    "htk2": dict(c_in=3, c_out=4, rank=2, k=3, alpha=6, padding=1),
+    "cp": dict(c_in=3, c_out=4, rank=2, k=3, alpha=7, stride=2),
+    "tt": dict(i_dims=(2, 3, 2), o_dims=(3, 2, 2), rank=2, k=3, spatial=1, alpha=6),
+    "tr": dict(i_dims=(2, 3), o_dims=(3, 2), rank=2, k=2, alpha=5),
+    "oddlike": dict(i_dims=(2, 3), o_dims=(3, 2), rank=2),
+}
+
+# Two weights share the input-channel edge i0 and two share the
+# output-channel edge o0, so the backward format has both kinds of shared
+# open index.
+SHARED_CHANNELS = """\
+phi 2
+vertex x input
+vertex a weight
+vertex b weight
+vertex c weight
+edge i0 input-channel 3 x a b
+edge i1 input-channel 2 x c
+edge k0 kernel 3 c alpha 6 stride 2 pad 1
+edge r0 rank 2 a b
+edge r1 rank 3 b c
+edge o0 output-channel 4 a c
+edge o1 output-channel 2 b
+"""
+
+
+def assert_adjoint(f, seed=0):
+    """<forward(x), g> == <x, backward(g)> to 1e-10 of |forward(x)| |g|."""
+    rng = np.random.default_rng(seed)
+    layer = materialize(f, make_plan(f, "graph-in", "identity"), seed)
+    x = rng.standard_normal((3,) + f.input_mode_dims())
+    g = rng.standard_normal((3,) + f.output_mode_dims())
+    y = forward_apply(layer, DenseTensor.from_array(x)).array
+    gx = backward_apply(layer, DenseTensor.from_array(g)).array
+    assert y.shape == g.shape and gx.shape == x.shape
+    scale = np.linalg.norm(y) * np.linalg.norm(g)
+    assert abs(np.vdot(y, g) - np.vdot(x, gx)) <= 1e-10 * scale
+
+
+class TestAdjoint:
+    def test_covers_every_builtin(self):
+        assert set(ADJOINT_BUILTINS) == set(BUILTIN_NAMES)
+
+    @pytest.mark.parametrize("name", sorted(ADJOINT_BUILTINS))
+    def test_builtin(self, name):
+        assert_adjoint(builtin_format(name, **ADJOINT_BUILTINS[name]))
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "beta,padding", [(b, p) for b in (1, 2, 3, 4) for p in range(b)]
+    )
+    def test_conv_geometry(self, stride, beta, padding):
+        for spatial, alpha in ((1, 7), (2, (5, 8))):
+            f = builtin_format(
+                "tucker2", c_in=2, c_out=3, rank=2, k=beta, spatial=spatial,
+                alpha=alpha, stride=stride, padding=padding,
+            )
+            assert_adjoint(f, seed=stride + beta + padding)
+
+    def test_shared_channel_edges(self):
+        assert_adjoint(parse_format(SHARED_CHANNELS))
+
+    def test_shared_output_channel_forward(self):
+        f = parse_format(SHARED_CHANNELS)
+        layer = materialize(f, make_plan(f, "graph-in", "identity"), 4)
+        x = np.random.default_rng(5).standard_normal((2, 3, 2, 6))
+        pattern = layer.dummies["k0"].array
+        want = sum(
+            np.einsum(
+                "nijt,iro,irqp,jkqo,tsk->nops",
+                x, rep["a"].array, rep["b"].array, rep["c"].array, pattern,
+            )
+            for rep in layer.replicas
+        )
+        got = forward_apply(layer, DenseTensor.from_array(x)).array
+        assert np.allclose(got, want, atol=1e-10)
