@@ -88,6 +88,7 @@ from .transform import (
     backward_pattern,
     build_backward_dummy,
     build_backward_format,
+    theorem1_grid,
     verify_theorem1,
 )
 

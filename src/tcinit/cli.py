@@ -20,7 +20,6 @@ from pathlib import Path
 from . import formats, graph, simulate, transform
 from .errors import TcinitError
 from .graph import ACTIVATION_SCALE, BASELINE_MODES, PLAN_MODES
-from .tensor import DummySpec
 
 USAGE_EXIT = 1
 VALIDATION_EXIT = 2
@@ -159,16 +158,13 @@ def cmd_simulate(args) -> int:
 
 def _theorem1_grid() -> dict:
     total = 0
-    for alpha in range(3, 13):
-        for beta in range(1, 6):
-            for stride in range(1, 4):
-                for padding in range(0, beta):
-                    if alpha + 2 * padding < beta:
-                        continue
-                    spec = DummySpec(alpha, beta, stride, padding)
-                    if not transform.verify_theorem1(spec):
-                        return {"ok": False, "failed_at": [alpha, beta, stride, padding]}
-                    total += 1
+    for spec in transform.theorem1_grid():
+        if not transform.verify_theorem1(spec):
+            return {
+                "ok": False,
+                "failed_at": [spec.alpha, spec.beta, spec.stride, spec.padding],
+            }
+        total += 1
     return {"ok": True, "cases": total}
 
 

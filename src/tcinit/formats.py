@@ -22,7 +22,8 @@ Text grammar (one directive per line, ``#`` starts a comment)::
     edge <id> kernel <beta> <weight-vertex> alpha <int> stride <int> pad <int>
 
 Vertices must be declared before the edges that use them.  Kernel edges name
-only their weight vertex; the input vertex endpoint is implicit.  Unknown
+only their weight vertex; the input vertex endpoint is implicit, and ``pad``
+is at most ``beta - 1`` so that the backward pass is defined.  Unknown
 directives or kernel attributes are parse errors.
 """
 
@@ -134,6 +135,13 @@ class LayerFormat:
 # -- validation -----------------------------------------------------------
 
 
+def _padding_problem(eid: str, window) -> str:
+    return (
+        f"kernel edge {eid!r} padding {window.padding} exceeds beta-1 = "
+        f"{window.beta - 1}; its backward pass is undefined"
+    )
+
+
 def validate(f: LayerFormat) -> None:
     """Raise :class:`ValidationError` listing every violated invariant."""
     problems: list[str] = []
@@ -194,6 +202,8 @@ def validate(f: LayerFormat) -> None:
                 problems.append(
                     f"kernel edge {e.id!r} dim {e.dim} != window beta {e.window.beta}"
                 )
+            elif e.window.padding > e.window.beta - 1:
+                problems.append(_padding_problem(e.id, e.window))
             if xid not in e.endpoints or len(weights) != 1:
                 problems.append(
                     f"kernel edge {e.id!r} must join the input vertex to exactly "
@@ -296,12 +306,13 @@ def parse_format(text: str) -> LayerFormat:
                         cols[2],
                     )
                 weight = tokens[4]
-                attrs = {}
+                attrs, attr_cols = {}, {}
                 for i in (5, 7, 9):
                     key = tokens[i]
                     if key not in ("alpha", "stride", "pad") or key in attrs:
                         fail(f"unknown or repeated kernel attribute {key!r}", lineno, cols[i])
                     attrs[key] = expect_int(i + 1, key)
+                    attr_cols[key] = cols[i + 1]
                 if input_id is None:
                     fail("kernel edge declared before the input vertex", lineno, cols[0])
                 if weight not in seen:
@@ -315,6 +326,8 @@ def parse_format(text: str) -> LayerFormat:
                     )
                 except Exception as exc:
                     fail(str(exc), lineno, cols[3])
+                if window.padding > window.beta - 1:
+                    fail(_padding_problem(eid, window), lineno, attr_cols["pad"])
                 edges.append(
                     HyperEdge(eid, KERNEL, beta, (input_id, weight), window)
                 )

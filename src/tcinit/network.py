@@ -1,13 +1,25 @@
 """Turn a layer format plus an initialization plan into executable tensors.
 
 A materialized layer holds ``phi`` independent replicas of the weight
-vertices (the layer output is their sum) and the forward convolution index
-patterns.  Both directions run through one contraction engine, which wires a
-format with :func:`contraction_map` and contracts each replica in one einsum.
+vertices; the layer output is their sum.  Both directions run through one
+contraction engine, which executes kernel edges as strided-window gathers
+(im2col): the input's kernel axis becomes the open output-spatial index, and
+one window axis per kernel edge joins the weight that edge touches.  No
+binary pattern tensor is built here; :func:`~tcinit.tensor.build_dummy` and
+:func:`~tcinit.transform.backward_pattern` describe the same contractions
+exactly and are the reference the tests compare against.
+
 The backward pass is the forward pass of ``build_backward_format(f)``: the
-output gradient is its input, its kernel patterns are ``P' x T`` and the
-weights are flipped along their kernel-window axes, which supplies the ``R``
-factor of the backward identity.
+output gradient is its input, each window is gathered from the gradient with
+``stride - 1`` zeros inserted between entries and a left pad of
+``beta - padding - 1`` (what the ``P' x T`` pattern selects), and the weights
+are flipped along their kernel-window axes, which supplies the ``R`` factor.
+
+Each (format, direction, input shape, weight shapes) is compiled once into a
+plan held in a bounded cache: the einsum subscripts, a greedy pairwise path
+from ``np.einsum_path``, the window gathers, the kernel flips and the layout
+permutations.  The input side stays un-windowed until the first step that
+contracts a window index, so channel contractions run on the smaller tensor.
 
 Axis conventions (all carry a leading batch axis):
 
@@ -20,8 +32,10 @@ Axis conventions (all carry a leading batch axis):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import PlanIncomplete, ShapeMismatch
 from .formats import (
@@ -32,8 +46,12 @@ from .formats import (
     LayerFormat,
 )
 from .graph import InitPlan
-from .tensor import DenseTensor, _einsum, _einsum_spec, build_dummy
-from .transform import backward_pattern, build_backward_format
+from .tensor import _OPTIMIZE, DenseTensor, _einsum, _einsum_spec
+from .transform import BackwardDummySpec, build_backward_format
+
+# Compiled plans kept per process.  A plan holds only subscripts and small
+# tuples, so the bound caps memory when many distinct formats are executed.
+_PLAN_CACHE_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -41,7 +59,6 @@ class MaterializedLayer:
     format: LayerFormat
     plan: InitPlan
     replicas: tuple[dict[str, DenseTensor], ...]
-    dummies: dict[str, DenseTensor]
 
 
 def _sample(rng: np.random.Generator, shape, sigma2: float, distribution: str):
@@ -52,7 +69,7 @@ def _sample(rng: np.random.Generator, shape, sigma2: float, distribution: str):
 
 
 def materialize(f: LayerFormat, plan: InitPlan, rng) -> MaterializedLayer:
-    """Draw all weight tensors and build the convolution patterns.
+    """Draw all weight tensors.
 
     ``rng`` is a seed or a numpy Generator.  Each replica's weight for
     vertex ``v`` has the shape of its incident-edge dims in declaration
@@ -71,8 +88,7 @@ def materialize(f: LayerFormat, plan: InitPlan, rng) -> MaterializedLayer:
                 _sample(rng, shape, plan.variances[vid], plan.distribution)
             )
         replicas.append(weights)
-    dummies = {e.id: build_dummy(e.window) for e in f.kernel_edges}
-    return MaterializedLayer(f, plan, tuple(replicas), dummies)
+    return MaterializedLayer(f, plan, tuple(replicas))
 
 
 def _input_perm(f: LayerFormat) -> list[int]:
@@ -95,22 +111,24 @@ def _input_perm(f: LayerFormat) -> list[int]:
 def contraction_map(f: LayerFormat):
     """Summation groups and open indices wiring one replica's forward pass.
 
-    Tensor slots: 0 is the batched input, then the weight vertices in
-    declaration order, then one convolution pattern per kernel edge.  The
-    input's axes are shifted by one for the batch axis, which is the first
-    open index.  Each open index lists every ``(slot, axis)`` it joins: an
-    output-channel edge shared by several weight vertices stays one index.
+    Tensor slots: 0 is the windowed batched input, then the weight vertices
+    in declaration order.  The windowed input has the batch axis, then the
+    input vertex's incident edges in order, each kernel edge's axis holding
+    the output (window) position, then one window-offset axis per kernel
+    edge in declaration order.  The batch axis is the first open index and
+    the window positions are the last.  Each open index lists every
+    ``(slot, axis)`` it joins: an output-channel edge shared by several
+    weight vertices stays one index.
     """
     xid = f.input_vertex.id
-    x_axes = {e.id: i for i, e in enumerate(f.edges_of(xid))}
+    x_edges = f.edges_of(xid)
+    x_axes = {e.id: 1 + i for i, e in enumerate(x_edges)}
+    window_axes = {e.id: 1 + len(x_edges) + i for i, e in enumerate(f.kernel_edges)}
     w_axes = {
         vid: {e.id: i for i, e in enumerate(f.edges_of(vid))}
         for vid in f.weight_ids
     }
     w_slot = {vid: 1 + i for i, vid in enumerate(f.weight_ids)}
-    d_slot = {
-        e.id: 1 + len(f.weight_ids) + i for i, e in enumerate(f.kernel_edges)
-    }
 
     def weight_axes(e):
         return [(w_slot[p], w_axes[p][e.id]) for p in e.endpoints if p != xid]
@@ -118,33 +136,159 @@ def contraction_map(f: LayerFormat):
     groups = []
     for e in f.edges:
         if e.kind == INPUT_CHANNEL:
-            groups.append([(0, 1 + x_axes[e.id])] + weight_axes(e))
+            groups.append([(0, x_axes[e.id])] + weight_axes(e))
         elif e.kind == RANK:
             groups.append(weight_axes(e))
         elif e.kind == KERNEL:
-            groups.append([(0, 1 + x_axes[e.id]), (d_slot[e.id], 0)])
-            groups.append([(d_slot[e.id], 2)] + weight_axes(e))
+            groups.append([(0, window_axes[e.id])] + weight_axes(e))
 
     open_axes = [[(0, 0)]]
     open_axes += [weight_axes(e) for e in f.edges_of_kind(OUTPUT_CHANNEL)]
-    open_axes += [[(d_slot[e.id], 1)] for e in f.kernel_edges]
+    open_axes += [[(0, x_axes[e.id])] for e in f.kernel_edges]
     return groups, open_axes
 
 
-def _contract(f: LayerFormat, x: np.ndarray, replicas, patterns) -> np.ndarray:
-    """Sum over replicas of the contraction that ``contraction_map(f)`` wires.
+@dataclass(frozen=True)
+class _Window:
+    """Gather of one kernel axis: ``count`` windows of ``beta`` entries at
+    ``stride``, taken after inserting ``dilation - 1`` zeros between entries
+    and ``lo`` zeros before the first (and as many after as the last window
+    needs)."""
 
-    ``x`` is the batched input in ``f``'s input layout, each replica lists
-    its weight arrays in ``f.weight_ids`` order, and ``patterns`` holds one
-    index pattern per kernel edge.
+    beta: int
+    stride: int
+    dilation: int
+    lo: int
+    count: int
+
+    @classmethod
+    def of(cls, spec) -> "_Window":
+        if isinstance(spec, BackwardDummySpec):
+            return cls(spec.beta, 1, spec.forward.stride, spec.padding, spec.alpha_prime)
+        return cls(spec.beta, spec.stride, 1, spec.padding, spec.alpha_prime)
+
+
+def _gather(x: np.ndarray, axes, windows) -> np.ndarray:
+    """Windowed view of ``x``: each of ``axes`` becomes the window position
+    and the window offsets are appended as trailing axes, in order."""
+    shape = list(x.shape)
+    src = [slice(None)] * x.ndim
+    dst = [slice(None)] * x.ndim
+    step = [slice(None)] * x.ndim
+    for ax, w in zip(axes, windows):
+        shape[ax] = w.stride * (w.count - 1) + w.beta
+        kept = min(x.shape[ax], (shape[ax] - w.lo - 1) // w.dilation + 1)
+        src[ax] = slice(kept)
+        dst[ax] = slice(w.lo, w.lo + w.dilation * (kept - 1) + 1, w.dilation)
+        step[ax] = slice(None, None, w.stride)
+    padded = np.zeros(shape)
+    padded[tuple(dst)] = x[tuple(src)]
+    view = sliding_window_view(padded, [w.beta for w in windows], axis=axes)
+    return view[tuple(step)]
+
+
+@dataclass(frozen=True)
+class _Step:
+    """Contract the operands at ``picked`` (removed from the operand list;
+    the result is appended).  When ``window`` is set, the operand at that
+    position of ``picked`` is the input side and is gathered along ``axes``
+    first."""
+
+    picked: tuple[int, ...]
+    spec: str
+    window: int | None
+    axes: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class _Plan:
+    steps: tuple[_Step, ...]
+    windows: tuple[_Window, ...]
+    in_perm: tuple[int, ...]
+    flips: tuple[tuple[int, ...], ...]
+    out_perm: tuple[int, ...]
+
+
+def _steps(spec: str, shapes, n_x: int, k_axes) -> tuple[_Step, ...]:
+    """Pairwise steps along numpy's greedy path for ``spec``.
+
+    ``shapes`` are those of the windowed input and the weights; the first
+    ``n_x`` letters of the input term are its un-windowed axes, the rest its
+    window offsets, and ``k_axes`` the positions of its kernel axes.
     """
-    shapes = [x.shape] + [w.shape for w in replicas[0]] + [p.shape for p in patterns]
-    spec = _einsum_spec(shapes, *contraction_map(f))
+    standins = [np.broadcast_to(0.0, s) for s in shapes]
+    path = np.einsum_path(spec, *standins, optimize=_OPTIMIZE)[0][1:]
+    inputs, output = spec.split("->")
+    terms = inputs.split(",")
+    offsets = terms[0][n_x:]
+    kernel = [terms[0][ax] for ax in k_axes]
+    terms[0] = terms[0][:n_x]
+    x_at = 0
+    steps = []
+    for n, picked in enumerate(path):
+        args = [terms[i] for i in picked]
+        window, axes = None, ()
+        if offsets and x_at in picked and any(set(offsets) & set(t) for t in args):
+            window = picked.index(x_at)
+            axes = tuple(args[window].index(c) for c in kernel)
+            args[window] += offsets
+            offsets = ""
+        rest = [t for i, t in enumerate(terms) if i not in picked]
+        live = set(output).union(offsets, *rest)
+        out = output if n == len(path) - 1 else "".join(
+            dict.fromkeys(c for t in args for c in t if c in live)
+        )
+        steps.append(_Step(tuple(picked), ",".join(args) + "->" + out, window, axes))
+        if x_at in picked:
+            x_at = len(rest)
+        else:
+            x_at -= sum(1 for i in picked if i < x_at)
+        terms = rest + [out]
+    return tuple(steps)
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan(f: LayerFormat, backward: bool, x_shape, w_shapes) -> _Plan:
+    """Compile one direction of ``f`` for the given operand shapes."""
+    ef = build_backward_format(f) if backward else f
+    windows = tuple(_Window.of(e.window) for e in ef.kernel_edges)
+    x_edges = ef.edges_of(ef.input_vertex.id)
+    k_axes = [1 + i for i, e in enumerate(x_edges) if e.kind == KERNEL]
+    in_perm = tuple(_input_perm(ef)) if backward else tuple(range(len(x_shape)))
+    wx_shape = [x_shape[i] for i in in_perm]
+    for ax, w in zip(k_axes, windows):
+        wx_shape[ax] = w.count
+    wx_shape += [w.beta for w in windows]
+    shapes = [tuple(wx_shape), *w_shapes]
+    spec = _einsum_spec(shapes, *contraction_map(ef))
+    flips = tuple(
+        tuple(i for i, e in enumerate(f.edges_of(vid)) if backward and e.kind == KERNEL)
+        for vid in f.weight_ids
+    )
+    out_perm = tuple(_input_perm(f)) if backward else tuple(range(1 + len(f.output_mode_dims())))
+    return _Plan(
+        _steps(spec, shapes, len(x_shape), k_axes), windows, in_perm, flips, out_perm
+    )
+
+
+def _contract(layer: MaterializedLayer, t: DenseTensor, backward: bool) -> DenseTensor:
+    """Sum over replicas of one direction's compiled contraction."""
+    f = layer.format
+    replicas = [[w[vid].array for vid in f.weight_ids] for w in layer.replicas]
+    plan = _plan(f, backward, t.shape, tuple(w.shape for w in replicas[0]))
+    x = t.array.transpose(plan.in_perm)
     out = None
     for weights in replicas:
-        part = _einsum(spec, [x, *weights, *patterns])
-        out = part if out is None else out + part
-    return out
+        ops = [x] + [np.flip(w, axis=a) for w, a in zip(weights, plan.flips)]
+        for step in plan.steps:
+            args = [ops[i] for i in step.picked]
+            for i in sorted(step.picked, reverse=True):
+                del ops[i]
+            if step.window is not None:
+                args[step.window] = _gather(args[step.window], step.axes, plan.windows)
+            ops.append(_einsum(step.spec, args))
+        out = ops[0] if out is None else out + ops[0]
+    return DenseTensor.from_array(out.transpose(plan.out_perm))
 
 
 def forward_apply(layer: MaterializedLayer, x: DenseTensor) -> DenseTensor:
@@ -154,15 +298,12 @@ def forward_apply(layer: MaterializedLayer, x: DenseTensor) -> DenseTensor:
     ``(batch, *output channel dims, *output spatial dims)`` and sums the
     ``phi`` replica outputs.
     """
-    f = layer.format
-    expected = f.input_mode_dims()
+    expected = layer.format.input_mode_dims()
     if x.shape[1:] != expected:
         raise ShapeMismatch(
             f"input shape {x.shape[1:]} does not match layer input {expected}"
         )
-    replicas = [[w[vid].array for vid in f.weight_ids] for w in layer.replicas]
-    patterns = [layer.dummies[e.id].array for e in f.kernel_edges]
-    return DenseTensor.from_array(_contract(f, x.array, replicas, patterns))
+    return _contract(layer, x, backward=False)
 
 
 def backward_apply(layer: MaterializedLayer, grad: DenseTensor) -> DenseTensor:
@@ -170,26 +311,14 @@ def backward_apply(layer: MaterializedLayer, grad: DenseTensor) -> DenseTensor:
 
     ``grad`` uses the layer-output axis convention.  The backward pass is
     the forward pass of ``build_backward_format(f)``: the gradient, as a
-    transposed view, is contracted with the ``P' x T`` patterns and with
-    each replica's weights flipped along their kernel-window axes; the
-    result is transposed back to the layer-input layout.
+    transposed view, is gathered in stride-1 windows of its zero-expanded,
+    padded form and contracted with each replica's weights flipped along
+    their kernel-window axes; the result is transposed back to the
+    layer-input layout.
     """
-    f = layer.format
-    expected = f.output_mode_dims()
+    expected = layer.format.output_mode_dims()
     if grad.shape[1:] != expected:
         raise ShapeMismatch(
             f"gradient shape {grad.shape[1:]} does not match layer output {expected}"
         )
-    bf = build_backward_format(f)
-    flips = {
-        vid: tuple(i for i, e in enumerate(f.edges_of(vid)) if e.kind == KERNEL)
-        for vid in f.weight_ids
-    }
-    replicas = [
-        [np.flip(w[vid].array, axis=flips[vid]) for vid in f.weight_ids]
-        for w in layer.replicas
-    ]
-    patterns = [backward_pattern(e.window).array for e in bf.kernel_edges]
-    x = grad.array.transpose(_input_perm(bf))
-    out = _contract(bf, x, replicas, patterns)
-    return DenseTensor.from_array(out.transpose(_input_perm(f)))
+    return _contract(layer, grad, backward=True)

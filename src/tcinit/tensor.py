@@ -5,7 +5,9 @@ row-major float64 ndarray.  Convolution is expressed as contraction with a
 binary index-pattern tensor built by :func:`build_dummy`: the pattern has a
 one at ``(j, j', k)`` exactly when ``j = stride * j' + k - padding``, so that
 ``a x0 P x1 b`` equals the strided sliding-window convolution of ``a`` with
-``b``.
+``b``.  The pattern is the exact reference, not the execution path: the
+engine in :mod:`tcinit.network` gathers the same windows directly and never
+builds the ``[alpha, alpha', beta]`` tensor.
 
 Contraction output order is fixed: free axes of the first operand, in their
 original order, then free axes of the second.  This convention is ours, not
@@ -199,11 +201,15 @@ def _einsum_spec(shapes, groups, open_axes) -> str:
     return operands + "->" + ascii_letters[n_summed : len(indices)]
 
 
+# The default path optimizer caps intermediates at the largest operand size,
+# which forces a catastrophic all-at-once contraction on small outputs; allow
+# desk-scale intermediates explicitly.  A named strategy, never an explicit
+# path: callers that key einsum calls on ``optimize`` need it hashable.
+_OPTIMIZE = ("greedy", 1e8)
+
+
 def _einsum(spec: str, arrays) -> np.ndarray:
-    # The default path optimizer caps intermediates at the largest operand
-    # size, which forces a catastrophic all-at-once contraction on small
-    # outputs; allow desk-scale intermediates explicitly.
-    return np.einsum(spec, *arrays, optimize=("greedy", 1e8))
+    return np.einsum(spec, *arrays, optimize=_OPTIMIZE)
 
 
 def multi_contract(

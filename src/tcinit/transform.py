@@ -14,8 +14,11 @@ one at ``(j, jt, k)`` exactly when ``jt = j + k - (beta - padding - 1)``.
 Note the kernel axis of ``P'`` indexes the *reversed* kernel: executing the
 backward convolution must pair it with the flipped weight (equivalently,
 contract with the reversal matrix), which is exactly what the ``R`` factor in
-the identity supplies.  :func:`backward_pattern` folds ``T`` into ``P'`` so
-that :func:`build_backward_format` layers execute like forward ones.
+the identity supplies.  :func:`backward_pattern` folds ``T`` into ``P'``; it is
+the reference for the window gather that executes
+:func:`build_backward_format` layers (zero insertion by the forward stride,
+a left pad of ``beta - padding - 1``, stride 1).  :func:`theorem1_grid` is
+the parameter grid on which the identity is checked.
 """
 
 from __future__ import annotations
@@ -116,6 +119,20 @@ def backward_pattern(spec: BackwardDummySpec) -> DenseTensor:
     """
     t = transformation_matrix(spec.alpha, spec.forward.stride)
     return contract(t, [1], build_backward_dummy(spec), [1])
+
+
+def theorem1_grid():
+    """The window specs on which the exact identity is checked, 441 in all.
+
+    Every ``alpha`` in 3..12, ``beta`` in 1..5, ``stride`` in 1..3 and
+    ``padding`` in 0..beta-1 whose window fits the padded input.
+    """
+    for alpha in range(3, 13):
+        for beta in range(1, 6):
+            for stride in range(1, 4):
+                for padding in range(0, beta):
+                    if alpha + 2 * padding >= beta:
+                        yield DummySpec(alpha, beta, stride, padding)
 
 
 def verify_theorem1(fwd: DummySpec) -> bool:

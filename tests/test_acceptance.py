@@ -20,16 +20,10 @@ def test_criterion_01_backward_pattern_identity_exact():
     start = time.perf_counter()
     checked = 0
     failed = []
-    for alpha in range(3, 13):
-        for beta in range(1, 6):
-            for stride in range(1, 4):
-                for padding in range(0, beta):
-                    if alpha + 2 * padding < beta:
-                        continue
-                    spec = tc.DummySpec(alpha, beta, stride, padding)
-                    if not tc.verify_theorem1(spec):
-                        failed.append((alpha, beta, stride, padding))
-                    checked += 1
+    for spec in tc.theorem1_grid():
+        if not tc.verify_theorem1(spec):
+            failed.append((spec.alpha, spec.beta, spec.stride, spec.padding))
+        checked += 1
     elapsed = time.perf_counter() - start
     ok = not failed and elapsed < 5.0
     _report(

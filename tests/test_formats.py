@@ -87,10 +87,33 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_format("phi 1\nvertex x input\nedge cin input-channel 3 x nope\n")
 
+    def test_padding_above_beta_minus_one_points_at_pad(self):
+        text = MINIMAL_CONV.replace(
+            "edge k1 kernel 3 w alpha 8 stride 1 pad 1",
+            "edge k1 kernel 3 w alpha 8 stride 1 pad 3",
+        )
+        with pytest.raises(ParseError) as err:
+            parse_format(text)
+        line = text.splitlines()[err.value.line - 1]
+        assert line.endswith("pad 3")
+        assert err.value.column == len(line)
+        assert "padding 3 exceeds beta-1 = 2" in str(err.value)
+        # pad = beta - 1 is the largest padding with a backward pass
+        parse_format(text.replace("pad 3", "pad 2"))
+
 
 class TestValidate:
     def _base(self):
         return builtin_format("standard", c_in=3, c_out=8, k=3, alpha=8)
+
+    def test_padding_above_beta_minus_one_listed(self):
+        with pytest.raises(ValidationError) as err:
+            builtin_format("standard", c_in=2, c_out=2, k=3, padding=3, alpha=4)
+        assert err.value.violations == [
+            f"kernel edge {eid!r} padding 3 exceeds beta-1 = 2; "
+            "its backward pass is undefined"
+            for eid in ("k0", "k1")
+        ]
 
     def test_edgeless_weight_rejected(self):
         f = self._base()

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+import tcinit
+from tcinit import network, tensor, transform
 from tcinit.errors import PlanIncomplete, ShapeMismatch
 from tcinit.formats import BUILTIN_NAMES, builtin_format, parse_format
 from tcinit.graph import InitPlan, make_plan
 from tcinit.network import backward_apply, forward_apply, materialize
-from tcinit.tensor import DenseTensor
+from tcinit.tensor import DenseTensor, build_dummy, multi_contract
+from tcinit.transform import backward_dummy, backward_pattern, theorem1_grid
 
 
 def direct_conv2d(x, w, stride, padding):
@@ -269,7 +272,7 @@ class TestAdjoint:
         f = parse_format(SHARED_CHANNELS)
         layer = materialize(f, make_plan(f, "graph-in", "identity"), 4)
         x = np.random.default_rng(5).standard_normal((2, 3, 2, 6))
-        pattern = layer.dummies["k0"].array
+        pattern = build_dummy(f.kernel_edges[0].window).array
         want = sum(
             np.einsum(
                 "nijt,iro,irqp,jkqo,tsk->nops",
@@ -279,3 +282,128 @@ class TestAdjoint:
         )
         got = forward_apply(layer, DenseTensor.from_array(x)).array
         assert np.allclose(got, want, atol=1e-10)
+
+
+def assert_oracle(f, fwd_wiring, bwd_wiring, seed=0):
+    """Windowed forward and backward against ``multi_contract`` with the
+    ``build_dummy`` and ``backward_pattern`` patterns, summed over replicas.
+
+    A wiring is ``(groups, open_axes)`` over the tensors (input or
+    gradient, weights in declaration order, one pattern per kernel edge);
+    the backward weights are flipped along their kernel axes.
+    """
+    rng = np.random.default_rng(seed)
+    layer = materialize(f, make_plan(f, "graph-in", "identity"), seed)
+    x = rng.standard_normal((2,) + f.input_mode_dims())
+    g = rng.standard_normal((2,) + f.output_mode_dims())
+    windows = [e.window for e in f.kernel_edges]
+    fwd_patterns = [build_dummy(w) for w in windows]
+    bwd_patterns = [backward_pattern(backward_dummy(w)) for w in windows]
+    for arg, patterns, wiring, apply, flip in (
+        (x, fwd_patterns, fwd_wiring, forward_apply, False),
+        (g, bwd_patterns, bwd_wiring, backward_apply, True),
+    ):
+        want = 0.0
+        for rep in layer.replicas:
+            weights = []
+            for vid in f.weight_ids:
+                kernel_axes = [
+                    i for i, e in enumerate(f.edges_of(vid)) if flip and e.kind == "kernel"
+                ]
+                weights.append(DenseTensor.from_array(np.flip(rep[vid].array, kernel_axes)))
+            tensors = [DenseTensor.from_array(arg), *weights, *patterns]
+            want = want + multi_contract(tensors, *wiring).array
+        got = apply(layer, DenseTensor.from_array(arg)).array
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+# x[n,c,a] w[c,o,k] P[a,a',k] -> [n,o,a']; g[n,o,a'] w[c,o,k] Q[a',a,k] -> [n,c,a]
+STANDARD_1D_FWD = ([[(0, 1), (1, 0)], [(0, 2), (2, 0)], [(1, 2), (2, 2)]],
+                   [(0, 0), (1, 1), (2, 1)])
+STANDARD_1D_BWD = ([[(0, 1), (1, 1)], [(0, 2), (2, 0)], [(1, 2), (2, 2)]],
+                   [(0, 0), (1, 0), (2, 1)])
+# x[n,c,a,b] w0[c,r] w1[r,k,l,s] w2[s,o] P0[a,a',k] P1[b,b',l] -> [n,o,a',b']
+TUCKER2_2D_FWD = (
+    [[(0, 1), (1, 0)], [(1, 1), (2, 0)], [(2, 3), (3, 0)],
+     [(0, 2), (4, 0)], [(0, 3), (5, 0)], [(2, 1), (4, 2)], [(2, 2), (5, 2)]],
+    [(0, 0), (3, 1), (4, 1), (5, 1)],
+)
+# g[n,o,a',b'] w0 w1 w2 Q0[a',a,k] Q1[b',b,l] -> [n,c,a,b]
+TUCKER2_2D_BWD = (
+    [[(0, 1), (3, 1)], [(1, 1), (2, 0)], [(2, 3), (3, 0)],
+     [(0, 2), (4, 0)], [(0, 3), (5, 0)], [(2, 1), (4, 2)], [(2, 2), (5, 2)]],
+    [(0, 0), (1, 0), (4, 1), (5, 1)],
+)
+
+
+class TestPatternOracle:
+    def test_standard_1d_over_theorem1_grid(self):
+        checked = 0
+        for spec in theorem1_grid():
+            f = builtin_format(
+                "standard", c_in=2, c_out=2, k=spec.beta, spatial=1,
+                alpha=spec.alpha, stride=spec.stride, padding=spec.padding,
+            )
+            assert_oracle(f, STANDARD_1D_FWD, STANDARD_1D_BWD, seed=checked)
+            checked += 1
+        assert checked == 441
+
+    def test_tucker2_2d_non_square(self):
+        f = builtin_format(
+            "tucker2", c_in=3, c_out=2, r0=2, r1=3, k=3, alpha=(7, 10),
+            stride=2, padding=1, phi=2,
+        )
+        assert_oracle(f, TUCKER2_2D_FWD, TUCKER2_2D_BWD)
+
+
+CONV_BUILTINS = [name for name in sorted(ADJOINT_BUILTINS) if "k" in ADJOINT_BUILTINS[name]]
+
+
+class TestNoPatternBuilt:
+    @pytest.mark.parametrize("name", CONV_BUILTINS)
+    def test_conv_builtin_runs_without_patterns(self, name, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the engine built a pattern tensor")
+
+        for module in (tcinit, tensor, transform, network):
+            for attr in ("build_dummy", "backward_pattern", "build_backward_dummy"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+        network._plan.cache_clear()
+        assert_adjoint(builtin_format(name, **ADJOINT_BUILTINS[name]))
+
+    def test_window_far_beyond_pattern_memory(self):
+        # The [alpha, alpha', beta] pattern of this layer would take about
+        # 240 GB; the windowed engine needs a few MB.
+        f = builtin_format("standard", c_in=2, c_out=2, k=3, spatial=1,
+                           padding=1, alpha=100_000)
+        rng = np.random.default_rng(0)
+        layer = materialize(f, make_plan(f, "graph-in", "identity"), 0)
+        x = rng.standard_normal((1,) + f.input_mode_dims())
+        g = rng.standard_normal((1,) + f.output_mode_dims())
+        y = forward_apply(layer, DenseTensor.from_array(x)).array
+        gx = backward_apply(layer, DenseTensor.from_array(g)).array
+        assert y.shape == g.shape and gx.shape == x.shape
+        scale = np.linalg.norm(y) * np.linalg.norm(g)
+        assert abs(np.vdot(y, g) - np.vdot(x, gx)) <= 1e-10 * scale
+
+
+def test_einsum_optimize_arguments_are_hashable_named_strategies(monkeypatch):
+    """Tools that key einsum calls on ``optimize`` need a hashable value;
+    an explicit ``["einsum_path", ...]`` list would not be."""
+    seen = []
+    original = np.einsum
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs.get("optimize", False))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", recording)
+    network._plan.cache_clear()
+    for name in sorted(ADJOINT_BUILTINS):
+        assert_adjoint(builtin_format(name, **ADJOINT_BUILTINS[name]))
+    assert_adjoint(parse_format(SHARED_CHANNELS))
+    assert seen
+    for optimize in seen:
+        hash(optimize)
+        assert not (isinstance(optimize, tuple) and optimize[:1] == ("einsum_path",))
