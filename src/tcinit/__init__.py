@@ -16,6 +16,7 @@ from .errors import (
     InvalidParams,
     ParseError,
     PlanIncomplete,
+    ResourceLimit,
     ShapeMismatch,
     TcinitError,
     TooManyIndices,

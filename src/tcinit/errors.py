@@ -65,3 +65,7 @@ class PlanIncomplete(TcinitError):
 
 class ShapeMismatch(TcinitError):
     """Adjacent layers or a layer and its input disagree on shapes."""
+
+
+class ResourceLimit(TcinitError):
+    """An array would exceed the memory limit; raised before allocating it."""

@@ -27,10 +27,18 @@ Axis conventions (all carry a leading batch axis):
   (kernel edges contribute their input spatial length);
 * layer output — output-channel edges in declaration order, then one output
   spatial axis per kernel edge in declaration order.
+
+A plan may also take an optional leading *trial axis*, ahead of the batch
+axis: an open index joined by the input and by every weight, so that one
+contraction runs a block of independent Monte-Carlo trials, each with its own
+input and weights.  The steps and window gathers are those of the per-trial
+plan with one more index; the per-trial call is the case without it.  Blocks
+are sized from the per-trial plan's largest array (see :func:`_trial_block`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,12 +54,20 @@ from .formats import (
     LayerFormat,
 )
 from .graph import InitPlan
-from .tensor import _OPTIMIZE, DenseTensor, _einsum, _einsum_spec
+from .tensor import _OPTIMIZE, DenseTensor, _check_array, _einsum, _einsum_spec
 from .transform import BackwardDummySpec, build_backward_format
 
 # Compiled plans kept per process.  A plan holds only subscripts and small
 # tuples, so the bound caps memory when many distinct formats are executed.
 _PLAN_CACHE_SIZE = 128
+
+# A trial block holds at most this many bytes in the plan's largest array
+# (one trial may need more) and at most MAX_TRIAL_BLOCK trials.  Larger blocks
+# buy little once per-trial Python overhead is amortized, and cost memory: a
+# conv layer with a 330 KB window gather per trial ran slower per trial in
+# blocks of 3 than one trial at a time.
+TRIAL_BLOCK_BYTES = 1 << 19
+MAX_TRIAL_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -68,6 +84,24 @@ def _sample(rng: np.random.Generator, shape, sigma2: float, distribution: str):
     return rng.normal(0.0, np.sqrt(sigma2), size=shape)
 
 
+def _weight_specs(f: LayerFormat, plan: InitPlan):
+    """Shapes and planned variances of the weight vertices, in order."""
+    missing = [vid for vid in f.weight_ids if vid not in plan.variances]
+    if missing:
+        raise PlanIncomplete(f"plan assigns no variance to vertices {missing}")
+    shapes = tuple(f.weight_mode_dims(vid) for vid in f.weight_ids)
+    return shapes, [plan.variances[vid] for vid in f.weight_ids]
+
+
+def _draw(rng, shapes, variances, distribution: str, phi: int) -> list[list[np.ndarray]]:
+    """``phi`` replicas of the weight arrays, drawn from ``rng`` replica by
+    replica and, within a replica, vertex by vertex."""
+    return [
+        [_sample(rng, s, v, distribution) for s, v in zip(shapes, variances)]
+        for _ in range(phi)
+    ]
+
+
 def materialize(f: LayerFormat, plan: InitPlan, rng) -> MaterializedLayer:
     """Draw all weight tensors.
 
@@ -75,20 +109,16 @@ def materialize(f: LayerFormat, plan: InitPlan, rng) -> MaterializedLayer:
     vertex ``v`` has the shape of its incident-edge dims in declaration
     order; entries are i.i.d. zero mean with the planned variance.
     """
-    rng = np.random.default_rng(rng)
-    missing = [vid for vid in f.weight_ids if vid not in plan.variances]
-    if missing:
-        raise PlanIncomplete(f"plan assigns no variance to vertices {missing}")
-    replicas = []
-    for _ in range(f.phi):
-        weights = {}
-        for vid in f.weight_ids:
-            shape = f.weight_mode_dims(vid)
-            weights[vid] = DenseTensor.from_array(
-                _sample(rng, shape, plan.variances[vid], plan.distribution)
-            )
-        replicas.append(weights)
-    return MaterializedLayer(f, plan, tuple(replicas))
+    shapes, variances = _weight_specs(f, plan)
+    replicas = _draw(np.random.default_rng(rng), shapes, variances, plan.distribution, f.phi)
+    return MaterializedLayer(
+        f,
+        plan,
+        tuple(
+            {vid: DenseTensor.from_array(w) for vid, w in zip(f.weight_ids, weights)}
+            for weights in replicas
+        ),
+    )
 
 
 def _input_perm(f: LayerFormat) -> list[int]:
@@ -108,7 +138,12 @@ def _input_perm(f: LayerFormat) -> list[int]:
     return perm
 
 
-def contraction_map(f: LayerFormat):
+def _shift(perm, lead: int) -> tuple[int, ...]:
+    """``perm`` behind ``lead`` leading axes that stay in place."""
+    return tuple(range(lead)) + tuple(lead + p for p in perm)
+
+
+def contraction_map(f: LayerFormat, trial_axis: bool = False):
     """Summation groups and open indices wiring one replica's forward pass.
 
     Tensor slots: 0 is the windowed batched input, then the weight vertices
@@ -119,13 +154,20 @@ def contraction_map(f: LayerFormat):
     the window positions are the last.  Each open index lists every
     ``(slot, axis)`` it joins: an output-channel edge shared by several
     weight vertices stays one index.
+
+    With ``trial_axis`` every tensor gains a leading trial axis, all other
+    axes shift by one, and the trial axis, joined by every slot, becomes the
+    first open index.
     """
+    lead = int(trial_axis)
     xid = f.input_vertex.id
     x_edges = f.edges_of(xid)
-    x_axes = {e.id: 1 + i for i, e in enumerate(x_edges)}
-    window_axes = {e.id: 1 + len(x_edges) + i for i, e in enumerate(f.kernel_edges)}
+    x_axes = {e.id: lead + 1 + i for i, e in enumerate(x_edges)}
+    window_axes = {
+        e.id: lead + 1 + len(x_edges) + i for i, e in enumerate(f.kernel_edges)
+    }
     w_axes = {
-        vid: {e.id: i for i, e in enumerate(f.edges_of(vid))}
+        vid: {e.id: lead + i for i, e in enumerate(f.edges_of(vid))}
         for vid in f.weight_ids
     }
     w_slot = {vid: 1 + i for i, vid in enumerate(f.weight_ids)}
@@ -142,7 +184,8 @@ def contraction_map(f: LayerFormat):
         elif e.kind == KERNEL:
             groups.append([(0, window_axes[e.id])] + weight_axes(e))
 
-    open_axes = [[(0, 0)]]
+    open_axes = [[(slot, 0) for slot in range(1 + len(f.weight_ids))]] if lead else []
+    open_axes += [[(0, lead)]]
     open_axes += [weight_axes(e) for e in f.edges_of_kind(OUTPUT_CHANNEL)]
     open_axes += [[(0, x_axes[e.id])] for e in f.kernel_edges]
     return groups, open_axes
@@ -167,6 +210,11 @@ class _Window:
             return cls(spec.beta, 1, spec.forward.stride, spec.padding, spec.alpha_prime)
         return cls(spec.beta, spec.stride, 1, spec.padding, spec.alpha_prime)
 
+    @property
+    def padded(self) -> int:
+        """Length of the zero-expanded, padded axis the windows read."""
+        return self.stride * (self.count - 1) + self.beta
+
 
 def _gather(x: np.ndarray, axes, windows) -> np.ndarray:
     """Windowed view of ``x``: each of ``axes`` becomes the window position
@@ -176,7 +224,7 @@ def _gather(x: np.ndarray, axes, windows) -> np.ndarray:
     dst = [slice(None)] * x.ndim
     step = [slice(None)] * x.ndim
     for ax, w in zip(axes, windows):
-        shape[ax] = w.stride * (w.count - 1) + w.beta
+        shape[ax] = w.padded
         kept = min(x.shape[ax], (shape[ax] - w.lo - 1) // w.dilation + 1)
         src[ax] = slice(kept)
         dst[ax] = slice(w.lo, w.lo + w.dilation * (kept - 1) + 1, w.dilation)
@@ -202,15 +250,21 @@ class _Step:
 
 @dataclass(frozen=True)
 class _Plan:
+    """``largest`` counts the entries of the largest array the plan holds:
+    the input, its padded copy, a weight, a gathered window or a step
+    result."""
+
     steps: tuple[_Step, ...]
     windows: tuple[_Window, ...]
     in_perm: tuple[int, ...]
     flips: tuple[tuple[int, ...], ...]
     out_perm: tuple[int, ...]
+    largest: int
 
 
-def _steps(spec: str, shapes, n_x: int, k_axes) -> tuple[_Step, ...]:
-    """Pairwise steps along numpy's greedy path for ``spec``.
+def _steps(spec: str, shapes, n_x: int, k_axes) -> tuple[tuple[_Step, ...], int]:
+    """Pairwise steps along numpy's greedy path for ``spec``, and the entry
+    count of the largest weight, gathered window or step result.
 
     ``shapes`` are those of the windowed input and the weights; the first
     ``n_x`` letters of the input term are its un-windowed axes, the rest its
@@ -220,6 +274,12 @@ def _steps(spec: str, shapes, n_x: int, k_axes) -> tuple[_Step, ...]:
     path = np.einsum_path(spec, *standins, optimize=_OPTIMIZE)[0][1:]
     inputs, output = spec.split("->")
     terms = inputs.split(",")
+    dims = {c: d for t, s in zip(terms, shapes) for c, d in zip(t, s)}
+
+    def size(term):
+        return math.prod(dims[c] for c in term)
+
+    largest = max(map(size, terms[1:]), default=1)
     offsets = terms[0][n_x:]
     kernel = [terms[0][ax] for ax in k_axes]
     terms[0] = terms[0][:n_x]
@@ -233,50 +293,78 @@ def _steps(spec: str, shapes, n_x: int, k_axes) -> tuple[_Step, ...]:
             axes = tuple(args[window].index(c) for c in kernel)
             args[window] += offsets
             offsets = ""
+            largest = max(largest, size(args[window]))
         rest = [t for i, t in enumerate(terms) if i not in picked]
         live = set(output).union(offsets, *rest)
         out = output if n == len(path) - 1 else "".join(
             dict.fromkeys(c for t in args for c in t if c in live)
         )
+        largest = max(largest, size(out))
         steps.append(_Step(tuple(picked), ",".join(args) + "->" + out, window, axes))
         if x_at in picked:
             x_at = len(rest)
         else:
             x_at -= sum(1 for i in picked if i < x_at)
         terms = rest + [out]
-    return tuple(steps)
+    return tuple(steps), largest
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _plan(f: LayerFormat, backward: bool, x_shape, w_shapes) -> _Plan:
+def _plan(f: LayerFormat, backward: bool, x_shape, w_shapes, trial_axis: bool = False) -> _Plan:
     """Compile one direction of ``f`` for the given operand shapes."""
+    lead = int(trial_axis)
     ef = build_backward_format(f) if backward else f
     windows = tuple(_Window.of(e.window) for e in ef.kernel_edges)
     x_edges = ef.edges_of(ef.input_vertex.id)
-    k_axes = [1 + i for i, e in enumerate(x_edges) if e.kind == KERNEL]
-    in_perm = tuple(_input_perm(ef)) if backward else tuple(range(len(x_shape)))
+    k_axes = [lead + 1 + i for i, e in enumerate(x_edges) if e.kind == KERNEL]
+    in_perm = _shift(_input_perm(ef), lead) if backward else tuple(range(len(x_shape)))
     wx_shape = [x_shape[i] for i in in_perm]
+    padded = list(wx_shape)
     for ax, w in zip(k_axes, windows):
         wx_shape[ax] = w.count
+        padded[ax] = w.padded
     wx_shape += [w.beta for w in windows]
     shapes = [tuple(wx_shape), *w_shapes]
-    spec = _einsum_spec(shapes, *contraction_map(ef))
+    spec = _einsum_spec(shapes, *contraction_map(ef, trial_axis))
     flips = tuple(
-        tuple(i for i, e in enumerate(f.edges_of(vid)) if backward and e.kind == KERNEL)
+        tuple(lead + i for i, e in enumerate(f.edges_of(vid)) if backward and e.kind == KERNEL)
         for vid in f.weight_ids
     )
-    out_perm = tuple(_input_perm(f)) if backward else tuple(range(1 + len(f.output_mode_dims())))
-    return _Plan(
-        _steps(spec, shapes, len(x_shape), k_axes), windows, in_perm, flips, out_perm
+    out_perm = (
+        _shift(_input_perm(f), lead)
+        if backward
+        else tuple(range(lead + 1 + len(f.output_mode_dims())))
     )
+    steps, largest = _steps(spec, shapes, len(x_shape), k_axes)
+    largest = max(largest, math.prod(x_shape), math.prod(padded))
+    return _Plan(steps, windows, in_perm, flips, out_perm, largest)
 
 
-def _contract(layer: MaterializedLayer, t: DenseTensor, backward: bool) -> DenseTensor:
-    """Sum over replicas of one direction's compiled contraction."""
-    f = layer.format
-    replicas = [[w[vid].array for vid in f.weight_ids] for w in layer.replicas]
-    plan = _plan(f, backward, t.shape, tuple(w.shape for w in replicas[0]))
-    x = t.array.transpose(plan.in_perm)
+def _trial_block(f: LayerFormat, x_shape, w_shapes) -> int:
+    """Trials per forward block for a per-trial input of ``x_shape``.
+
+    As many trials as keep the block's largest array within
+    ``TRIAL_BLOCK_BYTES``, at least one and at most ``MAX_TRIAL_BLOCK``.  The
+    size depends on the shapes alone.  Raises
+    :class:`~tcinit.errors.ResourceLimit` when even that block would exceed
+    the memory limit.
+    """
+    largest = _plan(f, False, x_shape, w_shapes).largest
+    block = min(MAX_TRIAL_BLOCK, max(1, TRIAL_BLOCK_BYTES // (8 * largest)))
+    _check_array((block, largest), "the largest array of a trial block")
+    return block
+
+
+def _contract(f: LayerFormat, x: np.ndarray, replicas, backward: bool, trial_axis: bool = False) -> np.ndarray:
+    """Sum over replicas of one direction's compiled contraction.
+
+    ``replicas`` holds one list of weight arrays per replica, in
+    ``f.weight_ids`` order.  With ``trial_axis`` the input, every weight and
+    the result carry a leading trial axis.
+    """
+    w_shapes = tuple(w.shape for w in replicas[0])
+    plan = _plan(f, backward, x.shape, w_shapes, trial_axis)
+    x = x.transpose(plan.in_perm)
     out = None
     for weights in replicas:
         ops = [x] + [np.flip(w, axis=a) for w, a in zip(weights, plan.flips)]
@@ -288,7 +376,13 @@ def _contract(layer: MaterializedLayer, t: DenseTensor, backward: bool) -> Dense
                 args[step.window] = _gather(args[step.window], step.axes, plan.windows)
             ops.append(_einsum(step.spec, args))
         out = ops[0] if out is None else out + ops[0]
-    return DenseTensor.from_array(out.transpose(plan.out_perm))
+    return out.transpose(plan.out_perm)
+
+
+def _apply(layer: MaterializedLayer, t: DenseTensor, backward: bool) -> DenseTensor:
+    f = layer.format
+    replicas = [[w[vid].array for vid in f.weight_ids] for w in layer.replicas]
+    return DenseTensor.from_array(_contract(f, t.array, replicas, backward))
 
 
 def forward_apply(layer: MaterializedLayer, x: DenseTensor) -> DenseTensor:
@@ -303,7 +397,7 @@ def forward_apply(layer: MaterializedLayer, x: DenseTensor) -> DenseTensor:
         raise ShapeMismatch(
             f"input shape {x.shape[1:]} does not match layer input {expected}"
         )
-    return _contract(layer, x, backward=False)
+    return _apply(layer, x, backward=False)
 
 
 def backward_apply(layer: MaterializedLayer, grad: DenseTensor) -> DenseTensor:
@@ -321,4 +415,4 @@ def backward_apply(layer: MaterializedLayer, grad: DenseTensor) -> DenseTensor:
         raise ShapeMismatch(
             f"gradient shape {grad.shape[1:]} does not match layer output {expected}"
         )
-    return _contract(layer, grad, backward=True)
+    return _apply(layer, grad, backward=True)

@@ -3,13 +3,21 @@
 Every randomized entry point takes an explicit master seed; trial ``t``
 derives its own stream from ``SeedSequence([seed, t])`` and results are
 reduced in trial order, so reports are byte-identical for any worker count.
+:func:`variance_mc` runs its trials in blocks whose size depends on the layer
+shapes alone, never on the worker count; workers map over trials or blocks.
+While a pool of more than one worker runs, numpy's bundled OpenBLAS is held
+at one thread, so that workers do not contend for cores.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -22,8 +30,17 @@ from .graph import (
     make_plan,
     predicted_output_variance,
 )
-from .network import _input_perm, backward_apply, forward_apply, materialize
-from .tensor import DenseTensor, _activation, _activation_derivative
+from .network import (
+    _contract,
+    _draw,
+    _input_perm,
+    _trial_block,
+    _weight_specs,
+    backward_apply,
+    forward_apply,
+    materialize,
+)
+from .tensor import DenseTensor, _activation, _activation_derivative, _check_array
 
 DEFAULT_CHAIN_DIMS = (96, 200, 400, 600, 800, 1000, 800, 600, 400, 200, 100)
 SATURATION_THRESHOLD = 0.99
@@ -104,6 +121,7 @@ def validate_network(net: NetworkSpec) -> None:
     if net.batch < 1:
         raise InvalidParams("batch must be >= 1")
     feed = tuple(net.input_shape)
+    _check_array((net.batch, *feed), "the batched network input")
     for i, spec in enumerate(net.layers):
         f = spec.format
         channels = f.in_channel_dims
@@ -115,6 +133,7 @@ def validate_network(net: NetworkSpec) -> None:
                 f"lengths {alphas} but receives {feed}"
             )
         feed = f.output_mode_dims()
+        _check_array((net.batch, *feed), f"the output of layer {i}")
 
 
 def _build_plans(net: NetworkSpec) -> list[InitPlan]:
@@ -147,11 +166,46 @@ def _forward_pass(net: NetworkSpec, layers, x: np.ndarray):
     return states
 
 
-def _map_trials(fn, trials: int, workers: int) -> list:
+@lru_cache(maxsize=1)
+def _openblas():
+    """``(get, set)`` thread-count functions of numpy's bundled OpenBLAS, or
+    None when that library or either symbol is absent."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold BLAS at one thread, restoring the previous count on exit."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def _map_trials(fn, items, workers: int) -> list:
+    """``fn`` over ``items`` (trials or trial blocks), results in order."""
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(fn, range(trials)))
-    return [fn(t) for t in range(trials)]
+        with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as ex:
+            return list(ex.map(fn, items))
+    return [fn(t) for t in items]
 
 
 def _aggregate(seed, trials, threshold, rows) -> TraceReport:
@@ -205,7 +259,7 @@ def forward_trace(
             for pre, post in states
         ]
 
-    rows = _map_trials(one, trials, workers)
+    rows = _map_trials(one, range(trials), workers)
     return _aggregate(seed, trials, threshold, rows)
 
 
@@ -250,7 +304,7 @@ def backward_trace(
                 g = g.transpose(np.argsort(_input_perm(spec.format)))
         return stats
 
-    rows = _map_trials(one, trials, workers)
+    rows = _map_trials(one, range(trials), workers)
     return _aggregate(seed, trials, threshold, rows)
 
 
@@ -287,25 +341,43 @@ def variance_mc(
     The prediction is ``phi * prod(sigma^2) * prod(e)`` over the fan-in
     backbone graph; the measurement is taken before any activation, so the
     two agree for every plan mode up to sampling noise.
+
+    Trial ``t`` draws a standard-normal input of ``batch`` samples and then
+    every weight from ``SeedSequence([seed, t])``.  Trials run in blocks:
+    a block stacks its trials' inputs and weights along a leading trial axis
+    and runs one contraction per replica, and each trial's ratio is read off
+    its slice.  The block size comes from the layer shapes (see
+    :func:`~tcinit.network._trial_block`), so the figures do not depend on
+    ``workers``, which map over blocks.  Raises
+    :class:`~tcinit.errors.ResourceLimit` before any draw when one block
+    would not fit in memory.
     """
+    shapes, variances = _weight_specs(f, plan)
     predicted = predicted_output_variance(
-        extract_bg(f, FAN_IN),
-        1.0,
-        [plan.variances[vid] for vid in f.weight_ids],
-        1.0,
-        f.phi,
+        extract_bg(f, FAN_IN), 1.0, variances, 1.0, f.phi
     )
+    x_shape = (batch,) + f.input_mode_dims()
+    size = _trial_block(f, x_shape, shapes)
 
-    def one(trial):
-        ss = np.random.SeedSequence([seed, trial])
-        k_in, k_w = ss.spawn(2)
-        rng = np.random.default_rng(k_in)
-        x = rng.standard_normal((batch,) + f.input_mode_dims())
-        layer = materialize(f, plan, np.random.default_rng(k_w))
-        out = forward_apply(layer, DenseTensor.from_array(x)).array
-        return out.var() / x.var()
+    def run_block(block):
+        xs, draws = [], []
+        for t in block:
+            k_in, k_w = np.random.SeedSequence([seed, t]).spawn(2)
+            xs.append(np.random.default_rng(k_in).standard_normal(x_shape))
+            rng = np.random.default_rng(k_w)
+            draws.append(_draw(rng, shapes, variances, plan.distribution, f.phi))
+        stacked = len(block) > 1
+        if stacked:
+            x = np.stack(xs)
+            replicas = [[np.stack(ws) for ws in zip(*reps)] for reps in zip(*draws)]
+        else:
+            x, replicas = xs[0], draws[0]
+        out = _contract(f, x, replicas, backward=False, trial_axis=stacked)
+        n = len(block)
+        return out.reshape(n, -1).var(axis=1) / x.reshape(n, -1).var(axis=1)
 
-    ratios = _map_trials(one, trials, workers)
+    blocks = [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
+    ratios = np.concatenate([np.empty(0), *_map_trials(run_block, blocks, workers)])
     return {
         "seed": seed,
         "trials": trials,
@@ -347,7 +419,7 @@ def scale_chain(
             x = out
         return scales
 
-    rows = np.asarray(_map_trials(one, trials, workers))
+    rows = np.asarray(_map_trials(one, range(trials), workers))
     table = []
     for t in range(len(dims) - 1):
         table.append(

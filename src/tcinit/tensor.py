@@ -16,6 +16,8 @@ mandated by the math, and every caller in the package relies on it.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 from string import ascii_letters
 from typing import Iterable, Sequence
@@ -27,11 +29,36 @@ from .errors import (
     DimensionMismatch,
     DuplicateAxis,
     InvalidDummySpec,
+    ResourceLimit,
     TooManyIndices,
     UnboundAxis,
 )
 
 ACTIVATIONS = ("identity", "relu", "tanh")
+
+
+def _physical_memory() -> int:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return 16 << 30
+
+
+# No single array is allocated past half of physical memory: such a request
+# would fail with a raw MemoryError, or end in an out-of-memory kill on a host
+# that overcommits.
+MEMORY_LIMIT = _physical_memory() // 2
+
+
+def _check_array(shape, what: str) -> None:
+    """Raise :class:`ResourceLimit` if a float64 array of ``shape`` would
+    exceed the memory limit; ``what`` names it in the message."""
+    nbytes = 8 * math.prod(shape)
+    if nbytes > MEMORY_LIMIT:
+        raise ResourceLimit(
+            f"{what} needs {nbytes:.3e} bytes, over the limit of "
+            f"{MEMORY_LIMIT:.3e} bytes (half of physical memory)"
+        )
 
 
 @dataclass(frozen=True)
@@ -237,7 +264,10 @@ def build_dummy(spec: DummySpec) -> DenseTensor:
     """Binary tensor of shape ``[alpha, alpha_prime, beta]``.
 
     Entry ``(j, j', k)`` is one exactly when ``j = stride*j' + k - padding``.
+    Raises :class:`~tcinit.errors.ResourceLimit` before allocating a pattern
+    past the memory limit.
     """
+    _check_array((spec.alpha, spec.alpha_prime, spec.beta), "the pattern tensor")
     j = np.arange(spec.alpha)[:, None, None]
     jp = np.arange(spec.alpha_prime)[None, :, None]
     k = np.arange(spec.beta)[None, None, :]
@@ -262,6 +292,7 @@ def transformation_matrix(t: int, epsilon: int) -> DenseTensor:
     if t < 1 or epsilon < 1:
         raise ValueError("t and epsilon must be >= 1")
     t_tilde = epsilon * (t - 1) + 1
+    _check_array((t, t_tilde), "the transformation matrix")
     mat = np.zeros((t, t_tilde))
     mat[np.arange(t), epsilon * np.arange(t)] = 1.0
     return DenseTensor.from_array(mat)

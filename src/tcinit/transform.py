@@ -37,6 +37,7 @@ from .formats import (
 from .tensor import (
     DenseTensor,
     DummySpec,
+    _check_array,
     build_dummy,
     contract,
     reversal_matrix,
@@ -103,6 +104,9 @@ def build_backward_dummy(spec: BackwardDummySpec) -> DenseTensor:
     Entry ``(j, jt, k)`` is one exactly when ``jt = j + k - padding`` with
     ``padding = beta - p - 1``.  The third axis indexes the reversed kernel.
     """
+    _check_array(
+        (spec.forward.alpha, spec.grad_expanded, spec.beta), "the backward pattern"
+    )
     j = np.arange(spec.forward.alpha)[:, None, None]
     jt = np.arange(spec.grad_expanded)[None, :, None]
     k = np.arange(spec.beta)[None, None, :]

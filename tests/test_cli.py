@@ -118,6 +118,17 @@ class TestSimulate:
         assert a.with_suffix(".json").read_bytes() == b.with_suffix(".json").read_bytes()
         assert a.with_suffix(".csv").read_bytes() == b.with_suffix(".csv").read_bytes()
 
+    def test_over_limit_input_exits_2(self, capsys):
+        # The batched input would take about 4e15 bytes.
+        code, _, err = run(
+            capsys,
+            "simulate", "--builtin", "standard",
+            "-P", "c_in=16", "-P", "c_out=16", "-P", "k=3", "-P", "alpha=1000000",
+            "--seed", "0", "--trials", "1",
+        )
+        assert code == 2
+        assert "network input" in err and "limit" in err
+
     def test_shape_mismatch_exits_2(self, capsys):
         code, _, err = run(
             capsys,

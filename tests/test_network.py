@@ -388,6 +388,51 @@ class TestNoPatternBuilt:
         assert abs(np.vdot(y, g) - np.vdot(x, gx)) <= 1e-10 * scale
 
 
+class TestTrialAxis:
+    """A leading trial axis runs independent trials in one contraction."""
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            builtin_format("tucker2", c_in=3, c_out=2, r0=2, r1=3, k=3,
+                           alpha=(7, 10), stride=2, padding=1, phi=2),
+            parse_format(SHARED_CHANNELS),
+            builtin_format("oddlike", **ADJOINT_BUILTINS["oddlike"]),
+        ],
+        ids=["tucker2-2d", "shared-channels", "oddlike"],
+    )
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_equals_stacked_per_trial_results(self, f, backward):
+        plan = make_plan(f, "graph-in", "identity")
+        dims = f.output_mode_dims() if backward else f.input_mode_dims()
+        rng = np.random.default_rng(3)
+        args = [rng.standard_normal((2,) + dims) for _ in range(3)]
+        layers = [materialize(f, plan, seed) for seed in range(3)]
+        apply = backward_apply if backward else forward_apply
+        want = np.stack(
+            [apply(l, DenseTensor.from_array(a)).array for l, a in zip(layers, args)]
+        )
+        replicas = [
+            [np.stack([l.replicas[r][vid].array for l in layers]) for vid in f.weight_ids]
+            for r in range(f.phi)
+        ]
+        got = network._contract(f, np.stack(args), replicas, backward, trial_axis=True)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    def test_block_size_follows_the_largest_array(self, monkeypatch):
+        f = builtin_format("standard", c_in=2, c_out=2, k=3, alpha=6)
+        x_shape, w_shapes = (2,) + f.input_mode_dims(), (f.weight_mode_dims("w"),)
+        # The largest array is the gathered window [n, c, a', b', k, l].
+        per_trial = 8 * 2 * 2 * 4 * 4 * 3 * 3
+        assert network._plan(f, False, x_shape, w_shapes).largest * 8 == per_trial
+        monkeypatch.setattr(network, "TRIAL_BLOCK_BYTES", 5 * per_trial + 7)
+        assert network._trial_block(f, x_shape, w_shapes) == 5
+        monkeypatch.setattr(network, "TRIAL_BLOCK_BYTES", per_trial - 1)
+        assert network._trial_block(f, x_shape, w_shapes) == 1
+        monkeypatch.setattr(network, "TRIAL_BLOCK_BYTES", 1 << 40)
+        assert network._trial_block(f, x_shape, w_shapes) == network.MAX_TRIAL_BLOCK
+
+
 def test_einsum_optimize_arguments_are_hashable_named_strategies(monkeypatch):
     """Tools that key einsum calls on ``optimize`` need a hashable value;
     an explicit ``["einsum_path", ...]`` list would not be."""

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from tcinit.errors import InvalidParams, ShapeMismatch
+from tcinit import network, simulate
+from tcinit.errors import InvalidParams, ResourceLimit, ShapeMismatch
 from tcinit.formats import builtin_format
 from tcinit.graph import InitPlan, make_plan
 from tcinit.network import forward_apply, materialize
@@ -52,6 +53,19 @@ class TestValidation:
     def test_rejects_empty(self):
         with pytest.raises(InvalidParams):
             validate_network(NetworkSpec((), (4,)))
+
+    def test_over_limit_input_raises_before_drawing(self):
+        # The batched input would take 2**51 bytes.
+        f = builtin_format("tt", i_dims=(2**15,) * 3, o_dims=(2,) * 3, rank=2)
+        net = NetworkSpec((LayerSpec(f),), f.in_channel_dims, batch=8)
+        with pytest.raises(ResourceLimit, match="network input"):
+            forward_trace(net, seed=0, trials=1)
+
+    def test_over_limit_layer_output_raises(self):
+        f = builtin_format("tt", i_dims=(2,) * 3, o_dims=(2**15,) * 3, rank=2)
+        net = NetworkSpec((LayerSpec(f),), f.in_channel_dims, batch=8)
+        with pytest.raises(ResourceLimit, match="output of layer 0"):
+            validate_network(net)
 
     def test_conv_chain_spatial_compat(self):
         f = builtin_format(
@@ -160,6 +174,106 @@ class TestVarianceMc:
         r = variance_mc(f, plan, seed=1, trials=3)
         assert r["empirical_ratio"] == 0.0
         assert r["predicted_ratio"] == 0.0
+
+
+def per_trial_ratios(f, plan, seed, trials, batch):
+    """Output/input variance ratios one trial at a time, through the public
+    ``materialize`` and ``forward_apply`` on the streams variance_mc uses."""
+    ratios = []
+    for t in range(trials):
+        k_in, k_w = np.random.SeedSequence([seed, t]).spawn(2)
+        x = np.random.default_rng(k_in).standard_normal((batch,) + f.input_mode_dims())
+        layer = materialize(f, plan, np.random.default_rng(k_w))
+        y = forward_apply(layer, DenseTensor.from_array(x)).array
+        ratios.append(y.var() / x.var())
+    return np.array(ratios)
+
+
+BLOCK_FORMATS = {
+    "oddlike": dict(i_dims=(4, 5), o_dims=(4, 5), rank=3),
+    "htk2": dict(c_in=4, c_out=4, r0=2, r1=3, k=3, alpha=5, padding=1),
+}
+BLOCK_BATCH = 2
+
+
+class TestTrialBlocks:
+    @pytest.fixture(scope="class", params=sorted(BLOCK_FORMATS))
+    def case(self, request):
+        f = builtin_format(request.param, **BLOCK_FORMATS[request.param])
+        plan = make_plan(f, "graph-in", "tanh")
+        return f, plan, per_trial_ratios(f, plan, 21, 130, BLOCK_BATCH)
+
+    @staticmethod
+    def shapes(f):
+        x_shape = (BLOCK_BATCH,) + f.input_mode_dims()
+        return x_shape, tuple(f.weight_mode_dims(vid) for vid in f.weight_ids)
+
+    def block_size(self, f):
+        return network._trial_block(f, *self.shapes(f))
+
+    @staticmethod
+    def assert_matches(result, ratios):
+        assert result["empirical_ratio"] == pytest.approx(np.mean(ratios), rel=1e-12)
+        assert result["empirical_std"] == pytest.approx(np.std(ratios), rel=1e-12)
+
+    def test_cases_fill_whole_blocks(self, case):
+        assert self.block_size(case[0]) == network.MAX_TRIAL_BLOCK == 64
+
+    @pytest.mark.parametrize("trials", [1, 63, 64, 65, 130])
+    def test_matches_per_trial_reference(self, case, trials):
+        f, plan, ratios = case
+        result = variance_mc(f, plan, seed=21, trials=trials, batch=BLOCK_BATCH)
+        assert result["trials"] == trials
+        self.assert_matches(result, ratios[:trials])
+
+    def test_partial_blocks_below_the_cap(self, case, monkeypatch):
+        f, plan, ratios = case
+        per_trial = 8 * network._plan(f, False, *self.shapes(f)).largest
+        monkeypatch.setattr(network, "TRIAL_BLOCK_BYTES", 3 * per_trial)
+        assert self.block_size(f) == 3
+        result = variance_mc(f, plan, seed=21, trials=65, batch=BLOCK_BATCH)
+        self.assert_matches(result, ratios[:65])
+
+    def test_worker_invariant(self, case):
+        f, plan, _ = case
+        reports = {
+            repr(variance_mc(f, plan, seed=4, trials=130, batch=BLOCK_BATCH, workers=w))
+            for w in (1, 2, 4)
+        }
+        assert len(reports) == 1
+
+    def test_over_limit_block_raises_before_drawing(self):
+        # One trial's input alone would take 2**54 bytes.
+        f = builtin_format("standard", c_in=16, c_out=16, k=3, alpha=2**22)
+        with pytest.raises(ResourceLimit):
+            variance_mc(f, make_plan(f, "graph-in", "tanh"), seed=0, trials=1)
+
+
+class TestBlasThreads:
+    @pytest.fixture
+    def blas(self):
+        blas = simulate._openblas()
+        if blas is None:
+            pytest.skip("numpy's bundled OpenBLAS thread symbols are absent")
+        get, set_ = blas
+        before = get()
+        set_(2)
+        try:
+            if get() != 2:
+                pytest.skip("OpenBLAS runs at most one thread on this host")
+            yield get
+        finally:
+            set_(before)
+
+    def test_pool_runs_at_one_thread_and_restores_the_count(self, blas):
+        assert simulate._map_trials(lambda t: blas(), range(4), 2) == [1] * 4
+        assert blas() == 2
+        f = builtin_format("tt", i_dims=(4, 4), o_dims=(4, 4), rank=3)
+        variance_mc(f, make_plan(f, "graph-in", "tanh"), seed=0, trials=8, workers=2)
+        assert blas() == 2
+
+    def test_single_worker_leaves_the_count(self, blas):
+        assert simulate._map_trials(lambda t: blas(), range(2), 1) == [2] * 2
 
 
 class TestScaleChain:

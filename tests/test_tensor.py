@@ -8,6 +8,7 @@ from tcinit.errors import (
     DimensionMismatch,
     DuplicateAxis,
     InvalidDummySpec,
+    ResourceLimit,
     TooManyIndices,
     UnboundAxis,
 )
@@ -257,6 +258,12 @@ class TestDummy:
         assert d.sum(axis=0).max() <= 1
 
 
+    def test_over_limit_pattern_raises_before_allocating(self):
+        # [alpha, alpha', beta] would take 2**61 bytes.
+        with pytest.raises(ResourceLimit, match="pattern"):
+            build_dummy(DummySpec(alpha=2**20, beta=2**19))
+
+
 class TestSpecialMatrices:
     def test_reversal(self):
         r = reversal_matrix(3)
@@ -272,6 +279,10 @@ class TestSpecialMatrices:
         t = transformation_matrix(3, 2)
         y = np.array([1.0, 2.0, 3.0])
         assert np.array_equal(y @ t.array, [1.0, 0.0, 2.0, 0.0, 3.0])
+
+    def test_transformation_over_limit_raises(self):
+        with pytest.raises(ResourceLimit):
+            transformation_matrix(2**24, 2**3)
 
     def test_transformation_identity_for_unit_stride(self):
         assert np.array_equal(transformation_matrix(4, 1).array, np.eye(4))

@@ -3,11 +3,12 @@ import time
 import numpy as np
 import pytest
 
-from tcinit.errors import InvalidPadding
+from tcinit.errors import InvalidPadding, ResourceLimit
 from tcinit.formats import INPUT_CHANNEL, KERNEL, OUTPUT_CHANNEL, RANK, builtin_format
 from tcinit.tensor import DenseTensor, DummySpec, build_dummy, contract
 from tcinit.transform import (
     backward_dummy,
+    backward_pattern,
     build_backward_dummy,
     build_backward_format,
     verify_theorem1,
@@ -57,6 +58,18 @@ class TestTheorem1:
             checked += 1
         assert checked > 300
         assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_over_limit_patterns_raise_before_allocating(self, stride):
+        # Each pattern, and the stride-expansion matrix, of this window would
+        # take more than 2**49 bytes.
+        spec = DummySpec(alpha=2**24, beta=8, stride=stride)
+        with pytest.raises(ResourceLimit):
+            verify_theorem1(spec)
+        with pytest.raises(ResourceLimit):
+            backward_pattern(backward_dummy(spec))
+        with pytest.raises(ResourceLimit):
+            build_backward_dummy(backward_dummy(spec))
 
     def test_degenerate_window(self):
         assert verify_theorem1(DummySpec(alpha=6, beta=1, stride=2, padding=0))
