@@ -119,8 +119,7 @@ def cmd_simulate(args) -> int:
     spec = simulate.LayerSpec(f, activation=args.act, mode=args.mode)
     net = simulate.NetworkSpec(
         layers=(spec,) * args.depth,
-        input_shape=f.in_channel_dims
-        + tuple(e.window.alpha for e in f.kernel_edges),
+        input_shape=f.input_mode_dims(),
         batch=args.batch,
     )
     fwd = simulate.forward_trace(net, args.seed, args.trials, workers=args.workers)

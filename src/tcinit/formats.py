@@ -8,9 +8,13 @@ spatial mode and exactly one weight vertex.  ``phi`` is the hyperedge
 multiplicity: the layer output is the sum of ``phi`` independent,
 identically shaped sub-structures.
 
-Mode order convention: the modes of every tensor (input and weights) follow
-the declaration order of its incident edges.  Parsing and serialization
-preserve declaration order, so the convention survives a round trip.
+Mode order convention: the modes of a weight tensor follow the declaration
+order of its incident edges.  The input and output tensors put channels
+first, then spatial: their channel edges in declaration order, then one
+spatial mode per kernel edge in declaration order (see
+:meth:`LayerFormat.input_mode_dims` and :meth:`LayerFormat.output_mode_dims`).
+Parsing and serialization preserve declaration order, so the convention
+survives a round trip.
 
 Text grammar (one directive per line, ``#`` starts a comment)::
 
@@ -114,16 +118,13 @@ class LayerFormat:
         return tuple(e.dim for e in self.edges_of(vid))
 
     def input_mode_dims(self) -> tuple[int, ...]:
-        """Mode sizes of the input tensor, in incident-edge declaration order.
+        """Input channel dims then the input spatial length per window.
 
-        Kernel edges contribute their spatial input length ``alpha``, not the
-        window size.
+        Channels and windows each keep their declaration order, wherever the
+        kernel edges sit among the input-channel edges; a kernel edge
+        contributes its spatial input length ``alpha``, not the window size.
         """
-        xid = self.input_vertex.id
-        dims = []
-        for e in self.edges_of(xid):
-            dims.append(e.window.alpha if e.kind == KERNEL else e.dim)
-        return tuple(dims)
+        return self.in_channel_dims + tuple(e.window.alpha for e in self.kernel_edges)
 
     def output_mode_dims(self) -> tuple[int, ...]:
         """Output channel dims then the output spatial length per window."""
@@ -413,6 +414,16 @@ def builtin_format(name: str, **params) -> LayerFormat:
     def dims_tuple(val):
         return tuple(int(d) for d in (val if isinstance(val, (tuple, list)) else (val,)))
 
+    def bond_ranks(cores: int, bonds: int):
+        """``ranks`` (one per bond, or one for all) or else ``rank``; when
+        both are given ``rank`` is left over and rejected as unused."""
+        ranks = dims_tuple(take("ranks") if "ranks" in params else take("rank"))
+        if len(ranks) == 1:
+            ranks = ranks * bonds
+        if len(ranks) != bonds:
+            raise InvalidParams(f"{name} with {cores} cores needs {bonds} ranks")
+        return ranks
+
     if name == "standard":
         c_in, c_out = int(take("c_in")), int(take("c_out"))
         v = [x, Vertex("w", WEIGHT)]
@@ -464,11 +475,7 @@ def builtin_format(name: str, **params) -> LayerFormat:
         if len(i_dims) != len(o_dims):
             raise InvalidParams("tt needs equally many input and output dims")
         m = len(i_dims)
-        ranks = dims_tuple(take("ranks", take("rank", 0) if "rank" in params else params.get("rank")))
-        if len(ranks) == 1:
-            ranks = ranks * (m - 1)
-        if len(ranks) != m - 1:
-            raise InvalidParams(f"tt with {m} cores needs {m - 1} ranks")
+        ranks = bond_ranks(m, m - 1)
         v = [x] + [Vertex(f"w{j}", WEIGHT) for j in range(m)]
         e = []
         for j in range(m):
@@ -482,11 +489,7 @@ def builtin_format(name: str, **params) -> LayerFormat:
         i_dims = dims_tuple(take("i_dims"))
         o_dims = dims_tuple(take("o_dims"))
         cores = len(i_dims) + len(o_dims) + (1 if spatial else 0)
-        ranks = dims_tuple(take("ranks", params.get("rank")) if "ranks" in params else take("rank"))
-        if len(ranks) == 1:
-            ranks = ranks * cores
-        if len(ranks) != cores:
-            raise InvalidParams(f"tr ring with {cores} cores needs {cores} ranks")
+        ranks = bond_ranks(cores, cores)
         names = [f"wi{j}" for j in range(len(i_dims))]
         if spatial:
             names.append("wk")

@@ -17,16 +17,20 @@ are flipped along their kernel-window axes, which supplies the ``R`` factor.
 
 Each (format, direction, input shape, weight shapes) is compiled once into a
 plan held in a bounded cache: the einsum subscripts, a greedy pairwise path
-from ``np.einsum_path``, the window gathers, the kernel flips and the layout
-permutations.  The input side stays un-windowed until the first step that
-contracts a window index, so channel contractions run on the smaller tensor.
+from ``np.einsum_path``, the window gathers and the kernel flips.  The input
+side stays un-windowed until the first step that contracts a window index,
+so channel contractions run on the smaller tensor.
 
-Axis conventions (all carry a leading batch axis):
+Axis conventions (all carry a leading batch axis): channels, then spatial.
 
-* layer input  — incident edges of the input vertex, declaration order
-  (kernel edges contribute their input spatial length);
+* layer input  — input-channel edges in declaration order, then one input
+  spatial axis (length ``alpha``) per kernel edge in declaration order;
 * layer output — output-channel edges in declaration order, then one output
-  spatial axis per kernel edge in declaration order.
+  spatial axis (length ``alpha_prime``) per kernel edge in declaration order.
+
+The rewrite swaps the two channel kinds and keeps the edge order, so the
+forward output layout is the backward format's input layout and the backward
+output layout is the forward input layout: no direction permutes axes.
 
 A plan may also take an optional leading *trial axis*, ahead of the batch
 axis: an open index joined by the input and by every weight, so that one
@@ -121,36 +125,14 @@ def materialize(f: LayerFormat, plan: InitPlan, rng) -> MaterializedLayer:
     )
 
 
-def _input_perm(f: LayerFormat) -> list[int]:
-    """Transpose order taking (batch, channels..., spatial...) to the
-    layer's input layout (incident edges of the input vertex in order)."""
-    x_edges = f.edges_of(f.input_vertex.id)
-    n_c = sum(1 for e in x_edges if e.kind == INPUT_CHANNEL)
-    perm = [0]
-    ci, ki = 1, 1 + n_c
-    for e in x_edges:
-        if e.kind == KERNEL:
-            perm.append(ki)
-            ki += 1
-        else:
-            perm.append(ci)
-            ci += 1
-    return perm
-
-
-def _shift(perm, lead: int) -> tuple[int, ...]:
-    """``perm`` behind ``lead`` leading axes that stay in place."""
-    return tuple(range(lead)) + tuple(lead + p for p in perm)
-
-
 def contraction_map(f: LayerFormat, trial_axis: bool = False):
     """Summation groups and open indices wiring one replica's forward pass.
 
     Tensor slots: 0 is the windowed batched input, then the weight vertices
-    in declaration order.  The windowed input has the batch axis, then the
-    input vertex's incident edges in order, each kernel edge's axis holding
+    in declaration order.  The windowed input has the batch axis, the
+    input-channel edges in order, one axis per kernel edge in order holding
     the output (window) position, then one window-offset axis per kernel
-    edge in declaration order.  The batch axis is the first open index and
+    edge in the same order.  The batch axis is the first open index and
     the window positions are the last.  Each open index lists every
     ``(slot, axis)`` it joins: an output-channel edge shared by several
     weight vertices stays one index.
@@ -161,7 +143,7 @@ def contraction_map(f: LayerFormat, trial_axis: bool = False):
     """
     lead = int(trial_axis)
     xid = f.input_vertex.id
-    x_edges = f.edges_of(xid)
+    x_edges = f.edges_of_kind(INPUT_CHANNEL) + f.kernel_edges
     x_axes = {e.id: lead + 1 + i for i, e in enumerate(x_edges)}
     window_axes = {
         e.id: lead + 1 + len(x_edges) + i for i, e in enumerate(f.kernel_edges)
@@ -256,9 +238,7 @@ class _Plan:
 
     steps: tuple[_Step, ...]
     windows: tuple[_Window, ...]
-    in_perm: tuple[int, ...]
     flips: tuple[tuple[int, ...], ...]
-    out_perm: tuple[int, ...]
     largest: int
 
 
@@ -315,11 +295,8 @@ def _plan(f: LayerFormat, backward: bool, x_shape, w_shapes, trial_axis: bool = 
     lead = int(trial_axis)
     ef = build_backward_format(f) if backward else f
     windows = tuple(_Window.of(e.window) for e in ef.kernel_edges)
-    x_edges = ef.edges_of(ef.input_vertex.id)
-    k_axes = [lead + 1 + i for i, e in enumerate(x_edges) if e.kind == KERNEL]
-    in_perm = _shift(_input_perm(ef), lead) if backward else tuple(range(len(x_shape)))
-    wx_shape = [x_shape[i] for i in in_perm]
-    padded = list(wx_shape)
+    k_axes = range(len(x_shape) - len(windows), len(x_shape))
+    wx_shape, padded = list(x_shape), list(x_shape)
     for ax, w in zip(k_axes, windows):
         wx_shape[ax] = w.count
         padded[ax] = w.padded
@@ -330,14 +307,9 @@ def _plan(f: LayerFormat, backward: bool, x_shape, w_shapes, trial_axis: bool = 
         tuple(lead + i for i, e in enumerate(f.edges_of(vid)) if backward and e.kind == KERNEL)
         for vid in f.weight_ids
     )
-    out_perm = (
-        _shift(_input_perm(f), lead)
-        if backward
-        else tuple(range(lead + 1 + len(f.output_mode_dims())))
-    )
     steps, largest = _steps(spec, shapes, len(x_shape), k_axes)
     largest = max(largest, math.prod(x_shape), math.prod(padded))
-    return _Plan(steps, windows, in_perm, flips, out_perm, largest)
+    return _Plan(steps, windows, flips, largest)
 
 
 def _trial_block(f: LayerFormat, x_shape, w_shapes) -> int:
@@ -364,7 +336,6 @@ def _contract(f: LayerFormat, x: np.ndarray, replicas, backward: bool, trial_axi
     """
     w_shapes = tuple(w.shape for w in replicas[0])
     plan = _plan(f, backward, x.shape, w_shapes, trial_axis)
-    x = x.transpose(plan.in_perm)
     out = None
     for weights in replicas:
         ops = [x] + [np.flip(w, axis=a) for w, a in zip(weights, plan.flips)]
@@ -376,7 +347,7 @@ def _contract(f: LayerFormat, x: np.ndarray, replicas, backward: bool, trial_axi
                 args[step.window] = _gather(args[step.window], step.axes, plan.windows)
             ops.append(_einsum(step.spec, args))
         out = ops[0] if out is None else out + ops[0]
-    return out.transpose(plan.out_perm)
+    return out
 
 
 def _apply(layer: MaterializedLayer, t: DenseTensor, backward: bool) -> DenseTensor:
@@ -403,12 +374,12 @@ def forward_apply(layer: MaterializedLayer, x: DenseTensor) -> DenseTensor:
 def backward_apply(layer: MaterializedLayer, grad: DenseTensor) -> DenseTensor:
     """Gradient of the layer input given the gradient of the layer output.
 
-    ``grad`` uses the layer-output axis convention.  The backward pass is
-    the forward pass of ``build_backward_format(f)``: the gradient, as a
-    transposed view, is gathered in stride-1 windows of its zero-expanded,
-    padded form and contracted with each replica's weights flipped along
-    their kernel-window axes; the result is transposed back to the
-    layer-input layout.
+    ``grad`` uses the layer-output axis convention and the result the
+    layer-input one.  The backward pass is the forward pass of
+    ``build_backward_format(f)``, whose input layout is this layer's output
+    layout: the gradient is gathered in stride-1 windows of its
+    zero-expanded, padded form and contracted with each replica's weights
+    flipped along their kernel-window axes.
     """
     expected = layer.format.output_mode_dims()
     if grad.shape[1:] != expected:

@@ -33,7 +33,7 @@ from .graph import (
 from .network import (
     _contract,
     _draw,
-    _input_perm,
+    _plan,
     _trial_block,
     _weight_specs,
     backward_apply,
@@ -116,6 +116,11 @@ def report_csv(report: TraceReport) -> str:
 
 
 def validate_network(net: NetworkSpec) -> None:
+    """Check that the layers chain and that no array of a trial exceeds the
+    memory limit: the batched input, every layer output, and the largest
+    array of each layer's compiled forward and backward plan (a gathered
+    window can be ``beta**2`` times a layer's input).  Compiling a plan
+    allocates nothing, and the plan is the one the trial runs."""
     if not net.layers:
         raise InvalidParams("network has no layers")
     if net.batch < 1:
@@ -124,46 +129,43 @@ def validate_network(net: NetworkSpec) -> None:
     _check_array((net.batch, *feed), "the batched network input")
     for i, spec in enumerate(net.layers):
         f = spec.format
-        channels = f.in_channel_dims
-        alphas = tuple(e.window.alpha for e in f.kernel_edges)
-        expected = channels + alphas
-        if feed != expected:
+        if feed != f.input_mode_dims():
             raise ShapeMismatch(
-                f"layer {i} expects channel dims {channels} and spatial "
-                f"lengths {alphas} but receives {feed}"
+                f"layer {i} expects input dims {f.input_mode_dims()} "
+                f"(channels, then spatial) but receives {feed}"
             )
-        feed = f.output_mode_dims()
-        _check_array((net.batch, *feed), f"the output of layer {i}")
+        out = f.output_mode_dims()
+        _check_array((net.batch, *out), f"the output of layer {i}")
+        w_shapes = tuple(f.weight_mode_dims(vid) for vid in f.weight_ids)
+        for backward, dims in ((False, feed), (True, out)):
+            plan = _plan(f, backward, (net.batch, *dims), w_shapes)
+            direction = "backward" if backward else "forward"
+            _check_array((plan.largest,), f"the largest array of layer {i}'s {direction} pass")
+        feed = out
 
 
-def _build_plans(net: NetworkSpec) -> list[InitPlan]:
-    return [
-        make_plan(spec.format, spec.mode, spec.activation)
-        for spec in net.layers
-    ]
-
-
-def _materialize_net(net, plans, seed, trial):
-    ss = np.random.SeedSequence([seed, trial])
-    kids = ss.spawn(len(net.layers) + 2)
-    layers = [
-        materialize(spec.format, plans[i], np.random.default_rng(kids[1 + i]))
-        for i, spec in enumerate(net.layers)
-    ]
-    return np.random.default_rng(kids[0]), layers, np.random.default_rng(kids[-1])
-
-
-def _forward_pass(net: NetworkSpec, layers, x: np.ndarray):
-    """Run the stack; returns per-layer (pre, post) arrays in output layout."""
+def _forward(net: NetworkSpec, layers, x: np.ndarray) -> list:
+    """Run the stack from ``x``; per layer, the (pre, post) activations."""
     states = []
-    feed = x
     for spec, layer in zip(net.layers, layers):
-        feed = feed.transpose(_input_perm(spec.format))
-        pre = forward_apply(layer, DenseTensor.from_array(feed)).array
-        post = _activation(pre, spec.activation)
-        states.append((pre, post))
-        feed = post
+        pre = forward_apply(layer, DenseTensor.from_array(x)).array
+        x = _activation(pre, spec.activation)
+        states.append((pre, x))
     return states
+
+
+def _backward(net: NetworkSpec, layers, states, g: np.ndarray):
+    """Push the output gradient ``g`` back through the stack; returns the
+    gradient at the network input and, per layer, the variance of the
+    gradient at that layer's input.  Activation derivatives use the exact
+    forward masks.  Only the current gradient is kept alive: pass ``g`` as
+    an expression, not a name the caller holds."""
+    grad_vars = [0.0] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        g = g * _activation_derivative(states[i][0], net.layers[i].activation)
+        g = backward_apply(layers[i], DenseTensor.from_array(g)).array
+        grad_vars[i] = float(g.var())
+    return g, grad_vars
 
 
 @lru_cache(maxsize=1)
@@ -201,128 +203,88 @@ def _one_blas_thread():
 
 
 def _map_trials(fn, items, workers: int) -> list:
-    """``fn`` over ``items`` (trials or trial blocks), results in order."""
+    """``fn`` over ``items`` (trials or trial blocks), results in order.
+    Raises :class:`~tcinit.errors.InvalidParams` when there are none."""
+    if not items:
+        raise InvalidParams("trials must be >= 1")
     if workers > 1:
         with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(fn, items))
     return [fn(t) for t in items]
 
 
-def _aggregate(seed, trials, threshold, rows) -> TraceReport:
-    """rows: per trial, per layer, (pre_var, post_var, sat, grad_var)."""
-    arr = np.asarray(rows)  # [trials, layers, 4]
-    mean = arr.mean(axis=0)
-    std = arr.std(axis=0)
+def _trace(net: NetworkSpec, seed: int, trials: int, workers: int, grad_var=None) -> TraceReport:
+    """Mean and trial-to-trial std of the per-layer statistics.
+
+    Trial ``t`` spawns ``SeedSequence([seed, t])`` into the input stream,
+    one stream per layer's weights and the upstream-gradient stream, draws a
+    standard-normal input and runs the stack forward.  Unless ``grad_var``
+    is None it then injects an i.i.d. normal gradient of that variance at
+    the network output and runs the stack backward; otherwise the gradient
+    statistics read 0.
+    """
+    validate_network(net)
+    plans = [make_plan(s.format, s.mode, s.activation) for s in net.layers]
+
+    def one(trial):
+        kids = np.random.SeedSequence([seed, trial]).spawn(len(net.layers) + 2)
+        layers = [
+            materialize(s.format, plan, np.random.default_rng(kid))
+            for s, plan, kid in zip(net.layers, plans, kids[1:])
+        ]
+        x = np.random.default_rng(kids[0]).standard_normal((net.batch, *net.input_shape))
+        states = _forward(net, layers, x)
+        grad_vars = [0.0] * len(layers)
+        if grad_var is not None:
+            draw = np.random.default_rng(kids[-1]).standard_normal
+            g_shape = states[-1][1].shape
+            grad_vars = _backward(net, layers, states, draw(g_shape) * np.sqrt(grad_var))[1]
+        return [
+            (pre.var(), post.var(), v, (np.abs(post) > SATURATION_THRESHOLD).mean())
+            for (pre, post), v in zip(states, grad_vars)
+        ]
+
+    # [trials, layers, (pre_var, post_var, grad_var, saturation)]
+    rows = np.asarray(_map_trials(one, range(trials), workers))
+    stats = zip(rows.mean(axis=0), rows.std(axis=0))
     layers = tuple(
-        LayerTrace(
-            pre_var=float(mean[i, 0]),
-            pre_std=float(std[i, 0]),
-            post_var=float(mean[i, 1]),
-            post_std=float(std[i, 1]),
-            grad_var=float(mean[i, 3]),
-            grad_std=float(std[i, 3]),
-            saturation=float(mean[i, 2]),
-        )
-        for i in range(arr.shape[1])
+        LayerTrace(*map(float, (m[0], d[0], m[1], d[1], m[2], d[2], m[3]))) for m, d in stats
     )
-    return TraceReport(seed, trials, threshold, layers)
+    return TraceReport(seed, trials, SATURATION_THRESHOLD, layers)
 
 
-def forward_trace(
-    net: NetworkSpec,
-    seed: int,
-    trials: int,
-    workers: int = 1,
-    threshold: float = SATURATION_THRESHOLD,
-) -> TraceReport:
+def forward_trace(net: NetworkSpec, seed: int, trials: int, workers: int = 1) -> TraceReport:
     """Propagate standard-normal inputs; per-layer activation statistics.
 
     Each trial redraws the input and all weights; reported figures are the
     mean over trials (with trial-to-trial standard deviation) of the
     per-layer pre/post-activation variance and the fraction of
-    post-activation magnitudes above the threshold.
+    post-activation magnitudes above ``SATURATION_THRESHOLD``.
     """
-    validate_network(net)
-    plans = _build_plans(net)
-
-    def one(trial):
-        in_rng, layers, _ = _materialize_net(net, plans, seed, trial)
-        x = in_rng.standard_normal((net.batch,) + tuple(net.input_shape))
-        states = _forward_pass(net, layers, x)
-        return [
-            (
-                float(pre.var()),
-                float(post.var()),
-                float((np.abs(post) > threshold).mean()),
-                0.0,
-            )
-            for pre, post in states
-        ]
-
-    rows = _map_trials(one, range(trials), workers)
-    return _aggregate(seed, trials, threshold, rows)
+    return _trace(net, seed, trials, workers)
 
 
 def backward_trace(
-    net: NetworkSpec,
-    seed: int,
-    trials: int,
-    workers: int = 1,
-    threshold: float = SATURATION_THRESHOLD,
-    grad_var: float = 1.0,
+    net: NetworkSpec, seed: int, trials: int, workers: int = 1, grad_var: float = 1.0
 ) -> TraceReport:
     """Push a random upstream gradient back through the stack.
 
     The gradient injected at the network output is i.i.d. normal with
     variance ``grad_var``.  Each layer's ``grad_var`` statistic is the
     variance of the loss gradient at that layer's *input*; activation
-    derivatives use the exact forward masks.
+    derivatives use the exact forward masks.  The activation statistics are
+    those of :func:`forward_trace`.
     """
-    validate_network(net)
-    plans = _build_plans(net)
-
-    def one(trial):
-        in_rng, layers, grad_rng = _materialize_net(net, plans, seed, trial)
-        x = in_rng.standard_normal((net.batch,) + tuple(net.input_shape))
-        states = _forward_pass(net, layers, x)
-        out_shape = states[-1][1].shape
-        g = grad_rng.standard_normal(out_shape) * np.sqrt(grad_var)
-        stats = [None] * len(layers)
-        for i in range(len(layers) - 1, -1, -1):
-            spec, layer = net.layers[i], layers[i]
-            pre, post = states[i]
-            g = g * _activation_derivative(pre, spec.activation)
-            g = backward_apply(layer, DenseTensor.from_array(g)).array
-            stats[i] = (
-                float(pre.var()),
-                float(post.var()),
-                float((np.abs(post) > threshold).mean()),
-                float(g.var()),
-            )
-            if i > 0:
-                # Input layout of layer i -> output layout of layer i-1.
-                g = g.transpose(np.argsort(_input_perm(spec.format)))
-        return stats
-
-    rows = _map_trials(one, range(trials), workers)
-    return _aggregate(seed, trials, threshold, rows)
+    return _trace(net, seed, trials, workers, grad_var)
 
 
 def input_gradient(net: NetworkSpec, layers, x: np.ndarray, upstream: np.ndarray):
     """Exact loss gradient at the network input for loss sum(upstream * a(y)).
 
     ``layers`` are materialized layers matching ``net``; used by gradient
-    verification.
+    verification.  The gradient has the shape of ``x``.
     """
-    states = _forward_pass(net, layers, x)
-    g = upstream
-    for i in range(len(layers) - 1, -1, -1):
-        spec = net.layers[i]
-        g = g * _activation_derivative(states[i][0], spec.activation)
-        g = backward_apply(layers[i], DenseTensor.from_array(g)).array
-        if i > 0:
-            g = g.transpose(np.argsort(_input_perm(spec.format)))
-    return g
+    return _backward(net, layers, _forward(net, layers, x), upstream)[0]
 
 
 # -- single-layer variance check -------------------------------------------
@@ -377,7 +339,7 @@ def variance_mc(
         return out.reshape(n, -1).var(axis=1) / x.reshape(n, -1).var(axis=1)
 
     blocks = [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
-    ratios = np.concatenate([np.empty(0), *_map_trials(run_block, blocks, workers)])
+    ratios = np.concatenate(_map_trials(run_block, blocks, workers))
     return {
         "seed": seed,
         "trials": trials,

@@ -150,6 +150,16 @@ class TestSimulate:
         assert code == 2
         assert err.startswith("error:") and "60 distinct indices" in err
 
+    def test_zero_trials_exits_2(self, capsys):
+        code, out, err = run(
+            capsys,
+            "simulate", "--builtin", "tt",
+            "-P", "i_dims=4,4", "-P", "o_dims=4,4", "-P", "rank=3",
+            "--seed", "0", "--trials", "0",
+        )
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "trials" in err
+
 
 class TestVerify:
     def test_passes_and_exits_zero(self, capsys):
@@ -208,6 +218,11 @@ class TestScaleChain:
         with pytest.raises(SystemExit) as exc:
             main(["scale-chain"])
         assert exc.value.code == 1
+
+    def test_zero_trials_exits_2(self, capsys):
+        code, out, err = run(capsys, "scale-chain", "--seed", "0", "--trials", "0")
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "trials" in err
 
 
 class TestUsage:

@@ -185,6 +185,16 @@ class TestBuiltins:
         assert len(f.weight_ids) == 3
         assert len(f.edges_of_kind(RANK)) == 2
 
+    @pytest.mark.parametrize("name", ["tt", "tr"])
+    def test_rank_and_ranks_together_rejected(self, name):
+        with pytest.raises(InvalidParams, match="unused parameters"):
+            builtin_format(name, i_dims=(4, 4), o_dims=(4, 4), rank=3, ranks=5)
+
+    @pytest.mark.parametrize("name,bonds", [("tt", 1), ("tr", 4)])
+    def test_ranks_alone_sets_every_bond(self, name, bonds):
+        f = builtin_format(name, i_dims=(4, 4), o_dims=(4, 4), ranks=5)
+        assert [e.dim for e in f.edges_of_kind(RANK)] == [5] * bonds
+
     def test_cp_shares_one_rank_edge(self):
         f = builtin_format("cp", c_in=8, c_out=8, rank=4, k=3, alpha=8)
         ranks = f.edges_of_kind(RANK)

@@ -231,6 +231,34 @@ edge o0 output-channel 4 a c
 edge o1 output-channel 2 b
 """
 
+# One layer declared twice: only the k0 line moves, ahead of the input
+# channels.  No weight's incident-edge order changes, so the layer and its
+# input layout (channels, then spatial) are the same.
+CHANNELS_FIRST = """\
+phi 2
+vertex x input
+vertex a weight
+vertex b weight
+edge i0 input-channel 3 x a
+edge i1 input-channel 2 x a
+edge k0 kernel 3 b alpha 7 stride 2 pad 1
+edge r rank 4 a b
+edge k1 kernel 2 b alpha 6 stride 1 pad 0
+edge o0 output-channel 5 b
+"""
+KERNEL_FIRST = """\
+phi 2
+vertex x input
+vertex a weight
+vertex b weight
+edge k0 kernel 3 b alpha 7 stride 2 pad 1
+edge i0 input-channel 3 x a
+edge i1 input-channel 2 x a
+edge r rank 4 a b
+edge k1 kernel 2 b alpha 6 stride 1 pad 0
+edge o0 output-channel 5 b
+"""
+
 
 def assert_adjoint(f, seed=0):
     """<forward(x), g> == <x, backward(g)> to 1e-10 of |forward(x)| |g|."""
@@ -267,6 +295,28 @@ class TestAdjoint:
 
     def test_shared_channel_edges(self):
         assert_adjoint(parse_format(SHARED_CHANNELS))
+
+    def test_kernel_line_position_leaves_the_layer_unchanged(self):
+        first, kernel_first = parse_format(CHANNELS_FIRST), parse_format(KERNEL_FIRST)
+        for vid in first.weight_ids:
+            assert first.edges_of(vid) == kernel_first.edges_of(vid)
+        assert kernel_first.input_mode_dims() == first.input_mode_dims() == (3, 2, 7, 6)
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((2,) + first.input_mode_dims())
+        g = rng.standard_normal((2,) + first.output_mode_dims())
+        plan = make_plan(first, "graph-in", "identity")
+        results = []
+        for f in (first, kernel_first):
+            layer = materialize(f, plan, 7)
+            results.append(
+                (
+                    forward_apply(layer, DenseTensor.from_array(x)).array,
+                    backward_apply(layer, DenseTensor.from_array(g)).array,
+                )
+            )
+            assert_adjoint(f)
+        for got, want in zip(results[1], results[0]):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
     def test_shared_output_channel_forward(self):
         f = parse_format(SHARED_CHANNELS)

@@ -5,7 +5,7 @@ import pytest
 
 from tcinit import network, simulate
 from tcinit.errors import InvalidParams, ResourceLimit, ShapeMismatch
-from tcinit.formats import builtin_format
+from tcinit.formats import builtin_format, parse_format
 from tcinit.graph import InitPlan, make_plan
 from tcinit.network import forward_apply, materialize
 from tcinit.simulate import (
@@ -22,6 +22,17 @@ from tcinit.simulate import (
     variance_mc,
 )
 from tcinit.tensor import DenseTensor
+
+
+# A 1-D conv layer whose kernel edge is declared before its input channels;
+# its input is still (channels, spatial) = (2, 5), like its output.
+KERNEL_FIRST = """\
+vertex x input
+vertex w weight
+edge k0 kernel 3 w alpha 5 stride 1 pad 1
+edge c input-channel 2 x w
+edge o output-channel 2 w
+"""
 
 
 def linear_net(depth=3, dims=(4, 6), rank=3, mode="graph-in", act="identity"):
@@ -67,6 +78,18 @@ class TestValidation:
         with pytest.raises(ResourceLimit, match="output of layer 0"):
             validate_network(net)
 
+    def test_over_limit_plan_window_raises(self):
+        # Input and output take a few MB, but each plan gathers a window of
+        # [batch, c, alpha', beta] = 32 x 1 x (2**21 - 1) x 2**20 entries,
+        # about 2**49 bytes.
+        k = 2**20
+        f = builtin_format(
+            "standard", c_in=1, c_out=1, k=k, spatial=1, alpha=k, padding=k - 1
+        )
+        net = NetworkSpec((LayerSpec(f),), f.input_mode_dims(), batch=32)
+        with pytest.raises(ResourceLimit, match="layer 0's forward pass"):
+            validate_network(net)
+
     def test_conv_chain_spatial_compat(self):
         f = builtin_format(
             "standard", c_in=4, c_out=4, k=3, alpha=8, padding=1
@@ -95,6 +118,11 @@ class TestForwardTrace:
         assert report_json(a) == report_json(b)
         assert report_csv(a) == report_csv(b)
 
+    @pytest.mark.parametrize("trace", [forward_trace, backward_trace])
+    def test_no_trials_rejected(self, trace):
+        with pytest.raises(InvalidParams, match="trials"):
+            trace(linear_net(depth=1), seed=0, trials=0)
+
     def test_report_serialization(self):
         net = linear_net(depth=2)
         rep = forward_trace(net, seed=3, trials=3)
@@ -121,18 +149,27 @@ class TestBackwardTrace:
             previous = layer.grad_var
 
     def test_gradients_match_finite_differences(self):
-        f = builtin_format("tt", i_dims=(3, 3), o_dims=(3, 3), rank=2)
+        for f in (
+            builtin_format("tt", i_dims=(3, 3), o_dims=(3, 3), rank=2),
+            parse_format(KERNEL_FIRST),
+        ):
+            self._check_input_gradient(f)
+
+    @staticmethod
+    def _check_input_gradient(f):
+        dims = f.input_mode_dims()
         net = NetworkSpec(
             (LayerSpec(f, "tanh", "graph-in"), LayerSpec(f, "identity", "graph-in")),
-            (3, 3),
+            dims,
             batch=2,
         )
         plans = [make_plan(f, "graph-in", s.activation) for s in net.layers]
         layers = [materialize(f, plans[i], 10 + i) for i in range(2)]
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((2, 3, 3))
-        upstream = rng.standard_normal((2, 3, 3))
+        x = rng.standard_normal((2,) + dims)
+        upstream = rng.standard_normal((2,) + f.output_mode_dims())
         grad = input_gradient(net, layers, x, upstream)
+        assert grad.shape == x.shape
 
         def loss(xv):
             h = forward_apply(layers[0], DenseTensor.from_array(xv)).array
@@ -174,6 +211,13 @@ class TestVarianceMc:
         r = variance_mc(f, plan, seed=1, trials=3)
         assert r["empirical_ratio"] == 0.0
         assert r["predicted_ratio"] == 0.0
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, trials):
+        f = builtin_format("standard", c_in=4, c_out=4, k=0)
+        plan = make_plan(f, "graph-in", "tanh")
+        with pytest.raises(InvalidParams, match="trials"):
+            variance_mc(f, plan, seed=1, trials=trials)
 
 
 def per_trial_ratios(f, plan, seed, trials, batch):
