@@ -55,7 +55,6 @@ from .graph import (
 from .network import (
     MaterializedLayer,
     backward_apply,
-    contraction_map,
     forward_apply,
     materialize,
 )

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import formats, graph, simulate, transform
-from .errors import TcinitError
+from .errors import InvalidParams, TcinitError
 from .graph import ACTIVATION_SCALE, BASELINE_MODES, PLAN_MODES
 
 USAGE_EXIT = 1
@@ -50,12 +50,13 @@ def _load_format(args) -> formats.LayerFormat:
         raise TcinitError("give either --format or --builtin, not both")
     if args.format:
         f = formats.parse_format(Path(args.format).read_text())
-        if getattr(args, "phi", None):
+        if args.phi is not None:
             f = formats.LayerFormat(f.vertices, f.edges, args.phi)
+            formats.validate(f)
     elif args.builtin:
         params = dict(_parse_param(p) for p in args.param or [])
-        if getattr(args, "phi", None):
-            params.setdefault("phi", args.phi)
+        if args.phi is not None:
+            params["phi"] = args.phi
         f = formats.builtin_format(args.builtin, **params)
     else:
         raise TcinitError("a format is required: --format FILE or --builtin NAME")
@@ -215,6 +216,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_randgen(args) -> int:
+    if args.count < 1:
+        raise InvalidParams("count must be >= 1")
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):

@@ -15,11 +15,13 @@ output gradient is its input, each window is gathered from the gradient with
 ``beta - padding - 1`` (what the ``P' x T`` pattern selects), and the weights
 are flipped along their kernel-window axes, which supplies the ``R`` factor.
 
-Each (format, direction, input shape, weight shapes) is compiled once into a
-plan held in a bounded cache: the einsum subscripts, a greedy pairwise path
-from ``np.einsum_path``, the window gathers and the kernel flips.  The input
-side stays un-windowed until the first step that contracts a window index,
-so channel contractions run on the smaller tensor.
+Each (format, direction, input shape, trial axis) is compiled once into a
+plan held in a bounded cache.  Compiling gives every index one einsum letter
+keyed by the edge it belongs to (see :func:`_wiring`), then follows a greedy
+pairwise path from ``np.einsum_path``; the plan holds the step subscripts,
+the window gathers and the kernel flips.  The input side stays un-windowed
+until the first step that contracts a window index, so channel contractions
+run on the smaller tensor.
 
 Axis conventions (all carry a leading batch axis): channels, then spatial.
 
@@ -50,15 +52,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import PlanIncomplete, ShapeMismatch
-from .formats import (
-    INPUT_CHANNEL,
-    KERNEL,
-    OUTPUT_CHANNEL,
-    RANK,
-    LayerFormat,
-)
+from .formats import INPUT_CHANNEL, KERNEL, OUTPUT_CHANNEL, LayerFormat
 from .graph import InitPlan
-from .tensor import _OPTIMIZE, DenseTensor, _check_array, _einsum, _einsum_spec
+from .tensor import _OPTIMIZE, DenseTensor, _check_array, _einsum, _letters
 from .transform import BackwardDummySpec, build_backward_format
 
 # Compiled plans kept per process.  A plan holds only subscripts and small
@@ -125,52 +121,40 @@ def materialize(f: LayerFormat, plan: InitPlan, rng) -> MaterializedLayer:
     )
 
 
-def contraction_map(f: LayerFormat, trial_axis: bool = False):
-    """Summation groups and open indices wiring one replica's forward pass.
+def _wiring(f: LayerFormat, x_shape, trial_axis: bool):
+    """Einsum terms of one replica's forward pass, one letter per index.
 
-    Tensor slots: 0 is the windowed batched input, then the weight vertices
-    in declaration order.  The windowed input has the batch axis, the
-    input-channel edges in order, one axis per kernel edge in order holding
-    the output (window) position, then one window-offset axis per kernel
-    edge in the same order.  The batch axis is the first open index and
-    the window positions are the last.  Each open index lists every
-    ``(slot, axis)`` it joins: an output-channel edge shared by several
-    weight vertices stays one index.
+    Indices are keyed by name: an edge by its id (a kernel edge's id keys
+    its window offset), and the trial axis, the batch axis and each kernel
+    edge's window position by tuples, which no edge id can equal.  The
+    summed indices take the first letters, in edge declaration order; the
+    open indices follow in output order: the trial axis (with
+    ``trial_axis``), the batch axis, the output-channel edges, then one
+    window position per kernel edge.
 
-    With ``trial_axis`` every tensor gains a leading trial axis, all other
-    axes shift by one, and the trial axis, joined by every slot, becomes the
-    first open index.
+    Returns the un-windowed input term, the window-offset letters the
+    gather appends to it, one term per weight vertex, the output term and
+    the size of every letter.  With ``trial_axis`` the input, every weight
+    and the output lead with the trial axis.
     """
-    lead = int(trial_axis)
-    xid = f.input_vertex.id
-    x_edges = f.edges_of_kind(INPUT_CHANNEL) + f.kernel_edges
-    x_axes = {e.id: lead + 1 + i for i, e in enumerate(x_edges)}
-    window_axes = {
-        e.id: lead + 1 + len(x_edges) + i for i, e in enumerate(f.kernel_edges)
-    }
-    w_axes = {
-        vid: {e.id: lead + i for i, e in enumerate(f.edges_of(vid))}
-        for vid in f.weight_ids
-    }
-    w_slot = {vid: 1 + i for i, vid in enumerate(f.weight_ids)}
+    trial, batch = ("trial",), ("batch",)
+    kernels = f.kernel_edges
+    positions = [(e.id, "position") for e in kernels]
+    lead = [trial] if trial_axis else []
+    summed = [e.id for e in f.edges if e.kind != OUTPUT_CHANNEL]
+    opened = lead + [batch] + [e.id for e in f.edges_of_kind(OUTPUT_CHANNEL)] + positions
+    letter = dict(zip(summed + opened, _letters(len(summed) + len(opened))))
 
-    def weight_axes(e):
-        return [(w_slot[p], w_axes[p][e.id]) for p in e.endpoints if p != xid]
+    def term(keys):
+        return "".join(letter[k] for k in keys)
 
-    groups = []
-    for e in f.edges:
-        if e.kind == INPUT_CHANNEL:
-            groups.append([(0, x_axes[e.id])] + weight_axes(e))
-        elif e.kind == RANK:
-            groups.append(weight_axes(e))
-        elif e.kind == KERNEL:
-            groups.append([(0, window_axes[e.id])] + weight_axes(e))
-
-    open_axes = [[(slot, 0) for slot in range(1 + len(f.weight_ids))]] if lead else []
-    open_axes += [[(0, lead)]]
-    open_axes += [weight_axes(e) for e in f.edges_of_kind(OUTPUT_CHANNEL)]
-    open_axes += [[(0, x_axes[e.id])] for e in f.kernel_edges]
-    return groups, open_axes
+    size = {e.id: e.dim for e in f.edges}
+    size.update(zip(positions, (e.window.alpha_prime for e in kernels)))
+    size[trial], size[batch] = x_shape[0], x_shape[len(lead)]
+    x_keys = lead + [batch] + [e.id for e in f.edges_of_kind(INPUT_CHANNEL)] + positions
+    w_terms = [term(lead + [e.id for e in f.edges_of(vid)]) for vid in f.weight_ids]
+    dims = {letter[k]: size[k] for k in letter}
+    return term(x_keys), term(e.id for e in kernels), w_terms, term(opened), dims
 
 
 @dataclass(frozen=True)
@@ -242,34 +226,33 @@ class _Plan:
     largest: int
 
 
-def _steps(spec: str, shapes, n_x: int, k_axes) -> tuple[tuple[_Step, ...], int]:
-    """Pairwise steps along numpy's greedy path for ``spec``, and the entry
-    count of the largest weight, gathered window or step result.
+def _steps(x_term: str, offsets: str, w_terms, output: str, dims) -> tuple[tuple[_Step, ...], int]:
+    """Pairwise steps along numpy's greedy path, and the entry count of the
+    largest weight, gathered window or step result.
 
-    ``shapes`` are those of the windowed input and the weights; the first
-    ``n_x`` letters of the input term are its un-windowed axes, the rest its
-    window offsets, and ``k_axes`` the positions of its kernel axes.
+    The path is planned for the windowed input, ``x_term + offsets``, and
+    the weights.  The input side is the one operand that holds the window
+    positions, the last letters of ``output``: it stays un-windowed until
+    the first step that contracts a window offset, which gathers it.
     """
-    standins = [np.broadcast_to(0.0, s) for s in shapes]
+    terms = [x_term + offsets, *w_terms]
+    standins = [np.broadcast_to(0.0, [dims[c] for c in t]) for t in terms]
+    spec = ",".join(terms) + "->" + output
     path = np.einsum_path(spec, *standins, optimize=_OPTIMIZE)[0][1:]
-    inputs, output = spec.split("->")
-    terms = inputs.split(",")
-    dims = {c: d for t, s in zip(terms, shapes) for c, d in zip(t, s)}
 
     def size(term):
         return math.prod(dims[c] for c in term)
 
-    largest = max(map(size, terms[1:]), default=1)
-    offsets = terms[0][n_x:]
-    kernel = [terms[0][ax] for ax in k_axes]
-    terms[0] = terms[0][:n_x]
-    x_at = 0
+    largest = max(map(size, w_terms), default=1)
+    kernel = output[len(output) - len(offsets):]
+    terms[0] = x_term
     steps = []
     for n, picked in enumerate(path):
         args = [terms[i] for i in picked]
         window, axes = None, ()
-        if offsets and x_at in picked and any(set(offsets) & set(t) for t in args):
-            window = picked.index(x_at)
+        if offsets and any(set(offsets) & set(t) for t in args):
+            window = next((j for j, t in enumerate(args) if kernel[0] in t), None)
+        if window is not None:
             axes = tuple(args[window].index(c) for c in kernel)
             args[window] += offsets
             offsets = ""
@@ -281,38 +264,28 @@ def _steps(spec: str, shapes, n_x: int, k_axes) -> tuple[tuple[_Step, ...], int]
         )
         largest = max(largest, size(out))
         steps.append(_Step(tuple(picked), ",".join(args) + "->" + out, window, axes))
-        if x_at in picked:
-            x_at = len(rest)
-        else:
-            x_at -= sum(1 for i in picked if i < x_at)
         terms = rest + [out]
     return tuple(steps), largest
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _plan(f: LayerFormat, backward: bool, x_shape, w_shapes, trial_axis: bool = False) -> _Plan:
-    """Compile one direction of ``f`` for the given operand shapes."""
+def _plan(f: LayerFormat, backward: bool, x_shape, trial_axis: bool = False) -> _Plan:
+    """Compile one direction of ``f`` for an input of ``x_shape``; the
+    weights have the shapes the format gives them."""
     lead = int(trial_axis)
     ef = build_backward_format(f) if backward else f
     windows = tuple(_Window.of(e.window) for e in ef.kernel_edges)
-    k_axes = range(len(x_shape) - len(windows), len(x_shape))
-    wx_shape, padded = list(x_shape), list(x_shape)
-    for ax, w in zip(k_axes, windows):
-        wx_shape[ax] = w.count
-        padded[ax] = w.padded
-    wx_shape += [w.beta for w in windows]
-    shapes = [tuple(wx_shape), *w_shapes]
-    spec = _einsum_spec(shapes, *contraction_map(ef, trial_axis))
+    steps, largest = _steps(*_wiring(ef, x_shape, trial_axis))
     flips = tuple(
         tuple(lead + i for i, e in enumerate(f.edges_of(vid)) if backward and e.kind == KERNEL)
         for vid in f.weight_ids
     )
-    steps, largest = _steps(spec, shapes, len(x_shape), k_axes)
-    largest = max(largest, math.prod(x_shape), math.prod(padded))
-    return _Plan(steps, windows, flips, largest)
+    spatial = math.prod(e.window.alpha for e in ef.kernel_edges)
+    padded = math.prod(x_shape) // spatial * math.prod(w.padded for w in windows)
+    return _Plan(steps, windows, flips, max(largest, math.prod(x_shape), padded))
 
 
-def _trial_block(f: LayerFormat, x_shape, w_shapes) -> int:
+def _trial_block(f: LayerFormat, x_shape) -> int:
     """Trials per forward block for a per-trial input of ``x_shape``.
 
     As many trials as keep the block's largest array within
@@ -321,7 +294,7 @@ def _trial_block(f: LayerFormat, x_shape, w_shapes) -> int:
     :class:`~tcinit.errors.ResourceLimit` when even that block would exceed
     the memory limit.
     """
-    largest = _plan(f, False, x_shape, w_shapes).largest
+    largest = _plan(f, False, x_shape).largest
     block = min(MAX_TRIAL_BLOCK, max(1, TRIAL_BLOCK_BYTES // (8 * largest)))
     _check_array((block, largest), "the largest array of a trial block")
     return block
@@ -334,8 +307,7 @@ def _contract(f: LayerFormat, x: np.ndarray, replicas, backward: bool, trial_axi
     ``f.weight_ids`` order.  With ``trial_axis`` the input, every weight and
     the result carry a leading trial axis.
     """
-    w_shapes = tuple(w.shape for w in replicas[0])
-    plan = _plan(f, backward, x.shape, w_shapes, trial_axis)
+    plan = _plan(f, backward, x.shape, trial_axis)
     out = None
     for weights in replicas:
         ops = [x] + [np.flip(w, axis=a) for w, a in zip(weights, plan.flips)]

@@ -136,9 +136,8 @@ def validate_network(net: NetworkSpec) -> None:
             )
         out = f.output_mode_dims()
         _check_array((net.batch, *out), f"the output of layer {i}")
-        w_shapes = tuple(f.weight_mode_dims(vid) for vid in f.weight_ids)
         for backward, dims in ((False, feed), (True, out)):
-            plan = _plan(f, backward, (net.batch, *dims), w_shapes)
+            plan = _plan(f, backward, (net.batch, *dims))
             direction = "backward" if backward else "forward"
             _check_array((plan.largest,), f"the largest array of layer {i}'s {direction} pass")
         feed = out
@@ -204,9 +203,12 @@ def _one_blas_thread():
 
 def _map_trials(fn, items, workers: int) -> list:
     """``fn`` over ``items`` (trials or trial blocks), results in order.
-    Raises :class:`~tcinit.errors.InvalidParams` when there are none."""
+    Raises :class:`~tcinit.errors.InvalidParams` when there are none or
+    when ``workers`` is below 1."""
     if not items:
         raise InvalidParams("trials must be >= 1")
+    if workers < 1:
+        raise InvalidParams("workers must be >= 1")
     if workers > 1:
         with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(fn, items))
@@ -312,14 +314,17 @@ def variance_mc(
     :func:`~tcinit.network._trial_block`), so the figures do not depend on
     ``workers``, which map over blocks.  Raises
     :class:`~tcinit.errors.ResourceLimit` before any draw when one block
-    would not fit in memory.
+    would not fit in memory, and :class:`~tcinit.errors.InvalidParams` when
+    ``batch`` is below 1.
     """
+    if batch < 1:
+        raise InvalidParams("batch must be >= 1")
     shapes, variances = _weight_specs(f, plan)
     predicted = predicted_output_variance(
         extract_bg(f, FAN_IN), 1.0, variances, 1.0, f.phi
     )
     x_shape = (batch,) + f.input_mode_dims()
-    size = _trial_block(f, x_shape, shapes)
+    size = _trial_block(f, x_shape)
 
     def run_block(block):
         xs, draws = [], []
@@ -369,6 +374,10 @@ def scale_chain(
     dims = tuple(int(d) for d in dims)
     if len(dims) < 2:
         raise InvalidParams("chain needs at least two dims")
+    if min(dims) < 1:
+        raise InvalidParams(f"chain dims must be >= 1, got {dims}")
+    if batch < 1:
+        raise InvalidParams("batch must be >= 1")
 
     def one(trial):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))

@@ -179,6 +179,17 @@ def contract(
     return DenseTensor.from_array(out)
 
 
+def _letters(n: int) -> str:
+    """The first ``n`` einsum subscript letters.  Einsum has 52 letters, so
+    more indices raise :class:`~tcinit.errors.TooManyIndices`."""
+    if n > len(ascii_letters):
+        raise TooManyIndices(
+            f"contraction needs {n} distinct indices; einsum "
+            f"supports at most {len(ascii_letters)}"
+        )
+    return ascii_letters[:n]
+
+
 def _einsum_spec(shapes, groups, open_axes) -> str:
     """Einsum subscripts wiring tensors of the given shapes.
 
@@ -190,13 +201,9 @@ def _einsum_spec(shapes, groups, open_axes) -> str:
     indices = [list(g) for g in groups]
     n_summed = len(indices)
     indices += [list(g) for g in open_axes]
-    if len(indices) > len(ascii_letters):
-        raise TooManyIndices(
-            f"contraction needs {len(indices)} distinct indices; einsum "
-            f"supports at most {len(ascii_letters)}"
-        )
+    names = _letters(len(indices))
     letters: list[dict[int, str]] = [dict() for _ in shapes]
-    for letter, index in zip(ascii_letters, indices):
+    for letter, index in zip(names, indices):
         dim = None
         for ti, ax in index:
             if not 0 <= ti < len(shapes):
@@ -225,7 +232,7 @@ def _einsum_spec(shapes, groups, open_axes) -> str:
         "".join(letters[ti][ax] for ax in range(len(shape)))
         for ti, shape in enumerate(shapes)
     )
-    return operands + "->" + ascii_letters[n_summed : len(indices)]
+    return operands + "->" + names[n_summed:]
 
 
 # The default path optimizer caps intermediates at the largest operand size,
@@ -251,8 +258,8 @@ def multi_contract(
     the output axes in order.  Every axis of every tensor must appear in
     exactly one group or in ``open_axes``.  The result equals any sequence of
     pairwise :func:`contract` calls realizing the same network; the actual
-    contraction order is chosen internally.  More than 52 indices in total
-    raise :class:`~tcinit.errors.TooManyIndices`.
+    contraction order is chosen internally.  More indices in total than
+    einsum has letters raise :class:`~tcinit.errors.TooManyIndices`.
     """
     tensors = list(tensors)
     open_groups = [[pair] for pair in open_axes]

@@ -160,6 +160,12 @@ class TestSimulate:
         assert code == 2
         assert out == "" and err.startswith("error:") and "trials" in err
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exits_2(self, capsys, workers):
+        code, out, err = run(capsys, *self.ARGS, "--seed", "0", "--workers", workers)
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "workers" in err
+
 
 class TestVerify:
     def test_passes_and_exits_zero(self, capsys):
@@ -195,6 +201,15 @@ class TestRandgen:
             assert code == 0
             assert json.loads(out)["graph_in_sigma2"] > 0
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_one_exits_2(self, capsys, tmp_path, count):
+        code, out, err = run(
+            capsys, "randgen", "--seed", "0", "--count", count, "--out", str(tmp_path)
+        )
+        assert code == 2
+        assert out == "" and "count" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestScaleChain:
     def test_custom_chain(self, capsys):
@@ -224,6 +239,16 @@ class TestScaleChain:
         assert code == 2
         assert out == "" and err.startswith("error:") and "trials" in err
 
+    @pytest.mark.parametrize(
+        "flag,value,word", [("--batch", "0", "batch"), ("--dims", "4,0", "dims")]
+    )
+    def test_batch_or_dims_below_one_exits_2(self, capsys, flag, value, word):
+        code, out, err = run(
+            capsys, "scale-chain", "--seed", "0", "--trials", "2", flag, value
+        )
+        assert code == 2
+        assert out == "" and err.startswith("error:") and word in err
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):
@@ -239,3 +264,34 @@ class TestUsage:
         )
         assert code == 2
         assert "not both" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    @pytest.mark.parametrize("source", ["format", "builtin"])
+    @pytest.mark.parametrize("phi", ["0", "-1"])
+    def test_phi_below_one_exits_2(self, capsys, tmp_path, command, source, phi):
+        path = tmp_path / "f.txt"
+        path.write_text(
+            "vertex x input\nvertex w weight\n"
+            "edge c input-channel 2 x w\nedge o output-channel 2 w\n"
+        )
+        fmt = ["--format", str(path)] if source == "format" else [
+            "--builtin", "standard", "-P", "c_in=2", "-P", "c_out=2",
+        ]
+        extra = ["--seed", "0", "--trials", "1"] if command == "simulate" else []
+        code, out, err = run(capsys, command, *fmt, "--phi", phi, *extra)
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "phi" in err
+
+    @pytest.mark.parametrize("source", ["format", "builtin"])
+    def test_phi_override_wins(self, capsys, tmp_path, source):
+        path = tmp_path / "f.txt"
+        path.write_text(
+            "phi 2\nvertex x input\nvertex w weight\n"
+            "edge c input-channel 2 x w\nedge o output-channel 2 w\n"
+        )
+        fmt = ["--format", str(path)] if source == "format" else [
+            "--builtin", "standard", "-P", "c_in=2", "-P", "c_out=2", "-P", "phi=2",
+        ]
+        code, out, _ = run(capsys, "analyze", *fmt, "--phi", "3")
+        assert code == 0
+        assert json.loads(out)["phi"] == 3

@@ -1,10 +1,14 @@
+from string import ascii_letters
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tcinit
 from tcinit import network, tensor, transform
 from tcinit.errors import PlanIncomplete, ShapeMismatch
-from tcinit.formats import BUILTIN_NAMES, builtin_format, parse_format
+from tcinit.formats import BUILTIN_NAMES, builtin_format, parse_format, random_format
 from tcinit.graph import InitPlan, make_plan
 from tcinit.network import backward_apply, forward_apply, materialize
 from tcinit.tensor import DenseTensor, build_dummy, multi_contract
@@ -471,16 +475,16 @@ class TestTrialAxis:
 
     def test_block_size_follows_the_largest_array(self, monkeypatch):
         f = builtin_format("standard", c_in=2, c_out=2, k=3, alpha=6)
-        x_shape, w_shapes = (2,) + f.input_mode_dims(), (f.weight_mode_dims("w"),)
+        x_shape = (2,) + f.input_mode_dims()
         # The largest array is the gathered window [n, c, a', b', k, l].
         per_trial = 8 * 2 * 2 * 4 * 4 * 3 * 3
-        assert network._plan(f, False, x_shape, w_shapes).largest * 8 == per_trial
+        assert network._plan(f, False, x_shape).largest * 8 == per_trial
         monkeypatch.setattr(network, "TRIAL_BLOCK_BYTES", 5 * per_trial + 7)
-        assert network._trial_block(f, x_shape, w_shapes) == 5
+        assert network._trial_block(f, x_shape) == 5
         monkeypatch.setattr(network, "TRIAL_BLOCK_BYTES", per_trial - 1)
-        assert network._trial_block(f, x_shape, w_shapes) == 1
+        assert network._trial_block(f, x_shape) == 1
         monkeypatch.setattr(network, "TRIAL_BLOCK_BYTES", 1 << 40)
-        assert network._trial_block(f, x_shape, w_shapes) == network.MAX_TRIAL_BLOCK
+        assert network._trial_block(f, x_shape) == network.MAX_TRIAL_BLOCK
 
 
 def test_einsum_optimize_arguments_are_hashable_named_strategies(monkeypatch):
@@ -502,3 +506,92 @@ def test_einsum_optimize_arguments_are_hashable_named_strategies(monkeypatch):
     for optimize in seen:
         hash(optimize)
         assert not (isinstance(optimize, tuple) and optimize[:1] == ("einsum_path",))
+
+
+# Edge ids that name the engine's own axes must not be confused with them.
+AXIS_NAMED_EDGES = """\
+phi 2
+vertex x input
+vertex a weight
+vertex b weight
+edge trial input-channel 3 x a
+edge batch rank 2 a b
+edge k kernel 3 b alpha 6 stride 2 pad 1
+edge o output-channel 4 b
+"""
+
+CONV_NAMES = ("standard", "lowrank", "tucker2", "htk2", "cp")
+
+
+def conv_builtin(seed):
+    """A conv builtin drawn from ``seed``: stride 1-3, padding below k."""
+    rng = np.random.default_rng(seed)
+
+    def draw(lo, hi):
+        return int(rng.integers(lo, hi + 1))
+
+    name = CONV_NAMES[draw(0, len(CONV_NAMES) - 1)]
+    k, spatial = draw(1, 3), draw(1, 2)
+    params = dict(
+        c_in=draw(1, 3), c_out=draw(1, 3), k=k, spatial=spatial,
+        alpha=tuple(draw(k, k + 5) for _ in range(spatial)),
+        stride=draw(1, 3), padding=draw(0, k - 1), phi=draw(1, 2),
+    )
+    if name in ("lowrank", "cp"):
+        params["rank"] = draw(1, 3)
+    elif name != "standard":
+        params["r0"], params["r1"] = draw(1, 3), draw(1, 3)
+    return builtin_format(name, **params)
+
+
+def dense_forward(f, layer, x):
+    """The forward pass as one einsum written from the format's edges, with
+    one ``build_dummy`` pattern ``[alpha, alpha', beta]`` per kernel edge,
+    summed over replicas."""
+    letters = iter(ascii_letters)
+    edge = {e.id: next(letters) for e in f.edges}
+    batch = next(letters)
+    # Per kernel edge: the input position j and the output position j'.
+    pos = {e.id: (next(letters), next(letters)) for e in f.kernel_edges}
+    x_term = batch + "".join(edge[e.id] for e in f.edges_of_kind("input-channel"))
+    x_term += "".join(pos[e.id][0] for e in f.kernel_edges)
+    out = batch + "".join(edge[e.id] for e in f.edges_of_kind("output-channel"))
+    out += "".join(pos[e.id][1] for e in f.kernel_edges)
+    terms = [x_term]
+    terms += ["".join(edge[e.id] for e in f.edges_of(vid)) for vid in f.weight_ids]
+    terms += [pos[e.id][0] + pos[e.id][1] + edge[e.id] for e in f.kernel_edges]
+    spec = ",".join(terms) + "->" + out
+    patterns = [build_dummy(e.window).array for e in f.kernel_edges]
+    return sum(
+        np.einsum(spec, x, *(rep[vid].array for vid in f.weight_ids), *patterns, optimize=True)
+        for rep in layer.replicas
+    )
+
+
+class TestEngineOracle:
+    """The engine against a dense-pattern einsum built independently of
+    ``network``, over random linear formats and seed-drawn conv builtins."""
+
+    @given(
+        st.one_of(
+            st.integers(0, 2**32 - 1).map(random_format),
+            st.integers(0, 2**32 - 1).map(conv_builtin),
+        )
+    )
+    @example(parse_format(AXIS_NAMED_EDGES))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_forward_matches_dense_patterns(self, f):
+        plan = make_plan(f, "graph-in", "identity")
+        layers = [materialize(f, plan, seed) for seed in range(2)]
+        xs = np.random.default_rng(1).standard_normal((2, 2) + f.input_mode_dims())
+        want = np.stack([dense_forward(f, l, x) for l, x in zip(layers, xs)])
+        for l, x, w in zip(layers, xs, want):
+            got = forward_apply(l, DenseTensor.from_array(x)).array
+            np.testing.assert_allclose(got, w, rtol=1e-10, atol=1e-12)
+        replicas = [
+            [np.stack([l.replicas[r][vid].array for l in layers]) for vid in f.weight_ids]
+            for r in range(f.phi)
+        ]
+        got = network._contract(f, xs, replicas, backward=False, trial_axis=True)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        assert_adjoint(f)

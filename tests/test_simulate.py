@@ -219,6 +219,14 @@ class TestVarianceMc:
         with pytest.raises(InvalidParams, match="trials"):
             variance_mc(f, plan, seed=1, trials=trials)
 
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_batch_below_one_rejected_before_any_draw(self, batch, monkeypatch):
+        f = builtin_format("standard", c_in=4, c_out=4, k=0)
+        plan = make_plan(f, "graph-in", "tanh")
+        monkeypatch.setattr(simulate, "_draw", None)
+        with pytest.raises(InvalidParams, match="batch"):
+            variance_mc(f, plan, seed=1, trials=2, batch=batch)
+
 
 def per_trial_ratios(f, plan, seed, trials, batch):
     """Output/input variance ratios one trial at a time, through the public
@@ -249,8 +257,7 @@ class TestTrialBlocks:
 
     @staticmethod
     def shapes(f):
-        x_shape = (BLOCK_BATCH,) + f.input_mode_dims()
-        return x_shape, tuple(f.weight_mode_dims(vid) for vid in f.weight_ids)
+        return ((BLOCK_BATCH,) + f.input_mode_dims(),)
 
     def block_size(self, f):
         return network._trial_block(f, *self.shapes(f))
@@ -339,6 +346,20 @@ class TestScaleChain:
     def test_needs_two_dims(self):
         with pytest.raises(InvalidParams):
             scale_chain(seed=0, trials=1, dims=(5,))
+
+    @pytest.mark.parametrize(
+        "dims,batch,word", [((4, 0), 2, "dims"), ((0, 4), 2, "dims"), ((4, 4), 0, "batch")]
+    )
+    def test_batch_or_dims_below_one_rejected_before_any_draw(self, dims, batch, word, monkeypatch):
+        monkeypatch.setattr(simulate, "_map_trials", None)
+        with pytest.raises(InvalidParams, match=word):
+            scale_chain(seed=0, trials=2, dims=dims, batch=batch)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_one_rejected(workers):
+    with pytest.raises(InvalidParams, match="workers"):
+        simulate._map_trials(abs, range(2), workers)
 
 
 class TestPropositions:
