@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import formats, graph, simulate, transform
@@ -36,13 +37,8 @@ class _Parser(argparse.ArgumentParser):
 def _parse_param(text: str):
     key, sep, value = text.partition("=")
     if not sep or not key:
-        raise ValueError(f"parameter {text!r} is not key=value")
-    parts = value.split(",")
-    try:
-        ints = [int(p) for p in parts]
-    except ValueError:
-        return key, value
-    return key, (ints[0] if len(ints) == 1 else tuple(ints))
+        raise InvalidParams(f"parameter {text!r} is not key=value")
+    return key, value
 
 
 def _load_format(args) -> formats.LayerFormat:
@@ -125,23 +121,10 @@ def cmd_simulate(args) -> int:
     )
     fwd = simulate.forward_trace(net, args.seed, args.trials, workers=args.workers)
     bwd = simulate.backward_trace(net, args.seed, args.trials, workers=args.workers)
-    merged = simulate.TraceReport(
-        seed=fwd.seed,
-        trials=fwd.trials,
-        threshold=fwd.threshold,
-        layers=tuple(
-            simulate.LayerTrace(
-                pre_var=a.pre_var,
-                pre_std=a.pre_std,
-                post_var=a.post_var,
-                post_std=a.post_std,
-                grad_var=b.grad_var,
-                grad_std=b.grad_std,
-                saturation=a.saturation,
-            )
-            for a, b in zip(fwd.layers, bwd.layers)
-        ),
-    )
+    merged = replace(fwd, layers=tuple(
+        replace(a, grad_var=b.grad_var, grad_std=b.grad_std)
+        for a, b in zip(fwd.layers, bwd.layers)
+    ))
     if args.out:
         base = Path(args.out)
         base.with_suffix(".json").write_text(simulate.report_json(merged))
@@ -202,6 +185,8 @@ def closure_sweep(random_seeds: int, first_seed: int = 0) -> dict:
 
 
 def cmd_verify(args) -> int:
+    if args.random_formats < 0:
+        raise InvalidParams("random-formats must be >= 0")
     theorem1 = _theorem1_grid()
     props = simulate.proposition_checks(args.seed)
     closure = closure_sweep(args.random_formats, first_seed=args.seed)
@@ -229,11 +214,7 @@ def cmd_randgen(args) -> int:
 
 
 def cmd_scale_chain(args) -> int:
-    dims = (
-        tuple(int(d) for d in args.dims.split(","))
-        if args.dims
-        else simulate.DEFAULT_CHAIN_DIMS
-    )
+    dims = formats.parse_ints("dims", args.dims) if args.dims else simulate.DEFAULT_CHAIN_DIMS
     table = simulate.scale_chain(
         args.seed, trials=args.trials, dims=dims, batch=args.batch,
         workers=args.workers,
@@ -305,10 +286,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TcinitError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return VALIDATION_EXIT
-    except OSError as exc:
+    except (TcinitError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return VALIDATION_EXIT
 

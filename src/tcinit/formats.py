@@ -33,7 +33,8 @@ directives or kernel attributes are parse errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -354,21 +355,35 @@ def parse_format(text: str) -> LayerFormat:
 # -- builtin formats ------------------------------------------------------
 
 
-def _windows(weight: str, k: int, spatial: int, alpha, stride, padding, input_id="x"):
-    if spatial == 0:
-        return []
-    alphas = alpha if isinstance(alpha, (tuple, list)) else (alpha,) * spatial
-    if len(alphas) != spatial:
-        raise InvalidParams(f"alpha must give {spatial} spatial lengths")
+def parse_ints(key: str, value) -> tuple[int, ...]:
+    """``value`` as a tuple of ints: an int, a sequence of ints or text of
+    comma-separated ints.  Anything else raises :class:`InvalidParams`
+    naming ``key``."""
+    if isinstance(value, str):
+        items = value.split(",")
+    else:
+        items = value if isinstance(value, (tuple, list)) else [value]
+    try:
+        return tuple(int(v) if isinstance(v, str) else operator.index(v) for v in items)
+    except (TypeError, ValueError):
+        raise InvalidParams(
+            f"{key} must be an integer or comma-separated integers, got {value!r}"
+        ) from None
+
+
+def _windows(weights, k: int, alpha: tuple[int, ...], stride: int, padding: int):
+    """Kernel edges ``k0``, ``k1``, ... from the input to each of ``weights``;
+    ``alpha`` gives each edge's input length, or one length for all."""
+    if len(alpha) == 1:
+        alpha *= len(weights)
+    if weights and len(alpha) != len(weights):
+        raise InvalidParams(f"alpha must give {len(weights)} spatial lengths")
     return [
         HyperEdge(
-            f"k{i}",
-            KERNEL,
-            k,
-            (input_id, weight),
-            DummySpec(alpha=alphas[i], beta=k, stride=stride, padding=padding),
+            f"k{i}", KERNEL, k, ("x", w),
+            DummySpec(alpha=a, beta=k, stride=stride, padding=padding),
         )
-        for i in range(spatial)
+        for i, (w, a) in enumerate(zip(weights, alpha))
     ]
 
 
@@ -390,34 +405,40 @@ def builtin_format(name: str, **params) -> LayerFormat:
     Common parameters: ``c_in``/``c_out`` (or ``i_dims``/``o_dims`` tuples
     for tt/tr/oddlike), ``rank`` (or ``r0``/``r1`` for tucker2), ``k``,
     ``spatial`` (0 linear, 1 or 2 conv; default 2 when ``k`` is given, else
-    0), ``alpha``, ``stride``, ``padding``, ``phi``.
+    0), ``alpha``, ``stride``, ``padding``, ``phi``.  Each value is an int,
+    a sequence of ints or comma-separated text (see :func:`parse_ints`).
     """
     name = name.lower()
-    phi = int(params.pop("phi", 4 if name == "htk2" else 1))
-    k = int(params.pop("k", 0))
-    spatial = int(params.pop("spatial", 2 if k else 0))
+
+    def take(key, default=None, many=False):
+        """Pop ``key`` (or take ``default``) as a tuple of ints when ``many``,
+        else as one int; with no default the parameter is required."""
+        value = params.pop(key, default)
+        if value is None:
+            raise InvalidParams(f"builtin {name!r} requires parameter {key!r}")
+        ints = parse_ints(key, value)
+        if many:
+            return ints
+        if len(ints) != 1:
+            raise InvalidParams(f"{key} must be one integer, got {value!r}")
+        return ints[0]
+
+    phi = take("phi", 4 if name == "htk2" else 1)
+    k = take("k", 0)
+    spatial = take("spatial", 2 if k else 0)
+    if spatial < 0:
+        raise InvalidParams(f"spatial must be >= 0, got {spatial}")
     if spatial and not k:
         raise InvalidParams("spatial > 0 requires a kernel size k")
-    alpha = params.pop("alpha", 8)
-    stride = int(params.pop("stride", 1))
-    padding = int(params.pop("padding", 0))
-
-    def take(key, default=None):
-        if key in params:
-            return params.pop(key)
-        if default is None:
-            raise InvalidParams(f"builtin {name!r} requires parameter {key!r}")
-        return default
-
+    alpha = take("alpha", 8, many=True)
+    stride = take("stride", 1)
+    padding = take("padding", 0)
     x = Vertex("x", INPUT)
-
-    def dims_tuple(val):
-        return tuple(int(d) for d in (val if isinstance(val, (tuple, list)) else (val,)))
 
     def bond_ranks(cores: int, bonds: int):
         """``ranks`` (one per bond, or one for all) or else ``rank``; when
         both are given ``rank`` is left over and rejected as unused."""
-        ranks = dims_tuple(take("ranks") if "ranks" in params else take("rank"))
+        ranks = take("ranks" if "ranks" in params else "rank", many=True)
         if len(ranks) == 1:
             ranks = ranks * bonds
         if len(ranks) != bonds:
@@ -425,53 +446,47 @@ def builtin_format(name: str, **params) -> LayerFormat:
         return ranks
 
     if name == "standard":
-        c_in, c_out = int(take("c_in")), int(take("c_out"))
+        c_in, c_out = take("c_in"), take("c_out")
         v = [x, Vertex("w", WEIGHT)]
         e = [
             HyperEdge("cin", INPUT_CHANNEL, c_in, ("x", "w")),
             HyperEdge("cout", OUTPUT_CHANNEL, c_out, ("w",)),
-            *_windows("w", k, spatial, alpha, stride, padding),
+            *_windows(["w"] * spatial, k, alpha, stride, padding),
         ]
     elif name == "lowrank":
-        c_in, c_out, r = int(take("c_in")), int(take("c_out")), int(take("rank"))
+        c_in, c_out, r = take("c_in"), take("c_out"), take("rank")
         v = [x, Vertex("w0", WEIGHT), Vertex("w1", WEIGHT)]
         e = [
             HyperEdge("cin", INPUT_CHANNEL, c_in, ("x", "w0")),
             HyperEdge("r0", RANK, r, ("w0", "w1")),
-            *_windows("w1", k, spatial, alpha, stride, padding),
+            *_windows(["w1"] * spatial, k, alpha, stride, padding),
             HyperEdge("cout", OUTPUT_CHANNEL, c_out, ("w1",)),
         ]
     elif name in ("tucker2", "htk2"):
-        c_in, c_out = int(take("c_in")), int(take("c_out"))
-        r = params.pop("rank", None)
-        r0 = int(params.pop("r0", r if r is not None else 0)) or int(take("r0"))
-        r1 = int(params.pop("r1", r if r is not None else 0)) or int(take("r1"))
+        c_in, c_out = take("c_in"), take("c_out")
+        r = take("rank") if "rank" in params else None
+        r0, r1 = take("r0", r), take("r1", r)
         v = [x, Vertex("w0", WEIGHT), Vertex("w1", WEIGHT), Vertex("w2", WEIGHT)]
         e = [
             HyperEdge("cin", INPUT_CHANNEL, c_in, ("x", "w0")),
             HyperEdge("r0", RANK, r0, ("w0", "w1")),
-            *_windows("w1", k, spatial, alpha, stride, padding),
+            *_windows(["w1"] * spatial, k, alpha, stride, padding),
             HyperEdge("r1", RANK, r1, ("w1", "w2")),
             HyperEdge("cout", OUTPUT_CHANNEL, c_out, ("w2",)),
         ]
     elif name == "cp":
-        c_in, c_out, r = int(take("c_in")), int(take("c_out")), int(take("rank"))
-        v = [x, Vertex("w_in", WEIGHT)]
-        e = [HyperEdge("cin", INPUT_CHANNEL, c_in, ("x", "w_in"))]
-        shared = ["w_in"]
-        for i in range(spatial):
-            wid = f"w_k{i}"
-            v.append(Vertex(wid, WEIGHT))
-            e.extend(_windows(wid, k, 1, (dims_tuple(alpha) * spatial)[i], stride, padding))
-            e[-1] = replace(e[-1], id=f"k{i}")
-            shared.append(wid)
-        v.append(Vertex("w_out", WEIGHT))
-        shared.append("w_out")
-        e.append(HyperEdge("r", RANK, r, tuple(shared)))
-        e.append(HyperEdge("cout", OUTPUT_CHANNEL, c_out, ("w_out",)))
+        c_in, c_out, r = take("c_in"), take("c_out"), take("rank")
+        kernel_weights = [f"w_k{i}" for i in range(spatial)]
+        shared = ["w_in", *kernel_weights, "w_out"]
+        v = [x] + [Vertex(w, WEIGHT) for w in shared]
+        e = [
+            HyperEdge("cin", INPUT_CHANNEL, c_in, ("x", "w_in")),
+            *_windows(kernel_weights, k, alpha, stride, padding),
+            HyperEdge("r", RANK, r, tuple(shared)),
+            HyperEdge("cout", OUTPUT_CHANNEL, c_out, ("w_out",)),
+        ]
     elif name == "tt":
-        i_dims = dims_tuple(take("i_dims"))
-        o_dims = dims_tuple(take("o_dims"))
+        i_dims, o_dims = take("i_dims", many=True), take("o_dims", many=True)
         if len(i_dims) != len(o_dims):
             raise InvalidParams("tt needs equally many input and output dims")
         m = len(i_dims)
@@ -480,14 +495,13 @@ def builtin_format(name: str, **params) -> LayerFormat:
         e = []
         for j in range(m):
             e.append(HyperEdge(f"i{j}", INPUT_CHANNEL, i_dims[j], ("x", f"w{j}")))
-        e.extend(_windows("w0", k, spatial, alpha, stride, padding))
+        e.extend(_windows(["w0"] * spatial, k, alpha, stride, padding))
         for j in range(m - 1):
             e.append(HyperEdge(f"r{j}", RANK, ranks[j], (f"w{j}", f"w{j + 1}")))
         for j in range(m):
             e.append(HyperEdge(f"o{j}", OUTPUT_CHANNEL, o_dims[j], (f"w{j}",)))
     elif name == "tr":
-        i_dims = dims_tuple(take("i_dims"))
-        o_dims = dims_tuple(take("o_dims"))
+        i_dims, o_dims = take("i_dims", many=True), take("o_dims", many=True)
         cores = len(i_dims) + len(o_dims) + (1 if spatial else 0)
         ranks = bond_ranks(cores, cores)
         names = [f"wi{j}" for j in range(len(i_dims))]
@@ -498,8 +512,7 @@ def builtin_format(name: str, **params) -> LayerFormat:
         e = []
         for j, d in enumerate(i_dims):
             e.append(HyperEdge(f"i{j}", INPUT_CHANNEL, d, ("x", f"wi{j}")))
-        if spatial:
-            e.extend(_windows("wk", k, spatial, alpha, stride, padding))
+        e.extend(_windows(["wk"] * spatial, k, alpha, stride, padding))
         for j in range(cores):
             e.append(
                 HyperEdge(f"r{j}", RANK, ranks[j], (names[j], names[(j + 1) % cores]))
@@ -507,17 +520,16 @@ def builtin_format(name: str, **params) -> LayerFormat:
         for j, d in enumerate(o_dims):
             e.append(HyperEdge(f"o{j}", OUTPUT_CHANNEL, d, (f"wo{j}",)))
     elif name == "oddlike":
-        i_dims = dims_tuple(take("i_dims"))
-        o_dims = dims_tuple(take("o_dims"))
+        i_dims, o_dims = take("i_dims", many=True), take("o_dims", many=True)
         if len(i_dims) != 2 or len(o_dims) != 2:
             raise InvalidParams("oddlike uses exactly two input and two output dims")
-        r = int(take("rank"))
+        r = take("rank")
         v = [x] + [Vertex(f"w{j}", WEIGHT) for j in range(9)]
         e = [
             HyperEdge("i0", INPUT_CHANNEL, i_dims[0], ("x", "w0")),
             HyperEdge("i1", INPUT_CHANNEL, i_dims[1], ("x", "w1")),
         ]
-        e.extend(_windows("w4", k, spatial, alpha, stride, padding))
+        e.extend(_windows(["w4"] * spatial, k, alpha, stride, padding))
         for n, (a, b) in enumerate(_ODD_RANK_PAIRS):
             e.append(HyperEdge(f"r{n}", RANK, r, (f"w{a}", f"w{b}")))
         e.append(HyperEdge("o0", OUTPUT_CHANNEL, o_dims[0], ("w7",)))

@@ -55,7 +55,7 @@ from .errors import PlanIncomplete, ShapeMismatch
 from .formats import INPUT_CHANNEL, KERNEL, OUTPUT_CHANNEL, LayerFormat
 from .graph import InitPlan
 from .tensor import _OPTIMIZE, DenseTensor, _check_array, _einsum, _letters
-from .transform import BackwardDummySpec, build_backward_format
+from .transform import build_backward_format
 
 # Compiled plans kept per process.  A plan holds only subscripts and small
 # tuples, so the bound caps memory when many distinct formats are executed.
@@ -157,43 +157,26 @@ def _wiring(f: LayerFormat, x_shape, trial_axis: bool):
     return term(x_keys), term(e.id for e in kernels), w_terms, term(opened), dims
 
 
-@dataclass(frozen=True)
-class _Window:
-    """Gather of one kernel axis: ``count`` windows of ``beta`` entries at
-    ``stride``, taken after inserting ``dilation - 1`` zeros between entries
-    and ``lo`` zeros before the first (and as many after as the last window
-    needs)."""
-
-    beta: int
-    stride: int
-    dilation: int
-    lo: int
-    count: int
-
-    @classmethod
-    def of(cls, spec) -> "_Window":
-        if isinstance(spec, BackwardDummySpec):
-            return cls(spec.beta, 1, spec.forward.stride, spec.padding, spec.alpha_prime)
-        return cls(spec.beta, spec.stride, 1, spec.padding, spec.alpha_prime)
-
-    @property
-    def padded(self) -> int:
-        """Length of the zero-expanded, padded axis the windows read."""
-        return self.stride * (self.count - 1) + self.beta
+def _padded(spec) -> int:
+    """Length of the zero-expanded, padded axis the windows of ``spec`` read."""
+    return spec.stride * (spec.alpha_prime - 1) + spec.beta
 
 
 def _gather(x: np.ndarray, axes, windows) -> np.ndarray:
     """Windowed view of ``x``: each of ``axes`` becomes the window position
-    and the window offsets are appended as trailing axes, in order."""
+    and the window offsets are appended as trailing axes, in order.  Axis
+    ``axes[i]`` is read as window spec ``windows[i]`` gives: ``dilation - 1``
+    zeros between entries, ``padding`` zeros before the first, then
+    ``alpha_prime`` windows of ``beta`` entries at ``stride``."""
     shape = list(x.shape)
     src = [slice(None)] * x.ndim
     dst = [slice(None)] * x.ndim
     step = [slice(None)] * x.ndim
     for ax, w in zip(axes, windows):
-        shape[ax] = w.padded
-        kept = min(x.shape[ax], (shape[ax] - w.lo - 1) // w.dilation + 1)
+        shape[ax] = _padded(w)
+        kept = min(x.shape[ax], (shape[ax] - w.padding - 1) // w.dilation + 1)
         src[ax] = slice(kept)
-        dst[ax] = slice(w.lo, w.lo + w.dilation * (kept - 1) + 1, w.dilation)
+        dst[ax] = slice(w.padding, w.padding + w.dilation * (kept - 1) + 1, w.dilation)
         step[ax] = slice(None, None, w.stride)
     padded = np.zeros(shape)
     padded[tuple(dst)] = x[tuple(src)]
@@ -221,7 +204,7 @@ class _Plan:
     result."""
 
     steps: tuple[_Step, ...]
-    windows: tuple[_Window, ...]
+    windows: tuple  # one window spec per kernel edge, in declaration order
     flips: tuple[tuple[int, ...], ...]
     largest: int
 
@@ -274,14 +257,14 @@ def _plan(f: LayerFormat, backward: bool, x_shape, trial_axis: bool = False) -> 
     weights have the shapes the format gives them."""
     lead = int(trial_axis)
     ef = build_backward_format(f) if backward else f
-    windows = tuple(_Window.of(e.window) for e in ef.kernel_edges)
+    windows = tuple(e.window for e in ef.kernel_edges)
     steps, largest = _steps(*_wiring(ef, x_shape, trial_axis))
     flips = tuple(
         tuple(lead + i for i, e in enumerate(f.edges_of(vid)) if backward and e.kind == KERNEL)
         for vid in f.weight_ids
     )
-    spatial = math.prod(e.window.alpha for e in ef.kernel_edges)
-    padded = math.prod(x_shape) // spatial * math.prod(w.padded for w in windows)
+    spatial = math.prod(w.alpha for w in windows)
+    padded = math.prod(x_shape) // spatial * math.prod(map(_padded, windows))
     return _Plan(steps, windows, flips, max(largest, math.prod(x_shape), padded))
 
 

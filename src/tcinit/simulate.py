@@ -15,7 +15,7 @@ import ctypes
 import json
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -80,22 +80,8 @@ class TraceReport:
 
     def to_dict(self) -> dict:
         return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "threshold": self.threshold,
-            "layers": [
-                {
-                    "layer": i,
-                    "pre_var": t.pre_var,
-                    "pre_std": t.pre_std,
-                    "post_var": t.post_var,
-                    "post_std": t.post_std,
-                    "grad_var": t.grad_var,
-                    "grad_std": t.grad_std,
-                    "saturation": t.saturation,
-                }
-                for i, t in enumerate(self.layers)
-            ],
+            **asdict(self),
+            "layers": [{"layer": i, **asdict(t)} for i, t in enumerate(self.layers)],
         }
 
 

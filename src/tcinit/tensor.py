@@ -141,6 +141,11 @@ class DummySpec:
     def alpha_prime(self) -> int:
         return (self.alpha + 2 * self.padding - self.beta) // self.stride + 1
 
+    @property
+    def dilation(self) -> int:
+        """Input entries are read as is: no zeros are inserted between them."""
+        return 1
+
 
 def _check_axes(t: DenseTensor, axes: Sequence[int], label: str) -> list[int]:
     axes = [int(ax) for ax in axes]

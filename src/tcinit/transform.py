@@ -78,6 +78,11 @@ class BackwardDummySpec:
         return self.forward.beta - self.forward.padding - 1
 
     @property
+    def dilation(self) -> int:
+        """The gradient gets ``forward.stride - 1`` zeros between entries."""
+        return self.forward.stride
+
+    @property
     def alpha(self) -> int:
         """Spatial length of the incoming gradient (forward output length)."""
         return self.forward.alpha_prime

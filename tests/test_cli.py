@@ -181,6 +181,11 @@ class TestVerify:
             main(["verify"])
         assert exc.value.code == 1
 
+    def test_negative_random_formats_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--seed", "0", "--random-formats", "-3")
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "random-formats" in err
+
 
 class TestRandgen:
     def test_reproducible_files(self, capsys, tmp_path):
@@ -251,6 +256,8 @@ class TestScaleChain:
 
 
 class TestUsage:
+    STANDARD = ["-P", "c_in=2", "-P", "c_out=2"]
+
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -281,6 +288,31 @@ class TestUsage:
         code, out, err = run(capsys, command, *fmt, "--phi", phi, *extra)
         assert code == 2
         assert out == "" and err.startswith("error:") and "phi" in err
+
+    def test_non_utf8_format_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "analyze", "--format", str(path))
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("argv,name", [
+        (["analyze", "--builtin", "standard", *STANDARD, "-P", "k=3", "-P", "alpha=x"], "alpha"),
+        (["analyze", "--builtin", "standard", *STANDARD, "-P", "k=3", "-P", "phi=x"], "phi"),
+        (["analyze", "--builtin", "standard", *STANDARD, "-P", "k=x"], "k"),
+        (["analyze", "--builtin", "standard", "-P", "c_in=abc", "-P", "c_out=2"], "c_in"),
+        (["analyze", "--builtin", "standard", "-P", "c_in=2,3", "-P", "c_out=2"], "c_in"),
+        (["analyze", "--builtin", "standard", "-P", "=3", *STANDARD], "=3"),
+        (["analyze", "--builtin", "tt", "-P", "i_dims=4,x", "-P", "o_dims=4,4",
+          "-P", "rank=2"], "i_dims"),
+        (["scale-chain", "--seed", "0", "--trials", "2", "--dims", "4,x"], "dims"),
+        (["scale-chain", "--seed", "0", "--trials", "2", "--dims", "4,,5"], "dims"),
+    ])
+    def test_malformed_integer_value_exits_2(self, capsys, argv, name):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("error:") and err.count("\n") == 1 and name in err
 
     @pytest.mark.parametrize("source", ["format", "builtin"])
     def test_phi_override_wins(self, capsys, tmp_path, source):

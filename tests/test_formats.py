@@ -218,6 +218,19 @@ class TestBuiltins:
         with pytest.raises(InvalidParams):
             builtin_format("standard", c_in=4, c_out=4, widgets=2)
 
+    def test_cp_alpha_gives_one_length_per_window(self):
+        with pytest.raises(InvalidParams, match="alpha must give 2 spatial lengths"):
+            builtin_format("cp", c_in=4, c_out=4, rank=2, k=3, spatial=2, alpha=(8, 9, 10))
+
+    def test_tucker2_zero_rank_is_a_non_positive_dim(self):
+        with pytest.raises(ValidationError, match="non-positive dim"):
+            builtin_format("tucker2", c_in=4, c_out=4, r0=0, r1=2)
+
+    def test_dims_from_text_tuple_or_list(self):
+        f = [builtin_format("tt", i_dims=dims, o_dims=(4, 6), rank=2)
+             for dims in ("4,6", (4, 6), [4, 6])]
+        assert f[0] == f[1] == f[2]
+
     def test_all_builtins_validate(self):
         cases = {
             "standard": dict(c_in=4, c_out=4, k=3, alpha=8),
