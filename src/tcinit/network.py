@@ -2,26 +2,32 @@
 
 A materialized layer holds ``phi`` independent replicas of the weight
 vertices; the layer output is their sum.  Both directions run through one
-contraction engine, which executes kernel edges as strided-window gathers
-(im2col): the input's kernel axis becomes the open output-spatial index, and
-one window axis per kernel edge joins the weight that edge touches.  No
-binary pattern tensor is built here; :func:`~tcinit.tensor.build_dummy` and
+contraction engine.  No binary pattern tensor is built here;
+:func:`~tcinit.tensor.build_dummy` and
 :func:`~tcinit.transform.backward_pattern` describe the same contractions
 exactly and are the reference the tests compare against.
 
+Kernel edges run by shift-and-accumulate, the accumulating-GEMM convolution
+of Anderson et al. (arXiv:1709.03395), not by an im2col copy.  A step that
+joins the input side with a weight holding window offsets copies the input
+side once into a zero buffer, padded only along the kernel edges whose
+offsets that step contracts, and then, per window offset, multiplies a
+strided slice of the buffer by the weight's slice at that offset with one
+``matmul`` and sums the products.  Indices kept on both sides ride as
+``matmul`` batch axes, so cp's per-edge kernel weights run as separable 1-D
+passes with its rank index as a batch axis.  Channel-only steps are einsums.
+
 The backward pass is the forward pass of ``build_backward_format(f)``: the
-output gradient is its input, each window is gathered from the gradient with
-``stride - 1`` zeros inserted between entries and a left pad of
-``beta - padding - 1`` (what the ``P' x T`` pattern selects), and the weights
-are flipped along their kernel-window axes, which supplies the ``R`` factor.
+output gradient is its input, laid out with ``stride - 1`` zeros between
+entries and a left pad of ``beta - padding - 1`` (what the ``P' x T``
+pattern selects) and read at stride 1, and the weights are flipped along
+their kernel-window axes, which supplies the ``R`` factor.
 
 Each (format, direction, input shape, trial axis) is compiled once into a
 plan held in a bounded cache.  Compiling gives every index one einsum letter
 keyed by the edge it belongs to (see :func:`_wiring`), then follows a greedy
-pairwise path from ``np.einsum_path``; the plan holds the step subscripts,
-the window gathers and the kernel flips.  The input side stays un-windowed
-until the first step that contracts a window index, so channel contractions
-run on the smaller tensor.
+pairwise path from ``np.einsum_path``; the plan holds the steps, the layout
+permutations and the kernel flips.
 
 Axis conventions (all carry a leading batch axis): channels, then spatial.
 
@@ -32,29 +38,33 @@ Axis conventions (all carry a leading batch axis): channels, then spatial.
 
 The rewrite swaps the two channel kinds and keeps the edge order, so the
 forward output layout is the backward format's input layout and the backward
-output layout is the forward input layout: no direction permutes axes.
+output layout is the forward input layout.  Inside a contraction the engine
+works channels-last (positions, then channels), so that the summed channels
+of every step are trailing axes: the input is transposed once on entry,
+replicas are summed in the plan's layout and the sum is copied once into the
+output layout.
 
 A plan may also take an optional leading *trial axis*, ahead of the batch
 axis: an open index joined by the input and by every weight, so that one
 contraction runs a block of independent Monte-Carlo trials, each with its own
-input and weights.  The steps and window gathers are those of the per-trial
-plan with one more index; the per-trial call is the case without it.  Blocks
-are sized from the per-trial plan's largest array (see :func:`_trial_block`).
+input and weights.  The steps are those of the per-trial plan with one more
+index; the per-trial call is the case without it.  Blocks are sized from the
+per-trial plan's largest array (see :func:`_trial_block`).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import PlanIncomplete, ShapeMismatch
 from .formats import INPUT_CHANNEL, KERNEL, OUTPUT_CHANNEL, LayerFormat
 from .graph import InitPlan
-from .tensor import _OPTIMIZE, DenseTensor, _check_array, _einsum, _letters
+from .tensor import DenseTensor, _check_array, _einsum, _letters
 from .transform import build_backward_format
 
 # Compiled plans kept per process.  A plan holds only subscripts and small
@@ -63,10 +73,14 @@ _PLAN_CACHE_SIZE = 128
 
 # A trial block holds at most this many bytes in the plan's largest array
 # (one trial may need more) and at most MAX_TRIAL_BLOCK trials.  Larger blocks
-# buy little once per-trial Python overhead is amortized, and cost memory: a
-# conv layer with a 330 KB window gather per trial ran slower per trial in
-# blocks of 3 than one trial at a time.
-TRIAL_BLOCK_BYTES = 1 << 19
+# buy little once per-trial Python overhead is amortized, and cost page
+# faults: glibc hands the freed temporaries of a larger block back to the
+# system and faults them in again for the next one.  A criterion-7 lowrank
+# trial (largest array 24,576 entries, 192 KiB) took 1.13-1.28, 1.33-1.39 and
+# 1.45-1.62 ms in blocks of 1, 2 and 3, a cp trial 0.89-1.18, 1.21-1.28 and
+# 1.34-1.52 ms.  So such conv layers run one trial per block, while linear
+# criterion-7 layers still fill blocks of 45 to 64.
+TRIAL_BLOCK_BYTES = 1 << 18
 MAX_TRIAL_BLOCK = 64
 
 
@@ -128,21 +142,24 @@ def _wiring(f: LayerFormat, x_shape, trial_axis: bool):
     its window offset), and the trial axis, the batch axis and each kernel
     edge's window position by tuples, which no edge id can equal.  The
     summed indices take the first letters, in edge declaration order; the
-    open indices follow in output order: the trial axis (with
-    ``trial_axis``), the batch axis, the output-channel edges, then one
-    window position per kernel edge.
+    open indices follow: the trial axis (with ``trial_axis``), the batch
+    axis, the output-channel edges, then one window position per kernel
+    edge.
 
-    Returns the un-windowed input term, the window-offset letters the
-    gather appends to it, one term per weight vertex, the output term and
-    the size of every letter.  With ``trial_axis`` the input, every weight
-    and the output lead with the trial axis.
+    Returns the input term, the window-offset letters, the window-position
+    letters, one term per weight vertex, the output term and the size of
+    every letter (a position has its window count ``alpha_prime``).  The
+    input and output terms are channels-last: the trial and batch axes,
+    then the positions, then the channels.  With ``trial_axis`` the input,
+    every weight and the output lead with the trial axis.
     """
     trial, batch = ("trial",), ("batch",)
     kernels = f.kernel_edges
     positions = [(e.id, "position") for e in kernels]
     lead = [trial] if trial_axis else []
     summed = [e.id for e in f.edges if e.kind != OUTPUT_CHANNEL]
-    opened = lead + [batch] + [e.id for e in f.edges_of_kind(OUTPUT_CHANNEL)] + positions
+    outs = [e.id for e in f.edges_of_kind(OUTPUT_CHANNEL)]
+    opened = lead + [batch] + outs + positions
     letter = dict(zip(summed + opened, _letters(len(summed) + len(opened))))
 
     def term(keys):
@@ -151,10 +168,11 @@ def _wiring(f: LayerFormat, x_shape, trial_axis: bool):
     size = {e.id: e.dim for e in f.edges}
     size.update(zip(positions, (e.window.alpha_prime for e in kernels)))
     size[trial], size[batch] = x_shape[0], x_shape[len(lead)]
-    x_keys = lead + [batch] + [e.id for e in f.edges_of_kind(INPUT_CHANNEL)] + positions
+    x_keys = lead + [batch] + positions + [e.id for e in f.edges_of_kind(INPUT_CHANNEL)]
     w_terms = [term(lead + [e.id for e in f.edges_of(vid)]) for vid in f.weight_ids]
     dims = {letter[k]: size[k] for k in letter}
-    return term(x_keys), term(e.id for e in kernels), w_terms, term(opened), dims
+    y_keys = lead + [batch] + positions + outs
+    return term(x_keys), term(e.id for e in kernels), term(positions), w_terms, term(y_keys), dims
 
 
 def _padded(spec) -> int:
@@ -162,110 +180,197 @@ def _padded(spec) -> int:
     return spec.stride * (spec.alpha_prime - 1) + spec.beta
 
 
-def _gather(x: np.ndarray, axes, windows) -> np.ndarray:
-    """Windowed view of ``x``: each of ``axes`` becomes the window position
-    and the window offsets are appended as trailing axes, in order.  Axis
-    ``axes[i]`` is read as window spec ``windows[i]`` gives: ``dilation - 1``
-    zeros between entries, ``padding`` zeros before the first, then
-    ``alpha_prime`` windows of ``beta`` entries at ``stride``."""
-    shape = list(x.shape)
-    src = [slice(None)] * x.ndim
-    dst = [slice(None)] * x.ndim
-    step = [slice(None)] * x.ndim
-    for ax, w in zip(axes, windows):
-        shape[ax] = _padded(w)
-        kept = min(x.shape[ax], (shape[ax] - w.padding - 1) // w.dilation + 1)
-        src[ax] = slice(kept)
-        dst[ax] = slice(w.padding, w.padding + w.dilation * (kept - 1) + 1, w.dilation)
-        step[ax] = slice(None, None, w.stride)
-    padded = np.zeros(shape)
-    padded[tuple(dst)] = x[tuple(src)]
-    view = sliding_window_view(padded, [w.beta for w in windows], axis=axes)
-    return view[tuple(step)]
+@dataclass(frozen=True)
+class _Shift:
+    """A window step as shift-and-accumulate.
+
+    The input side is copied once into a zero buffer of shape ``padded``,
+    laid out as (kept on both sides, input only, summed) axes: ``x_perm``
+    orders its axes, ``src`` selects the entries that fit and ``dst``
+    places them behind ``padding`` zeros with ``dilation - 1`` zeros between
+    entries, along the axes of the kernel edges this step contracts.  The
+    weight side is copied once with those edges' offsets leading
+    (``w_perm``, ``w_shape``).  Then, per window offset, a strided slice of
+    the buffer, with the summed channels merged into its trailing axis
+    (``slice_shape``), is multiplied by the weight at that offset with one
+    ``matmul``, kept indices riding as batch axes, and the products are
+    summed.  ``windows`` holds, per contracted edge, its buffer axis, window
+    size, stride and window count.
+    """
+
+    x_perm: tuple[int, ...]
+    padded: tuple[int, ...]
+    src: tuple[slice, ...]
+    dst: tuple[slice, ...]
+    w_perm: tuple[int, ...]
+    w_shape: tuple[int, ...]
+    slice_shape: tuple[int, ...]
+    windows: tuple[tuple[int, int, int, int], ...]
+    out_shape: tuple[int, ...]
+
+
+def _shift(x: np.ndarray, w: np.ndarray, s: _Shift) -> np.ndarray:
+    padded = np.zeros(s.padded)
+    padded[s.dst] = x.transpose(s.x_perm)[s.src]
+    w = np.ascontiguousarray(w.transpose(s.w_perm)).reshape(s.w_shape)
+    # With one summed entry each product is an outer product.
+    product = np.matmul if s.slice_shape[-1] > 1 else np.multiply
+    where = [slice(None)] * padded.ndim
+    out = part = None
+    for at in np.ndindex(*(beta for _, beta, _, _ in s.windows)):
+        for (ax, _, stride, count), i in zip(s.windows, at):
+            where[ax] = slice(i, i + stride * (count - 1) + 1, stride)
+        xs = padded[tuple(where)].reshape(s.slice_shape)
+        if out is None:
+            out = product(xs, w[at])
+        else:
+            part = product(xs, w[at], out=part)
+            out += part
+    return out.reshape(s.out_shape)
 
 
 @dataclass(frozen=True)
 class _Step:
     """Contract the operands at ``picked`` (removed from the operand list;
-    the result is appended).  When ``window`` is set, the operand at that
-    position of ``picked`` is the input side and is gathered along ``axes``
-    first."""
+    the result is appended): by ``spec`` with einsum, or, when ``shift`` is
+    set, as that window step with the input side first."""
 
     picked: tuple[int, ...]
     spec: str
-    window: int | None
-    axes: tuple[int, ...]
+    shift: _Shift | None
 
 
 @dataclass(frozen=True)
 class _Plan:
-    """``largest`` counts the entries of the largest array the plan holds:
-    the input, its padded copy, a weight, a gathered window or a step
-    result."""
+    """``entry`` permutes the input to channels-last and ``exit`` the last
+    step's result to the output layout.  ``largest`` counts the entries of
+    the largest array the plan holds: the input, a weight, a window step's
+    padded input or a step result (a window step's sum and each offset's
+    product have its size)."""
 
+    entry: tuple[int, ...]
     steps: tuple[_Step, ...]
-    windows: tuple  # one window spec per kernel edge, in declaration order
+    exit: tuple[int, ...]
     flips: tuple[tuple[int, ...], ...]
     largest: int
 
 
-def _steps(x_term: str, offsets: str, w_terms, output: str, dims) -> tuple[tuple[_Step, ...], int]:
-    """Pairwise steps along numpy's greedy path, and the entry count of the
-    largest weight, gathered window or step result.
+# Plans are pairwise: with no memory cap numpy's greedy search never falls
+# back to one step over all remaining operands, which no window step runs.
+_PATH_SEARCH = ("greedy", sys.maxsize)
+
+
+def _compile_shift(tx: str, tw: str, live, size, windows) -> tuple[_Shift, str]:
+    """The window step of input term ``tx`` and weight term ``tw`` over
+    ``windows``, a list of (position letter, offset letter, window spec) of
+    the kernel edges whose offsets ``tw`` holds.  Updates ``size`` to the
+    positions' window counts and returns the step and its result term."""
+    offs = "".join(o for _, o, _ in windows)
+    bat = [c for c in tx if c in tw and c in live]
+    summed = [c for c in tx if c in tw and c not in live]
+    x_only = [c for c in tx if c not in tw]
+    w_only = [c for c in tw if c not in tx and c not in offs]
+    order = bat + x_only + summed
+    padded = [size[c] for c in order]
+    src, dst = [slice(None)] * len(order), [slice(None)] * len(order)
+    axes = []
+    for pos, _, w in windows:
+        ax = order.index(pos)
+        padded[ax] = _padded(w)
+        kept = min(size[pos], (padded[ax] - w.padding - 1) // w.dilation + 1)
+        src[ax] = slice(kept)
+        dst[ax] = slice(w.padding, w.padding + w.dilation * (kept - 1) + 1, w.dilation)
+        size[pos] = w.alpha_prime
+        axes.append((ax, w.beta, w.stride, w.alpha_prime))
+
+    def dims(letters):
+        return [size[c] for c in letters]
+
+    k, n = math.prod(dims(summed)), math.prod(dims(w_only))
+    out = "".join(bat + x_only + w_only)
+    shift = _Shift(
+        tuple(tx.index(c) for c in order),
+        tuple(padded),
+        tuple(src),
+        tuple(dst),
+        tuple(tw.index(c) for c in offs + "".join(bat + summed + w_only)),
+        (*(w.beta for _, _, w in windows), *dims(bat), *[1] * (len(x_only) - 1), k, n),
+        (*dims(bat + x_only), k),
+        tuple(axes),
+        tuple(dims(out)),
+    )
+    return shift, out
+
+
+def _steps(x_term, offsets, positions, w_terms, output, dims, windows):
+    """Pairwise steps along numpy's greedy path, the last step's result
+    term and the entry count of the largest weight, padded input or step
+    result.
 
     The path is planned for the windowed input, ``x_term + offsets``, and
     the weights.  The input side is the one operand that holds the window
-    positions, the last letters of ``output``: it stays un-windowed until
-    the first step that contracts a window offset, which gathers it.
+    positions.  A step that joins it with a weight holding window offsets
+    contracts those offsets by shift-and-accumulate; every other step is an
+    einsum, written with the input side first so its result stays
+    channels-last.  Before its window step a position has the input length
+    ``alpha``, after it the window count.
     """
     terms = [x_term + offsets, *w_terms]
     standins = [np.broadcast_to(0.0, [dims[c] for c in t]) for t in terms]
     spec = ",".join(terms) + "->" + output
-    path = np.einsum_path(spec, *standins, optimize=_OPTIMIZE)[0][1:]
+    path = np.einsum_path(spec, *standins, optimize=_PATH_SEARCH)[0][1:]
 
-    def size(term):
-        return math.prod(dims[c] for c in term)
+    size = dict(dims)
+    size.update(zip(positions, (w.alpha for w in windows)))
+    kernel = {o: (p, o, w) for p, o, w in zip(positions, offsets, windows)}
 
-    largest = max(map(size, w_terms), default=1)
-    kernel = output[len(output) - len(offsets):]
+    def count(term):
+        return math.prod(size[c] for c in term)
+
+    largest = max(map(count, w_terms), default=1)
+    pending = set(offsets)
     terms[0] = x_term
     steps = []
     for n, picked in enumerate(path):
+        if positions:
+            picked = sorted(picked, key=lambda i: positions[0] not in terms[i])
         args = [terms[i] for i in picked]
-        window, axes = None, ()
-        if offsets and any(set(offsets) & set(t) for t in args):
-            window = next((j for j, t in enumerate(args) if kernel[0] in t), None)
-        if window is not None:
-            axes = tuple(args[window].index(c) for c in kernel)
-            args[window] += offsets
-            offsets = ""
-            largest = max(largest, size(args[window]))
         rest = [t for i, t in enumerate(terms) if i not in picked]
-        live = set(output).union(offsets, *rest)
-        out = output if n == len(path) - 1 else "".join(
-            dict.fromkeys(c for t in args for c in t if c in live)
-        )
-        largest = max(largest, size(out))
-        steps.append(_Step(tuple(picked), ",".join(args) + "->" + out, window, axes))
+        live = set(output).union(pending, *rest)
+        windowed = [kernel[o] for o in offsets if o in pending and o in args[-1]]
+        shift = None
+        if windowed and positions[0] in args[0]:
+            pending -= {o for _, o, _ in windowed}
+            shift, out = _compile_shift(*args, live, size, windowed)
+            largest = max(largest, math.prod(shift.padded))
+        elif n == len(path) - 1:
+            out = output
+        else:
+            out = "".join(dict.fromkeys(c for t in args for c in t if c in live))
+        largest = max(largest, count(out))
+        steps.append(_Step(tuple(picked), ",".join(args) + "->" + out, shift))
         terms = rest + [out]
-    return tuple(steps), largest
+    return tuple(steps), terms[0], largest
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _plan(f: LayerFormat, backward: bool, x_shape, trial_axis: bool = False) -> _Plan:
-    """Compile one direction of ``f`` for an input of ``x_shape``; the
-    weights have the shapes the format gives them."""
+    """Compile one direction of ``f`` for an input of ``x_shape`` (channels,
+    then spatial); the weights have the shapes the format gives them."""
     lead = int(trial_axis)
     ef = build_backward_format(f) if backward else f
     windows = tuple(e.window for e in ef.kernel_edges)
-    steps, largest = _steps(*_wiring(ef, x_shape, trial_axis))
+    x_term, offsets, positions, w_terms, output, dims = _wiring(ef, x_shape, trial_axis)
+    steps, last, largest = _steps(x_term, offsets, positions, w_terms, output, dims, windows)
+    head, k = lead + 1, len(positions)
+    entry = (*range(head), *range(len(x_shape) - k, len(x_shape)), *range(head, len(x_shape) - k))
+    public = output[:head] + output[head + k:] + positions
     flips = tuple(
         tuple(lead + i for i, e in enumerate(f.edges_of(vid)) if backward and e.kind == KERNEL)
         for vid in f.weight_ids
     )
-    spatial = math.prod(w.alpha for w in windows)
-    padded = math.prod(x_shape) // spatial * math.prod(map(_padded, windows))
-    return _Plan(steps, windows, flips, max(largest, math.prod(x_shape), padded))
+    exit_ = tuple(last.index(c) for c in public)
+    return _Plan(entry, steps, exit_, flips, max(largest, math.prod(x_shape)))
 
 
 def _trial_block(f: LayerFormat, x_shape) -> int:
@@ -288,9 +393,12 @@ def _contract(f: LayerFormat, x: np.ndarray, replicas, backward: bool, trial_axi
 
     ``replicas`` holds one list of weight arrays per replica, in
     ``f.weight_ids`` order.  With ``trial_axis`` the input, every weight and
-    the result carry a leading trial axis.
+    the result carry a leading trial axis.  The input is made channels-last
+    once, replicas are summed in the plan's layout and the sum is copied
+    once into the output layout.
     """
     plan = _plan(f, backward, x.shape, trial_axis)
+    x = np.ascontiguousarray(x.transpose(plan.entry))
     out = None
     for weights in replicas:
         ops = [x] + [np.flip(w, axis=a) for w, a in zip(weights, plan.flips)]
@@ -298,11 +406,12 @@ def _contract(f: LayerFormat, x: np.ndarray, replicas, backward: bool, trial_axi
             args = [ops[i] for i in step.picked]
             for i in sorted(step.picked, reverse=True):
                 del ops[i]
-            if step.window is not None:
-                args[step.window] = _gather(args[step.window], step.axes, plan.windows)
-            ops.append(_einsum(step.spec, args))
-        out = ops[0] if out is None else out + ops[0]
-    return out
+            ops.append(_einsum(step.spec, args) if step.shift is None else _shift(*args, step.shift))
+        if out is None:
+            out = ops[0]
+        else:
+            out += ops[0]
+    return np.ascontiguousarray(out.transpose(plan.exit))
 
 
 def _apply(layer: MaterializedLayer, t: DenseTensor, backward: bool) -> DenseTensor:
@@ -332,9 +441,9 @@ def backward_apply(layer: MaterializedLayer, grad: DenseTensor) -> DenseTensor:
     ``grad`` uses the layer-output axis convention and the result the
     layer-input one.  The backward pass is the forward pass of
     ``build_backward_format(f)``, whose input layout is this layer's output
-    layout: the gradient is gathered in stride-1 windows of its
-    zero-expanded, padded form and contracted with each replica's weights
-    flipped along their kernel-window axes.
+    layout: the gradient is read in stride-1 windows of its zero-expanded,
+    padded form and contracted with each replica's weights flipped along
+    their kernel-window axes.
     """
     expected = layer.format.output_mode_dims()
     if grad.shape[1:] != expected:

@@ -104,8 +104,8 @@ def report_csv(report: TraceReport) -> str:
 def validate_network(net: NetworkSpec) -> None:
     """Check that the layers chain and that no array of a trial exceeds the
     memory limit: the batched input, every layer output, and the largest
-    array of each layer's compiled forward and backward plan (a gathered
-    window can be ``beta**2`` times a layer's input).  Compiling a plan
+    array of each layer's compiled forward and backward plan (such as a
+    window step's zero-padded input).  Compiling a plan
     allocates nothing, and the plan is the one the trial runs."""
     if not net.layers:
         raise InvalidParams("network has no layers")

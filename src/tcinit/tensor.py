@@ -6,8 +6,9 @@ binary index-pattern tensor built by :func:`build_dummy`: the pattern has a
 one at ``(j, j', k)`` exactly when ``j = stride * j' + k - padding``, so that
 ``a x0 P x1 b`` equals the strided sliding-window convolution of ``a`` with
 ``b``.  The pattern is the exact reference, not the execution path: the
-engine in :mod:`tcinit.network` gathers the same windows directly and never
-builds the ``[alpha, alpha', beta]`` tensor.
+engine in :mod:`tcinit.network` reads the same windows as strided slices of
+a zero-padded copy of the input and never builds the ``[alpha, alpha',
+beta]`` tensor.
 
 Contraction output order is fixed: free axes of the first operand, in their
 original order, then free axes of the second.  This convention is ours, not

@@ -15,7 +15,7 @@ Note the kernel axis of ``P'`` indexes the *reversed* kernel: executing the
 backward convolution must pair it with the flipped weight (equivalently,
 contract with the reversal matrix), which is exactly what the ``R`` factor in
 the identity supplies.  :func:`backward_pattern` folds ``T`` into ``P'``; it is
-the reference for the window gather that executes
+the reference for the window step that executes
 :func:`build_backward_format` layers (zero insertion by the forward stride,
 a left pad of ``beta - padding - 1``, stride 1).  :func:`theorem1_grid` is
 the parameter grid on which the identity is checked.

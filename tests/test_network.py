@@ -1,3 +1,4 @@
+import tracemalloc
 from string import ascii_letters
 
 import numpy as np
@@ -442,6 +443,27 @@ class TestNoPatternBuilt:
         assert abs(np.vdot(y, g) - np.vdot(x, gx)) <= 1e-10 * scale
 
 
+class TestPeakMemory:
+    """A window step holds the zero-padded input, the sum and one offset's
+    product: a few input-sized arrays, not one window copy per offset."""
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    def test_conv_layer_allocates_at_most_five_inputs(self, backward):
+        f = builtin_format("standard", c_in=16, c_out=16, k=3, padding=1, alpha=32)
+        layer = materialize(f, make_plan(f, "graph-in", "identity"), 0)
+        dims = f.output_mode_dims() if backward else f.input_mode_dims()
+        arg = DenseTensor.from_array(np.random.default_rng(0).standard_normal((8,) + dims))
+        apply = backward_apply if backward else forward_apply
+        apply(layer, arg)  # compiles the plan
+        tracemalloc.start()
+        try:
+            apply(layer, arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * arg.data.nbytes
+
+
 class TestTrialAxis:
     """A leading trial axis runs independent trials in one contraction."""
 
@@ -476,8 +498,9 @@ class TestTrialAxis:
     def test_block_size_follows_the_largest_array(self, monkeypatch):
         f = builtin_format("standard", c_in=2, c_out=2, k=3, alpha=6)
         x_shape = (2,) + f.input_mode_dims()
-        # The largest array is the gathered window [n, c, a', b', k, l].
-        per_trial = 8 * 2 * 2 * 4 * 4 * 3 * 3
+        # The largest array is the input [n, c, a, b]; unpadded, the window
+        # step's buffer has its size.
+        per_trial = 8 * 2 * 2 * 6 * 6
         assert network._plan(f, False, x_shape).largest * 8 == per_trial
         monkeypatch.setattr(network, "TRIAL_BLOCK_BYTES", 5 * per_trial + 7)
         assert network._trial_block(f, x_shape) == 5
@@ -524,14 +547,15 @@ CONV_NAMES = ("standard", "lowrank", "tucker2", "htk2", "cp")
 
 
 def conv_builtin(seed):
-    """A conv builtin drawn from ``seed``: stride 1-3, padding below k."""
+    """A conv builtin drawn from ``seed``: 1-3 spatial axes, stride 1-3,
+    padding below k."""
     rng = np.random.default_rng(seed)
 
     def draw(lo, hi):
         return int(rng.integers(lo, hi + 1))
 
     name = CONV_NAMES[draw(0, len(CONV_NAMES) - 1)]
-    k, spatial = draw(1, 3), draw(1, 2)
+    k, spatial = draw(1, 3), draw(1, 3)
     params = dict(
         c_in=draw(1, 3), c_out=draw(1, 3), k=k, spatial=spatial,
         alpha=tuple(draw(k, k + 5) for _ in range(spatial)),
@@ -579,6 +603,12 @@ class TestEngineOracle:
         )
     )
     @example(parse_format(AXIS_NAMED_EDGES))
+    # cp runs one separable pass per kernel edge; at stride 2 and 3 each pass
+    # reads its own axis with its own stride and zero insertion.
+    @example(builtin_format("cp", c_in=2, c_out=3, rank=2, k=3, spatial=3,
+                            alpha=(5, 7, 6), stride=2, padding=1, phi=2))
+    @example(builtin_format("cp", c_in=3, c_out=2, rank=3, k=2, spatial=3,
+                            alpha=(6, 4, 5), stride=3, padding=1))
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_forward_matches_dense_patterns(self, f):
         plan = make_plan(f, "graph-in", "identity")

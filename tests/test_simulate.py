@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tcinit import network, simulate
+from tcinit import network, simulate, tensor
 from tcinit.errors import InvalidParams, ResourceLimit, ShapeMismatch
 from tcinit.formats import builtin_format, parse_format
 from tcinit.graph import InitPlan, make_plan
@@ -78,15 +78,16 @@ class TestValidation:
         with pytest.raises(ResourceLimit, match="output of layer 0"):
             validate_network(net)
 
-    def test_over_limit_plan_window_raises(self):
-        # Input and output take a few MB, but each plan gathers a window of
-        # [batch, c, alpha', beta] = 32 x 1 x (2**21 - 1) x 2**20 entries,
-        # about 2**49 bytes.
+    def test_over_limit_plan_window_raises(self, monkeypatch):
+        # The input [batch, c, alpha] and the output [batch, c, alpha'] fit
+        # under the limit, but the window step's zero-padded input
+        # [batch, alpha + 2 * padding, c] does not.
         k = 2**20
         f = builtin_format(
             "standard", c_in=1, c_out=1, k=k, spatial=1, alpha=k, padding=k - 1
         )
         net = NetworkSpec((LayerSpec(f),), f.input_mode_dims(), batch=32)
+        monkeypatch.setattr(tensor, "MEMORY_LIMIT", 8 * 32 * (3 * k - 2) - 1)
         with pytest.raises(ResourceLimit, match="layer 0's forward pass"):
             validate_network(net)
 
