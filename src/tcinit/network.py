@@ -8,14 +8,18 @@ contraction engine.  No binary pattern tensor is built here;
 exactly and are the reference the tests compare against.
 
 Kernel edges run by shift-and-accumulate, the accumulating-GEMM convolution
-of Anderson et al. (arXiv:1709.03395), not by an im2col copy.  A step that
-joins the input side with a weight holding window offsets copies the input
-side once into a zero buffer, padded only along the kernel edges whose
-offsets that step contracts, and then, per window offset, multiplies a
-strided slice of the buffer by the weight's slice at that offset with one
-``matmul`` and sums the products.  Indices kept on both sides ride as
-``matmul`` batch axes, so cp's per-edge kernel weights run as separable 1-D
-passes with its rank index as a batch axis.  Channel-only steps are einsums.
+of Anderson et al. (arXiv:1709.03395), not by an im2col copy of the input's
+windows.  A step that joins the input side with a weight holding window
+offsets copies the input side once into a zero buffer, padded only along the
+kernel edges whose offsets that step contracts, and then, per window offset,
+multiplies a strided slice of the buffer by the weight's slice at that
+offset with one ``matmul`` and sums the products.  Indices kept on both
+sides ride as ``matmul`` batch axes, so cp's per-edge kernel weights run as
+separable 1-D passes with its rank index as a batch axis.  A step that sums
+channels and whose slices, stacked over all its offsets, fit in
+``WINDOW_STACK_BYTES`` stacks them and runs one ``matmul`` over (channels,
+offsets) instead: the order in which the dense pattern contraction sums, so
+small layers match it bit for bit.  Channel-only steps are einsums.
 
 The backward pass is the forward pass of ``build_backward_format(f)``: the
 output gradient is its input, laid out with ``stride - 1`` zeros between
@@ -82,6 +86,18 @@ _PLAN_CACHE_SIZE = 128
 # criterion-7 layers still fill blocks of 45 to 64.
 TRIAL_BLOCK_BYTES = 1 << 18
 MAX_TRIAL_BLOCK = 64
+
+# A window step that sums channels and whose slices, stacked over all its
+# window offsets, fit in this many bytes stacks them and runs one matmul over
+# (channels, offsets), the order in which the dense pattern contraction sums,
+# so that small layers reproduce it to the last bit; no per-offset order can
+# where an output's terms cancel.  Small stacks cost about what per-offset
+# steps do: -12% to +18% for standard and tucker2 layers with stacks of 2.5-96
+# KiB (best of 100 calls, BLAS 1 thread); larger ones cost more, 2.3x at 576
+# KiB and 2.4x at 9 MiB.  With one summed channel each per-offset product is a
+# broadcast multiplication, which beats a stacked matmul (cp's criterion-7
+# layer: 208-257 against 299-302 us), so such steps never stack.
+WINDOW_STACK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -194,8 +210,11 @@ class _Shift:
     the buffer, with the summed channels merged into its trailing axis
     (``slice_shape``), is multiplied by the weight at that offset with one
     ``matmul``, kept indices riding as batch axes, and the products are
-    summed.  ``windows`` holds, per contracted edge, its buffer axis, window
-    size, stride and window count.
+    summed.  With ``stacked`` (a small step that sums channels) the slices
+    are stacked along a trailing offset axis instead and multiplied once,
+    summing (channels, offsets), by the weight laid out with its offsets
+    behind the summed channels.  ``windows`` holds, per contracted edge, its
+    buffer axis, window size, stride and window count.
     """
 
     x_perm: tuple[int, ...]
@@ -207,20 +226,30 @@ class _Shift:
     slice_shape: tuple[int, ...]
     windows: tuple[tuple[int, int, int, int], ...]
     out_shape: tuple[int, ...]
+    stacked: bool
+
+
+def _slices(padded: np.ndarray, s: _Shift):
+    """Per window offset, the strided slice of ``padded`` it reads, with
+    the summed channels merged into the trailing axis."""
+    where = [slice(None)] * padded.ndim
+    for at in np.ndindex(*(beta for _, beta, _, _ in s.windows)):
+        for (ax, _, stride, count), i in zip(s.windows, at):
+            where[ax] = slice(i, i + stride * (count - 1) + 1, stride)
+        yield at, padded[tuple(where)].reshape(s.slice_shape)
 
 
 def _shift(x: np.ndarray, w: np.ndarray, s: _Shift) -> np.ndarray:
     padded = np.zeros(s.padded)
     padded[s.dst] = x.transpose(s.x_perm)[s.src]
     w = np.ascontiguousarray(w.transpose(s.w_perm)).reshape(s.w_shape)
+    if s.stacked:
+        stack = np.stack([xs for _, xs in _slices(padded, s)], axis=-1)
+        return np.matmul(stack.reshape(*stack.shape[:-2], -1), w).reshape(s.out_shape)
     # With one summed entry each product is an outer product.
     product = np.matmul if s.slice_shape[-1] > 1 else np.multiply
-    where = [slice(None)] * padded.ndim
     out = part = None
-    for at in np.ndindex(*(beta for _, beta, _, _ in s.windows)):
-        for (ax, _, stride, count), i in zip(s.windows, at):
-            where[ax] = slice(i, i + stride * (count - 1) + 1, stride)
-        xs = padded[tuple(where)].reshape(s.slice_shape)
+    for at, xs in _slices(padded, s):
         if out is None:
             out = product(xs, w[at])
         else:
@@ -246,7 +275,9 @@ class _Plan:
     step's result to the output layout.  ``largest`` counts the entries of
     the largest array the plan holds: the input, a weight, a window step's
     padded input or a step result (a window step's sum and each offset's
-    product have its size)."""
+    product have its size).  A window step's stack is left out:
+    ``WINDOW_STACK_BYTES`` bounds it, and the plan of a trial block whose
+    stack would pass that bound runs per offset."""
 
     entry: tuple[int, ...]
     steps: tuple[_Step, ...]
@@ -287,17 +318,25 @@ def _compile_shift(tx: str, tw: str, live, size, windows) -> tuple[_Shift, str]:
         return [size[c] for c in letters]
 
     k, n = math.prod(dims(summed)), math.prod(dims(w_only))
+    betas = tuple(w.beta for _, _, w in windows)
+    depth = k * math.prod(betas)  # entries a stacked matmul sums
+    stacked = k > 1 and 8 * math.prod(dims(bat + x_only)) * depth <= WINDOW_STACK_BYTES
+    if stacked:
+        w_order, w_shape = bat + summed + list(offs) + w_only, (depth, n)
+    else:
+        w_order, w_shape = list(offs) + bat + summed + w_only, (*betas, k, n)
     out = "".join(bat + x_only + w_only)
     shift = _Shift(
         tuple(tx.index(c) for c in order),
         tuple(padded),
         tuple(src),
         tuple(dst),
-        tuple(tw.index(c) for c in offs + "".join(bat + summed + w_only)),
-        (*(w.beta for _, _, w in windows), *dims(bat), *[1] * (len(x_only) - 1), k, n),
+        tuple(tw.index(c) for c in w_order),
+        (*w_shape[:-2], *dims(bat), *[1] * (len(x_only) - 1), *w_shape[-2:]),
         (*dims(bat + x_only), k),
         tuple(axes),
         tuple(dims(out)),
+        stacked,
     )
     return shift, out
 
