@@ -44,9 +44,10 @@ The rewrite swaps the two channel kinds and keeps the edge order, so the
 forward output layout is the backward format's input layout and the backward
 output layout is the forward input layout.  Inside a contraction the engine
 works channels-last (positions, then channels), so that the summed channels
-of every step are trailing axes: the input is transposed once on entry,
-replicas are summed in the plan's layout and the sum is copied once into the
-output layout.
+of every step are trailing axes: the input is transposed once on entry (a
+window step that reads the input transposes it as it copies it into its
+padded buffer), replicas are summed in the plan's layout and the sum is
+copied once into the output layout.
 
 A plan may also take an optional leading *trial axis*, ahead of the batch
 axis: an open index joined by the input and by every weight, so that one
@@ -60,7 +61,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -77,14 +78,15 @@ _PLAN_CACHE_SIZE = 128
 
 # A trial block holds at most this many bytes in the plan's largest array
 # (one trial may need more) and at most MAX_TRIAL_BLOCK trials.  Larger blocks
-# buy little once per-trial Python overhead is amortized, and cost page
-# faults: glibc hands the freed temporaries of a larger block back to the
-# system and faults them in again for the next one.  A criterion-7 lowrank
-# trial (largest array 24,576 entries, 192 KiB) took 1.13-1.28, 1.33-1.39 and
-# 1.45-1.62 ms in blocks of 1, 2 and 3, a cp trial 0.89-1.18, 1.21-1.28 and
-# 1.34-1.52 ms.  So such conv layers run one trial per block, while linear
-# criterion-7 layers still fill blocks of 45 to 64.
-TRIAL_BLOCK_BYTES = 1 << 18
+# buy little once per-trial Python overhead is amortized.  Criterion-7
+# lowrank and cp layers (largest array 24,576 entries, a padded input) get
+# blocks of 2.  Per trial (median of 9 rounds, BLAS 1 thread) they took 1.26,
+# 1.70 and 1.65 ms (lowrank) and 1.21, 1.57 and 1.55 ms (cp) in blocks of 1,
+# 2 and 3, with about 10 page faults per trial in blocks of 1 and 200 in
+# larger ones; after one 4 MB array had been freed in the process, 1.19,
+# 1.17 and 1.13 ms and 1.13, 1.06 and 1.02 ms with under one fault.  The
+# cost of a larger block is the allocator's, not the contraction's.
+TRIAL_BLOCK_BYTES = 1 << 19
 MAX_TRIAL_BLOCK = 64
 
 # A window step that sums channels and whose slices, stacked over all its
@@ -271,15 +273,17 @@ class _Step:
 
 @dataclass(frozen=True)
 class _Plan:
-    """``entry`` permutes the input to channels-last and ``exit`` the last
-    step's result to the output layout.  ``largest`` counts the entries of
+    """``entry`` permutes the input to channels-last, or is ``None`` when the
+    input's first step is a window step, whose copy into its padded buffer
+    permutes it; ``exit`` permutes the last step's result to the output
+    layout.  ``largest`` counts the entries of
     the largest array the plan holds: the input, a weight, a window step's
     padded input or a step result (a window step's sum and each offset's
     product have its size).  A window step's stack is left out:
     ``WINDOW_STACK_BYTES`` bounds it, and the plan of a trial block whose
     stack would pass that bound runs per offset."""
 
-    entry: tuple[int, ...]
+    entry: tuple[int, ...] | None
     steps: tuple[_Step, ...]
     exit: tuple[int, ...]
     flips: tuple[tuple[int, ...], ...]
@@ -409,6 +413,13 @@ def _plan(f: LayerFormat, backward: bool, x_shape, trial_axis: bool = False) -> 
         for vid in f.weight_ids
     )
     exit_ = tuple(last.index(c) for c in public)
+    # The input is operand 0 until a step picks it.
+    at = next(n for n, step in enumerate(steps) if 0 in step.picked)
+    if steps[at].shift is not None:
+        shift = steps[at].shift
+        shift = replace(shift, x_perm=tuple(entry[i] for i in shift.x_perm))
+        steps = (*steps[:at], replace(steps[at], shift=shift), *steps[at + 1:])
+        entry = None
     return _Plan(entry, steps, exit_, flips, max(largest, math.prod(x_shape)))
 
 
@@ -433,11 +444,13 @@ def _contract(f: LayerFormat, x: np.ndarray, replicas, backward: bool, trial_axi
     ``replicas`` holds one list of weight arrays per replica, in
     ``f.weight_ids`` order.  With ``trial_axis`` the input, every weight and
     the result carry a leading trial axis.  The input is made channels-last
-    once, replicas are summed in the plan's layout and the sum is copied
-    once into the output layout.
+    once (by its first step's copy when that is a window step), replicas
+    are summed in the plan's layout and the sum is copied once into the
+    output layout.
     """
     plan = _plan(f, backward, x.shape, trial_axis)
-    x = np.ascontiguousarray(x.transpose(plan.entry))
+    if plan.entry is not None:
+        x = np.ascontiguousarray(x.transpose(plan.entry))
     out = None
     for weights in replicas:
         ops = [x] + [np.flip(w, axis=a) for w, a in zip(weights, plan.flips)]

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from string import ascii_letters
 
@@ -339,10 +340,9 @@ class TestAdjoint:
         assert np.allclose(got, want, atol=1e-10)
 
 
-def oracle_pairs(f, fwd_wiring, bwd_wiring, seed=0):
-    """Per direction, the windowed engine's result and ``multi_contract``
-    with the ``build_dummy`` and ``backward_pattern`` patterns, summed over
-    replicas.
+def assert_oracle(f, fwd_wiring, bwd_wiring, seed=0):
+    """Windowed forward and backward against ``multi_contract`` with the
+    ``build_dummy`` and ``backward_pattern`` patterns, summed over replicas.
 
     A wiring is ``(groups, open_axes)`` over the tensors (input or
     gradient, weights in declaration order, one pattern per kernel edge);
@@ -369,12 +369,7 @@ def oracle_pairs(f, fwd_wiring, bwd_wiring, seed=0):
                 weights.append(DenseTensor.from_array(np.flip(rep[vid].array, kernel_axes)))
             tensors = [DenseTensor.from_array(arg), *weights, *patterns]
             want = want + multi_contract(tensors, *wiring).array
-        yield apply(layer, DenseTensor.from_array(arg)).array, want
-
-
-def assert_oracle(f, fwd_wiring, bwd_wiring, seed=0):
-    """Windowed forward and backward against the pattern contraction."""
-    for got, want in oracle_pairs(f, fwd_wiring, bwd_wiring, seed):
+        got = apply(layer, DenseTensor.from_array(arg)).array
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
@@ -415,64 +410,6 @@ class TestPatternOracle:
             stride=2, padding=1, phi=2,
         )
         assert_oracle(f, TUCKER2_2D_FWD, TUCKER2_2D_BWD)
-
-
-@pytest.fixture
-def per_offset(monkeypatch):
-    """Compile every window step as one matmul per offset."""
-    monkeypatch.setattr(network, "WINDOW_STACK_BYTES", 0)
-    network._plan.cache_clear()
-    yield
-    network._plan.cache_clear()
-
-
-def assert_per_offset_oracle(f, fwd_wiring, bwd_wiring, seed=0):
-    """``assert_oracle`` for per-offset window steps.  These sum offset by
-    offset, not in the pattern contraction's (channel, offset) order, so
-    where an output's terms cancel they agree within TestEngineOracle's
-    tolerance rather than to the last bits."""
-    for backward in (False, True):
-        ef = transform.build_backward_format(f) if backward else f
-        plan = network._plan(f, backward, (2,) + ef.input_mode_dims())
-        assert not any(step.shift.stacked for step in plan.steps if step.shift)
-    for got, want in oracle_pairs(f, fwd_wiring, bwd_wiring, seed):
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
-
-
-class TestPerOffsetSteps:
-    """The window steps that large layers run, on the pattern oracle's
-    layers."""
-
-    def test_standard_1d_over_theorem1_grid(self, per_offset):
-        checked = 0
-        for spec in theorem1_grid():
-            f = builtin_format(
-                "standard", c_in=2, c_out=2, k=spec.beta, spatial=1,
-                alpha=spec.alpha, stride=spec.stride, padding=spec.padding,
-            )
-            assert_per_offset_oracle(f, STANDARD_1D_FWD, STANDARD_1D_BWD, seed=checked)
-            checked += 1
-        assert checked == 441
-
-    def test_tucker2_2d_non_square(self, per_offset):
-        f = builtin_format(
-            "tucker2", c_in=3, c_out=2, r0=2, r1=3, k=3, alpha=(7, 10),
-            stride=2, padding=1, phi=2,
-        )
-        assert_per_offset_oracle(f, TUCKER2_2D_FWD, TUCKER2_2D_BWD)
-
-    def test_stack_budget_picks_the_step_form(self, monkeypatch):
-        f = builtin_format("standard", c_in=2, c_out=2, k=3, alpha=6)
-        x_shape = (2,) + f.input_mode_dims()
-        stack = 8 * 2 * 4 * 4 * 2 * 3 * 3  # [n, a', b', c, k, l]
-        for budget, stacked in ((stack, True), (stack - 1, False)):
-            monkeypatch.setattr(network, "WINDOW_STACK_BYTES", budget)
-            network._plan.cache_clear()
-            plan = network._plan(f, False, x_shape)
-            assert plan.steps[0].shift.stacked is stacked
-            # The input [n, c, a, b]; the stack is bounded and not counted.
-            assert plan.largest * 8 == 8 * 2 * 2 * 6 * 6
-        network._plan.cache_clear()
 
 
 CONV_BUILTINS = [name for name in sorted(ADJOINT_BUILTINS) if "k" in ADJOINT_BUILTINS[name]]
@@ -650,31 +587,18 @@ def dense_forward(f, layer, x):
     terms += [pos[e.id][0] + pos[e.id][1] + edge[e.id] for e in f.kernel_edges]
     spec = ",".join(terms) + "->" + out
     patterns = [build_dummy(e.window).array for e in f.kernel_edges]
+    # Pairwise steps: under numpy's default memory cap the path may fall back
+    # to one loop over every operand, which takes seconds on 10^4-entry inputs.
+    path = ("greedy", sys.maxsize)
     return sum(
-        np.einsum(spec, x, *(rep[vid].array for vid in f.weight_ids), *patterns, optimize=True)
+        np.einsum(spec, x, *(rep[vid].array for vid in f.weight_ids), *patterns, optimize=path)
         for rep in layer.replicas
     )
 
 
-def engine_cases(test):
-    """Random linear formats and seed-drawn conv builtins, plus examples."""
-    test = settings(max_examples=60, deadline=None, derandomize=True)(test)
-    # cp runs one separable pass per kernel edge; at stride 2 and 3 each pass
-    # reads its own axis with its own stride and zero insertion.
-    test = example(builtin_format("cp", c_in=3, c_out=2, rank=3, k=2, spatial=3,
-                                  alpha=(6, 4, 5), stride=3, padding=1))(test)
-    test = example(builtin_format("cp", c_in=2, c_out=3, rank=2, k=3, spatial=3,
-                                  alpha=(5, 7, 6), stride=2, padding=1, phi=2))(test)
-    test = example(parse_format(AXIS_NAMED_EDGES))(test)
-    return given(
-        st.one_of(
-            st.integers(0, 2**32 - 1).map(random_format),
-            st.integers(0, 2**32 - 1).map(conv_builtin),
-        )
-    )(test)
-
-
 def assert_engine_oracle(f):
+    """Forward, alone and trial-blocked, against ``dense_forward``, and the
+    adjoint identity for the backward pass."""
     plan = make_plan(f, "graph-in", "identity")
     layers = [materialize(f, plan, seed) for seed in range(2)]
     xs = np.random.default_rng(1).standard_normal((2, 2) + f.input_mode_dims())
@@ -695,16 +619,48 @@ class TestEngineOracle:
     """The engine against a dense-pattern einsum built independently of
     ``network``, over random linear formats and seed-drawn conv builtins."""
 
-    @engine_cases
+    @given(
+        st.one_of(
+            st.integers(0, 2**32 - 1).map(random_format),
+            st.integers(0, 2**32 - 1).map(conv_builtin),
+        )
+    )
+    @example(parse_format(AXIS_NAMED_EDGES))
+    # cp runs one separable pass per kernel edge; at stride 2 and 3 each pass
+    # reads its own axis with its own stride and zero insertion.
+    @example(builtin_format("cp", c_in=2, c_out=3, rank=2, k=3, spatial=3,
+                            alpha=(5, 7, 6), stride=2, padding=1, phi=2))
+    @example(builtin_format("cp", c_in=3, c_out=2, rank=3, k=2, spatial=3,
+                            alpha=(6, 4, 5), stride=3, padding=1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
     def test_forward_matches_dense_patterns(self, f):
         assert_engine_oracle(f)
 
-    @engine_cases
-    def test_per_offset_steps_match_dense_patterns(self, f):
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(network, "WINDOW_STACK_BYTES", 0)
-            network._plan.cache_clear()
-            try:
-                assert_engine_oracle(f)
-            finally:
-                network._plan.cache_clear()
+
+# Layers whose multi-channel window steps are too large to stack, in both
+# directions and at a batch of 2: they run one matmul per offset, as the
+# benchmarked conv stacks do.
+PER_OFFSET_LAYERS = {
+    "standard-s1": builtin_format("standard", c_in=8, c_out=8, k=3, alpha=12, padding=1),
+    "standard-s2": builtin_format("standard", c_in=8, c_out=8, k=3, alpha=(24, 25),
+                                  stride=2, padding=1, phi=2),
+    "standard-s3": builtin_format("standard", c_in=8, c_out=8, k=4, alpha=(37, 36),
+                                  stride=3, padding=2),
+    "htk2": builtin_format("htk2", c_in=8, c_out=8, r0=8, r1=8, k=3, alpha=12,
+                           padding=1),
+}
+
+
+class TestPerOffsetSteps:
+    """The engine oracle on layers whose window steps sum channels one
+    offset at a time, which the small layers above do not reach."""
+
+    @pytest.mark.parametrize("name", sorted(PER_OFFSET_LAYERS))
+    def test_matches_dense_patterns(self, name):
+        f = PER_OFFSET_LAYERS[name]
+        for backward in (False, True):
+            ef = transform.build_backward_format(f) if backward else f
+            plan = network._plan(f, backward, (2,) + ef.input_mode_dims())
+            summing = [s.shift for s in plan.steps if s.shift and s.shift.slice_shape[-1] > 1]
+            assert summing and not any(shift.stacked for shift in summing)
+        assert_engine_oracle(f)
