@@ -79,8 +79,8 @@ _PLAN_CACHE_SIZE = 128
 # A trial block holds at most this many bytes in the plan's largest array
 # (one trial may need more) and at most MAX_TRIAL_BLOCK trials.  Larger blocks
 # buy little once per-trial Python overhead is amortized.  Criterion-7
-# lowrank and cp layers (largest array 24,576 entries, a padded input) get
-# blocks of 2.  Per trial (median of 9 rounds, BLAS 1 thread) they took 1.26,
+# lowrank and cp layers (largest array 24,576 entries, the input) get blocks
+# of 2.  Per trial (median of 9 rounds, BLAS 1 thread) they took 1.26,
 # 1.70 and 1.65 ms (lowrank) and 1.21, 1.57 and 1.55 ms (cp) in blocks of 1,
 # 2 and 3, with about 10 page faults per trial in blocks of 1 and 200 in
 # larger ones; after one 4 MB array had been freed in the process, 1.19,
