@@ -55,6 +55,12 @@ contraction runs a block of independent Monte-Carlo trials, each with its own
 input and weights.  The steps are those of the per-trial plan with one more
 index; the per-trial call is the case without it.  Blocks are sized from the
 per-trial plan's largest array (see :func:`_trial_block`).
+
+:func:`_draw` fills arrays the caller gives it, so trials are drawn straight
+into their slices of a block's arrays.  A window step takes its zero-padded
+buffer from a *workspace*, a dict owned by the caller of :func:`_contract`,
+never by a module or a cached plan; passed again, it hands back the same
+buffers.
 """
 
 from __future__ import annotations
@@ -80,12 +86,11 @@ _PLAN_CACHE_SIZE = 128
 # (one trial may need more) and at most MAX_TRIAL_BLOCK trials.  Larger blocks
 # buy little once per-trial Python overhead is amortized.  Criterion-7
 # lowrank and cp layers (largest array 24,576 entries, the input) get blocks
-# of 2.  Per trial (median of 9 rounds, BLAS 1 thread) they took 1.26,
-# 1.70 and 1.65 ms (lowrank) and 1.21, 1.57 and 1.55 ms (cp) in blocks of 1,
-# 2 and 3, with about 10 page faults per trial in blocks of 1 and 200 in
-# larger ones; after one 4 MB array had been freed in the process, 1.19,
-# 1.17 and 1.13 ms and 1.13, 1.06 and 1.02 ms with under one fault.  The
-# cost of a larger block is the allocator's, not the contraction's.
+# of 2.  Per trial, in four processes of 9 rounds (BLAS 1 thread), blocks of
+# 2 and 3 took 0.92-0.97 and 1.10-1.25 times the time of blocks of 1
+# (lowrank) and 0.86-0.94 and 0.86-0.93 times (cp), with 3-4 page faults per
+# trial in blocks of 2 and 139 (lowrank) in blocks of 3, whose temporaries the
+# allocator still returns to the system.
 TRIAL_BLOCK_BYTES = 1 << 19
 MAX_TRIAL_BLOCK = 64
 
@@ -109,13 +114,6 @@ class MaterializedLayer:
     replicas: tuple[dict[str, DenseTensor], ...]
 
 
-def _sample(rng: np.random.Generator, shape, sigma2: float, distribution: str):
-    if distribution == "uniform":
-        half = np.sqrt(3.0 * sigma2)
-        return rng.uniform(-half, half, size=shape)
-    return rng.normal(0.0, np.sqrt(sigma2), size=shape)
-
-
 def _weight_specs(f: LayerFormat, plan: InitPlan):
     """Shapes and planned variances of the weight vertices, in order."""
     missing = [vid for vid in f.weight_ids if vid not in plan.variances]
@@ -125,13 +123,22 @@ def _weight_specs(f: LayerFormat, plan: InitPlan):
     return shapes, [plan.variances[vid] for vid in f.weight_ids]
 
 
-def _draw(rng, shapes, variances, distribution: str, phi: int) -> list[list[np.ndarray]]:
-    """``phi`` replicas of the weight arrays, drawn from ``rng`` replica by
-    replica and, within a replica, vertex by vertex."""
-    return [
-        [_sample(rng, s, v, distribution) for s, v in zip(shapes, variances)]
-        for _ in range(phi)
-    ]
+def _draw(rng, slots, variances, distribution: str) -> None:
+    """Fill ``slots`` (per replica, one array per variance) in place from
+    ``rng``, replica by replica and array by array, with the arithmetic of
+    ``rng.normal(0, sqrt(v))`` (``0 + scale * z``, which turns -0.0 into 0.0)
+    and ``rng.uniform(-h, h)`` (``low + (high - low) * u``), bit for bit."""
+    for replica in slots:
+        for slot, v in zip(replica, variances):
+            if distribution == "uniform":
+                half = np.sqrt(3.0 * v)
+                rng.random(out=slot)
+                slot *= half - -half
+                slot += -half
+            else:
+                rng.standard_normal(out=slot)
+                slot *= np.sqrt(v)
+                slot += 0.0
 
 
 def materialize(f: LayerFormat, plan: InitPlan, rng) -> MaterializedLayer:
@@ -142,7 +149,8 @@ def materialize(f: LayerFormat, plan: InitPlan, rng) -> MaterializedLayer:
     order; entries are i.i.d. zero mean with the planned variance.
     """
     shapes, variances = _weight_specs(f, plan)
-    replicas = _draw(np.random.default_rng(rng), shapes, variances, plan.distribution, f.phi)
+    replicas = [[np.empty(s) for s in shapes] for _ in range(f.phi)]
+    _draw(np.random.default_rng(rng), replicas, variances, plan.distribution)
     return MaterializedLayer(
         f,
         plan,
@@ -241,8 +249,14 @@ def _slices(padded: np.ndarray, s: _Shift):
         yield at, padded[tuple(where)].reshape(s.slice_shape)
 
 
-def _shift(x: np.ndarray, w: np.ndarray, s: _Shift) -> np.ndarray:
-    padded = np.zeros(s.padded)
+def _shift(x: np.ndarray, w: np.ndarray, s: _Shift, workspace: dict) -> np.ndarray:
+    # Only ``dst`` is ever written, so a reused buffer's pads and gaps stay
+    # zero.  A _Shift holds slices, unhashable before Python 3.12: key by id,
+    # keep the step beside its buffer and check that a hit is that step.
+    held = workspace.get(id(s))
+    if held is None or held[0] is not s:
+        held = workspace[id(s)] = (s, np.zeros(s.padded))
+    padded = held[1]
     padded[s.dst] = x.transpose(s.x_perm)[s.src]
     w = np.ascontiguousarray(w.transpose(s.w_perm)).reshape(s.w_shape)
     if s.stacked:
@@ -438,7 +452,8 @@ def _trial_block(f: LayerFormat, x_shape) -> int:
     return block
 
 
-def _contract(f: LayerFormat, x: np.ndarray, replicas, backward: bool, trial_axis: bool = False) -> np.ndarray:
+def _contract(f: LayerFormat, x: np.ndarray, replicas, backward: bool, trial_axis: bool = False,
+              workspace: dict | None = None) -> np.ndarray:
     """Sum over replicas of one direction's compiled contraction.
 
     ``replicas`` holds one list of weight arrays per replica, in
@@ -446,9 +461,12 @@ def _contract(f: LayerFormat, x: np.ndarray, replicas, backward: bool, trial_axi
     the result carry a leading trial axis.  The input is made channels-last
     once (by its first step's copy when that is a window step), replicas
     are summed in the plan's layout and the sum is copied once into the
-    output layout.
+    output layout.  Window steps take their zero-padded buffers from
+    ``workspace``, a dict the caller owns and may pass again to reuse them;
+    by default a fresh one.
     """
     plan = _plan(f, backward, x.shape, trial_axis)
+    workspace = {} if workspace is None else workspace
     if plan.entry is not None:
         x = np.ascontiguousarray(x.transpose(plan.entry))
     out = None
@@ -458,7 +476,8 @@ def _contract(f: LayerFormat, x: np.ndarray, replicas, backward: bool, trial_axi
             args = [ops[i] for i in step.picked]
             for i in sorted(step.picked, reverse=True):
                 del ops[i]
-            ops.append(_einsum(step.spec, args) if step.shift is None else _shift(*args, step.shift))
+            shift = step.shift
+            ops.append(_einsum(step.spec, args) if shift is None else _shift(*args, shift, workspace))
         if out is None:
             out = ops[0]
         else:

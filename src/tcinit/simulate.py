@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ctypes
 import json
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -142,12 +143,12 @@ def _forward(net: NetworkSpec, layers, x: np.ndarray) -> list:
 def _backward(net: NetworkSpec, layers, states, g: np.ndarray):
     """Push the output gradient ``g`` back through the stack; returns the
     gradient at the network input and, per layer, the variance of the
-    gradient at that layer's input.  Activation derivatives use the exact
-    forward masks.  Only the current gradient is kept alive: pass ``g`` as
-    an expression, not a name the caller holds."""
+    gradient at that layer's input.  Activation derivatives are exact, from
+    the stored post-activations.  Only the current gradient is kept alive:
+    pass ``g`` as an expression, not a name the caller holds."""
     grad_vars = [0.0] * len(layers)
     for i in range(len(layers) - 1, -1, -1):
-        g = g * _activation_derivative(states[i][0], net.layers[i].activation)
+        g = g * _activation_derivative(states[i][1], net.layers[i].activation)
         g = backward_apply(layers[i], DenseTensor.from_array(g)).array
         grad_vars[i] = float(g.var())
     return g, grad_vars
@@ -294,11 +295,13 @@ def variance_mc(
 
     Trial ``t`` draws a standard-normal input of ``batch`` samples and then
     every weight from ``SeedSequence([seed, t])``.  Trials run in blocks:
-    a block stacks its trials' inputs and weights along a leading trial axis
-    and runs one contraction per replica, and each trial's ratio is read off
-    its slice.  The block size comes from the layer shapes (see
-    :func:`~tcinit.network._trial_block`), so the figures do not depend on
-    ``workers``, which map over blocks.  Raises
+    each trial's input and weights are drawn in place into its slice of
+    block arrays with a leading trial axis, one contraction runs per
+    replica, and each trial's ratio is read off its slice.  Window steps
+    reuse their zero-padded buffers from one workspace per worker thread,
+    which lives as long as this call.  The block size comes from the layer
+    shapes (see :func:`~tcinit.network._trial_block`), so the figures do
+    not depend on ``workers``, which map over blocks.  Raises
     :class:`~tcinit.errors.ResourceLimit` before any draw when one block
     would not fit in memory, and :class:`~tcinit.errors.InvalidParams` when
     ``batch`` is below 1.
@@ -312,21 +315,21 @@ def variance_mc(
     x_shape = (batch,) + f.input_mode_dims()
     size = _trial_block(f, x_shape)
 
+    per_thread = threading.local()
+
     def run_block(block):
-        xs, draws = [], []
-        for t in block:
-            k_in, k_w = np.random.SeedSequence([seed, t]).spawn(2)
-            xs.append(np.random.default_rng(k_in).standard_normal(x_shape))
-            rng = np.random.default_rng(k_w)
-            draws.append(_draw(rng, shapes, variances, plan.distribution, f.phi))
-        stacked = len(block) > 1
-        if stacked:
-            x = np.stack(xs)
-            replicas = [[np.stack(ws) for ws in zip(*reps)] for reps in zip(*draws)]
-        else:
-            x, replicas = xs[0], draws[0]
-        out = _contract(f, x, replicas, backward=False, trial_axis=stacked)
         n = len(block)
+        x = np.empty((n, *x_shape))
+        replicas = [[np.empty((n, *s)) for s in shapes] for _ in range(f.phi)]
+        for i, t in enumerate(block):
+            k_in, k_w = np.random.SeedSequence([seed, t]).spawn(2)
+            _draw(np.random.default_rng(k_in), [[x[i]]], [1.0], "normal")
+            trial = [[w[i] for w in weights] for weights in replicas]
+            _draw(np.random.default_rng(k_w), trial, variances, plan.distribution)
+        # A one-trial block is the per-trial call, without the trial axis.
+        args = (x, replicas) if n > 1 else (x[0], trial)
+        workspace = vars(per_thread).setdefault("workspace", {})
+        out = _contract(f, *args, backward=False, trial_axis=n > 1, workspace=workspace)
         return out.reshape(n, -1).var(axis=1) / x.reshape(n, -1).var(axis=1)
 
     blocks = [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]

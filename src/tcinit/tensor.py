@@ -321,11 +321,13 @@ def _activation(arr: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown activation {kind!r}; expected one of {ACTIVATIONS}")
 
 
-def _activation_derivative(pre: np.ndarray, kind: str) -> np.ndarray:
+def _activation_derivative(post: np.ndarray, kind: str) -> np.ndarray:
+    """The derivative at the pre-activation, from ``post``, the output of
+    :func:`_activation` on it."""
     if kind == "identity":
-        return np.ones_like(pre)
+        return np.ones_like(post)
     if kind == "relu":
-        return (pre > 0.0).astype(np.float64)
+        return (post > 0.0).astype(np.float64)
     if kind == "tanh":
-        return 1.0 - np.tanh(pre) ** 2
+        return 1.0 - post**2
     raise ValueError(f"unknown activation {kind!r}; expected one of {ACTIVATIONS}")

@@ -615,6 +615,16 @@ def assert_engine_oracle(f):
     assert_adjoint(f)
 
 
+# cp runs one separable pass per kernel edge; at stride 2 and 3 each pass
+# reads its own axis with its own stride and zero insertion.
+CP_STRIDED = {
+    "cp-s2": builtin_format("cp", c_in=2, c_out=3, rank=2, k=3, spatial=3,
+                            alpha=(5, 7, 6), stride=2, padding=1, phi=2),
+    "cp-s3": builtin_format("cp", c_in=3, c_out=2, rank=3, k=2, spatial=3,
+                            alpha=(6, 4, 5), stride=3, padding=1),
+}
+
+
 class TestEngineOracle:
     """The engine against a dense-pattern einsum built independently of
     ``network``, over random linear formats and seed-drawn conv builtins."""
@@ -626,12 +636,8 @@ class TestEngineOracle:
         )
     )
     @example(parse_format(AXIS_NAMED_EDGES))
-    # cp runs one separable pass per kernel edge; at stride 2 and 3 each pass
-    # reads its own axis with its own stride and zero insertion.
-    @example(builtin_format("cp", c_in=2, c_out=3, rank=2, k=3, spatial=3,
-                            alpha=(5, 7, 6), stride=2, padding=1, phi=2))
-    @example(builtin_format("cp", c_in=3, c_out=2, rank=3, k=2, spatial=3,
-                            alpha=(6, 4, 5), stride=3, padding=1))
+    @example(CP_STRIDED["cp-s2"])
+    @example(CP_STRIDED["cp-s3"])
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_forward_matches_dense_patterns(self, f):
         assert_engine_oracle(f)
@@ -664,3 +670,51 @@ class TestPerOffsetSteps:
             summing = [s.shift for s in plan.steps if s.shift and s.shift.slice_shape[-1] > 1]
             assert summing and not any(shift.stacked for shift in summing)
         assert_engine_oracle(f)
+
+
+class TestWorkspaceReuse:
+    """A workspace passed again gives what a fresh one gives: reused padded
+    buffers keep their pads and zero-inserted gaps at zero."""
+
+    LAYERS = {
+        **CP_STRIDED,
+        "standard-s2": PER_OFFSET_LAYERS["standard-s2"],
+        "standard-stacked": builtin_format("standard", c_in=2, c_out=3, k=3,
+                                           alpha=(7, 6), stride=2, padding=1),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LAYERS))
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    def test_second_call_equals_a_fresh_workspace(self, name, backward):
+        f = self.LAYERS[name]
+        layer = materialize(f, make_plan(f, "graph-in", "identity"), 0)
+        replicas = [[rep[vid].array for vid in f.weight_ids] for rep in layer.replicas]
+        dims = f.output_mode_dims() if backward else f.input_mode_dims()
+        first, second = np.random.default_rng(2).standard_normal((2, 2) + dims)
+        workspace = {}
+        network._contract(f, first, replicas, backward, workspace=workspace)
+        assert workspace
+        got = network._contract(f, second, replicas, backward, workspace=workspace)
+        want = network._contract(f, second, replicas, backward)
+        assert got.tobytes() == want.tobytes()
+
+
+class TestDraw:
+    """``_draw`` fills its slots in place with the arithmetic of numpy's
+    ``normal`` and ``uniform``, replica by replica, array by array."""
+
+    @pytest.mark.parametrize("distribution", ["normal", "uniform"])
+    @pytest.mark.parametrize("seed", [0, 1, 17, 2**40 + 3])
+    def test_equals_numpy_samplers(self, seed, distribution):
+        shapes, variances = [(3, 4), (7,), (2, 3, 5), (4, 4)], [0.0, 1e-3, 1.0, 7.3]
+        slots = [[np.empty(s) for s in shapes] for _ in range(2)]
+        network._draw(np.random.default_rng(seed), slots, variances, distribution)
+        rng = np.random.default_rng(seed)
+        for replica in slots:
+            for slot, shape, v in zip(replica, shapes, variances):
+                if distribution == "uniform":
+                    half = np.sqrt(3.0 * v)
+                    want = rng.uniform(-half, half, shape)
+                else:
+                    want = rng.normal(0.0, np.sqrt(v), shape)
+                assert slot.tobytes() == want.tobytes()

@@ -1,4 +1,10 @@
+import dataclasses
+import gc
 import json
+import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -299,6 +305,64 @@ class TestTrialBlocks:
         f = builtin_format("standard", c_in=16, c_out=16, k=3, alpha=2**22)
         with pytest.raises(ResourceLimit):
             variance_mc(f, make_plan(f, "graph-in", "tanh"), seed=0, trials=1)
+
+
+def holds_array(obj, seen=None) -> bool:
+    """Whether an ndarray is reachable from ``obj`` through containers,
+    dataclass instances and thread-local storage."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return False
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return True
+    if isinstance(obj, dict):
+        children = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        children = obj
+    elif isinstance(obj, threading.local) or (
+        dataclasses.is_dataclass(obj) and not isinstance(obj, type)
+    ):
+        children = vars(obj).values()
+    else:
+        return False
+    return any(holds_array(child, seen) for child in children)
+
+
+class TestWorkspaceScope:
+    """Padded buffers live only as long as the call that made them: no plan
+    and no module keeps them."""
+
+    F = builtin_format("standard", c_in=4, c_out=4, k=3, padding=1, alpha=12)
+    BATCH = 2
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_no_plan_or_module_holds_an_array(self, workers):
+        plan = make_plan(self.F, "graph-in", "tanh")
+        variance_mc(self.F, plan, seed=0, trials=9, batch=self.BATCH, workers=workers)
+        net = NetworkSpec((LayerSpec(self.F, "tanh"),), self.F.input_mode_dims(), self.BATCH)
+        backward_trace(net, seed=0, trials=3, workers=workers)
+        plans = [o for o in gc.get_objects() if isinstance(o, network._Plan)]
+        assert plans
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "tcinit"]
+        for root in plans + [vars(m) for m in modules]:
+            assert not holds_array(root)
+
+    def test_retains_less_than_one_padded_buffer(self):
+        plan = make_plan(self.F, "graph-in", "tanh")
+        x_shape = (self.BATCH,) + self.F.input_mode_dims()
+        block = network._trial_block(self.F, x_shape)
+        steps = network._plan(self.F, False, (block, *x_shape), True).steps
+        padded = max(8 * math.prod(s.shift.padded) for s in steps if s.shift)
+        np.random.default_rng(0)  # numpy imports its random module on first use
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            variance_mc(self.F, plan, seed=0, trials=block, batch=self.BATCH)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < padded
 
 
 class TestBlasThreads:
