@@ -1,7 +1,8 @@
 """Signal propagation through depth, and the scale of repeated contractions.
 
 Part 1 stacks five factorized linear layers with tanh activations and
-traces activation variance and saturation under the graph-derived plan.
+traces activation variance, gradient variance and saturation under the
+graph-derived plan.
 Part 2 contracts a chain of unit-variance random tensors and shows the
 variance after each step tracking the contracted dimension.
 """
@@ -11,7 +12,6 @@ from tcinit import (
     NetworkSpec,
     builtin_format,
     backward_trace,
-    forward_trace,
     scale_chain,
 )
 
@@ -21,13 +21,13 @@ def main():
     net = NetworkSpec(
         (LayerSpec(f, "tanh", "graph-in"),) * 5, (8, 8), batch=64
     )
-    fwd = forward_trace(net, seed=0, trials=20)
-    bwd = backward_trace(net, seed=0, trials=20)
+    # One forward and one backward pass per trial give both columns.
+    report = backward_trace(net, seed=0, trials=20)
     print("layer  pre_var  post_var  grad_var  saturation")
-    for i, (a, g) in enumerate(zip(fwd.layers, bwd.layers)):
+    for i, t in enumerate(report.layers):
         print(
-            f"{i:5d}  {a.pre_var:7.4f}  {a.post_var:8.4f}  "
-            f"{g.grad_var:8.4f}  {a.saturation:10.4f}"
+            f"{i:5d}  {t.pre_var:7.4f}  {t.post_var:8.4f}  "
+            f"{t.grad_var:8.4f}  {t.saturation:10.4f}"
         )
 
     print("\nvariance growth in a chain of random contractions:")

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import formats, graph, simulate, transform
@@ -119,21 +118,16 @@ def cmd_simulate(args) -> int:
         input_shape=f.input_mode_dims(),
         batch=args.batch,
     )
-    fwd = simulate.forward_trace(net, args.seed, args.trials, workers=args.workers)
-    bwd = simulate.backward_trace(net, args.seed, args.trials, workers=args.workers)
-    merged = replace(fwd, layers=tuple(
-        replace(a, grad_var=b.grad_var, grad_std=b.grad_std)
-        for a, b in zip(fwd.layers, bwd.layers)
-    ))
+    report = simulate.backward_trace(net, args.seed, args.trials, workers=args.workers)
     if args.out:
         base = Path(args.out)
-        base.with_suffix(".json").write_text(simulate.report_json(merged))
-        base.with_suffix(".csv").write_text(simulate.report_csv(merged))
+        base.with_suffix(".json").write_text(simulate.report_json(report))
+        base.with_suffix(".csv").write_text(simulate.report_csv(report))
     else:
         text = (
-            simulate.report_csv(merged)
+            simulate.report_csv(report)
             if args.emit == "csv"
-            else simulate.report_json(merged)
+            else simulate.report_json(report)
         )
         sys.stdout.write(text)
     return 0
@@ -187,8 +181,8 @@ def closure_sweep(random_seeds: int, first_seed: int = 0) -> dict:
 def cmd_verify(args) -> int:
     if args.random_formats < 0:
         raise InvalidParams("random-formats must be >= 0")
-    theorem1 = _theorem1_grid()
     props = simulate.proposition_checks(args.seed)
+    theorem1 = _theorem1_grid()
     closure = closure_sweep(args.random_formats, first_seed=args.seed)
     report = {
         "theorem1": theorem1,

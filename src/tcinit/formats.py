@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, ParseError, ValidationError
-from .tensor import DummySpec
+from .tensor import DummySpec, _check_seed
 
 INPUT = "input"
 WEIGHT = "weight"
@@ -568,6 +568,7 @@ def random_format(
     edges, and a random number of rank edges; any vertex left without an
     edge is attached with an extra rank edge.
     """
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
 
     def draw(lo_hi):

@@ -75,7 +75,7 @@ import numpy as np
 from .errors import PlanIncomplete, ShapeMismatch
 from .formats import INPUT_CHANNEL, KERNEL, OUTPUT_CHANNEL, LayerFormat
 from .graph import InitPlan
-from .tensor import DenseTensor, _check_array, _einsum, _letters
+from .tensor import DenseTensor, _check_array, _check_seed, _einsum, _letters
 from .transform import build_backward_format
 
 # Compiled plans kept per process.  A plan holds only subscripts and small
@@ -148,6 +148,7 @@ def materialize(f: LayerFormat, plan: InitPlan, rng) -> MaterializedLayer:
     vertex ``v`` has the shape of its incident-edge dims in declaration
     order; entries are i.i.d. zero mean with the planned variance.
     """
+    _check_seed(rng)
     shapes, variances = _weight_specs(f, plan)
     replicas = [[np.empty(s) for s in shapes] for _ in range(f.phi)]
     _draw(np.random.default_rng(rng), replicas, variances, plan.distribution)

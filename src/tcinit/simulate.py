@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ctypes
 import json
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -41,7 +42,7 @@ from .network import (
     forward_apply,
     materialize,
 )
-from .tensor import DenseTensor, _activation, _activation_derivative, _check_array
+from .tensor import DenseTensor, _activation, _activation_grad, _check_array, _check_seed
 
 DEFAULT_CHAIN_DIMS = (96, 200, 400, 600, 800, 1000, 800, 600, 400, 200, 100)
 SATURATION_THRESHOLD = 0.99
@@ -107,13 +108,17 @@ def validate_network(net: NetworkSpec) -> None:
     memory limit: the batched input, every layer output, and the largest
     array of each layer's compiled forward and backward plan (such as a
     window step's zero-padded input).  Compiling a plan
-    allocates nothing, and the plan is the one the trial runs."""
+    allocates nothing, and the plan is the one the trial runs.  The
+    activations a trial keeps for its backward pass must fit together as
+    well: per layer the pre- and the post-activation, one array when the
+    activation is the identity."""
     if not net.layers:
         raise InvalidParams("network has no layers")
     if net.batch < 1:
         raise InvalidParams("batch must be >= 1")
     feed = tuple(net.input_shape)
     _check_array((net.batch, *feed), "the batched network input")
+    kept = 0
     for i, spec in enumerate(net.layers):
         f = spec.format
         if feed != f.input_mode_dims():
@@ -123,11 +128,13 @@ def validate_network(net: NetworkSpec) -> None:
             )
         out = f.output_mode_dims()
         _check_array((net.batch, *out), f"the output of layer {i}")
+        kept += (1 if spec.activation == "identity" else 2) * math.prod((net.batch, *out))
         for backward, dims in ((False, feed), (True, out)):
             plan = _plan(f, backward, (net.batch, *dims))
             direction = "backward" if backward else "forward"
             _check_array((plan.largest,), f"the largest array of layer {i}'s {direction} pass")
         feed = out
+    _check_array((kept,), "the activations one trial keeps")
 
 
 def _forward(net: NetworkSpec, layers, x: np.ndarray) -> list:
@@ -144,11 +151,10 @@ def _backward(net: NetworkSpec, layers, states, g: np.ndarray):
     """Push the output gradient ``g`` back through the stack; returns the
     gradient at the network input and, per layer, the variance of the
     gradient at that layer's input.  Activation derivatives are exact, from
-    the stored post-activations.  Only the current gradient is kept alive:
-    pass ``g`` as an expression, not a name the caller holds."""
+    the stored post-activations, and ``g`` itself is never written."""
     grad_vars = [0.0] * len(layers)
     for i in range(len(layers) - 1, -1, -1):
-        g = g * _activation_derivative(states[i][1], net.layers[i].activation)
+        g = _activation_grad(g, states[i][1], net.layers[i].activation)
         g = backward_apply(layers[i], DenseTensor.from_array(g)).array
         grad_vars[i] = float(g.var())
     return g, grad_vars
@@ -212,6 +218,7 @@ def _trace(net: NetworkSpec, seed: int, trials: int, workers: int, grad_var=None
     the network output and runs the stack backward; otherwise the gradient
     statistics read 0.
     """
+    _check_seed(seed)
     validate_network(net)
     plans = [make_plan(s.format, s.mode, s.activation) for s in net.layers]
 
@@ -261,8 +268,10 @@ def backward_trace(
     The gradient injected at the network output is i.i.d. normal with
     variance ``grad_var``.  Each layer's ``grad_var`` statistic is the
     variance of the loss gradient at that layer's *input*; activation
-    derivatives use the exact forward masks.  The activation statistics are
-    those of :func:`forward_trace`.
+    derivatives use the exact forward masks.  Each trial runs the stack
+    forward once and backward once, and the activation statistics come
+    from that forward pass: they equal those of :func:`forward_trace`, bit
+    for bit, so one call yields the full report.
     """
     return _trace(net, seed, trials, workers, grad_var)
 
@@ -306,6 +315,7 @@ def variance_mc(
     would not fit in memory, and :class:`~tcinit.errors.InvalidParams` when
     ``batch`` is below 1.
     """
+    _check_seed(seed)
     if batch < 1:
         raise InvalidParams("batch must be >= 1")
     shapes, variances = _weight_specs(f, plan)
@@ -360,6 +370,7 @@ def scale_chain(
     ``var(out) / (var(in) * sigma^2(W))`` with ``sigma^2(W) = 1``; the
     ground truth is the contracted dimension ``dims[t-1]``.
     """
+    _check_seed(seed)
     dims = tuple(int(d) for d in dims)
     if len(dims) < 2:
         raise InvalidParams("chain needs at least two dims")
@@ -404,6 +415,7 @@ def proposition_checks(seed: int, samples: int = 100_000) -> dict:
     tensors over ``d`` shared dims scales the variance by the product of the
     contracted dims.  Returns measured/expected pairs with pass flags.
     """
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     checks = []
 

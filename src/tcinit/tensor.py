@@ -30,6 +30,7 @@ from .errors import (
     DimensionMismatch,
     DuplicateAxis,
     InvalidDummySpec,
+    InvalidParams,
     ResourceLimit,
     TooManyIndices,
     UnboundAxis,
@@ -60,6 +61,15 @@ def _check_array(shape, what: str) -> None:
             f"{what} needs {nbytes:.3e} bytes, over the limit of "
             f"{MEMORY_LIMIT:.3e} bytes (half of physical memory)"
         )
+
+
+def _check_seed(seed) -> None:
+    """Raise :class:`InvalidParams` if ``seed``, an integer or a sequence of
+    them, holds a negative integer, which numpy's seeding rejects with a raw
+    ``ValueError``.  Call it before any draw."""
+    entries = seed if isinstance(seed, (list, tuple)) else (seed,)
+    if any(isinstance(s, (int, np.integer)) and s < 0 for s in entries):
+        raise InvalidParams(f"seed must be >= 0, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -321,13 +331,18 @@ def _activation(arr: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown activation {kind!r}; expected one of {ACTIVATIONS}")
 
 
-def _activation_derivative(post: np.ndarray, kind: str) -> np.ndarray:
-    """The derivative at the pre-activation, from ``post``, the output of
-    :func:`_activation` on it."""
+def _activation_grad(g: np.ndarray, post: np.ndarray, kind: str) -> np.ndarray:
+    """``g`` times the activation's derivative at the pre-activation, read
+    from ``post``, the output of :func:`_activation` on it.  Allocates at
+    most one array and never writes into ``g`` or ``post``; identity returns
+    ``g`` itself."""
     if kind == "identity":
-        return np.ones_like(post)
+        return g
     if kind == "relu":
-        return (post > 0.0).astype(np.float64)
-    if kind == "tanh":
-        return 1.0 - post**2
-    raise ValueError(f"unknown activation {kind!r}; expected one of {ACTIVATIONS}")
+        d = (post > 0.0).astype(np.float64)
+    elif kind == "tanh":
+        d = np.square(post)
+        np.subtract(1.0, d, out=d)
+    else:
+        raise ValueError(f"unknown activation {kind!r}; expected one of {ACTIVATIONS}")
+    return np.multiply(g, d, out=d)

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from tcinit import network, simulate
 from tcinit.cli import main
 
 
@@ -166,6 +167,22 @@ class TestSimulate:
         assert code == 2
         assert out == "" and err.startswith("error:") and "workers" in err
 
+    def test_one_forward_pass_per_trial(self, capsys, monkeypatch):
+        # The report's activation and gradient statistics come from one pass
+        # through the stack: each trial runs every layer forward once.
+        calls = []
+        original = network.forward_apply
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        for module in (network, simulate):
+            monkeypatch.setattr(module, "forward_apply", counting)
+        code, _, _ = run(capsys, *self.ARGS, "--seed", "0")
+        assert code == 0
+        assert len(calls) == 2 * 4  # depth * trials
+
 
 class TestVerify:
     def test_passes_and_exits_zero(self, capsys):
@@ -327,3 +344,22 @@ class TestUsage:
         code, out, _ = run(capsys, "analyze", *fmt, "--phi", "3")
         assert code == 0
         assert json.loads(out)["phi"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--builtin", "tt", "-P", "i_dims=4,4", "-P", "o_dims=4,4",
+         "-P", "rank=3", "--trials", "1"],
+        ["verify", "--random-formats", "1"],
+        ["randgen", "--count", "1"],
+        ["scale-chain", "--trials", "1", "--dims", "4,4"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_exits_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "seed" in err
+    assert "Traceback" not in err

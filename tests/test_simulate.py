@@ -11,7 +11,7 @@ import pytest
 
 from tcinit import network, simulate, tensor
 from tcinit.errors import InvalidParams, ResourceLimit, ShapeMismatch
-from tcinit.formats import builtin_format, parse_format
+from tcinit.formats import builtin_format, parse_format, random_format
 from tcinit.graph import InitPlan, make_plan
 from tcinit.network import forward_apply, materialize
 from tcinit.simulate import (
@@ -106,6 +106,25 @@ class TestValidation:
         rep = forward_trace(net, seed=0, trials=2)
         assert len(rep.layers) == 3
 
+    @pytest.mark.parametrize(
+        "depth,act,fits", [(3, "tanh", False), (1, "tanh", False), (1, "identity", True)]
+    )
+    def test_activations_one_trial_keeps_count_together(self, depth, act, fits, monkeypatch):
+        # Every array fits under the limit on its own: each activation is
+        # [32, 4, 4] (4,096 bytes) and the largest, the zero-padded window
+        # input [32, 6, 4], takes 6,144 bytes.  But a trial keeps the pre-
+        # and the post-activation of every layer for the backward pass, one
+        # array when the activation is the identity.
+        f = builtin_format("standard", c_in=4, c_out=4, k=3, spatial=1, alpha=4, padding=1)
+        net = NetworkSpec((LayerSpec(f, act),) * depth, f.input_mode_dims(), batch=32)
+        monkeypatch.setattr(tensor, "MEMORY_LIMIT", 6400)
+        if fits:
+            validate_network(net)
+            return
+        monkeypatch.setattr(network, "_draw", None)
+        with pytest.raises(ResourceLimit, match="activations one trial keeps"):
+            forward_trace(net, seed=0, trials=1)
+
 
 class TestForwardTrace:
     def test_graph_in_preserves_variance(self):
@@ -197,6 +216,45 @@ class TestBackwardTrace:
         net = linear_net(depth=2, act="relu")
         rep = backward_trace(net, seed=4, trials=3)
         assert all(l.grad_var > 0 for l in rep.layers)
+
+    def test_identity_input_gradient_leaves_upstream(self):
+        net = linear_net(depth=2)
+        layers = [
+            materialize(s.format, make_plan(s.format, s.mode, s.activation), 3 + i)
+            for i, s in enumerate(net.layers)
+        ]
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((net.batch, *net.input_shape))
+        upstream = rng.standard_normal((net.batch, *net.layers[-1].format.output_mode_dims()))
+        before = upstream.copy()
+        input_gradient(net, layers, x, upstream)
+        assert np.array_equal(upstream, before)
+
+
+FOLD_NETS = {
+    "htk2-phi2": (
+        builtin_format("htk2", c_in=4, c_out=4, r0=2, r1=2, k=3, alpha=6, padding=1, phi=2),
+        "tanh",
+        4,
+    ),
+    "tt": (builtin_format("tt", i_dims=(4, 6), o_dims=(4, 6), rank=3), "tanh", 8),
+    "tt-relu": (builtin_format("tt", i_dims=(4, 4), o_dims=(4, 4), rank=3), "relu", 8),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(FOLD_NETS))
+def test_backward_trace_activation_fields_are_forward_traces(name, workers):
+    """One backward trace is the whole simulate report: its activation
+    statistics are those of forward_trace, float for float."""
+    f, act, batch = FOLD_NETS[name]
+    net = NetworkSpec((LayerSpec(f, act, "graph-in"),) * 3, f.input_mode_dims(), batch=batch)
+    fwd = forward_trace(net, seed=9, trials=3, workers=workers)
+    bwd = backward_trace(net, seed=9, trials=3, workers=workers)
+    fields = ("pre_var", "pre_std", "post_var", "post_std", "saturation")
+    for a, b in zip(fwd.layers, bwd.layers, strict=True):
+        assert all(getattr(a, k) == getattr(b, k) for k in fields)
+        assert b.grad_var > 0
 
 
 class TestVarianceMc:
@@ -437,3 +495,31 @@ class TestPropositions:
 
     def test_deterministic(self):
         assert proposition_checks(seed=3) == proposition_checks(seed=3)
+
+
+def _seeded_layer_args():
+    f = builtin_format("standard", c_in=4, c_out=4, k=0)
+    return f, make_plan(f, "graph-in", "tanh")
+
+
+SEEDED = {
+    "forward_trace": lambda seed: forward_trace(linear_net(depth=1), seed, trials=1),
+    "backward_trace": lambda seed: backward_trace(linear_net(depth=1), seed, trials=1),
+    "variance_mc": lambda seed: variance_mc(*_seeded_layer_args(), seed, trials=1),
+    "materialize": lambda seed: materialize(*_seeded_layer_args(), seed),
+    "scale_chain": lambda seed: scale_chain(seed, trials=1, dims=(4, 4)),
+    "proposition_checks": lambda seed: proposition_checks(seed, samples=100),
+    "random_format": lambda seed: random_format(seed),
+    "random_format-sequence": lambda seed: random_format([0, seed]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SEEDED))
+def test_negative_seed_rejected_before_any_draw(entry, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before checking the seed")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    monkeypatch.setattr(np.random, "SeedSequence", no_draw)
+    with pytest.raises(InvalidParams, match="seed"):
+        SEEDED[entry](-1)

@@ -16,6 +16,7 @@ from tcinit.tensor import (
     DenseTensor,
     DummySpec,
     _activation,
+    _activation_grad,
     build_dummy,
     contract,
     multi_contract,
@@ -315,3 +316,28 @@ class TestActivations:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             _activation(np.array([1.0]), "gelu")
+
+    @pytest.mark.parametrize(
+        "kind,derivative",
+        [
+            ("identity", lambda post: np.ones_like(post)),
+            ("relu", lambda post: (post > 0.0).astype(np.float64)),
+            ("tanh", lambda post: 1.0 - post**2),
+        ],
+    )
+    def test_grad_matches_the_derivative_bitwise_and_leaves_inputs(self, kind, derivative):
+        rng = np.random.default_rng(8)
+        post = _activation(rng.standard_normal((4, 5)), kind)
+        g = rng.standard_normal((4, 5))
+        g_before, post_before = g.copy(), post.copy()
+        out = _activation_grad(g, post, kind)
+        assert out.tobytes() == (g * derivative(post)).tobytes()
+        assert np.array_equal(g, g_before) and np.array_equal(post, post_before)
+        if kind == "identity":
+            assert out is g
+        else:
+            assert not np.shares_memory(out, g) and not np.shares_memory(out, post)
+
+    def test_grad_unknown_kind(self):
+        with pytest.raises(ValueError):
+            _activation_grad(np.ones(2), np.ones(2), "gelu")
