@@ -20,6 +20,7 @@ from pathlib import Path
 from . import formats, graph, simulate, transform
 from .errors import InvalidParams, TcinitError
 from .graph import ACTIVATION_SCALE, BASELINE_MODES, PLAN_MODES
+from .tensor import _check_seed
 
 USAGE_EXIT = 1
 VALIDATION_EXIT = 2
@@ -197,6 +198,8 @@ def cmd_verify(args) -> int:
 def cmd_randgen(args) -> int:
     if args.count < 1:
         raise InvalidParams("count must be >= 1")
+    # Before the directory is made, and naming the seed as given.
+    _check_seed(args.seed)
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):

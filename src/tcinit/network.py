@@ -19,7 +19,15 @@ separable 1-D passes with its rank index as a batch axis.  A step that sums
 channels and whose slices, stacked over all its offsets, fit in
 ``WINDOW_STACK_BYTES`` stacks them and runs one ``matmul`` over (channels,
 offsets) instead: the order in which the dense pattern contraction sums, so
-small layers match it bit for bit.  Channel-only steps are einsums.
+small layers match it bit for bit.
+
+Every other step contracts channels only and runs as one GEMM,
+transpose-transpose-GEMM (TTGT, Springer & Bientinesi, arXiv:1607.00145): both
+operands are permuted and reshaped to ``(batch, M, K)`` and ``(batch, K, N)``
+and meet in one ``matmul`` whose output is the step's result, laid out batch,
+kept left, kept right, and never permuted.  The operands and groups are the
+ones numpy's pairwise einsum would use, so the engine's figures are the
+einsum's to the last bit, and no einsum runs on the hot path.
 
 The backward pass is the forward pass of ``build_backward_format(f)``: the
 output gradient is its input, laid out with ``stride - 1`` zeros between
@@ -30,8 +38,10 @@ their kernel-window axes, which supplies the ``R`` factor.
 Each (format, direction, input shape, trial axis) is compiled once into a
 plan held in a bounded cache.  Compiling gives every index one einsum letter
 keyed by the edge it belongs to (see :func:`_wiring`), then follows a greedy
-pairwise path from ``np.einsum_path``; the plan holds the steps, the layout
-permutations and the kernel flips.
+pairwise path from ``np.einsum_path``, the one einsum call left, made once
+per plan; the plan holds the steps (a :class:`_Shift` or a :class:`_Gemm`
+each), the layout permutations, the kernel flips and the shapes of every
+buffer its steps write.
 
 Axis conventions (all carry a leading batch axis): channels, then spatial.
 
@@ -46,7 +56,7 @@ output layout is the forward input layout.  Inside a contraction the engine
 works channels-last (positions, then channels), so that the summed channels
 of every step are trailing axes: the input is transposed once on entry (a
 window step that reads the input transposes it as it copies it into its
-padded buffer), replicas are summed in the plan's layout and the sum is
+padded buffer), replicas are summed in the last step's layout and the sum is
 copied once into the output layout.
 
 A plan may also take an optional leading *trial axis*, ahead of the batch
@@ -57,17 +67,21 @@ index; the per-trial call is the case without it.  Blocks are sized from the
 per-trial plan's largest array (see :func:`_trial_block`).
 
 :func:`_draw` fills arrays the caller gives it, so trials are drawn straight
-into their slices of a block's arrays.  A window step takes its zero-padded
-buffer from a *workspace*, a dict owned by the caller of :func:`_contract`,
-never by a module or a cached plan; passed again, it hands back the same
-buffers.
+into their slices of a block's arrays.  Every array a contraction writes
+lives in a *workspace*, a dict owned by the caller of :func:`_contract`,
+never by a module or a cached plan: the channels-last input, each window
+step's zero-padded buffer, weight copy, sum, per-offset product or stack,
+each GEMM step's result and the replica sum.  The plan assigns them
+statically, as TVM does (arXiv:1802.04799): GEMM results whose lives do not
+overlap share one buffer.  Passed again, the workspace hands back the same
+buffers; the result alone is a fresh array.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -75,7 +89,7 @@ import numpy as np
 from .errors import PlanIncomplete, ShapeMismatch
 from .formats import INPUT_CHANNEL, KERNEL, OUTPUT_CHANNEL, LayerFormat
 from .graph import InitPlan
-from .tensor import DenseTensor, _check_array, _check_seed, _einsum, _letters
+from .tensor import DenseTensor, _check_array, _check_seed, _letters
 from .transform import build_backward_format
 
 # Compiled plans kept per process.  A plan holds only subscripts and small
@@ -87,10 +101,10 @@ _PLAN_CACHE_SIZE = 128
 # buy little once per-trial Python overhead is amortized.  Criterion-7
 # lowrank and cp layers (largest array 24,576 entries, the input) get blocks
 # of 2.  Per trial, in four processes of 9 rounds (BLAS 1 thread), blocks of
-# 2 and 3 took 0.92-0.97 and 1.10-1.25 times the time of blocks of 1
-# (lowrank) and 0.86-0.94 and 0.86-0.93 times (cp), with 3-4 page faults per
-# trial in blocks of 2 and 139 (lowrank) in blocks of 3, whose temporaries the
-# allocator still returns to the system.
+# 2 and 3 took 0.99-1.15 and 1.03-1.14 times the time of blocks of 1
+# (lowrank) and 0.96-1.08 and 0.99-1.07 times (cp), with 5 and 12 page faults
+# per trial: step results land in workspace buffers, so a larger block buys
+# nothing either.
 TRIAL_BLOCK_BYTES = 1 << 19
 MAX_TRIAL_BLOCK = 64
 
@@ -173,12 +187,14 @@ def _wiring(f: LayerFormat, x_shape, trial_axis: bool):
     axis, the output-channel edges, then one window position per kernel
     edge.
 
-    Returns the input term, the window-offset letters, the window-position
-    letters, one term per weight vertex, the output term and the size of
-    every letter (a position has its window count ``alpha_prime``).  The
-    input and output terms are channels-last: the trial and batch axes,
-    then the positions, then the channels.  With ``trial_axis`` the input,
-    every weight and the output lead with the trial axis.
+    Returns the input term, the input's axes in its given layout, the
+    window-offset letters, the window-position letters, one term per weight
+    vertex, the output term and the size of every letter (a position has
+    its window count ``alpha_prime``).  The input and output terms are
+    channels-last: the trial and batch axes, then the positions, then the
+    channels; the given layout has the channels before the positions.  With
+    ``trial_axis`` the input, every weight and the output lead with the
+    trial axis.
     """
     trial, batch = ("trial",), ("batch",)
     kernels = f.kernel_edges
@@ -195,11 +211,12 @@ def _wiring(f: LayerFormat, x_shape, trial_axis: bool):
     size = {e.id: e.dim for e in f.edges}
     size.update(zip(positions, (e.window.alpha_prime for e in kernels)))
     size[trial], size[batch] = x_shape[0], x_shape[len(lead)]
-    x_keys = lead + [batch] + positions + [e.id for e in f.edges_of_kind(INPUT_CHANNEL)]
+    ins = [e.id for e in f.edges_of_kind(INPUT_CHANNEL)]
     w_terms = [term(lead + [e.id for e in f.edges_of(vid)]) for vid in f.weight_ids]
     dims = {letter[k]: size[k] for k in letter}
     y_keys = lead + [batch] + positions + outs
-    return term(x_keys), term(e.id for e in kernels), term(positions), w_terms, term(y_keys), dims
+    return (term(lead + [batch] + positions + ins), term(lead + [batch] + ins + positions),
+            term(e.id for e in kernels), term(positions), w_terms, term(y_keys), dims)
 
 
 def _padded(spec) -> int:
@@ -226,6 +243,10 @@ class _Shift:
     summing (channels, offsets), by the weight laid out with its offsets
     behind the summed channels.  ``windows`` holds, per contracted edge, its
     buffer axis, window size, stride and window count.
+
+    ``buffers`` are the shapes of the arrays the step writes: the padded
+    input, the weight copy, the sum, then the stack (``stacked``) or, with
+    more than one offset, each offset's product.
     """
 
     x_perm: tuple[int, ...]
@@ -238,71 +259,130 @@ class _Shift:
     windows: tuple[tuple[int, int, int, int], ...]
     out_shape: tuple[int, ...]
     stacked: bool
+    buffers: tuple[tuple[int, ...], ...]
 
 
-def _slices(padded: np.ndarray, s: _Shift):
-    """Per window offset, the strided slice of ``padded`` it reads, with
-    the summed channels merged into the trailing axis."""
+@dataclass(frozen=True)
+class _Gemm:
+    """A channel step as one product, transpose-transpose-GEMM (TTGT).
+
+    The left operand's axes are ordered (batch, kept, summed) by ``a_perm``
+    and the right one's (batch, summed, kept) by ``b_perm``; reshaped to
+    ``a_shape`` and ``b_shape`` they meet in one ``matmul`` into a buffer of
+    ``buffers[0]``.  With ``matmul`` false no index longer than 1 is summed
+    and the shapes broadcast over the result's axes for one ``multiply``.
+    Viewed as ``out_shape`` the buffer is the result, laid out batch, then
+    kept left, then kept right, so it is never permuted.  An operand marked
+    in ``fresh`` is read through a fresh copy, where einsum drops one of its
+    indices of length 1 by a sum, which also turns -0.0 into 0.0.
+    """
+
+    a_perm: tuple[int, ...]
+    a_shape: tuple[int, ...]
+    b_perm: tuple[int, ...]
+    b_shape: tuple[int, ...]
+    out_shape: tuple[int, ...]
+    matmul: bool
+    fresh: tuple[bool, bool]
+    buffers: tuple[tuple[int, ...], ...]
+
+
+def _shift_buffers(s: _Shift) -> tuple:
+    """The arrays of ``s.buffers``, zero, as views ready for :func:`_shift`:
+    the entries of the padded buffer the input fills, the weight copy in its
+    given and its matmul shape, the sum, the stack or per-offset product
+    (``None`` with one offset) and, per window offset, the strided slice of
+    the padded buffer it reads, with the summed channels merged into the
+    trailing axis, and the weight at that offset."""
+    padded, w_copy, out, *extra = [np.zeros(shape) for shape in s.buffers]
+    w = w_copy.reshape(s.w_shape)
+    reads = []
     where = [slice(None)] * padded.ndim
     for at in np.ndindex(*(beta for _, beta, _, _ in s.windows)):
         for (ax, _, stride, count), i in zip(s.windows, at):
             where[ax] = slice(i, i + stride * (count - 1) + 1, stride)
-        yield at, padded[tuple(where)].reshape(s.slice_shape)
+        xs = padded[tuple(where)].reshape(s.slice_shape)
+        # The summed channels trail the buffer unsliced, so this is a view.
+        assert np.shares_memory(xs, padded)
+        reads.append((xs, w if s.stacked else w[at]))
+    return padded[s.dst], w_copy, w, out, extra[0] if extra else None, reads
 
 
-def _shift(x: np.ndarray, w: np.ndarray, s: _Shift, workspace: dict) -> np.ndarray:
+def _shift(x: np.ndarray, w: np.ndarray, s: _Shift, held: tuple) -> np.ndarray:
     # Only ``dst`` is ever written, so a reused buffer's pads and gaps stay
-    # zero.  A _Shift holds slices, unhashable before Python 3.12: key by id,
-    # keep the step beside its buffer and check that a hit is that step.
-    held = workspace.get(id(s))
-    if held is None or held[0] is not s:
-        held = workspace[id(s)] = (s, np.zeros(s.padded))
-    padded = held[1]
-    padded[s.dst] = x.transpose(s.x_perm)[s.src]
-    w = np.ascontiguousarray(w.transpose(s.w_perm)).reshape(s.w_shape)
+    # zero.
+    dst, w_copy, w_mat, out, extra, reads = held
+    np.copyto(dst, x.transpose(s.x_perm)[s.src])
+    np.copyto(w_copy, w.transpose(s.w_perm))
     if s.stacked:
-        stack = np.stack([xs for _, xs in _slices(padded, s)], axis=-1)
-        return np.matmul(stack.reshape(*stack.shape[:-2], -1), w).reshape(s.out_shape)
+        stack = np.stack([xs for xs, _ in reads], axis=-1, out=extra)
+        np.matmul(stack.reshape(*stack.shape[:-2], -1), w_mat, out=out)
+        return out.reshape(s.out_shape)
     # With one summed entry each product is an outer product.
     product = np.matmul if s.slice_shape[-1] > 1 else np.multiply
-    out = part = None
-    for at, xs in _slices(padded, s):
-        if out is None:
-            out = product(xs, w[at])
-        else:
-            part = product(xs, w[at], out=part)
-            out += part
+    (xs, wa), *rest = reads
+    product(xs, wa, out=out)
+    for xs, wa in rest:
+        out += product(xs, wa, out=extra)
     return out.reshape(s.out_shape)
+
+
+def _gemm(a: np.ndarray, b: np.ndarray, g: _Gemm, held: list) -> np.ndarray:
+    a, b = a.transpose(g.a_perm), b.transpose(g.b_perm)
+    if g.fresh[0]:
+        a = a + 0.0
+    if g.fresh[1]:
+        b = b + 0.0
+    a, b = a.reshape(g.a_shape), b.reshape(g.b_shape)
+    if g.matmul:
+        np.matmul(a, b, out=held[0])
+        return held[1]
+    # A broadcast product is laid out after its operands' strides, as
+    # einsum's is: the first one made sets the buffer's layout.
+    if held[0] is None:
+        held[0] = np.multiply(a, b)
+        return held[0]
+    return np.multiply(a, b, out=held[0])
 
 
 @dataclass(frozen=True)
 class _Step:
     """Contract the operands at ``picked`` (removed from the operand list;
-    the result is appended): by ``spec`` with einsum, or, when ``shift`` is
-    set, as that window step with the input side first."""
+    the result is appended): as ``gemm``, or, when ``shift`` is set, as
+    that window step with the input side first."""
 
     picked: tuple[int, ...]
-    spec: str
+    gemm: _Gemm | None
     shift: _Shift | None
 
 
 @dataclass(frozen=True)
 class _Plan:
     """``entry`` permutes the input to channels-last, or is ``None`` when the
-    input's first step is a window step, whose copy into its padded buffer
-    permutes it; ``exit`` permutes the last step's result to the output
-    layout.  ``largest`` counts the entries of
-    the largest array the plan holds: the input, a weight, a window step's
-    padded input or a step result (a window step's sum and each offset's
-    product have its size).  A window step's stack is left out:
-    ``WINDOW_STACK_BYTES`` bounds it, and the plan of a trial block whose
-    stack would pass that bound runs per offset."""
+    input's first step reads it as given: a window step, whose copy into its
+    padded buffer permutes it, or a channel step on an input that already is
+    channels-last.  ``exit`` permutes the last step's result to the output
+    layout.  ``largest`` counts the entries of the largest array the plan
+    holds: the input, a weight, a window step's padded input or a step
+    result (a window step's sum and each offset's product have its size).  A
+    window step's stack is left out: ``WINDOW_STACK_BYTES`` bounds it, and
+    the plan of a trial block whose stack would pass that bound runs per
+    offset.  ``buffers`` are the shapes of the plan's own arrays: the
+    channels-last input (with ``entry``), then the replica sum (with more
+    than one replica).  The results of ``matmul`` steps share the
+    ``slots``, flat arrays of the given entries: ``slot_of`` gives each
+    step's, ``None`` for a step that holds its own.  ``held`` counts the
+    entries of every array a workspace holds for the plan."""
 
     entry: tuple[int, ...] | None
     steps: tuple[_Step, ...]
     exit: tuple[int, ...]
     flips: tuple[tuple[int, ...], ...]
     largest: int
+    held: int
+    buffers: tuple[tuple[int, ...], ...]
+    slots: tuple[int, ...]
+    slot_of: tuple[int | None, ...]
 
 
 # Plans are pairwise: with no memory cap numpy's greedy search never falls
@@ -310,11 +390,14 @@ class _Plan:
 _PATH_SEARCH = ("greedy", sys.maxsize)
 
 
-def _compile_shift(tx: str, tw: str, live, size, windows) -> tuple[_Shift, str]:
-    """The window step of input term ``tx`` and weight term ``tw`` over
+def _compile_shift(tx: str, tw: str, x_axes: str, w_axes: str, live, size,
+                   windows) -> tuple[_Shift, str]:
+    """The window step of input term ``tx`` and weight term ``tw``, whose
+    arrays hold their axes in the orders ``x_axes`` and ``w_axes``, over
     ``windows``, a list of (position letter, offset letter, window spec) of
     the kernel edges whose offsets ``tw`` holds.  Updates ``size`` to the
-    positions' window counts and returns the step and its result term."""
+    positions' window counts and returns the step and its result term, also
+    its axis order."""
     offs = "".join(o for _, o, _ in windows)
     bat = [c for c in tx if c in tw and c in live]
     summed = [c for c in tx if c in tw and c not in live]
@@ -345,33 +428,99 @@ def _compile_shift(tx: str, tw: str, live, size, windows) -> tuple[_Shift, str]:
     else:
         w_order, w_shape = list(offs) + bat + summed + w_only, (*betas, k, n)
     out = "".join(bat + x_only + w_only)
+    slice_shape = (*dims(bat + x_only), k)
+    total = (*slice_shape[:-1], n)
+    if stacked:
+        extra = [(*slice_shape, math.prod(betas))]
+    else:
+        extra = [total] if math.prod(betas) > 1 else []
     shift = _Shift(
-        tuple(tx.index(c) for c in order),
+        tuple(x_axes.index(c) for c in order),
         tuple(padded),
         tuple(src),
         tuple(dst),
-        tuple(tw.index(c) for c in w_order),
+        tuple(w_axes.index(c) for c in w_order),
         (*w_shape[:-2], *dims(bat), *[1] * (len(x_only) - 1), *w_shape[-2:]),
-        (*dims(bat + x_only), k),
+        slice_shape,
         tuple(axes),
         tuple(dims(out)),
         stacked,
+        (tuple(padded), tuple(dims(w_order)), total, *extra),
     )
     return shift, out
 
 
-def _steps(x_term, offsets, positions, w_terms, output, dims, windows):
-    """Pairwise steps along numpy's greedy path, the last step's result
-    term and the entry count of the largest weight, padded input or step
-    result.
+def _compile_gemm(ta: str, tb: str, aa: str, ab: str, out: str, live, size) -> tuple[_Gemm, str]:
+    """The channel step of left term ``ta`` and right term ``tb``, whose
+    arrays hold their axes in the orders ``aa`` and ``ab``, into result
+    term ``out``; returns the step and its result's axis order.
+
+    Indices are grouped as numpy's pairwise ``bmm_einsum`` groups them, so
+    the products are the ones an einsum of the step runs: batch, summed and
+    kept-left indices in ``ta``'s order, kept-right ones in ``tb``'s, and
+    the batch group dropped when it is all of length 1.  The result holds
+    its axes as batch, kept left, kept right.  A step that sums no index
+    longer than 1 multiplies instead, broadcast over ``out``.
+    """
+    one_sided = [c for c in ta + tb if (c in ta) != (c in tb)]
+    # validate rejects an edge that only one vertex joins, so an index on
+    # one side only is kept.
+    assert all(c in live for c in one_sided), f"{ta},{tb} sums an index on one side only"
+    bat = [c for c in ta if c in tb and c in live]
+    summed = [c for c in ta if c in tb and c not in live]
+    left = [c for c in ta if c not in tb]
+    right = [c for c in tb if c not in ta]
+
+    def fused(*groups):
+        return tuple(math.prod(size[c] for c in g) for g in groups)
+
+    matmul = any(size[c] > 1 for c in summed)
+    if matmul:
+        axes = bat + left + right
+        a_order, b_order = bat + left + summed, bat + summed + right
+        lead = [bat] if any(size[c] > 1 for c in bat) else []
+        a_shape, b_shape = fused(*lead, left, summed), fused(*lead, summed, right)
+        result = fused(*lead, left, right)
+    else:
+        axes = list(out)
+        a_order = [c for c in out if c in ta] + summed
+        b_order = [c for c in out if c in tb] + summed
+        a_shape = tuple(size[c] if c in ta else 1 for c in out)
+        b_shape = tuple(size[c] if c in tb else 1 for c in out)
+        result = fused(*out)
+    # The indices einsum's operands drop: every one of length 1 before a
+    # matmul, the summed ones before a multiply.
+    dropped = [any(size[c] == 1 if matmul else c not in out for c in t) for t in (ta, tb)]
+    gemm = _Gemm(
+        tuple(aa.index(c) for c in a_order),
+        a_shape,
+        tuple(ab.index(c) for c in b_order),
+        b_shape,
+        fused(*axes),
+        matmul,
+        tuple(dropped),
+        (result,),
+    )
+    return gemm, "".join(axes)
+
+
+def _steps(x_term, x_axes, offsets, positions, w_terms, output, dims, windows):
+    """Pairwise steps along numpy's greedy path, the axis order of the last
+    step's result and the entry count of the largest weight, padded input
+    or step result.
 
     The path is planned for the windowed input, ``x_term + offsets``, and
     the weights.  The input side is the one operand that holds the window
     positions.  A step that joins it with a weight holding window offsets
-    contracts those offsets by shift-and-accumulate; every other step is an
-    einsum, written with the input side first so its result stays
-    channels-last.  Before its window step a position has the input length
-    ``alpha``, after it the window count.
+    contracts those offsets by shift-and-accumulate, with the input side
+    first; every other step is a :class:`_Gemm`.  Before its window step a
+    position has the input length ``alpha``, after it the window count.
+
+    Each operand has a term, which names its indices in the order an einsum
+    of the path would hold them, and an axis order, how its array holds
+    them (the input's is ``x_axes``).  Steps group indices by terms, as the
+    einsum would, and read arrays by axis orders, so every product is the
+    einsum's and no array is permuted between steps.
     """
     terms = [x_term + offsets, *w_terms]
     standins = [np.broadcast_to(0.0, [dims[c] for c in t]) for t in terms]
@@ -388,27 +537,40 @@ def _steps(x_term, offsets, positions, w_terms, output, dims, windows):
     largest = max(map(count, w_terms), default=1)
     pending = set(offsets)
     terms[0] = x_term
-    steps = []
-    for n, picked in enumerate(path):
+    axes = [x_axes, *w_terms]
+    steps, unread, copied = [], True, False
+    for picked in path:
+        assert len(picked) == 2, "plans are pairwise"
         if positions:
             picked = sorted(picked, key=lambda i: positions[0] not in terms[i])
         args = [terms[i] for i in picked]
-        rest = [t for i, t in enumerate(terms) if i not in picked]
-        live = set(output).union(pending, *rest)
+        rest = [i for i in range(len(terms)) if i not in picked]
+        live = set(output).union(pending, *(terms[i] for i in rest))
         windowed = [kernel[o] for o in offsets if o in pending and o in args[-1]]
-        shift = None
-        if windowed and positions[0] in args[0]:
+        shifting = windowed and positions[0] in args[0]
+        # The input is operand 0 until a step picks it.  A window step reads
+        # it as given; a channel step reads a channels-last copy, as einsum
+        # did, unless the input already is channels-last.
+        if unread and 0 in picked:
+            unread, copied = False, not shifting and x_axes != x_term
+            axes[0] = x_term if copied else x_axes
+        held = [axes[i] for i in picked]
+        if shifting:
             pending -= {o for _, o, _ in windowed}
-            shift, out = _compile_shift(*args, live, size, windowed)
+            shift, out = _compile_shift(*args, *held, live, size, windowed)
             largest = max(largest, math.prod(shift.padded))
-        elif n == len(path) - 1:
-            out = output
+            steps.append(_Step(tuple(picked), None, shift))
+            order = out
         else:
+            # einsum names a pair's result by first appearance and takes
+            # the pair last operand first; so does the plan.
             out = "".join(dict.fromkeys(c for t in args for c in t if c in live))
+            gemm, order = _compile_gemm(*args[::-1], *held[::-1], out, live, size)
+            steps.append(_Step(tuple(picked[::-1]), gemm, None))
         largest = max(largest, count(out))
-        steps.append(_Step(tuple(picked), ",".join(args) + "->" + out, shift))
-        terms = rest + [out]
-    return tuple(steps), terms[0], largest
+        terms = [terms[i] for i in rest] + [out]
+        axes = [axes[i] for i in rest] + [order]
+    return tuple(steps), axes[0], largest, copied
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -418,24 +580,81 @@ def _plan(f: LayerFormat, backward: bool, x_shape, trial_axis: bool = False) -> 
     lead = int(trial_axis)
     ef = build_backward_format(f) if backward else f
     windows = tuple(e.window for e in ef.kernel_edges)
-    x_term, offsets, positions, w_terms, output, dims = _wiring(ef, x_shape, trial_axis)
-    steps, last, largest = _steps(x_term, offsets, positions, w_terms, output, dims, windows)
+    x_term, x_axes, offsets, positions, w_terms, output, dims = _wiring(ef, x_shape, trial_axis)
+    steps, last, largest, copied = _steps(x_term, x_axes, offsets, positions, w_terms, output,
+                                          dims, windows)
     head, k = lead + 1, len(positions)
-    entry = (*range(head), *range(len(x_shape) - k, len(x_shape)), *range(head, len(x_shape) - k))
+    entry = tuple(x_axes.index(c) for c in x_term) if copied else None
     public = output[:head] + output[head + k:] + positions
     flips = tuple(
         tuple(lead + i for i, e in enumerate(f.edges_of(vid)) if backward and e.kind == KERNEL)
         for vid in f.weight_ids
     )
-    exit_ = tuple(last.index(c) for c in public)
-    # The input is operand 0 until a step picks it.
-    at = next(n for n, step in enumerate(steps) if 0 in step.picked)
-    if steps[at].shift is not None:
-        shift = steps[at].shift
-        shift = replace(shift, x_perm=tuple(entry[i] for i in shift.x_perm))
-        steps = (*steps[:at], replace(steps[at], shift=shift), *steps[at + 1:])
-        entry = None
-    return _Plan(entry, steps, exit_, flips, max(largest, math.prod(x_shape)))
+    owners = [step.gemm or step.shift for step in steps]
+    buffers = ((tuple(x_shape[i] for i in entry),) if entry else ()) + (
+        (owners[-1].out_shape,) if f.phi > 1 else ())
+    slots, slot_of = _slots(steps)
+    own = [s for o, at in zip(owners, slot_of) if at is None for s in o.buffers]
+    held = sum(map(math.prod, (*own, *buffers))) + sum(slots)
+    return _Plan(entry, steps, tuple(last.index(c) for c in public), flips,
+                 max(largest, math.prod(x_shape)), held, buffers, slots, slot_of)
+
+
+def _slots(steps) -> tuple[tuple[int, ...], tuple[int | None, ...]]:
+    """Static buffer assignment for the results of ``matmul`` steps: a result
+    lives from its step to the step that reads it, the last one to the end,
+    and results whose lives do not overlap share one slot.  Returns each
+    slot's entries and each step's slot, ``None`` for a step that holds its
+    own arrays (a window step, whose padded buffer must keep its zeros, or a
+    ``multiply``, laid out at run time)."""
+    sizes, slot_of, free = [], [], []
+    ops = [None] * (len(steps) + 1)  # the slot of each operand's array
+    for step in steps:
+        read = [ops[i] for i in step.picked if ops[i] is not None]
+        for i in sorted(step.picked, reverse=True):
+            del ops[i]
+        slot = None
+        if step.gemm is not None and step.gemm.matmul:
+            entries = math.prod(step.gemm.buffers[0])
+            slot = max(free, key=sizes.__getitem__) if free else len(sizes)
+            if slot == len(sizes):
+                sizes.append(0)
+            else:
+                free.remove(slot)
+            sizes[slot] = max(sizes[slot], entries)
+        # An operand is read until its step is done: free its slot after.
+        free += read
+        ops.append(slot)
+        slot_of.append(slot)
+    return tuple(sizes), tuple(slot_of)
+
+
+def _workspace_arrays(plan: _Plan) -> tuple:
+    """Everything a workspace holds for ``plan``: its own arrays, then per
+    step those the step writes (see :func:`_shift_buffers`; a ``matmul``
+    step's output and result views of its slot; a ``multiply`` step's
+    result, made by its first product)."""
+    slots = [np.empty(n) for n in plan.slots]
+    held = []
+    for step, at in zip(plan.steps, plan.slot_of):
+        if step.shift is not None:
+            held.append(_shift_buffers(step.shift))
+        elif at is None:
+            held.append([None])
+        else:
+            out = slots[at][:math.prod(step.gemm.buffers[0])].reshape(step.gemm.buffers[0])
+            held.append([out, out.reshape(step.gemm.out_shape)])
+    return [np.empty(s) for s in plan.buffers], held
+
+
+def _workspace(workspace: dict, plan: _Plan) -> tuple:
+    """The arrays ``workspace`` holds for ``plan``, made on first use.  A
+    plan holds slices, unhashable before Python 3.12: key by id, keep the
+    plan beside its arrays and check that a hit is it."""
+    held = workspace.get(id(plan))
+    if held is None or held[0] is not plan:
+        held = workspace[id(plan)] = (plan, _workspace_arrays(plan))
+    return held[1]
 
 
 def _trial_block(f: LayerFormat, x_shape) -> int:
@@ -444,12 +663,14 @@ def _trial_block(f: LayerFormat, x_shape) -> int:
     As many trials as keep the block's largest array within
     ``TRIAL_BLOCK_BYTES``, at least one and at most ``MAX_TRIAL_BLOCK``.  The
     size depends on the shapes alone.  Raises
-    :class:`~tcinit.errors.ResourceLimit` when even that block would exceed
-    the memory limit.
+    :class:`~tcinit.errors.ResourceLimit` when even that block's largest
+    array, or all the arrays its workspace holds, would exceed the memory
+    limit.
     """
-    largest = _plan(f, False, x_shape).largest
-    block = min(MAX_TRIAL_BLOCK, max(1, TRIAL_BLOCK_BYTES // (8 * largest)))
-    _check_array((block, largest), "the largest array of a trial block")
+    plan = _plan(f, False, x_shape)
+    block = min(MAX_TRIAL_BLOCK, max(1, TRIAL_BLOCK_BYTES // (8 * plan.largest)))
+    _check_array((block, plan.largest), "the largest array of a trial block")
+    _check_array((block, plan.held), "the workspace of a trial block")
     return block
 
 
@@ -460,30 +681,37 @@ def _contract(f: LayerFormat, x: np.ndarray, replicas, backward: bool, trial_axi
     ``replicas`` holds one list of weight arrays per replica, in
     ``f.weight_ids`` order.  With ``trial_axis`` the input, every weight and
     the result carry a leading trial axis.  The input is made channels-last
-    once (by its first step's copy when that is a window step), replicas
-    are summed in the plan's layout and the sum is copied once into the
-    output layout.  Window steps take their zero-padded buffers from
-    ``workspace``, a dict the caller owns and may pass again to reuse them;
-    by default a fresh one.
+    once, by its first step's copy when that is a window step.  Every step
+    writes into buffers the plan assigns it, and replicas are summed into
+    one more, all taken from ``workspace``: a dict the caller owns and may
+    pass again to reuse them, by default a fresh one.  The result is a
+    fresh array, copied once from the last step's layout into the output
+    layout, so it never shares memory with the workspace.
     """
     plan = _plan(f, backward, x.shape, trial_axis)
     workspace = {} if workspace is None else workspace
+    own, arrays = _workspace(workspace, plan)
     if plan.entry is not None:
-        x = np.ascontiguousarray(x.transpose(plan.entry))
-    out = None
-    for weights in replicas:
-        ops = [x] + [np.flip(w, axis=a) for w, a in zip(weights, plan.flips)]
-        for step in plan.steps:
+        np.copyto(own[0], x.transpose(plan.entry))
+        x = own[0]
+    # Not a step buffer: a window step's sum is reused by every replica.
+    total = own[-1] if len(replicas) > 1 else None
+    for n, weights in enumerate(replicas):
+        ops = [x] + [np.flip(w, axis=a) if a else w for w, a in zip(weights, plan.flips)]
+        for step, held in zip(plan.steps, arrays):
             args = [ops[i] for i in step.picked]
             for i in sorted(step.picked, reverse=True):
                 del ops[i]
-            shift = step.shift
-            ops.append(_einsum(step.spec, args) if shift is None else _shift(*args, shift, workspace))
-        if out is None:
-            out = ops[0]
-        else:
-            out += ops[0]
-    return np.ascontiguousarray(out.transpose(plan.exit))
+            if step.shift is None:
+                ops.append(_gemm(*args, step.gemm, held))
+            else:
+                ops.append(_shift(*args, step.shift, held))
+        if total is not None and n == 0:
+            np.copyto(total, ops[0])
+        elif total is not None:
+            total += ops[0]
+    out = ops[0] if total is None else total
+    return out.transpose(plan.exit).copy()
 
 
 def _apply(layer: MaterializedLayer, t: DenseTensor, backward: bool) -> DenseTensor:

@@ -306,9 +306,9 @@ def variance_mc(
     every weight from ``SeedSequence([seed, t])``.  Trials run in blocks:
     each trial's input and weights are drawn in place into its slice of
     block arrays with a leading trial axis, one contraction runs per
-    replica, and each trial's ratio is read off its slice.  Window steps
-    reuse their zero-padded buffers from one workspace per worker thread,
-    which lives as long as this call.  The block size comes from the layer
+    replica, and each trial's ratio is read off its slice.  Contractions
+    reuse their step buffers from one workspace per worker thread, which
+    lives as long as this call.  The block size comes from the layer
     shapes (see :func:`~tcinit.network._trial_block`), so the figures do
     not depend on ``workers``, which map over blocks.  Raises
     :class:`~tcinit.errors.ResourceLimit` before any draw when one block

@@ -232,6 +232,15 @@ class TestRandgen:
         assert out == "" and "count" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_negative_seed_makes_no_directory(self, capsys, tmp_path):
+        outdir = tmp_path / "formats"
+        code, out, err = run(
+            capsys, "randgen", "--seed", "-1", "--count", "2", "--out", str(outdir)
+        )
+        assert code == 2
+        assert out == "" and err == "error: seed must be >= 0, got -1\n"
+        assert not outdir.exists()
+
 
 class TestScaleChain:
     def test_custom_chain(self, capsys):

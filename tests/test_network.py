@@ -1,3 +1,4 @@
+import math
 import sys
 import tracemalloc
 from string import ascii_letters
@@ -9,10 +10,11 @@ from hypothesis import strategies as st
 
 import tcinit
 from tcinit import network, tensor, transform
-from tcinit.errors import PlanIncomplete, ShapeMismatch
+from tcinit.errors import PlanIncomplete, ResourceLimit, ShapeMismatch
 from tcinit.formats import BUILTIN_NAMES, builtin_format, parse_format, random_format
 from tcinit.graph import InitPlan, make_plan
 from tcinit.network import backward_apply, forward_apply, materialize
+from tcinit.simulate import variance_mc
 from tcinit.tensor import DenseTensor, build_dummy, multi_contract
 from tcinit.transform import backward_dummy, backward_pattern, theorem1_grid
 
@@ -510,10 +512,28 @@ class TestTrialAxis:
         monkeypatch.setattr(network, "TRIAL_BLOCK_BYTES", 1 << 40)
         assert network._trial_block(f, x_shape) == network.MAX_TRIAL_BLOCK
 
+    def test_block_workspace_over_limit_raises_before_drawing(self, monkeypatch):
+        # The workspace holds the padded input, the weight copy, the sum and
+        # each offset's product at once: more than the largest array alone.
+        f = builtin_format("standard", c_in=4, c_out=4, k=3, padding=1, alpha=16, phi=2)
+        x_shape = (2,) + f.input_mode_dims()
+        plan = network._plan(f, False, x_shape)
+        buffers = [s for step in plan.steps for s in step.shift.buffers] + list(plan.buffers)
+        assert plan.held == sum(math.prod(s) for s in buffers)
+        block = network._trial_block(f, x_shape)
+        assert block * plan.largest < block * plan.held
+        monkeypatch.setattr(tensor, "MEMORY_LIMIT", 8 * block * plan.largest)
+        monkeypatch.setattr(network, "_draw", None)
+        with pytest.raises(ResourceLimit, match="workspace of a trial block"):
+            variance_mc(f, make_plan(f, "graph-in", "identity"), seed=0, trials=4, batch=2)
+
 
 def test_einsum_optimize_arguments_are_hashable_named_strategies(monkeypatch):
-    """Tools that key einsum calls on ``optimize`` need a hashable value;
-    an explicit ``["einsum_path", ...]`` list would not be."""
+    """Compiling a plan searches its path once; running it calls no einsum,
+    in either direction, with or without a trial axis.  ``multi_contract``
+    still runs einsum, with a hashable named ``optimize`` strategy: tools
+    that key einsum calls on it need one, and an explicit
+    ``["einsum_path", ...]`` list would not be."""
     seen = []
     original = np.einsum
 
@@ -523,9 +543,23 @@ def test_einsum_optimize_arguments_are_hashable_named_strategies(monkeypatch):
 
     monkeypatch.setattr(np, "einsum", recording)
     network._plan.cache_clear()
-    for name in sorted(ADJOINT_BUILTINS):
-        assert_adjoint(builtin_format(name, **ADJOINT_BUILTINS[name]))
-    assert_adjoint(parse_format(SHARED_CHANNELS))
+    formats = [builtin_format(name, **ADJOINT_BUILTINS[name]) for name in sorted(ADJOINT_BUILTINS)]
+    for f in formats + [parse_format(SHARED_CHANNELS)]:
+        assert_adjoint(f)
+        layers = [materialize(f, make_plan(f, "graph-in", "identity"), seed) for seed in range(2)]
+        replicas = [
+            [np.stack([l.replicas[r][vid].array for l in layers]) for vid in f.weight_ids]
+            for r in range(f.phi)
+        ]
+        for backward in (False, True):
+            dims = f.output_mode_dims() if backward else f.input_mode_dims()
+            x = np.random.default_rng(0).standard_normal((2, 3) + dims)
+            network._contract(f, x, replicas, backward, trial_axis=True)
+    assert seen == []
+
+    a = DenseTensor.from_array(np.ones((2, 3)))
+    b = DenseTensor.from_array(np.ones((3, 4)))
+    multi_contract([a, b], [[(0, 1), (1, 0)]], [(0, 0), (1, 1)])
     assert seen
     for optimize in seen:
         hash(optimize)
@@ -697,6 +731,63 @@ class TestWorkspaceReuse:
         got = network._contract(f, second, replicas, backward, workspace=workspace)
         want = network._contract(f, second, replicas, backward)
         assert got.tobytes() == want.tobytes()
+
+
+def workspace_arrays(held):
+    """Every array a workspace holds, however its entries nest them."""
+    if isinstance(held, np.ndarray):
+        return [held]
+    if isinstance(held, dict):
+        held = list(held.values())
+    if isinstance(held, (list, tuple)):
+        return [a for item in held for a in workspace_arrays(item)]
+    return []
+
+
+class TestResultOwnsItsMemory:
+    """Every step writes into a workspace buffer, but the result is a fresh
+    array: it shares no memory with the workspace, and a second call with
+    the same workspace leaves it as it was."""
+
+    LAYERS = {
+        # Two replicas and a window step last: replica 0's result is the
+        # window step's reused sum.
+        "standard-s2": (PER_OFFSET_LAYERS["standard-s2"], False),
+        # Channel steps only.
+        "oddlike": (builtin_format("oddlike", **ADJOINT_BUILTINS["oddlike"]), False),
+        # One replica and the identity exit permutation: the last step's
+        # buffer already has the output layout.
+        "tt": (builtin_format("tt", i_dims=(4, 4), o_dims=(4, 4), rank=3), False),
+        "tucker2-trials": (builtin_format("tucker2", c_in=3, c_out=2, r0=2, r1=3, k=3,
+                                          alpha=(7, 10), stride=2, padding=1, phi=2), True),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LAYERS))
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    def test_result_shares_no_memory_with_the_workspace(self, name, backward):
+        f, trial_axis = self.LAYERS[name]
+        dims = f.output_mode_dims() if backward else f.input_mode_dims()
+        lead = (3, 2) if trial_axis else (2,)
+        layers = [materialize(f, make_plan(f, "graph-in", "identity"), seed) for seed in range(3)]
+        if trial_axis:
+            replicas = [
+                [np.stack([l.replicas[r][vid].array for l in layers]) for vid in f.weight_ids]
+                for r in range(f.phi)
+            ]
+        else:
+            replicas = [[rep[vid].array for vid in f.weight_ids] for rep in layers[0].replicas]
+        if name == "tt":
+            plan = network._plan(f, backward, lead + dims, trial_axis)
+            assert plan.exit == tuple(range(len(plan.exit))) and f.phi == 1
+        first, second = np.random.default_rng(4).standard_normal((2, *lead, *dims))
+        workspace = {}
+        got = network._contract(f, first, replicas, backward, trial_axis, workspace)
+        kept = got.copy()
+        arrays = workspace_arrays(workspace)
+        assert arrays
+        assert not any(np.shares_memory(got, a) for a in arrays)
+        network._contract(f, second, replicas, backward, trial_axis, workspace)
+        assert got.tobytes() == kept.tobytes()
 
 
 class TestDraw:
