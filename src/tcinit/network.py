@@ -15,11 +15,11 @@ kernel edges whose offsets that step contracts, and then, per window offset,
 multiplies a strided slice of the buffer by the weight's slice at that
 offset with one ``matmul`` and sums the products.  Indices kept on both
 sides ride as ``matmul`` batch axes, so cp's per-edge kernel weights run as
-separable 1-D passes with its rank index as a batch axis.  A step that sums
-channels and whose slices, stacked over all its offsets, fit in
-``WINDOW_STACK_BYTES`` stacks them and runs one ``matmul`` over (channels,
-offsets) instead: the order in which the dense pattern contraction sums, so
-small layers match it bit for bit.
+separable 1-D passes with its rank index as a batch axis.  Summed per offset,
+an output's terms are added in another order than the dense pattern
+contraction adds them, so the two agree within the forward-error bound of
+summation (Higham, *Accuracy and Stability of Numerical Algorithms*, §3.1),
+not bit for bit.
 
 Every other step contracts channels only and runs as one GEMM,
 transpose-transpose-GEMM (TTGT, Springer & Bientinesi, arXiv:1607.00145): both
@@ -70,8 +70,8 @@ per-trial plan's largest array (see :func:`_trial_block`).
 into their slices of a block's arrays.  Every array a contraction writes
 lives in a *workspace*, a dict owned by the caller of :func:`_contract`,
 never by a module or a cached plan: the channels-last input, each window
-step's zero-padded buffer, weight copy, sum, per-offset product or stack,
-each GEMM step's result and the replica sum.  The plan assigns them
+step's zero-padded buffer, weight copy, sum and per-offset product, each
+GEMM step's result and the replica sum.  The plan assigns them
 statically, as TVM does (arXiv:1802.04799): GEMM results whose lives do not
 overlap share one buffer.  Passed again, the workspace hands back the same
 buffers; the result alone is a fresh array.
@@ -107,18 +107,6 @@ _PLAN_CACHE_SIZE = 128
 # nothing either.
 TRIAL_BLOCK_BYTES = 1 << 19
 MAX_TRIAL_BLOCK = 64
-
-# A window step that sums channels and whose slices, stacked over all its
-# window offsets, fit in this many bytes stacks them and runs one matmul over
-# (channels, offsets), the order in which the dense pattern contraction sums,
-# so that small layers reproduce it to the last bit; no per-offset order can
-# where an output's terms cancel.  Small stacks cost about what per-offset
-# steps do: -12% to +18% for standard and tucker2 layers with stacks of 2.5-96
-# KiB (best of 100 calls, BLAS 1 thread); larger ones cost more, 2.3x at 576
-# KiB and 2.4x at 9 MiB.  With one summed channel each per-offset product is a
-# broadcast multiplication, which beats a stacked matmul (cp's criterion-7
-# layer: 208-257 against 299-302 us), so such steps never stack.
-WINDOW_STACK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -238,15 +226,12 @@ class _Shift:
     the buffer, with the summed channels merged into its trailing axis
     (``slice_shape``), is multiplied by the weight at that offset with one
     ``matmul``, kept indices riding as batch axes, and the products are
-    summed.  With ``stacked`` (a small step that sums channels) the slices
-    are stacked along a trailing offset axis instead and multiplied once,
-    summing (channels, offsets), by the weight laid out with its offsets
-    behind the summed channels.  ``windows`` holds, per contracted edge, its
-    buffer axis, window size, stride and window count.
+    summed.  ``windows`` holds, per contracted edge, its buffer axis, window
+    size, stride and window count.
 
     ``buffers`` are the shapes of the arrays the step writes: the padded
-    input, the weight copy, the sum, then the stack (``stacked``) or, with
-    more than one offset, each offset's product.
+    input, the weight copy, the sum, then, with more than one offset, each
+    offset's product.
     """
 
     x_perm: tuple[int, ...]
@@ -258,7 +243,6 @@ class _Shift:
     slice_shape: tuple[int, ...]
     windows: tuple[tuple[int, int, int, int], ...]
     out_shape: tuple[int, ...]
-    stacked: bool
     buffers: tuple[tuple[int, ...], ...]
 
 
@@ -289,11 +273,10 @@ class _Gemm:
 
 def _shift_buffers(s: _Shift) -> tuple:
     """The arrays of ``s.buffers``, zero, as views ready for :func:`_shift`:
-    the entries of the padded buffer the input fills, the weight copy in its
-    given and its matmul shape, the sum, the stack or per-offset product
-    (``None`` with one offset) and, per window offset, the strided slice of
-    the padded buffer it reads, with the summed channels merged into the
-    trailing axis, and the weight at that offset."""
+    the entries of the padded buffer the input fills, the weight copy, the
+    sum, the per-offset product (``None`` with one offset) and, per window
+    offset, the strided slice of the padded buffer it reads, with the summed
+    channels merged into the trailing axis, and the weight at that offset."""
     padded, w_copy, out, *extra = [np.zeros(shape) for shape in s.buffers]
     w = w_copy.reshape(s.w_shape)
     reads = []
@@ -304,20 +287,16 @@ def _shift_buffers(s: _Shift) -> tuple:
         xs = padded[tuple(where)].reshape(s.slice_shape)
         # The summed channels trail the buffer unsliced, so this is a view.
         assert np.shares_memory(xs, padded)
-        reads.append((xs, w if s.stacked else w[at]))
-    return padded[s.dst], w_copy, w, out, extra[0] if extra else None, reads
+        reads.append((xs, w[at]))
+    return padded[s.dst], w_copy, out, extra[0] if extra else None, reads
 
 
 def _shift(x: np.ndarray, w: np.ndarray, s: _Shift, held: tuple) -> np.ndarray:
     # Only ``dst`` is ever written, so a reused buffer's pads and gaps stay
     # zero.
-    dst, w_copy, w_mat, out, extra, reads = held
+    dst, w_copy, out, extra, reads = held
     np.copyto(dst, x.transpose(s.x_perm)[s.src])
     np.copyto(w_copy, w.transpose(s.w_perm))
-    if s.stacked:
-        stack = np.stack([xs for xs, _ in reads], axis=-1, out=extra)
-        np.matmul(stack.reshape(*stack.shape[:-2], -1), w_mat, out=out)
-        return out.reshape(s.out_shape)
     # With one summed entry each product is an outer product.
     product = np.matmul if s.slice_shape[-1] > 1 else np.multiply
     (xs, wa), *rest = reads
@@ -364,12 +343,10 @@ class _Plan:
     channels-last.  ``exit`` permutes the last step's result to the output
     layout.  ``largest`` counts the entries of the largest array the plan
     holds: the input, a weight, a window step's padded input or a step
-    result (a window step's sum and each offset's product have its size).  A
-    window step's stack is left out: ``WINDOW_STACK_BYTES`` bounds it, and
-    the plan of a trial block whose stack would pass that bound runs per
-    offset.  ``buffers`` are the shapes of the plan's own arrays: the
-    channels-last input (with ``entry``), then the replica sum (with more
-    than one replica).  The results of ``matmul`` steps share the
+    result (a window step's sum and each offset's product have its size).
+    ``buffers`` are the shapes of the plan's own arrays: the channels-last
+    input (with ``entry``), then the replica sum (with more than one
+    replica).  The results of ``matmul`` steps share the
     ``slots``, flat arrays of the given entries: ``slot_of`` gives each
     step's, ``None`` for a step that holds its own.  ``held`` counts the
     entries of every array a workspace holds for the plan."""
@@ -421,30 +398,21 @@ def _compile_shift(tx: str, tw: str, x_axes: str, w_axes: str, live, size,
 
     k, n = math.prod(dims(summed)), math.prod(dims(w_only))
     betas = tuple(w.beta for _, _, w in windows)
-    depth = k * math.prod(betas)  # entries a stacked matmul sums
-    stacked = k > 1 and 8 * math.prod(dims(bat + x_only)) * depth <= WINDOW_STACK_BYTES
-    if stacked:
-        w_order, w_shape = bat + summed + list(offs) + w_only, (depth, n)
-    else:
-        w_order, w_shape = list(offs) + bat + summed + w_only, (*betas, k, n)
+    w_order = list(offs) + bat + summed + w_only
     out = "".join(bat + x_only + w_only)
     slice_shape = (*dims(bat + x_only), k)
     total = (*slice_shape[:-1], n)
-    if stacked:
-        extra = [(*slice_shape, math.prod(betas))]
-    else:
-        extra = [total] if math.prod(betas) > 1 else []
+    extra = [total] if math.prod(betas) > 1 else []
     shift = _Shift(
         tuple(x_axes.index(c) for c in order),
         tuple(padded),
         tuple(src),
         tuple(dst),
         tuple(w_axes.index(c) for c in w_order),
-        (*w_shape[:-2], *dims(bat), *[1] * (len(x_only) - 1), *w_shape[-2:]),
+        (*betas, *dims(bat), *[1] * (len(x_only) - 1), k, n),
         slice_shape,
         tuple(axes),
         tuple(dims(out)),
-        stacked,
         (tuple(padded), tuple(dims(w_order)), total, *extra),
     )
     return shift, out

@@ -107,7 +107,8 @@ def validate_network(net: NetworkSpec) -> None:
     """Check that the layers chain and that no array of a trial exceeds the
     memory limit: the batched input, every layer output, and the largest
     array of each layer's compiled forward and backward plan (such as a
-    window step's zero-padded input).  Compiling a plan
+    window step's zero-padded input), and that the arrays its workspace
+    holds at once fit together.  Compiling a plan
     allocates nothing, and the plan is the one the trial runs.  The
     activations a trial keeps for its backward pass must fit together as
     well: per layer the pre- and the post-activation, one array when the
@@ -133,6 +134,7 @@ def validate_network(net: NetworkSpec) -> None:
             plan = _plan(f, backward, (net.batch, *dims))
             direction = "backward" if backward else "forward"
             _check_array((plan.largest,), f"the largest array of layer {i}'s {direction} pass")
+            _check_array((plan.held,), f"the workspace of layer {i}'s {direction} pass")
         feed = out
     _check_array((kept,), "the activations one trial keeps")
 
@@ -368,7 +370,9 @@ def scale_chain(
     Step ``t`` multiplies the running activation by a fresh N(0,1) matrix of
     shape ``(dims[t-1], dims[t])`` and reports
     ``var(out) / (var(in) * sigma^2(W))`` with ``sigma^2(W) = 1``; the
-    ground truth is the contracted dimension ``dims[t-1]``.
+    ground truth is the contracted dimension ``dims[t-1]``.  Raises
+    :class:`~tcinit.errors.ResourceLimit` before any draw when an input,
+    weight or step output would not fit in memory.
     """
     _check_seed(seed)
     dims = tuple(int(d) for d in dims)
@@ -378,6 +382,10 @@ def scale_chain(
         raise InvalidParams(f"chain dims must be >= 1, got {dims}")
     if batch < 1:
         raise InvalidParams("batch must be >= 1")
+    _check_array((batch, dims[0]), "the chain input")
+    for t in range(1, len(dims)):
+        _check_array((dims[t - 1], dims[t]), f"the weight of chain step {t}")
+        _check_array((batch, dims[t]), f"the output of chain step {t}")
 
     def one(trial):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))

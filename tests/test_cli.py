@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from tcinit import network, simulate
+from tcinit import network, simulate, tensor
 from tcinit.cli import main
 
 
@@ -129,6 +129,20 @@ class TestSimulate:
         )
         assert code == 2
         assert "network input" in err and "limit" in err
+
+    def test_over_limit_workspace_exits_2(self, capsys, monkeypatch):
+        # Every array of this layer fits under the limit, but the 14,720
+        # bytes its forward workspace holds at once do not.
+        monkeypatch.setattr(tensor, "MEMORY_LIMIT", 14000)
+        monkeypatch.setattr(network, "_draw", None)
+        code, out, err = run(
+            capsys,
+            "simulate", "--builtin", "standard", "-P", "c_in=4", "-P", "c_out=4",
+            "-P", "k=3", "-P", "spatial=1", "-P", "alpha=4", "-P", "padding=1",
+            "--act", "identity", "--batch", "32", "--seed", "0", "--trials", "1",
+        )
+        assert code == 2
+        assert out == "" and "workspace of layer 0" in err and "limit" in err
 
     def test_shape_mismatch_exits_2(self, capsys):
         code, _, err = run(
@@ -279,6 +293,25 @@ class TestScaleChain:
         )
         assert code == 2
         assert out == "" and err.startswith("error:") and word in err
+
+
+    @pytest.mark.parametrize(
+        "extra,what",
+        [
+            (("--dims", "3000000000,2"), "chain input"),
+            (("--dims", "4,5", "--batch", "3000000000"), "chain input"),
+            (("--dims", "99999999999999999999,2"), "chain input"),
+            (("--dims", "2,3000000000,2"), "weight of chain step 1"),
+        ],
+    )
+    def test_over_limit_exits_2_before_drawing(self, capsys, monkeypatch, extra, what):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scale-chain drew before checking its sizes")
+
+        monkeypatch.setattr(simulate.np.random, "default_rng", refuse)
+        code, out, err = run(capsys, "scale-chain", "--seed", "0", "--trials", "1", *extra)
+        assert code == 2
+        assert out == "" and what in err and "limit" in err
 
 
 class TestUsage:

@@ -107,22 +107,33 @@ class TestValidation:
         assert len(rep.layers) == 3
 
     @pytest.mark.parametrize(
-        "depth,act,fits", [(3, "tanh", False), (1, "tanh", False), (1, "identity", True)]
+        "depth,act,fits", [(3, "tanh", False), (2, "tanh", False), (3, "identity", True)]
     )
     def test_activations_one_trial_keeps_count_together(self, depth, act, fits, monkeypatch):
         # Every array fits under the limit on its own: each activation is
-        # [32, 4, 4] (4,096 bytes) and the largest, the zero-padded window
-        # input [32, 6, 4], takes 6,144 bytes.  But a trial keeps the pre-
-        # and the post-activation of every layer for the backward pass, one
-        # array when the activation is the identity.
+        # [32, 4, 4] (4,096 bytes), the largest, the zero-padded window
+        # input [32, 6, 4], takes 6,144 bytes, and each direction's
+        # workspace holds 14,720 bytes.  But a trial keeps the pre- and the
+        # post-activation of every layer for the backward pass, one array
+        # when the activation is the identity.
         f = builtin_format("standard", c_in=4, c_out=4, k=3, spatial=1, alpha=4, padding=1)
         net = NetworkSpec((LayerSpec(f, act),) * depth, f.input_mode_dims(), batch=32)
-        monkeypatch.setattr(tensor, "MEMORY_LIMIT", 6400)
+        monkeypatch.setattr(tensor, "MEMORY_LIMIT", 16000)
         if fits:
             validate_network(net)
             return
         monkeypatch.setattr(network, "_draw", None)
         with pytest.raises(ResourceLimit, match="activations one trial keeps"):
+            forward_trace(net, seed=0, trials=1)
+
+    def test_over_limit_workspace_raises_before_drawing(self, monkeypatch):
+        # The same layer: every array and the activations fit, but the
+        # 14,720 bytes its forward workspace holds at once do not.
+        f = builtin_format("standard", c_in=4, c_out=4, k=3, spatial=1, alpha=4, padding=1)
+        net = NetworkSpec((LayerSpec(f, "identity"),), f.input_mode_dims(), batch=32)
+        monkeypatch.setattr(tensor, "MEMORY_LIMIT", 14000)
+        monkeypatch.setattr(network, "_draw", None)
+        with pytest.raises(ResourceLimit, match="workspace of layer 0's forward pass"):
             forward_trace(net, seed=0, trials=1)
 
 
