@@ -85,11 +85,7 @@ def cmd_analyze(args) -> int:
     report = {"phi": f.phi, "activation": args.act, "p_a": p_a}
     for side, key in ((graph.FAN_IN, "fan_in"), (graph.FAN_OUT, "fan_out")):
         bg = graph.extract_bg(f, side)
-        report[key] = {
-            "vertices": list(bg.vertex_ids),
-            "adjacency": [list(r) for r in bg.adjacency],
-            "edge_product": graph.edge_product(bg),
-        }
+        report[key] = graph.backbone_report(bg)
         sigma2 = graph.graph_init_variance(bg, bg.weight_count, p_a, f.phi)
         report["graph_in_sigma2" if side == graph.FAN_IN else "graph_out_sigma2"] = sigma2
     report["baselines"] = {

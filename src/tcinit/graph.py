@@ -249,6 +249,16 @@ def make_plan(
     return InitPlan(mode, p_a, f.phi, variances, distribution)
 
 
+def backbone_report(bg: BackboneGraph) -> dict:
+    """JSON-ready encoding of a backbone graph: its vertices, adjacency rows
+    and edge product."""
+    return {
+        "vertices": list(bg.vertex_ids),
+        "adjacency": [list(row) for row in bg.adjacency],
+        "edge_product": edge_product(bg),
+    }
+
+
 def plan_report(f: LayerFormat, plan: InitPlan) -> dict:
     """JSON-ready summary of a plan and the backbone graph it derives from."""
     side = FAN_OUT if plan.mode == "graph-out" else FAN_IN
@@ -259,12 +269,7 @@ def plan_report(f: LayerFormat, plan: InitPlan) -> dict:
         "phi": plan.phi,
         "distribution": plan.distribution,
         "variances": dict(sorted(plan.variances.items())),
-        "backbone": {
-            "side": side,
-            "vertices": list(bg.vertex_ids),
-            "adjacency": [list(row) for row in bg.adjacency],
-            "edge_product": edge_product(bg),
-        },
+        "backbone": {"side": side, **backbone_report(bg)},
     }
 
 

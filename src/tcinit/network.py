@@ -214,12 +214,13 @@ def _padded(spec) -> int:
 
 @dataclass(frozen=True)
 class _Shift:
-    """A window step as shift-and-accumulate.
+    """A window step as shift-and-accumulate of the operands at ``picked``,
+    input side first (removed from the operand list; the result is appended).
 
-    The input side is copied once into a zero buffer of shape ``padded``,
+    The input side is copied once into a zero buffer of shape ``buffers[0]``,
     laid out as (kept on both sides, input only, summed) axes: ``x_perm``
-    orders its axes, ``src`` selects the entries that fit and ``dst``
-    places them behind ``padding`` zeros with ``dilation - 1`` zeros between
+    orders its axes, ``src`` selects the entries that fit and ``dst`` places
+    them behind ``padding`` zeros with ``dilation - 1`` zeros between
     entries, along the axes of the kernel edges this step contracts.  The
     weight side is copied once with those edges' offsets leading
     (``w_perm``, ``w_shape``).  Then, per window offset, a strided slice of
@@ -234,8 +235,8 @@ class _Shift:
     offset's product.
     """
 
+    picked: tuple[int, ...]
     x_perm: tuple[int, ...]
-    padded: tuple[int, ...]
     src: tuple[slice, ...]
     dst: tuple[slice, ...]
     w_perm: tuple[int, ...]
@@ -248,7 +249,9 @@ class _Shift:
 
 @dataclass(frozen=True)
 class _Gemm:
-    """A channel step as one product, transpose-transpose-GEMM (TTGT).
+    """A channel step as one product, transpose-transpose-GEMM (TTGT), of the
+    operands at ``picked`` (removed from the operand list; the result is
+    appended).
 
     The left operand's axes are ordered (batch, kept, summed) by ``a_perm``
     and the right one's (batch, summed, kept) by ``b_perm``; reshaped to
@@ -261,6 +264,7 @@ class _Gemm:
     indices of length 1 by a sum, which also turns -0.0 into 0.0.
     """
 
+    picked: tuple[int, ...]
     a_perm: tuple[int, ...]
     a_shape: tuple[int, ...]
     b_perm: tuple[int, ...]
@@ -324,26 +328,14 @@ def _gemm(a: np.ndarray, b: np.ndarray, g: _Gemm, held: list) -> np.ndarray:
     return np.multiply(a, b, out=held[0])
 
 
-@dataclass(frozen=True)
-class _Step:
-    """Contract the operands at ``picked`` (removed from the operand list;
-    the result is appended): as ``gemm``, or, when ``shift`` is set, as
-    that window step with the input side first."""
-
-    picked: tuple[int, ...]
-    gemm: _Gemm | None
-    shift: _Shift | None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Plan:
     """``entry`` permutes the input to channels-last, or is ``None`` when the
     input's first step reads it as given: a window step, whose copy into its
     padded buffer permutes it, or a channel step on an input that already is
     channels-last.  ``exit`` permutes the last step's result to the output
     layout.  ``largest`` counts the entries of the largest array the plan
-    holds: the input, a weight, a window step's padded input or a step
-    result (a window step's sum and each offset's product have its size).
+    holds: the input, a weight or an array a step writes (its ``buffers``).
     ``buffers`` are the shapes of the plan's own arrays: the channels-last
     input (with ``entry``), then the replica sum (with more than one
     replica).  The results of ``matmul`` steps share the
@@ -352,7 +344,7 @@ class _Plan:
     entries of every array a workspace holds for the plan."""
 
     entry: tuple[int, ...] | None
-    steps: tuple[_Step, ...]
+    steps: tuple[_Gemm | _Shift, ...]
     exit: tuple[int, ...]
     flips: tuple[tuple[int, ...], ...]
     largest: int
@@ -367,14 +359,14 @@ class _Plan:
 _PATH_SEARCH = ("greedy", sys.maxsize)
 
 
-def _compile_shift(tx: str, tw: str, x_axes: str, w_axes: str, live, size,
+def _compile_shift(picked, tx: str, tw: str, x_axes: str, w_axes: str, live, size,
                    windows) -> tuple[_Shift, str]:
-    """The window step of input term ``tx`` and weight term ``tw``, whose
-    arrays hold their axes in the orders ``x_axes`` and ``w_axes``, over
-    ``windows``, a list of (position letter, offset letter, window spec) of
-    the kernel edges whose offsets ``tw`` holds.  Updates ``size`` to the
-    positions' window counts and returns the step and its result term, also
-    its axis order."""
+    """The window step of the operands at ``picked``, input term ``tx`` and
+    weight term ``tw``, whose arrays hold their axes in the orders ``x_axes``
+    and ``w_axes``, over ``windows``, a list of (position letter, offset
+    letter, window spec) of the kernel edges whose offsets ``tw`` holds.
+    Updates ``size`` to the positions' window counts and returns the step and
+    its result term, also its axis order."""
     offs = "".join(o for _, o, _ in windows)
     bat = [c for c in tx if c in tw and c in live]
     summed = [c for c in tx if c in tw and c not in live]
@@ -404,8 +396,8 @@ def _compile_shift(tx: str, tw: str, x_axes: str, w_axes: str, live, size,
     total = (*slice_shape[:-1], n)
     extra = [total] if math.prod(betas) > 1 else []
     shift = _Shift(
+        tuple(picked),
         tuple(x_axes.index(c) for c in order),
-        tuple(padded),
         tuple(src),
         tuple(dst),
         tuple(w_axes.index(c) for c in w_order),
@@ -418,10 +410,12 @@ def _compile_shift(tx: str, tw: str, x_axes: str, w_axes: str, live, size,
     return shift, out
 
 
-def _compile_gemm(ta: str, tb: str, aa: str, ab: str, out: str, live, size) -> tuple[_Gemm, str]:
-    """The channel step of left term ``ta`` and right term ``tb``, whose
-    arrays hold their axes in the orders ``aa`` and ``ab``, into result
-    term ``out``; returns the step and its result's axis order.
+def _compile_gemm(picked, ta: str, tb: str, aa: str, ab: str, out: str, live,
+                  size) -> tuple[_Gemm, str]:
+    """The channel step of the operands at ``picked``, left term ``ta`` and
+    right term ``tb``, whose arrays hold their axes in the orders ``aa`` and
+    ``ab``, into result term ``out``; returns the step and its result's axis
+    order.
 
     Indices are grouped as numpy's pairwise ``bmm_einsum`` groups them, so
     the products are the ones an einsum of the step runs: batch, summed and
@@ -460,6 +454,7 @@ def _compile_gemm(ta: str, tb: str, aa: str, ab: str, out: str, live, size) -> t
     # matmul, the summed ones before a multiply.
     dropped = [any(size[c] == 1 if matmul else c not in out for c in t) for t in (ta, tb)]
     gemm = _Gemm(
+        tuple(picked),
         tuple(aa.index(c) for c in a_order),
         a_shape,
         tuple(ab.index(c) for c in b_order),
@@ -474,8 +469,8 @@ def _compile_gemm(ta: str, tb: str, aa: str, ab: str, out: str, live, size) -> t
 
 def _steps(x_term, x_axes, offsets, positions, w_terms, output, dims, windows):
     """Pairwise steps along numpy's greedy path, the axis order of the last
-    step's result and the entry count of the largest weight, padded input
-    or step result.
+    step's result and whether the input is read through a channels-last
+    copy.
 
     The path is planned for the windowed input, ``x_term + offsets``, and
     the weights.  The input side is the one operand that holds the window
@@ -498,11 +493,6 @@ def _steps(x_term, x_axes, offsets, positions, w_terms, output, dims, windows):
     size = dict(dims)
     size.update(zip(positions, (w.alpha for w in windows)))
     kernel = {o: (p, o, w) for p, o, w in zip(positions, offsets, windows)}
-
-    def count(term):
-        return math.prod(size[c] for c in term)
-
-    largest = max(map(count, w_terms), default=1)
     pending = set(offsets)
     terms[0] = x_term
     axes = [x_axes, *w_terms]
@@ -525,20 +515,17 @@ def _steps(x_term, x_axes, offsets, positions, w_terms, output, dims, windows):
         held = [axes[i] for i in picked]
         if shifting:
             pending -= {o for _, o, _ in windowed}
-            shift, out = _compile_shift(*args, *held, live, size, windowed)
-            largest = max(largest, math.prod(shift.padded))
-            steps.append(_Step(tuple(picked), None, shift))
+            step, out = _compile_shift(picked, *args, *held, live, size, windowed)
             order = out
         else:
             # einsum names a pair's result by first appearance and takes
             # the pair last operand first; so does the plan.
             out = "".join(dict.fromkeys(c for t in args for c in t if c in live))
-            gemm, order = _compile_gemm(*args[::-1], *held[::-1], out, live, size)
-            steps.append(_Step(tuple(picked[::-1]), gemm, None))
-        largest = max(largest, count(out))
+            step, order = _compile_gemm(picked[::-1], *args[::-1], *held[::-1], out, live, size)
+        steps.append(step)
         terms = [terms[i] for i in rest] + [out]
         axes = [axes[i] for i in rest] + [order]
-    return tuple(steps), axes[0], largest, copied
+    return tuple(steps), axes[0], copied
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -549,8 +536,8 @@ def _plan(f: LayerFormat, backward: bool, x_shape, trial_axis: bool = False) -> 
     ef = build_backward_format(f) if backward else f
     windows = tuple(e.window for e in ef.kernel_edges)
     x_term, x_axes, offsets, positions, w_terms, output, dims = _wiring(ef, x_shape, trial_axis)
-    steps, last, largest, copied = _steps(x_term, x_axes, offsets, positions, w_terms, output,
-                                          dims, windows)
+    steps, last, copied = _steps(x_term, x_axes, offsets, positions, w_terms, output, dims,
+                                 windows)
     head, k = lead + 1, len(positions)
     entry = tuple(x_axes.index(c) for c in x_term) if copied else None
     public = output[:head] + output[head + k:] + positions
@@ -558,14 +545,16 @@ def _plan(f: LayerFormat, backward: bool, x_shape, trial_axis: bool = False) -> 
         tuple(lead + i for i, e in enumerate(f.edges_of(vid)) if backward and e.kind == KERNEL)
         for vid in f.weight_ids
     )
-    owners = [step.gemm or step.shift for step in steps]
     buffers = ((tuple(x_shape[i] for i in entry),) if entry else ()) + (
-        (owners[-1].out_shape,) if f.phi > 1 else ())
+        (steps[-1].out_shape,) if f.phi > 1 else ())
     slots, slot_of = _slots(steps)
-    own = [s for o, at in zip(owners, slot_of) if at is None for s in o.buffers]
+    own = [s for step, at in zip(steps, slot_of) if at is None for s in step.buffers]
     held = sum(map(math.prod, (*own, *buffers))) + sum(slots)
-    return _Plan(entry, steps, tuple(last.index(c) for c in public), flips,
-                 max(largest, math.prod(x_shape)), held, buffers, slots, slot_of)
+    weights = ([dims[c] for c in t] for t in w_terms)
+    step_buffers = (s for step in steps for s in step.buffers)
+    largest = max(map(math.prod, (x_shape, *weights, *step_buffers)))
+    return _Plan(entry, steps, tuple(last.index(c) for c in public), flips, largest, held,
+                 buffers, slots, slot_of)
 
 
 def _slots(steps) -> tuple[tuple[int, ...], tuple[int | None, ...]]:
@@ -582,8 +571,8 @@ def _slots(steps) -> tuple[tuple[int, ...], tuple[int | None, ...]]:
         for i in sorted(step.picked, reverse=True):
             del ops[i]
         slot = None
-        if step.gemm is not None and step.gemm.matmul:
-            entries = math.prod(step.gemm.buffers[0])
+        if isinstance(step, _Gemm) and step.matmul:
+            entries = math.prod(step.buffers[0])
             slot = max(free, key=sizes.__getitem__) if free else len(sizes)
             if slot == len(sizes):
                 sizes.append(0)
@@ -605,24 +594,23 @@ def _workspace_arrays(plan: _Plan) -> tuple:
     slots = [np.empty(n) for n in plan.slots]
     held = []
     for step, at in zip(plan.steps, plan.slot_of):
-        if step.shift is not None:
-            held.append(_shift_buffers(step.shift))
+        if isinstance(step, _Shift):
+            held.append(_shift_buffers(step))
         elif at is None:
             held.append([None])
         else:
-            out = slots[at][:math.prod(step.gemm.buffers[0])].reshape(step.gemm.buffers[0])
-            held.append([out, out.reshape(step.gemm.out_shape)])
+            out = slots[at][:math.prod(step.buffers[0])].reshape(step.buffers[0])
+            held.append([out, out.reshape(step.out_shape)])
     return [np.empty(s) for s in plan.buffers], held
 
 
 def _workspace(workspace: dict, plan: _Plan) -> tuple:
     """The arrays ``workspace`` holds for ``plan``, made on first use.  A
-    plan holds slices, unhashable before Python 3.12: key by id, keep the
-    plan beside its arrays and check that a hit is it."""
-    held = workspace.get(id(plan))
-    if held is None or held[0] is not plan:
-        held = workspace[id(plan)] = (plan, _workspace_arrays(plan))
-    return held[1]
+    plan hashes by identity, so it is its own key."""
+    held = workspace.get(plan)
+    if held is None:
+        held = workspace[plan] = _workspace_arrays(plan)
+    return held
 
 
 def _trial_block(f: LayerFormat, x_shape) -> int:
@@ -670,10 +658,8 @@ def _contract(f: LayerFormat, x: np.ndarray, replicas, backward: bool, trial_axi
             args = [ops[i] for i in step.picked]
             for i in sorted(step.picked, reverse=True):
                 del ops[i]
-            if step.shift is None:
-                ops.append(_gemm(*args, step.gemm, held))
-            else:
-                ops.append(_shift(*args, step.shift, held))
+            run = _shift if isinstance(step, _Shift) else _gemm
+            ops.append(run(*args, step, held))
         if total is not None and n == 0:
             np.copyto(total, ops[0])
         elif total is not None:

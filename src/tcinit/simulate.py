@@ -26,7 +26,9 @@ import numpy as np
 from .errors import InvalidParams, ShapeMismatch
 from .formats import LayerFormat
 from .graph import (
+    ACTIVATION_SCALE,
     FAN_IN,
+    PLAN_MODES,
     InitPlan,
     extract_bg,
     make_plan,
@@ -104,23 +106,29 @@ def report_csv(report: TraceReport) -> str:
 
 
 def validate_network(net: NetworkSpec) -> None:
-    """Check that the layers chain and that no array of a trial exceeds the
-    memory limit: the batched input, every layer output, and the largest
-    array of each layer's compiled forward and backward plan (such as a
-    window step's zero-padded input), and that the arrays its workspace
-    holds at once fit together.  Compiling a plan
-    allocates nothing, and the plan is the one the trial runs.  The
-    activations a trial keeps for its backward pass must fit together as
-    well: per layer the pre- and the post-activation, one array when the
-    activation is the identity."""
+    """Check that every layer names a known activation and plan mode, that
+    the layers chain and that no array of a trial exceeds the memory limit:
+    the batched input, every layer output, and the largest array of each
+    layer's compiled forward and backward plan (such as a window step's
+    zero-padded input), and that the arrays its workspace holds at once fit
+    together.  Compiling a plan allocates nothing, and the plan is the one
+    the trial runs.  The activations a trial keeps for its backward pass
+    must fit together as well: per layer the pre- and the post-activation,
+    one array when the activation is the identity.  A pass holds them all
+    while it runs, so they must also fit together with the largest
+    workspace of any pass."""
     if not net.layers:
         raise InvalidParams("network has no layers")
     if net.batch < 1:
         raise InvalidParams("batch must be >= 1")
     feed = tuple(net.input_shape)
     _check_array((net.batch, *feed), "the batched network input")
-    kept = 0
+    kept = largest_held = 0
     for i, spec in enumerate(net.layers):
+        if spec.activation not in ACTIVATION_SCALE:
+            raise InvalidParams(f"layer {i} has unknown activation {spec.activation!r}")
+        if spec.mode not in PLAN_MODES:
+            raise InvalidParams(f"layer {i} has unknown plan mode {spec.mode!r}")
         f = spec.format
         if feed != f.input_mode_dims():
             raise ShapeMismatch(
@@ -135,8 +143,11 @@ def validate_network(net: NetworkSpec) -> None:
             direction = "backward" if backward else "forward"
             _check_array((plan.largest,), f"the largest array of layer {i}'s {direction} pass")
             _check_array((plan.held,), f"the workspace of layer {i}'s {direction} pass")
+            largest_held = max(largest_held, plan.held)
         feed = out
     _check_array((kept,), "the activations one trial keeps")
+    _check_array((kept + largest_held,),
+                 "the kept activations and the largest workspace of a trial")
 
 
 def _forward(net: NetworkSpec, layers, x: np.ndarray) -> list:

@@ -11,6 +11,7 @@ from tcinit.formats import (
     HyperEdge,
     LayerFormat,
     RandomFormatConstraints,
+    WEIGHT,
     Vertex,
     builtin_format,
     parse_format,
@@ -18,6 +19,7 @@ from tcinit.formats import (
     serialize_format,
     validate,
 )
+from tcinit.tensor import DummySpec
 
 MINIMAL_CONV = """
 phi 1
@@ -102,9 +104,55 @@ class TestParse:
         parse_format(text.replace("pad 3", "pad 2"))
 
 
+WINDOW = DummySpec(alpha=8, beta=3, stride=1, padding=0)
+
+# One case per problem validate lists: the vertices and edges added to the
+# base format, the edge kind dropped from it and the message listed.
+VALIDATE_PROBLEMS = {
+    "repeated-vertex-id": ((Vertex("w", WEIGHT),), (), None, "vertex ids are not unique"),
+    "unknown-vertex-kind": ((Vertex("b", "bias"),), (), None,
+                            "vertex 'b' has unknown kind 'bias'"),
+    "repeated-edge-id": ((), (HyperEdge("cout", OUTPUT_CHANNEL, 2, ("w",)),), None,
+                         "edge ids are not unique"),
+    "unknown-edge-kind": ((), (HyperEdge("e", "bias", 2, ("w",)),), None,
+                          "edge 'e' has unknown kind 'bias'"),
+    "no-endpoints": ((), (HyperEdge("e", RANK, 2, ()),), None, "edge 'e' has no endpoints"),
+    "repeated-endpoint": ((), (HyperEdge("e", RANK, 2, ("w", "w")),), None,
+                          "edge 'e' repeats an endpoint"),
+    "input-channel-misses-input": ((), (HyperEdge("e", INPUT_CHANNEL, 2, ("w",)),), None,
+                                   "input-channel edge 'e' misses the input vertex"),
+    "input-channel-no-weight": ((), (HyperEdge("e", INPUT_CHANNEL, 2, ("x",)),), None,
+                                "input-channel edge 'e' touches no weight vertex"),
+    "output-channel-has-input": ((), (HyperEdge("e", OUTPUT_CHANNEL, 2, ("x", "w")),), None,
+                                 "output-channel edge 'e' includes the input vertex"),
+    "output-channel-no-weight": ((), (HyperEdge("e", OUTPUT_CHANNEL, 2, ("x",)),), None,
+                                 "output-channel edge 'e' touches no weight vertex"),
+    "rank-has-input": ((), (HyperEdge("e", RANK, 2, ("x", "w")),), None,
+                       "rank edge 'e' includes the input vertex"),
+    "kernel-no-window": ((), (HyperEdge("e", KERNEL, 3, ("x", "w")),), None,
+                         "kernel edge 'e' carries no window spec"),
+    "kernel-dim-not-beta": ((), (HyperEdge("e", KERNEL, 2, ("x", "w"), WINDOW),), None,
+                            "kernel edge 'e' dim 2 != window beta 3"),
+    "kernel-not-input-to-one-weight": (
+        (), (HyperEdge("e", KERNEL, 3, ("w",), WINDOW),), None,
+        "kernel edge 'e' must join the input vertex to exactly one weight vertex"),
+    "no-input-channel": ((), (), INPUT_CHANNEL, "format has no input-channel edge"),
+    "no-output-channel": ((), (), OUTPUT_CHANNEL, "format has no output-channel edge"),
+}
+
+
 class TestValidate:
     def _base(self):
         return builtin_format("standard", c_in=3, c_out=8, k=3, alpha=8)
+
+    @pytest.mark.parametrize("case", sorted(VALIDATE_PROBLEMS))
+    def test_problem_listed(self, case):
+        vertices, edges, dropped, message = VALIDATE_PROBLEMS[case]
+        f = self._base()
+        kept = tuple(e for e in f.edges if e.kind != dropped)
+        with pytest.raises(ValidationError) as err:
+            validate(LayerFormat(f.vertices + vertices, kept + edges, 1))
+        assert message in err.value.violations
 
     def test_padding_above_beta_minus_one_listed(self):
         with pytest.raises(ValidationError) as err:

@@ -541,7 +541,7 @@ class TestTrialAxis:
         f = builtin_format("standard", c_in=4, c_out=4, k=3, padding=1, alpha=16, phi=2)
         x_shape = (2,) + f.input_mode_dims()
         plan = network._plan(f, False, x_shape)
-        buffers = [s for step in plan.steps for s in step.shift.buffers] + list(plan.buffers)
+        buffers = [s for step in plan.steps for s in step.buffers] + list(plan.buffers)
         assert plan.held == sum(math.prod(s) for s in buffers)
         block = network._trial_block(f, x_shape)
         assert block * plan.largest < block * plan.held
@@ -724,7 +724,8 @@ class TestPerOffsetSteps:
         for backward in (False, True):
             ef = transform.build_backward_format(f) if backward else f
             plan = network._plan(f, backward, (2,) + ef.input_mode_dims())
-            summing = [s.shift for s in plan.steps if s.shift and s.shift.slice_shape[-1] > 1]
+            summing = [s for s in plan.steps
+                       if isinstance(s, network._Shift) and s.slice_shape[-1] > 1]
             assert summing
         assert_engine_oracle(f)
 
@@ -811,6 +812,43 @@ class TestResultOwnsItsMemory:
         assert not any(np.shares_memory(got, a) for a in arrays)
         network._contract(f, second, replicas, backward, trial_axis, workspace)
         assert got.tobytes() == kept.tobytes()
+
+
+def owner(a):
+    """The array that owns the memory ``a`` views."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+class TestPlanSizes:
+    """A plan's ``held`` and ``largest`` state what its workspace allocates:
+    ``held`` the entries of every distinct array it holds (a ``multiply``
+    step's buffer is made by its first product), ``largest`` a bound on each
+    of them."""
+
+    FORMATS = {
+        "conv_depth": (builtin_format("htk2", c_in=32, c_out=32, rank=8, k=3, padding=1,
+                                      alpha=32), 16),
+        **{name: (builtin_format(name, **params), 2) for name, params in ADJOINT_BUILTINS.items()},
+    }
+
+    @pytest.mark.parametrize("name", [*sorted(FORMATS), *(f"random{s}" for s in range(100))])
+    def test_held_and_largest_match_the_workspace(self, name):
+        if name in self.FORMATS:
+            f, batch = self.FORMATS[name]
+        else:
+            f, batch = random_format(int(name.removeprefix("random"))), 2
+        for backward in (False, True):
+            dims = f.output_mode_dims() if backward else f.input_mode_dims()
+            for lead, trial_axis in (((batch,), False), ((2, batch), True)):
+                plan = network._plan(f, backward, lead + dims, trial_axis)
+                arrays = {id(a): a for a in map(owner, workspace_arrays(
+                    network._workspace_arrays(plan)))}.values()
+                products = [step.buffers[0] for step, at in zip(plan.steps, plan.slot_of)
+                            if isinstance(step, network._Gemm) and at is None]
+                assert plan.held == sum(a.size for a in arrays) + sum(map(math.prod, products))
+                assert max(a.size for a in arrays) <= plan.largest
 
 
 class TestDraw:

@@ -71,6 +71,20 @@ class TestValidation:
         with pytest.raises(InvalidParams):
             validate_network(NetworkSpec((), (4,)))
 
+    def test_rejects_no_batch(self):
+        with pytest.raises(InvalidParams, match="batch must be >= 1"):
+            validate_network(NetworkSpec(linear_net().layers, (4, 6), batch=0))
+
+    @pytest.mark.parametrize(
+        "act,mode,bad", [("sigmoid", "graph-in", "activation 'sigmoid'"),
+                         ("tanh", "nope", "plan mode 'nope'")]
+    )
+    def test_rejects_unknown_activation_or_mode(self, act, mode, bad):
+        f = linear_net().layers[0].format
+        net = NetworkSpec((LayerSpec(f), LayerSpec(f, act, mode)), (4, 6))
+        with pytest.raises(InvalidParams, match=f"layer 1 has unknown {bad}"):
+            validate_network(net)
+
     def test_over_limit_input_raises_before_drawing(self):
         # The batched input would take 2**51 bytes.
         f = builtin_format("tt", i_dims=(2**15,) * 3, o_dims=(2,) * 3, rank=2)
@@ -107,23 +121,26 @@ class TestValidation:
         assert len(rep.layers) == 3
 
     @pytest.mark.parametrize(
-        "depth,act,fits", [(3, "tanh", False), (2, "tanh", False), (3, "identity", True)]
+        "depth,act,with_workspace",
+        [(3, "tanh", False), (2, "tanh", False), (3, "identity", True)],
     )
-    def test_activations_one_trial_keeps_count_together(self, depth, act, fits, monkeypatch):
+    def test_activations_one_trial_keeps_count_together(self, depth, act, with_workspace,
+                                                        monkeypatch):
         # Every array fits under the limit on its own: each activation is
         # [32, 4, 4] (4,096 bytes), the largest, the zero-padded window
         # input [32, 6, 4], takes 6,144 bytes, and each direction's
         # workspace holds 14,720 bytes.  But a trial keeps the pre- and the
         # post-activation of every layer for the backward pass, one array
-        # when the activation is the identity.
+        # when the activation is the identity.  Three identity layers keep
+        # 12,288 bytes, under the limit, but a pass holds them and its
+        # workspace at once: 27,008 bytes.
         f = builtin_format("standard", c_in=4, c_out=4, k=3, spatial=1, alpha=4, padding=1)
         net = NetworkSpec((LayerSpec(f, act),) * depth, f.input_mode_dims(), batch=32)
         monkeypatch.setattr(tensor, "MEMORY_LIMIT", 16000)
-        if fits:
-            validate_network(net)
-            return
         monkeypatch.setattr(network, "_draw", None)
-        with pytest.raises(ResourceLimit, match="activations one trial keeps"):
+        match = ("kept activations and the largest workspace" if with_workspace
+                 else "activations one trial keeps")
+        with pytest.raises(ResourceLimit, match=match):
             forward_trace(net, seed=0, trials=1)
 
     def test_over_limit_workspace_raises_before_drawing(self, monkeypatch):
@@ -422,7 +439,7 @@ class TestWorkspaceScope:
         x_shape = (self.BATCH,) + self.F.input_mode_dims()
         block = network._trial_block(self.F, x_shape)
         steps = network._plan(self.F, False, (block, *x_shape), True).steps
-        padded = max(8 * math.prod(s.shift.padded) for s in steps if s.shift)
+        padded = max(8 * math.prod(s.buffers[0]) for s in steps if isinstance(s, network._Shift))
         np.random.default_rng(0)  # numpy imports its random module on first use
         tracemalloc.start()
         try:

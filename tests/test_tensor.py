@@ -187,6 +187,19 @@ class TestMultiContract:
         with pytest.raises(UnboundAxis):
             multi_contract([a], [], [(0, 0)])
 
+    @pytest.mark.parametrize(
+        "groups,error,match",
+        [
+            ([[(0, 1), (1, 0)]], AxisOutOfRange, "tensor index 1 out of range"),
+            ([[(0, 1), (0, 2)]], AxisOutOfRange, "axis 2 out of range for rank 2"),
+            ([[(0, 1)], [(0, 1)]], DuplicateAxis, "axis 1 of tensor 0 bound twice"),
+        ],
+    )
+    def test_bad_axis(self, groups, error, match):
+        a = DenseTensor.from_array(np.ones((2, 3)))
+        with pytest.raises(error, match=match):
+            multi_contract([a], groups, [(0, 0)])
+
     def test_group_dimension_mismatch(self):
         a = DenseTensor.from_array(np.ones((2, 3)))
         b = DenseTensor.from_array(np.ones((4,)))
