@@ -605,10 +605,13 @@ def _workspace_arrays(plan: _Plan) -> tuple:
 
 
 def _workspace(workspace: dict, plan: _Plan) -> tuple:
-    """The arrays ``workspace`` holds for ``plan``, made on first use.  A
-    plan hashes by identity, so it is its own key."""
+    """The arrays ``workspace`` holds for ``plan``, made on first use.  It
+    holds one plan's arrays at a time, so a caller that runs plans in turn
+    holds the largest workspace of them, never their sum.  A plan hashes by
+    identity, so it is its own key."""
     held = workspace.get(plan)
     if held is None:
+        workspace.clear()
         held = workspace[plan] = _workspace_arrays(plan)
     return held
 
@@ -668,28 +671,34 @@ def _contract(f: LayerFormat, x: np.ndarray, replicas, backward: bool, trial_axi
     return out.transpose(plan.exit).copy()
 
 
-def _apply(layer: MaterializedLayer, t: DenseTensor, backward: bool) -> DenseTensor:
+def _apply(layer: MaterializedLayer, t: DenseTensor, backward: bool, workspace) -> DenseTensor:
     f = layer.format
     replicas = [[w[vid].array for vid in f.weight_ids] for w in layer.replicas]
-    return DenseTensor.from_array(_contract(f, t.array, replicas, backward))
+    return DenseTensor.from_array(_contract(f, t.array, replicas, backward, workspace=workspace))
 
 
-def forward_apply(layer: MaterializedLayer, x: DenseTensor) -> DenseTensor:
+def forward_apply(
+    layer: MaterializedLayer, x: DenseTensor, workspace: dict | None = None
+) -> DenseTensor:
     """Pre-activation layer output for a batched input.
 
     ``x`` has shape ``(batch, *input mode dims)``; the result has shape
     ``(batch, *output channel dims, *output spatial dims)`` and sums the
-    ``phi`` replica outputs.
+    ``phi`` replica outputs.  ``workspace``, a dict the caller owns, lends
+    the contraction its buffers from one call to the next; by default each
+    call makes its own.  The result never shares memory with it.
     """
     expected = layer.format.input_mode_dims()
     if x.shape[1:] != expected:
         raise ShapeMismatch(
             f"input shape {x.shape[1:]} does not match layer input {expected}"
         )
-    return _apply(layer, x, backward=False)
+    return _apply(layer, x, False, workspace)
 
 
-def backward_apply(layer: MaterializedLayer, grad: DenseTensor) -> DenseTensor:
+def backward_apply(
+    layer: MaterializedLayer, grad: DenseTensor, workspace: dict | None = None
+) -> DenseTensor:
     """Gradient of the layer input given the gradient of the layer output.
 
     ``grad`` uses the layer-output axis convention and the result the
@@ -697,11 +706,11 @@ def backward_apply(layer: MaterializedLayer, grad: DenseTensor) -> DenseTensor:
     ``build_backward_format(f)``, whose input layout is this layer's output
     layout: the gradient is read in stride-1 windows of its zero-expanded,
     padded form and contracted with each replica's weights flipped along
-    their kernel-window axes.
+    their kernel-window axes.  ``workspace`` is as in :func:`forward_apply`.
     """
     expected = layer.format.output_mode_dims()
     if grad.shape[1:] != expected:
         raise ShapeMismatch(
             f"gradient shape {grad.shape[1:]} does not match layer output {expected}"
         )
-    return _apply(layer, grad, backward=True)
+    return _apply(layer, grad, True, workspace)

@@ -1,8 +1,13 @@
 """Seeded Monte-Carlo propagation through stacks of tensorized layers.
 
 Every randomized entry point takes an explicit master seed; trial ``t``
-derives its own stream from ``SeedSequence([seed, t])`` and results are
-reduced in trial order, so reports are byte-identical for any worker count.
+draws from the streams numpy seeds from ``SeedSequence([seed, t])`` (that
+sequence itself, or its ``spawn`` children), and results are reduced in
+trial order, so reports are byte-identical for any worker count.  The words
+those streams are seeded from are computed for a chunk of up to
+``SEED_CHUNK`` trials at once, by numpy's NEP-19 ``SeedSequence`` hash over
+arrays, and each stream is seeded from them into one generator per worker
+thread, so no ``SeedSequence`` or generator is built per trial.
 :func:`variance_mc` runs its trials in blocks whose size depends on the layer
 shapes alone, never on the worker count; workers map over trials or blocks.
 While a pool of more than one worker runs, numpy's bundled OpenBLAS is held
@@ -14,6 +19,7 @@ from __future__ import annotations
 import ctypes
 import json
 import math
+import operator
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -113,10 +119,9 @@ def validate_network(net: NetworkSpec) -> None:
     zero-padded input), and that the arrays its workspace holds at once fit
     together.  Compiling a plan allocates nothing, and the plan is the one
     the trial runs.  The activations a trial keeps for its backward pass
-    must fit together as well: per layer the pre- and the post-activation,
-    one array when the activation is the identity.  A pass holds them all
-    while it runs, so they must also fit together with the largest
-    workspace of any pass."""
+    must fit together as well: per layer the post-activation, the one array
+    that pass reads.  A pass holds them all while it runs, so they must also
+    fit together with the largest workspace of any pass."""
     if not net.layers:
         raise InvalidParams("network has no layers")
     if net.batch < 1:
@@ -137,7 +142,7 @@ def validate_network(net: NetworkSpec) -> None:
             )
         out = f.output_mode_dims()
         _check_array((net.batch, *out), f"the output of layer {i}")
-        kept += (1 if spec.activation == "identity" else 2) * math.prod((net.batch, *out))
+        kept += math.prod((net.batch, *out))
         for backward, dims in ((False, feed), (True, out)):
             plan = _plan(f, backward, (net.batch, *dims))
             direction = "backward" if backward else "forward"
@@ -150,25 +155,34 @@ def validate_network(net: NetworkSpec) -> None:
                  "the kept activations and the largest workspace of a trial")
 
 
-def _forward(net: NetworkSpec, layers, x: np.ndarray) -> list:
-    """Run the stack from ``x``; per layer, the (pre, post) activations."""
-    states = []
+def _forward(net: NetworkSpec, layers, x: np.ndarray):
+    """Run the stack from ``x``, every layer's contraction in one workspace.
+    Returns, per layer, the pre-activation's variance, the post-activation's
+    variance and its fraction of magnitudes above ``SATURATION_THRESHOLD``,
+    and the post-activations, the arrays the backward pass reads.  Neither
+    ``x`` nor a pre-activation is kept."""
+    stats, posts, workspace = [], [], {}
     for spec, layer in zip(net.layers, layers):
-        pre = forward_apply(layer, DenseTensor.from_array(x)).array
+        # The previous pre-activation goes once this layer's output replaces
+        # it: freed sooner, it leaves free space at the top of the heap that
+        # glibc's malloc hands back to the system and faults in again.
+        pre = forward_apply(layer, DenseTensor.from_array(x), workspace).array
         x = _activation(pre, spec.activation)
-        states.append((pre, x))
-    return states
+        stats.append((pre.var(), x.var(), (np.abs(x) > SATURATION_THRESHOLD).mean()))
+        posts.append(x)
+    return stats, posts
 
 
-def _backward(net: NetworkSpec, layers, states, g: np.ndarray):
-    """Push the output gradient ``g`` back through the stack; returns the
-    gradient at the network input and, per layer, the variance of the
-    gradient at that layer's input.  Activation derivatives are exact, from
-    the stored post-activations, and ``g`` itself is never written."""
-    grad_vars = [0.0] * len(layers)
+def _backward(net: NetworkSpec, layers, posts: list, g: np.ndarray):
+    """Push the output gradient ``g`` back through the stack, every layer's
+    contraction in one workspace; returns the gradient at the network input
+    and, per layer, the variance of the gradient at that layer's input.
+    Activation derivatives are exact, from the post-activations ``posts``,
+    each popped once read, and ``g`` itself is never written."""
+    grad_vars, workspace = [0.0] * len(layers), {}
     for i in range(len(layers) - 1, -1, -1):
-        g = _activation_grad(g, states[i][1], net.layers[i].activation)
-        g = backward_apply(layers[i], DenseTensor.from_array(g)).array
+        g = _activation_grad(g, posts.pop(), net.layers[i].activation)
+        g = backward_apply(layers[i], DenseTensor.from_array(g), workspace).array
         grad_vars[i] = float(g.var())
     return g, grad_vars
 
@@ -209,10 +223,8 @@ def _one_blas_thread():
 
 def _map_trials(fn, items, workers: int) -> list:
     """``fn`` over ``items`` (trials or trial blocks), results in order.
-    Raises :class:`~tcinit.errors.InvalidParams` when there are none or
-    when ``workers`` is below 1."""
-    if not items:
-        raise InvalidParams("trials must be >= 1")
+    Raises :class:`~tcinit.errors.InvalidParams` when ``workers`` is below
+    1."""
     if workers < 1:
         raise InvalidParams("workers must be >= 1")
     if workers > 1:
@@ -221,40 +233,168 @@ def _map_trials(fn, items, workers: int) -> list:
     return [fn(t) for t in items]
 
 
+# -- trial seed streams -------------------------------------------------------
+
+# The constants of numpy's SeedSequence hash and of PCG64's 128-bit LCG, both
+# fixed by NEP 19 under numpy's stream-compatibility policy.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+# Trials whose seed words are computed at once: 32 bytes per stream, under
+# 1 MB for the 7 streams of a depth-5 trace, whatever the trial count.
+SEED_CHUNK = 4096
+
+
+def _words(n: int) -> list[int]:
+    """``n >= 0`` as SeedSequence reads an integer: 32-bit words, least
+    significant first, at least one."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hash step over uint32 arrays: each call hashes with the
+    next constant of the sequence ``const``, ``const * mult``, ... (mod 2**32)."""
+
+    def hash_(v):
+        nonlocal const
+        v = v ^ const
+        const = const * mult & _MASK32
+        v = v * const
+        return v ^ v >> 16
+
+    return hash_
+
+
+def _mix(x, y):
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ r >> 16
+
+
+def _seed_words(seed: int, trials: range, keys=None) -> np.ndarray:
+    """The words ``default_rng`` seeds PCG64 from, per trial ``t`` of
+    ``trials`` and key ``k`` of ``keys``: ``generate_state(4, np.uint64)``
+    of ``SeedSequence([seed, t], spawn_key=(k,))``, which is
+    ``SeedSequence([seed, t]).spawn(n)[k]``; with ``keys=None``, of
+    ``SeedSequence([seed, t])`` alone, as one key.  Shape
+    ``(len(trials), len(keys), 4)``, uint64.
+
+    Bit for bit numpy's own hash, computed for all trials at once: it runs
+    over uint32 arrays with one entry per trial, and over the keys only once
+    the trial's words are mixed in.  Trials whose index has the same number
+    of 32-bit words share one such pass."""
+    seed_words = _words(operator.index(seed))
+    runs = []
+    lo = trials.start
+    while lo < trials.stop:
+        t_words = len(_words(lo))
+        hi = min(trials.stop, 1 << 32 * t_words)
+        # Every array is [key, trial]; the trial's words have one key.
+        t = np.arange(lo, hi, dtype=np.uint64)[None]
+        entropy = [np.full(t.shape, w, np.uint32) for w in seed_words]
+        entropy += [(t >> 32 * k).astype(np.uint32) for k in range(t_words)]
+        # A spawned sequence pads its entropy with zeros to the pool size; an
+        # unspawned one hashes zeros in their place, which is the same.
+        entropy += [np.zeros(t.shape, np.uint32)] * (4 - len(entropy))
+        if keys is not None:
+            entropy.append(np.array(keys, np.uint32)[:, None])
+        hash_ = _hasher(_INIT_A, _MULT_A)
+        pool = [hash_(w) for w in entropy[:4]]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hash_(pool[src]))
+        for w in entropy[4:]:
+            for dst in range(4):
+                pool[dst] = _mix(pool[dst], hash_(w))
+        hash_ = _hasher(_INIT_B, _MULT_B)
+        out = np.empty((t.size, 1 if keys is None else len(keys), 8), "<u4")
+        for i in range(8):
+            out[..., i] = hash_(pool[i % 4]).T
+        # The 64-bit words pair the 32-bit ones little-endian.
+        runs.append(out.view("<u8"))
+        lo = hi
+    return np.concatenate(runs)
+
+
+def _stream(local, words: np.ndarray) -> np.random.Generator:
+    """The calling thread's generator in ``local`` (made on first use), set
+    to the state ``default_rng`` gives PCG64 from one stream's four
+    :func:`_seed_words`: PCG64's ``srandom`` of the 128-bit state ``s`` and
+    stream ``i``."""
+    s_hi, s_lo, i_hi, i_lo = words.tolist()
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+    state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+    if not hasattr(local, "rng"):
+        local.rng = np.random.Generator(np.random.PCG64())
+    local.rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return local.rng
+
+
+def _map_seeded(fn, seed: int, trials: int, keys, workers: int, size: int = 1) -> list:
+    """``fn(block, words)`` over blocks of ``size`` consecutive trials of
+    ``range(trials)``, with those trials' :func:`_seed_words`, results in
+    order.  The words of a chunk of at most ``SEED_CHUNK`` trials (at least
+    one block, in whole blocks) are computed before its blocks are mapped,
+    so they never take memory in proportion to ``trials``.  Raises
+    :class:`~tcinit.errors.InvalidParams` when ``trials`` is below 1."""
+    if trials < 1:
+        raise InvalidParams("trials must be >= 1")
+    chunk = size * max(1, SEED_CHUNK // size)
+    results = []
+    for lo in range(0, trials, chunk):
+        hi = min(lo + chunk, trials)
+        words = _seed_words(seed, range(lo, hi), keys)
+        items = [(range(b, min(b + size, hi)), words[b - lo:b - lo + size])
+                 for b in range(lo, hi, size)]
+        results += _map_trials(lambda item: fn(*item), items, workers)
+    return results
+
+
 def _trace(net: NetworkSpec, seed: int, trials: int, workers: int, grad_var=None) -> TraceReport:
     """Mean and trial-to-trial std of the per-layer statistics.
 
-    Trial ``t`` spawns ``SeedSequence([seed, t])`` into the input stream,
-    one stream per layer's weights and the upstream-gradient stream, draws a
-    standard-normal input and runs the stack forward.  Unless ``grad_var``
-    is None it then injects an i.i.d. normal gradient of that variance at
-    the network output and runs the stack backward; otherwise the gradient
-    statistics read 0.
+    Trial ``t`` draws from the ``len(layers) + 2`` children of
+    ``SeedSequence([seed, t])``, seeded from words computed per chunk of
+    trials (see :func:`_seed_words`): a standard-normal input from the
+    first, each layer's weights from the next and the upstream gradient
+    from the last.  It runs the stack forward; unless ``grad_var`` is None
+    it then injects an i.i.d. normal gradient of that variance at the
+    network output and runs the stack backward; otherwise the gradient
+    statistics read 0.  A trial keeps only the post-activations for the
+    backward pass, which drops each once read; every statistic is taken
+    when its array is made.
     """
     _check_seed(seed)
     validate_network(net)
     plans = [make_plan(s.format, s.mode, s.activation) for s in net.layers]
+    local = threading.local()
 
-    def one(trial):
-        kids = np.random.SeedSequence([seed, trial]).spawn(len(net.layers) + 2)
+    def one(_, streams):
+        (x_words, *w_words, g_words), = streams
         layers = [
-            materialize(s.format, plan, np.random.default_rng(kid))
-            for s, plan, kid in zip(net.layers, plans, kids[1:])
+            materialize(s.format, plan, _stream(local, w))
+            for s, plan, w in zip(net.layers, plans, w_words)
         ]
-        x = np.random.default_rng(kids[0]).standard_normal((net.batch, *net.input_shape))
-        states = _forward(net, layers, x)
+        x_shape = (net.batch, *net.input_shape)
+        stats, posts = _forward(net, layers, _stream(local, x_words).standard_normal(x_shape))
         grad_vars = [0.0] * len(layers)
         if grad_var is not None:
-            draw = np.random.default_rng(kids[-1]).standard_normal
-            g_shape = states[-1][1].shape
-            grad_vars = _backward(net, layers, states, draw(g_shape) * np.sqrt(grad_var))[1]
-        return [
-            (pre.var(), post.var(), v, (np.abs(post) > SATURATION_THRESHOLD).mean())
-            for (pre, post), v in zip(states, grad_vars)
-        ]
+            draw = _stream(local, g_words).standard_normal
+            grad_vars = _backward(net, layers, posts, draw(posts[-1].shape) * np.sqrt(grad_var))[1]
+        return [(pre, post, v, sat) for (pre, post, sat), v in zip(stats, grad_vars)]
 
     # [trials, layers, (pre_var, post_var, grad_var, saturation)]
-    rows = np.asarray(_map_trials(one, range(trials), workers))
+    rows = np.asarray(_map_seeded(one, seed, trials, range(len(net.layers) + 2), workers))
     stats = zip(rows.mean(axis=0), rows.std(axis=0))
     layers = tuple(
         LayerTrace(*map(float, (m[0], d[0], m[1], d[1], m[2], d[2], m[3]))) for m, d in stats
@@ -295,7 +435,7 @@ def input_gradient(net: NetworkSpec, layers, x: np.ndarray, upstream: np.ndarray
     ``layers`` are materialized layers matching ``net``; used by gradient
     verification.  The gradient has the shape of ``x``.
     """
-    return _backward(net, layers, _forward(net, layers, x), upstream)[0]
+    return _backward(net, layers, _forward(net, layers, x)[1], upstream)[0]
 
 
 # -- single-layer variance check -------------------------------------------
@@ -315,11 +455,13 @@ def variance_mc(
     backbone graph; the measurement is taken before any activation, so the
     two agree for every plan mode up to sampling noise.
 
-    Trial ``t`` draws a standard-normal input of ``batch`` samples and then
-    every weight from ``SeedSequence([seed, t])``.  Trials run in blocks:
-    each trial's input and weights are drawn in place into its slice of
-    block arrays with a leading trial axis, one contraction runs per
-    replica, and each trial's ratio is read off its slice.  Contractions
+    Trial ``t`` draws a standard-normal input of ``batch`` samples from the
+    first child of ``SeedSequence([seed, t])`` and every weight from the
+    second, seeded from words computed per chunk of trials (see
+    :func:`_seed_words`) into one generator per worker thread.  Trials run
+    in blocks: each trial's input and weights are drawn in place into its
+    slice of block arrays with a leading trial axis, one contraction runs
+    per replica, and each trial's ratio is read off its slice.  Contractions
     reuse their step buffers from one workspace per worker thread, which
     lives as long as this call.  The block size comes from the layer
     shapes (see :func:`~tcinit.network._trial_block`), so the figures do
@@ -340,23 +482,21 @@ def variance_mc(
 
     per_thread = threading.local()
 
-    def run_block(block):
+    def run_block(block, streams):
         n = len(block)
         x = np.empty((n, *x_shape))
         replicas = [[np.empty((n, *s)) for s in shapes] for _ in range(f.phi)]
-        for i, t in enumerate(block):
-            k_in, k_w = np.random.SeedSequence([seed, t]).spawn(2)
-            _draw(np.random.default_rng(k_in), [[x[i]]], [1.0], "normal")
+        for i, (x_words, w_words) in enumerate(streams):
+            _draw(_stream(per_thread, x_words), [[x[i]]], [1.0], "normal")
             trial = [[w[i] for w in weights] for weights in replicas]
-            _draw(np.random.default_rng(k_w), trial, variances, plan.distribution)
+            _draw(_stream(per_thread, w_words), trial, variances, plan.distribution)
         # A one-trial block is the per-trial call, without the trial axis.
         args = (x, replicas) if n > 1 else (x[0], trial)
         workspace = vars(per_thread).setdefault("workspace", {})
         out = _contract(f, *args, backward=False, trial_axis=n > 1, workspace=workspace)
         return out.reshape(n, -1).var(axis=1) / x.reshape(n, -1).var(axis=1)
 
-    blocks = [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
-    ratios = np.concatenate(_map_trials(run_block, blocks, workers))
+    ratios = np.concatenate(_map_seeded(run_block, seed, trials, (0, 1), workers, size))
     return {
         "seed": seed,
         "trials": trials,
@@ -381,7 +521,9 @@ def scale_chain(
     Step ``t`` multiplies the running activation by a fresh N(0,1) matrix of
     shape ``(dims[t-1], dims[t])`` and reports
     ``var(out) / (var(in) * sigma^2(W))`` with ``sigma^2(W) = 1``; the
-    ground truth is the contracted dimension ``dims[t-1]``.  Raises
+    ground truth is the contracted dimension ``dims[t-1]``.  Each trial
+    draws its input and then every matrix from the stream of
+    ``SeedSequence([seed, trial])`` (see :func:`_seed_words`).  Raises
     :class:`~tcinit.errors.ResourceLimit` before any draw when an input,
     weight or step output would not fit in memory.
     """
@@ -398,8 +540,10 @@ def scale_chain(
         _check_array((dims[t - 1], dims[t]), f"the weight of chain step {t}")
         _check_array((batch, dims[t]), f"the output of chain step {t}")
 
-    def one(trial):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
+    local = threading.local()
+
+    def one(_, streams):
+        rng = _stream(local, streams[0][0])
         x = rng.standard_normal((batch, dims[0]))
         scales = []
         for a, b in zip(dims, dims[1:]):
@@ -409,7 +553,7 @@ def scale_chain(
             x = out
         return scales
 
-    rows = np.asarray(_map_trials(one, range(trials), workers))
+    rows = np.asarray(_map_seeded(one, seed, trials, None, workers))
     table = []
     for t in range(len(dims) - 1):
         table.append(

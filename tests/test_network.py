@@ -756,6 +756,18 @@ class TestWorkspaceReuse:
         want = network._contract(f, second, replicas, backward)
         assert got.tobytes() == want.tobytes()
 
+    def test_holds_one_plan_at_a_time(self):
+        # The other direction's plan replaces the first one's arrays, and
+        # the apply functions pass the workspace through.
+        f = self.LAYERS["standard-s2"]
+        layer = materialize(f, make_plan(f, "graph-in", "identity"), 0)
+        x = np.random.default_rng(3).standard_normal((2,) + f.input_mode_dims())
+        workspace = {}
+        y = forward_apply(layer, DenseTensor.from_array(x), workspace)
+        assert list(workspace) == [network._plan(f, False, x.shape, False)]
+        backward_apply(layer, y, workspace)
+        assert list(workspace) == [network._plan(f, True, y.shape, False)]
+
 
 def workspace_arrays(held):
     """Every array a workspace holds, however its entries nest them."""

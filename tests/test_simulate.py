@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -122,18 +123,18 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "depth,act,with_workspace",
-        [(3, "tanh", False), (2, "tanh", False), (3, "identity", True)],
+        [(6, "tanh", False), (4, "tanh", False), (3, "identity", True), (3, "tanh", True)],
     )
     def test_activations_one_trial_keeps_count_together(self, depth, act, with_workspace,
                                                         monkeypatch):
         # Every array fits under the limit on its own: each activation is
         # [32, 4, 4] (4,096 bytes), the largest, the zero-padded window
         # input [32, 6, 4], takes 6,144 bytes, and each direction's
-        # workspace holds 14,720 bytes.  But a trial keeps the pre- and the
-        # post-activation of every layer for the backward pass, one array
-        # when the activation is the identity.  Three identity layers keep
-        # 12,288 bytes, under the limit, but a pass holds them and its
-        # workspace at once: 27,008 bytes.
+        # workspace holds 14,720 bytes.  But a trial keeps the
+        # post-activation of every layer for the backward pass, whatever
+        # the activation: six layers keep 24,576 bytes and four 16,384.
+        # Three layers keep 12,288 bytes, under the limit, but a pass holds
+        # them and its workspace at once: 27,008 bytes.
         f = builtin_format("standard", c_in=4, c_out=4, k=3, spatial=1, alpha=4, padding=1)
         net = NetworkSpec((LayerSpec(f, act),) * depth, f.input_mode_dims(), batch=32)
         monkeypatch.setattr(tensor, "MEMORY_LIMIT", 16000)
@@ -257,6 +258,31 @@ class TestBackwardTrace:
         before = upstream.copy()
         input_gradient(net, layers, x, upstream)
         assert np.array_equal(upstream, before)
+
+    def test_trial_keeps_only_the_post_activations(self, monkeypatch):
+        # After the forward pass neither the input nor a pre-activation is
+        # alive, and the backward pass drops each post-activation it reads.
+        net = linear_net(depth=3, act="tanh")
+        plan = make_plan(net.layers[0].format, "graph-in", "tanh")
+        layers = [materialize(s.format, plan, i) for i, s in enumerate(net.layers)]
+        made = []
+
+        def apply(layer, x, workspace):
+            out = forward_apply(layer, x, workspace)
+            made.append(weakref.ref(out.data.base))
+            return out
+
+        def draw():
+            x = np.random.default_rng(0).standard_normal((net.batch, *net.input_shape))
+            made.append(weakref.ref(x))
+            return x
+
+        monkeypatch.setattr(simulate, "forward_apply", apply)
+        stats, posts = simulate._forward(net, layers, draw())
+        assert len(made) == 4 and not any(ref() is not None for ref in made)
+        assert len(stats) == len(posts) == 3
+        simulate._backward(net, layers, posts, np.ones(posts[-1].shape))
+        assert posts == []
 
 
 FOLD_NETS = {
@@ -391,6 +417,72 @@ class TestTrialBlocks:
         f = builtin_format("standard", c_in=16, c_out=16, k=3, alpha=2**22)
         with pytest.raises(ResourceLimit):
             variance_mc(f, make_plan(f, "graph-in", "tanh"), seed=0, trials=1)
+
+
+class TestStreams:
+    """Each trial's streams are numpy's own: ``SeedSequence([seed, t])`` or
+    its ``spawn`` children, seeded into ``default_rng``, bit for bit."""
+
+    @staticmethod
+    def numpy_streams(seed, t, n):
+        root = np.random.SeedSequence([seed, t])
+        return [np.random.default_rng(s) for s in ([root] if n is None else root.spawn(n))]
+
+    # n: the root stream of scale_chain, variance_mc's 2 children and
+    # _trace's len(layers) + 2 at depths 1 and 5.
+    @pytest.mark.parametrize("n", [None, 2, 3, 7])
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3, np.int64(7)])
+    @pytest.mark.parametrize("trials", [range(0, 4), range(2**32 - 2, 2**32 + 2)])
+    def test_states_and_draws_match_numpy(self, n, seed, trials):
+        words = simulate._seed_words(seed, trials, None if n is None else range(n))
+        assert words.shape == (len(trials), n or 1, 4)
+        local = threading.local()
+        for t, got in zip(trials, words):
+            for stream, rng in zip(got, self.numpy_streams(seed, t, n), strict=True):
+                loaded = simulate._stream(local, stream)
+                assert loaded.bit_generator.state == rng.bit_generator.state
+                assert np.array_equal(loaded.standard_normal(5), rng.standard_normal(5))
+                assert np.array_equal(loaded.random(3), rng.random(3))
+
+    def test_trace_draws_the_spawned_children(self):
+        # Trial t draws its input from the first child of
+        # SeedSequence([seed, t]), layer i's weights from child i + 1 and
+        # the upstream gradient from the last.
+        net = linear_net(depth=2, act="tanh")
+        plans = [make_plan(s.format, s.mode, s.activation) for s in net.layers]
+        rows = []
+        for t in range(2):
+            kids = [np.random.default_rng(k) for k in np.random.SeedSequence([5, t]).spawn(4)]
+            layers = [materialize(s.format, p, k) for s, p, k in zip(net.layers, plans, kids[1:])]
+            x = kids[0].standard_normal((net.batch, *net.input_shape))
+            pre = forward_apply(layers[0], DenseTensor.from_array(x)).array
+            g = kids[3].standard_normal((net.batch, *net.input_shape))
+            rows.append((pre.var(), input_gradient(net, layers, x, g).var()))
+        pre_var, grad_var = np.asarray(rows).mean(axis=0)
+        layer = backward_trace(net, seed=5, trials=2).layers[0]
+        assert (layer.pre_var, layer.grad_var) == (pre_var, grad_var)
+
+    def test_seed_words_are_held_one_chunk_at_a_time(self, monkeypatch):
+        # A million trials: the seed words of at most SEED_CHUNK trials
+        # exist at once, and the blocks are those of one pass over all trials.
+        f = builtin_format("tt", i_dims=(4, 6), o_dims=(4, 6), rank=6)
+        size = network._trial_block(f, (BLOCK_BATCH,) + f.input_mode_dims())
+        chunks, blocks = [], []
+
+        def words(seed, trials, keys):
+            chunks.append(len(trials))
+            return [None] * len(trials)
+
+        def run(fn, items, workers):
+            blocks.extend(block for block, _ in items)
+            return [np.ones(len(block)) for block, _ in items]
+
+        monkeypatch.setattr(simulate, "_seed_words", words)
+        monkeypatch.setattr(simulate, "_map_trials", run)
+        trials = 10**6
+        variance_mc(f, make_plan(f, "graph-in", "tanh"), 0, trials, batch=BLOCK_BATCH)
+        assert max(chunks) <= simulate.SEED_CHUNK and sum(chunks) == trials
+        assert blocks == [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
 
 
 def holds_array(obj, seen=None) -> bool:
