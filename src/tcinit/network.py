@@ -25,9 +25,12 @@ Every other step contracts channels only and runs as one GEMM,
 transpose-transpose-GEMM (TTGT, Springer & Bientinesi, arXiv:1607.00145): both
 operands are permuted and reshaped to ``(batch, M, K)`` and ``(batch, K, N)``
 and meet in one ``matmul`` whose output is the step's result, laid out batch,
-kept left, kept right, and never permuted.  The operands and groups are the
-ones numpy's pairwise einsum would use, so the engine's figures are the
-einsum's to the last bit, and no einsum runs on the hot path.
+kept left, kept right, and never permuted.  A step that sums no index longer
+than 1 is the case ``K = 1``, one product per output entry.  Indices are
+grouped as numpy's pairwise einsum groups them, but no einsum runs on the
+hot path, and the engine is not held to einsum's figures bit for bit: BLAS
+may add a GEMM's terms in another order, so the two agree within the same
+summation bound.
 
 The backward pass is the forward pass of ``build_backward_format(f)``: the
 output gradient is its input, laid out with ``stride - 1`` zeros between
@@ -148,10 +151,14 @@ def materialize(f: LayerFormat, plan: InitPlan, rng) -> MaterializedLayer:
 
     ``rng`` is a seed or a numpy Generator.  Each replica's weight for
     vertex ``v`` has the shape of its incident-edge dims in declaration
-    order; entries are i.i.d. zero mean with the planned variance.
+    order; entries are i.i.d. zero mean with the planned variance.  Raises
+    :class:`~tcinit.errors.ResourceLimit` before any allocation when a
+    weight would exceed the memory limit.
     """
     _check_seed(rng)
     shapes, variances = _weight_specs(f, plan)
+    for vid, shape in zip(f.weight_ids, shapes):
+        _check_array(shape, f"the weight of vertex {vid!r}")
     replicas = [[np.empty(s) for s in shapes] for _ in range(f.phi)]
     _draw(np.random.default_rng(rng), replicas, variances, plan.distribution)
     return MaterializedLayer(
@@ -255,13 +262,11 @@ class _Gemm:
 
     The left operand's axes are ordered (batch, kept, summed) by ``a_perm``
     and the right one's (batch, summed, kept) by ``b_perm``; reshaped to
-    ``a_shape`` and ``b_shape`` they meet in one ``matmul`` into a buffer of
-    ``buffers[0]``.  With ``matmul`` false no index longer than 1 is summed
-    and the shapes broadcast over the result's axes for one ``multiply``.
-    Viewed as ``out_shape`` the buffer is the result, laid out batch, then
-    kept left, then kept right, so it is never permuted.  An operand marked
-    in ``fresh`` is read through a fresh copy, where einsum drops one of its
-    indices of length 1 by a sum, which also turns -0.0 into 0.0.
+    ``a_shape`` and ``b_shape``, ``(batch, M, K)`` and ``(batch, K, N)``, they
+    meet in one ``matmul`` into a buffer of ``buffers[0]``.  A step that sums
+    no index longer than 1 is the case ``K = 1``.  Viewed as ``out_shape`` the
+    buffer is the result, laid out batch, then kept left, then kept right, so
+    it is never permuted.
     """
 
     picked: tuple[int, ...]
@@ -270,8 +275,6 @@ class _Gemm:
     b_perm: tuple[int, ...]
     b_shape: tuple[int, ...]
     out_shape: tuple[int, ...]
-    matmul: bool
-    fresh: tuple[bool, bool]
     buffers: tuple[tuple[int, ...], ...]
 
 
@@ -310,22 +313,11 @@ def _shift(x: np.ndarray, w: np.ndarray, s: _Shift, held: tuple) -> np.ndarray:
     return out.reshape(s.out_shape)
 
 
-def _gemm(a: np.ndarray, b: np.ndarray, g: _Gemm, held: list) -> np.ndarray:
-    a, b = a.transpose(g.a_perm), b.transpose(g.b_perm)
-    if g.fresh[0]:
-        a = a + 0.0
-    if g.fresh[1]:
-        b = b + 0.0
-    a, b = a.reshape(g.a_shape), b.reshape(g.b_shape)
-    if g.matmul:
-        np.matmul(a, b, out=held[0])
-        return held[1]
-    # A broadcast product is laid out after its operands' strides, as
-    # einsum's is: the first one made sets the buffer's layout.
-    if held[0] is None:
-        held[0] = np.multiply(a, b)
-        return held[0]
-    return np.multiply(a, b, out=held[0])
+def _gemm(a: np.ndarray, b: np.ndarray, g: _Gemm, held: tuple) -> np.ndarray:
+    a = a.transpose(g.a_perm).reshape(g.a_shape)
+    b = b.transpose(g.b_perm).reshape(g.b_shape)
+    np.matmul(a, b, out=held[0])
+    return held[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,9 +330,9 @@ class _Plan:
     holds: the input, a weight or an array a step writes (its ``buffers``).
     ``buffers`` are the shapes of the plan's own arrays: the channels-last
     input (with ``entry``), then the replica sum (with more than one
-    replica).  The results of ``matmul`` steps share the
-    ``slots``, flat arrays of the given entries: ``slot_of`` gives each
-    step's, ``None`` for a step that holds its own.  ``held`` counts the
+    replica).  The results of GEMM steps share the ``slots``, flat arrays of
+    the given entries: ``slot_of`` gives each step's, ``None`` for a window
+    step, which holds its own.  ``held`` counts the
     entries of every array a workspace holds for the plan."""
 
     entry: tuple[int, ...] | None
@@ -410,19 +402,18 @@ def _compile_shift(picked, tx: str, tw: str, x_axes: str, w_axes: str, live, siz
     return shift, out
 
 
-def _compile_gemm(picked, ta: str, tb: str, aa: str, ab: str, out: str, live,
+def _compile_gemm(picked, ta: str, tb: str, aa: str, ab: str, live,
                   size) -> tuple[_Gemm, str]:
     """The channel step of the operands at ``picked``, left term ``ta`` and
     right term ``tb``, whose arrays hold their axes in the orders ``aa`` and
-    ``ab``, into result term ``out``; returns the step and its result's axis
-    order.
+    ``ab``; returns the step and its result's axis order.
 
-    Indices are grouped as numpy's pairwise ``bmm_einsum`` groups them, so
-    the products are the ones an einsum of the step runs: batch, summed and
-    kept-left indices in ``ta``'s order, kept-right ones in ``tb``'s, and
-    the batch group dropped when it is all of length 1.  The result holds
-    its axes as batch, kept left, kept right.  A step that sums no index
-    longer than 1 multiplies instead, broadcast over ``out``.
+    Indices are grouped as numpy's pairwise ``bmm_einsum`` groups them:
+    batch, summed and kept-left indices in ``ta``'s order, kept-right ones
+    in ``tb``'s, and the batch group dropped when it is all of length 1.
+    Every step is one ``matmul``: one that sums no index longer than 1 has
+    ``K = 1``, an outer product per batch entry.  The result holds its axes
+    as batch, kept left, kept right.
     """
     one_sided = [c for c in ta + tb if (c in ta) != (c in tb)]
     # validate rejects an edge that only one vertex joins, so an index on
@@ -436,33 +427,16 @@ def _compile_gemm(picked, ta: str, tb: str, aa: str, ab: str, out: str, live,
     def fused(*groups):
         return tuple(math.prod(size[c] for c in g) for g in groups)
 
-    matmul = any(size[c] > 1 for c in summed)
-    if matmul:
-        axes = bat + left + right
-        a_order, b_order = bat + left + summed, bat + summed + right
-        lead = [bat] if any(size[c] > 1 for c in bat) else []
-        a_shape, b_shape = fused(*lead, left, summed), fused(*lead, summed, right)
-        result = fused(*lead, left, right)
-    else:
-        axes = list(out)
-        a_order = [c for c in out if c in ta] + summed
-        b_order = [c for c in out if c in tb] + summed
-        a_shape = tuple(size[c] if c in ta else 1 for c in out)
-        b_shape = tuple(size[c] if c in tb else 1 for c in out)
-        result = fused(*out)
-    # The indices einsum's operands drop: every one of length 1 before a
-    # matmul, the summed ones before a multiply.
-    dropped = [any(size[c] == 1 if matmul else c not in out for c in t) for t in (ta, tb)]
+    axes = bat + left + right
+    lead = [bat] if any(size[c] > 1 for c in bat) else []
     gemm = _Gemm(
         tuple(picked),
-        tuple(aa.index(c) for c in a_order),
-        a_shape,
-        tuple(ab.index(c) for c in b_order),
-        b_shape,
+        tuple(aa.index(c) for c in bat + left + summed),
+        fused(*lead, left, summed),
+        tuple(ab.index(c) for c in bat + summed + right),
+        fused(*lead, summed, right),
         fused(*axes),
-        matmul,
-        tuple(dropped),
-        (result,),
+        (fused(*lead, left, right),),
     )
     return gemm, "".join(axes)
 
@@ -482,8 +456,8 @@ def _steps(x_term, x_axes, offsets, positions, w_terms, output, dims, windows):
     Each operand has a term, which names its indices in the order an einsum
     of the path would hold them, and an axis order, how its array holds
     them (the input's is ``x_axes``).  Steps group indices by terms, as the
-    einsum would, and read arrays by axis orders, so every product is the
-    einsum's and no array is permuted between steps.
+    einsum would, and read arrays by axis orders, so no array is permuted
+    between steps.
     """
     terms = [x_term + offsets, *w_terms]
     standins = [np.broadcast_to(0.0, [dims[c] for c in t]) for t in terms]
@@ -521,7 +495,7 @@ def _steps(x_term, x_axes, offsets, positions, w_terms, output, dims, windows):
             # einsum names a pair's result by first appearance and takes
             # the pair last operand first; so does the plan.
             out = "".join(dict.fromkeys(c for t in args for c in t if c in live))
-            step, order = _compile_gemm(picked[::-1], *args[::-1], *held[::-1], out, live, size)
+            step, order = _compile_gemm(picked[::-1], *args[::-1], *held[::-1], live, size)
         steps.append(step)
         terms = [terms[i] for i in rest] + [out]
         axes = [axes[i] for i in rest] + [order]
@@ -558,12 +532,11 @@ def _plan(f: LayerFormat, backward: bool, x_shape, trial_axis: bool = False) -> 
 
 
 def _slots(steps) -> tuple[tuple[int, ...], tuple[int | None, ...]]:
-    """Static buffer assignment for the results of ``matmul`` steps: a result
-    lives from its step to the step that reads it, the last one to the end,
-    and results whose lives do not overlap share one slot.  Returns each
-    slot's entries and each step's slot, ``None`` for a step that holds its
-    own arrays (a window step, whose padded buffer must keep its zeros, or a
-    ``multiply``, laid out at run time)."""
+    """Static buffer assignment for the results of GEMM steps: a result lives
+    from its step to the step that reads it, the last one to the end, and
+    results whose lives do not overlap share one slot.  Returns each slot's
+    entries and each step's slot, ``None`` for a window step, which holds its
+    own arrays because its padded buffer must keep its zeros."""
     sizes, slot_of, free = [], [], []
     ops = [None] * (len(steps) + 1)  # the slot of each operand's array
     for step in steps:
@@ -571,7 +544,7 @@ def _slots(steps) -> tuple[tuple[int, ...], tuple[int | None, ...]]:
         for i in sorted(step.picked, reverse=True):
             del ops[i]
         slot = None
-        if isinstance(step, _Gemm) and step.matmul:
+        if isinstance(step, _Gemm):
             entries = math.prod(step.buffers[0])
             slot = max(free, key=sizes.__getitem__) if free else len(sizes)
             if slot == len(sizes):
@@ -588,19 +561,16 @@ def _slots(steps) -> tuple[tuple[int, ...], tuple[int | None, ...]]:
 
 def _workspace_arrays(plan: _Plan) -> tuple:
     """Everything a workspace holds for ``plan``: its own arrays, then per
-    step those the step writes (see :func:`_shift_buffers`; a ``matmul``
-    step's output and result views of its slot; a ``multiply`` step's
-    result, made by its first product)."""
+    step those the step writes (see :func:`_shift_buffers`; a GEMM step's
+    output and result views of its slot)."""
     slots = [np.empty(n) for n in plan.slots]
     held = []
     for step, at in zip(plan.steps, plan.slot_of):
         if isinstance(step, _Shift):
             held.append(_shift_buffers(step))
-        elif at is None:
-            held.append([None])
         else:
             out = slots[at][:math.prod(step.buffers[0])].reshape(step.buffers[0])
-            held.append([out, out.reshape(step.out_shape)])
+            held.append((out, out.reshape(step.out_shape)))
     return [np.empty(s) for s in plan.buffers], held
 
 
@@ -608,15 +578,19 @@ def _workspace(workspace: dict, plan: _Plan) -> tuple:
     """The arrays ``workspace`` holds for ``plan``, made on first use.  It
     holds one plan's arrays at a time, so a caller that runs plans in turn
     holds the largest workspace of them, never their sum.  A plan hashes by
-    identity, so it is its own key."""
+    identity, so it is its own key.  Raises
+    :class:`~tcinit.errors.ResourceLimit` before making them when the plan's
+    largest array, or all of them together, would exceed the memory limit."""
     held = workspace.get(plan)
     if held is None:
+        _check_array((plan.largest,), "the largest array of a contraction")
+        _check_array((plan.held,), "the workspace of a contraction")
         workspace.clear()
         held = workspace[plan] = _workspace_arrays(plan)
     return held
 
 
-def _trial_block(f: LayerFormat, x_shape) -> int:
+def _trial_block(f: LayerFormat, x_shape, trials: int = 1, workers: int = 1) -> int:
     """Trials per forward block for a per-trial input of ``x_shape``.
 
     As many trials as keep the block's largest array within
@@ -624,12 +598,19 @@ def _trial_block(f: LayerFormat, x_shape) -> int:
     size depends on the shapes alone.  Raises
     :class:`~tcinit.errors.ResourceLimit` when even that block's largest
     array, or all the arrays its workspace holds, would exceed the memory
-    limit.
+    limit, or when they would for the blocks of ``trials`` that ``workers``
+    threads run at once, each with its own.
     """
     plan = _plan(f, False, x_shape)
     block = min(MAX_TRIAL_BLOCK, max(1, TRIAL_BLOCK_BYTES // (8 * plan.largest)))
     _check_array((block, plan.largest), "the largest array of a trial block")
     _check_array((block, plan.held), "the workspace of a trial block")
+    copies = min(workers, -(-trials // block))
+    if copies > 1:
+        _check_array((copies, block, plan.largest),
+                     f"the largest arrays of {copies} trial blocks run at once")
+        _check_array((copies, block, plan.held),
+                     f"the workspaces of {copies} trial blocks run at once")
     return block
 
 

@@ -111,7 +111,7 @@ def report_csv(report: TraceReport) -> str:
 # -- network wiring ---------------------------------------------------------
 
 
-def validate_network(net: NetworkSpec) -> None:
+def validate_network(net: NetworkSpec, concurrent: int = 1) -> None:
     """Check that every layer names a known activation and plan mode, that
     the layers chain and that no array of a trial exceeds the memory limit:
     the batched input, every layer output, and the largest array of each
@@ -121,7 +121,8 @@ def validate_network(net: NetworkSpec) -> None:
     the trial runs.  The activations a trial keeps for its backward pass
     must fit together as well: per layer the post-activation, the one array
     that pass reads.  A pass holds them all while it runs, so they must also
-    fit together with the largest workspace of any pass."""
+    fit together with the largest workspace of any pass, and so must those
+    of ``concurrent`` trials, which run at once, each with its own."""
     if not net.layers:
         raise InvalidParams("network has no layers")
     if net.batch < 1:
@@ -153,6 +154,10 @@ def validate_network(net: NetworkSpec) -> None:
     _check_array((kept,), "the activations one trial keeps")
     _check_array((kept + largest_held,),
                  "the kept activations and the largest workspace of a trial")
+    if concurrent > 1:
+        _check_array((concurrent, kept + largest_held),
+                     f"the kept activations and the largest workspaces of {concurrent} "
+                     "trials run at once")
 
 
 def _forward(net: NetworkSpec, layers, x: np.ndarray):
@@ -372,10 +377,11 @@ def _trace(net: NetworkSpec, seed: int, trials: int, workers: int, grad_var=None
     network output and runs the stack backward; otherwise the gradient
     statistics read 0.  A trial keeps only the post-activations for the
     backward pass, which drops each once read; every statistic is taken
-    when its array is made.
+    when its array is made.  The trials that ``workers`` threads run at once
+    must fit in memory together (see :func:`validate_network`).
     """
     _check_seed(seed)
-    validate_network(net)
+    validate_network(net, min(workers, trials))
     plans = [make_plan(s.format, s.mode, s.activation) for s in net.layers]
     local = threading.local()
 
@@ -466,9 +472,9 @@ def variance_mc(
     lives as long as this call.  The block size comes from the layer
     shapes (see :func:`~tcinit.network._trial_block`), so the figures do
     not depend on ``workers``, which map over blocks.  Raises
-    :class:`~tcinit.errors.ResourceLimit` before any draw when one block
-    would not fit in memory, and :class:`~tcinit.errors.InvalidParams` when
-    ``batch`` is below 1.
+    :class:`~tcinit.errors.ResourceLimit` before any draw when one block, or
+    the blocks the workers run at once, would not fit in memory, and
+    :class:`~tcinit.errors.InvalidParams` when ``batch`` is below 1.
     """
     _check_seed(seed)
     if batch < 1:
@@ -478,7 +484,7 @@ def variance_mc(
         extract_bg(f, FAN_IN), 1.0, variances, 1.0, f.phi
     )
     x_shape = (batch,) + f.input_mode_dims()
-    size = _trial_block(f, x_shape)
+    size = _trial_block(f, x_shape, trials, workers)
 
     per_thread = threading.local()
 

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tcinit
-from tcinit import network, tensor, transform
+from tcinit import network, simulate, tensor, transform
 from tcinit.errors import PlanIncomplete, ResourceLimit, ShapeMismatch
 from tcinit.formats import BUILTIN_NAMES, builtin_format, parse_format, random_format
 from tcinit.graph import InitPlan, make_plan
@@ -84,6 +84,14 @@ class TestMaterialize:
         partial = InitPlan("graph-in", 1.0, 4, {"w0": 0.1})
         with pytest.raises(PlanIncomplete):
             materialize(f, partial, 0)
+
+    def test_over_limit_weight_raises_before_allocating(self, monkeypatch):
+        # One weight [64, 64, 3, 3] takes 294,912 bytes.
+        f = builtin_format("standard", c_in=64, c_out=64, k=3, alpha=8)
+        monkeypatch.setattr(tensor, "MEMORY_LIMIT", 1000)
+        monkeypatch.setattr(network, "_draw", None)
+        with pytest.raises(ResourceLimit, match="weight of vertex 'w'"):
+            materialize(f, make_plan(f, "graph-in", "identity"), 0)
 
     def test_deterministic_per_seed(self):
         f = builtin_format("tt", i_dims=(3, 4), o_dims=(3, 4), rank=2)
@@ -535,6 +543,22 @@ class TestTrialAxis:
         monkeypatch.setattr(network, "TRIAL_BLOCK_BYTES", 1 << 40)
         assert network._trial_block(f, x_shape) == network.MAX_TRIAL_BLOCK
 
+    def test_concurrent_blocks_over_limit_raise_before_drawing(self, monkeypatch):
+        # One block's workspace fits under the limit, but two workers would
+        # hold one each.  The limit only bounds blocks that run at once:
+        # one worker, or one block, runs.
+        f = builtin_format("standard", c_in=4, c_out=4, k=3, padding=1, alpha=16, phi=2)
+        x_shape = (2,) + f.input_mode_dims()
+        plan = network._plan(f, False, x_shape)
+        block = network._trial_block(f, x_shape)
+        monkeypatch.setattr(tensor, "MEMORY_LIMIT", 8 * block * plan.held)
+        init = make_plan(f, "graph-in", "identity")
+        variance_mc(f, init, seed=0, trials=2 * block, batch=2, workers=1)
+        variance_mc(f, init, seed=0, trials=block, batch=2, workers=2)
+        monkeypatch.setattr(simulate, "_draw", None)
+        with pytest.raises(ResourceLimit, match="workspaces of 2 trial blocks run at once"):
+            variance_mc(f, init, seed=0, trials=2 * block, batch=2, workers=2)
+
     def test_block_workspace_over_limit_raises_before_drawing(self, monkeypatch):
         # The workspace holds the padded input, the weight copy, the sum and
         # each offset's product at once: more than the largest array alone.
@@ -730,6 +754,21 @@ class TestPerOffsetSteps:
         assert_engine_oracle(f)
 
 
+# The weights b and c meet only on a rank edge of length 1, so one GEMM
+# step contracts them to a scalar, with K = 1; two replicas run that step in
+# turn.
+RANK_ONE_PAIR = """\
+phi 2
+vertex x input
+vertex a weight
+vertex b weight
+vertex c weight
+edge i0 input-channel 3 x a
+edge o0 output-channel 2 a
+edge r0 rank 1 b c
+"""
+
+
 class TestWorkspaceReuse:
     """A workspace passed again gives what a fresh one gives: reused padded
     buffers keep their pads and zero-inserted gaps at zero."""
@@ -739,6 +778,7 @@ class TestWorkspaceReuse:
         "standard-s2": PER_OFFSET_LAYERS["standard-s2"],
         "standard-stride2-small": builtin_format("standard", c_in=2, c_out=3, k=3,
                                                  alpha=(7, 6), stride=2, padding=1),
+        "rank-one-pair": parse_format(RANK_ONE_PAIR),
     }
 
     @pytest.mark.parametrize("name", sorted(LAYERS))
@@ -768,6 +808,21 @@ class TestWorkspaceReuse:
         backward_apply(layer, y, workspace)
         assert list(workspace) == [network._plan(f, True, y.shape, False)]
 
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    def test_over_limit_workspace_raises_before_running(self, backward, monkeypatch):
+        # The weights were drawn under the default limit; the arrays the
+        # contraction would make are checked before any is made.
+        f = builtin_format("standard", c_in=64, c_out=64, k=3, alpha=8)
+        layer = materialize(f, make_plan(f, "graph-in", "identity"), 0)
+        dims = f.output_mode_dims() if backward else f.input_mode_dims()
+        x = DenseTensor.from_array(np.ones((1,) + dims))
+        monkeypatch.setattr(tensor, "MEMORY_LIMIT", 1000)
+        apply = backward_apply if backward else forward_apply
+        workspace = {}
+        with pytest.raises(ResourceLimit, match="of a contraction"):
+            apply(layer, x, workspace)
+        assert workspace == {}
+
 
 def workspace_arrays(held):
     """Every array a workspace holds, however its entries nest them."""
@@ -796,6 +851,10 @@ class TestResultOwnsItsMemory:
         "tt": (builtin_format("tt", i_dims=(4, 4), o_dims=(4, 4), rank=3), False),
         "tucker2-trials": (builtin_format("tucker2", c_in=3, c_out=2, r0=2, r1=3, k=3,
                                           alpha=(7, 10), stride=2, padding=1, phi=2), True),
+        # Two replicas and, backward, a GEMM step with K = 1 last: its result
+        # is a view of a shared slot.
+        "lowrank-rank1": (builtin_format("lowrank", c_in=3, c_out=4, rank=1, k=3, alpha=6,
+                                         phi=2), False),
     }
 
     @pytest.mark.parametrize("name", sorted(LAYERS))
@@ -835,9 +894,8 @@ def owner(a):
 
 class TestPlanSizes:
     """A plan's ``held`` and ``largest`` state what its workspace allocates:
-    ``held`` the entries of every distinct array it holds (a ``multiply``
-    step's buffer is made by its first product), ``largest`` a bound on each
-    of them."""
+    ``held`` the entries of every distinct array it holds, ``largest`` a
+    bound on each of them."""
 
     FORMATS = {
         "conv_depth": (builtin_format("htk2", c_in=32, c_out=32, rank=8, k=3, padding=1,
@@ -857,9 +915,7 @@ class TestPlanSizes:
                 plan = network._plan(f, backward, lead + dims, trial_axis)
                 arrays = {id(a): a for a in map(owner, workspace_arrays(
                     network._workspace_arrays(plan)))}.values()
-                products = [step.buffers[0] for step, at in zip(plan.steps, plan.slot_of)
-                            if isinstance(step, network._Gemm) and at is None]
-                assert plan.held == sum(a.size for a in arrays) + sum(map(math.prod, products))
+                assert plan.held == sum(a.size for a in arrays)
                 assert max(a.size for a in arrays) <= plan.largest
 
 

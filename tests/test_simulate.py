@@ -154,6 +154,19 @@ class TestValidation:
         with pytest.raises(ResourceLimit, match="workspace of layer 0's forward pass"):
             forward_trace(net, seed=0, trials=1)
 
+    def test_concurrent_trials_keep_count_together(self, monkeypatch):
+        # The same layer: a trial keeps its 4,096-byte output and holds a
+        # 14,720-byte workspace, 18,816 bytes, but two trials run at once
+        # by two workers hold twice that.  One worker, or one trial, runs.
+        f = builtin_format("standard", c_in=4, c_out=4, k=3, spatial=1, alpha=4, padding=1)
+        net = NetworkSpec((LayerSpec(f, "identity"),), f.input_mode_dims(), batch=32)
+        monkeypatch.setattr(tensor, "MEMORY_LIMIT", 20000)
+        forward_trace(net, seed=0, trials=2, workers=1)
+        forward_trace(net, seed=0, trials=1, workers=2)
+        monkeypatch.setattr(simulate, "_stream", None)
+        with pytest.raises(ResourceLimit, match="workspaces of 2 trials run at once"):
+            forward_trace(net, seed=0, trials=2, workers=2)
+
 
 class TestForwardTrace:
     def test_graph_in_preserves_variance(self):
