@@ -38,13 +38,12 @@ entries and a left pad of ``beta - padding - 1`` (what the ``P' x T``
 pattern selects) and read at stride 1, and the weights are flipped along
 their kernel-window axes, which supplies the ``R`` factor.
 
-Each (format, direction, input shape, trial axis) is compiled once into a
-plan held in a bounded cache.  Compiling gives every index one einsum letter
-keyed by the edge it belongs to (see :func:`_wiring`), then follows a greedy
-pairwise path from ``np.einsum_path``, the one einsum call left, made once
-per plan; the plan holds the steps (a :class:`_Shift` or a :class:`_Gemm`
-each), the layout permutations, the kernel flips and the shapes of every
-buffer its steps write.
+Each (format, direction, input shape) is compiled once into a plan held in a
+bounded cache.  Compiling gives every index one einsum letter keyed by the
+edge it belongs to (see :func:`_wiring`), then follows a greedy pairwise path
+from ``np.einsum_path``, the one einsum call left, made once per plan; the
+plan holds the steps (a :class:`_Shift` or a :class:`_Gemm` each), the layout
+permutations, the kernel flips and the shapes of every buffer its steps write.
 
 Axis conventions (all carry a leading batch axis): channels, then spatial.
 
@@ -62,12 +61,11 @@ window step that reads the input transposes it as it copies it into its
 padded buffer), replicas are summed in the last step's layout and the sum is
 copied once into the output layout.
 
-A plan may also take an optional leading *trial axis*, ahead of the batch
-axis: an open index joined by the input and by every weight, so that one
-contraction runs a block of independent Monte-Carlo trials, each with its own
-input and weights.  The steps are those of the per-trial plan with one more
-index; the per-trial call is the case without it.  Blocks are sized from the
-per-trial plan's largest array (see :func:`_trial_block`).
+Every plan leads with a *trial axis*, ahead of the batch axis: an open index
+joined by the input and by every weight, so that one contraction runs a block
+of independent Monte-Carlo trials (see :func:`_trial_block`), each with its
+own input and weights.  A per-trial call is a block of one, and a trial's
+figures do not depend on the block it runs in.
 
 :func:`_draw` fills arrays the caller gives it, so trials are drawn straight
 into their slices of a block's arrays.  Every array a contraction writes
@@ -171,46 +169,45 @@ def materialize(f: LayerFormat, plan: InitPlan, rng) -> MaterializedLayer:
     )
 
 
-def _wiring(f: LayerFormat, x_shape, trial_axis: bool):
+def _wiring(f: LayerFormat, x_shape):
     """Einsum terms of one replica's forward pass, one letter per index.
 
     Indices are keyed by name: an edge by its id (a kernel edge's id keys
     its window offset), and the trial axis, the batch axis and each kernel
     edge's window position by tuples, which no edge id can equal.  The
     summed indices take the first letters, in edge declaration order; the
-    open indices follow: the trial axis (with ``trial_axis``), the batch
-    axis, the output-channel edges, then one window position per kernel
-    edge.
+    open indices follow: the batch axis, the output-channel edges, then one
+    window position per kernel edge.  The trial axis takes ``0``, which is
+    no einsum letter: the path search leaves it out (see :func:`_steps`).
 
     Returns the input term, the input's axes in its given layout, the
     window-offset letters, the window-position letters, one term per weight
     vertex, the output term and the size of every letter (a position has
     its window count ``alpha_prime``).  The input and output terms are
     channels-last: the trial and batch axes, then the positions, then the
-    channels; the given layout has the channels before the positions.  With
-    ``trial_axis`` the input, every weight and the output lead with the
-    trial axis.
+    channels; the given layout has the channels before the positions.  The
+    input, every weight and the output lead with the trial axis.
     """
     trial, batch = ("trial",), ("batch",)
     kernels = f.kernel_edges
     positions = [(e.id, "position") for e in kernels]
-    lead = [trial] if trial_axis else []
     summed = [e.id for e in f.edges if e.kind != OUTPUT_CHANNEL]
     outs = [e.id for e in f.edges_of_kind(OUTPUT_CHANNEL)]
-    opened = lead + [batch] + outs + positions
+    opened = [batch] + outs + positions
     letter = dict(zip(summed + opened, _letters(len(summed) + len(opened))))
+    letter[trial] = "0"
 
     def term(keys):
         return "".join(letter[k] for k in keys)
 
     size = {e.id: e.dim for e in f.edges}
     size.update(zip(positions, (e.window.alpha_prime for e in kernels)))
-    size[trial], size[batch] = x_shape[0], x_shape[len(lead)]
+    size[trial], size[batch] = x_shape[:2]
     ins = [e.id for e in f.edges_of_kind(INPUT_CHANNEL)]
-    w_terms = [term(lead + [e.id for e in f.edges_of(vid)]) for vid in f.weight_ids]
+    w_terms = [term([trial] + [e.id for e in f.edges_of(vid)]) for vid in f.weight_ids]
     dims = {letter[k]: size[k] for k in letter}
-    y_keys = lead + [batch] + positions + outs
-    return (term(lead + [batch] + positions + ins), term(lead + [batch] + ins + positions),
+    y_keys = [trial, batch] + positions + outs
+    return (term([trial, batch] + positions + ins), term([trial, batch] + ins + positions),
             term(e.id for e in kernels), term(positions), w_terms, term(y_keys), dims)
 
 
@@ -411,6 +408,8 @@ def _compile_gemm(picked, ta: str, tb: str, aa: str, ab: str, live,
     Indices are grouped as numpy's pairwise ``bmm_einsum`` groups them:
     batch, summed and kept-left indices in ``ta``'s order, kept-right ones
     in ``tb``'s, and the batch group dropped when it is all of length 1.
+    The trial index leads every term, so it is the first batch index; it
+    stays an axis of its own, so a trial keeps a block of one's strides.
     Every step is one ``matmul``: one that sums no index longer than 1 has
     ``K = 1``, an outer product per batch entry.  The result holds its axes
     as batch, kept left, kept right.
@@ -428,7 +427,7 @@ def _compile_gemm(picked, ta: str, tb: str, aa: str, ab: str, live,
         return tuple(math.prod(size[c] for c in g) for g in groups)
 
     axes = bat + left + right
-    lead = [bat] if any(size[c] > 1 for c in bat) else []
+    lead = [bat[:1], bat[1:]] if any(size[c] > 1 for c in bat[1:]) else [bat[:1]]
     gemm = _Gemm(
         tuple(picked),
         tuple(aa.index(c) for c in bat + left + summed),
@@ -447,11 +446,13 @@ def _steps(x_term, x_axes, offsets, positions, w_terms, output, dims, windows):
     copy.
 
     The path is planned for the windowed input, ``x_term + offsets``, and
-    the weights.  The input side is the one operand that holds the window
-    positions.  A step that joins it with a weight holding window offsets
-    contracts those offsets by shift-and-accumulate, with the input side
-    first; every other step is a :class:`_Gemm`.  Before its window step a
-    position has the input length ``alpha``, after it the window count.
+    the weights, without the trial index they all lead with, which would
+    change how numpy's greedy search pairs them.  The input side is the one
+    operand that holds the window positions.  A step that joins it with a
+    weight holding window offsets contracts those offsets by
+    shift-and-accumulate, with the input side first; every other step is a
+    :class:`_Gemm`.  Before its window step a position has the input length
+    ``alpha``, after it the window count.
 
     Each operand has a term, which names its indices in the order an einsum
     of the path would hold them, and an axis order, how its array holds
@@ -460,8 +461,8 @@ def _steps(x_term, x_axes, offsets, positions, w_terms, output, dims, windows):
     between steps.
     """
     terms = [x_term + offsets, *w_terms]
-    standins = [np.broadcast_to(0.0, [dims[c] for c in t]) for t in terms]
-    spec = ",".join(terms) + "->" + output
+    standins = [np.broadcast_to(0.0, [dims[c] for c in t[1:]]) for t in terms]
+    spec = ",".join(t[1:] for t in terms) + "->" + output[1:]
     path = np.einsum_path(spec, *standins, optimize=_PATH_SEARCH)[0][1:]
 
     size = dict(dims)
@@ -503,20 +504,19 @@ def _steps(x_term, x_axes, offsets, positions, w_terms, output, dims, windows):
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _plan(f: LayerFormat, backward: bool, x_shape, trial_axis: bool = False) -> _Plan:
-    """Compile one direction of ``f`` for an input of ``x_shape`` (channels,
-    then spatial); the weights have the shapes the format gives them."""
-    lead = int(trial_axis)
+def _plan(f: LayerFormat, backward: bool, x_shape) -> _Plan:
+    """Compile one direction of ``f`` for an input of ``x_shape`` (trials,
+    batch, channels, then spatial); every weight leads with the trial axis."""
     ef = build_backward_format(f) if backward else f
+    assert len(x_shape) == len(ef.input_mode_dims()) + 2, f"{x_shape} has no trial axis"
     windows = tuple(e.window for e in ef.kernel_edges)
-    x_term, x_axes, offsets, positions, w_terms, output, dims = _wiring(ef, x_shape, trial_axis)
+    x_term, x_axes, offsets, positions, w_terms, output, dims = _wiring(ef, x_shape)
     steps, last, copied = _steps(x_term, x_axes, offsets, positions, w_terms, output, dims,
                                  windows)
-    head, k = lead + 1, len(positions)
     entry = tuple(x_axes.index(c) for c in x_term) if copied else None
-    public = output[:head] + output[head + k:] + positions
+    public = output[:2] + output[2 + len(positions):] + positions
     flips = tuple(
-        tuple(lead + i for i, e in enumerate(f.edges_of(vid)) if backward and e.kind == KERNEL)
+        tuple(1 + i for i, e in enumerate(f.edges_of(vid)) if backward and e.kind == KERNEL)
         for vid in f.weight_ids
     )
     buffers = ((tuple(x_shape[i] for i in entry),) if entry else ()) + (
@@ -590,37 +590,44 @@ def _workspace(workspace: dict, plan: _Plan) -> tuple:
     return held
 
 
+def _replica_entries(f: LayerFormat) -> int:
+    """Entries of the weights of all ``f.phi`` replicas of one trial."""
+    return f.phi * sum(math.prod(f.weight_mode_dims(vid)) for vid in f.weight_ids)
+
+
 def _trial_block(f: LayerFormat, x_shape, trials: int = 1, workers: int = 1) -> int:
     """Trials per forward block for a per-trial input of ``x_shape``.
 
     As many trials as keep the block's largest array within
-    ``TRIAL_BLOCK_BYTES``, at least one and at most ``MAX_TRIAL_BLOCK``.  The
-    size depends on the shapes alone.  Raises
-    :class:`~tcinit.errors.ResourceLimit` when even that block's largest
-    array, or all the arrays its workspace holds, would exceed the memory
-    limit, or when they would for the blocks of ``trials`` that ``workers``
-    threads run at once, each with its own.
+    ``TRIAL_BLOCK_BYTES``, at least one and at most ``MAX_TRIAL_BLOCK``,
+    sized from the plan of a block of one.  The size depends on the shapes
+    alone.  Raises :class:`~tcinit.errors.ResourceLimit` when even that
+    block's largest array, or all it holds at once (its input, every
+    replica's weights and its workspace), would exceed the memory limit, or
+    when they would for the blocks of ``trials`` that ``workers`` threads run
+    at once, each with its own.
     """
-    plan = _plan(f, False, x_shape)
+    plan = _plan(f, False, (1, *x_shape))
     block = min(MAX_TRIAL_BLOCK, max(1, TRIAL_BLOCK_BYTES // (8 * plan.largest)))
+    holds = math.prod(x_shape) + _replica_entries(f) + plan.held
     _check_array((block, plan.largest), "the largest array of a trial block")
-    _check_array((block, plan.held), "the workspace of a trial block")
+    _check_array((block, holds), "the input, weights and workspace of a trial block")
     copies = min(workers, -(-trials // block))
     if copies > 1:
         _check_array((copies, block, plan.largest),
                      f"the largest arrays of {copies} trial blocks run at once")
-        _check_array((copies, block, plan.held),
-                     f"the workspaces of {copies} trial blocks run at once")
+        _check_array((copies, block, holds),
+                     f"the inputs, weights and workspaces of {copies} trial blocks run at once")
     return block
 
 
-def _contract(f: LayerFormat, x: np.ndarray, replicas, backward: bool, trial_axis: bool = False,
+def _contract(f: LayerFormat, x: np.ndarray, replicas, backward: bool,
               workspace: dict | None = None) -> np.ndarray:
     """Sum over replicas of one direction's compiled contraction.
 
     ``replicas`` holds one list of weight arrays per replica, in
-    ``f.weight_ids`` order.  With ``trial_axis`` the input, every weight and
-    the result carry a leading trial axis.  The input is made channels-last
+    ``f.weight_ids`` order.  The input, every weight and the result lead
+    with the trial axis, a block of trials.  The input is made channels-last
     once, by its first step's copy when that is a window step.  Every step
     writes into buffers the plan assigns it, and replicas are summed into
     one more, all taken from ``workspace``: a dict the caller owns and may
@@ -628,7 +635,7 @@ def _contract(f: LayerFormat, x: np.ndarray, replicas, backward: bool, trial_axi
     fresh array, copied once from the last step's layout into the output
     layout, so it never shares memory with the workspace.
     """
-    plan = _plan(f, backward, x.shape, trial_axis)
+    plan = _plan(f, backward, x.shape)
     workspace = {} if workspace is None else workspace
     own, arrays = _workspace(workspace, plan)
     if plan.entry is not None:
@@ -654,8 +661,8 @@ def _contract(f: LayerFormat, x: np.ndarray, replicas, backward: bool, trial_axi
 
 def _apply(layer: MaterializedLayer, t: DenseTensor, backward: bool, workspace) -> DenseTensor:
     f = layer.format
-    replicas = [[w[vid].array for vid in f.weight_ids] for w in layer.replicas]
-    return DenseTensor.from_array(_contract(f, t.array, replicas, backward, workspace=workspace))
+    replicas = [[w[vid].array[None] for vid in f.weight_ids] for w in layer.replicas]
+    return DenseTensor.from_array(_contract(f, t.array[None], replicas, backward, workspace)[0])
 
 
 def forward_apply(

@@ -44,6 +44,7 @@ from .network import (
     _contract,
     _draw,
     _plan,
+    _replica_entries,
     _trial_block,
     _weight_specs,
     backward_apply,
@@ -118,11 +119,13 @@ def validate_network(net: NetworkSpec, concurrent: int = 1) -> None:
     layer's compiled forward and backward plan (such as a window step's
     zero-padded input), and that the arrays its workspace holds at once fit
     together.  Compiling a plan allocates nothing, and the plan is the one
-    the trial runs.  The activations a trial keeps for its backward pass
-    must fit together as well: per layer the post-activation, the one array
-    that pass reads.  A pass holds them all while it runs, so they must also
-    fit together with the largest workspace of any pass, and so must those
-    of ``concurrent`` trials, which run at once, each with its own."""
+    the trial runs, a block of one.  What a trial keeps for its backward
+    pass must fit together as well: per layer the weights of its ``phi``
+    replicas, drawn before the forward pass, and the post-activation, the
+    one array that pass reads.  A pass holds them all while it runs, so they
+    must also fit together with the largest workspace of any pass, and so
+    must those of ``concurrent`` trials, which run at once, each with its
+    own."""
     if not net.layers:
         raise InvalidParams("network has no layers")
     if net.batch < 1:
@@ -143,21 +146,21 @@ def validate_network(net: NetworkSpec, concurrent: int = 1) -> None:
             )
         out = f.output_mode_dims()
         _check_array((net.batch, *out), f"the output of layer {i}")
-        kept += math.prod((net.batch, *out))
+        kept += math.prod((net.batch, *out)) + _replica_entries(f)
         for backward, dims in ((False, feed), (True, out)):
-            plan = _plan(f, backward, (net.batch, *dims))
+            plan = _plan(f, backward, (1, net.batch, *dims))
             direction = "backward" if backward else "forward"
             _check_array((plan.largest,), f"the largest array of layer {i}'s {direction} pass")
             _check_array((plan.held,), f"the workspace of layer {i}'s {direction} pass")
             largest_held = max(largest_held, plan.held)
         feed = out
-    _check_array((kept,), "the activations one trial keeps")
+    _check_array((kept,), "the weights and activations one trial keeps")
     _check_array((kept + largest_held,),
-                 "the kept activations and the largest workspace of a trial")
+                 "the weights, kept activations and the largest workspace of a trial")
     if concurrent > 1:
         _check_array((concurrent, kept + largest_held),
-                     f"the kept activations and the largest workspaces of {concurrent} "
-                     "trials run at once")
+                     f"the weights, kept activations and the largest workspaces of "
+                     f"{concurrent} trials run at once")
 
 
 def _forward(net: NetworkSpec, layers, x: np.ndarray):
@@ -467,13 +470,15 @@ def variance_mc(
     :func:`_seed_words`) into one generator per worker thread.  Trials run
     in blocks: each trial's input and weights are drawn in place into its
     slice of block arrays with a leading trial axis, one contraction runs
-    per replica, and each trial's ratio is read off its slice.  Contractions
-    reuse their step buffers from one workspace per worker thread, which
-    lives as long as this call.  The block size comes from the layer
-    shapes (see :func:`~tcinit.network._trial_block`), so the figures do
-    not depend on ``workers``, which map over blocks.  Raises
-    :class:`~tcinit.errors.ResourceLimit` before any draw when one block, or
-    the blocks the workers run at once, would not fit in memory, and
+    per replica, and each trial's ratio, the same in a block of any size, is
+    read off its slice.  Contractions reuse their step buffers from one
+    workspace per worker thread, which lives as long as this call.  The
+    block size comes from the layer shapes (see
+    :func:`~tcinit.network._trial_block`), so the figures do not depend on
+    ``workers``, which map over blocks.  Raises
+    :class:`~tcinit.errors.ResourceLimit` before any draw when one block's
+    input, weights and workspace, or those of the blocks the workers run at
+    once, would not fit in memory, and
     :class:`~tcinit.errors.InvalidParams` when ``batch`` is below 1.
     """
     _check_seed(seed)
@@ -496,10 +501,8 @@ def variance_mc(
             _draw(_stream(per_thread, x_words), [[x[i]]], [1.0], "normal")
             trial = [[w[i] for w in weights] for weights in replicas]
             _draw(_stream(per_thread, w_words), trial, variances, plan.distribution)
-        # A one-trial block is the per-trial call, without the trial axis.
-        args = (x, replicas) if n > 1 else (x[0], trial)
         workspace = vars(per_thread).setdefault("workspace", {})
-        out = _contract(f, *args, backward=False, trial_axis=n > 1, workspace=workspace)
+        out = _contract(f, x, replicas, backward=False, workspace=workspace)
         return out.reshape(n, -1).var(axis=1) / x.reshape(n, -1).var(axis=1)
 
     ratios = np.concatenate(_map_seeded(run_block, seed, trials, (0, 1), workers, size))

@@ -37,6 +37,15 @@ def zero_plan(f):
     return InitPlan("graph-in", 1.0, f.phi, {vid: 0.0 for vid in f.weight_ids})
 
 
+def stacked_replicas(f, layers):
+    """Per replica, each vertex's weights of ``layers``, one trial each,
+    stacked along a leading trial axis."""
+    return [
+        [np.stack([l.replicas[r][vid].array for l in layers]) for vid in f.weight_ids]
+        for r in range(f.phi)
+    ]
+
+
 class TestMaterialize:
     def test_standard_kernel_shape(self):
         f = builtin_format("standard", c_in=3, c_out=5, k=3, alpha=8)
@@ -499,35 +508,41 @@ class TestPeakMemory:
 
 
 class TestTrialAxis:
-    """A leading trial axis runs independent trials in one contraction."""
+    """A leading trial axis runs independent trials in one contraction; a
+    per-trial call is a block of one."""
 
+    # The random formats pair their operands differently when the path
+    # search sees the trial index, which every operand holds.  At batch 1,
+    # shared-channels ends in a GEMM step whose left operand a block of one
+    # reads as a strided view and a block of three as a copy, unless the
+    # trial index is a matmul batch axis of its own.
     @pytest.mark.parametrize(
-        "f",
+        "f,batch",
         [
-            builtin_format("tucker2", c_in=3, c_out=2, r0=2, r1=3, k=3,
-                           alpha=(7, 10), stride=2, padding=1, phi=2),
-            parse_format(SHARED_CHANNELS),
-            builtin_format("oddlike", **ADJOINT_BUILTINS["oddlike"]),
+            (builtin_format("tucker2", c_in=3, c_out=2, r0=2, r1=3, k=3,
+                            alpha=(7, 10), stride=2, padding=1, phi=2), 2),
+            (parse_format(SHARED_CHANNELS), 2),
+            (builtin_format("oddlike", **ADJOINT_BUILTINS["oddlike"]), 2),
+            (parse_format(SHARED_CHANNELS), 1),
+            *((random_format(seed), 2) for seed in (6, 12, 18, 26, 39)),
         ],
-        ids=["tucker2-2d", "shared-channels", "oddlike"],
+        ids=["tucker2-2d", "shared-channels", "oddlike", "shared-channels-batch1",
+             *(f"random{seed}" for seed in (6, 12, 18, 26, 39))],
     )
     @pytest.mark.parametrize("backward", [False, True])
-    def test_equals_stacked_per_trial_results(self, f, backward):
+    def test_equals_stacked_per_trial_results(self, f, batch, backward):
         plan = make_plan(f, "graph-in", "identity")
         dims = f.output_mode_dims() if backward else f.input_mode_dims()
         rng = np.random.default_rng(3)
-        args = [rng.standard_normal((2,) + dims) for _ in range(3)]
+        args = [rng.standard_normal((batch,) + dims) for _ in range(3)]
         layers = [materialize(f, plan, seed) for seed in range(3)]
         apply = backward_apply if backward else forward_apply
         want = np.stack(
             [apply(l, DenseTensor.from_array(a)).array for l, a in zip(layers, args)]
         )
-        replicas = [
-            [np.stack([l.replicas[r][vid].array for l in layers]) for vid in f.weight_ids]
-            for r in range(f.phi)
-        ]
-        got = network._contract(f, np.stack(args), replicas, backward, trial_axis=True)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+        replicas = stacked_replicas(f, layers)
+        got = network._contract(f, np.stack(args), replicas, backward)
+        assert got.tobytes() == want.tobytes()
 
     def test_block_size_follows_the_largest_array(self, monkeypatch):
         f = builtin_format("standard", c_in=2, c_out=2, k=3, alpha=6)
@@ -535,7 +550,7 @@ class TestTrialAxis:
         # The largest array is the input [n, c, a, b]; unpadded, the window
         # step's buffer has its size.
         per_trial = 8 * 2 * 2 * 6 * 6
-        assert network._plan(f, False, x_shape).largest * 8 == per_trial
+        assert network._plan(f, False, (1, *x_shape)).largest * 8 == per_trial
         monkeypatch.setattr(network, "TRIAL_BLOCK_BYTES", 5 * per_trial + 7)
         assert network._trial_block(f, x_shape) == 5
         monkeypatch.setattr(network, "TRIAL_BLOCK_BYTES", per_trial - 1)
@@ -544,14 +559,17 @@ class TestTrialAxis:
         assert network._trial_block(f, x_shape) == network.MAX_TRIAL_BLOCK
 
     def test_concurrent_blocks_over_limit_raise_before_drawing(self, monkeypatch):
-        # One block's workspace fits under the limit, but two workers would
-        # hold one each.  The limit only bounds blocks that run at once:
+        # What one block holds fits under the limit, but two workers would
+        # hold it twice.  The limit only bounds blocks that run at once:
         # one worker, or one block, runs.
         f = builtin_format("standard", c_in=4, c_out=4, k=3, padding=1, alpha=16, phi=2)
         x_shape = (2,) + f.input_mode_dims()
-        plan = network._plan(f, False, x_shape)
+        plan = network._plan(f, False, (1, *x_shape))
         block = network._trial_block(f, x_shape)
-        monkeypatch.setattr(tensor, "MEMORY_LIMIT", 8 * block * plan.held)
+        # Per trial: the input, both replicas' [4, 4, 3, 3] weights and the
+        # workspace.
+        holds = math.prod(x_shape) + 2 * 4 * 4 * 3 * 3 + plan.held
+        monkeypatch.setattr(tensor, "MEMORY_LIMIT", 8 * block * holds)
         init = make_plan(f, "graph-in", "identity")
         variance_mc(f, init, seed=0, trials=2 * block, batch=2, workers=1)
         variance_mc(f, init, seed=0, trials=block, batch=2, workers=2)
@@ -564,20 +582,36 @@ class TestTrialAxis:
         # each offset's product at once: more than the largest array alone.
         f = builtin_format("standard", c_in=4, c_out=4, k=3, padding=1, alpha=16, phi=2)
         x_shape = (2,) + f.input_mode_dims()
-        plan = network._plan(f, False, x_shape)
+        plan = network._plan(f, False, (1, *x_shape))
         buffers = [s for step in plan.steps for s in step.buffers] + list(plan.buffers)
         assert plan.held == sum(math.prod(s) for s in buffers)
         block = network._trial_block(f, x_shape)
         assert block * plan.largest < block * plan.held
         monkeypatch.setattr(tensor, "MEMORY_LIMIT", 8 * block * plan.largest)
-        monkeypatch.setattr(network, "_draw", None)
+        monkeypatch.setattr(simulate, "_draw", None)
         with pytest.raises(ResourceLimit, match="workspace of a trial block"):
             variance_mc(f, make_plan(f, "graph-in", "identity"), seed=0, trials=4, batch=2)
+
+    def test_block_weights_over_limit_raise_before_drawing(self, monkeypatch):
+        # A block of 16 trials of this layer holds its input (65,536 bytes),
+        # both replicas' [64, 64] weights (1,048,576 bytes) and its
+        # workspace (131,072 bytes) at once: 1,245,184 bytes.  Its largest
+        # array, one vertex's weights (524,288 bytes), and its workspace
+        # each fit under the limit.
+        f = builtin_format("standard", c_in=64, c_out=64, k=0, phi=2)
+        x_shape = (8,) + f.input_mode_dims()
+        assert network._trial_block(f, x_shape) == 16
+        assert network._plan(f, False, (1, *x_shape)).held == 1024
+        monkeypatch.setattr(tensor, "MEMORY_LIMIT", 524_296)
+        monkeypatch.setattr(simulate, "_draw", None)
+        with pytest.raises(ResourceLimit, match="input, weights and workspace of a trial block"):
+            variance_mc(f, make_plan(f, "graph-in", "identity"), seed=0, trials=16, batch=8,
+                        workers=1)
 
 
 def test_einsum_optimize_arguments_are_hashable_named_strategies(monkeypatch):
     """Compiling a plan searches its path once; running it calls no einsum,
-    in either direction, with or without a trial axis.  ``multi_contract``
+    in either direction, for a block of trials or for one.  ``multi_contract``
     still runs einsum, with a hashable named ``optimize`` strategy: tools
     that key einsum calls on it need one, and an explicit
     ``["einsum_path", ...]`` list would not be."""
@@ -594,14 +628,11 @@ def test_einsum_optimize_arguments_are_hashable_named_strategies(monkeypatch):
     for f in formats + [parse_format(SHARED_CHANNELS)]:
         assert_adjoint(f)
         layers = [materialize(f, make_plan(f, "graph-in", "identity"), seed) for seed in range(2)]
-        replicas = [
-            [np.stack([l.replicas[r][vid].array for l in layers]) for vid in f.weight_ids]
-            for r in range(f.phi)
-        ]
+        replicas = stacked_replicas(f, layers)
         for backward in (False, True):
             dims = f.output_mode_dims() if backward else f.input_mode_dims()
             x = np.random.default_rng(0).standard_normal((2, 3) + dims)
-            network._contract(f, x, replicas, backward, trial_axis=True)
+            network._contract(f, x, replicas, backward)
     assert seen == []
 
     a = DenseTensor.from_array(np.ones((2, 3)))
@@ -687,11 +718,8 @@ def assert_engine_oracle(f):
     for l, x, w in zip(layers, xs, want):
         got = forward_apply(l, DenseTensor.from_array(x)).array
         np.testing.assert_allclose(got, w, rtol=1e-10, atol=1e-12)
-    replicas = [
-        [np.stack([l.replicas[r][vid].array for l in layers]) for vid in f.weight_ids]
-        for r in range(f.phi)
-    ]
-    got = network._contract(f, xs, replicas, backward=False, trial_axis=True)
+    replicas = stacked_replicas(f, layers)
+    got = network._contract(f, xs, replicas, backward=False)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
     assert_adjoint(f)
 
@@ -747,7 +775,7 @@ class TestPerOffsetSteps:
         f = PER_OFFSET_LAYERS[name]
         for backward in (False, True):
             ef = transform.build_backward_format(f) if backward else f
-            plan = network._plan(f, backward, (2,) + ef.input_mode_dims())
+            plan = network._plan(f, backward, (1, 2) + ef.input_mode_dims())
             summing = [s for s in plan.steps
                        if isinstance(s, network._Shift) and s.slice_shape[-1] > 1]
             assert summing
@@ -786,9 +814,9 @@ class TestWorkspaceReuse:
     def test_second_call_equals_a_fresh_workspace(self, name, backward):
         f = self.LAYERS[name]
         layer = materialize(f, make_plan(f, "graph-in", "identity"), 0)
-        replicas = [[rep[vid].array for vid in f.weight_ids] for rep in layer.replicas]
+        replicas = stacked_replicas(f, [layer])
         dims = f.output_mode_dims() if backward else f.input_mode_dims()
-        first, second = np.random.default_rng(2).standard_normal((2, 2) + dims)
+        first, second = np.random.default_rng(2).standard_normal((2, 1, 2) + dims)
         workspace = {}
         network._contract(f, first, replicas, backward, workspace=workspace)
         assert workspace
@@ -804,9 +832,9 @@ class TestWorkspaceReuse:
         x = np.random.default_rng(3).standard_normal((2,) + f.input_mode_dims())
         workspace = {}
         y = forward_apply(layer, DenseTensor.from_array(x), workspace)
-        assert list(workspace) == [network._plan(f, False, x.shape, False)]
+        assert list(workspace) == [network._plan(f, False, (1, *x.shape))]
         backward_apply(layer, y, workspace)
-        assert list(workspace) == [network._plan(f, True, y.shape, False)]
+        assert list(workspace) == [network._plan(f, True, (1, *y.shape))]
 
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
     def test_over_limit_workspace_raises_before_running(self, backward, monkeypatch):
@@ -840,48 +868,43 @@ class TestResultOwnsItsMemory:
     array: it shares no memory with the workspace, and a second call with
     the same workspace leaves it as it was."""
 
+    # name: (format, trials)
     LAYERS = {
         # Two replicas and a window step last: replica 0's result is the
         # window step's reused sum.
-        "standard-s2": (PER_OFFSET_LAYERS["standard-s2"], False),
+        "standard-s2": (PER_OFFSET_LAYERS["standard-s2"], 1),
         # Channel steps only.
-        "oddlike": (builtin_format("oddlike", **ADJOINT_BUILTINS["oddlike"]), False),
+        "oddlike": (builtin_format("oddlike", **ADJOINT_BUILTINS["oddlike"]), 1),
         # One replica and the identity exit permutation: the last step's
         # buffer already has the output layout.
-        "tt": (builtin_format("tt", i_dims=(4, 4), o_dims=(4, 4), rank=3), False),
+        "tt": (builtin_format("tt", i_dims=(4, 4), o_dims=(4, 4), rank=3), 1),
         "tucker2-trials": (builtin_format("tucker2", c_in=3, c_out=2, r0=2, r1=3, k=3,
-                                          alpha=(7, 10), stride=2, padding=1, phi=2), True),
+                                          alpha=(7, 10), stride=2, padding=1, phi=2), 3),
         # Two replicas and, backward, a GEMM step with K = 1 last: its result
         # is a view of a shared slot.
         "lowrank-rank1": (builtin_format("lowrank", c_in=3, c_out=4, rank=1, k=3, alpha=6,
-                                         phi=2), False),
+                                         phi=2), 1),
     }
 
     @pytest.mark.parametrize("name", sorted(LAYERS))
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
     def test_result_shares_no_memory_with_the_workspace(self, name, backward):
-        f, trial_axis = self.LAYERS[name]
+        f, trials = self.LAYERS[name]
         dims = f.output_mode_dims() if backward else f.input_mode_dims()
-        lead = (3, 2) if trial_axis else (2,)
-        layers = [materialize(f, make_plan(f, "graph-in", "identity"), seed) for seed in range(3)]
-        if trial_axis:
-            replicas = [
-                [np.stack([l.replicas[r][vid].array for l in layers]) for vid in f.weight_ids]
-                for r in range(f.phi)
-            ]
-        else:
-            replicas = [[rep[vid].array for vid in f.weight_ids] for rep in layers[0].replicas]
+        layers = [materialize(f, make_plan(f, "graph-in", "identity"), seed)
+                  for seed in range(trials)]
+        replicas = stacked_replicas(f, layers)
         if name == "tt":
-            plan = network._plan(f, backward, lead + dims, trial_axis)
+            plan = network._plan(f, backward, (trials, 2) + dims)
             assert plan.exit == tuple(range(len(plan.exit))) and f.phi == 1
-        first, second = np.random.default_rng(4).standard_normal((2, *lead, *dims))
+        first, second = np.random.default_rng(4).standard_normal((2, trials, 2, *dims))
         workspace = {}
-        got = network._contract(f, first, replicas, backward, trial_axis, workspace)
+        got = network._contract(f, first, replicas, backward, workspace)
         kept = got.copy()
         arrays = workspace_arrays(workspace)
         assert arrays
         assert not any(np.shares_memory(got, a) for a in arrays)
-        network._contract(f, second, replicas, backward, trial_axis, workspace)
+        network._contract(f, second, replicas, backward, workspace)
         assert got.tobytes() == kept.tobytes()
 
 
@@ -911,8 +934,8 @@ class TestPlanSizes:
             f, batch = random_format(int(name.removeprefix("random"))), 2
         for backward in (False, True):
             dims = f.output_mode_dims() if backward else f.input_mode_dims()
-            for lead, trial_axis in (((batch,), False), ((2, batch), True)):
-                plan = network._plan(f, backward, lead + dims, trial_axis)
+            for trials in (1, 2):
+                plan = network._plan(f, backward, (trials, batch) + dims)
                 arrays = {id(a): a for a in map(owner, workspace_arrays(
                     network._workspace_arrays(plan)))}.values()
                 assert plan.held == sum(a.size for a in arrays)

@@ -129,12 +129,13 @@ class TestValidation:
                                                         monkeypatch):
         # Every array fits under the limit on its own: each activation is
         # [32, 4, 4] (4,096 bytes), the largest, the zero-padded window
-        # input [32, 6, 4], takes 6,144 bytes, and each direction's
-        # workspace holds 14,720 bytes.  But a trial keeps the
-        # post-activation of every layer for the backward pass, whatever
-        # the activation: six layers keep 24,576 bytes and four 16,384.
-        # Three layers keep 12,288 bytes, under the limit, but a pass holds
-        # them and its workspace at once: 27,008 bytes.
+        # input [32, 6, 4], takes 6,144 bytes, each weight [4, 4, 3] takes
+        # 384 bytes and each direction's workspace holds 14,720 bytes.  But
+        # a trial keeps the weights and the post-activation of every layer
+        # for the backward pass, whatever the activation: six layers keep
+        # 26,880 bytes and four 17,920.  Three layers keep 13,440 bytes,
+        # under the limit, but a pass holds them and its workspace at once:
+        # 28,160 bytes.
         f = builtin_format("standard", c_in=4, c_out=4, k=3, spatial=1, alpha=4, padding=1)
         net = NetworkSpec((LayerSpec(f, act),) * depth, f.input_mode_dims(), batch=32)
         monkeypatch.setattr(tensor, "MEMORY_LIMIT", 16000)
@@ -154,10 +155,23 @@ class TestValidation:
         with pytest.raises(ResourceLimit, match="workspace of layer 0's forward pass"):
             forward_trace(net, seed=0, trials=1)
 
+    def test_weights_one_trial_keeps_count_together(self, monkeypatch):
+        # Each layer's weight [64, 64] takes 32,768 bytes and every array
+        # fits under the limit, but a trial draws both replicas of every
+        # layer before its forward pass and keeps them through its backward
+        # pass: 327,680 bytes over five layers.
+        f = builtin_format("standard", c_in=64, c_out=64, k=0, phi=2)
+        net = NetworkSpec((LayerSpec(f, "identity"),) * 5, f.input_mode_dims(), batch=1)
+        monkeypatch.setattr(tensor, "MEMORY_LIMIT", 40000)
+        monkeypatch.setattr(network, "_draw", None)
+        with pytest.raises(ResourceLimit, match="weights and activations one trial keeps"):
+            backward_trace(net, seed=0, trials=2, workers=1)
+
     def test_concurrent_trials_keep_count_together(self, monkeypatch):
-        # The same layer: a trial keeps its 4,096-byte output and holds a
-        # 14,720-byte workspace, 18,816 bytes, but two trials run at once
-        # by two workers hold twice that.  One worker, or one trial, runs.
+        # The same layer: a trial keeps its 384-byte weight and its
+        # 4,096-byte output and holds a 14,720-byte workspace, 19,200 bytes,
+        # but two trials run at once by two workers hold twice that.  One
+        # worker, or one trial, runs.
         f = builtin_format("standard", c_in=4, c_out=4, k=3, spatial=1, alpha=4, padding=1)
         net = NetworkSpec((LayerSpec(f, "identity"),), f.input_mode_dims(), batch=32)
         monkeypatch.setattr(tensor, "MEMORY_LIMIT", 20000)
@@ -411,7 +425,7 @@ class TestTrialBlocks:
 
     def test_partial_blocks_below_the_cap(self, case, monkeypatch):
         f, plan, ratios = case
-        per_trial = 8 * network._plan(f, False, *self.shapes(f)).largest
+        per_trial = 8 * network._plan(f, False, (1, *self.shapes(f)[0])).largest
         monkeypatch.setattr(network, "TRIAL_BLOCK_BYTES", 3 * per_trial)
         assert self.block_size(f) == 3
         result = variance_mc(f, plan, seed=21, trials=65, batch=BLOCK_BATCH)
@@ -543,7 +557,7 @@ class TestWorkspaceScope:
         plan = make_plan(self.F, "graph-in", "tanh")
         x_shape = (self.BATCH,) + self.F.input_mode_dims()
         block = network._trial_block(self.F, x_shape)
-        steps = network._plan(self.F, False, (block, *x_shape), True).steps
+        steps = network._plan(self.F, False, (block, *x_shape)).steps
         padded = max(8 * math.prod(s.buffers[0]) for s in steps if isinstance(s, network._Shift))
         np.random.default_rng(0)  # numpy imports its random module on first use
         tracemalloc.start()
