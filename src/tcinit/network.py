@@ -67,19 +67,31 @@ of independent Monte-Carlo trials (see :func:`_trial_block`), each with its
 own input and weights.  A per-trial call is a block of one, and a trial's
 figures do not depend on the block it runs in.
 
+No weight joins the batch index, so each batch row is an independent
+sub-problem.  A plan whose arrays that hold the batch index would not fit in
+``TRIAL_BLOCK_BYTES`` is compiled for a *batch tile*, a divisor of the batch
+(see :func:`_plan`), and runs its steps once per tile, so that each tile's
+arrays stay cache-sized: the cache blocking of Goto & van de Geijn
+(*Anatomy of High-Performance Matrix Multiplication*, TOMS 2008) and TVM's
+loop tiling.  Every tile follows the path searched at the whole batch and
+splits GEMM dimensions only into whole micro-kernel blocks, so its rows come
+out as the whole batch gives them, bit for bit.
+
 :func:`_draw` fills arrays the caller gives it, so trials are drawn straight
 into their slices of a block's arrays.  Every array a contraction writes
 lives in a *workspace*, a dict owned by the caller of :func:`_contract`,
 never by a module or a cached plan: the channels-last input, each window
 step's zero-padded buffer, weight copy, sum and per-offset product, each
-GEMM step's result and the replica sum.  The plan assigns them
-statically, as TVM does (arXiv:1802.04799): GEMM results whose lives do not
-overlap share one buffer.  Passed again, the workspace hands back the same
-buffers; the result alone is a fresh array.
+GEMM step's result and the replica sum, each sized for one batch tile.  The
+plan assigns them statically, as TVM does (arXiv:1802.04799): GEMM results
+whose lives do not overlap share one buffer.  Passed again, the workspace
+hands back the same buffers; the result alone is a fresh array of the whole
+batch, which each tile's rows are copied into.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import sys
 from dataclasses import dataclass
@@ -97,15 +109,22 @@ from .transform import build_backward_format
 # tuples, so the bound caps memory when many distinct formats are executed.
 _PLAN_CACHE_SIZE = 128
 
-# A trial block holds at most this many bytes in the plan's largest array
-# (one trial may need more) and at most MAX_TRIAL_BLOCK trials.  Larger blocks
-# buy little once per-trial Python overhead is amortized.  Criterion-7
-# lowrank and cp layers (largest array 24,576 entries, the input) get blocks
-# of 2.  Per trial, in four processes of 9 rounds (BLAS 1 thread), blocks of
-# 2 and 3 took 0.99-1.15 and 1.03-1.14 times the time of blocks of 1
-# (lowrank) and 0.96-1.08 and 0.99-1.07 times (cp), with 5 and 12 page faults
-# per trial: step results land in workspace buffers, so a larger block buys
-# nothing either.
+_log = logging.getLogger("tcinit")
+
+# One budget for trial blocks and batch tiles.  A trial block holds at most
+# this many bytes in the plan's largest array and at most MAX_TRIAL_BLOCK
+# trials.  Larger blocks buy little once per-trial Python overhead is
+# amortized.  Criterion-7 lowrank and cp layers (largest array 24,576
+# entries, the input) get blocks of 2.  Per trial, in four processes of 9
+# rounds (BLAS 1 thread), blocks of 2 and 3 took 0.99-1.15 and 1.03-1.14
+# times the time of blocks of 1 (lowrank) and 0.96-1.08 and 0.99-1.07 times
+# (cp), with 5 and 12 page faults per trial: step results land in workspace
+# buffers, so a larger block buys nothing either.  A trial that needs more
+# runs alone, in batch tiles that hold at most this many bytes in every array
+# that holds the batch index (see _plan), so a block holds several whole
+# trials or one trial's tiles, never both.  A conv_depth layer (htk2, 32
+# channels, 32x32, batch 16) runs in tiles of 2 rows, and its workspace falls
+# from 1,983,552 entries (15.9 MB) to 248,448 (2.0 MB).
 TRIAL_BLOCK_BYTES = 1 << 19
 MAX_TRIAL_BLOCK = 64
 
@@ -323,19 +342,24 @@ class _Plan:
     input's first step reads it as given: a window step, whose copy into its
     padded buffer permutes it, or a channel step on an input that already is
     channels-last.  ``exit`` permutes the last step's result to the output
-    layout.  ``largest`` counts the entries of the largest array the plan
-    holds: the input, a weight or an array a step writes (its ``buffers``).
-    ``buffers`` are the shapes of the plan's own arrays: the channels-last
-    input (with ``entry``), then the replica sum (with more than one
-    replica).  The results of GEMM steps share the ``slots``, flat arrays of
-    the given entries: ``slot_of`` gives each step's, ``None`` for a window
-    step, which holds its own.  ``held`` counts the
-    entries of every array a workspace holds for the plan."""
+    layout.  Steps and buffers are sized for a batch tile of ``rows`` rows,
+    the whole batch when it fits; ``y_shape`` is the shape of the whole
+    result.  ``largest`` counts the entries of the largest array one tile
+    holds: its input rows, a weight or an array a step writes (its
+    ``buffers``).  ``buffers`` are the shapes of the plan's own arrays: the
+    channels-last input (with ``entry``), then the replica sum (with more
+    than one replica).  The results of GEMM steps share the ``slots``, flat
+    arrays of the given entries: ``slot_of`` gives each step's, ``None`` for
+    a window step, which holds its own.  ``held`` counts the entries of
+    every array a workspace holds for the plan, one tile's buffers; the
+    whole result is not among them."""
 
     entry: tuple[int, ...] | None
     steps: tuple[_Gemm | _Shift, ...]
     exit: tuple[int, ...]
     flips: tuple[tuple[int, ...], ...]
+    rows: int
+    y_shape: tuple[int, ...]
     largest: int
     held: int
     buffers: tuple[tuple[int, ...], ...]
@@ -346,6 +370,15 @@ class _Plan:
 # Plans are pairwise: with no memory cap numpy's greedy search never falls
 # back to one step over all remaining operands, which no window step runs.
 _PATH_SEARCH = ("greedy", sys.maxsize)
+
+# The widest block of matrix rows or columns a BLAS GEMM micro-kernel
+# computes at once: 16 in numpy's bundled OpenBLAS on AVX-512.  A partial
+# block at the end of a matrix is computed by narrower kernels, which may
+# round otherwise: on such a machine, (17, 3) @ (3, 3174) gives 26 of the
+# entries in its last 4 columns otherwise than the same columns of
+# (17, 3) @ (3, 12696), whose blocks are all whole.  A batch tile splits a
+# GEMM dimension only into multiples of this width (see _aligned).
+_GEMM_BLOCK = 16
 
 
 def _compile_shift(picked, tx: str, tw: str, x_axes: str, w_axes: str, live, size,
@@ -440,19 +473,27 @@ def _compile_gemm(picked, ta: str, tb: str, aa: str, ab: str, live,
     return gemm, "".join(axes)
 
 
-def _steps(x_term, x_axes, offsets, positions, w_terms, output, dims, windows):
-    """Pairwise steps along numpy's greedy path, the axis order of the last
-    step's result and whether the input is read through a channels-last
-    copy.
+def _path(x_term, offsets, w_terms, output, dims):
+    """numpy's greedy pairwise path for the windowed input, ``x_term +
+    offsets``, and the weights, without the trial index they all lead with,
+    which would change how numpy's greedy search pairs them."""
+    terms = [x_term + offsets, *w_terms]
+    standins = [np.broadcast_to(0.0, [dims[c] for c in t[1:]]) for t in terms]
+    spec = ",".join(t[1:] for t in terms) + "->" + output[1:]
+    return np.einsum_path(spec, *standins, optimize=_PATH_SEARCH)[0][1:]
 
-    The path is planned for the windowed input, ``x_term + offsets``, and
-    the weights, without the trial index they all lead with, which would
-    change how numpy's greedy search pairs them.  The input side is the one
-    operand that holds the window positions.  A step that joins it with a
-    weight holding window offsets contracts those offsets by
-    shift-and-accumulate, with the input side first; every other step is a
-    :class:`_Gemm`.  Before its window step a position has the input length
-    ``alpha``, after it the window count.
+
+def _steps(path, x_term, x_axes, offsets, positions, w_terms, output, dims, windows):
+    """Pairwise steps along ``path`` (see :func:`_path`), the axis order of
+    the last step's result, whether the input is read through a
+    channels-last copy and, per step, whether its result holds the batch
+    index.
+
+    The input side is the one operand that holds the window positions.  A
+    step that joins it with a weight holding window offsets contracts those
+    offsets by shift-and-accumulate, with the input side first; every other
+    step is a :class:`_Gemm`.  Before its window step a position has the
+    input length ``alpha``, after it the window count.
 
     Each operand has a term, which names its indices in the order an einsum
     of the path would hold them, and an axis order, how its array holds
@@ -460,18 +501,13 @@ def _steps(x_term, x_axes, offsets, positions, w_terms, output, dims, windows):
     einsum would, and read arrays by axis orders, so no array is permuted
     between steps.
     """
-    terms = [x_term + offsets, *w_terms]
-    standins = [np.broadcast_to(0.0, [dims[c] for c in t[1:]]) for t in terms]
-    spec = ",".join(t[1:] for t in terms) + "->" + output[1:]
-    path = np.einsum_path(spec, *standins, optimize=_PATH_SEARCH)[0][1:]
-
     size = dict(dims)
     size.update(zip(positions, (w.alpha for w in windows)))
     kernel = {o: (p, o, w) for p, o, w in zip(positions, offsets, windows)}
     pending = set(offsets)
-    terms[0] = x_term
+    terms = [x_term, *w_terms]
     axes = [x_axes, *w_terms]
-    steps, unread, copied = [], True, False
+    steps, batched, unread, copied = [], [], True, False
     for picked in path:
         assert len(picked) == 2, "plans are pairwise"
         if positions:
@@ -498,37 +534,96 @@ def _steps(x_term, x_axes, offsets, positions, w_terms, output, dims, windows):
             out = "".join(dict.fromkeys(c for t in args for c in t if c in live))
             step, order = _compile_gemm(picked[::-1], *args[::-1], *held[::-1], live, size)
         steps.append(step)
+        batched.append(x_term[1] in out)
         terms = [terms[i] for i in rest] + [out]
         axes = [axes[i] for i in rest] + [order]
-    return tuple(steps), axes[0], copied
+    return tuple(steps), axes[0], copied, batched
 
 
-@lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _plan(f: LayerFormat, backward: bool, x_shape) -> _Plan:
-    """Compile one direction of ``f`` for an input of ``x_shape`` (trials,
-    batch, channels, then spatial); every weight leads with the trial axis."""
-    ef = build_backward_format(f) if backward else f
-    assert len(x_shape) == len(ef.input_mode_dims()) + 2, f"{x_shape} has no trial axis"
-    windows = tuple(e.window for e in ef.kernel_edges)
-    x_term, x_axes, offsets, positions, w_terms, output, dims = _wiring(ef, x_shape)
-    steps, last, copied = _steps(x_term, x_axes, offsets, positions, w_terms, output, dims,
-                                 windows)
+def _compile(f: LayerFormat, backward: bool, wiring, path, windows, x_shape,
+             rows: int) -> tuple[_Plan, int]:
+    """The plan of ``f`` along ``path`` for tiles of ``rows`` batch rows of
+    an input of ``x_shape``, and the entries of the largest array that holds
+    the batch index, the one a smaller tile shrinks: the input tile, a
+    window step's padded buffer or a step result."""
+    x_term, x_axes, offsets, positions, w_terms, output, dims = wiring
+    dims = {**dims, x_term[1]: rows}
+    tile = (x_shape[0], rows, *x_shape[2:])
+    steps, last, copied, batched = _steps(path, x_term, x_axes, offsets, positions, w_terms,
+                                          output, dims, windows)
     entry = tuple(x_axes.index(c) for c in x_term) if copied else None
     public = output[:2] + output[2 + len(positions):] + positions
+    exit_perm = tuple(last.index(c) for c in public)
     flips = tuple(
         tuple(1 + i for i, e in enumerate(f.edges_of(vid)) if backward and e.kind == KERNEL)
         for vid in f.weight_ids
     )
-    buffers = ((tuple(x_shape[i] for i in entry),) if entry else ()) + (
+    buffers = ((tuple(tile[i] for i in entry),) if entry else ()) + (
         (steps[-1].out_shape,) if f.phi > 1 else ())
     slots, slot_of = _slots(steps)
     own = [s for step, at in zip(steps, slot_of) if at is None for s in step.buffers]
     held = sum(map(math.prod, (*own, *buffers))) + sum(slots)
     weights = ([dims[c] for c in t] for t in w_terms)
     step_buffers = (s for step in steps for s in step.buffers)
-    largest = max(map(math.prod, (x_shape, *weights, *step_buffers)))
-    return _Plan(entry, steps, tuple(last.index(c) for c in public), flips, largest, held,
-                 buffers, slots, slot_of)
+    largest = max(map(math.prod, (tile, *weights, *step_buffers)))
+    streamed = max(map(math.prod, (tile, *(shape for step, b in zip(steps, batched) if b
+                                           for shape in (step.buffers[0], step.out_shape)))))
+    y_tile = [steps[-1].out_shape[i] for i in exit_perm]
+    plan = _Plan(entry, steps, exit_perm, flips, rows, (x_shape[0], x_shape[1], *y_tile[2:]),
+                 largest, held, buffers, slots, slot_of)
+    return plan, streamed
+
+
+def _aligned(tile: _Plan, whole: _Plan) -> bool:
+    """Whether every GEMM dimension that ``tile`` shrinks from ``whole``, the
+    one that holds the batch index, is a multiple of ``_GEMM_BLOCK``, so that
+    neither matrix ends in a partial block there."""
+    return all(
+        d % _GEMM_BLOCK == 0
+        for t, w in zip(tile.steps, whole.steps) if isinstance(t, _Gemm)
+        for d, d_whole in ((t.a_shape[-2], w.a_shape[-2]), (t.b_shape[-1], w.b_shape[-1]))
+        if d != d_whole
+    )
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan(f: LayerFormat, backward: bool, x_shape) -> _Plan:
+    """Compile one direction of ``f`` for an input of ``x_shape`` (trials,
+    batch, channels, then spatial); every weight leads with the trial axis.
+
+    When an array that holds the batch index would take more than
+    ``TRIAL_BLOCK_BYTES`` at the whole batch, the steps are compiled for a
+    batch tile: the largest divisor of the batch, at least 2, at which every
+    such array fits and every GEMM dimension the tile shrinks is a multiple
+    of ``_GEMM_BLOCK``, so that a tile's entries are computed as the whole
+    batch computes them.  With no such divisor the batch stays whole.  No weight
+    holds the batch index, so a weight, or a product of weights alone, never
+    decides the tile.  The path is searched at the whole batch for every
+    tile, so a tile pairs its operands as the whole batch does.  A batch
+    that fits compiles one plan.
+
+    Each compile logs one DEBUG record on the ``tcinit`` logger: the
+    direction, the whole input shape, ``rows``, ``largest``, ``held`` and the
+    kind of each step."""
+    ef = build_backward_format(f) if backward else f
+    assert len(x_shape) == len(ef.input_mode_dims()) + 2, f"{x_shape} has no trial axis"
+    windows = tuple(e.window for e in ef.kernel_edges)
+    wiring = _wiring(ef, x_shape)
+    x_term, _, offsets, _, w_terms, output, dims = wiring
+    path = _path(x_term, offsets, w_terms, output, dims)
+    batch = x_shape[1]
+    whole, streamed = _compile(f, backward, wiring, path, windows, x_shape, batch)
+    plan = whole
+    if 8 * streamed > TRIAL_BLOCK_BYTES:
+        for rows in (rows for rows in range(batch // 2, 1, -1) if batch % rows == 0):
+            tile, streamed = _compile(f, backward, wiring, path, windows, x_shape, rows)
+            if 8 * streamed <= TRIAL_BLOCK_BYTES and _aligned(tile, whole):
+                plan = tile
+                break
+    _log.debug("plan %s x%s: rows=%d largest=%d held=%d steps=%s",
+               "backward" if backward else "forward", x_shape, plan.rows, plan.largest,
+               plan.held, ",".join(type(s).__name__[1:].lower() for s in plan.steps))
+    return plan
 
 
 def _slots(steps) -> tuple[tuple[int, ...], tuple[int | None, ...]]:
@@ -580,11 +675,13 @@ def _workspace(workspace: dict, plan: _Plan) -> tuple:
     holds the largest workspace of them, never their sum.  A plan hashes by
     identity, so it is its own key.  Raises
     :class:`~tcinit.errors.ResourceLimit` before making them when the plan's
-    largest array, or all of them together, would exceed the memory limit."""
+    largest array, or all of them together with the whole result, would
+    exceed the memory limit."""
     held = workspace.get(plan)
     if held is None:
         _check_array((plan.largest,), "the largest array of a contraction")
-        _check_array((plan.held,), "the workspace of a contraction")
+        _check_array((plan.held + math.prod(plan.y_shape),),
+                     "the workspace and result of a contraction")
         workspace.clear()
         held = workspace[plan] = _workspace_arrays(plan)
     return held
@@ -600,24 +697,29 @@ def _trial_block(f: LayerFormat, x_shape, trials: int = 1, workers: int = 1) -> 
 
     As many trials as keep the block's largest array within
     ``TRIAL_BLOCK_BYTES``, at least one and at most ``MAX_TRIAL_BLOCK``,
-    sized from the plan of a block of one.  The size depends on the shapes
-    alone.  Raises :class:`~tcinit.errors.ResourceLimit` when even that
-    block's largest array, or all it holds at once (its input, every
-    replica's weights and its workspace), would exceed the memory limit, or
-    when they would for the blocks of ``trials`` that ``workers`` threads run
-    at once, each with its own.
+    sized from the plan of a block of one; a trial whose plan runs in batch
+    tiles runs alone.  The size depends on the shapes alone.  Raises
+    :class:`~tcinit.errors.ResourceLimit` when even that block's largest
+    array, or all it holds at once (its input, every replica's weights, its
+    workspace, its whole result and the two result-sized temporaries of the
+    result's variance), would exceed the memory limit, or when they would for
+    the blocks of ``trials`` that ``workers`` threads run at once, each with
+    its own.
     """
     plan = _plan(f, False, (1, *x_shape))
-    block = min(MAX_TRIAL_BLOCK, max(1, TRIAL_BLOCK_BYTES // (8 * plan.largest)))
-    holds = math.prod(x_shape) + _replica_entries(f) + plan.held
+    whole = plan.rows == x_shape[0]
+    block = min(MAX_TRIAL_BLOCK, max(1, TRIAL_BLOCK_BYTES // (8 * plan.largest))) if whole else 1
+    # The result, and the two result-sized temporaries of its variance.
+    holds = math.prod(x_shape) + _replica_entries(f) + plan.held + 3 * math.prod(plan.y_shape)
     _check_array((block, plan.largest), "the largest array of a trial block")
-    _check_array((block, holds), "the input, weights and workspace of a trial block")
+    _check_array((block, holds), "the input, weights and workspace of a trial block and its result")
     copies = min(workers, -(-trials // block))
     if copies > 1:
         _check_array((copies, block, plan.largest),
                      f"the largest arrays of {copies} trial blocks run at once")
         _check_array((copies, block, holds),
-                     f"the inputs, weights and workspaces of {copies} trial blocks run at once")
+                     f"the inputs, weights and workspaces of {copies} trial blocks run at once "
+                     f"and their results")
     return block
 
 
@@ -627,36 +729,44 @@ def _contract(f: LayerFormat, x: np.ndarray, replicas, backward: bool,
 
     ``replicas`` holds one list of weight arrays per replica, in
     ``f.weight_ids`` order.  The input, every weight and the result lead
-    with the trial axis, a block of trials.  The input is made channels-last
-    once, by its first step's copy when that is a window step.  Every step
-    writes into buffers the plan assigns it, and replicas are summed into
-    one more, all taken from ``workspace``: a dict the caller owns and may
-    pass again to reuse them, by default a fresh one.  The result is a
-    fresh array, copied once from the last step's layout into the output
-    layout, so it never shares memory with the workspace.
+    with the trial axis, a block of trials.  The plan runs once per batch
+    tile (one pass when the batch is whole): the tile's input rows are made
+    channels-last once, by the first step's copy when that is a window step,
+    every step writes into buffers the plan assigns it, and replicas are
+    summed into one more, all taken from ``workspace``: a dict the caller
+    owns and may pass again to reuse them, by default a fresh one.  The
+    result is one fresh array; each tile's rows are copied once from the
+    last step's layout into its slice of it, in the output layout, so it
+    never shares memory with the workspace.
     """
     plan = _plan(f, backward, x.shape)
     workspace = {} if workspace is None else workspace
     own, arrays = _workspace(workspace, plan)
-    if plan.entry is not None:
-        np.copyto(own[0], x.transpose(plan.entry))
-        x = own[0]
+    replicas = [[np.flip(w, axis=a) if a else w for w, a in zip(weights, plan.flips)]
+                for weights in replicas]
     # Not a step buffer: a window step's sum is reused by every replica.
     total = own[-1] if len(replicas) > 1 else None
-    for n, weights in enumerate(replicas):
-        ops = [x] + [np.flip(w, axis=a) if a else w for w, a in zip(weights, plan.flips)]
-        for step, held in zip(plan.steps, arrays):
-            args = [ops[i] for i in step.picked]
-            for i in sorted(step.picked, reverse=True):
-                del ops[i]
-            run = _shift if isinstance(step, _Shift) else _gemm
-            ops.append(run(*args, step, held))
-        if total is not None and n == 0:
-            np.copyto(total, ops[0])
-        elif total is not None:
-            total += ops[0]
-    out = ops[0] if total is None else total
-    return out.transpose(plan.exit).copy()
+    y = np.empty(plan.y_shape)
+    for lo in range(0, x.shape[1], plan.rows):
+        tile = x[:, lo:lo + plan.rows]
+        if plan.entry is not None:
+            np.copyto(own[0], tile.transpose(plan.entry))
+            tile = own[0]
+        for n, weights in enumerate(replicas):
+            ops = [tile, *weights]
+            for step, held in zip(plan.steps, arrays):
+                args = [ops[i] for i in step.picked]
+                for i in sorted(step.picked, reverse=True):
+                    del ops[i]
+                run = _shift if isinstance(step, _Shift) else _gemm
+                ops.append(run(*args, step, held))
+            if total is not None and n == 0:
+                np.copyto(total, ops[0])
+            elif total is not None:
+                total += ops[0]
+        out = ops[0] if total is None else total
+        np.copyto(y[:, lo:lo + plan.rows], out.transpose(plan.exit))
+    return y
 
 
 def _apply(layer: MaterializedLayer, t: DenseTensor, backward: bool, workspace) -> DenseTensor:

@@ -117,15 +117,15 @@ def validate_network(net: NetworkSpec, concurrent: int = 1) -> None:
     the layers chain and that no array of a trial exceeds the memory limit:
     the batched input, every layer output, and the largest array of each
     layer's compiled forward and backward plan (such as a window step's
-    zero-padded input), and that the arrays its workspace holds at once fit
-    together.  Compiling a plan allocates nothing, and the plan is the one
-    the trial runs, a block of one.  What a trial keeps for its backward
-    pass must fit together as well: per layer the weights of its ``phi``
-    replicas, drawn before the forward pass, and the post-activation, the
-    one array that pass reads.  A pass holds them all while it runs, so they
-    must also fit together with the largest workspace of any pass, and so
-    must those of ``concurrent`` trials, which run at once, each with its
-    own."""
+    zero-padded input), and that the arrays its workspace holds at once, one
+    batch tile's buffers, fit together.  Compiling a plan allocates nothing,
+    and the plan is the one the trial runs, a block of one.  What a trial
+    keeps for its backward pass must fit together as well: per layer the
+    weights of its ``phi`` replicas, drawn before the forward pass, and the
+    post-activation, the one array that pass reads.  A pass holds them all
+    while it runs, so they must also fit together with the largest workspace
+    of any pass and that pass's whole-batch result, and so must those of
+    ``concurrent`` trials, which run at once, each with its own."""
     if not net.layers:
         raise InvalidParams("network has no layers")
     if net.batch < 1:
@@ -152,7 +152,7 @@ def validate_network(net: NetworkSpec, concurrent: int = 1) -> None:
             direction = "backward" if backward else "forward"
             _check_array((plan.largest,), f"the largest array of layer {i}'s {direction} pass")
             _check_array((plan.held,), f"the workspace of layer {i}'s {direction} pass")
-            largest_held = max(largest_held, plan.held)
+            largest_held = max(largest_held, plan.held + math.prod(plan.y_shape))
         feed = out
     _check_array((kept,), "the weights and activations one trial keeps")
     _check_array((kept + largest_held,),
@@ -477,8 +477,8 @@ def variance_mc(
     :func:`~tcinit.network._trial_block`), so the figures do not depend on
     ``workers``, which map over blocks.  Raises
     :class:`~tcinit.errors.ResourceLimit` before any draw when one block's
-    input, weights and workspace, or those of the blocks the workers run at
-    once, would not fit in memory, and
+    input, weights, workspace and result, or those of the blocks the workers
+    run at once, would not fit in memory, and
     :class:`~tcinit.errors.InvalidParams` when ``batch`` is below 1.
     """
     _check_seed(seed)

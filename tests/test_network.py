@@ -1,3 +1,4 @@
+import logging
 import math
 import sys
 import tracemalloc
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tcinit
+import tcinit.cli
 from tcinit import network, simulate, tensor, transform
 from tcinit.errors import PlanIncomplete, ResourceLimit, ShapeMismatch
 from tcinit.formats import BUILTIN_NAMES, builtin_format, parse_format, random_format
@@ -544,18 +546,20 @@ class TestTrialAxis:
         got = network._contract(f, np.stack(args), replicas, backward)
         assert got.tobytes() == want.tobytes()
 
-    def test_block_size_follows_the_largest_array(self, monkeypatch):
+    def test_block_size_follows_the_largest_array(self, trial_block_bytes):
         f = builtin_format("standard", c_in=2, c_out=2, k=3, alpha=6)
         x_shape = (2,) + f.input_mode_dims()
         # The largest array is the input [n, c, a, b]; unpadded, the window
         # step's buffer has its size.
         per_trial = 8 * 2 * 2 * 6 * 6
         assert network._plan(f, False, (1, *x_shape)).largest * 8 == per_trial
-        monkeypatch.setattr(network, "TRIAL_BLOCK_BYTES", 5 * per_trial + 7)
+        trial_block_bytes(5 * per_trial + 7)
         assert network._trial_block(f, x_shape) == 5
-        monkeypatch.setattr(network, "TRIAL_BLOCK_BYTES", per_trial - 1)
+        # A batch of 2 has no smaller tile, so one trial runs whole.
+        trial_block_bytes(per_trial - 1)
         assert network._trial_block(f, x_shape) == 1
-        monkeypatch.setattr(network, "TRIAL_BLOCK_BYTES", 1 << 40)
+        assert network._plan(f, False, (1, *x_shape)).rows == 2
+        trial_block_bytes(1 << 40)
         assert network._trial_block(f, x_shape) == network.MAX_TRIAL_BLOCK
 
     def test_concurrent_blocks_over_limit_raise_before_drawing(self, monkeypatch):
@@ -566,9 +570,10 @@ class TestTrialAxis:
         x_shape = (2,) + f.input_mode_dims()
         plan = network._plan(f, False, (1, *x_shape))
         block = network._trial_block(f, x_shape)
-        # Per trial: the input, both replicas' [4, 4, 3, 3] weights and the
-        # workspace.
-        holds = math.prod(x_shape) + 2 * 4 * 4 * 3 * 3 + plan.held
+        # Per trial: the input, both replicas' [4, 4, 3, 3] weights, the
+        # workspace, the result and the two result-sized temporaries of its
+        # variance.
+        holds = math.prod(x_shape) + 2 * 4 * 4 * 3 * 3 + plan.held + 3 * math.prod(plan.y_shape)
         monkeypatch.setattr(tensor, "MEMORY_LIMIT", 8 * block * holds)
         init = make_plan(f, "graph-in", "identity")
         variance_mc(f, init, seed=0, trials=2 * block, batch=2, workers=1)
@@ -961,3 +966,134 @@ class TestDraw:
                 else:
                     want = rng.normal(0.0, np.sqrt(v), shape)
                 assert slot.tobytes() == want.tobytes()
+
+
+# One layer of the conv_depth benchmark stack.
+CONV_DEPTH_LAYER = builtin_format("htk2", c_in=32, c_out=32, rank=8, k=3, padding=1, alpha=32)
+
+
+class TestBatchTiles:
+    """A plan whose arrays that hold the batch index exceed
+    ``TRIAL_BLOCK_BYTES`` runs in batch tiles, byte for byte as the whole
+    batch runs."""
+
+    # name: (format, batch, tile rows, directions)
+    CASES = {
+        "conv-depth": (CONV_DEPTH_LAYER, 16, 2, (False, True)),
+        "cp-s2": (builtin_format("cp", c_in=16, c_out=16, rank=8, k=3, alpha=(48, 40),
+                                 stride=2, padding=1), 12, 2, (False, True)),
+        # Searched at 128 rows, the path pairs the operands otherwise, which
+        # changes the bytes.
+        "tr": (builtin_format("tr", i_dims=(8, 32), o_dims=(16, 16), rank=6), 256, 128,
+               (False,)),
+    }
+
+    @staticmethod
+    def x_shape(f, batch, backward):
+        return (1, batch, *(f.output_mode_dims() if backward else f.input_mode_dims()))
+
+    @pytest.mark.parametrize("name,backward", [(name, backward) for name, case in CASES.items()
+                                               for backward in case[3]])
+    def test_tiled_equals_whole_batch(self, name, backward, trial_block_bytes):
+        f, batch, rows, _ = self.CASES[name]
+        x_shape = self.x_shape(f, batch, backward)
+        layer = materialize(f, make_plan(f, "graph-in", "identity"), 0)
+        x = DenseTensor.from_array(np.random.default_rng(5).standard_normal(x_shape[1:]))
+        apply = backward_apply if backward else forward_apply
+        assert network._plan(f, backward, x_shape).rows == rows
+        tiled = apply(layer, x).array
+        trial_block_bytes(1 << 40)
+        assert network._plan(f, backward, x_shape).rows == batch
+        assert tiled.tobytes() == apply(layer, x).array.tobytes()
+
+    # The tr layer's largest array, a product of weights alone (73,728
+    # entries), is the same in every tile.
+    @pytest.mark.parametrize("name", ["conv-depth", "cp-s2"])
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    def test_tiled_plan_fits_the_budget(self, name, backward):
+        f, batch, rows, _ = self.CASES[name]
+        plan = network._plan(f, backward, self.x_shape(f, batch, backward))
+        assert plan.rows == rows < batch
+        assert 8 * plan.largest <= network.TRIAL_BLOCK_BYTES
+
+    def test_conv_depth_workspace_shrinks(self, trial_block_bytes):
+        x_shape = self.x_shape(CONV_DEPTH_LAYER, 16, False)
+        assert network._plan(CONV_DEPTH_LAYER, False, x_shape).held <= 248_448
+        trial_block_bytes(1 << 40)
+        assert network._plan(CONV_DEPTH_LAYER, False, x_shape).held == 1_983_552
+
+    def test_tiles_split_gemm_dimensions_into_whole_blocks(self):
+        # Backward, the last GEMM, [17, 3] @ [3, 529 per row], holds the
+        # batch index in its columns.  Tiles of 6 rows would fit the budget
+        # (their largest array is that GEMM's [17, 3174] result), but 3,174
+        # columns end in a partial block, and on AVX-512 OpenBLAS 26 entries
+        # of its last 4 columns come out otherwise than in the whole batch.
+        # No divisor of 24 gives a multiple of 16 columns.
+        f = builtin_format("lowrank", c_in=17, c_out=10, rank=3, k=3, alpha=23, padding=1)
+        plan = network._plan(f, True, (1, 24, *f.output_mode_dims()))
+        assert plan.rows == 24 and plan.steps[-1].b_shape == (1, 3, 24 * 529)
+        assert 8 * 17 * 3174 <= network.TRIAL_BLOCK_BYTES < 8 * plan.largest
+
+    def test_batch_without_a_fitting_tile_stays_whole(self):
+        # 7 has no divisor from 2 to 6.
+        plan = network._plan(CONV_DEPTH_LAYER, False, self.x_shape(CONV_DEPTH_LAYER, 7, False))
+        assert plan.rows == 7 and 8 * plan.largest > network.TRIAL_BLOCK_BYTES
+
+    def test_a_weight_never_decides_the_tile(self):
+        # The [512, 512] weight takes 2 MiB; the arrays that hold the batch
+        # take 32 KiB.
+        f = builtin_format("standard", c_in=512, c_out=512, k=0)
+        plan = network._plan(f, False, (1, 8, 512))
+        assert plan.largest == 512 * 512 and 8 * plan.largest > network.TRIAL_BLOCK_BYTES
+        assert plan.rows == 8
+
+    # The criterion-7 grid the mc_small benchmark runs at batch 16, with the
+    # trial block of each at the parent.  Plan modes set variances only, so
+    # its 64 cells have these 8 shapes.
+    MC_SMALL = {
+        "standard": ({"c_in": 24, "c_out": 24, "k": 3, "alpha": 8}, 2),
+        "lowrank": ({"c_in": 24, "c_out": 24, "rank": 8, "k": 3, "alpha": 8}, 2),
+        "tucker2": ({"c_in": 24, "c_out": 24, "r0": 8, "r1": 8, "k": 3, "alpha": 8}, 2),
+        "htk2": ({"c_in": 24, "c_out": 24, "r0": 8, "r1": 8, "k": 3, "alpha": 8}, 2),
+        "cp": ({"c_in": 24, "c_out": 24, "rank": 8, "k": 3, "alpha": 8}, 2),
+        "tt": ({"i_dims": [4, 6], "o_dims": [4, 6], "rank": 6}, 64),
+        "tr": ({"i_dims": [4, 6], "o_dims": [4, 6], "rank": 4}, 64),
+        "oddlike": ({"i_dims": [4, 5], "o_dims": [4, 5], "rank": 3}, 64),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MC_SMALL))
+    def test_mc_small_cells_run_whole(self, name):
+        params, block = self.MC_SMALL[name]
+        f = builtin_format(name, **params)
+        x_shape = (16, *f.input_mode_dims())
+        assert network._trial_block(f, x_shape) == block
+        for trials in (1, block):
+            assert network._plan(f, False, (trials, *x_shape)).rows == 16
+
+    def test_compile_logs_plan_statistics(self, caplog):
+        network._plan.cache_clear()
+        x_shape = self.x_shape(CONV_DEPTH_LAYER, 16, False)
+        with caplog.at_level(logging.DEBUG, logger="tcinit"):
+            plan = network._plan(CONV_DEPTH_LAYER, False, x_shape)
+            network._plan(CONV_DEPTH_LAYER, False, x_shape)
+        [record] = caplog.records
+        assert record.name == "tcinit" and record.levelno == logging.DEBUG
+        assert record.getMessage() == (
+            f"plan forward x(1, 16, 32, 32, 32): rows=2 largest={plan.largest} "
+            f"held={plan.held} steps=gemm,shift,gemm"
+        )
+
+    def test_simulate_output_does_not_depend_on_debug_logging(self, capsys, caplog):
+        argv = ["simulate", "--builtin", "htk2", "-P", "c_in=32", "-P", "c_out=32",
+                "-P", "rank=8", "-P", "k=3", "-P", "padding=1", "-P", "alpha=32",
+                "--depth", "5", "--act", "tanh", "--mode", "graph-in", "--batch", "16",
+                "--trials", "2", "--workers", "1", "--seed", "3"]
+        outputs = []
+        for level in (logging.WARNING, logging.DEBUG):
+            network._plan.cache_clear()
+            caplog.clear()
+            with caplog.at_level(level, logger="tcinit"):
+                assert tcinit.cli.main(argv) == 0
+            outputs.append(capsys.readouterr())
+        assert any("rows=2" in r.getMessage() for r in caplog.records)
+        assert outputs[0] == outputs[1]

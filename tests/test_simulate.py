@@ -134,8 +134,8 @@ class TestValidation:
         # a trial keeps the weights and the post-activation of every layer
         # for the backward pass, whatever the activation: six layers keep
         # 26,880 bytes and four 17,920.  Three layers keep 13,440 bytes,
-        # under the limit, but a pass holds them and its workspace at once:
-        # 28,160 bytes.
+        # under the limit, but a pass holds them, its workspace and its
+        # 4,096-byte result at once: 32,256 bytes.
         f = builtin_format("standard", c_in=4, c_out=4, k=3, spatial=1, alpha=4, padding=1)
         net = NetworkSpec((LayerSpec(f, act),) * depth, f.input_mode_dims(), batch=32)
         monkeypatch.setattr(tensor, "MEMORY_LIMIT", 16000)
@@ -169,12 +169,12 @@ class TestValidation:
 
     def test_concurrent_trials_keep_count_together(self, monkeypatch):
         # The same layer: a trial keeps its 384-byte weight and its
-        # 4,096-byte output and holds a 14,720-byte workspace, 19,200 bytes,
-        # but two trials run at once by two workers hold twice that.  One
-        # worker, or one trial, runs.
+        # 4,096-byte output and holds a 14,720-byte workspace and a
+        # 4,096-byte result, 23,296 bytes, but two trials run at once by two
+        # workers hold twice that.  One worker, or one trial, runs.
         f = builtin_format("standard", c_in=4, c_out=4, k=3, spatial=1, alpha=4, padding=1)
         net = NetworkSpec((LayerSpec(f, "identity"),), f.input_mode_dims(), batch=32)
-        monkeypatch.setattr(tensor, "MEMORY_LIMIT", 20000)
+        monkeypatch.setattr(tensor, "MEMORY_LIMIT", 24000)
         forward_trace(net, seed=0, trials=2, workers=1)
         forward_trace(net, seed=0, trials=1, workers=2)
         monkeypatch.setattr(simulate, "_stream", None)
@@ -423,10 +423,10 @@ class TestTrialBlocks:
         assert result["trials"] == trials
         self.assert_matches(result, ratios[:trials])
 
-    def test_partial_blocks_below_the_cap(self, case, monkeypatch):
+    def test_partial_blocks_below_the_cap(self, case, trial_block_bytes):
         f, plan, ratios = case
         per_trial = 8 * network._plan(f, False, (1, *self.shapes(f)[0])).largest
-        monkeypatch.setattr(network, "TRIAL_BLOCK_BYTES", 3 * per_trial)
+        trial_block_bytes(3 * per_trial)
         assert self.block_size(f) == 3
         result = variance_mc(f, plan, seed=21, trials=65, batch=BLOCK_BATCH)
         self.assert_matches(result, ratios[:65])
@@ -438,6 +438,21 @@ class TestTrialBlocks:
             for w in (1, 2, 4)
         }
         assert len(reports) == 1
+
+    def test_block_result_counts_before_drawing(self, monkeypatch):
+        # A block of 64 trials of this layer holds its input (4,096 bytes),
+        # weights (32,768 bytes) and workspace (262,144 bytes): 299,008
+        # bytes.  Its result, [64, 8, 64], and the two result-sized
+        # temporaries of its variance take 786,432 bytes more.
+        f = builtin_format("standard", c_in=1, c_out=64, k=0)
+        x_shape = (8,) + f.input_mode_dims()
+        assert network._trial_block(f, x_shape) == 64
+        plan = network._plan(f, False, (1, *x_shape))
+        assert 8 * 64 * (math.prod(x_shape) + 64 + plan.held) == 299_008
+        monkeypatch.setattr(tensor, "MEMORY_LIMIT", 299_008)
+        monkeypatch.setattr(simulate, "_draw", None)
+        with pytest.raises(ResourceLimit, match="workspace of a trial block and its result"):
+            variance_mc(f, make_plan(f, "graph-in", "identity"), seed=0, trials=64, batch=8)
 
     def test_over_limit_block_raises_before_drawing(self):
         # One trial's input alone would take 2**54 bytes.
