@@ -20,7 +20,7 @@ from pathlib import Path
 from . import formats, graph, simulate, transform
 from .errors import InvalidParams, TcinitError
 from .graph import ACTIVATION_SCALE, BASELINE_MODES, PLAN_MODES
-from .tensor import _check_seed
+from .tensor import _check_array, _check_seed
 
 USAGE_EXIT = 1
 VALIDATION_EXIT = 2
@@ -110,6 +110,11 @@ def cmd_analyze(args) -> int:
 def cmd_simulate(args) -> int:
     f = _load_format(args)
     spec = simulate.LayerSpec(f, activation=args.act, mode=args.mode)
+    # Bound the depth before the stack is built, whose tuple alone may not
+    # fit: check one layer, then what every layer keeps.
+    simulate.validate_network(simulate.NetworkSpec((spec,), f.input_mode_dims(), args.batch))
+    _check_array((args.depth, simulate._kept_entries(f, args.batch)),
+                 f"the weights and kept activations of {args.depth} layers")
     net = simulate.NetworkSpec(
         layers=(spec,) * args.depth,
         input_shape=f.input_mode_dims(),

@@ -596,7 +596,9 @@ def _plan(f: LayerFormat, backward: bool, x_shape) -> _Plan:
     batch tile: the largest divisor of the batch, at least 2, at which every
     such array fits and every GEMM dimension the tile shrinks is a multiple
     of ``_GEMM_BLOCK``, so that a tile's entries are computed as the whole
-    batch computes them.  With no such divisor the batch stays whole.  No weight
+    batch computes them.  When no such tile fits, the smallest one whose
+    GEMM dimensions are multiples of ``_GEMM_BLOCK`` still cuts what each
+    tile streams; with no such divisor the batch stays whole.  No weight
     holds the batch index, so a weight, or a product of weights alone, never
     decides the tile.  The path is searched at the whole batch for every
     tile, so a tile pairs its operands as the whole batch does.  A batch
@@ -617,9 +619,10 @@ def _plan(f: LayerFormat, backward: bool, x_shape) -> _Plan:
     if 8 * streamed > TRIAL_BLOCK_BYTES:
         for rows in (rows for rows in range(batch // 2, 1, -1) if batch % rows == 0):
             tile, streamed = _compile(f, backward, wiring, path, windows, x_shape, rows)
-            if 8 * streamed <= TRIAL_BLOCK_BYTES and _aligned(tile, whole):
+            if _aligned(tile, whole):
                 plan = tile
-                break
+                if 8 * streamed <= TRIAL_BLOCK_BYTES:
+                    break
     _log.debug("plan %s x%s: rows=%d largest=%d held=%d steps=%s",
                "backward" if backward else "forward", x_shape, plan.rows, plan.largest,
                plan.held, ",".join(type(s).__name__[1:].lower() for s in plan.steps))
@@ -687,40 +690,16 @@ def _workspace(workspace: dict, plan: _Plan) -> tuple:
     return held
 
 
-def _replica_entries(f: LayerFormat) -> int:
-    """Entries of the weights of all ``f.phi`` replicas of one trial."""
-    return f.phi * sum(math.prod(f.weight_mode_dims(vid)) for vid in f.weight_ids)
-
-
-def _trial_block(f: LayerFormat, x_shape, trials: int = 1, workers: int = 1) -> int:
-    """Trials per forward block for a per-trial input of ``x_shape``.
-
-    As many trials as keep the block's largest array within
-    ``TRIAL_BLOCK_BYTES``, at least one and at most ``MAX_TRIAL_BLOCK``,
-    sized from the plan of a block of one; a trial whose plan runs in batch
-    tiles runs alone.  The size depends on the shapes alone.  Raises
-    :class:`~tcinit.errors.ResourceLimit` when even that block's largest
-    array, or all it holds at once (its input, every replica's weights, its
-    workspace, its whole result and the two result-sized temporaries of the
-    result's variance), would exceed the memory limit, or when they would for
-    the blocks of ``trials`` that ``workers`` threads run at once, each with
-    its own.
-    """
-    plan = _plan(f, False, (1, *x_shape))
-    whole = plan.rows == x_shape[0]
-    block = min(MAX_TRIAL_BLOCK, max(1, TRIAL_BLOCK_BYTES // (8 * plan.largest))) if whole else 1
-    # The result, and the two result-sized temporaries of its variance.
-    holds = math.prod(x_shape) + _replica_entries(f) + plan.held + 3 * math.prod(plan.y_shape)
-    _check_array((block, plan.largest), "the largest array of a trial block")
-    _check_array((block, holds), "the input, weights and workspace of a trial block and its result")
-    copies = min(workers, -(-trials // block))
-    if copies > 1:
-        _check_array((copies, block, plan.largest),
-                     f"the largest arrays of {copies} trial blocks run at once")
-        _check_array((copies, block, holds),
-                     f"the inputs, weights and workspaces of {copies} trial blocks run at once "
-                     f"and their results")
-    return block
+def _trial_block(plans) -> int:
+    """Trials per block for ``plans``, the plans a block of one runs: as many
+    as keep the largest array of every plan within ``TRIAL_BLOCK_BYTES``, at
+    least one and at most ``MAX_TRIAL_BLOCK``; one when a plan runs in batch
+    tiles.  The size depends on the shapes alone, and at that size no plan
+    is tiled."""
+    if any(plan.rows < plan.y_shape[1] for plan in plans):
+        return 1
+    largest = max(plan.largest for plan in plans)
+    return min(MAX_TRIAL_BLOCK, max(1, TRIAL_BLOCK_BYTES // (8 * largest)))
 
 
 def _contract(f: LayerFormat, x: np.ndarray, replicas, backward: bool,

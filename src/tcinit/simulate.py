@@ -7,9 +7,10 @@ trial order, so reports are byte-identical for any worker count.  The words
 those streams are seeded from are computed for a chunk of up to
 ``SEED_CHUNK`` trials at once, by numpy's NEP-19 ``SeedSequence`` hash over
 arrays, and each stream is seeded from them into one generator per worker
-thread, so no ``SeedSequence`` or generator is built per trial.
-:func:`variance_mc` runs its trials in blocks whose size depends on the layer
-shapes alone, never on the worker count; workers map over trials or blocks.
+thread, so no ``SeedSequence`` or generator is built per trial.  The traces
+and :func:`variance_mc` share one runner, :func:`_run`, whose blocks of
+trials have a size that depends on the layer shapes alone, never on the
+worker count; workers map over blocks, or over trials in :func:`scale_chain`.
 While a pool of more than one worker runs, numpy's bundled OpenBLAS is held
 at one thread, so that workers do not contend for cores.
 """
@@ -18,9 +19,11 @@ from __future__ import annotations
 
 import ctypes
 import json
+import logging
 import math
 import operator
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -40,21 +43,13 @@ from .graph import (
     make_plan,
     predicted_output_variance,
 )
-from .network import (
-    _contract,
-    _draw,
-    _plan,
-    _replica_entries,
-    _trial_block,
-    _weight_specs,
-    backward_apply,
-    forward_apply,
-    materialize,
-)
-from .tensor import DenseTensor, _activation, _activation_grad, _check_array, _check_seed
+from .network import _contract, _draw, _plan, _trial_block, _weight_specs
+from .tensor import _activation, _activation_grad, _check_array, _check_seed
 
 DEFAULT_CHAIN_DIMS = (96, 200, 400, 600, 800, 1000, 800, 600, 400, 200, 100)
 SATURATION_THRESHOLD = 0.99
+
+_log = logging.getLogger("tcinit")
 
 
 @dataclass(frozen=True)
@@ -112,27 +107,36 @@ def report_csv(report: TraceReport) -> str:
 # -- network wiring ---------------------------------------------------------
 
 
-def validate_network(net: NetworkSpec, concurrent: int = 1) -> None:
+def _kept_entries(f: LayerFormat, batch: int, backward: bool = True) -> int:
+    """Entries a trial keeps of layer ``f``: its replicas' weights and, for a
+    backward pass, the post-activation, the one array that pass reads."""
+    weights = f.phi * sum(math.prod(f.weight_mode_dims(vid)) for vid in f.weight_ids)
+    return weights + (batch * math.prod(f.output_mode_dims()) if backward else 0)
+
+
+def validate_network(net: NetworkSpec, trials: int = 1, workers: int = 1,
+                     backward: bool = True) -> int:
     """Check that every layer names a known activation and plan mode, that
-    the layers chain and that no array of a trial exceeds the memory limit:
-    the batched input, every layer output, and the largest array of each
-    layer's compiled forward and backward plan (such as a window step's
-    zero-padded input), and that the arrays its workspace holds at once, one
-    batch tile's buffers, fit together.  Compiling a plan allocates nothing,
-    and the plan is the one the trial runs, a block of one.  What a trial
-    keeps for its backward pass must fit together as well: per layer the
-    weights of its ``phi`` replicas, drawn before the forward pass, and the
-    post-activation, the one array that pass reads.  A pass holds them all
-    while it runs, so they must also fit together with the largest workspace
-    of any pass and that pass's whole-batch result, and so must those of
-    ``concurrent`` trials, which run at once, each with its own."""
+    the layers chain and that ``trials`` fit in memory, forward and, with
+    ``backward``, backward; return the trials per block (see
+    :func:`~tcinit.network._trial_block`).
+
+    No array may exceed the memory limit: the batched input, a layer
+    output, the largest array of a plan (such as a window step's zero-padded
+    input) or the arrays its workspace holds at once, one batch tile's
+    buffers.  Compiling a plan allocates nothing.  Then a block's input and
+    what it keeps (see :func:`_kept_entries`) must fit, and so must they
+    with the largest workspace of any plan, that plan's result and two
+    result-sized temporaries, for a block of ``min(block, trials)`` trials
+    and for the ``min(workers, blocks)`` blocks run at once.  All of it
+    raises :class:`~tcinit.errors.ResourceLimit` before any draw."""
     if not net.layers:
         raise InvalidParams("network has no layers")
     if net.batch < 1:
         raise InvalidParams("batch must be >= 1")
     feed = tuple(net.input_shape)
     _check_array((net.batch, *feed), "the batched network input")
-    kept = largest_held = 0
+    kept, plans = math.prod((net.batch, *feed)), []
     for i, spec in enumerate(net.layers):
         if spec.activation not in ACTIVATION_SCALE:
             raise InvalidParams(f"layer {i} has unknown activation {spec.activation!r}")
@@ -146,53 +150,75 @@ def validate_network(net: NetworkSpec, concurrent: int = 1) -> None:
             )
         out = f.output_mode_dims()
         _check_array((net.batch, *out), f"the output of layer {i}")
-        kept += math.prod((net.batch, *out)) + _replica_entries(f)
-        for backward, dims in ((False, feed), (True, out)):
-            plan = _plan(f, backward, (1, net.batch, *dims))
-            direction = "backward" if backward else "forward"
+        kept += _kept_entries(f, net.batch, backward)
+        for direction, dims in (("forward", feed), ("backward", out))[:1 + backward]:
+            plan = _plan(f, direction == "backward", (1, net.batch, *dims))
             _check_array((plan.largest,), f"the largest array of layer {i}'s {direction} pass")
             _check_array((plan.held,), f"the workspace of layer {i}'s {direction} pass")
-            largest_held = max(largest_held, plan.held + math.prod(plan.y_shape))
+            plans.append(plan)
         feed = out
-    _check_array((kept,), "the weights and activations one trial keeps")
-    _check_array((kept + largest_held,),
-                 "the weights, kept activations and the largest workspace of a trial")
-    if concurrent > 1:
-        _check_array((concurrent, kept + largest_held),
-                     f"the weights, kept activations and the largest workspaces of "
-                     f"{concurrent} trials run at once")
+    size = _trial_block(plans)
+    holds = kept + max(plan.held + 3 * math.prod(plan.y_shape) for plan in plans)
+    block = min(size, trials)
+    _check_array((block, kept), "the input, weights and kept activations of a trial block")
+    _check_array((block, holds),
+                 "the input, weights, kept activations, workspace and result of a trial block")
+    copies = min(workers, -(-trials // size))
+    if copies > 1:
+        _check_array((copies, block, holds),
+                     f"the inputs, weights, kept activations, workspaces and results of "
+                     f"{copies} trial blocks run at once")
+    return size
 
 
-def _forward(net: NetworkSpec, layers, x: np.ndarray):
-    """Run the stack from ``x``, every layer's contraction in one workspace.
-    Returns, per layer, the pre-activation's variance, the post-activation's
-    variance and its fraction of magnitudes above ``SATURATION_THRESHOLD``,
-    and the post-activations, the arrays the backward pass reads.  Neither
-    ``x`` nor a pre-activation is kept."""
-    stats, posts, workspace = [], [], {}
-    for spec, layer in zip(net.layers, layers):
+def _var(a: np.ndarray) -> np.ndarray:
+    """Per-trial variance of a block array, bit for bit that of each trial's
+    slice alone."""
+    return a.reshape(len(a), -1).var(axis=1)
+
+
+def _passes(net: NetworkSpec, weights, x: np.ndarray, workspace: dict, measure,
+            upstream=None):
+    """Run a block of trials (``x`` and, per layer, one ``(phi, block, ...)``
+    array per weight vertex) through the stack, contracting in ``workspace``.
+
+    Forward, ``measure(x, pre, post)`` gives per-trial statistics of each
+    layer's input, pre- and post-activation; each goes once replaced.  With
+    ``upstream``, which gives the output gradient of a shape, backward
+    follows, reading the post-activations, the only arrays kept, and
+    dropping each once read.  Returns ``[block, layers, k + 1]`` rows (the
+    statistics, then the gradient's variance at the layer's input, or 0) and
+    the input gradient.  Logs each layer's pass seconds at DEBUG."""
+    layers, n, posts, stats, g = net.layers, len(x), [], [], None
+    ticks = [time.perf_counter()]
+    for spec, w in zip(layers, weights):
         # The previous pre-activation goes once this layer's output replaces
         # it: freed sooner, it leaves free space at the top of the heap that
         # glibc's malloc hands back to the system and faults in again.
-        pre = forward_apply(layer, DenseTensor.from_array(x), workspace).array
-        x = _activation(pre, spec.activation)
-        stats.append((pre.var(), x.var(), (np.abs(x) > SATURATION_THRESHOLD).mean()))
-        posts.append(x)
-    return stats, posts
-
-
-def _backward(net: NetworkSpec, layers, posts: list, g: np.ndarray):
-    """Push the output gradient ``g`` back through the stack, every layer's
-    contraction in one workspace; returns the gradient at the network input
-    and, per layer, the variance of the gradient at that layer's input.
-    Activation derivatives are exact, from the post-activations ``posts``,
-    each popped once read, and ``g`` itself is never written."""
-    grad_vars, workspace = [0.0] * len(layers), {}
-    for i in range(len(layers) - 1, -1, -1):
-        g = _activation_grad(g, posts.pop(), net.layers[i].activation)
-        g = backward_apply(layers[i], DenseTensor.from_array(g), workspace).array
-        grad_vars[i] = float(g.var())
-    return g, grad_vars
+        pre = _contract(spec.format, x, list(zip(*w)), False, workspace)
+        post = _activation(pre, spec.activation)
+        stats.append([*measure(x, pre, post), np.zeros(n)])
+        if upstream is not None:
+            posts.append(post)
+        x = post
+        ticks.append(time.perf_counter())
+    del x, pre, post
+    if upstream is not None:
+        g = upstream(posts[-1].shape)
+        for i in range(len(layers) - 1, -1, -1):
+            g = _activation_grad(g, posts.pop(), layers[i].activation)
+            g = _contract(layers[i].format, g, list(zip(*weights[i])), True, workspace)
+            stats[i][-1] = _var(g)
+            ticks.append(time.perf_counter())
+    if _log.isEnabledFor(logging.DEBUG):
+        spans = np.diff(ticks).tolist()
+        forward_s, backward_s = spans[:len(layers)], spans[len(layers):][::-1]
+        _log.debug("block of %d trials: forward_s=%s backward_s=%s", n,
+                   ",".join(f"{t:.6f}" for t in forward_s),
+                   ",".join(f"{t:.6f}" for t in backward_s),
+                   extra={"forward_s": forward_s, "backward_s": backward_s})
+    # In C order, as the reduction over trials reads it.
+    return np.ascontiguousarray(np.transpose(stats, (2, 0, 1))), g
 
 
 @lru_cache(maxsize=1)
@@ -368,45 +394,63 @@ def _map_seeded(fn, seed: int, trials: int, keys, workers: int, size: int = 1) -
     return results
 
 
-def _trace(net: NetworkSpec, seed: int, trials: int, workers: int, grad_var=None) -> TraceReport:
-    """Mean and trial-to-trial std of the per-layer statistics.
+def _run(net: NetworkSpec, seed: int, trials: int, workers: int, measure, grad_var=None,
+         inits=None) -> np.ndarray:
+    """``[trials, layers, k + 1]`` rows of :func:`_passes` for seeded trials
+    through ``net`` in blocks (see :func:`validate_network`), weights drawn as
+    ``inits`` plan them, by default the layers' own plans.
 
-    Trial ``t`` draws from the ``len(layers) + 2`` children of
-    ``SeedSequence([seed, t])``, seeded from words computed per chunk of
-    trials (see :func:`_seed_words`): a standard-normal input from the
-    first, each layer's weights from the next and the upstream gradient
-    from the last.  It runs the stack forward; unless ``grad_var`` is None
-    it then injects an i.i.d. normal gradient of that variance at the
-    network output and runs the stack backward; otherwise the gradient
-    statistics read 0.  A trial keeps only the post-activations for the
-    backward pass, which drops each once read; every statistic is taken
-    when its array is made.  The trials that ``workers`` threads run at once
-    must fit in memory together (see :func:`validate_network`).
-    """
-    _check_seed(seed)
-    validate_network(net, min(workers, trials))
-    plans = [make_plan(s.format, s.mode, s.activation) for s in net.layers]
+    Trial ``t`` draws from the children of ``SeedSequence([seed, t])`` (see
+    :func:`_seed_words`) in place into its slices of block arrays: a
+    standard-normal input from the first, layer ``i``'s weights from child
+    ``i + 1`` and, unless ``grad_var`` is None, a normal output gradient of
+    that variance from the last.  One workspace per worker thread lives as
+    long as the call.  A trial's figures depend neither on its block nor on
+    ``workers``."""
+    size = validate_network(net, trials, workers, grad_var is not None)
+    inits = inits or [make_plan(s.format, s.mode, s.activation) for s in net.layers]
+    specs = [_weight_specs(s.format, init) for s, init in zip(net.layers, inits)]
     local = threading.local()
 
-    def one(_, streams):
-        (x_words, *w_words, g_words), = streams
-        layers = [
-            materialize(s.format, plan, _stream(local, w))
-            for s, plan, w in zip(net.layers, plans, w_words)
-        ]
-        x_shape = (net.batch, *net.input_shape)
-        stats, posts = _forward(net, layers, _stream(local, x_words).standard_normal(x_shape))
-        grad_vars = [0.0] * len(layers)
-        if grad_var is not None:
-            draw = _stream(local, g_words).standard_normal
-            grad_vars = _backward(net, layers, posts, draw(posts[-1].shape) * np.sqrt(grad_var))[1]
-        return [(pre, post, v, sat) for (pre, post, sat), v in zip(stats, grad_vars)]
+    def normal(words, shape, variance):
+        out = np.empty((len(words), *shape))
+        for t, w in enumerate(words):
+            _draw(_stream(local, w), [[out[t]]], [variance], "normal")
+        return out
 
-    # [trials, layers, (pre_var, post_var, grad_var, saturation)]
-    rows = np.asarray(_map_seeded(one, seed, trials, range(len(net.layers) + 2), workers))
+    def block(_, words):
+        weights = []
+        for i, (spec, init, (shapes, variances)) in enumerate(zip(net.layers, inits, specs)):
+            arrays = [np.empty((spec.format.phi, len(words), *s)) for s in shapes]
+            for t, w in enumerate(words[:, 1 + i]):
+                slots = [[a[t] for a in replica] for replica in zip(*arrays)]
+                _draw(_stream(local, w), slots, variances, init.distribution)
+            weights.append(arrays)
+        upstream = None if grad_var is None else (
+            lambda shape: normal(words[:, -1], shape[1:], grad_var))
+        workspace = vars(local).setdefault("workspace", {})
+        # The input is passed unnamed, so the forward pass drops it.
+        return _passes(net, weights, normal(words[:, 0], (net.batch, *net.input_shape), 1.0),
+                       workspace, measure, upstream)[0]
+
+    keys = range(len(net.layers) + 1 + (grad_var is not None))
+    return np.concatenate(_map_seeded(block, seed, trials, keys, workers, size))
+
+
+def _trace(net: NetworkSpec, seed: int, trials: int, workers: int, grad_var=None) -> TraceReport:
+    """Mean and trial-to-trial std of the per-layer statistics of
+    :func:`_run`: pre- and post-activation variance, saturation and gradient
+    variance (0 unless ``grad_var`` is given)."""
+    _check_seed(seed)
+
+    def measure(x, pre, post):
+        saturated = (np.abs(post) > SATURATION_THRESHOLD).reshape(len(post), -1)
+        return _var(pre), _var(post), saturated.mean(axis=1)
+
+    rows = _run(net, seed, trials, workers, measure, grad_var)
     stats = zip(rows.mean(axis=0), rows.std(axis=0))
     layers = tuple(
-        LayerTrace(*map(float, (m[0], d[0], m[1], d[1], m[2], d[2], m[3]))) for m, d in stats
+        LayerTrace(*map(float, (m[0], d[0], m[1], d[1], m[3], d[3], m[2]))) for m, d in stats
     )
     return TraceReport(seed, trials, SATURATION_THRESHOLD, layers)
 
@@ -442,9 +486,12 @@ def input_gradient(net: NetworkSpec, layers, x: np.ndarray, upstream: np.ndarray
     """Exact loss gradient at the network input for loss sum(upstream * a(y)).
 
     ``layers`` are materialized layers matching ``net``; used by gradient
-    verification.  The gradient has the shape of ``x``.
+    verification.  The passes are those of the traces, as a block of one.
+    The gradient has the shape of ``x``.
     """
-    return _backward(net, layers, _forward(net, layers, x)[1], upstream)[0]
+    weights = [[np.stack([w[vid].array for w in layer.replicas])[:, None]
+                for vid in layer.format.weight_ids] for layer in layers]
+    return _passes(net, weights, x[None], {}, lambda *_: (), lambda _: upstream[None])[1][0]
 
 
 # -- single-layer variance check -------------------------------------------
@@ -464,48 +511,23 @@ def variance_mc(
     backbone graph; the measurement is taken before any activation, so the
     two agree for every plan mode up to sampling noise.
 
-    Trial ``t`` draws a standard-normal input of ``batch`` samples from the
-    first child of ``SeedSequence([seed, t])`` and every weight from the
-    second, seeded from words computed per chunk of trials (see
-    :func:`_seed_words`) into one generator per worker thread.  Trials run
-    in blocks: each trial's input and weights are drawn in place into its
-    slice of block arrays with a leading trial axis, one contraction runs
-    per replica, and each trial's ratio, the same in a block of any size, is
-    read off its slice.  Contractions reuse their step buffers from one
-    workspace per worker thread, which lives as long as this call.  The
-    block size comes from the layer shapes (see
-    :func:`~tcinit.network._trial_block`), so the figures do not depend on
-    ``workers``, which map over blocks.  Raises
-    :class:`~tcinit.errors.ResourceLimit` before any draw when one block's
-    input, weights, workspace and result, or those of the blocks the workers
-    run at once, would not fit in memory, and
+    The measurement is the one-layer, forward-only case of the traces'
+    runner (see :func:`_run`), with no activation: trial ``t`` draws a
+    standard-normal input of ``batch`` samples from the first child of
+    ``SeedSequence([seed, t])`` and every weight from the second.  Raises
+    :class:`~tcinit.errors.ResourceLimit` before any draw when the blocks
+    would not fit in memory (see :func:`validate_network`), and
     :class:`~tcinit.errors.InvalidParams` when ``batch`` is below 1.
     """
     _check_seed(seed)
-    if batch < 1:
-        raise InvalidParams("batch must be >= 1")
-    shapes, variances = _weight_specs(f, plan)
+    variances = _weight_specs(f, plan)[1]
     predicted = predicted_output_variance(
         extract_bg(f, FAN_IN), 1.0, variances, 1.0, f.phi
     )
-    x_shape = (batch,) + f.input_mode_dims()
-    size = _trial_block(f, x_shape, trials, workers)
-
-    per_thread = threading.local()
-
-    def run_block(block, streams):
-        n = len(block)
-        x = np.empty((n, *x_shape))
-        replicas = [[np.empty((n, *s)) for s in shapes] for _ in range(f.phi)]
-        for i, (x_words, w_words) in enumerate(streams):
-            _draw(_stream(per_thread, x_words), [[x[i]]], [1.0], "normal")
-            trial = [[w[i] for w in weights] for weights in replicas]
-            _draw(_stream(per_thread, w_words), trial, variances, plan.distribution)
-        workspace = vars(per_thread).setdefault("workspace", {})
-        out = _contract(f, x, replicas, backward=False, workspace=workspace)
-        return out.reshape(n, -1).var(axis=1) / x.reshape(n, -1).var(axis=1)
-
-    ratios = np.concatenate(_map_seeded(run_block, seed, trials, (0, 1), workers, size))
+    net = NetworkSpec((LayerSpec(f),), f.input_mode_dims(), batch)
+    rows = _run(net, seed, trials, workers, lambda x, pre, post: (_var(pre) / _var(x),),
+                inits=[plan])
+    ratios = rows[:, 0, 0]
     return {
         "seed": seed,
         "trials": trials,

@@ -184,18 +184,33 @@ class TestSimulate:
     def test_one_forward_pass_per_trial(self, capsys, monkeypatch):
         # The report's activation and gradient statistics come from one pass
         # through the stack: each trial runs every layer forward once.
-        calls = []
-        original = network.forward_apply
+        trials = []
+        original = simulate._contract
 
-        def counting(*args, **kwargs):
-            calls.append(None)
-            return original(*args, **kwargs)
+        def counting(f, x, replicas, backward, workspace=None):
+            if not backward:
+                trials.append(len(x))
+            return original(f, x, replicas, backward, workspace)
 
-        for module in (network, simulate):
-            monkeypatch.setattr(module, "forward_apply", counting)
+        monkeypatch.setattr(simulate, "_contract", counting)
         code, _, _ = run(capsys, *self.ARGS, "--seed", "0")
         assert code == 0
-        assert len(calls) == 2 * 4  # depth * trials
+        assert sum(trials) == 2 * 4  # depth * trials
+
+    @pytest.mark.parametrize("depth", ["1000000", "100000000000"])
+    def test_over_limit_depth_exits_2_before_building_the_stack(self, capsys, depth,
+                                                                 monkeypatch):
+        # Each layer keeps 924 entries per trial (156 weight and 768 output
+        # entries), so a million layers need 7.392e9 bytes.
+        monkeypatch.setattr(tensor, "MEMORY_LIMIT", 2**32)
+        monkeypatch.setattr(simulate, "backward_trace", None)
+        code, out, err = run(
+            capsys,
+            "simulate", "--builtin", "tt", "-P", "i_dims=4,6", "-P", "o_dims=4,6",
+            "-P", "rank=3", "--seed", "0", "--depth", depth,
+        )
+        assert code == 2
+        assert out == "" and f"of {depth} layers" in err and "limit" in err
 
 
 class TestVerify:

@@ -509,6 +509,11 @@ class TestPeakMemory:
         assert peak <= 5 * arg.data.nbytes
 
 
+def trial_block(f, x_shape):
+    """Trials per block of ``variance_mc`` for a per-trial input of ``x_shape``."""
+    return network._trial_block([network._plan(f, False, (1, *x_shape))])
+
+
 class TestTrialAxis:
     """A leading trial axis runs independent trials in one contraction; a
     per-trial call is a block of one."""
@@ -554,13 +559,13 @@ class TestTrialAxis:
         per_trial = 8 * 2 * 2 * 6 * 6
         assert network._plan(f, False, (1, *x_shape)).largest * 8 == per_trial
         trial_block_bytes(5 * per_trial + 7)
-        assert network._trial_block(f, x_shape) == 5
+        assert trial_block(f, x_shape) == 5
         # A batch of 2 has no smaller tile, so one trial runs whole.
         trial_block_bytes(per_trial - 1)
-        assert network._trial_block(f, x_shape) == 1
+        assert trial_block(f, x_shape) == 1
         assert network._plan(f, False, (1, *x_shape)).rows == 2
         trial_block_bytes(1 << 40)
-        assert network._trial_block(f, x_shape) == network.MAX_TRIAL_BLOCK
+        assert trial_block(f, x_shape) == network.MAX_TRIAL_BLOCK
 
     def test_concurrent_blocks_over_limit_raise_before_drawing(self, monkeypatch):
         # What one block holds fits under the limit, but two workers would
@@ -569,7 +574,7 @@ class TestTrialAxis:
         f = builtin_format("standard", c_in=4, c_out=4, k=3, padding=1, alpha=16, phi=2)
         x_shape = (2,) + f.input_mode_dims()
         plan = network._plan(f, False, (1, *x_shape))
-        block = network._trial_block(f, x_shape)
+        block = trial_block(f, x_shape)
         # Per trial: the input, both replicas' [4, 4, 3, 3] weights, the
         # workspace, the result and the two result-sized temporaries of its
         # variance.
@@ -579,7 +584,7 @@ class TestTrialAxis:
         variance_mc(f, init, seed=0, trials=2 * block, batch=2, workers=1)
         variance_mc(f, init, seed=0, trials=block, batch=2, workers=2)
         monkeypatch.setattr(simulate, "_draw", None)
-        with pytest.raises(ResourceLimit, match="workspaces of 2 trial blocks run at once"):
+        with pytest.raises(ResourceLimit, match="results of 2 trial blocks run at once"):
             variance_mc(f, init, seed=0, trials=2 * block, batch=2, workers=2)
 
     def test_block_workspace_over_limit_raises_before_drawing(self, monkeypatch):
@@ -590,11 +595,11 @@ class TestTrialAxis:
         plan = network._plan(f, False, (1, *x_shape))
         buffers = [s for step in plan.steps for s in step.buffers] + list(plan.buffers)
         assert plan.held == sum(math.prod(s) for s in buffers)
-        block = network._trial_block(f, x_shape)
+        block = trial_block(f, x_shape)
         assert block * plan.largest < block * plan.held
         monkeypatch.setattr(tensor, "MEMORY_LIMIT", 8 * block * plan.largest)
         monkeypatch.setattr(simulate, "_draw", None)
-        with pytest.raises(ResourceLimit, match="workspace of a trial block"):
+        with pytest.raises(ResourceLimit, match="workspace and result of a trial block"):
             variance_mc(f, make_plan(f, "graph-in", "identity"), seed=0, trials=4, batch=2)
 
     def test_block_weights_over_limit_raise_before_drawing(self, monkeypatch):
@@ -605,11 +610,11 @@ class TestTrialAxis:
         # each fit under the limit.
         f = builtin_format("standard", c_in=64, c_out=64, k=0, phi=2)
         x_shape = (8,) + f.input_mode_dims()
-        assert network._trial_block(f, x_shape) == 16
+        assert trial_block(f, x_shape) == 16
         assert network._plan(f, False, (1, *x_shape)).held == 1024
         monkeypatch.setattr(tensor, "MEMORY_LIMIT", 524_296)
         monkeypatch.setattr(simulate, "_draw", None)
-        with pytest.raises(ResourceLimit, match="input, weights and workspace of a trial block"):
+        with pytest.raises(ResourceLimit, match="input, weights and kept activations of a trial block"):
             variance_mc(f, make_plan(f, "graph-in", "identity"), seed=0, trials=16, batch=8,
                         workers=1)
 
@@ -986,6 +991,11 @@ class TestBatchTiles:
         # changes the bytes.
         "tr": (builtin_format("tr", i_dims=(8, 32), o_dims=(16, 16), rank=6), 256, 128,
                (False,)),
+        # Even a tile of 2 rows streams a 73,984-entry padded buffer, over
+        # the budget, so the smallest tile is taken: whole, the batch would
+        # stream 591,872 entries.
+        "standard-c32": (builtin_format("standard", c_in=32, c_out=32, k=3, padding=1,
+                                        alpha=32), 16, 2, (False, True)),
     }
 
     @staticmethod
@@ -1066,7 +1076,7 @@ class TestBatchTiles:
         params, block = self.MC_SMALL[name]
         f = builtin_format(name, **params)
         x_shape = (16, *f.input_mode_dims())
-        assert network._trial_block(f, x_shape) == block
+        assert trial_block(f, x_shape) == block
         for trials in (1, block):
             assert network._plan(f, False, (trials, *x_shape)).rows == 16
 
@@ -1096,4 +1106,11 @@ class TestBatchTiles:
                 assert tcinit.cli.main(argv) == 0
             outputs.append(capsys.readouterr())
         assert any("rows=2" in r.getMessage() for r in caplog.records)
+        # One record per block of the runner, with each layer's pass times.
+        blocks = [r for r in caplog.records if r.getMessage().startswith("block of 1 trials:")]
+        assert len(blocks) == 2
+        for record in blocks:
+            assert record.levelno == logging.DEBUG
+            assert len(record.forward_s) == len(record.backward_s) == 5
+            assert all(t > 0 for t in record.forward_s + record.backward_s)
         assert outputs[0] == outputs[1]

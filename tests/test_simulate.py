@@ -102,13 +102,14 @@ class TestValidation:
     def test_over_limit_plan_window_raises(self, monkeypatch):
         # The input [batch, c, alpha] and the output [batch, c, alpha'] fit
         # under the limit, but the window step's zero-padded input
-        # [batch, alpha + 2 * padding, c] does not.
+        # [batch, alpha + 2 * padding, c] does not.  A batch of 31 has no
+        # smaller tile.
         k = 2**20
         f = builtin_format(
             "standard", c_in=1, c_out=1, k=k, spatial=1, alpha=k, padding=k - 1
         )
-        net = NetworkSpec((LayerSpec(f),), f.input_mode_dims(), batch=32)
-        monkeypatch.setattr(tensor, "MEMORY_LIMIT", 8 * 32 * (3 * k - 2) - 1)
+        net = NetworkSpec((LayerSpec(f),), f.input_mode_dims(), batch=31)
+        monkeypatch.setattr(tensor, "MEMORY_LIMIT", 8 * 31 * (3 * k - 2) - 1)
         with pytest.raises(ResourceLimit, match="layer 0's forward pass"):
             validate_network(net)
 
@@ -127,23 +128,24 @@ class TestValidation:
     )
     def test_activations_one_trial_keeps_count_together(self, depth, act, with_workspace,
                                                         monkeypatch):
-        # Every array fits under the limit on its own: each activation is
-        # [32, 4, 4] (4,096 bytes), the largest, the zero-padded window
-        # input [32, 6, 4], takes 6,144 bytes, each weight [4, 4, 3] takes
-        # 384 bytes and each direction's workspace holds 14,720 bytes.  But
-        # a trial keeps the weights and the post-activation of every layer
-        # for the backward pass, whatever the activation: six layers keep
-        # 26,880 bytes and four 17,920.  Three layers keep 13,440 bytes,
-        # under the limit, but a pass holds them, its workspace and its
-        # 4,096-byte result at once: 32,256 bytes.
+        # Every array fits under the limit on its own: the input and each
+        # activation are [32, 4, 4] (4,096 bytes), the largest, the
+        # zero-padded window input [32, 6, 4], takes 6,144 bytes, each
+        # weight [4, 4, 3] takes 384 bytes and each direction's workspace
+        # holds 14,720 bytes.  But a trial keeps its input and the weights
+        # and the post-activation of every layer for the backward pass,
+        # whatever the activation: with six layers 30,976 bytes and with
+        # four 22,016.  With three it keeps 17,536 bytes, under the limit,
+        # but a pass holds them, its workspace, its 4,096-byte result and
+        # two result-sized temporaries at once: 44,544 bytes.
         f = builtin_format("standard", c_in=4, c_out=4, k=3, spatial=1, alpha=4, padding=1)
         net = NetworkSpec((LayerSpec(f, act),) * depth, f.input_mode_dims(), batch=32)
-        monkeypatch.setattr(tensor, "MEMORY_LIMIT", 16000)
+        monkeypatch.setattr(tensor, "MEMORY_LIMIT", 18000)
         monkeypatch.setattr(network, "_draw", None)
-        match = ("kept activations and the largest workspace" if with_workspace
-                 else "activations one trial keeps")
+        match = ("kept activations, workspace and result of a trial block" if with_workspace
+                 else "weights and kept activations of a trial block")
         with pytest.raises(ResourceLimit, match=match):
-            forward_trace(net, seed=0, trials=1)
+            backward_trace(net, seed=0, trials=1)
 
     def test_over_limit_workspace_raises_before_drawing(self, monkeypatch):
         # The same layer: every array and the activations fit, but the
@@ -159,26 +161,29 @@ class TestValidation:
         # Each layer's weight [64, 64] takes 32,768 bytes and every array
         # fits under the limit, but a trial draws both replicas of every
         # layer before its forward pass and keeps them through its backward
-        # pass: 327,680 bytes over five layers.
+        # pass: 327,680 bytes over five layers, and the two trials of the
+        # block twice that.
         f = builtin_format("standard", c_in=64, c_out=64, k=0, phi=2)
         net = NetworkSpec((LayerSpec(f, "identity"),) * 5, f.input_mode_dims(), batch=1)
         monkeypatch.setattr(tensor, "MEMORY_LIMIT", 40000)
         monkeypatch.setattr(network, "_draw", None)
-        with pytest.raises(ResourceLimit, match="weights and activations one trial keeps"):
+        with pytest.raises(ResourceLimit, match="weights and kept activations of a trial block"):
             backward_trace(net, seed=0, trials=2, workers=1)
 
     def test_concurrent_trials_keep_count_together(self, monkeypatch):
-        # The same layer: a trial keeps its 384-byte weight and its
-        # 4,096-byte output and holds a 14,720-byte workspace and a
-        # 4,096-byte result, 23,296 bytes, but two trials run at once by two
-        # workers hold twice that.  One worker, or one trial, runs.
+        # The same layer, in blocks of one trial: a trial keeps its
+        # 4,096-byte input and 384-byte weight and holds a 14,720-byte
+        # workspace, a 4,096-byte result and two result-sized temporaries,
+        # 31,488 bytes, but two blocks run at once by two workers hold twice
+        # that.  One worker, or one trial, runs.
         f = builtin_format("standard", c_in=4, c_out=4, k=3, spatial=1, alpha=4, padding=1)
         net = NetworkSpec((LayerSpec(f, "identity"),), f.input_mode_dims(), batch=32)
-        monkeypatch.setattr(tensor, "MEMORY_LIMIT", 24000)
+        monkeypatch.setattr(network, "MAX_TRIAL_BLOCK", 1)
+        monkeypatch.setattr(tensor, "MEMORY_LIMIT", 32000)
         forward_trace(net, seed=0, trials=2, workers=1)
         forward_trace(net, seed=0, trials=1, workers=2)
         monkeypatch.setattr(simulate, "_stream", None)
-        with pytest.raises(ResourceLimit, match="workspaces of 2 trials run at once"):
+        with pytest.raises(ResourceLimit, match="results of 2 trial blocks run at once"):
             forward_trace(net, seed=0, trials=2, workers=2)
 
 
@@ -288,28 +293,55 @@ class TestBackwardTrace:
 
     def test_trial_keeps_only_the_post_activations(self, monkeypatch):
         # After the forward pass neither the input nor a pre-activation is
-        # alive, and the backward pass drops each post-activation it reads.
+        # alive, and the backward pass drops each post-activation once read.
         net = linear_net(depth=3, act="tanh")
         plan = make_plan(net.layers[0].format, "graph-in", "tanh")
         layers = [materialize(s.format, plan, i) for i, s in enumerate(net.layers)]
-        made = []
+        weights = [[np.stack([w[vid].array for w in layer.replicas])[:, None]
+                    for vid in layer.format.weight_ids] for layer in layers]
+        made, posts, alive = [], [], []
+        contract = simulate._contract
 
-        def apply(layer, x, workspace):
-            out = forward_apply(layer, x, workspace)
-            made.append(weakref.ref(out.data.base))
-            return out
+        def counting(f, x, replicas, backward, workspace):
+            y = contract(f, x, replicas, backward, workspace)
+            if backward:
+                alive.append([ref() is not None for ref in posts])
+            else:
+                made.append(weakref.ref(y))
+            return y
 
         def draw():
-            x = np.random.default_rng(0).standard_normal((net.batch, *net.input_shape))
+            x = np.random.default_rng(0).standard_normal((1, net.batch, *net.input_shape))
             made.append(weakref.ref(x))
             return x
 
-        monkeypatch.setattr(simulate, "forward_apply", apply)
-        stats, posts = simulate._forward(net, layers, draw())
-        assert len(made) == 4 and not any(ref() is not None for ref in made)
-        assert len(stats) == len(posts) == 3
-        simulate._backward(net, layers, posts, np.ones(posts[-1].shape))
-        assert posts == []
+        def measure(x, pre, post):
+            posts.append(weakref.ref(post))
+            return ()
+
+        def upstream(shape):
+            assert len(made) == 4 and not any(ref() is not None for ref in made)
+            assert len(posts) == 3 and all(ref() is not None for ref in posts)
+            return np.ones(shape)
+
+        monkeypatch.setattr(simulate, "_contract", counting)
+        rows, _ = simulate._passes(net, weights, draw(), {}, measure, upstream)
+        assert rows.shape == (1, 3, 1)
+        # Layer i's backward contraction runs once posts i and up are read.
+        assert alive == [[True, True, False], [True, False, False], [False, False, False]]
+        monkeypatch.undo()
+        # The runner holds no reference to the input it draws either: by the
+        # second layer it is gone.
+        drawn = []
+
+        def input_dropped(x, pre, post):
+            if drawn:
+                assert drawn[0]() is None
+            drawn.append(weakref.ref(x))
+            return ()
+
+        simulate._run(net, 0, 1, 1, input_dropped, grad_var=1.0)
+        assert len(drawn) == 3
 
 
 FOLD_NETS = {
@@ -336,6 +368,20 @@ def test_backward_trace_activation_fields_are_forward_traces(name, workers):
     for a, b in zip(fwd.layers, bwd.layers, strict=True):
         assert all(getattr(a, k) == getattr(b, k) for k in fields)
         assert b.grad_var > 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(FOLD_NETS))
+def test_trace_reports_do_not_depend_on_block_size(name, workers, trial_block_bytes):
+    """A trial's statistics are those of the trial alone, in a block of any
+    size: default blocks and blocks of one give the same report."""
+    f, act, batch = FOLD_NETS[name]
+    net = NetworkSpec((LayerSpec(f, act, "graph-in"),) * 3, f.input_mode_dims(), batch=batch)
+    assert 28 <= validate_network(net, trials=70) <= 64
+    blocked = report_json(backward_trace(net, seed=9, trials=70, workers=workers))
+    trial_block_bytes(8)
+    assert validate_network(net, trials=70) == 1
+    assert report_json(backward_trace(net, seed=9, trials=70, workers=workers)) == blocked
 
 
 class TestVarianceMc:
@@ -374,6 +420,11 @@ class TestVarianceMc:
             variance_mc(f, plan, seed=1, trials=2, batch=batch)
 
 
+def trial_block(f, x_shape):
+    """Trials per block of ``variance_mc`` for a per-trial input of ``x_shape``."""
+    return network._trial_block([network._plan(f, False, (1, *x_shape))])
+
+
 def per_trial_ratios(f, plan, seed, trials, batch):
     """Output/input variance ratios one trial at a time, through the public
     ``materialize`` and ``forward_apply`` on the streams variance_mc uses."""
@@ -406,7 +457,7 @@ class TestTrialBlocks:
         return ((BLOCK_BATCH,) + f.input_mode_dims(),)
 
     def block_size(self, f):
-        return network._trial_block(f, *self.shapes(f))
+        return trial_block(f, *self.shapes(f))
 
     @staticmethod
     def assert_matches(result, ratios):
@@ -446,12 +497,12 @@ class TestTrialBlocks:
         # temporaries of its variance take 786,432 bytes more.
         f = builtin_format("standard", c_in=1, c_out=64, k=0)
         x_shape = (8,) + f.input_mode_dims()
-        assert network._trial_block(f, x_shape) == 64
+        assert trial_block(f, x_shape) == 64
         plan = network._plan(f, False, (1, *x_shape))
         assert 8 * 64 * (math.prod(x_shape) + 64 + plan.held) == 299_008
         monkeypatch.setattr(tensor, "MEMORY_LIMIT", 299_008)
         monkeypatch.setattr(simulate, "_draw", None)
-        with pytest.raises(ResourceLimit, match="workspace of a trial block and its result"):
+        with pytest.raises(ResourceLimit, match="workspace and result of a trial block"):
             variance_mc(f, make_plan(f, "graph-in", "identity"), seed=0, trials=64, batch=8)
 
     def test_over_limit_block_raises_before_drawing(self):
@@ -508,7 +559,7 @@ class TestStreams:
         # A million trials: the seed words of at most SEED_CHUNK trials
         # exist at once, and the blocks are those of one pass over all trials.
         f = builtin_format("tt", i_dims=(4, 6), o_dims=(4, 6), rank=6)
-        size = network._trial_block(f, (BLOCK_BATCH,) + f.input_mode_dims())
+        size = trial_block(f, (BLOCK_BATCH,) + f.input_mode_dims())
         chunks, blocks = [], []
 
         def words(seed, trials, keys):
@@ -517,7 +568,7 @@ class TestStreams:
 
         def run(fn, items, workers):
             blocks.extend(block for block, _ in items)
-            return [np.ones(len(block)) for block, _ in items]
+            return [np.ones((len(block), 1, 2)) for block, _ in items]
 
         monkeypatch.setattr(simulate, "_seed_words", words)
         monkeypatch.setattr(simulate, "_map_trials", run)
@@ -571,7 +622,7 @@ class TestWorkspaceScope:
     def test_retains_less_than_one_padded_buffer(self):
         plan = make_plan(self.F, "graph-in", "tanh")
         x_shape = (self.BATCH,) + self.F.input_mode_dims()
-        block = network._trial_block(self.F, x_shape)
+        block = trial_block(self.F, x_shape)
         steps = network._plan(self.F, False, (block, *x_shape)).steps
         padded = max(8 * math.prod(s.buffers[0]) for s in steps if isinstance(s, network._Shift))
         np.random.default_rng(0)  # numpy imports its random module on first use

@@ -1,9 +1,9 @@
-"""Byte-parity harness for the contraction engine.
+"""Byte-parity harness for the contraction engine and the seeded commands.
 
 Runs per-trial ``forward_apply`` and ``backward_apply`` over a fixed grid of
 layers and batches and records one sha256 of each output's bytes, keyed
-``<layer>/<direction>/b<batch>``.  Two checkouts of the engine give the same
-file exactly when every output is byte-identical.
+``<layer>/<direction>/b<batch>``, and one sha256 of each seeded report below.
+Two checkouts give the same file exactly when every output is byte-identical.
 
     PYTHONPATH=src python tools/parity.py --out parity.json
     python tools/parity.py --compare before.json after.json
@@ -16,6 +16,18 @@ The grid:
 * large tt, tr and oddlike layers at batch 256;
 * ``random_format(0)`` to ``random_format(59)`` at batches 1 and 3.
 
+The reports, each run in-process and keyed by its exit code, stdout and
+stderr (``repr`` for ``variance_mc``):
+
+* ``simulate/conv_depth/s<seed>/<emit>/w<workers>``: ``tcinit simulate`` with
+  the flags of the conv_depth benchmark at seeds 0-3, ``--emit`` json and
+  csv, ``--workers`` 1 and 2;
+* ``variance_mc/<builtin>/<mode>/s<seed>``: the 64 cells of the mc_small
+  benchmark (8 builtins x 8 plan modes, batch 16) at seeds 0, 3 and 5;
+* ``analyze/<builtin>/<emit>``: ``tcinit analyze`` on the 8 small builtins;
+* ``verify/s0`` and ``scale-chain/s0``: ``tcinit verify --seed 0`` and
+  ``tcinit scale-chain --seed 0``.
+
 ``--compare`` prints each key whose digest differs or that only one file
 holds, and exits 1 when there is any; it needs no ``tcinit`` import.
 """
@@ -23,7 +35,9 @@ holds, and exits 1 when there is any; it needs no ``tcinit`` import.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import sys
 
@@ -64,6 +78,24 @@ LINEAR_BATCHES = (256,)
 
 RANDOM_SEEDS = range(60)
 
+CONV_DEPTH_FLAGS = ["--builtin", "htk2", "-P", "c_in=32", "-P", "c_out=32", "-P", "rank=8",
+                    "-P", "k=3", "-P", "padding=1", "-P", "alpha=32", "--depth", "5",
+                    "--act", "tanh", "--mode", "graph-in", "--batch", "16", "--trials", "2"]
+CONV_DEPTH_SEEDS = range(4)
+
+# builtin, parameters, trials: the criterion-7 grid, run at batch 16.
+MC_CASES = (
+    ("standard", dict(c_in=24, c_out=24, k=3, alpha=8), 60),
+    ("lowrank", dict(c_in=24, c_out=24, rank=8, k=3, alpha=8), 60),
+    ("tucker2", dict(c_in=24, c_out=24, r0=8, r1=8, k=3, alpha=8), 60),
+    ("htk2", dict(c_in=24, c_out=24, r0=8, r1=8, k=3, alpha=8), 60),
+    ("cp", dict(c_in=24, c_out=24, rank=8, k=3, alpha=8), 60),
+    ("tt", dict(i_dims=(4, 6), o_dims=(4, 6), rank=6), 300),
+    ("tr", dict(i_dims=(4, 6), o_dims=(4, 6), rank=4), 500),
+    ("oddlike", dict(i_dims=(4, 5), o_dims=(4, 5), rank=3), 500),
+)
+MC_SEEDS = (0, 3, 5)
+
 
 def grid():
     """``(name, format, batches)`` for every layer of the grid, in order."""
@@ -84,9 +116,54 @@ def grid():
         yield f"random{seed}", random_format(seed), SMALL_BATCHES
 
 
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _cli(*argv: str) -> str:
+    """Exit code, stdout and stderr of one in-process ``tcinit`` run."""
+    from tcinit.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return f"{code}\n{out.getvalue()}\n{err.getvalue()}"
+
+
+def report_digests() -> dict[str, str]:
+    """One sha256 per seeded report listed in the module docstring."""
+    from tcinit.formats import builtin_format
+    from tcinit.graph import PLAN_MODES, make_plan
+    from tcinit.simulate import variance_mc
+
+    out = {}
+    for seed in CONV_DEPTH_SEEDS:
+        for emit in ("json", "csv"):
+            for workers in (1, 2):
+                text = _cli("simulate", *CONV_DEPTH_FLAGS, "--emit", emit,
+                            "--workers", str(workers), "--seed", str(seed))
+                out[f"simulate/conv_depth/s{seed}/{emit}/w{workers}"] = _sha(text)
+    for name, params, trials in MC_CASES:
+        f = builtin_format(name, **params)
+        for mode in PLAN_MODES:
+            plan = make_plan(f, mode, "tanh")
+            for seed in MC_SEEDS:
+                result = variance_mc(f, plan, seed=seed, trials=trials, batch=16)
+                out[f"variance_mc/{name}/{mode}/s{seed}"] = _sha(repr(result))
+    for name, params in SMALL_BUILTINS.items():
+        flags = [flag for k, v in params.items()
+                 for flag in ("-P", f"{k}={','.join(map(str, v)) if isinstance(v, tuple) else v}")]
+        for emit in ("json", "csv"):
+            out[f"analyze/{name}/{emit}"] = _sha(_cli("analyze", "--builtin", name, *flags,
+                                                      "--emit", emit))
+    out["verify/s0"] = _sha(_cli("verify", "--seed", "0"))
+    out["scale-chain/s0"] = _sha(_cli("scale-chain", "--seed", "0"))
+    return out
+
+
 def digests() -> dict[str, str]:
-    """One sha256 per (layer, direction, batch) of the grid, from the
-    ``tcinit`` on the import path."""
+    """One sha256 per (layer, direction, batch) of the grid and per seeded
+    report, from the ``tcinit`` on the import path."""
     from tcinit.graph import make_plan
     from tcinit.network import backward_apply, forward_apply, materialize
     from tcinit.tensor import DenseTensor
@@ -102,7 +179,7 @@ def digests() -> dict[str, str]:
                 x = np.random.default_rng(batch).standard_normal((batch, *dims))
                 y = apply(layer, DenseTensor.from_array(x)).array
                 out[f"{name}/{direction}/b{batch}"] = hashlib.sha256(y.tobytes()).hexdigest()
-    return out
+    return {**out, **report_digests()}
 
 
 def compare(a: dict, b: dict) -> list[str]:
