@@ -111,7 +111,8 @@ def cmd_simulate(args) -> int:
     f = _load_format(args)
     spec = simulate.LayerSpec(f, activation=args.act, mode=args.mode)
     # Bound the depth before the stack is built, whose tuple alone may not
-    # fit: check one layer, then what every layer keeps.
+    # fit: check one layer first, so that an array of the layer itself is
+    # named, then what every layer keeps.
     simulate.validate_network(simulate.NetworkSpec((spec,), f.input_mode_dims(), args.batch))
     _check_array((args.depth, simulate._kept_entries(f, args.batch)),
                  f"the weights and kept activations of {args.depth} layers")

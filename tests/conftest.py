@@ -3,6 +3,11 @@ import pytest
 from tcinit import network
 
 
+def trial_block(f, x_shape):
+    """Trials per block of ``variance_mc`` for a per-trial input of ``x_shape``."""
+    return network._trial_block([network._plan(f, False, (1, *x_shape))])
+
+
 @pytest.fixture
 def trial_block_bytes(monkeypatch):
     """Set ``network.TRIAL_BLOCK_BYTES`` for one test.  Plans are compiled

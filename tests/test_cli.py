@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from tcinit import network, simulate, tensor
+from tcinit import simulate, tensor
 from tcinit.cli import main
 
 
@@ -134,7 +134,8 @@ class TestSimulate:
         # Every array of this layer fits under the limit, but the 14,720
         # bytes its forward workspace holds at once do not.
         monkeypatch.setattr(tensor, "MEMORY_LIMIT", 14000)
-        monkeypatch.setattr(network, "_draw", None)
+        monkeypatch.setattr(simulate, "_draw", None)
+        monkeypatch.setattr(simulate, "_stream", None)
         code, out, err = run(
             capsys,
             "simulate", "--builtin", "standard", "-P", "c_in=4", "-P", "c_out=4",

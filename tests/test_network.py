@@ -20,6 +20,8 @@ from tcinit.simulate import variance_mc
 from tcinit.tensor import DenseTensor, build_dummy, multi_contract
 from tcinit.transform import backward_dummy, backward_pattern, theorem1_grid
 
+from conftest import trial_block
+
 
 def direct_conv2d(x, w, stride, padding):
     """Nested-loop 2-D convolution oracle for a plain kernel [cin,cout,k,k]."""
@@ -507,11 +509,6 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * arg.data.nbytes
-
-
-def trial_block(f, x_shape):
-    """Trials per block of ``variance_mc`` for a per-trial input of ``x_shape``."""
-    return network._trial_block([network._plan(f, False, (1, *x_shape))])
 
 
 class TestTrialAxis:

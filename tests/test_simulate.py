@@ -30,6 +30,8 @@ from tcinit.simulate import (
 )
 from tcinit.tensor import DenseTensor
 
+from conftest import trial_block
+
 
 # A 1-D conv layer whose kernel edge is declared before its input channels;
 # its input is still (channels, spatial) = (2, 5), like its output.
@@ -141,7 +143,8 @@ class TestValidation:
         f = builtin_format("standard", c_in=4, c_out=4, k=3, spatial=1, alpha=4, padding=1)
         net = NetworkSpec((LayerSpec(f, act),) * depth, f.input_mode_dims(), batch=32)
         monkeypatch.setattr(tensor, "MEMORY_LIMIT", 18000)
-        monkeypatch.setattr(network, "_draw", None)
+        monkeypatch.setattr(simulate, "_draw", None)
+        monkeypatch.setattr(simulate, "_stream", None)
         match = ("kept activations, workspace and result of a trial block" if with_workspace
                  else "weights and kept activations of a trial block")
         with pytest.raises(ResourceLimit, match=match):
@@ -153,7 +156,8 @@ class TestValidation:
         f = builtin_format("standard", c_in=4, c_out=4, k=3, spatial=1, alpha=4, padding=1)
         net = NetworkSpec((LayerSpec(f, "identity"),), f.input_mode_dims(), batch=32)
         monkeypatch.setattr(tensor, "MEMORY_LIMIT", 14000)
-        monkeypatch.setattr(network, "_draw", None)
+        monkeypatch.setattr(simulate, "_draw", None)
+        monkeypatch.setattr(simulate, "_stream", None)
         with pytest.raises(ResourceLimit, match="workspace of layer 0's forward pass"):
             forward_trace(net, seed=0, trials=1)
 
@@ -166,7 +170,8 @@ class TestValidation:
         f = builtin_format("standard", c_in=64, c_out=64, k=0, phi=2)
         net = NetworkSpec((LayerSpec(f, "identity"),) * 5, f.input_mode_dims(), batch=1)
         monkeypatch.setattr(tensor, "MEMORY_LIMIT", 40000)
-        monkeypatch.setattr(network, "_draw", None)
+        monkeypatch.setattr(simulate, "_draw", None)
+        monkeypatch.setattr(simulate, "_stream", None)
         with pytest.raises(ResourceLimit, match="weights and kept activations of a trial block"):
             backward_trace(net, seed=0, trials=2, workers=1)
 
@@ -418,11 +423,6 @@ class TestVarianceMc:
         monkeypatch.setattr(simulate, "_draw", None)
         with pytest.raises(InvalidParams, match="batch"):
             variance_mc(f, plan, seed=1, trials=2, batch=batch)
-
-
-def trial_block(f, x_shape):
-    """Trials per block of ``variance_mc`` for a per-trial input of ``x_shape``."""
-    return network._trial_block([network._plan(f, False, (1, *x_shape))])
 
 
 def per_trial_ratios(f, plan, seed, trials, batch):
