@@ -110,12 +110,12 @@ def cmd_analyze(args) -> int:
 def cmd_simulate(args) -> int:
     f = _load_format(args)
     spec = simulate.LayerSpec(f, activation=args.act, mode=args.mode)
-    # Bound the depth before the stack is built, whose tuple alone may not
-    # fit: check one layer first, so that an array of the layer itself is
-    # named, then what every layer keeps.
-    simulate.validate_network(simulate.NetworkSpec((spec,), f.input_mode_dims(), args.batch))
-    _check_array((args.depth, simulate._kept_entries(f, args.batch)),
-                 f"the weights and kept activations of {args.depth} layers")
+    # The walk in backward_trace is the run's one check.  Bound what a deeper
+    # stack keeps before it is built, since its tuple alone may not fit; the
+    # walk names the arrays of a one-layer stack itself.
+    if args.depth > 1:
+        _check_array((args.depth, simulate._kept_entries(f, args.batch)),
+                     f"the weights and kept activations of {args.depth} layers")
     net = simulate.NetworkSpec(
         layers=(spec,) * args.depth,
         input_shape=f.input_mode_dims(),

@@ -119,7 +119,8 @@ def validate_network(net: NetworkSpec, trials: int = 1, workers: int = 1,
     """Check that every layer names a known activation and plan mode, that
     the layers chain and that ``trials`` fit in memory, forward and, with
     ``backward``, backward; return the trials per block (see
-    :func:`~tcinit.network._trial_block`).
+    :func:`~tcinit.network._trial_block`).  A layer object met again on the
+    same input shape only adds what it keeps: its checks ran the first time.
 
     No array may exceed the memory limit: the batched input, a layer
     output, the largest array of a plan (such as a window step's zero-padded
@@ -136,27 +137,31 @@ def validate_network(net: NetworkSpec, trials: int = 1, workers: int = 1,
         raise InvalidParams("batch must be >= 1")
     feed = tuple(net.input_shape)
     _check_array((net.batch, *feed), "the batched network input")
-    kept, plans = math.prod((net.batch, *feed)), []
+    kept, plans, seen = math.prod((net.batch, *feed)), [], {}
     for i, spec in enumerate(net.layers):
-        if spec.activation not in ACTIVATION_SCALE:
-            raise InvalidParams(f"layer {i} has unknown activation {spec.activation!r}")
-        if spec.mode not in PLAN_MODES:
-            raise InvalidParams(f"layer {i} has unknown plan mode {spec.mode!r}")
-        f = spec.format
-        if feed != f.input_mode_dims():
-            raise ShapeMismatch(
-                f"layer {i} expects input dims {f.input_mode_dims()} "
-                f"(channels, then spatial) but receives {feed}"
-            )
-        out = f.output_mode_dims()
-        _check_array((net.batch, *out), f"the output of layer {i}")
-        kept += _kept_entries(f, net.batch, backward)
-        for direction, dims in (("forward", feed), ("backward", out))[:1 + backward]:
-            plan = _plan(f, direction == "backward", (1, net.batch, *dims))
-            _check_array((plan.largest,), f"the largest array of layer {i}'s {direction} pass")
-            _check_array((plan.held,), f"the workspace of layer {i}'s {direction} pass")
-            plans.append(plan)
-        feed = out
+        key = id(spec), feed
+        if key not in seen:
+            if spec.activation not in ACTIVATION_SCALE:
+                raise InvalidParams(f"layer {i} has unknown activation {spec.activation!r}")
+            if spec.mode not in PLAN_MODES:
+                raise InvalidParams(f"layer {i} has unknown plan mode {spec.mode!r}")
+            f = spec.format
+            if feed != f.input_mode_dims():
+                raise ShapeMismatch(
+                    f"layer {i} expects input dims {f.input_mode_dims()} "
+                    f"(channels, then spatial) but receives {feed}"
+                )
+            out = f.output_mode_dims()
+            _check_array((net.batch, *out), f"the output of layer {i}")
+            seen[key] = out, _kept_entries(f, net.batch, backward)
+            for direction, dims in (("forward", feed), ("backward", out))[:1 + backward]:
+                plan = _plan(f, direction == "backward", (1, net.batch, *dims))
+                _check_array((plan.largest,),
+                             f"the largest array of layer {i}'s {direction} pass")
+                _check_array((plan.held,), f"the workspace of layer {i}'s {direction} pass")
+                plans.append(plan)
+        feed, entries = seen[key]
+        kept += entries
     size = _trial_block(plans)
     holds = kept + max(plan.held + 3 * math.prod(plan.y_shape) for plan in plans)
     block = min(size, trials)

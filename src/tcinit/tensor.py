@@ -20,8 +20,14 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from pathlib import Path, PurePosixPath
 from string import ascii_letters
 from typing import Iterable, Sequence
+
+try:
+    import resource
+except ImportError:  # not on POSIX
+    resource = None
 
 import numpy as np
 
@@ -46,10 +52,73 @@ def _physical_memory() -> int:
         return 16 << 30
 
 
-# No single array is allocated past half of physical memory: such a request
-# would fail with a raw MemoryError, or end in an out-of-memory kill on a host
-# that overcommits.
-MEMORY_LIMIT = _physical_memory() // 2
+def _cgroup_memory() -> int | None:
+    """The smallest memory limit of this process's cgroup and its ancestors:
+    v1 ``memory.limit_in_bytes`` or v2 ``memory.max``, under the usual
+    ``/sys/fs/cgroup`` mounts.  None when no limit is set or none is found;
+    "max" and values near 2**63 mean no limit."""
+    try:
+        lines = Path("/proc/self/cgroup").read_text().splitlines()
+    except OSError:
+        return None
+    limits = []
+    for line in lines:
+        _, controllers, path = line.split(":", 2)
+        if not controllers:
+            root, name = Path("/sys/fs/cgroup"), "memory.max"
+        elif "memory" in controllers.split(","):
+            root, name = Path("/sys/fs/cgroup/memory"), "memory.limit_in_bytes"
+        else:
+            continue
+        for group in (PurePosixPath(path), *PurePosixPath(path).parents):
+            try:
+                text = (root / group.relative_to("/") / name).read_text().strip()
+            except (OSError, ValueError):
+                continue
+            if text.isdigit() and int(text) < 2**62:
+                limits.append(int(text))
+    return min(limits, default=None)
+
+
+def _process_status() -> dict[str, int]:
+    """``/proc/self/status`` sizes in bytes, by field name; empty when that
+    file cannot be read."""
+    try:
+        lines = Path("/proc/self/status").read_text().splitlines()
+    except OSError:
+        return {}
+    return {k: int(v.split()[0]) * 1024 for k, _, v in (l.partition(":") for l in lines)
+            if v.strip().endswith("kB")}
+
+
+def _memory_budget() -> tuple[int, str]:
+    """The smallest memory budget of this process and its source: half of
+    physical memory, half of the cgroup memory limit, the address-space
+    limit less the address space mapped, or the data-segment limit less
+    the data segment in use."""
+    budgets = [(_physical_memory() // 2, "half of physical memory")]
+    cgroup = _cgroup_memory()
+    if cgroup is not None:
+        budgets.append((cgroup // 2, "half of the cgroup memory limit"))
+    if resource is not None:
+        status = _process_status()
+        for limit, used, what in (
+            (resource.RLIMIT_AS, "VmSize",
+             "the RLIMIT_AS address-space limit less the address space mapped"),
+            (resource.RLIMIT_DATA, "VmData",
+             "the RLIMIT_DATA data-segment limit less the data segment in use"),
+        ):
+            soft = resource.getrlimit(limit)[0]
+            if soft != resource.RLIM_INFINITY and used in status:
+                budgets.append((max(0, soft - status[used]), what))
+    return min(budgets, key=lambda budget: budget[0])
+
+
+# No single array is allocated past the process's memory budget: such a
+# request would fail with a raw MemoryError, or end in an out-of-memory kill
+# on a host that overcommits.  The budget is read once, at import, so the
+# address space mapped by then (the interpreter, numpy and its BLAS) counts.
+MEMORY_LIMIT, MEMORY_SOURCE = _memory_budget()
 
 
 def _check_array(shape, what: str) -> None:
@@ -59,7 +128,7 @@ def _check_array(shape, what: str) -> None:
     if nbytes > MEMORY_LIMIT:
         raise ResourceLimit(
             f"{what} needs {nbytes:.3e} bytes, over the limit of "
-            f"{MEMORY_LIMIT:.3e} bytes (half of physical memory)"
+            f"{MEMORY_LIMIT:.3e} bytes ({MEMORY_SOURCE})"
         )
 
 

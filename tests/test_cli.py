@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -212,6 +217,59 @@ class TestSimulate:
         )
         assert code == 2
         assert out == "" and f"of {depth} layers" in err and "limit" in err
+
+    def test_one_validation_walk_per_run(self, capsys, monkeypatch):
+        walks = []
+        original = simulate.validate_network
+
+        def counting(net, *args, **kwargs):
+            walks.append(len(net.layers))
+            return original(net, *args, **kwargs)
+
+        monkeypatch.setattr(simulate, "validate_network", counting)
+        code, _, _ = run(capsys, *self.ARGS, "--seed", "0")
+        assert code == 0
+        assert walks == [2]
+
+    def test_over_limit_input_at_depth_2_exits_2(self, capsys):
+        code, out, err = run(
+            capsys,
+            "simulate", "--builtin", "standard",
+            "-P", "c_in=16", "-P", "c_out=16", "-P", "k=3", "-P", "alpha=1000000",
+            "--seed", "0", "--trials", "1", "--depth", "2",
+        )
+        assert code == 2
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert "limit" in err
+
+    @pytest.mark.parametrize("depth", ["0", "-1"])
+    def test_no_layers_exits_2(self, capsys, depth):
+        code, out, err = run(
+            capsys,
+            "simulate", "--builtin", "tt", "-P", "i_dims=4,6", "-P", "o_dims=4,6",
+            "-P", "rank=3", "--seed", "0", "--depth", depth,
+        )
+        assert code == 2
+        assert out == "" and err == "error: network has no layers\n"
+
+    def test_address_space_limit_exits_2(self):
+        # 700 MB of address space holds the interpreter and numpy, but not
+        # the stack's 256 MiB activations; unchecked, numpy fails to allocate.
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (700 << 20, 700 << 20))
+
+        src = str(Path(tensor.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run(
+            [sys.executable, "-m", "tcinit.cli", "simulate", "--builtin", "standard",
+             "-P", "c_in=32", "-P", "c_out=32", "-P", "k=3", "-P", "padding=1",
+             "-P", "alpha=128", "--batch", "64", "--depth", "3", "--trials", "1",
+             "--seed", "0"],
+            env=env, preexec_fn=limit, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == "" and done.stderr.startswith("error:")
+        assert done.stderr.count("\n") == 1 and "address-space limit" in done.stderr
 
 
 class TestVerify:

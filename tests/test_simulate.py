@@ -192,6 +192,55 @@ class TestValidation:
             forward_trace(net, seed=0, trials=2, workers=2)
 
 
+class TestOneWalk:
+    """Each distinct (layer, input shape) pair is analysed once per walk."""
+
+    def test_repeated_layer_plans_are_looked_up_once(self, monkeypatch):
+        calls = []
+        original = simulate._plan
+
+        def counting(f, backward, x_shape):
+            calls.append(backward)
+            return original(f, backward, x_shape)
+
+        monkeypatch.setattr(simulate, "_plan", counting)
+        validate_network(linear_net(depth=1000))
+        assert sorted(calls) == [False, True]
+
+    @staticmethod
+    def distinct(net):
+        """``net`` with every layer a distinct but equal ``LayerSpec``."""
+        layers = tuple(dataclasses.replace(spec) for spec in net.layers)
+        assert len({id(spec) for spec in layers}) == len(layers)
+        return NetworkSpec(layers, net.input_shape, net.batch)
+
+    @pytest.mark.parametrize("trials,workers", [(1, 1), (70, 1), (200, 2)])
+    def test_repeated_layer_gives_the_distinct_layers_block(self, trials, workers):
+        net = linear_net(depth=1000)
+        assert (validate_network(net, trials, workers)
+                == validate_network(self.distinct(net), trials, workers))
+
+    # Per trial, a layer keeps 156 weight and 384 output entries: 4,320
+    # bytes, 4.32e6 over the stack.  The first limit is over every array but
+    # under the kept total; the other two are under layer 0's largest array
+    # (4,608 bytes) and its workspace (7,680 bytes).
+    @pytest.mark.parametrize("limit", [2_000_000, 3_100, 5_000])
+    def test_repeated_layer_raises_the_distinct_layers_text(self, limit, monkeypatch):
+        net = linear_net(depth=1000)
+        monkeypatch.setattr(tensor, "MEMORY_LIMIT", limit)
+        with pytest.raises(ResourceLimit) as repeated:
+            validate_network(net)
+        with pytest.raises(ResourceLimit) as distinct:
+            validate_network(self.distinct(net))
+        assert str(repeated.value) == str(distinct.value)
+
+    def test_repeated_layer_that_does_not_chain_names_layer_1(self):
+        f = builtin_format("tt", i_dims=(4, 6), o_dims=(4, 5), rank=3)
+        net = NetworkSpec((LayerSpec(f),) * 3, (4, 6))
+        with pytest.raises(ShapeMismatch, match="layer 1 expects"):
+            validate_network(net)
+
+
 class TestForwardTrace:
     def test_graph_in_preserves_variance(self):
         net = linear_net(depth=1)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tcinit import tensor
 from tcinit.errors import (
     AxisOutOfRange,
     DimensionMismatch,
@@ -354,3 +355,53 @@ class TestActivations:
     def test_grad_unknown_kind(self):
         with pytest.raises(ValueError):
             _activation_grad(np.ones(2), np.ones(2), "gelu")
+
+
+class TestMemoryBudget:
+    """The memory limit is the smallest of the process's budgets, named."""
+
+    class FakeResource:
+        RLIMIT_AS, RLIMIT_DATA, RLIM_INFINITY = "as", "data", -1
+
+        def __init__(self, **soft):
+            self.soft = soft
+
+        def getrlimit(self, which):
+            return self.soft.get(which, -1), -1
+
+    @pytest.fixture
+    def budget(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_physical_memory", lambda: 8000)
+        monkeypatch.setattr(tensor, "_process_status", lambda: {"VmSize": 300, "VmData": 100})
+
+        def read(cgroup=None, **soft):
+            monkeypatch.setattr(tensor, "_cgroup_memory", lambda: cgroup)
+            monkeypatch.setattr(tensor, "resource", self.FakeResource(**soft))
+            return tensor._memory_budget()
+
+        return read
+
+    def test_physical_memory_without_other_limits(self, budget):
+        assert budget() == (4000, "half of physical memory")
+
+    def test_cgroup_limit(self, budget):
+        assert budget(cgroup=6000) == (3000, "half of the cgroup memory limit")
+        assert budget(cgroup=9000) == (4000, "half of physical memory")
+
+    def test_rlimits_less_what_is_in_use(self, budget):
+        value, source = budget(cgroup=6000, **{"as": 2300, "data": 2500})
+        assert value == 2000 and "RLIMIT_AS address-space limit" in source
+        value, source = budget(cgroup=6000, **{"as": 2300, "data": 1500})
+        assert value == 1400 and "RLIMIT_DATA data-segment limit" in source
+        assert budget(**{"as": 200})[0] == 0
+
+    def test_message_names_the_source(self, monkeypatch):
+        monkeypatch.setattr(tensor, "MEMORY_LIMIT", 100)
+        monkeypatch.setattr(tensor, "MEMORY_SOURCE", "half of the cgroup memory limit")
+        with pytest.raises(ResourceLimit, match=r"limit of 1\.000e\+02 bytes "
+                                                r"\(half of the cgroup memory limit\)"):
+            tensor._check_array((13,), "an array")
+
+    def test_cgroup_limit_is_read_or_absent(self):
+        limit = tensor._cgroup_memory()
+        assert limit is None or limit > 0

@@ -26,7 +26,10 @@ stderr (``repr`` for ``variance_mc``):
   benchmark (8 builtins x 8 plan modes, batch 16) at seeds 0, 3 and 5;
 * ``analyze/<builtin>/<emit>``: ``tcinit analyze`` on the 8 small builtins;
 * ``verify/s0`` and ``scale-chain/s0``: ``tcinit verify --seed 0`` and
-  ``tcinit scale-chain --seed 0``.
+  ``tcinit scale-chain --seed 0``;
+* ``simulate/exit2/<case>``: the ``tcinit simulate`` runs of
+  ``EXIT2_CASES``, each of which exits 2 on any machine with less than
+  about 14 TB of memory.
 
 ``--compare`` prints each key whose digest differs or that only one file
 holds, and exits 1 when there is any; it needs no ``tcinit`` import.
@@ -96,6 +99,25 @@ MC_CASES = (
 )
 MC_SEEDS = (0, 3, 5)
 
+TT_44 = ["--builtin", "tt", "-P", "i_dims=4,4", "-P", "o_dims=4,4", "-P", "rank=3"]
+TT_46 = ["--builtin", "tt", "-P", "i_dims=4,6", "-P", "o_dims=4,6", "-P", "rank=3"]
+# ``tcinit simulate`` flags that exit 2.  The depths keep 924 entries per
+# layer: 7.4e12 and 7.4e14 bytes.
+EXIT2_CASES = {
+    "input-d1": ["--builtin", "standard", "-P", "c_in=16", "-P", "c_out=16", "-P", "k=3",
+                 "-P", "alpha=1000000", "--seed", "0", "--trials", "1"],
+    "depth-1e9": [*TT_46, "--seed", "0", "--depth", "1000000000"],
+    "depth-1e11": [*TT_46, "--seed", "0", "--depth", "100000000000"],
+    "mismatch-d2": ["--builtin", "tt", "-P", "i_dims=4,4", "-P", "o_dims=4,5", "-P", "rank=3",
+                    "--depth", "2", "--seed", "1"],
+    "indices": ["--builtin", "tt", "-P", "i_dims=" + ",".join(["2"] * 20),
+                "-P", "o_dims=" + ",".join(["2"] * 20), "-P", "rank=2",
+                "--seed", "0", "--trials", "1", "--batch", "2"],
+    "trials-0": [*TT_44, "--seed", "0", "--trials", "0"],
+    "workers-0": [*TT_44, "--depth", "2", "--trials", "4", "--batch", "8", "--seed", "0",
+                  "--workers", "0"],
+}
+
 
 def grid():
     """``(name, format, batches)`` for every layer of the grid, in order."""
@@ -158,6 +180,8 @@ def report_digests() -> dict[str, str]:
                                                       "--emit", emit))
     out["verify/s0"] = _sha(_cli("verify", "--seed", "0"))
     out["scale-chain/s0"] = _sha(_cli("scale-chain", "--seed", "0"))
+    for case, flags in EXIT2_CASES.items():
+        out[f"simulate/exit2/{case}"] = _sha(_cli("simulate", *flags))
     return out
 
 
