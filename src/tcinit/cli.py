@@ -50,7 +50,11 @@ def _load_format(args) -> formats.LayerFormat:
             f = formats.LayerFormat(f.vertices, f.edges, args.phi)
             formats.validate(f)
     elif args.builtin:
-        params = dict(_parse_param(p) for p in args.param or [])
+        params = {}
+        for key, value in map(_parse_param, args.param or []):
+            if key in params:
+                raise InvalidParams(f"parameter {key!r} is given twice")
+            params[key] = value
         if args.phi is not None:
             params["phi"] = args.phi
         f = formats.builtin_format(args.builtin, **params)

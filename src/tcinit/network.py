@@ -78,15 +78,19 @@ splits GEMM dimensions only into whole micro-kernel blocks, so its rows come
 out as the whole batch gives them, bit for bit.
 
 :func:`_draw` fills arrays the caller gives it, so trials are drawn straight
-into their slices of a block's arrays.  Every array a contraction writes
-lives in a *workspace*, a dict owned by the caller of :func:`_contract`,
-never by a module or a cached plan: the channels-last input, each window
-step's zero-padded buffer, weight copy, sum and per-offset product, each
-GEMM step's result and the replica sum, each sized for one batch tile.  The
-plan assigns them statically, as TVM does (arXiv:1802.04799): GEMM results
-whose lives do not overlap share one buffer.  Passed again, the workspace
-hands back the same buffers; the result alone is a fresh array of the whole
-batch, which each tile's rows are copied into.
+into their slices of a block's arrays.  The arrays a contraction's steps
+write live in a *workspace*, a dict owned by the caller of
+:func:`_contract`, never by a module or a cached plan: the channels-last
+input, each window step's zero-padded buffer, weight copy, sum and
+per-offset product, each GEMM step's result and the replica sum, each sized
+for one batch tile.  The plan assigns them statically, as TVM does
+(arXiv:1802.04799): GEMM results whose lives do not overlap share one
+buffer.  Passed again, the workspace hands back the same buffers.  Three
+kinds of array escape it: the result, a fresh array of the whole batch,
+which each tile's rows are copied into; the copy numpy's ``reshape`` makes
+of a GEMM operand whose permuted axes no view can merge; and numpy's own
+ufunc buffers, which a window step's broadcast ``multiply`` (one summed
+entry) works through.
 """
 
 from __future__ import annotations
@@ -237,8 +241,9 @@ def _padded(spec) -> int:
 
 @dataclass(frozen=True)
 class _Shift:
-    """A window step as shift-and-accumulate of the operands at ``picked``,
-    input side first (removed from the operand list; the result is appended).
+    """A window step as shift-and-accumulate of the registers ``reads``,
+    input side first.  Register 0 is the input, 1 to W the weights in
+    ``f.weight_ids`` order and W + 1 + k step k's result.
 
     The input side is copied once into a zero buffer of shape ``buffers[0]``,
     laid out as (kept on both sides, input only, summed) axes: ``x_perm``
@@ -258,7 +263,7 @@ class _Shift:
     offset's product.
     """
 
-    picked: tuple[int, ...]
+    reads: tuple[int, ...]
     x_perm: tuple[int, ...]
     src: tuple[slice, ...]
     dst: tuple[slice, ...]
@@ -273,8 +278,7 @@ class _Shift:
 @dataclass(frozen=True)
 class _Gemm:
     """A channel step as one product, transpose-transpose-GEMM (TTGT), of the
-    operands at ``picked`` (removed from the operand list; the result is
-    appended).
+    registers ``reads`` (numbered as in :class:`_Shift`).
 
     The left operand's axes are ordered (batch, kept, summed) by ``a_perm``
     and the right one's (batch, summed, kept) by ``b_perm``; reshaped to
@@ -285,7 +289,7 @@ class _Gemm:
     it is never permuted.
     """
 
-    picked: tuple[int, ...]
+    reads: tuple[int, ...]
     a_perm: tuple[int, ...]
     a_shape: tuple[int, ...]
     b_perm: tuple[int, ...]
@@ -352,7 +356,8 @@ class _Plan:
     arrays of the given entries: ``slot_of`` gives each step's, ``None`` for
     a window step, which holds its own.  ``held`` counts the entries of
     every array a workspace holds for the plan, one tile's buffers; the
-    whole result is not among them."""
+    whole result and the arrays numpy makes on its own (GEMM operand copies,
+    ufunc buffers; see the module docstring) are not among them."""
 
     entry: tuple[int, ...] | None
     steps: tuple[_Gemm | _Shift, ...]
@@ -381,9 +386,9 @@ _PATH_SEARCH = ("greedy", sys.maxsize)
 _GEMM_BLOCK = 16
 
 
-def _compile_shift(picked, tx: str, tw: str, x_axes: str, w_axes: str, live, size,
+def _compile_shift(reads, tx: str, tw: str, x_axes: str, w_axes: str, live, size,
                    windows) -> tuple[_Shift, str]:
-    """The window step of the operands at ``picked``, input term ``tx`` and
+    """The window step of the registers ``reads``, input term ``tx`` and
     weight term ``tw``, whose arrays hold their axes in the orders ``x_axes``
     and ``w_axes``, over ``windows``, a list of (position letter, offset
     letter, window spec) of the kernel edges whose offsets ``tw`` holds.
@@ -418,7 +423,7 @@ def _compile_shift(picked, tx: str, tw: str, x_axes: str, w_axes: str, live, siz
     total = (*slice_shape[:-1], n)
     extra = [total] if math.prod(betas) > 1 else []
     shift = _Shift(
-        tuple(picked),
+        tuple(reads),
         tuple(x_axes.index(c) for c in order),
         tuple(src),
         tuple(dst),
@@ -432,9 +437,9 @@ def _compile_shift(picked, tx: str, tw: str, x_axes: str, w_axes: str, live, siz
     return shift, out
 
 
-def _compile_gemm(picked, ta: str, tb: str, aa: str, ab: str, live,
+def _compile_gemm(reads, ta: str, tb: str, aa: str, ab: str, live,
                   size) -> tuple[_Gemm, str]:
-    """The channel step of the operands at ``picked``, left term ``ta`` and
+    """The channel step of the registers ``reads``, left term ``ta`` and
     right term ``tb``, whose arrays hold their axes in the orders ``aa`` and
     ``ab``; returns the step and its result's axis order.
 
@@ -462,7 +467,7 @@ def _compile_gemm(picked, ta: str, tb: str, aa: str, ab: str, live,
     axes = bat + left + right
     lead = [bat[:1], bat[1:]] if any(size[c] > 1 for c in bat[1:]) else [bat[:1]]
     gemm = _Gemm(
-        tuple(picked),
+        tuple(reads),
         tuple(aa.index(c) for c in bat + left + summed),
         fused(*lead, left, summed),
         tuple(ab.index(c) for c in bat + summed + right),
@@ -499,7 +504,7 @@ def _steps(path, x_term, x_axes, offsets, positions, w_terms, output, dims, wind
     of the path would hold them, and an axis order, how its array holds
     them (the input's is ``x_axes``).  Steps group indices by terms, as the
     einsum would, and read arrays by axis orders, so no array is permuted
-    between steps.
+    between steps.  A step names its operands by register (see :class:`_Shift`).
     """
     size = dict(dims)
     size.update(zip(positions, (w.alpha for w in windows)))
@@ -507,32 +512,35 @@ def _steps(path, x_term, x_axes, offsets, positions, w_terms, output, dims, wind
     pending = set(offsets)
     terms = [x_term, *w_terms]
     axes = [x_axes, *w_terms]
-    steps, batched, unread, copied = [], [], True, False
+    regs = list(range(len(terms)))
+    steps, batched, copied = [], [], False
     for picked in path:
         assert len(picked) == 2, "plans are pairwise"
         if positions:
             picked = sorted(picked, key=lambda i: positions[0] not in terms[i])
         args = [terms[i] for i in picked]
+        reads = [regs[i] for i in picked]
         rest = [i for i in range(len(terms)) if i not in picked]
         live = set(output).union(pending, *(terms[i] for i in rest))
         windowed = [kernel[o] for o in offsets if o in pending and o in args[-1]]
         shifting = windowed and positions[0] in args[0]
-        # The input is operand 0 until a step picks it.  A window step reads
-        # it as given; a channel step reads a channels-last copy, as einsum
-        # did, unless the input already is channels-last.
-        if unread and 0 in picked:
-            unread, copied = False, not shifting and x_axes != x_term
+        # The input is operand 0 until the step that reads it.  A window
+        # step reads it as given; a channel step reads a channels-last copy,
+        # as einsum did, unless the input already is channels-last.
+        if 0 in reads:
+            copied = not shifting and x_axes != x_term
             axes[0] = x_term if copied else x_axes
         held = [axes[i] for i in picked]
         if shifting:
             pending -= {o for _, o, _ in windowed}
-            step, out = _compile_shift(picked, *args, *held, live, size, windowed)
+            step, out = _compile_shift(reads, *args, *held, live, size, windowed)
             order = out
         else:
             # einsum names a pair's result by first appearance and takes
             # the pair last operand first; so does the plan.
             out = "".join(dict.fromkeys(c for t in args for c in t if c in live))
-            step, order = _compile_gemm(picked[::-1], *args[::-1], *held[::-1], live, size)
+            step, order = _compile_gemm(reads[::-1], *args[::-1], *held[::-1], live, size)
+        regs = [regs[i] for i in rest] + [len(w_terms) + 1 + len(steps)]
         steps.append(step)
         batched.append(x_term[1] in out)
         terms = [terms[i] for i in rest] + [out]
@@ -636,11 +644,9 @@ def _slots(steps) -> tuple[tuple[int, ...], tuple[int | None, ...]]:
     entries and each step's slot, ``None`` for a window step, which holds its
     own arrays because its padded buffer must keep its zeros."""
     sizes, slot_of, free = [], [], []
-    ops = [None] * (len(steps) + 1)  # the slot of each operand's array
+    regs = [None] * (len(steps) + 1)  # the slot of each register's array
     for step in steps:
-        read = [ops[i] for i in step.picked if ops[i] is not None]
-        for i in sorted(step.picked, reverse=True):
-            del ops[i]
+        read = [regs[r] for r in step.reads if regs[r] is not None]
         slot = None
         if isinstance(step, _Gemm):
             entries = math.prod(step.buffers[0])
@@ -652,7 +658,7 @@ def _slots(steps) -> tuple[tuple[int, ...], tuple[int | None, ...]]:
             sizes[slot] = max(sizes[slot], entries)
         # An operand is read until its step is done: free its slot after.
         free += read
-        ops.append(slot)
+        regs.append(slot)
         slot_of.append(slot)
     return tuple(sizes), tuple(slot_of)
 
@@ -710,13 +716,15 @@ def _contract(f: LayerFormat, x: np.ndarray, replicas, backward: bool,
     ``f.weight_ids`` order.  The input, every weight and the result lead
     with the trial axis, a block of trials.  The plan runs once per batch
     tile (one pass when the batch is whole): the tile's input rows are made
-    channels-last once, by the first step's copy when that is a window step,
-    every step writes into buffers the plan assigns it, and replicas are
-    summed into one more, all taken from ``workspace``: a dict the caller
-    owns and may pass again to reuse them, by default a fresh one.  The
-    result is one fresh array; each tile's rows are copied once from the
-    last step's layout into its slice of it, in the output layout, so it
-    never shares memory with the workspace.
+    channels-last once, by the first step's copy when that is a window step.
+    Per replica the registers start as the tile and the weights; each step
+    reads its ``reads`` and appends its result, written into buffers the
+    plan assigns it, and the last register is the replica's result.
+    Replicas are summed into one more buffer.  All of them are taken from
+    ``workspace``: a dict the caller owns and may pass again to reuse them,
+    by default a fresh one.  The result is one fresh array; each tile's rows
+    are copied once from the last step's layout into its slice of it, in the
+    output layout, so it never shares memory with the workspace.
     """
     plan = _plan(f, backward, x.shape)
     workspace = {} if workspace is None else workspace
@@ -732,18 +740,15 @@ def _contract(f: LayerFormat, x: np.ndarray, replicas, backward: bool,
             np.copyto(own[0], tile.transpose(plan.entry))
             tile = own[0]
         for n, weights in enumerate(replicas):
-            ops = [tile, *weights]
+            regs = [tile, *weights]
             for step, held in zip(plan.steps, arrays):
-                args = [ops[i] for i in step.picked]
-                for i in sorted(step.picked, reverse=True):
-                    del ops[i]
                 run = _shift if isinstance(step, _Shift) else _gemm
-                ops.append(run(*args, step, held))
+                regs.append(run(*(regs[r] for r in step.reads), step, held))
             if total is not None and n == 0:
-                np.copyto(total, ops[0])
+                np.copyto(total, regs[-1])
             elif total is not None:
-                total += ops[0]
-        out = ops[0] if total is None else total
+                total += regs[-1]
+        out = regs[-1] if total is None else total
         np.copyto(y[:, lo:lo + plan.rows], out.transpose(plan.exit))
     return y
 

@@ -380,9 +380,9 @@ def _stream(local, words: np.ndarray) -> np.random.Generator:
 
 
 def _map_seeded(fn, seed: int, trials: int, keys, workers: int, size: int = 1) -> list:
-    """``fn(block, words)`` over blocks of ``size`` consecutive trials of
-    ``range(trials)``, with those trials' :func:`_seed_words`, results in
-    order.  The words of a chunk of at most ``SEED_CHUNK`` trials (at least
+    """``fn(words)`` over blocks of ``size`` consecutive trials of
+    ``range(trials)``, ``words`` those trials' :func:`_seed_words`, results
+    in order.  The words of a chunk of at most ``SEED_CHUNK`` trials (at least
     one block, in whole blocks) are computed before its blocks are mapped,
     so they never take memory in proportion to ``trials``.  Raises
     :class:`~tcinit.errors.InvalidParams` when ``trials`` is below 1."""
@@ -393,9 +393,8 @@ def _map_seeded(fn, seed: int, trials: int, keys, workers: int, size: int = 1) -
     for lo in range(0, trials, chunk):
         hi = min(lo + chunk, trials)
         words = _seed_words(seed, range(lo, hi), keys)
-        items = [(range(b, min(b + size, hi)), words[b - lo:b - lo + size])
-                 for b in range(lo, hi, size)]
-        results += _map_trials(lambda item: fn(*item), items, workers)
+        blocks = [words[b:b + size] for b in range(0, hi - lo, size)]
+        results += _map_trials(fn, blocks, workers)
     return results
 
 
@@ -423,7 +422,7 @@ def _run(net: NetworkSpec, seed: int, trials: int, workers: int, measure, grad_v
             _draw(_stream(local, w), [[out[t]]], [variance], "normal")
         return out
 
-    def block(_, words):
+    def block(words):
         weights = []
         for i, (spec, init, (shapes, variances)) in enumerate(zip(net.layers, inits, specs)):
             arrays = [np.empty((spec.format.phi, len(words), *s)) for s in shapes]
@@ -578,7 +577,7 @@ def scale_chain(
 
     local = threading.local()
 
-    def one(_, streams):
+    def one(streams):
         rng = _stream(local, streams[0][0])
         x = rng.standard_normal((batch, dims[0]))
         scales = []

@@ -124,6 +124,31 @@ class TestSimulate:
         assert a.with_suffix(".json").read_bytes() == b.with_suffix(".json").read_bytes()
         assert a.with_suffix(".csv").read_bytes() == b.with_suffix(".csv").read_bytes()
 
+    def test_blas_thread_invariant_bytes(self):
+        # The conv_depth benchmark stack, whose backward GEMMs OpenBLAS splits
+        # over two threads, and a wider standard conv stack.
+        runs = [
+            ["simulate", "--builtin", "htk2", "-P", "c_in=32", "-P", "c_out=32",
+             "-P", "rank=8", "-P", "k=3", "-P", "padding=1", "-P", "alpha=32",
+             "--depth", "5", "--act", "tanh", "--mode", "graph-in", "--batch", "16",
+             "--trials", "2", "--seed", "3"],
+            ["simulate", "--builtin", "standard", "-P", "c_in=64", "-P", "c_out=64",
+             "-P", "k=3", "-P", "padding=1", "-P", "alpha=32", "--trials", "2",
+             "--batch", "8", "--seed", "3"],
+        ]
+        script = ("import json, sys\nfrom tcinit.cli import main\n"
+                  "sys.exit(max([main(argv) for argv in json.loads(sys.argv[1])]))")
+        src = str(Path(tensor.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads}
+            done = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env,
+                                  capture_output=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outs.append(done.stdout)
+        assert outs[0] == outs[1] and outs[0].count(b'"layers"') == 2
+
     def test_over_limit_input_exits_2(self, capsys):
         # The batched input would take about 4e15 bytes.
         code, _, err = run(
@@ -446,6 +471,13 @@ class TestUsage:
         assert code == 2
         assert out == "" and "Traceback" not in err
         assert err.startswith("error:") and err.count("\n") == 1 and name in err
+
+    def test_repeated_param_exits_2(self, capsys):
+        code, out, err = run(capsys, "analyze", "--builtin", "standard",
+                             "-P", "c_in=3", "-P", "c_out=3", "-P", "c_in=5")
+        assert code == 2
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert "c_in" in err
 
     @pytest.mark.parametrize("source", ["format", "builtin"])
     def test_phi_override_wins(self, capsys, tmp_path, source):

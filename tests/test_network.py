@@ -1,7 +1,9 @@
+import importlib.util
 import logging
 import math
 import sys
 import tracemalloc
+from pathlib import Path
 from string import ascii_letters
 
 import numpy as np
@@ -1111,3 +1113,49 @@ class TestBatchTiles:
             assert len(record.forward_s) == len(record.backward_s) == 5
             assert all(t > 0 for t in record.forward_s + record.backward_s)
         assert outputs[0] == outputs[1]
+
+
+def parity_grid():
+    """``(name, format, batches)`` of every layer of the grid of
+    ``tools/parity.py``."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "parity.py"
+    spec = importlib.util.spec_from_file_location("parity", path)
+    parity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(parity)
+    return parity.grid()
+
+
+class TestRegisters:
+    """A step names its operands by register: 0 the input, 1 to W the
+    weights, W + 1 + k step k's result.  Each register but the last result
+    is read by exactly one step, after the register is written."""
+
+    @staticmethod
+    def shapes(group):
+        """``(format, x_shape)`` per layer of ``group``, input and output
+        shapes both, so both directions compile."""
+        if group == "parity-grid":
+            layers = [(f, batches, (1,)) for _, f, batches in parity_grid()]
+        elif group == "mc_small":
+            layers = [(builtin_format(name, **params), (16,), (1, block))
+                      for name, (params, block) in TestBatchTiles.MC_SMALL.items()]
+        else:
+            layers = [(CONV_DEPTH_LAYER, (16,), (1,))]
+        for f, batches, trials in layers:
+            for t in trials:
+                for b in batches:
+                    yield f, (t, b)
+
+    @pytest.mark.parametrize("group", ["parity-grid", "mc_small", "conv_depth"])
+    def test_every_register_but_the_result_is_read_once_after_it_is_written(self, group):
+        for f, lead in self.shapes(group):
+            for backward in (False, True):
+                dims = f.output_mode_dims() if backward else f.input_mode_dims()
+                plan = network._plan(f, backward, (*lead, *dims))
+                written = 1 + len(f.weight_ids)
+                reads = []
+                for step in plan.steps:
+                    assert all(r < written for r in step.reads)
+                    reads += step.reads
+                    written += 1
+                assert sorted(reads) == list(range(written - 1))

@@ -611,20 +611,23 @@ class TestStreams:
         size = trial_block(f, (BLOCK_BATCH,) + f.input_mode_dims())
         chunks, blocks = [], []
 
+        # Each trial's words stand in as its index, so a block's words name
+        # its trials.
         def words(seed, trials, keys):
             chunks.append(len(trials))
-            return [None] * len(trials)
+            return list(trials)
 
         def run(fn, items, workers):
-            blocks.extend(block for block, _ in items)
-            return [np.ones((len(block), 1, 2)) for block, _ in items]
+            blocks.extend(items)
+            return [np.ones((len(block), 1, 2)) for block in items]
 
         monkeypatch.setattr(simulate, "_seed_words", words)
         monkeypatch.setattr(simulate, "_map_trials", run)
         trials = 10**6
         variance_mc(f, make_plan(f, "graph-in", "tanh"), 0, trials, batch=BLOCK_BATCH)
         assert max(chunks) <= simulate.SEED_CHUNK and sum(chunks) == trials
-        assert blocks == [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
+        assert blocks == [list(range(lo, min(lo + size, trials)))
+                          for lo in range(0, trials, size)]
 
 
 def holds_array(obj, seen=None) -> bool:

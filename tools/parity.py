@@ -2,7 +2,11 @@
 
 Runs per-trial ``forward_apply`` and ``backward_apply`` over a fixed grid of
 layers and batches and records one sha256 of each output's bytes, keyed
-``<layer>/<direction>/b<batch>``, and one sha256 of each seeded report below.
+``<layer>/<direction>/b<batch>``, one sha256 of the figures of the plan each
+runs, keyed ``plan/<layer>/<direction>/b<batch>``, and one sha256 of each
+seeded report below.  A plan's figures are its tile ``rows``, ``y_shape``,
+``largest``, ``held``, ``slots``, ``slot_of`` and each step's kind and
+``buffers``; how a step names its operands is left out.
 Two checkouts give the same file exactly when every output is byte-identical.
 
     PYTHONPATH=src python tools/parity.py --out parity.json
@@ -25,8 +29,13 @@ stderr (``repr`` for ``variance_mc``):
 * ``variance_mc/<builtin>/<mode>/s<seed>``: the 64 cells of the mc_small
   benchmark (8 builtins x 8 plan modes, batch 16) at seeds 0, 3 and 5;
 * ``analyze/<builtin>/<emit>``: ``tcinit analyze`` on the 8 small builtins;
-* ``verify/s0`` and ``scale-chain/s0``: ``tcinit verify --seed 0`` and
-  ``tcinit scale-chain --seed 0``;
+* ``verify/s0``, ``scale-chain/s0`` and ``scale-chain/s0/csv``: ``tcinit
+  verify --seed 0`` and ``tcinit scale-chain --seed 0``, the latter also
+  with ``--emit csv``;
+* ``randgen/s0``: ``tcinit randgen --seed 0 --count 3`` and the names and
+  contents of the files it writes;
+* ``simulate/conv_depth/s0/out``: ``tcinit simulate`` with the conv_depth
+  flags at seed 0 and ``--out STEM``, and both files it writes;
 * ``simulate/exit2/<case>``: the ``tcinit simulate`` runs of
   ``EXIT2_CASES``, each of which exits 2 on any machine with less than
   about 14 TB of memory.
@@ -42,7 +51,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -152,6 +164,20 @@ def _cli(*argv: str) -> str:
     return f"{code}\n{out.getvalue()}\n{err.getvalue()}"
 
 
+def _cli_files(*argv: str) -> str:
+    """:func:`_cli` of one run in an empty directory, then the name and
+    contents of each file the run writes there."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            text = _cli(*argv)
+            files = sorted(Path(".").iterdir())
+            return text + "".join(f"{p.name}\n{p.read_text()}\n" for p in files)
+        finally:
+            os.chdir(cwd)
+
+
 def report_digests() -> dict[str, str]:
     """One sha256 per seeded report listed in the module docstring."""
     from tcinit.formats import builtin_format
@@ -180,16 +206,21 @@ def report_digests() -> dict[str, str]:
                                                       "--emit", emit))
     out["verify/s0"] = _sha(_cli("verify", "--seed", "0"))
     out["scale-chain/s0"] = _sha(_cli("scale-chain", "--seed", "0"))
+    out["scale-chain/s0/csv"] = _sha(_cli("scale-chain", "--seed", "0", "--emit", "csv"))
+    out["randgen/s0"] = _sha(_cli_files("randgen", "--seed", "0", "--count", "3"))
+    out["simulate/conv_depth/s0/out"] = _sha(_cli_files("simulate", *CONV_DEPTH_FLAGS,
+                                                        "--seed", "0", "--out", "trace"))
     for case, flags in EXIT2_CASES.items():
         out[f"simulate/exit2/{case}"] = _sha(_cli("simulate", *flags))
     return out
 
 
 def digests() -> dict[str, str]:
-    """One sha256 per (layer, direction, batch) of the grid and per seeded
-    report, from the ``tcinit`` on the import path."""
+    """One sha256 per (layer, direction, batch) of the grid, of its output
+    and of its plan, and per seeded report, from the ``tcinit`` on the
+    import path."""
     from tcinit.graph import make_plan
-    from tcinit.network import backward_apply, forward_apply, materialize
+    from tcinit.network import _plan, backward_apply, forward_apply, materialize
     from tcinit.tensor import DenseTensor
 
     out = {}
@@ -203,6 +234,10 @@ def digests() -> dict[str, str]:
                 x = np.random.default_rng(batch).standard_normal((batch, *dims))
                 y = apply(layer, DenseTensor.from_array(x)).array
                 out[f"{name}/{direction}/b{batch}"] = hashlib.sha256(y.tobytes()).hexdigest()
+                plan = _plan(f, direction == "backward", (1, batch, *dims))
+                figures = (plan.rows, plan.y_shape, plan.largest, plan.held, plan.slots,
+                           plan.slot_of, [(type(s).__name__, s.buffers) for s in plan.steps])
+                out[f"plan/{name}/{direction}/b{batch}"] = _sha(repr(figures))
     return {**out, **report_digests()}
 
 
