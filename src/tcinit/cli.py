@@ -19,8 +19,8 @@ from pathlib import Path
 
 from . import formats, graph, simulate, transform
 from .errors import InvalidParams, TcinitError
-from .graph import ACTIVATION_SCALE, BASELINE_MODES, PLAN_MODES
-from .tensor import _check_array, _check_seed
+from .graph import BASELINE_MODES, GRAPH_MODES, GRAPH_SIDES, PLAN_MODES
+from .tensor import ACTIVATIONS, _check_array, _check_seed
 
 USAGE_EXIT = 1
 VALIDATION_EXIT = 2
@@ -85,22 +85,20 @@ def _add_format_flags(p):
 
 def cmd_analyze(args) -> int:
     f = _load_format(args)
-    p_a = ACTIVATION_SCALE[args.act]
-    report = {"phi": f.phi, "activation": args.act, "p_a": p_a}
-    for side, key in ((graph.FAN_IN, "fan_in"), (graph.FAN_OUT, "fan_out")):
-        bg = graph.extract_bg(f, side)
-        report[key] = graph.backbone_report(bg)
-        sigma2 = graph.graph_init_variance(bg, bg.weight_count, p_a, f.phi)
-        report["graph_in_sigma2" if side == graph.FAN_IN else "graph_out_sigma2"] = sigma2
+    plans = {mode: graph.make_plan(f, mode, args.act) for mode in PLAN_MODES}
+    # Every plan holds the activation's p_a, and a graph plan gives every
+    # weight vertex the same variance.
+    report = {"phi": f.phi, "activation": args.act, "p_a": plans[PLAN_MODES[0]].p_a}
+    for mode, side in GRAPH_SIDES.items():
+        report[side.replace("-", "_")] = graph.backbone_report(graph.extract_bg(f, side))
+        report[mode.replace("-", "_") + "_sigma2"] = plans[mode].variances[f.weight_ids[0]]
     report["baselines"] = {
-        mode: dict(sorted(graph.baseline_variance(f, mode).items()))
-        for mode in BASELINE_MODES
+        mode: dict(sorted(plans[mode].variances.items())) for mode in BASELINE_MODES
     }
     if args.emit == "csv":
         lines = ["mode,vertex,sigma2"]
         for vid in f.weight_ids:
-            lines.append(f"graph-in,{vid},{report['graph_in_sigma2']!r}")
-            lines.append(f"graph-out,{vid},{report['graph_out_sigma2']!r}")
+            lines += [f"{mode},{vid},{plans[mode].variances[vid]!r}" for mode in GRAPH_MODES]
         for mode in BASELINE_MODES:
             for vid, v in sorted(report["baselines"][mode].items()):
                 lines.append(f"{mode},{vid},{v!r}")
@@ -173,12 +171,11 @@ def closure_sweep(random_seeds: int, first_seed: int = 0) -> dict:
     count = 0
     for f in cases:
         for act in ("tanh", "relu"):
-            p_a = ACTIVATION_SCALE[act]
-            for side, mode in ((graph.FAN_IN, "graph-in"), (graph.FAN_OUT, "graph-out")):
+            for mode, side in GRAPH_SIDES.items():
                 plan = graph.make_plan(f, mode, act)
                 value = graph.predicted_output_variance(
                     graph.extract_bg(f, side), 1.0, plan.variances.values(),
-                    p_a, f.phi,
+                    plan.p_a, f.phi,
                 )
                 worst = max(worst, abs(value - 1.0))
                 count += 1
@@ -241,7 +238,7 @@ def build_parser() -> _Parser:
 
     pa = sub.add_parser("analyze", help="backbone graphs and variance report")
     _add_format_flags(pa)
-    pa.add_argument("--act", choices=sorted(ACTIVATION_SCALE), default="tanh")
+    pa.add_argument("--act", choices=ACTIVATIONS, default="tanh")
     pa.add_argument("--out")
     pa.add_argument("--emit", choices=("json", "csv"), default="json")
     pa.set_defaults(func=cmd_analyze)
@@ -249,7 +246,7 @@ def build_parser() -> _Parser:
     ps = sub.add_parser("simulate", help="Monte-Carlo forward/backward traces")
     _add_format_flags(ps)
     ps.add_argument("--mode", choices=PLAN_MODES, default="graph-in")
-    ps.add_argument("--act", choices=sorted(ACTIVATION_SCALE), default="tanh")
+    ps.add_argument("--act", choices=ACTIVATIONS, default="tanh")
     ps.add_argument("--depth", type=int, default=1)
     ps.add_argument("--seed", type=int, required=True)
     ps.add_argument("--trials", type=int, default=20)

@@ -23,23 +23,27 @@ from .formats import (
     OUTPUT_CHANNEL,
     LayerFormat,
 )
+from .tensor import ACTIVATION_SCALE
 from .transform import build_backward_format
 
 FAN_IN = "fan-in"
 FAN_OUT = "fan-out"
 
-GRAPH_MODES = ("graph-in", "graph-out")
-BASELINE_MODES = (
-    "xavier-in",
-    "xavier-out",
-    "xavier-harmonic",
-    "kaiming-in",
-    "kaiming-out",
-    "xavier-vertex",
-)
-PLAN_MODES = GRAPH_MODES + BASELINE_MODES
+# The side each graph mode traces: the input, or the output gradient.
+GRAPH_SIDES = {"graph-in": FAN_IN, "graph-out": FAN_OUT}
+GRAPH_MODES = tuple(GRAPH_SIDES)
 
-ACTIVATION_SCALE = {"identity": 1.0, "tanh": 1.0, "relu": 0.5}
+# The dense baselines' one variance for every weight vertex, from the total
+# window size k2 and the input and output channel products.
+DENSE_BASELINES = {
+    "xavier-in": lambda k2, c_in, c_out: 1 / (k2 * c_in),
+    "xavier-out": lambda k2, c_in, c_out: 1 / (k2 * c_out),
+    "xavier-harmonic": lambda k2, c_in, c_out: 2 / (k2 * (c_in + c_out)),
+    "kaiming-in": lambda k2, c_in, c_out: 2 / (k2 * c_in),
+    "kaiming-out": lambda k2, c_in, c_out: 2 / (k2 * c_out),
+}
+BASELINE_MODES = (*DENSE_BASELINES, "xavier-vertex")
+PLAN_MODES = GRAPH_MODES + BASELINE_MODES
 
 
 @dataclass(frozen=True)
@@ -111,12 +115,20 @@ def edge_product(bg: BackboneGraph) -> int:
     return prod
 
 
-def _log_space_power(factors, edge_prod: int, power: float) -> float:
-    """``(prod(factors) * edge_prod) ** power`` summed in log space.
+def _scaled_power(scale: float, factors, edge_prod: int, power: float) -> float:
+    """``(scale * edge_prod) ** power``, ``scale`` being the caller's plain
+    product of ``factors``.
 
-    For an exact ``edge_prod`` beyond the float range, where the plain
-    product would overflow (and the factors alone may underflow).
+    Where that product is not a finite float (an exact ``edge_prod`` beyond
+    the float range, or factors that overflow or underflow on the way), the
+    power is taken in log space over ``factors`` and ``edge_prod``.
     """
+    try:
+        base = scale * float(edge_prod)
+    except OverflowError:
+        base = math.inf
+    if math.isfinite(base):
+        return base ** power
     if not all(factors):
         return 0.0
     log = math.fsum(math.log(v) for v in factors) + math.log(edge_prod)
@@ -135,17 +147,8 @@ def predicted_output_variance(
 ) -> float:
     """Linear-output variance: p_a * phi * var(x) * prod(var(w)) * prod(e)."""
     vertex_vars = list(vertex_vars)
-    prod = 1.0
-    for v in vertex_vars:
-        prod *= v
-    e = edge_product(bg)
-    try:
-        out = p_a * phi * input_var * prod * float(e)
-    except OverflowError:
-        out = math.inf
-    if math.isfinite(out):
-        return out
-    return _log_space_power([p_a, phi, input_var, *vertex_vars], e, 1.0)
+    scale = p_a * phi * input_var * math.prod(vertex_vars, start=1.0)
+    return _scaled_power(scale, [p_a, phi, input_var, *vertex_vars], edge_product(bg), 1.0)
 
 
 def graph_init_variance(bg: BackboneGraph, n: int, p_a: float, phi: int) -> float:
@@ -158,14 +161,7 @@ def graph_init_variance(bg: BackboneGraph, n: int, p_a: float, phi: int) -> floa
         raise InvalidParams(
             f"n = {n} does not match the graph's {bg.weight_count} weight vertices"
         )
-    e = edge_product(bg)
-    try:
-        base = p_a * phi * float(e)
-    except OverflowError:
-        base = math.inf
-    if math.isfinite(base):
-        return base ** (-1.0 / n)
-    return _log_space_power([p_a, phi], e, -1.0 / n)
+    return _scaled_power(p_a * phi, [p_a, phi], edge_product(bg), -1.0 / n)
 
 
 def _channel_products(f: LayerFormat) -> tuple[int, int, int]:
@@ -184,27 +180,18 @@ def baseline_variance(f: LayerFormat, mode: str) -> dict[str, float]:
     all its incident edge dims except the last declared one, emulating
     framework-default initialization of each factor in isolation.
     """
-    k2, c_in, c_out = _channel_products(f)
-    if mode == "xavier-in":
-        value = 1 / (k2 * c_in)
-    elif mode == "xavier-out":
-        value = 1 / (k2 * c_out)
-    elif mode == "xavier-harmonic":
-        value = 2 / (k2 * (c_in + c_out))
-    elif mode == "kaiming-in":
-        value = 2 / (k2 * c_in)
-    elif mode == "kaiming-out":
-        value = 2 / (k2 * c_out)
-    elif mode == "xavier-vertex":
-        out = {}
-        for vid in f.weight_ids:
-            dims = f.weight_mode_dims(vid)
-            fan = math.prod(dims[:-1]) if len(dims) > 1 else 1
-            out[vid] = 1 / fan
-        return out
-    else:
+    if mode in DENSE_BASELINES:
+        value = DENSE_BASELINES[mode](*_channel_products(f))
+        return {vid: value for vid in f.weight_ids}
+    if mode not in BASELINE_MODES:
         raise InvalidParams(f"unknown baseline mode {mode!r}")
-    return {vid: value for vid in f.weight_ids}
+    # xavier-vertex, the one baseline that is not dense.
+    out = {}
+    for vid in f.weight_ids:
+        dims = f.weight_mode_dims(vid)
+        fan = math.prod(dims[:-1]) if len(dims) > 1 else 1
+        out[vid] = 1 / fan
+    return out
 
 
 @dataclass(frozen=True)
@@ -234,12 +221,8 @@ def make_plan(
     if activation not in ACTIVATION_SCALE:
         raise InvalidParams(f"unknown activation {activation!r}")
     p_a = ACTIVATION_SCALE[activation]
-    if mode == "graph-in":
-        bg = extract_bg(f, FAN_IN)
-        sigma2 = graph_init_variance(bg, bg.weight_count, p_a, f.phi)
-        variances = {vid: sigma2 for vid in f.weight_ids}
-    elif mode == "graph-out":
-        bg = extract_bg(f, FAN_OUT)
+    if mode in GRAPH_SIDES:
+        bg = extract_bg(f, GRAPH_SIDES[mode])
         sigma2 = graph_init_variance(bg, bg.weight_count, p_a, f.phi)
         variances = {vid: sigma2 for vid in f.weight_ids}
     elif mode in BASELINE_MODES:
@@ -261,7 +244,7 @@ def backbone_report(bg: BackboneGraph) -> dict:
 
 def plan_report(f: LayerFormat, plan: InitPlan) -> dict:
     """JSON-ready summary of a plan and the backbone graph it derives from."""
-    side = FAN_OUT if plan.mode == "graph-out" else FAN_IN
+    side = GRAPH_SIDES.get(plan.mode, FAN_IN)
     bg = extract_bg(f, side)
     return {
         "mode": plan.mode,

@@ -35,7 +35,6 @@ import numpy as np
 from .errors import InvalidParams, ShapeMismatch
 from .formats import LayerFormat
 from .graph import (
-    ACTIVATION_SCALE,
     FAN_IN,
     PLAN_MODES,
     InitPlan,
@@ -44,7 +43,7 @@ from .graph import (
     predicted_output_variance,
 )
 from .network import _contract, _draw, _plan, _trial_block, _weight_specs
-from .tensor import _activation, _activation_grad, _check_array, _check_seed
+from .tensor import ACTIVATION_SCALE, _activation, _activation_grad, _check_array, _check_seed
 
 DEFAULT_CHAIN_DIMS = (96, 200, 400, 600, 800, 1000, 800, 600, 400, 200, 100)
 SATURATION_THRESHOLD = 0.99

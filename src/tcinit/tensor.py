@@ -42,9 +42,6 @@ from .errors import (
     UnboundAxis,
 )
 
-ACTIVATIONS = ("identity", "relu", "tanh")
-
-
 def _physical_memory() -> int:
     try:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -388,6 +385,13 @@ def transformation_matrix(t: int, epsilon: int) -> DenseTensor:
     mat = np.zeros((t, t_tilde))
     mat[np.arange(t), epsilon * np.arange(t)] = 1.0
     return DenseTensor.from_array(mat)
+
+
+# The variance scale p_a of each activation, as the calculus uses it: tanh is
+# the identity near zero, and relu keeps half of a symmetric input's second
+# moment.
+ACTIVATION_SCALE = {"identity": 1.0, "tanh": 1.0, "relu": 0.5}
+ACTIVATIONS = tuple(sorted(ACTIVATION_SCALE))
 
 
 def _activation(arr: np.ndarray, kind: str) -> np.ndarray:

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from tcinit import simulate, tensor
-from tcinit.cli import main
+from tcinit.cli import VERIFY_BUILTINS, main
+from tcinit.formats import builtin_format
+from tcinit.graph import BASELINE_MODES, GRAPH_MODES, make_plan
 
 
 def run(capsys, *argv):
@@ -92,6 +94,23 @@ class TestAnalyze:
             assert math.isfinite(report[key]) and report[key] > 0
         for values in report["baselines"].values():
             assert all(math.isfinite(v) and v >= 0 for v in values.values())
+
+    @pytest.mark.parametrize("act", tensor.ACTIVATIONS)
+    @pytest.mark.parametrize("name,params", VERIFY_BUILTINS, ids=[n for n, _ in VERIFY_BUILTINS])
+    def test_reports_what_make_plan_derives(self, capsys, name, params, act):
+        flags = [flag for key, value in params.items() for flag in (
+            "-P", f"{key}={','.join(map(str, value)) if isinstance(value, tuple) else value}")]
+        code, out, err = run(capsys, "analyze", "--builtin", name, *flags, "--act", act)
+        assert code == 0, err
+        report = json.loads(out)
+        f = builtin_format(name, **params)
+        for mode in GRAPH_MODES:
+            plan = make_plan(f, mode, act)
+            sigma2 = report[mode.replace("-", "_") + "_sigma2"]
+            assert plan.variances == {vid: sigma2 for vid in f.weight_ids}
+            assert report["p_a"] == plan.p_a
+        for mode in BASELINE_MODES:
+            assert report["baselines"][mode] == make_plan(f, mode, act).variances
 
 
 class TestSimulate:

@@ -3,12 +3,16 @@
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcinit.cli import main
 from tcinit.errors import TcinitError
-from tcinit.formats import BUILTIN_NAMES, builtin_format, validate
+from tcinit.formats import BUILTIN_NAMES, builtin_format, parse_format, validate
+from tcinit.graph import make_plan
+from tcinit.network import backward_apply, forward_apply, materialize
+from tcinit.tensor import DenseTensor
 
 KEYS = (
     "c_in", "c_out", "rank", "ranks", "r0", "r1", "i_dims", "o_dims",
@@ -47,3 +51,49 @@ def test_analyze_exits_0_or_2(name, kwargs):
         argv += ["-P", f"{key}={_text(value)}"]
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         assert main(argv) in (0, 2)
+
+
+@st.composite
+def conv_text(draw):
+    """Format text shaped like ``test_formats.MINIMAL_CONV``, with one or two
+    kernel edges, from drawn values.  Each is in range, except that the
+    values of one kind may be 0 or -1, or, for paddings, anything from -1 to
+    4."""
+    kinds = ("phi", "dim", "beta", "alpha", "stride", "pad")
+    broken = draw(st.sampled_from((None,) * 3 + kinds))
+
+    def num(kind, lo, hi, bad=(-1, 0)):
+        return draw(st.integers(*bad) if kind == broken else st.integers(lo, hi))
+
+    lines = [
+        f"phi {num('phi', 1, 3)}",
+        "vertex x input",
+        "vertex w weight",
+        f"edge cin input-channel {num('dim', 1, 4)} x w",
+        f"edge cout output-channel {num('dim', 1, 4)} w",
+    ]
+    for k in range(draw(st.integers(1, 2))):
+        beta = num("beta", 1, 4)
+        pad = num("pad", 0, max(beta - 1, 0), bad=(-1, 4))
+        lines.append(f"edge k{k} kernel {beta} w alpha {num('alpha', 1, 8)} "
+                     f"stride {num('stride', 1, 3)} pad {pad}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(conv_text())
+def test_format_text_runs_adjoint_or_raises_tcinit_error(text):
+    # The bound of test_network.assert_adjoint, at a batch of 2.
+    try:
+        f = parse_format(text)
+        layer = materialize(f, make_plan(f, "graph-in", "identity"), 0)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((2,) + f.input_mode_dims())
+        g = rng.standard_normal((2,) + f.output_mode_dims())
+        y = forward_apply(layer, DenseTensor.from_array(x)).array
+        gx = backward_apply(layer, DenseTensor.from_array(g)).array
+    except TcinitError:
+        return
+    assert y.shape == g.shape and gx.shape == x.shape
+    scale = np.linalg.norm(y) * np.linalg.norm(g)
+    assert abs(np.vdot(y, g) - np.vdot(x, gx)) <= 1e-10 * scale

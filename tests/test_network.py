@@ -1,6 +1,7 @@
 import importlib.util
 import logging
 import math
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -157,7 +158,10 @@ class TestForward:
     def test_shape_mismatch(self):
         f = builtin_format("standard", c_in=3, c_out=4, k=3, alpha=8)
         layer = materialize(f, make_plan(f, "graph-in", "identity"), 0)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(
+            ShapeMismatch,
+            match=re.escape("input shape (3, 7, 7) does not match layer input (3, 8, 8)"),
+        ):
             forward_apply(layer, DenseTensor.from_array(np.ones((2, 3, 7, 7))))
 
 
@@ -229,7 +233,10 @@ class TestBackward:
     def test_gradient_shape_mismatch(self):
         f = builtin_format("standard", c_in=3, c_out=4, k=3, alpha=8)
         layer = materialize(f, make_plan(f, "graph-in", "identity"), 0)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(
+            ShapeMismatch,
+            match=re.escape("gradient shape (4, 5, 5) does not match layer output (4, 6, 6)"),
+        ):
             backward_apply(layer, DenseTensor.from_array(np.ones((2, 4, 5, 5))))
 
 

@@ -40,6 +40,10 @@ stderr (``repr`` for ``variance_mc``):
   ``EXIT2_CASES``, each of which exits 2 on any machine with less than
   about 14 TB of memory.
 
+And one sha256 per demo, keyed ``demo/<file>``: the standard output of each
+script under ``demos/``, run with ``PYTHONPATH`` set to the checkout's
+``src``.
+
 ``--compare`` prints each key whose digest differs or that only one file
 holds, and exits 1 when there is any; it needs no ``tcinit`` import.
 """
@@ -52,11 +56,14 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SMALL_BUILTINS = {
     "standard": dict(c_in=3, c_out=4, k=3, alpha=7, stride=2, padding=1),
@@ -215,10 +222,21 @@ def report_digests() -> dict[str, str]:
     return out
 
 
+def demo_digests() -> dict[str, str]:
+    """One sha256 per demo script's standard output."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = {}
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+                              capture_output=True, check=True)
+        out[f"demo/{demo.name}"] = hashlib.sha256(done.stdout).hexdigest()
+    return out
+
+
 def digests() -> dict[str, str]:
     """One sha256 per (layer, direction, batch) of the grid, of its output
     and of its plan, and per seeded report, from the ``tcinit`` on the
-    import path."""
+    import path, and per demo, from the checkout's own ``src``."""
     from tcinit.graph import make_plan
     from tcinit.network import _plan, backward_apply, forward_apply, materialize
     from tcinit.tensor import DenseTensor
@@ -238,7 +256,7 @@ def digests() -> dict[str, str]:
                 figures = (plan.rows, plan.y_shape, plan.largest, plan.held, plan.slots,
                            plan.slot_of, [(type(s).__name__, s.buffers) for s in plan.steps])
                 out[f"plan/{name}/{direction}/b{batch}"] = _sha(repr(figures))
-    return {**out, **report_digests()}
+    return {**out, **report_digests(), **demo_digests()}
 
 
 def compare(a: dict, b: dict) -> list[str]:
