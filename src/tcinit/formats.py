@@ -566,58 +566,65 @@ def random_format(
 
     Draws 4-8 weight vertices, 2-3 input-channel and 2-3 output-channel
     edges, and a random number of rank edges; any vertex left without an
-    edge is attached with an extra rank edge.
+    edge is attached with an extra rank edge.  Raises
+    :class:`~tcinit.errors.InvalidParams` naming the first field of
+    ``constraints`` that no format can meet.
     """
     _check_seed(seed)
+    for name in ("in_dim_range", "out_dim_range", "rank_dim_range"):
+        lo, hi = getattr(constraints, name)
+        if not 1 <= lo <= hi:
+            raise InvalidParams(f"{name} must have 1 <= low <= high, got {(lo, hi)}")
+    if constraints.max_rank_edges < 0:
+        raise InvalidParams(f"max_rank_edges must be >= 0, got {constraints.max_rank_edges}")
+    phi = constraints.phi
+    if not isinstance(phi, int) or phi < 1:
+        raise InvalidParams(f"phi must be an integer >= 1, got {phi!r}")
     rng = np.random.default_rng(seed)
 
     def draw(lo_hi):
         return int(rng.integers(lo_hi[0], lo_hi[1] + 1))
 
-    while True:
-        n_w = int(rng.integers(4, 9))
-        weights = [f"w{j}" for j in range(n_w)]
-        edges: list[HyperEdge] = []
-        for j in range(int(rng.integers(2, 4))):
-            tgt = weights[int(rng.integers(n_w))]
-            edges.append(
-                HyperEdge(f"i{j}", INPUT_CHANNEL, draw(constraints.in_dim_range), ("x", tgt))
+    n_w = int(rng.integers(4, 9))
+    weights = [f"w{j}" for j in range(n_w)]
+    edges: list[HyperEdge] = []
+    for j in range(int(rng.integers(2, 4))):
+        tgt = weights[int(rng.integers(n_w))]
+        edges.append(
+            HyperEdge(f"i{j}", INPUT_CHANNEL, draw(constraints.in_dim_range), ("x", tgt))
+        )
+    for j in range(int(rng.integers(2, 4))):
+        tgt = weights[int(rng.integers(n_w))]
+        edges.append(
+            HyperEdge(f"o{j}", OUTPUT_CHANNEL, draw(constraints.out_dim_range), (tgt,))
+        )
+    n_r = int(rng.integers(0, constraints.max_rank_edges + 1))
+    ridx = 0
+    for _ in range(n_r):
+        a, b = rng.choice(n_w, size=2, replace=False)
+        edges.append(
+            HyperEdge(
+                f"r{ridx}",
+                RANK,
+                draw(constraints.rank_dim_range),
+                (weights[int(a)], weights[int(b)]),
             )
-        for j in range(int(rng.integers(2, 4))):
-            tgt = weights[int(rng.integers(n_w))]
-            edges.append(
-                HyperEdge(f"o{j}", OUTPUT_CHANNEL, draw(constraints.out_dim_range), (tgt,))
-            )
-        n_r = int(rng.integers(0, constraints.max_rank_edges + 1))
-        ridx = 0
-        for _ in range(n_r):
-            a, b = rng.choice(n_w, size=2, replace=False)
+        )
+        ridx += 1
+    touched = {p for e in edges for p in e.endpoints}
+    for j, w in enumerate(weights):
+        if w not in touched:
+            other = weights[(j + 1 + int(rng.integers(n_w - 1))) % n_w]
             edges.append(
                 HyperEdge(
-                    f"r{ridx}",
-                    RANK,
-                    draw(constraints.rank_dim_range),
-                    (weights[int(a)], weights[int(b)]),
+                    f"r{ridx}", RANK, draw(constraints.rank_dim_range), (w, other)
                 )
             )
             ridx += 1
-        touched = {p for e in edges for p in e.endpoints}
-        for j, w in enumerate(weights):
-            if w not in touched:
-                other = weights[(j + 1 + int(rng.integers(n_w - 1))) % n_w]
-                edges.append(
-                    HyperEdge(
-                        f"r{ridx}", RANK, draw(constraints.rank_dim_range), (w, other)
-                    )
-                )
-                ridx += 1
-        fmt = LayerFormat(
-            tuple([Vertex("x", INPUT)] + [Vertex(w, WEIGHT) for w in weights]),
-            tuple(edges),
-            constraints.phi,
-        )
-        try:
-            validate(fmt)
-        except ValidationError:
-            continue
-        return fmt
+    fmt = LayerFormat(
+        tuple([Vertex("x", INPUT)] + [Vertex(w, WEIGHT) for w in weights]),
+        tuple(edges),
+        phi,
+    )
+    validate(fmt)
+    return fmt

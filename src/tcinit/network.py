@@ -35,15 +35,15 @@ summation bound.
 The backward pass is the forward pass of ``build_backward_format(f)``: the
 output gradient is its input, laid out with ``stride - 1`` zeros between
 entries and a left pad of ``beta - padding - 1`` (what the ``P' x T``
-pattern selects) and read at stride 1, and the weights are flipped along
-their kernel-window axes, which supplies the ``R`` factor.
+pattern selects) and read at stride 1.  Its window steps supply ``R``: the
+slice at window offset ``j`` meets the weight at offset ``beta - 1 - j``.
 
 Each (format, direction, input shape) is compiled once into a plan held in a
 bounded cache.  Compiling gives every index one einsum letter keyed by the
 edge it belongs to (see :func:`_wiring`), then follows a greedy pairwise path
 from ``np.einsum_path``, the one einsum call left, made once per plan; the
 plan holds the steps (a :class:`_Shift` or a :class:`_Gemm` each), the layout
-permutations, the kernel flips and the shapes of every buffer its steps write.
+permutations and the shapes of every buffer its steps write.
 
 Axis conventions (all carry a leading batch axis): channels, then spatial.
 
@@ -106,7 +106,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PlanIncomplete, ShapeMismatch
-from .formats import INPUT_CHANNEL, KERNEL, OUTPUT_CHANNEL, LayerFormat
+from .formats import INPUT_CHANNEL, OUTPUT_CHANNEL, LayerFormat
 from .graph import InitPlan
 from .tensor import DenseTensor, _check_array, _check_seed, _letters
 from .transform import build_backward_format
@@ -258,7 +258,8 @@ class _Shift:
     (``slice_shape``), is multiplied by the weight at that offset with one
     ``matmul``, kept indices riding as batch axes, and the products are
     summed.  ``windows`` holds, per contracted edge, its buffer axis, window
-    size, stride and window count.
+    size, stride and window count.  A backward step ``reverses`` the kernel
+    (``R``): the slice at offset ``j`` meets the weight at ``beta - 1 - j``.
 
     ``buffers`` are the shapes of the arrays the step writes: the padded
     input, the weight copy, the sum, then, with more than one offset, each
@@ -273,6 +274,7 @@ class _Shift:
     w_shape: tuple[int, ...]
     slice_shape: tuple[int, ...]
     windows: tuple[tuple[int, int, int, int], ...]
+    reverses: bool
     out_shape: tuple[int, ...]
     buffers: tuple[tuple[int, ...], ...]
 
@@ -305,9 +307,11 @@ def _shift_buffers(s: _Shift) -> tuple:
     the entries of the padded buffer the input fills, the weight copy, the
     sum, the per-offset product (``None`` with one offset) and, per window
     offset, the strided slice of the padded buffer it reads, with the summed
-    channels merged into the trailing axis, and the weight at that offset."""
+    channels merged into the trailing axis, and the weight it meets."""
     padded, w_copy, out, *extra = [np.zeros(shape) for shape in s.buffers]
     w = w_copy.reshape(s.w_shape)
+    if s.reverses:
+        w = w[(slice(None, None, -1),) * len(s.windows)]
     reads = []
     where = [slice(None)] * padded.ndim
     for at in np.ndindex(*(beta for _, beta, _, _ in s.windows)):
@@ -364,7 +368,6 @@ class _Plan:
     entry: tuple[int, ...] | None
     steps: tuple[_Gemm | _Shift, ...]
     exit: tuple[int, ...]
-    flips: tuple[tuple[int, ...], ...]
     rows: int
     y_shape: tuple[int, ...]
     largest: int
@@ -389,7 +392,7 @@ _GEMM_BLOCK = 16
 
 
 def _compile_shift(reads, tx: str, tw: str, x_axes: str, w_axes: str, live, size,
-                   windows) -> tuple[_Shift, str]:
+                   windows, reverses: bool) -> tuple[_Shift, str]:
     """The window step of the registers ``reads``, input term ``tx`` and
     weight term ``tw``, whose arrays hold their axes in the orders ``x_axes``
     and ``w_axes``, over ``windows``, a list of (position letter, offset
@@ -433,6 +436,7 @@ def _compile_shift(reads, tx: str, tw: str, x_axes: str, w_axes: str, live, size
         (*betas, *dims(bat), *[1] * (len(x_only) - 1), k, n),
         slice_shape,
         tuple(axes),
+        reverses,
         tuple(dims(out)),
         (tuple(padded), tuple(dims(w_order)), total, *extra),
     )
@@ -490,7 +494,7 @@ def _path(x_term, offsets, w_terms, output, dims):
     return np.einsum_path(spec, *standins, optimize=_PATH_SEARCH)[0][1:]
 
 
-def _steps(path, x_term, x_axes, offsets, positions, w_terms, output, dims, windows):
+def _steps(path, x_term, x_axes, offsets, positions, w_terms, output, dims, windows, backward):
     """Pairwise steps along ``path`` (see :func:`_path`), the axis order of
     the last step's result, whether the input is read through a
     channels-last copy and, per step, whether its result holds the batch
@@ -498,9 +502,9 @@ def _steps(path, x_term, x_axes, offsets, positions, w_terms, output, dims, wind
 
     The input side is the one operand that holds the window positions.  A
     step that joins it with a weight holding window offsets contracts those
-    offsets by shift-and-accumulate, with the input side first; every other
-    step is a :class:`_Gemm`.  Before its window step a position has the
-    input length ``alpha``, after it the window count.
+    offsets by shift-and-accumulate, input side first, kernel reversed when
+    ``backward``; every other step is a :class:`_Gemm`.  Before its window
+    step a position has the input length ``alpha``, after it the window count.
 
     Each operand has a term, which names its indices in the order an einsum
     of the path would hold them, and an axis order, how its array holds
@@ -535,7 +539,7 @@ def _steps(path, x_term, x_axes, offsets, positions, w_terms, output, dims, wind
         held = [axes[i] for i in picked]
         if shifting:
             pending -= {o for _, o, _ in windowed}
-            step, out = _compile_shift(reads, *args, *held, live, size, windowed)
+            step, out = _compile_shift(reads, *args, *held, live, size, windowed, backward)
             order = out
         else:
             # einsum names a pair's result by first appearance and takes
@@ -560,14 +564,10 @@ def _compile(f: LayerFormat, backward: bool, wiring, path, windows, x_shape,
     dims = {**dims, x_term[1]: rows}
     tile = (x_shape[0], rows, *x_shape[2:])
     steps, last, copied, batched = _steps(path, x_term, x_axes, offsets, positions, w_terms,
-                                          output, dims, windows)
+                                          output, dims, windows, backward)
     entry = tuple(x_axes.index(c) for c in x_term) if copied else None
     public = output[:2] + output[2 + len(positions):] + positions
     exit_perm = tuple(last.index(c) for c in public)
-    flips = tuple(
-        tuple(1 + i for i, e in enumerate(f.edges_of(vid)) if backward and e.kind == KERNEL)
-        for vid in f.weight_ids
-    )
     buffers = ((tuple(tile[i] for i in entry),) if entry else ()) + (
         (steps[-1].out_shape,) if f.phi > 1 else ())
     slots, slot_of = _slots(steps)
@@ -579,7 +579,7 @@ def _compile(f: LayerFormat, backward: bool, wiring, path, windows, x_shape,
     streamed = max(map(math.prod, (tile, *(shape for step, b in zip(steps, batched) if b
                                            for shape in (step.buffers[0], step.out_shape)))))
     y_tile = [steps[-1].out_shape[i] for i in exit_perm]
-    plan = _Plan(entry, steps, exit_perm, flips, rows, (x_shape[0], x_shape[1], *y_tile[2:]),
+    plan = _Plan(entry, steps, exit_perm, rows, (x_shape[0], x_shape[1], *y_tile[2:]),
                  largest, held, buffers, slots, slot_of)
     return plan, streamed
 
@@ -624,11 +624,11 @@ def _plan(f: LayerFormat, backward: bool, x_shape) -> _Plan:
     x_term, _, offsets, _, w_terms, output, dims = wiring
     path = _path(x_term, offsets, w_terms, output, dims)
     batch = x_shape[1]
-    whole, streamed = _compile(f, backward, wiring, path, windows, x_shape, batch)
+    whole, streamed = _compile(ef, backward, wiring, path, windows, x_shape, batch)
     plan = whole
     if 8 * streamed > TRIAL_BLOCK_BYTES:
         for rows in (rows for rows in range(batch // 2, 1, -1) if batch % rows == 0):
-            tile, streamed = _compile(f, backward, wiring, path, windows, x_shape, rows)
+            tile, streamed = _compile(ef, backward, wiring, path, windows, x_shape, rows)
             if _aligned(tile, whole):
                 plan = tile
                 if 8 * streamed <= TRIAL_BLOCK_BYTES:
@@ -731,8 +731,6 @@ def _contract(f: LayerFormat, x: np.ndarray, replicas, backward: bool,
     plan = _plan(f, backward, x.shape)
     workspace = {} if workspace is None else workspace
     own, arrays = _workspace(workspace, plan)
-    replicas = [[np.flip(w, axis=a) if a else w for w, a in zip(weights, plan.flips)]
-                for weights in replicas]
     # Not a step buffer: a window step's sum is reused by every replica.
     total = own[-1] if len(replicas) > 1 else None
     y = np.empty(plan.y_shape)
@@ -790,7 +788,7 @@ def backward_apply(
     layer-input one.  The backward pass is the forward pass of
     ``build_backward_format(f)``, whose input layout is this layer's output
     layout: the gradient is read in stride-1 windows of its zero-expanded,
-    padded form and contracted with each replica's weights flipped along
-    their kernel-window axes.  ``workspace`` is as in :func:`forward_apply`.
+    padded form, each window meeting each replica's weights at the reversed
+    kernel offsets.  ``workspace`` is as in :func:`forward_apply`.
     """
     return _apply(layer, grad, True, workspace)

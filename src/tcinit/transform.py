@@ -11,10 +11,9 @@ underlying identity on the index-pattern tensors exactly:
 
 The backward pattern ``P'`` has shape ``[alpha, alpha_tilde, beta]`` with a
 one at ``(j, jt, k)`` exactly when ``jt = j + k - (beta - padding - 1)``.
-Note the kernel axis of ``P'`` indexes the *reversed* kernel: executing the
-backward convolution must pair it with the flipped weight (equivalently,
-contract with the reversal matrix), which is exactly what the ``R`` factor in
-the identity supplies.  :func:`backward_pattern` folds ``T`` into ``P'``; it is
+Note the kernel axis of ``P'`` indexes the *reversed* kernel (the ``R`` factor
+of the identity): the backward window step pairs offset ``k`` with the weight
+at ``beta - 1 - k``.  :func:`backward_pattern` folds ``T`` into ``P'``; it is
 the reference for the window step that executes
 :func:`build_backward_format` layers (zero insertion by the forward stride,
 a left pad of ``beta - padding - 1``, stride 1).  :func:`theorem1_grid` is

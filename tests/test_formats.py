@@ -32,7 +32,34 @@ edge k1 kernel 3 w alpha 8 stride 1 pad 1
 """
 
 
+# Text each parse rule rejects, with the message and the line and column
+# the error points at.
+PARSE_REJECTS = {
+    "phi-no-value": ("phi\n", "phi takes exactly one value", 1, 1),
+    "phi-two-values": ("phi 1 2\n", "phi takes exactly one value", 1, 1),
+    "vertex-no-kind": ("vertex x\n", "vertex takes an id and a kind", 1, 1),
+    "vertex-unknown-kind": ("vertex x bias\n", "unknown vertex kind 'bias'", 1, 10),
+    "edge-no-dim": ("vertex x input\nedge e rank\n", "edge takes an id, a kind and a dim",
+                    2, 1),
+    "kernel-short": ("vertex x input\nvertex w weight\nedge k kernel 3 w alpha 8\n",
+                     "kernel edge needs: <beta> <weight> alpha <a> stride <s> pad <p>", 3, 8),
+    "kernel-before-input": ("vertex w weight\nedge k kernel 3 w alpha 8 stride 1 pad 0\n",
+                            "kernel edge declared before the input vertex", 2, 1),
+    "kernel-unknown-weight": ("vertex x input\nedge k kernel 3 v alpha 8 stride 1 pad 0\n",
+                              "unknown vertex 'v'", 2, 17),
+    "edge-no-endpoints": ("vertex x input\nedge e rank 2\n", "edge lists no endpoints", 2, 14),
+}
+
+
 class TestParse:
+    @pytest.mark.parametrize("case", sorted(PARSE_REJECTS))
+    def test_rejected_text_points_at_token(self, case):
+        text, message, line, column = PARSE_REJECTS[case]
+        with pytest.raises(ParseError) as err:
+            parse_format(text)
+        assert str(err.value) == f"line {line}, column {column}: {message}"
+        assert (err.value.line, err.value.column) == (line, column)
+
     def test_minimal_conv_parses(self):
         f = parse_format(MINIMAL_CONV)
         assert f.weight_ids == ("w",)
@@ -204,6 +231,19 @@ class TestValidate:
 
 
 class TestBuiltins:
+    @pytest.mark.parametrize("name,params,message", [
+        ("tt", dict(i_dims=(2, 3, 4), o_dims=(2, 3, 4), ranks=(2, 2, 2)),
+         "tt with 3 cores needs 2 ranks"),
+        ("tt", dict(i_dims=(2, 3), o_dims=(2,), rank=2),
+         "tt needs equally many input and output dims"),
+        ("oddlike", dict(i_dims=(2, 3, 4), o_dims=(2, 3), rank=2),
+         "oddlike uses exactly two input and two output dims"),
+    ])
+    def test_inconsistent_params_rejected(self, name, params, message):
+        with pytest.raises(InvalidParams) as err:
+            builtin_format(name, **params)
+        assert str(err.value) == message
+
     def test_standard_conv_shape(self):
         f = builtin_format("standard", c_in=3, c_out=96, k=3, alpha=8)
         assert f.weight_mode_dims("w") == (3, 96, 3, 3)
@@ -321,3 +361,14 @@ class TestRandomFormat:
         assert all(e.dim == 3 for e in f.edges_of_kind(INPUT_CHANNEL))
         assert all(e.dim == 5 for e in f.edges_of_kind(OUTPUT_CHANNEL))
         assert all(e.dim == 2 for e in f.edges_of_kind(RANK))
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("phi", 0, "phi must be an integer >= 1, got 0"),
+        ("in_dim_range", (0, 0), "in_dim_range must have 1 <= low <= high, got (0, 0)"),
+        ("rank_dim_range", (5, 2), "rank_dim_range must have 1 <= low <= high, got (5, 2)"),
+        ("max_rank_edges", -1, "max_rank_edges must be >= 0, got -1"),
+    ])
+    def test_constraints_no_format_meets_rejected(self, field, value, message):
+        with pytest.raises(InvalidParams) as err:
+            random_format(0, RandomFormatConstraints(**{field: value}))
+        assert str(err.value) == message

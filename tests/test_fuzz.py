@@ -56,11 +56,16 @@ def test_analyze_exits_0_or_2(name, kwargs):
 @st.composite
 def conv_text(draw):
     """Format text shaped like ``test_formats.MINIMAL_CONV``, with one or two
-    kernel edges, from drawn values.  Each is in range, except that the
-    values of one kind may be 0 or -1, or, for paddings, anything from -1 to
-    4."""
-    kinds = ("phi", "dim", "beta", "alpha", "stride", "pad")
+    kernel edges, from drawn values.  The text may add a second weight
+    vertex ``v``, as ``lowrank`` has: a rank edge joins it to ``w``, and it
+    carries the kernel edges or the output edge.  Each value is in range,
+    except that the values of one kind may be 0 or -1, or, for paddings,
+    anything from -1 to 4."""
+    kinds = ("phi", "dim", "rank", "beta", "alpha", "stride", "pad")
     broken = draw(st.sampled_from((None,) * 3 + kinds))
+    second = draw(st.sampled_from((None, "kernel", "output")))
+    kernel_w = "v" if second == "kernel" else "w"
+    output_w = "v" if second == "output" else "w"
 
     def num(kind, lo, hi, bad=(-1, 0)):
         return draw(st.integers(*bad) if kind == broken else st.integers(lo, hi))
@@ -69,13 +74,14 @@ def conv_text(draw):
         f"phi {num('phi', 1, 3)}",
         "vertex x input",
         "vertex w weight",
+        *(["vertex v weight", f"edge r rank {num('rank', 1, 4)} w v"] if second else []),
         f"edge cin input-channel {num('dim', 1, 4)} x w",
-        f"edge cout output-channel {num('dim', 1, 4)} w",
+        f"edge cout output-channel {num('dim', 1, 4)} {output_w}",
     ]
     for k in range(draw(st.integers(1, 2))):
         beta = num("beta", 1, 4)
         pad = num("pad", 0, max(beta - 1, 0), bad=(-1, 4))
-        lines.append(f"edge k{k} kernel {beta} w alpha {num('alpha', 1, 8)} "
+        lines.append(f"edge k{k} kernel {beta} {kernel_w} alpha {num('alpha', 1, 8)} "
                      f"stride {num('stride', 1, 3)} pad {pad}")
     return "\n".join(lines) + "\n"
 

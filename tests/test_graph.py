@@ -17,6 +17,7 @@ from tcinit.graph import (
     BackboneGraph,
     FAN_IN,
     FAN_OUT,
+    InitPlan,
     baseline_variance,
     edge_product,
     extract_bg,
@@ -259,6 +260,20 @@ class TestBaselines:
 
 
 class TestPlans:
+    @pytest.mark.parametrize("build,message", [
+        (lambda f: extract_bg(f, "sideways"), "unknown backbone mode 'sideways'"),
+        (lambda f: InitPlan("graph-in", 1.0, 1, {"w": 1.0}, "laplace"),
+         "unknown distribution 'laplace'"),
+        (lambda f: InitPlan("graph-in", 1.0, 1, {"w": -1.0}), "variances must be nonnegative"),
+        (lambda f: make_plan(f, "graph-in", "gelu"), "unknown activation 'gelu'"),
+        (lambda f: make_plan(f, "lecun"), "unknown plan mode 'lecun'"),
+    ], ids=["side", "distribution", "variance", "activation", "mode"])
+    def test_unknown_or_negative_input_rejected(self, build, message):
+        f = builtin_format("standard", c_in=4, c_out=4, k=3, alpha=8)
+        with pytest.raises(InvalidParams) as err:
+            build(f)
+        assert str(err.value) == message
+
     def test_activation_scales(self):
         f = builtin_format("standard", c_in=4, c_out=4, k=3, alpha=8)
         assert make_plan(f, "graph-in", "tanh").p_a == 1.0
