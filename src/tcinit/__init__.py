@@ -14,6 +14,7 @@ from .errors import (
     InvalidDummySpec,
     InvalidPadding,
     InvalidParams,
+    InvalidShape,
     ParseError,
     PlanIncomplete,
     ResourceLimit,

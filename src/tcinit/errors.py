@@ -25,6 +25,11 @@ class InvalidDummySpec(TcinitError):
     """Convolution index-pattern parameters violate their preconditions."""
 
 
+class InvalidShape(TcinitError, ValueError):
+    """A tensor shape or size is out of range or disagrees with its data.
+    Also a ``ValueError``, which these checks raised before."""
+
+
 class InvalidPadding(TcinitError):
     """Backward construction requires padding <= window - 1."""
 

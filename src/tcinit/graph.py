@@ -207,6 +207,8 @@ class InitPlan:
     def __post_init__(self):
         if self.distribution not in ("normal", "uniform"):
             raise InvalidParams(f"unknown distribution {self.distribution!r}")
+        if not all(math.isfinite(v) for v in self.variances.values()):
+            raise InvalidParams("variances must be finite")
         if any(v < 0 for v in self.variances.values()):
             raise InvalidParams("variances must be nonnegative")
 

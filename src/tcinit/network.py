@@ -86,8 +86,10 @@ per-offset product, each GEMM step's result and the replica sum, each sized
 for one batch tile.  The plan assigns them statically, as TVM does
 (arXiv:1802.04799): GEMM results whose lives do not overlap share one
 buffer.  Passed again, the workspace hands back the same buffers.  Three
-kinds of array escape it: the result, a fresh array of the whole batch,
-which each tile's rows are copied into; the copy numpy's ``reshape`` makes
+kinds of array escape it: the result, an array of the whole batch that
+each tile's rows are copied into, the caller's destination or else a fresh
+one (the block runner of :mod:`tcinit.simulate` passes its own; see
+:func:`_contract`); the copy numpy's ``reshape`` makes
 of a GEMM operand whose permuted axes no view can merge; and numpy's own
 ufunc buffers, which a window step's broadcast ``multiply`` (one summed
 entry) works through.  A ``matmul`` there would need none, but on cp's K = 1
@@ -711,7 +713,7 @@ def _trial_block(plans) -> int:
 
 
 def _contract(f: LayerFormat, x: np.ndarray, replicas, backward: bool,
-              workspace: dict | None = None) -> np.ndarray:
+              workspace: dict | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Sum over replicas of one direction's compiled contraction.
 
     ``replicas`` holds one list of weight arrays per replica, in
@@ -724,16 +726,18 @@ def _contract(f: LayerFormat, x: np.ndarray, replicas, backward: bool,
     plan assigns it, and the last register is the replica's result.
     Replicas are summed into one more buffer.  All of them are taken from
     ``workspace``: a dict the caller owns and may pass again to reuse them,
-    by default a fresh one.  The result is one fresh array; each tile's rows
-    are copied once from the last step's layout into its slice of it, in the
-    output layout, so it never shares memory with the workspace.
+    by default a fresh one.  The result is ``out``, an array of the result's
+    shape that shares no memory with ``x``, or by default one fresh array;
+    each tile's rows are copied once from the last step's layout into its
+    slice of it, in the output layout, so it never shares memory with the
+    workspace.
     """
     plan = _plan(f, backward, x.shape)
     workspace = {} if workspace is None else workspace
     own, arrays = _workspace(workspace, plan)
     # Not a step buffer: a window step's sum is reused by every replica.
     total = own[-1] if len(replicas) > 1 else None
-    y = np.empty(plan.y_shape)
+    y = np.empty(plan.y_shape) if out is None else out
     for lo in range(0, x.shape[1], plan.rows):
         tile = x[:, lo:lo + plan.rows]
         if plan.entry is not None:

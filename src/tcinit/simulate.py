@@ -11,6 +11,9 @@ thread, so no ``SeedSequence`` or generator is built per trial.  The traces
 and :func:`variance_mc` share one runner, :func:`_run`, whose blocks of
 trials have a size that depends on the layer shapes alone, never on the
 worker count; workers map over blocks, or over trials in :func:`scale_chain`.
+Each worker thread keeps, for the length of a call, one contraction
+workspace and one pool of whole-batch arrays (see :class:`_Pool`), which
+every block after the first reuses.
 While a pool of more than one worker runs, numpy's bundled OpenBLAS is held
 at one thread, so that workers do not contend for cores.
 """
@@ -175,44 +178,111 @@ def validate_network(net: NetworkSpec, trials: int = 1, workers: int = 1,
     return size
 
 
-def _var(a: np.ndarray) -> np.ndarray:
+class _Pool:
+    """The whole-batch arrays of a block runner, reused from one block to
+    the next: static buffer reuse, as in TVM's memory planner
+    (arXiv:1802.04799).  :meth:`take` views the smallest free buffer that
+    holds the shape asked for; only when none does is a buffer made, and
+    then the free ones, all too small, are dropped.  So every buffer the
+    pool holds was in use at that last miss, and it never holds more than
+    its caller had in use at one time."""
+
+    def __init__(self):
+        self.free = []
+
+    def take(self, shape) -> np.ndarray:
+        n = math.prod(shape)
+        fits = [i for i, buf in enumerate(self.free) if len(buf) >= n]
+        if fits:
+            buf = self.free.pop(min(fits, key=lambda i: len(self.free[i])))
+        else:
+            self.free.clear()
+            buf = np.empty(n)
+        return buf[:n].reshape(shape)
+
+    def give(self, a: np.ndarray) -> None:
+        """Take back ``a``, an array :meth:`take` gave or a view of one."""
+        self.free.append(a.base)
+
+
+def _var(a: np.ndarray, pool: _Pool) -> np.ndarray:
     """Per-trial variance of a block array, bit for bit that of each trial's
-    slice alone."""
-    return a.reshape(len(a), -1).var(axis=1)
+    slice alone: numpy's own ufunc sequence for ``var``, with its one
+    array-sized temporary taken from ``pool``."""
+    a = a.reshape(len(a), -1)
+    mean = np.add.reduce(a, axis=1, keepdims=True)
+    np.true_divide(mean, a.shape[1], out=mean)
+    tmp = pool.take(a.shape)
+    np.subtract(a, mean, out=tmp)
+    np.square(tmp, out=tmp)
+    var = np.add.reduce(tmp, axis=1)
+    pool.give(tmp)
+    return np.true_divide(var, a.shape[1], out=var)
 
 
-def _passes(net: NetworkSpec, weights, x: np.ndarray, workspace: dict, measure,
-            upstream=None):
+def _saturation(a: np.ndarray, pool: _Pool) -> np.ndarray:
+    """Per-trial fraction of a block array's entries whose magnitude exceeds
+    ``SATURATION_THRESHOLD``, bit for bit the mean of numpy's boolean
+    comparison: the comparison's ones are written into a temporary taken
+    from ``pool`` and counted by summing them, exactly."""
+    a = a.reshape(len(a), -1)
+    tmp = pool.take(a.shape)
+    np.abs(a, out=tmp)
+    np.greater(tmp, SATURATION_THRESHOLD, out=tmp)
+    count = np.add.reduce(tmp, axis=1)
+    pool.give(tmp)
+    return np.true_divide(count, a.shape[1], out=count)
+
+
+def _passes(net: NetworkSpec, weights, x: np.ndarray, pool: _Pool, workspace: dict,
+            measure, upstream=None):
     """Run a block of trials (``x`` and, per layer, one ``(phi, block, ...)``
     array per weight vertex) through the stack, contracting in ``workspace``.
 
-    Forward, ``measure(x, pre, post)`` gives per-trial statistics of each
-    layer's input, pre- and post-activation; each goes once replaced.  With
-    ``upstream``, which gives the output gradient of a shape, backward
-    follows, reading the post-activations, the only arrays kept, and
-    dropping each once read.  Returns ``[block, layers, k + 1]`` rows (the
-    statistics, then the gradient's variance at the layer's input, or 0) and
-    the input gradient.  Logs each layer's pass seconds at DEBUG."""
+    Every whole-batch array is one of ``pool``'s and goes back to it once its
+    role ends: ``x``, each layer's result and each array ``upstream`` gives.
+    Forward, each layer contracts into a pool array, the pre-activation;
+    ``measure[0](pool, x, pre)`` gives per-trial statistics of the layer's
+    input and pre-activation, the activation then overwrites ``pre`` in
+    place (in-place activation storage, as in Chen et al., arXiv:1604.06174)
+    and ``measure[1](pool, post)`` gives those of the post-activation.  The
+    input goes back once measured, and so does each post-activation of a
+    forward-only run.  With ``upstream``, which gives a pool array holding
+    the output gradient of a shape, backward follows, reading the
+    post-activations, the only arrays kept: each is overwritten with the
+    gradient times the activation's derivative, contracted, and given back.
+    Returns ``[block, layers, k + 1]`` rows (the statistics, then the
+    gradient's variance at the layer's input, or 0) and the input gradient,
+    a pool array, or None without ``upstream``.  Logs each layer's pass
+    seconds at DEBUG."""
     layers, n, posts, stats, g = net.layers, len(x), [], [], None
     ticks = [time.perf_counter()]
-    for spec, w in zip(layers, weights):
-        # The previous pre-activation goes once this layer's output replaces
-        # it: freed sooner, it leaves free space at the top of the heap that
-        # glibc's malloc hands back to the system and faults in again.
-        pre = _contract(spec.format, x, list(zip(*w)), False, workspace)
-        post = _activation(pre, spec.activation)
-        stats.append([*measure(x, pre, post), np.zeros(n)])
+    for i, (spec, w) in enumerate(zip(layers, weights)):
+        f = spec.format
+        pre = _contract(f, x, list(zip(*w)), False, workspace,
+                        pool.take((n, net.batch, *f.output_mode_dims())))
+        row = measure[0](pool, x, pre)
+        if i == 0 or upstream is None:
+            pool.give(x)
+        post = _activation(pre, spec.activation, inplace=True)
+        stats.append([*row, *measure[1](pool, post), np.zeros(n)])
         if upstream is not None:
             posts.append(post)
         x = post
         ticks.append(time.perf_counter())
-    del x, pre, post
-    if upstream is not None:
-        g = upstream(posts[-1].shape)
+    if upstream is None:
+        pool.give(x)
+    else:
+        g = upstream(x.shape)
         for i in range(len(layers) - 1, -1, -1):
-            g = _activation_grad(g, posts.pop(), layers[i].activation)
-            g = _contract(layers[i].format, g, list(zip(*weights[i])), True, workspace)
-            stats[i][-1] = _var(g)
+            f, post = layers[i].format, posts.pop()
+            d = _activation_grad(g, post, layers[i].activation, inplace=True)
+            # Identity leaves the post-activation unread and ``d`` is ``g``.
+            pool.give(post if d is g else g)
+            g = _contract(f, d, list(zip(*weights[i])), True, workspace,
+                          pool.take((n, net.batch, *f.input_mode_dims())))
+            pool.give(d)
+            stats[i][-1] = _var(g, pool)
             ticks.append(time.perf_counter())
     if _log.isEnabledFor(logging.DEBUG):
         spans = np.diff(ticks).tolist()
@@ -243,20 +313,35 @@ def _openblas():
     return None
 
 
+# Open _one_blas_thread contexts, in any thread, and the BLAS thread count
+# the first of them found; both change only under the lock.
+_BLAS_LOCK = threading.Lock()
+_blas_holds = 0
+_blas_before = 1
+
+
 @contextmanager
 def _one_blas_thread():
-    """Hold BLAS at one thread, restoring the previous count on exit."""
+    """Hold BLAS at one thread while any such context is open, in any
+    thread; the last to close restores the count the first one found."""
+    global _blas_holds, _blas_before
     blas = _openblas()
     if blas is None:
         yield
         return
     get, set_ = blas
-    before = get()
-    set_(1)
+    with _BLAS_LOCK:
+        if _blas_holds == 0:
+            _blas_before = get()
+            set_(1)
+        _blas_holds += 1
     try:
         yield
     finally:
-        set_(before)
+        with _BLAS_LOCK:
+            _blas_holds -= 1
+            if _blas_holds == 0:
+                set_(_blas_before)
 
 
 def _map_trials(fn, items, workers: int) -> list:
@@ -401,22 +486,25 @@ def _run(net: NetworkSpec, seed: int, trials: int, workers: int, measure, grad_v
          inits=None) -> np.ndarray:
     """``[trials, layers, k + 1]`` rows of :func:`_passes` for seeded trials
     through ``net`` in blocks (see :func:`validate_network`), weights drawn as
-    ``inits`` plan them, by default the layers' own plans.
+    ``inits`` plan them, by default the layers' own plans; ``measure`` is as
+    in :func:`_passes`.
 
     Trial ``t`` draws from the children of ``SeedSequence([seed, t])`` (see
     :func:`_seed_words`) in place into its slices of block arrays: a
     standard-normal input from the first, layer ``i``'s weights from child
     ``i + 1`` and, unless ``grad_var`` is None, a normal output gradient of
-    that variance from the last.  One workspace per worker thread lives as
-    long as the call.  A trial's figures depend neither on its block nor on
+    that variance from the last.  One workspace and one :class:`_Pool` per
+    worker thread live as long as the call, so a block after the first
+    makes no whole-batch array when its shapes are those of the block
+    before.  A trial's figures depend neither on its block nor on
     ``workers``."""
     size = validate_network(net, trials, workers, grad_var is not None)
     inits = inits or [make_plan(s.format, s.mode, s.activation) for s in net.layers]
     specs = [_weight_specs(s.format, init) for s, init in zip(net.layers, inits)]
     local = threading.local()
 
-    def normal(words, shape, variance):
-        out = np.empty((len(words), *shape))
+    def normal(pool, words, shape, variance):
+        out = pool.take((len(words), *shape))
         for t, w in enumerate(words):
             _draw(_stream(local, w), [[out[t]]], [variance], "normal")
         return out
@@ -429,12 +517,15 @@ def _run(net: NetworkSpec, seed: int, trials: int, workers: int, measure, grad_v
                 slots = [[a[t] for a in replica] for replica in zip(*arrays)]
                 _draw(_stream(local, w), slots, variances, init.distribution)
             weights.append(arrays)
-        upstream = None if grad_var is None else (
-            lambda shape: normal(words[:, -1], shape[1:], grad_var))
+        pool = vars(local).setdefault("pool", _Pool())
         workspace = vars(local).setdefault("workspace", {})
-        # The input is passed unnamed, so the forward pass drops it.
-        return _passes(net, weights, normal(words[:, 0], (net.batch, *net.input_shape), 1.0),
-                       workspace, measure, upstream)[0]
+        upstream = None if grad_var is None else (
+            lambda shape: normal(pool, words[:, -1], shape[1:], grad_var))
+        x = normal(pool, words[:, 0], (net.batch, *net.input_shape), 1.0)
+        rows, g = _passes(net, weights, x, pool, workspace, measure, upstream)
+        if g is not None:
+            pool.give(g)
+        return rows
 
     keys = range(len(net.layers) + 1 + (grad_var is not None))
     return np.concatenate(_map_seeded(block, seed, trials, keys, workers, size))
@@ -446,10 +537,8 @@ def _trace(net: NetworkSpec, seed: int, trials: int, workers: int, grad_var=None
     variance (0 unless ``grad_var`` is given)."""
     _check_seed(seed)
 
-    def measure(x, pre, post):
-        saturated = (np.abs(post) > SATURATION_THRESHOLD).reshape(len(post), -1)
-        return _var(pre), _var(post), saturated.mean(axis=1)
-
+    measure = (lambda pool, x, pre: (_var(pre, pool),),
+               lambda pool, post: (_var(post, pool), _saturation(post, pool)))
     rows = _run(net, seed, trials, workers, measure, grad_var)
     stats = zip(rows.mean(axis=0), rows.std(axis=0))
     layers = tuple(
@@ -489,12 +578,21 @@ def input_gradient(net: NetworkSpec, layers, x: np.ndarray, upstream: np.ndarray
     """Exact loss gradient at the network input for loss sum(upstream * a(y)).
 
     ``layers`` are materialized layers matching ``net``; used by gradient
-    verification.  The passes are those of the traces, as a block of one.
-    The gradient has the shape of ``x``.
+    verification.  The passes are those of the traces, as a block of one,
+    on copies of ``x`` and ``upstream``, which are never written.  The
+    gradient has the shape of ``x``.
     """
     weights = [[np.stack([w[vid].array for w in layer.replicas])[:, None]
                 for vid in layer.format.weight_ids] for layer in layers]
-    return _passes(net, weights, x[None], {}, lambda *_: (), lambda _: upstream[None])[1][0]
+    pool = _Pool()
+
+    def copy(a):
+        out = pool.take((1, *a.shape))
+        np.copyto(out[0], a)
+        return out
+
+    return _passes(net, weights, copy(x), pool, {}, (lambda *_: (),) * 2,
+                   lambda _: copy(upstream))[1][0]
 
 
 # -- single-layer variance check -------------------------------------------
@@ -528,8 +626,8 @@ def variance_mc(
         extract_bg(f, FAN_IN), 1.0, variances, 1.0, f.phi
     )
     net = NetworkSpec((LayerSpec(f),), f.input_mode_dims(), batch)
-    rows = _run(net, seed, trials, workers, lambda x, pre, post: (_var(pre) / _var(x),),
-                inits=[plan])
+    measure = (lambda pool, x, pre: (_var(pre, pool) / _var(x, pool),), lambda *_: ())
+    rows = _run(net, seed, trials, workers, measure, inits=[plan])
     ratios = rows[:, 0, 0]
     return {
         "seed": seed,
@@ -575,13 +673,18 @@ def scale_chain(
         _check_array((batch, dims[t]), f"the output of chain step {t}")
 
     local = threading.local()
+    widest = max(a * b for a, b in zip(dims, dims[1:]))
 
     def one(streams):
         rng = _stream(local, streams[0][0])
+        # One weight buffer per thread: standard_normal fills it in C order,
+        # as it fills a fresh array of that shape.
+        if not hasattr(local, "w"):
+            local.w = np.empty(widest)
         x = rng.standard_normal((batch, dims[0]))
         scales = []
         for a, b in zip(dims, dims[1:]):
-            w = rng.standard_normal((a, b))
+            w = rng.standard_normal(out=local.w[:a * b].reshape(a, b))
             out = x @ w
             scales.append(out.var() / x.var())
             x = out

@@ -37,6 +37,7 @@ from .errors import (
     DuplicateAxis,
     InvalidDummySpec,
     InvalidParams,
+    InvalidShape,
     ResourceLimit,
     TooManyIndices,
     UnboundAxis,
@@ -152,11 +153,11 @@ class DenseTensor:
     def __post_init__(self):
         shape = tuple(int(d) for d in self.shape)
         if any(d < 1 for d in shape):
-            raise ValueError(f"shape entries must be >= 1, got {shape}")
+            raise InvalidShape(f"shape entries must be >= 1, got {shape}")
         flat = np.ascontiguousarray(self.data, dtype=np.float64).reshape(-1)
         expected = int(np.prod(shape, dtype=np.int64)) if shape else 1
         if flat.size != expected:
-            raise ValueError(
+            raise InvalidShape(
                 f"data length {flat.size} does not match shape {shape}"
             )
         flat.flags.writeable = False
@@ -367,7 +368,7 @@ def build_dummy(spec: DummySpec) -> DenseTensor:
 def reversal_matrix(r: int) -> DenseTensor:
     """Anti-diagonal permutation matrix of size ``r``."""
     if r < 1:
-        raise ValueError("r must be >= 1")
+        raise InvalidShape("r must be >= 1")
     return DenseTensor.from_array(np.fliplr(np.eye(r)))
 
 
@@ -379,7 +380,7 @@ def transformation_matrix(t: int, epsilon: int) -> DenseTensor:
     consecutive entries.
     """
     if t < 1 or epsilon < 1:
-        raise ValueError("t and epsilon must be >= 1")
+        raise InvalidShape("t and epsilon must be >= 1")
     t_tilde = epsilon * (t - 1) + 1
     _check_array((t, t_tilde), "the transformation matrix")
     mat = np.zeros((t, t_tilde))
@@ -394,27 +395,33 @@ ACTIVATION_SCALE = {"identity": 1.0, "tanh": 1.0, "relu": 0.5}
 ACTIVATIONS = tuple(sorted(ACTIVATION_SCALE))
 
 
-def _activation(arr: np.ndarray, kind: str) -> np.ndarray:
+def _activation(arr: np.ndarray, kind: str, inplace: bool = False) -> np.ndarray:
+    """The activation of ``arr``: a fresh array, or with ``inplace`` ``arr``
+    itself, overwritten with the same bits; identity returns ``arr``."""
+    out = arr if inplace else None
     if kind == "identity":
         return arr
     if kind == "relu":
-        return np.maximum(arr, 0.0)
+        return np.maximum(arr, 0.0, out=out)
     if kind == "tanh":
-        return np.tanh(arr)
+        return np.tanh(arr, out=out)
     raise ValueError(f"unknown activation {kind!r}; expected one of {ACTIVATIONS}")
 
 
-def _activation_grad(g: np.ndarray, post: np.ndarray, kind: str) -> np.ndarray:
+def _activation_grad(g: np.ndarray, post: np.ndarray, kind: str,
+                     inplace: bool = False) -> np.ndarray:
     """``g`` times the activation's derivative at the pre-activation, read
-    from ``post``, the output of :func:`_activation` on it.  Allocates at
-    most one array and never writes into ``g`` or ``post``; identity returns
-    ``g`` itself."""
+    from ``post``, the output of :func:`_activation` on it: one fresh array,
+    or with ``inplace`` ``post`` itself, overwritten with the same bits.
+    Never writes into ``g``; identity returns ``g`` itself and leaves
+    ``post``."""
     if kind == "identity":
         return g
+    d = post if inplace else np.empty_like(post)
     if kind == "relu":
-        d = (post > 0.0).astype(np.float64)
+        np.greater(post, 0.0, out=d)
     elif kind == "tanh":
-        d = np.square(post)
+        np.square(post, out=d)
         np.subtract(1.0, d, out=d)
     else:
         raise ValueError(f"unknown activation {kind!r}; expected one of {ACTIVATIONS}")

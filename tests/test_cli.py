@@ -237,10 +237,10 @@ class TestSimulate:
         trials = []
         original = simulate._contract
 
-        def counting(f, x, replicas, backward, workspace=None):
+        def counting(f, x, replicas, backward, workspace=None, out=None):
             if not backward:
                 trials.append(len(x))
-            return original(f, x, replicas, backward, workspace)
+            return original(f, x, replicas, backward, workspace, out)
 
         monkeypatch.setattr(simulate, "_contract", counting)
         code, _, _ = run(capsys, *self.ARGS, "--seed", "0")

@@ -274,6 +274,12 @@ class TestPlans:
             build(f)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+    def test_non_finite_variance_rejected(self, v):
+        with pytest.raises(InvalidParams) as err:
+            InitPlan("graph-in", 1.0, 1, {"w": 1.0, "v": v})
+        assert str(err.value) == "variances must be finite"
+
     def test_activation_scales(self):
         f = builtin_format("standard", c_in=4, c_out=4, k=3, alpha=8)
         assert make_plan(f, "graph-in", "tanh").p_a == 1.0

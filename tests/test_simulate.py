@@ -333,7 +333,17 @@ class TestBackwardTrace:
         assert all(l.grad_var > 0 for l in rep.layers)
 
     def test_identity_input_gradient_leaves_upstream(self):
-        net = linear_net(depth=2)
+        self._check_input_gradient_leaves_its_inputs("identity")
+
+    @pytest.mark.parametrize("act", ["tanh", "relu"])
+    def test_input_gradient_leaves_x_and_upstream(self, act):
+        # The passes overwrite their pre- and post-activations in place, but
+        # never the caller's arrays.
+        self._check_input_gradient_leaves_its_inputs(act)
+
+    @staticmethod
+    def _check_input_gradient_leaves_its_inputs(act):
+        net = linear_net(depth=2, act=act)
         layers = [
             materialize(s.format, make_plan(s.format, s.mode, s.activation), 3 + i)
             for i, s in enumerate(net.layers)
@@ -341,61 +351,100 @@ class TestBackwardTrace:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((net.batch, *net.input_shape))
         upstream = rng.standard_normal((net.batch, *net.layers[-1].format.output_mode_dims()))
-        before = upstream.copy()
-        input_gradient(net, layers, x, upstream)
-        assert np.array_equal(upstream, before)
+        before, x_before = upstream.copy(), x.copy()
+        grad = input_gradient(net, layers, x, upstream)
+        assert np.array_equal(upstream, before) and np.array_equal(x, x_before)
+        assert not np.shares_memory(grad, x) and not np.shares_memory(grad, upstream)
 
     def test_trial_keeps_only_the_post_activations(self, monkeypatch):
-        # After the forward pass neither the input nor a pre-activation is
-        # alive, and the backward pass drops each post-activation once read.
+        # A block's whole-batch arrays are pool buffers.  At depth 3 the
+        # block holds the three kept post-activations and one temporary; the
+        # input's buffer goes back to the pool after the first layer, each
+        # activation overwrites its pre-activation, and the backward pass
+        # gives each post-activation back once read.
         net = linear_net(depth=3, act="tanh")
         plan = make_plan(net.layers[0].format, "graph-in", "tanh")
         layers = [materialize(s.format, plan, i) for i, s in enumerate(net.layers)]
         weights = [[np.stack([w[vid].array for w in layer.replicas])[:, None]
                     for vid in layer.format.weight_ids] for layer in layers]
-        made, posts, alive = [], [], []
+        made = []
+        pool = recording_pool(made)()
+        pres, posts, returned = [], [], []
         contract = simulate._contract
 
-        def counting(f, x, replicas, backward, workspace):
-            y = contract(f, x, replicas, backward, workspace)
+        def given_back(post, since):
+            return any(b is post.base for b in pool.given[since:])
+
+        def counting(f, x, replicas, backward, workspace, out):
+            assert any(out.base is b for b in made)
+            y = contract(f, x, replicas, backward, workspace, out)
+            assert y is out
             if backward:
-                alive.append([ref() is not None for ref in posts])
-            else:
-                made.append(weakref.ref(y))
+                returned.append([given_back(p, since) for p, since in posts])
             return y
 
-        def draw():
-            x = np.random.default_rng(0).standard_normal((1, net.batch, *net.input_shape))
-            made.append(weakref.ref(x))
-            return x
+        def pre_stats(pool_, x, pre):
+            assert pool_ is pool
+            pres.append(pre)
+            return ()
 
-        def measure(x, pre, post):
-            posts.append(weakref.ref(post))
+        def post_stats(pool_, post):
+            assert post is pres[-1]
+            posts.append((post, len(pool.given)))
             return ()
 
         def upstream(shape):
-            assert len(made) == 4 and not any(ref() is not None for ref in made)
-            assert len(posts) == 3 and all(ref() is not None for ref in posts)
-            return np.ones(shape)
+            # In use: the post-activations alone.  The input and the
+            # temporaries are free.
+            assert len(made) - len(pool.free) == 3
+            assert not any(p.base is b for p, _ in posts for b in pool.free)
+            g = pool.take(shape)
+            g[...] = 1.0
+            return g
 
+        x = pool.take((1, net.batch, *net.input_shape))
+        x[...] = np.random.default_rng(0).standard_normal(x.shape)
         monkeypatch.setattr(simulate, "_contract", counting)
-        rows, _ = simulate._passes(net, weights, draw(), {}, measure, upstream)
-        assert rows.shape == (1, 3, 1)
-        # Layer i's backward contraction runs once posts i and up are read.
-        assert alive == [[True, True, False], [True, False, False], [False, False, False]]
+        rows, g = simulate._passes(net, weights, x, pool, {}, (pre_stats, post_stats),
+                                   upstream)
+        assert rows.shape == (1, 3, 1) and g.shape == x.shape
+        assert len(made) <= 3 + 1
+        # Layer i's backward contraction runs once posts above i are given back.
+        assert returned == [[False, False, False], [False, False, True], [False, True, True]]
+        assert all(given_back(p, since) for p, since in posts)
         monkeypatch.undo()
-        # The runner holds no reference to the input it draws either: by the
-        # second layer it is gone.
-        drawn = []
+        # Through the runner, a second block makes no new whole-batch array.
+        monkeypatch.setattr(network, "MAX_TRIAL_BLOCK", 1)
+        monkeypatch.setattr(simulate, "_Pool", recording_pool(made))
 
-        def input_dropped(x, pre, post):
-            if drawn:
-                assert drawn[0]() is None
-            drawn.append(weakref.ref(x))
-            return ()
+        def buffers(trials):
+            made.clear()
+            simulate._run(net, 0, trials, 1, (lambda *_: (),) * 2, grad_var=1.0)
+            return len(made)
 
-        simulate._run(net, 0, 1, 1, input_dropped, grad_var=1.0)
-        assert len(drawn) == 3
+        assert buffers(1) == buffers(2) <= 3 + 1
+
+
+def recording_pool(made):
+    """A block pool that appends each buffer it makes to ``made`` and keeps
+    each buffer it is given in ``given``, in order."""
+
+    class Recording(simulate._Pool):
+        def __init__(self):
+            super().__init__()
+            self.given = []
+
+        def take(self, shape):
+            a = super().take(shape)
+            if not any(a.base is b for b in made):
+                made.append(a.base)
+            return a
+
+        def give(self, a):
+            self.given.append(a.base)
+            super().give(a)
+
+    return Recording
 
 
 FOLD_NETS = {
@@ -688,6 +737,75 @@ class TestWorkspaceScope:
         assert retained < padded
 
 
+class TestBlockPool:
+    def test_take_views_the_smallest_fit_and_a_miss_drops_the_free(self):
+        pool = simulate._Pool()
+        a, b = pool.take((2, 3)), pool.take((4,))
+        pool.give(a)
+        pool.give(b)
+        c = pool.take((2, 2))
+        assert c.base is b.base and c.shape == (2, 2)
+        pool.give(c)
+        # No free buffer holds 9 entries: a new one is made, the rest dropped.
+        d = pool.take((3, 3))
+        assert len(pool.free) == 0 and d.base is not a.base and d.base is not b.base
+
+    def test_statistics_have_numpys_bits(self):
+        rng = np.random.default_rng(3)
+        a = np.tanh(3.0 * rng.standard_normal((3, 16, 8, 32)))
+        pool = simulate._Pool()
+        flat = a.reshape(3, -1)
+        assert simulate._var(a, pool).tobytes() == flat.var(axis=1).tobytes()
+        want = (np.abs(flat) > simulate.SATURATION_THRESHOLD).mean(axis=1)
+        assert 0 < want.min() and simulate._saturation(a, pool).tobytes() == want.tobytes()
+        # Both took one temporary and gave it back.
+        assert len(pool.free) == 1
+
+    def test_forward_peak_within_counted_bytes(self, monkeypatch):
+        # The traced peak of one forward-only run (one _run call, three
+        # blocks) over layers of seven shapes stays within the bytes
+        # validate_network counts for a block plus an allowance for what it
+        # leaves out (see the network module docstring): numpy's copies of
+        # one GEMM step's two operands, the largest pair of any plan, and
+        # 64 KiB of ufunc buffers.  A pool that kept a free buffer of every
+        # shape it met would exceed it by about 0.2 MB.
+        chain = [(4, 6), (6, 8), (3, 5), (8, 8), (5, 7), (7, 3), (6, 6), (4, 6)]
+        net = NetworkSpec(
+            tuple(LayerSpec(builtin_format("tt", i_dims=a, o_dims=b, rank=3), "tanh")
+                  for a, b in zip(chain, chain[1:])),
+            chain[0], batch=16,
+        )
+        counted = []
+        check = simulate._check_array
+
+        def spy(shape, what):
+            if what.startswith("the input, weights, kept activations, workspace"):
+                counted.append(8 * math.prod(shape))
+            check(shape, what)
+
+        monkeypatch.setattr(simulate, "_check_array", spy)
+        forward_trace(net, seed=0, trials=100)  # compiles the plans
+        block = validate_network(net, trials=100, backward=False)
+        assert block < 100
+        operands = max(
+            math.prod(step.a_shape) + math.prod(step.b_shape)
+            for spec in net.layers
+            for step in network._plan(spec.format, False,
+                                      (block, net.batch, *spec.format.input_mode_dims())).steps
+            if isinstance(step, network._Gemm)
+        )
+        counted.clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            forward_trace(net, seed=0, trials=100)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(counted) == 1
+        assert peak <= counted[0] + 8 * operands + (64 << 10)
+
+
 class TestBlasThreads:
     @pytest.fixture
     def blas(self):
@@ -710,6 +828,42 @@ class TestBlasThreads:
         f = builtin_format("tt", i_dims=(4, 4), o_dims=(4, 4), rank=3)
         variance_mc(f, make_plan(f, "graph-in", "tanh"), seed=0, trials=8, workers=2)
         assert blas() == 2
+
+    def test_interleaved_contexts_restore_the_count_when_the_last_closes(self, blas):
+        first, second = simulate._one_blas_thread(), simulate._one_blas_thread()
+        first.__enter__()
+        second.__enter__()
+        assert blas() == 1
+        first.__exit__(None, None, None)
+        assert blas() == 1
+        second.__exit__(None, None, None)
+        assert blas() == 2
+
+    def test_threads_running_worker_pools_restore_the_count(self, blas):
+        # Four callers, each with a pool of two workers, on a short switch
+        # interval: whatever order they enter and leave in, the count comes
+        # back once the last one leaves.
+        f = builtin_format("tt", i_dims=(4, 4), o_dims=(4, 4), rank=3)
+        plan = make_plan(f, "graph-in", "tanh")
+        start, results = threading.Barrier(4), []
+
+        def run():
+            start.wait()
+            results.append(variance_mc(f, plan, seed=0, trials=300, workers=2))
+
+        threads = [threading.Thread(target=run) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert blas() == 2
+        assert len(results) == 4 and all(r == results[0] for r in results)
 
     def test_single_worker_leaves_the_count(self, blas):
         assert simulate._map_trials(lambda t: blas(), range(2), 1) == [2] * 2

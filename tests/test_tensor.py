@@ -9,7 +9,9 @@ from tcinit.errors import (
     DimensionMismatch,
     DuplicateAxis,
     InvalidDummySpec,
+    InvalidShape,
     ResourceLimit,
+    TcinitError,
     TooManyIndices,
     UnboundAxis,
 )
@@ -70,6 +72,19 @@ class TestDenseTensor:
         t = DenseTensor.from_array(np.ones(3))
         with pytest.raises(ValueError):
             t.data[0] = 2.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DenseTensor((0,), np.zeros(0)),
+    lambda: DenseTensor((2,), np.zeros(1)),
+    lambda: reversal_matrix(0),
+    lambda: transformation_matrix(0, 1),
+    lambda: transformation_matrix(2, 0),
+], ids=["zero-dim", "data-length", "reversal", "transformation-t", "transformation-epsilon"])
+def test_bad_shapes_raise_a_tcinit_error_that_is_a_value_error(build):
+    with pytest.raises(InvalidShape) as err:
+        build()
+    assert isinstance(err.value, TcinitError) and isinstance(err.value, ValueError)
 
 
 class TestContract:
@@ -351,6 +366,22 @@ class TestActivations:
             assert out is g
         else:
             assert not np.shares_memory(out, g) and not np.shares_memory(out, post)
+
+    @pytest.mark.parametrize("kind", ["identity", "relu", "tanh"])
+    def test_in_place_activation_and_grad_have_the_allocating_bits(self, kind):
+        rng = np.random.default_rng(9)
+        pre = rng.standard_normal((4, 5))
+        pre.flat[:3] = 0.0, -0.0, 30.0
+        post = _activation(pre, kind)
+        in_place = pre.copy()
+        assert _activation(in_place, kind, inplace=True) is in_place
+        assert in_place.tobytes() == post.tobytes()
+        g = rng.standard_normal((4, 5))
+        g_before = g.copy()
+        want = _activation_grad(g, post, kind)
+        got = _activation_grad(g, in_place, kind, inplace=True)
+        assert got.tobytes() == want.tobytes() and np.array_equal(g, g_before)
+        assert got is (g if kind == "identity" else in_place)
 
     def test_grad_unknown_kind(self):
         with pytest.raises(ValueError):
