@@ -264,7 +264,7 @@ def _passes(net: NetworkSpec, weights, x: np.ndarray, pool: _Pool, workspace: di
         row = measure[0](pool, x, pre)
         if i == 0 or upstream is None:
             pool.give(x)
-        post = _activation(pre, spec.activation, inplace=True)
+        post = _activation(pre, spec.activation)
         stats.append([*row, *measure[1](pool, post), np.zeros(n)])
         if upstream is not None:
             posts.append(post)
@@ -494,9 +494,10 @@ def _run(net: NetworkSpec, seed: int, trials: int, workers: int, measure, grad_v
     standard-normal input from the first, layer ``i``'s weights from child
     ``i + 1`` and, unless ``grad_var`` is None, a normal output gradient of
     that variance from the last.  One workspace and one :class:`_Pool` per
-    worker thread live as long as the call, so a block after the first
-    makes no whole-batch array when its shapes are those of the block
-    before.  A trial's figures depend neither on its block nor on
+    worker thread live as long as the call, so when every layer has one
+    shape a block after the first makes no whole-batch array; with several
+    shapes a later block may still make one where the pool's best fit
+    misses.  A trial's figures depend neither on its block nor on
     ``workers``."""
     size = validate_network(net, trials, workers, grad_var is not None)
     inits = inits or [make_plan(s.format, s.mode, s.activation) for s in net.layers]

@@ -395,16 +395,14 @@ ACTIVATION_SCALE = {"identity": 1.0, "tanh": 1.0, "relu": 0.5}
 ACTIVATIONS = tuple(sorted(ACTIVATION_SCALE))
 
 
-def _activation(arr: np.ndarray, kind: str, inplace: bool = False) -> np.ndarray:
-    """The activation of ``arr``: a fresh array, or with ``inplace`` ``arr``
-    itself, overwritten with the same bits; identity returns ``arr``."""
-    out = arr if inplace else None
+def _activation(arr: np.ndarray, kind: str) -> np.ndarray:
+    """The activation of ``arr``, written into ``arr`` and returned."""
     if kind == "identity":
         return arr
     if kind == "relu":
-        return np.maximum(arr, 0.0, out=out)
+        return np.maximum(arr, 0.0, out=arr)
     if kind == "tanh":
-        return np.tanh(arr, out=out)
+        return np.tanh(arr, out=arr)
     raise ValueError(f"unknown activation {kind!r}; expected one of {ACTIVATIONS}")
 
 

@@ -372,9 +372,9 @@ class TestActivations:
         rng = np.random.default_rng(9)
         pre = rng.standard_normal((4, 5))
         pre.flat[:3] = 0.0, -0.0, 30.0
-        post = _activation(pre, kind)
+        post = {"identity": pre, "relu": np.maximum(pre, 0.0), "tanh": np.tanh(pre)}[kind]
         in_place = pre.copy()
-        assert _activation(in_place, kind, inplace=True) is in_place
+        assert _activation(in_place, kind) is in_place
         assert in_place.tobytes() == post.tobytes()
         g = rng.standard_normal((4, 5))
         g_before = g.copy()
