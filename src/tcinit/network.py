@@ -88,8 +88,9 @@ for one batch tile.  The plan assigns them statically, as TVM does
 buffer.  Passed again, the workspace hands back the same buffers.  Three
 kinds of array escape it: the result, an array of the whole batch that
 each tile's rows are copied into, the caller's destination or else a fresh
-one (the block runner of :mod:`tcinit.simulate` passes its own; see
-:func:`_contract`); the copy numpy's ``reshape`` makes
+one (the block runner of :mod:`tcinit.simulate` passes its own, and on the
+backward pass, where a result row is as long as an input row, the input
+itself: see :func:`_contract`); the copy numpy's ``reshape`` makes
 of a GEMM operand whose permuted axes no view can merge; and numpy's own
 ufunc buffers, which a window step's broadcast ``multiply`` (one summed
 entry) works through.  A ``matmul`` there would need none, but on cp's K = 1
@@ -727,10 +728,13 @@ def _contract(f: LayerFormat, x: np.ndarray, replicas, backward: bool,
     Replicas are summed into one more buffer.  All of them are taken from
     ``workspace``: a dict the caller owns and may pass again to reuse them,
     by default a fresh one.  The result is ``out``, an array of the result's
-    shape that shares no memory with ``x``, or by default one fresh array;
-    each tile's rows are copied once from the last step's layout into its
-    slice of it, in the output layout, so it never shares memory with the
-    workspace.
+    shape, or by default one fresh array; each tile's rows are copied once
+    from the last step's layout into its slice of it, in the output layout,
+    so it never shares memory with the workspace.  ``out`` either shares no
+    memory with ``x`` or is ``x`` itself, reshaped, when a result batch row
+    holds as many entries as an input row: then a tile's result rows are the
+    memory of its input rows, written only after every step and replica has
+    read them, and no other tile reads them.
     """
     plan = _plan(f, backward, x.shape)
     workspace = {} if workspace is None else workspace

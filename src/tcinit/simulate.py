@@ -13,7 +13,11 @@ trials have a size that depends on the layer shapes alone, never on the
 worker count; workers map over blocks, or over trials in :func:`scale_chain`.
 Each worker thread keeps, for the length of a call, one contraction
 workspace and one pool of whole-batch arrays (see :class:`_Pool`), which
-every block after the first reuses.
+every block after the first reuses.  A statistic and the drawn output
+gradient work through a temporary of at most ``TRIAL_BLOCK_BYTES``, and a
+backward contraction writes into its own input where the shapes allow (see
+:func:`_passes`), so a block of the ``conv_depth`` benchmark stack makes
+no whole-batch array beyond its five kept post-activations.
 While a pool of more than one worker runs, numpy's bundled OpenBLAS is held
 at one thread, so that workers do not contend for cores.
 """
@@ -24,6 +28,7 @@ import ctypes
 import json
 import logging
 import math
+import numbers
 import operator
 import threading
 import time
@@ -45,6 +50,7 @@ from .graph import (
     make_plan,
     predicted_output_variance,
 )
+from . import network
 from .network import _contract, _draw, _plan, _trial_block, _weight_specs
 from .tensor import ACTIVATION_SCALE, _activation, _activation_grad, _check_array, _check_seed
 
@@ -205,32 +211,77 @@ class _Pool:
         self.free.append(a.base)
 
 
+# numpy's pairwise summation adds a run of at most this many entries in one
+# unrolled loop, and halves only longer runs (its PW_BLOCKSIZE).
+_PAIRWISE_BLOCK = 128
+
+
+def _span(trials: int) -> int:
+    """Entries per trial of a temporary of ``trials`` trials that stays
+    within ``TRIAL_BLOCK_BYTES``, or one pairwise block if more."""
+    return max(_PAIRWISE_BLOCK, network.TRIAL_BLOCK_BYTES // (8 * trials))
+
+
+def _leaf_sums(a: np.ndarray, pool: _Pool, fill) -> np.ndarray:
+    """Per-trial sums of what ``fill(part, tmp)`` writes into ``tmp`` from
+    each column span ``part`` of ``a``, a ``(trials, entries)`` array, with
+    one temporary taken from ``pool`` (see :func:`_tree_sum`).  A row that
+    fits :func:`_span` is one span, and the temporary is as large as
+    ``a``."""
+    trials, n = a.shape
+    tmp = pool.take((trials * min(n, _span(trials)),))
+    sums = _tree_sum(a, tmp, fill, 0, n)
+    pool.give(tmp)
+    return sums
+
+
+def _tree_sum(a: np.ndarray, tmp: np.ndarray, fill, lo: int, m: int) -> np.ndarray:
+    """The sums of :func:`_leaf_sums` over columns ``lo`` to ``lo + m``.
+
+    The rows are cut where numpy's pairwise summation cuts a row (``n2 = n
+    // 2``, less ``n2 % 8``) until a span fits ``tmp``; each span is filled
+    into ``tmp`` and summed for all trials at once, and the span sums are
+    added up along the same tree, so the total is numpy's sum of the whole
+    filled row, bit for bit."""
+    trials = len(a)
+    if trials * m <= len(tmp):
+        part = tmp[:trials * m].reshape(trials, m)
+        fill(a[:, lo:lo + m], part)
+        return np.add.reduce(part, axis=1)
+    m2 = m // 2
+    m2 -= m2 % 8
+    return _tree_sum(a, tmp, fill, lo, m2) + _tree_sum(a, tmp, fill, lo + m2, m - m2)
+
+
 def _var(a: np.ndarray, pool: _Pool) -> np.ndarray:
     """Per-trial variance of a block array, bit for bit that of each trial's
-    slice alone: numpy's own ufunc sequence for ``var``, with its one
-    array-sized temporary taken from ``pool``."""
+    slice alone: numpy's own ufunc sequence for ``var``, its mean over the
+    whole array and its squared deviations summed span by span (see
+    :func:`_leaf_sums`)."""
     a = a.reshape(len(a), -1)
     mean = np.add.reduce(a, axis=1, keepdims=True)
     np.true_divide(mean, a.shape[1], out=mean)
-    tmp = pool.take(a.shape)
-    np.subtract(a, mean, out=tmp)
-    np.square(tmp, out=tmp)
-    var = np.add.reduce(tmp, axis=1)
-    pool.give(tmp)
+
+    def squares(part, tmp):
+        np.subtract(part, mean, out=tmp)
+        np.square(tmp, out=tmp)
+
+    var = _leaf_sums(a, pool, squares)
     return np.true_divide(var, a.shape[1], out=var)
 
 
 def _saturation(a: np.ndarray, pool: _Pool) -> np.ndarray:
     """Per-trial fraction of a block array's entries whose magnitude exceeds
     ``SATURATION_THRESHOLD``, bit for bit the mean of numpy's boolean
-    comparison: the comparison's ones are written into a temporary taken
-    from ``pool`` and counted by summing them, exactly."""
+    comparison: the comparison's ones are written into a temporary span by
+    span (see :func:`_leaf_sums`) and counted by summing them, exactly."""
     a = a.reshape(len(a), -1)
-    tmp = pool.take(a.shape)
-    np.abs(a, out=tmp)
-    np.greater(tmp, SATURATION_THRESHOLD, out=tmp)
-    count = np.add.reduce(tmp, axis=1)
-    pool.give(tmp)
+
+    def ones(part, tmp):
+        np.abs(part, out=tmp)
+        np.greater(tmp, SATURATION_THRESHOLD, out=tmp)
+
+    count = _leaf_sums(a, pool, ones)
     return np.true_divide(count, a.shape[1], out=count)
 
 
@@ -240,21 +291,23 @@ def _passes(net: NetworkSpec, weights, x: np.ndarray, pool: _Pool, workspace: di
     array per weight vertex) through the stack, contracting in ``workspace``.
 
     Every whole-batch array is one of ``pool``'s and goes back to it once its
-    role ends: ``x``, each layer's result and each array ``upstream`` gives.
-    Forward, each layer contracts into a pool array, the pre-activation;
-    ``measure[0](pool, x, pre)`` gives per-trial statistics of the layer's
-    input and pre-activation, the activation then overwrites ``pre`` in
-    place (in-place activation storage, as in Chen et al., arXiv:1604.06174)
-    and ``measure[1](pool, post)`` gives those of the post-activation.  The
-    input goes back once measured, and so does each post-activation of a
-    forward-only run.  With ``upstream``, which gives a pool array holding
-    the output gradient of a shape, backward follows, reading the
-    post-activations, the only arrays kept: each is overwritten with the
-    gradient times the activation's derivative, contracted, and given back.
-    Returns ``[block, layers, k + 1]`` rows (the statistics, then the
-    gradient's variance at the layer's input, or 0) and the input gradient,
-    a pool array, or None without ``upstream``.  Logs each layer's pass
-    seconds at DEBUG."""
+    role ends.  Forward, each layer contracts into a pool array, the
+    pre-activation; ``measure[0](pool, x, pre)`` gives per-trial statistics
+    of the layer's input and pre-activation, the activation then overwrites
+    ``pre`` in place (in-place activation storage, as in Chen et al.,
+    arXiv:1604.06174) and ``measure[1](pool, post)`` gives those of the
+    post-activation.  The input goes back once measured, and so does each
+    post-activation of a forward-only run.  With ``upstream``, backward
+    follows, reading the post-activations, the only arrays kept:
+    ``upstream(post, activation)`` writes the output gradient times the last
+    activation's derivative into the last post-activation, and each earlier
+    one is overwritten with the gradient times its own derivative.  Each is
+    then contracted into its own memory when a result batch row holds as
+    many entries as an input row (see :func:`~tcinit.network._contract`),
+    or else into a pool array, and given back.  Returns ``[block, layers, k
+    + 1]`` rows (the statistics, then the gradient's variance at the layer's
+    input, or 0) and the input gradient, a pool array, or None without
+    ``upstream``.  Logs each layer's pass seconds at DEBUG."""
     layers, n, posts, stats, g = net.layers, len(x), [], [], None
     ticks = [time.perf_counter()]
     for i, (spec, w) in enumerate(zip(layers, weights)):
@@ -273,15 +326,19 @@ def _passes(net: NetworkSpec, weights, x: np.ndarray, pool: _Pool, workspace: di
     if upstream is None:
         pool.give(x)
     else:
-        g = upstream(x.shape)
         for i in range(len(layers) - 1, -1, -1):
-            f, post = layers[i].format, posts.pop()
-            d = _activation_grad(g, post, layers[i].activation, inplace=True)
-            # Identity leaves the post-activation unread and ``d`` is ``g``.
-            pool.give(post if d is g else g)
-            g = _contract(f, d, list(zip(*weights[i])), True, workspace,
-                          pool.take((n, net.batch, *f.input_mode_dims())))
-            pool.give(d)
+            spec, d = layers[i], posts.pop()
+            if g is None:
+                upstream(d, spec.activation)
+            else:
+                _activation_grad(g, d, spec.activation)
+                pool.give(g)
+            shape = (n, net.batch, *spec.format.input_mode_dims())
+            in_place = math.prod(shape) == d.size
+            g = _contract(spec.format, d, list(zip(*weights[i])), True, workspace,
+                          d.reshape(shape) if in_place else pool.take(shape))
+            if not in_place:
+                pool.give(d)
             stats[i][-1] = _var(g, pool)
             ticks.append(time.perf_counter())
     if _log.isEnabledFor(logging.DEBUG):
@@ -504,11 +561,27 @@ def _run(net: NetworkSpec, seed: int, trials: int, workers: int, measure, grad_v
     specs = [_weight_specs(s.format, init) for s, init in zip(net.layers, inits)]
     local = threading.local()
 
-    def normal(pool, words, shape, variance):
+    def normal(pool, words, shape):
         out = pool.take((len(words), *shape))
         for t, w in enumerate(words):
-            _draw(_stream(local, w), [[out[t]]], [variance], "normal")
+            _draw(_stream(local, w), [[out[t]]], [1.0], "normal")
         return out
+
+    def gradient(pool, words, post, activation):
+        # Each trial's gradient is drawn span by span into one small buffer:
+        # standard_normal fills the spans from the stream in turn, as it
+        # fills the whole row, and every later step is elementwise.
+        rows = post.reshape(len(post), -1)
+        span = min(rows.shape[1], _span(1))
+        buf = pool.take((span,))
+        for row, w in zip(rows, words):
+            rng = _stream(local, w)
+            for lo in range(0, len(row), span):
+                part = row[lo:lo + span]
+                g = buf[:len(part)]
+                _draw(rng, [[g]], [grad_var], "normal")
+                _activation_grad(g, part, activation)
+        pool.give(buf)
 
     def block(words):
         weights = []
@@ -521,8 +594,8 @@ def _run(net: NetworkSpec, seed: int, trials: int, workers: int, measure, grad_v
         pool = vars(local).setdefault("pool", _Pool())
         workspace = vars(local).setdefault("workspace", {})
         upstream = None if grad_var is None else (
-            lambda shape: normal(pool, words[:, -1], shape[1:], grad_var))
-        x = normal(pool, words[:, 0], (net.batch, *net.input_shape), 1.0)
+            lambda post, activation: gradient(pool, words[:, -1], post, activation))
+        x = normal(pool, words[:, 0], (net.batch, *net.input_shape))
         rows, g = _passes(net, weights, x, pool, workspace, measure, upstream)
         if g is not None:
             pool.give(g)
@@ -580,20 +653,16 @@ def input_gradient(net: NetworkSpec, layers, x: np.ndarray, upstream: np.ndarray
 
     ``layers`` are materialized layers matching ``net``; used by gradient
     verification.  The passes are those of the traces, as a block of one,
-    on copies of ``x`` and ``upstream``, which are never written.  The
+    on a copy of ``x``; neither ``x`` nor ``upstream`` is written.  The
     gradient has the shape of ``x``.
     """
     weights = [[np.stack([w[vid].array for w in layer.replicas])[:, None]
                 for vid in layer.format.weight_ids] for layer in layers]
     pool = _Pool()
-
-    def copy(a):
-        out = pool.take((1, *a.shape))
-        np.copyto(out[0], a)
-        return out
-
-    return _passes(net, weights, copy(x), pool, {}, (lambda *_: (),) * 2,
-                   lambda _: copy(upstream))[1][0]
+    block = pool.take((1, *x.shape))
+    np.copyto(block[0], x)
+    return _passes(net, weights, block, pool, {}, (lambda *_: (),) * 2,
+                   lambda post, activation: _activation_grad(upstream, post, activation))[1][0]
 
 
 # -- single-layer variance check -------------------------------------------
@@ -658,10 +727,19 @@ def scale_chain(
     draws its input and then every matrix from the stream of
     ``SeedSequence([seed, trial])`` (see :func:`_seed_words`).  Raises
     :class:`~tcinit.errors.ResourceLimit` before any draw when an input,
-    weight or step output would not fit in memory.
+    weight or step output would not fit in memory, and
+    :class:`~tcinit.errors.InvalidParams` when a dim is not a whole number.
     """
     _check_seed(seed)
-    dims = tuple(int(d) for d in dims)
+    try:
+        dims = tuple(dims)
+        whole = all(isinstance(d, numbers.Real) and math.isfinite(d) and d == int(d)
+                    for d in dims)
+    except TypeError:
+        whole = False
+    if not whole:
+        raise InvalidParams(f"chain dims must be whole numbers, got {dims!r}")
+    dims = tuple(map(int, dims))
     if len(dims) < 2:
         raise InvalidParams("chain needs at least two dims")
     if min(dims) < 1:
@@ -715,8 +793,12 @@ def proposition_checks(seed: int, samples: int = 100_000) -> dict:
     is the sum of their variances; (b) contracting independent zero-mean
     tensors over ``d`` shared dims scales the variance by the product of the
     contracted dims.  Returns measured/expected pairs with pass flags.
+    Raises :class:`~tcinit.errors.InvalidParams` when ``samples`` is not an
+    integer of at least 1.
     """
     _check_seed(seed)
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
+        raise InvalidParams(f"samples must be an integer >= 1, got {samples!r}")
     rng = np.random.default_rng(seed)
     checks = []
 

@@ -406,21 +406,19 @@ def _activation(arr: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown activation {kind!r}; expected one of {ACTIVATIONS}")
 
 
-def _activation_grad(g: np.ndarray, post: np.ndarray, kind: str,
-                     inplace: bool = False) -> np.ndarray:
+def _activation_grad(g: np.ndarray, post: np.ndarray, kind: str) -> np.ndarray:
     """``g`` times the activation's derivative at the pre-activation, read
-    from ``post``, the output of :func:`_activation` on it: one fresh array,
-    or with ``inplace`` ``post`` itself, overwritten with the same bits.
-    Never writes into ``g``; identity returns ``g`` itself and leaves
-    ``post``."""
+    from ``post``, the output of :func:`_activation` on it, written into
+    ``post`` and returned; identity copies ``g`` there.  Never writes into
+    ``g``, which may broadcast against ``post``."""
     if kind == "identity":
-        return g
-    d = post if inplace else np.empty_like(post)
+        np.copyto(post, g)
+        return post
     if kind == "relu":
-        np.greater(post, 0.0, out=d)
+        np.greater(post, 0.0, out=post)
     elif kind == "tanh":
-        np.square(post, out=d)
-        np.subtract(1.0, d, out=d)
+        np.square(post, out=post)
+        np.subtract(1.0, post, out=post)
     else:
         raise ValueError(f"unknown activation {kind!r}; expected one of {ACTIVATIONS}")
-    return np.multiply(g, d, out=d)
+    return np.multiply(g, post, out=post)

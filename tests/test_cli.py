@@ -530,3 +530,22 @@ def test_negative_seed_exits_2(capsys, tmp_path, monkeypatch, argv):
     assert code == 2
     assert out == "" and err.startswith("error:") and "seed" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--builtin", "htk2", "-P", "c_in=4", "-P", "c_out=4", "-P", "rank=2", "-P", "k=3"],
+        ["analyze", "--builtin", "tt", "-P", "i_dims=4,4", "-P", "o_dims=4,4", "-P", "rank=3",
+         "--emit", "csv"],
+        ["verify", "--seed", "0", "--random-formats", "2"],
+        ["scale-chain", "--seed", "1", "--trials", "5", "--dims", "8,4,2"],
+        ["scale-chain", "--seed", "1", "--trials", "5", "--dims", "8,4,2", "--emit", "csv"],
+    ],
+    ids=["analyze-json", "analyze-csv", "verify", "scale-chain-json", "scale-chain-csv"],
+)
+def test_out_file_holds_the_bytes_stdout_gets(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv)
+    path = tmp_path / "report"
+    assert run(capsys, *argv, "--out", str(path)) == (code, "", err)
+    assert out and path.read_bytes() == out.encode()

@@ -14,7 +14,7 @@ from tcinit import network, simulate, tensor
 from tcinit.errors import InvalidParams, ResourceLimit, ShapeMismatch
 from tcinit.formats import builtin_format, parse_format, random_format
 from tcinit.graph import InitPlan, make_plan
-from tcinit.network import forward_apply, materialize
+from tcinit.network import backward_apply, forward_apply, materialize
 from tcinit.simulate import (
     LayerSpec,
     NetworkSpec,
@@ -356,13 +356,37 @@ class TestBackwardTrace:
         assert np.array_equal(upstream, before) and np.array_equal(x, x_before)
         assert not np.shares_memory(grad, x) and not np.shares_memory(grad, upstream)
 
-    def test_trial_keeps_only_the_post_activations(self, monkeypatch):
-        # A block's whole-batch arrays are pool buffers.  At depth 3 the
-        # block holds the three kept post-activations and one temporary; the
-        # input's buffer goes back to the pool after the first layer, each
-        # activation overwrites its pre-activation, and the backward pass
-        # gives each post-activation back once read.
+    def test_input_gradient_through_layers_of_two_shapes(self):
+        # A layer whose result row is not as long as its input row contracts
+        # backward into a pool array, not into its input: the gradient is
+        # that of the per-layer calls, bit for bit.
+        fa = builtin_format("tt", i_dims=(2, 3), o_dims=(3, 4), rank=2)
+        fb = builtin_format("tt", i_dims=(3, 4), o_dims=(2, 3), rank=2)
+        net = NetworkSpec((LayerSpec(fa, "tanh"), LayerSpec(fb, "relu")),
+                          fa.input_mode_dims(), batch=3)
+        layers = [materialize(s.format, make_plan(s.format, s.mode, s.activation), 5 + i)
+                  for i, s in enumerate(net.layers)]
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((net.batch, *fa.input_mode_dims()))
+        upstream = rng.standard_normal((net.batch, *fb.output_mode_dims()))
+        h = np.tanh(forward_apply(layers[0], DenseTensor.from_array(x)).array)
+        y = forward_apply(layers[1], DenseTensor.from_array(h)).array
+        g = backward_apply(layers[1], DenseTensor.from_array(upstream * (y > 0.0))).array
+        want = backward_apply(layers[0], DenseTensor.from_array(g * (1.0 - h**2))).array
+        assert input_gradient(net, layers, x, upstream).tobytes() == want.tobytes()
+
+    def test_trial_keeps_only_the_post_activations(self, monkeypatch, trial_block_bytes):
+        # A block's whole-batch arrays are pool buffers, and at depth 3 they
+        # are the three kept post-activations alone.  The input's buffer goes
+        # back to the pool after the first layer, each activation overwrites
+        # its pre-activation, the output gradient is written into the last
+        # post-activation, and each backward contraction writes into its own
+        # input, which goes back once the layer below has read it.  A budget
+        # of one pairwise block (128 entries) keeps the statistics'
+        # temporaries below a row of 384.
+        trial_block_bytes(8 * simulate._PAIRWISE_BLOCK)
         net = linear_net(depth=3, act="tanh")
+        row = net.batch * math.prod(net.input_shape)
         plan = make_plan(net.layers[0].format, "graph-in", "tanh")
         layers = [materialize(s.format, plan, i) for i, s in enumerate(net.layers)]
         weights = [[np.stack([w[vid].array for w in layer.replicas])[:, None]
@@ -380,6 +404,7 @@ class TestBackwardTrace:
             y = contract(f, x, replicas, backward, workspace, out)
             assert y is out
             if backward:
+                assert out.base is x.base
                 returned.append([given_back(p, since) for p, since in posts])
             return y
 
@@ -393,14 +418,11 @@ class TestBackwardTrace:
             posts.append((post, len(pool.given)))
             return ()
 
-        def upstream(shape):
-            # In use: the post-activations alone.  The input and the
-            # temporaries are free.
-            assert len(made) - len(pool.free) == 3
-            assert not any(p.base is b for p, _ in posts for b in pool.free)
-            g = pool.take(shape)
-            g[...] = 1.0
-            return g
+        def upstream(post, activation):
+            # In use: the post-activations alone, and this is the last.
+            assert len(made) - len(pool.free) == 3 and not pool.free
+            assert post is posts[-1][0] and activation == "tanh"
+            tensor._activation_grad(np.ones(post.shape[1:]), post, activation)
 
         x = pool.take((1, net.batch, *net.input_shape))
         x[...] = np.random.default_rng(0).standard_normal(x.shape)
@@ -408,12 +430,21 @@ class TestBackwardTrace:
         rows, g = simulate._passes(net, weights, x, pool, {}, (pre_stats, post_stats),
                                    upstream)
         assert rows.shape == (1, 3, 1) and g.shape == x.shape
-        assert len(made) <= 3 + 1
+
+        def whole(buffers):
+            # Each buffer is a whole-batch array or a temporary of one span.
+            assert all(len(b) == row or len(b) <= simulate._span(1) for b in buffers)
+            return sum(len(b) == row for b in buffers)
+
+        assert whole(made) <= 3
         # Layer i's backward contraction runs once posts above i are given back.
         assert returned == [[False, False, False], [False, False, True], [False, True, True]]
-        assert all(given_back(p, since) for p, since in posts)
+        # The input gradient is the first post-activation's memory.
+        assert g.base is posts[0][0].base
+        assert all(given_back(p, since) for p, since in posts[1:])
         monkeypatch.undo()
-        # Through the runner, a second block makes no new whole-batch array.
+        # Through the runner, a second block makes no new buffer.
+        trial_block_bytes(8 * simulate._PAIRWISE_BLOCK)
         monkeypatch.setattr(network, "MAX_TRIAL_BLOCK", 1)
         monkeypatch.setattr(simulate, "_Pool", recording_pool(made))
 
@@ -422,7 +453,22 @@ class TestBackwardTrace:
             simulate._run(net, 0, trials, 1, (lambda *_: (),) * 2, grad_var=1.0)
             return len(made)
 
-        assert buffers(1) == buffers(2) <= 3 + 1
+        assert buffers(1) == buffers(2) and whole(made) <= 3
+
+    def test_conv_depth_block_makes_only_its_post_activations(self, monkeypatch):
+        # The benchmark's conv stack (htk2, 32 channels, 32x32, batch 16,
+        # five tanh layers): a trial's whole-batch arrays are its five kept
+        # post-activations, and every other pool buffer (the statistics'
+        # temporaries, the gradient's draw) holds at most TRIAL_BLOCK_BYTES.
+        f = builtin_format("htk2", c_in=32, c_out=32, rank=8, k=3, padding=1, alpha=32)
+        net = NetworkSpec((LayerSpec(f, "tanh"),) * 5, f.input_mode_dims(), batch=16)
+        row = net.batch * math.prod(f.input_mode_dims())
+        made = []
+        monkeypatch.setattr(simulate, "_Pool", recording_pool(made))
+        backward_trace(net, seed=1, trials=2)
+        sizes = sorted(len(b) for b in made)
+        assert 8 * max((s for s in sizes if s < row), default=0) <= network.TRIAL_BLOCK_BYTES
+        assert sum(s >= row for s in sizes) == 5
 
 
 def recording_pool(made):
@@ -761,6 +807,35 @@ class TestBlockPool:
         # Both took one temporary and gave it back.
         assert len(pool.free) == 1
 
+    @pytest.mark.parametrize("length", ["span-1", "span", "span+1", "2**19", "odd", "2**19+1"])
+    @pytest.mark.parametrize("trials", [1, 2, 3])
+    def test_statistics_through_spans_have_numpys_bits(self, trials, length):
+        # Rows longer than a span are summed span by span along numpy's
+        # pairwise tree, through one temporary of at most TRIAL_BLOCK_BYTES.
+        span = simulate._span(trials)
+        n = {"span-1": span - 1, "span": span, "span+1": span + 1, "2**19": 1 << 19,
+             "odd": 3 * span + 5, "2**19+1": (1 << 19) + 1}[length]
+        self._check_statistics(trials, n)
+        assert 8 * trials * span <= network.TRIAL_BLOCK_BYTES
+
+    @pytest.mark.parametrize("n", [127, 128, 129, 1000, 4099])
+    def test_statistics_through_pairwise_blocks_have_numpys_bits(self, n, trial_block_bytes):
+        # The smallest span is one of numpy's unsplit pairwise blocks.
+        trial_block_bytes(8)
+        assert simulate._span(2) == simulate._PAIRWISE_BLOCK
+        self._check_statistics(2, n)
+
+    @staticmethod
+    def _check_statistics(trials, n):
+        rng = np.random.default_rng(n + trials)
+        a = np.tanh(3.0 * rng.standard_normal((trials, n))) + 0.25
+        pool = simulate._Pool()
+        assert simulate._var(a, pool).tobytes() == a.var(axis=1).tobytes()
+        want = (np.abs(a) > simulate.SATURATION_THRESHOLD).mean(axis=1)
+        assert 0 < want.min() and simulate._saturation(a, pool).tobytes() == want.tobytes()
+        # Both took one temporary, a row or one span per trial, and gave it back.
+        assert [len(b) for b in pool.free] == [trials * min(n, simulate._span(trials))]
+
     def test_forward_peak_within_counted_bytes(self, monkeypatch):
         # The traced peak of one forward-only run (one _run call, three
         # blocks) over layers of seven shapes stays within the bytes
@@ -898,6 +973,19 @@ class TestScaleChain:
             scale_chain(seed=0, trials=2, dims=dims, batch=batch)
 
 
+    @pytest.mark.parametrize(
+        "dims", [(2.5, 2), (2, float("nan")), (float("inf"), 2), "ab", (4, "4"), 4, (2j, 2)]
+    )
+    def test_non_integral_or_non_numeric_dims_rejected_before_any_draw(self, dims, monkeypatch):
+        monkeypatch.setattr(simulate, "_map_trials", None)
+        with pytest.raises(InvalidParams, match="dims"):
+            scale_chain(seed=0, trials=1, dims=dims)
+
+    def test_integral_dims_of_any_number_type_run(self):
+        want = scale_chain(seed=0, trials=2, dims=(6, 4))
+        assert scale_chain(seed=0, trials=2, dims=(np.int64(6), 4.0)) == want
+
+
 @pytest.mark.parametrize("workers", [0, -1])
 def test_workers_below_one_rejected(workers):
     with pytest.raises(InvalidParams, match="workers"):
@@ -914,6 +1002,16 @@ class TestPropositions:
 
     def test_deterministic(self):
         assert proposition_checks(seed=3) == proposition_checks(seed=3)
+
+    @pytest.mark.parametrize("samples", [0, -1, 2.5, "a", None, True])
+    def test_bad_samples_rejected_before_any_draw(self, samples, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(InvalidParams, match="samples"):
+            proposition_checks(seed=0, samples=samples)
+
+    def test_one_sample_gives_finite_figures(self):
+        report = proposition_checks(seed=0, samples=1)
+        assert all(math.isfinite(c["measured"]) for c in report["checks"])
 
 
 def _seeded_layer_args():
