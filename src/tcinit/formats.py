@@ -34,6 +34,7 @@ directives or kernel attributes are parse errors.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,24 +180,17 @@ def validate(f: LayerFormat) -> None:
             problems.append(f"edge {e.id!r} references unknown vertices {missing}")
             continue
         weights = [p for p in e.endpoints if p != xid]
-        if e.kind == INPUT_CHANNEL:
-            if xid not in e.endpoints:
-                problems.append(f"input-channel edge {e.id!r} misses the input vertex")
-            if not weights:
-                problems.append(f"input-channel edge {e.id!r} touches no weight vertex")
-        elif e.kind == OUTPUT_CHANNEL:
-            if xid in e.endpoints:
-                problems.append(f"output-channel edge {e.id!r} includes the input vertex")
-            if not weights:
-                problems.append(f"output-channel edge {e.id!r} touches no weight vertex")
-        elif e.kind == RANK:
-            if xid in e.endpoints:
-                problems.append(f"rank edge {e.id!r} includes the input vertex")
-            if len(weights) < 2:
-                problems.append(
-                    f"rank edge {e.id!r} needs at least two weight endpoints "
-                    "(a single endpoint would leave an open weight mode)"
-                )
+        if e.kind == INPUT_CHANNEL and xid not in e.endpoints:
+            problems.append(f"input-channel edge {e.id!r} misses the input vertex")
+        elif e.kind in (OUTPUT_CHANNEL, RANK) and xid in e.endpoints:
+            problems.append(f"{e.kind} edge {e.id!r} includes the input vertex")
+        if e.kind in (INPUT_CHANNEL, OUTPUT_CHANNEL) and not weights:
+            problems.append(f"{e.kind} edge {e.id!r} touches no weight vertex")
+        elif e.kind == RANK and len(weights) < 2:
+            problems.append(
+                f"rank edge {e.id!r} needs at least two weight endpoints "
+                "(a single endpoint would leave an open weight mode)"
+            )
         elif e.kind == KERNEL:
             if e.window is None:
                 problems.append(f"kernel edge {e.id!r} carries no window spec")
@@ -250,7 +244,10 @@ def serialize_format(f: LayerFormat) -> str:
 
 
 def parse_format(text: str) -> LayerFormat:
-    """Parse the text grammar; raises :class:`ParseError` with line/column."""
+    """Parse the text grammar; raises :class:`ParseError` with line/column,
+    also for ``text`` that is not a ``str`` (line 1, column 1)."""
+    if not isinstance(text, str):
+        raise ParseError(f"format text must be a str, got {type(text).__name__}", 1, 1)
     vertices: list[Vertex] = []
     edges: list[HyperEdge] = []
     phi: int | None = None
@@ -264,17 +261,11 @@ def parse_format(text: str) -> LayerFormat:
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
-        tokens = line.split()
-        cols = []
-        pos = 0
-        for tok in tokens:
-            pos = line.index(tok, pos)
-            cols.append(pos + 1)
-            pos += len(tok)
+        found = list(re.finditer(r"\S+", line))
+        tokens = [m.group() for m in found]
+        cols = [m.start() + 1 for m in found]
 
         def expect_int(i, what):
-            if i >= len(tokens):
-                fail(f"missing {what}", lineno, len(line) + 1)
             try:
                 return int(tokens[i])
             except ValueError:
@@ -598,29 +589,19 @@ def random_format(
         edges.append(
             HyperEdge(f"o{j}", OUTPUT_CHANNEL, draw(constraints.out_dim_range), (tgt,))
         )
-    n_r = int(rng.integers(0, constraints.max_rank_edges + 1))
-    ridx = 0
-    for _ in range(n_r):
+
+    def rank(a, b):
+        """A rank edge from ``a`` to ``b``, its dim drawn after both ends."""
+        ridx = sum(e.kind == RANK for e in edges)
+        edges.append(HyperEdge(f"r{ridx}", RANK, draw(constraints.rank_dim_range), (a, b)))
+
+    for _ in range(int(rng.integers(0, constraints.max_rank_edges + 1))):
         a, b = rng.choice(n_w, size=2, replace=False)
-        edges.append(
-            HyperEdge(
-                f"r{ridx}",
-                RANK,
-                draw(constraints.rank_dim_range),
-                (weights[int(a)], weights[int(b)]),
-            )
-        )
-        ridx += 1
+        rank(weights[int(a)], weights[int(b)])
     touched = {p for e in edges for p in e.endpoints}
     for j, w in enumerate(weights):
         if w not in touched:
-            other = weights[(j + 1 + int(rng.integers(n_w - 1))) % n_w]
-            edges.append(
-                HyperEdge(
-                    f"r{ridx}", RANK, draw(constraints.rank_dim_range), (w, other)
-                )
-            )
-            ridx += 1
+            rank(w, weights[(j + 1 + int(rng.integers(n_w - 1))) % n_w])
     fmt = LayerFormat(
         tuple([Vertex("x", INPUT)] + [Vertex(w, WEIGHT) for w in weights]),
         tuple(edges),

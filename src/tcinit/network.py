@@ -181,7 +181,8 @@ def materialize(f: LayerFormat, plan: InitPlan, rng) -> MaterializedLayer:
     :class:`~tcinit.errors.ResourceLimit` before any allocation when a
     weight would exceed the memory limit.
     """
-    _check_seed(rng)
+    if not isinstance(rng, np.random.Generator):
+        _check_seed(rng)
     shapes, variances = _weight_specs(f, plan)
     for vid, shape in zip(f.weight_ids, shapes):
         _check_array(shape, f"the weight of vertex {vid!r}")
@@ -394,6 +395,14 @@ _PATH_SEARCH = ("greedy", sys.maxsize)
 _GEMM_BLOCK = 16
 
 
+def _groups(ta: str, tb: str, live) -> tuple[list[str], ...]:
+    """The batch (``live``), summed and left-only indices of the terms ``ta``
+    and ``tb`` in ``ta``'s order, then the right-only ones in ``tb``'s."""
+    both = [c for c in ta if c in tb]
+    return ([c for c in both if c in live], [c for c in both if c not in live],
+            [c for c in ta if c not in tb], [c for c in tb if c not in ta])
+
+
 def _compile_shift(reads, tx: str, tw: str, x_axes: str, w_axes: str, live, size,
                    windows, reverses: bool) -> tuple[_Shift, str]:
     """The window step of the registers ``reads``, input term ``tx`` and
@@ -403,10 +412,8 @@ def _compile_shift(reads, tx: str, tw: str, x_axes: str, w_axes: str, live, size
     Updates ``size`` to the positions' window counts and returns the step and
     its result term, also its axis order."""
     offs = "".join(o for _, o, _ in windows)
-    bat = [c for c in tx if c in tw and c in live]
-    summed = [c for c in tx if c in tw and c not in live]
-    x_only = [c for c in tx if c not in tw]
-    w_only = [c for c in tw if c not in tx and c not in offs]
+    bat, summed, x_only, w_only = _groups(tx, tw, live)
+    w_only = [c for c in w_only if c not in offs]
     order = bat + x_only + summed
     padded = [size[c] for c in order]
     src, dst = [slice(None)] * len(order), [slice(None)] * len(order)
@@ -452,23 +459,18 @@ def _compile_gemm(reads, ta: str, tb: str, aa: str, ab: str, live,
     right term ``tb``, whose arrays hold their axes in the orders ``aa`` and
     ``ab``; returns the step and its result's axis order.
 
-    Indices are grouped as numpy's pairwise ``bmm_einsum`` groups them:
-    batch, summed and kept-left indices in ``ta``'s order, kept-right ones
-    in ``tb``'s, and the batch group dropped when it is all of length 1.
+    Indices are grouped by :func:`_groups`, as numpy's pairwise
+    ``bmm_einsum`` groups them, the batch group dropped when all of length 1.
     The trial index leads every term, so it is the first batch index; it
     stays an axis of its own, so a trial keeps a block of one's strides.
     Every step is one ``matmul``: one that sums no index longer than 1 has
     ``K = 1``, an outer product per batch entry.  The result holds its axes
     as batch, kept left, kept right.
     """
-    one_sided = [c for c in ta + tb if (c in ta) != (c in tb)]
+    bat, summed, left, right = _groups(ta, tb, live)
     # validate rejects an edge that only one vertex joins, so an index on
     # one side only is kept.
-    assert all(c in live for c in one_sided), f"{ta},{tb} sums an index on one side only"
-    bat = [c for c in ta if c in tb and c in live]
-    summed = [c for c in ta if c in tb and c not in live]
-    left = [c for c in ta if c not in tb]
-    right = [c for c in tb if c not in ta]
+    assert all(c in live for c in left + right), f"{ta},{tb} sums an index on one side only"
 
     def fused(*groups):
         return tuple(math.prod(size[c] for c in g) for g in groups)
@@ -643,11 +645,12 @@ def _plan(f: LayerFormat, backward: bool, x_shape) -> _Plan:
 
 
 def _slots(steps) -> tuple[tuple[int, ...], tuple[int | None, ...]]:
-    """Static buffer assignment for the results of GEMM steps: a result lives
-    from its step to the step that reads it, the last one to the end, and
-    results whose lives do not overlap share one slot.  Returns each slot's
-    entries and each step's slot, ``None`` for a window step, which holds its
-    own arrays because its padded buffer must keep its zeros."""
+    """Static buffer assignment for the results of GEMM steps, as in TVM's
+    memory planner (arXiv:1802.04799): a result lives from its step to the
+    step that reads it, the last one to the end, and results whose lives do
+    not overlap share one slot.  Returns each slot's entries and each step's
+    slot, ``None`` for a window step, which holds its own arrays because its
+    padded buffer must keep its zeros."""
     sizes, slot_of, free = [], [], []
     regs = [None] * (len(steps) + 1)  # the slot of each register's array
     for step in steps:

@@ -137,8 +137,10 @@ def validate_network(net: NetworkSpec, trials: int = 1, workers: int = 1,
     what it keeps (see :func:`_kept_entries`) must fit, and so must they
     with the largest workspace of any plan, that plan's result and two
     result-sized temporaries, for a block of ``min(block, trials)`` trials
-    and for the ``min(workers, blocks)`` blocks run at once.  All of it
-    raises :class:`~tcinit.errors.ResourceLimit` before any draw."""
+    and for the ``min(workers, blocks)`` blocks run at once.  So must the
+    statistics of all ``trials``, at most 4 figures per layer, twice: their
+    chunks are concatenated (see :func:`_map_seeded`).  All of it raises
+    :class:`~tcinit.errors.ResourceLimit` before any draw."""
     if not net.layers:
         raise InvalidParams("network has no layers")
     if net.batch < 1:
@@ -181,17 +183,19 @@ def validate_network(net: NetworkSpec, trials: int = 1, workers: int = 1,
         _check_array((copies, block, holds),
                      f"the inputs, weights, kept activations, workspaces and results of "
                      f"{copies} trial blocks run at once")
+    _check_array((2, trials, len(net.layers), 4),
+                 f"the statistics of {trials} trials and their concatenation")
     return size
 
 
 class _Pool:
     """The whole-batch arrays of a block runner, reused from one block to
-    the next: static buffer reuse, as in TVM's memory planner
-    (arXiv:1802.04799).  :meth:`take` views the smallest free buffer that
-    holds the shape asked for; only when none does is a buffer made, and
-    then the free ones, all too small, are dropped.  So every buffer the
-    pool holds was in use at that last miss, and it never holds more than
-    its caller had in use at one time."""
+    the next by a dynamic best-fit pool, not planned ahead as a plan's
+    workspace is (see :func:`~tcinit.network._slots`).  :meth:`take` views
+    the smallest free buffer that holds the shape asked for; only when none
+    does is a buffer made, and then the free ones, all too small, are
+    dropped.  So every buffer the pool holds was in use at that last miss,
+    and it never holds more than its caller had in use at one time."""
 
     def __init__(self):
         self.free = []
@@ -222,21 +226,22 @@ def _span(trials: int) -> int:
     return max(_PAIRWISE_BLOCK, network.TRIAL_BLOCK_BYTES // (8 * trials))
 
 
-def _leaf_sums(a: np.ndarray, pool: _Pool, fill) -> np.ndarray:
-    """Per-trial sums of what ``fill(part, tmp)`` writes into ``tmp`` from
-    each column span ``part`` of ``a``, a ``(trials, entries)`` array, with
-    one temporary taken from ``pool`` (see :func:`_tree_sum`).  A row that
-    fits :func:`_span` is one span, and the temporary is as large as
-    ``a``."""
+def _row_mean(a: np.ndarray, pool: _Pool, fill) -> np.ndarray:
+    """Per-trial mean of what ``fill(part, tmp)`` writes into ``tmp`` from
+    each column span ``part`` of ``a``, a block array seen as ``(trials,
+    entries)``, with one temporary taken from ``pool`` (see
+    :func:`_tree_sum`).  A row that fits :func:`_span` is one span, and the
+    temporary is as large as ``a``."""
+    a = a.reshape(len(a), -1)
     trials, n = a.shape
     tmp = pool.take((trials * min(n, _span(trials)),))
     sums = _tree_sum(a, tmp, fill, 0, n)
     pool.give(tmp)
-    return sums
+    return np.true_divide(sums, n, out=sums)
 
 
 def _tree_sum(a: np.ndarray, tmp: np.ndarray, fill, lo: int, m: int) -> np.ndarray:
-    """The sums of :func:`_leaf_sums` over columns ``lo`` to ``lo + m``.
+    """The sums of :func:`_row_mean` over columns ``lo`` to ``lo + m``.
 
     The rows are cut where numpy's pairwise summation cuts a row (``n2 = n
     // 2``, less ``n2 % 8``) until a span fits ``tmp``; each span is filled
@@ -256,8 +261,8 @@ def _tree_sum(a: np.ndarray, tmp: np.ndarray, fill, lo: int, m: int) -> np.ndarr
 def _var(a: np.ndarray, pool: _Pool) -> np.ndarray:
     """Per-trial variance of a block array, bit for bit that of each trial's
     slice alone: numpy's own ufunc sequence for ``var``, its mean over the
-    whole array and its squared deviations summed span by span (see
-    :func:`_leaf_sums`)."""
+    whole array and the mean of its squared deviations (see
+    :func:`_row_mean`)."""
     a = a.reshape(len(a), -1)
     mean = np.add.reduce(a, axis=1, keepdims=True)
     np.true_divide(mean, a.shape[1], out=mean)
@@ -266,23 +271,20 @@ def _var(a: np.ndarray, pool: _Pool) -> np.ndarray:
         np.subtract(part, mean, out=tmp)
         np.square(tmp, out=tmp)
 
-    var = _leaf_sums(a, pool, squares)
-    return np.true_divide(var, a.shape[1], out=var)
+    return _row_mean(a, pool, squares)
 
 
 def _saturation(a: np.ndarray, pool: _Pool) -> np.ndarray:
     """Per-trial fraction of a block array's entries whose magnitude exceeds
     ``SATURATION_THRESHOLD``, bit for bit the mean of numpy's boolean
-    comparison: the comparison's ones are written into a temporary span by
-    span (see :func:`_leaf_sums`) and counted by summing them, exactly."""
-    a = a.reshape(len(a), -1)
+    comparison: the mean of the comparison's ones, written into a temporary
+    span by span (see :func:`_row_mean`) and summed exactly."""
 
     def ones(part, tmp):
         np.abs(part, out=tmp)
         np.greater(tmp, SATURATION_THRESHOLD, out=tmp)
 
-    count = _leaf_sums(a, pool, ones)
-    return np.true_divide(count, a.shape[1], out=count)
+    return _row_mean(a, pool, ones)
 
 
 def _passes(net: NetworkSpec, weights, x: np.ndarray, pool: _Pool, workspace: dict,
@@ -520,13 +522,15 @@ def _stream(local, words: np.ndarray) -> np.random.Generator:
     return local.rng
 
 
-def _map_seeded(fn, seed: int, trials: int, keys, workers: int, size: int = 1) -> list:
-    """``fn(words)`` over blocks of ``size`` consecutive trials of
-    ``range(trials)``, ``words`` those trials' :func:`_seed_words`, results
-    in order.  The words of a chunk of at most ``SEED_CHUNK`` trials (at least
-    one block, in whole blocks) are computed before its blocks are mapped,
-    so they never take memory in proportion to ``trials``.  Raises
-    :class:`~tcinit.errors.InvalidParams` when ``trials`` is below 1."""
+def _map_seeded(fn, seed: int, trials: int, keys, workers: int, size: int = 1) -> np.ndarray:
+    """The rows ``fn(words)`` gives for each block of ``size`` consecutive
+    trials of ``range(trials)``, ``words`` those trials' :func:`_seed_words`,
+    concatenated in order.  The words of a chunk of at most ``SEED_CHUNK``
+    trials (at least one block, in whole blocks) are computed before its
+    blocks are mapped, and its rows are joined once they are, so neither
+    the words nor the per-block results take memory in proportion to
+    ``trials``.  Raises :class:`~tcinit.errors.InvalidParams` when
+    ``trials`` is below 1."""
     if trials < 1:
         raise InvalidParams("trials must be >= 1")
     chunk = size * max(1, SEED_CHUNK // size)
@@ -535,8 +539,8 @@ def _map_seeded(fn, seed: int, trials: int, keys, workers: int, size: int = 1) -
         hi = min(lo + chunk, trials)
         words = _seed_words(seed, range(lo, hi), keys)
         blocks = [words[b:b + size] for b in range(0, hi - lo, size)]
-        results += _map_trials(fn, blocks, workers)
-    return results
+        results.append(np.concatenate(_map_trials(fn, blocks, workers)))
+    return np.concatenate(results)
 
 
 def _run(net: NetworkSpec, seed: int, trials: int, workers: int, measure, grad_var=None,
@@ -602,14 +606,14 @@ def _run(net: NetworkSpec, seed: int, trials: int, workers: int, measure, grad_v
         return rows
 
     keys = range(len(net.layers) + 1 + (grad_var is not None))
-    return np.concatenate(_map_seeded(block, seed, trials, keys, workers, size))
+    return _map_seeded(block, seed, trials, keys, workers, size)
 
 
 def _trace(net: NetworkSpec, seed: int, trials: int, workers: int, grad_var=None) -> TraceReport:
     """Mean and trial-to-trial std of the per-layer statistics of
     :func:`_run`: pre- and post-activation variance, saturation and gradient
     variance (0 unless ``grad_var`` is given)."""
-    _check_seed(seed)
+    _check_seed(seed, sequence=False)
 
     measure = (lambda pool, x, pre: (_var(pre, pool),),
                lambda pool, post: (_var(post, pool), _saturation(post, pool)))
@@ -690,7 +694,7 @@ def variance_mc(
     would not fit in memory (see :func:`validate_network`), and
     :class:`~tcinit.errors.InvalidParams` when ``batch`` is below 1.
     """
-    _check_seed(seed)
+    _check_seed(seed, sequence=False)
     variances = _weight_specs(f, plan)[1]
     predicted = predicted_output_variance(
         extract_bg(f, FAN_IN), 1.0, variances, 1.0, f.phi
@@ -727,10 +731,11 @@ def scale_chain(
     draws its input and then every matrix from the stream of
     ``SeedSequence([seed, trial])`` (see :func:`_seed_words`).  Raises
     :class:`~tcinit.errors.ResourceLimit` before any draw when an input,
-    weight or step output would not fit in memory, and
+    weight or step output, or the scales of all trials and their
+    concatenation (see :func:`_map_seeded`), would not fit in memory, and
     :class:`~tcinit.errors.InvalidParams` when a dim is not a whole number.
     """
-    _check_seed(seed)
+    _check_seed(seed, sequence=False)
     try:
         dims = tuple(dims)
         whole = all(isinstance(d, numbers.Real) and math.isfinite(d) and d == int(d)
@@ -750,6 +755,8 @@ def scale_chain(
     for t in range(1, len(dims)):
         _check_array((dims[t - 1], dims[t]), f"the weight of chain step {t}")
         _check_array((batch, dims[t]), f"the output of chain step {t}")
+    _check_array((2, trials, len(dims) - 1),
+                 f"the scales of {trials} trials and their concatenation")
 
     local = threading.local()
     widest = max(a * b for a, b in zip(dims, dims[1:]))
@@ -767,9 +774,9 @@ def scale_chain(
             out = x @ w
             scales.append(out.var() / x.var())
             x = out
-        return scales
+        return [scales]  # the rows of a block of one trial
 
-    rows = np.asarray(_map_seeded(one, seed, trials, None, workers))
+    rows = _map_seeded(one, seed, trials, None, workers)
     table = []
     for t in range(len(dims) - 1):
         table.append(

@@ -18,6 +18,7 @@ mandated by the math, and every caller in the package relies on it.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
@@ -130,12 +131,16 @@ def _check_array(shape, what: str) -> None:
         )
 
 
-def _check_seed(seed) -> None:
-    """Raise :class:`InvalidParams` if ``seed``, an integer or a sequence of
-    them, holds a negative integer, which numpy's seeding rejects with a raw
-    ``ValueError``.  Call it before any draw."""
-    entries = seed if isinstance(seed, (list, tuple)) else (seed,)
-    if any(isinstance(s, (int, np.integer)) and s < 0 for s in entries):
+def _check_seed(seed, sequence: bool = True) -> None:
+    """Raise :class:`InvalidParams` unless ``seed`` is an integer >= 0 or,
+    with ``sequence``, a list or tuple of them.  numpy's seeding would reject
+    a negative integer with a raw ``ValueError`` and most other types with a
+    ``TypeError``.  Call it before any draw."""
+    entries = seed if sequence and isinstance(seed, (list, tuple)) else (seed,)
+    if not all(isinstance(s, numbers.Integral) for s in entries):
+        kinds = "an integer or a list of them" if sequence else "an integer"
+        raise InvalidParams(f"seed must be {kinds}, got {seed!r}")
+    if any(s < 0 for s in entries):
         raise InvalidParams(f"seed must be >= 0, got {seed!r}")
 
 
@@ -206,6 +211,10 @@ class DummySpec:
 
     def __post_init__(self):
         a, b, s, p = self.alpha, self.beta, self.stride, self.padding
+        if not all(isinstance(v, numbers.Integral) for v in (a, b, s, p)):
+            raise InvalidDummySpec(
+                f"alpha={a!r}, beta={b!r}, stride={s!r}, padding={p!r} must be integers"
+            )
         if a < 1 or b < 1 or s < 1 or p < 0:
             raise InvalidDummySpec(
                 f"alpha={a}, beta={b}, stride={s}, padding={p} out of range"
@@ -325,10 +334,6 @@ def _einsum_spec(shapes, groups, open_axes) -> str:
 _OPTIMIZE = ("greedy", 1e8)
 
 
-def _einsum(spec: str, arrays) -> np.ndarray:
-    return np.einsum(spec, *arrays, optimize=_OPTIMIZE)
-
-
 def multi_contract(
     tensors: Sequence[DenseTensor],
     groups: Iterable[Sequence[tuple[int, int]]],
@@ -347,22 +352,26 @@ def multi_contract(
     tensors = list(tensors)
     open_groups = [[pair] for pair in open_axes]
     spec = _einsum_spec([t.shape for t in tensors], groups, open_groups)
-    return DenseTensor.from_array(_einsum(spec, [t.array for t in tensors]))
+    return DenseTensor.from_array(np.einsum(spec, *[t.array for t in tensors],
+                                            optimize=_OPTIMIZE))
+
+
+def _pattern(shape, what: str, rule) -> DenseTensor:
+    """The binary tensor of ``shape`` that is one where ``rule`` holds on its
+    three index grids.  Raises :class:`~tcinit.errors.ResourceLimit`, naming
+    it ``what``, before allocating a pattern past the memory limit."""
+    _check_array(shape, what)
+    return DenseTensor.from_array(rule(*np.ix_(*map(np.arange, shape))).astype(np.float64))
 
 
 def build_dummy(spec: DummySpec) -> DenseTensor:
     """Binary tensor of shape ``[alpha, alpha_prime, beta]``.
 
-    Entry ``(j, j', k)`` is one exactly when ``j = stride*j' + k - padding``.
-    Raises :class:`~tcinit.errors.ResourceLimit` before allocating a pattern
-    past the memory limit.
+    Entry ``(j, j', k)`` is one exactly when ``j = stride*j' + k - padding``
+    (see :func:`_pattern`).
     """
-    _check_array((spec.alpha, spec.alpha_prime, spec.beta), "the pattern tensor")
-    j = np.arange(spec.alpha)[:, None, None]
-    jp = np.arange(spec.alpha_prime)[None, :, None]
-    k = np.arange(spec.beta)[None, None, :]
-    pattern = (j == spec.stride * jp + k - spec.padding).astype(np.float64)
-    return DenseTensor.from_array(pattern)
+    return _pattern((spec.alpha, spec.alpha_prime, spec.beta), "the pattern tensor",
+                    lambda j, jp, k: j == spec.stride * jp + k - spec.padding)
 
 
 def reversal_matrix(r: int) -> DenseTensor:

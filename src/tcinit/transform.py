@@ -36,7 +36,7 @@ from .formats import (
 from .tensor import (
     DenseTensor,
     DummySpec,
-    _check_array,
+    _pattern,
     build_dummy,
     contract,
     reversal_matrix,
@@ -108,14 +108,8 @@ def build_backward_dummy(spec: BackwardDummySpec) -> DenseTensor:
     Entry ``(j, jt, k)`` is one exactly when ``jt = j + k - padding`` with
     ``padding = beta - p - 1``.  The third axis indexes the reversed kernel.
     """
-    _check_array(
-        (spec.forward.alpha, spec.grad_expanded, spec.beta), "the backward pattern"
-    )
-    j = np.arange(spec.forward.alpha)[:, None, None]
-    jt = np.arange(spec.grad_expanded)[None, :, None]
-    k = np.arange(spec.beta)[None, None, :]
-    pattern = (jt == j + k - spec.padding).astype(np.float64)
-    return DenseTensor.from_array(pattern)
+    return _pattern((spec.forward.alpha, spec.grad_expanded, spec.beta),
+                    "the backward pattern", lambda j, jt, k: jt == j + k - spec.padding)
 
 
 def backward_pattern(spec: BackwardDummySpec) -> DenseTensor:

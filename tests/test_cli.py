@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tcinit import simulate, tensor
+from tcinit import simulate, tensor, transform
 from tcinit.cli import VERIFY_BUILTINS, main
 from tcinit.formats import builtin_format
 from tcinit.graph import BASELINE_MODES, GRAPH_MODES, make_plan
@@ -335,6 +335,18 @@ class TestVerify:
         assert code == 2
         assert out == "" and err.startswith("error:") and "random-formats" in err
 
+    def test_theorem1_failure_exits_3_and_names_the_case(self, capsys, monkeypatch):
+        first = next(transform.theorem1_grid())
+        monkeypatch.setattr(transform, "verify_theorem1", lambda spec: False)
+        code, out, _ = run(capsys, "verify", "--seed", "0", "--random-formats", "0")
+        assert code == 3
+        report = json.loads(out)
+        assert not report["ok"]
+        assert report["theorem1"] == {
+            "ok": False,
+            "failed_at": [first.alpha, first.beta, first.stride, first.padding],
+        }
+
 
 class TestRandgen:
     def test_reproducible_files(self, capsys, tmp_path):
@@ -430,6 +442,16 @@ class TestScaleChain:
         code, out, err = run(capsys, "scale-chain", "--seed", "0", "--trials", "1", *extra)
         assert code == 2
         assert out == "" and what in err and "limit" in err
+
+    def test_over_limit_trials_exit_2_before_drawing(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scale-chain drew before checking its rows")
+
+        monkeypatch.setattr(simulate, "_seed_words", refuse)
+        code, out, err = run(capsys, "scale-chain", "--seed", "0",
+                             "--trials", "1000000000000", "--dims", "4,4")
+        assert code == 2
+        assert out == "" and "scales of 1000000000000 trials" in err and "limit" in err
 
 
 class TestUsage:

@@ -93,6 +93,18 @@ class TestParse:
         assert err.value.column == 8
         assert "line 3" in str(err.value)
 
+    @pytest.mark.parametrize("text", [b"phi 1\n", None, ["phi 1"]])
+    def test_text_that_is_not_a_str_rejected(self, text):
+        with pytest.raises(ParseError, match="format text must be a str") as err:
+            parse_format(text)
+        assert (err.value.line, err.value.column) == (1, 1)
+
+    @pytest.mark.parametrize("space", [" ", "\t", "\u00a0", "\u2003", "\x1f"])
+    def test_columns_count_any_whitespace(self, space):
+        with pytest.raises(ParseError) as err:
+            parse_format(f"phi 1\nvertex x input\nedge{space}e{space * 2}widget 3 x\n")
+        assert (err.value.line, err.value.column) == (3, 9)
+
     def test_unknown_directive(self):
         with pytest.raises(ParseError) as err:
             parse_format("phi 1\nblorb x\n")
@@ -204,6 +216,11 @@ class TestValidate:
         )
         with pytest.raises(ValidationError):
             validate(bad)
+
+    def test_input_vertex_of_a_format_with_none(self):
+        with pytest.raises(ValidationError, match="^format has no input vertex$") as err:
+            LayerFormat((), ()).input_vertex
+        assert err.value.violations == ["format has no input vertex"]
 
     def test_rank_edge_needs_two_endpoints(self):
         f = self._base()

@@ -568,6 +568,14 @@ class TestVarianceMc:
         with pytest.raises(InvalidParams, match="batch"):
             variance_mc(f, plan, seed=1, trials=2, batch=batch)
 
+    def test_over_limit_trials_rejected_before_any_draw(self, monkeypatch):
+        # One block fits, but the statistics rows of every trial do not.
+        f = builtin_format("tt", i_dims=(4, 6), o_dims=(4, 6), rank=6)
+        plan = make_plan(f, "graph-in", "tanh")
+        monkeypatch.setattr(simulate, "_seed_words", None)
+        with pytest.raises(ResourceLimit, match="statistics of 1000000000000 trials"):
+            variance_mc(f, plan, seed=0, trials=10**12)
+
 
 def per_trial_ratios(f, plan, seed, trials, batch):
     """Output/input variance ratios one trial at a time, through the public
@@ -981,6 +989,11 @@ class TestScaleChain:
         with pytest.raises(InvalidParams, match="dims"):
             scale_chain(seed=0, trials=1, dims=dims)
 
+    def test_over_limit_trials_rejected_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_seed_words", None)
+        with pytest.raises(ResourceLimit, match="scales of 1000000000000 trials"):
+            scale_chain(seed=0, trials=10**12, dims=(4, 4))
+
     def test_integral_dims_of_any_number_type_run(self):
         want = scale_chain(seed=0, trials=2, dims=(6, 4))
         assert scale_chain(seed=0, trials=2, dims=(np.int64(6), 4.0)) == want
@@ -1040,3 +1053,35 @@ def test_negative_seed_rejected_before_any_draw(entry, monkeypatch):
     monkeypatch.setattr(np.random, "SeedSequence", no_draw)
     with pytest.raises(InvalidParams, match="seed"):
         SEEDED[entry](-1)
+
+
+@pytest.mark.parametrize("seed", [1.5, "a", None])
+@pytest.mark.parametrize("entry", sorted(SEEDED))
+def test_wrong_type_seed_rejected_before_any_draw(entry, seed, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before checking the seed")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    monkeypatch.setattr(np.random, "SeedSequence", no_draw)
+    with pytest.raises(InvalidParams, match="seed must be an integer"):
+        SEEDED[entry](seed)
+
+
+@pytest.mark.parametrize("entry", ["variance_mc", "scale_chain", "backward_trace"])
+def test_sequence_seed_rejected_where_trials_are_seeded(entry):
+    with pytest.raises(InvalidParams, match=r"^seed must be an integer, got \[0, 1\]$"):
+        SEEDED[entry]([0, 1])
+
+
+def test_negative_seed_message_is_unchanged():
+    with pytest.raises(InvalidParams) as exc:
+        SEEDED["variance_mc"](-1)
+    assert str(exc.value) == "seed must be >= 0, got -1"
+
+
+def test_generator_and_sequence_seeds_still_pass():
+    f, plan = _seeded_layer_args()
+    layer = materialize(f, plan, np.random.default_rng(3))
+    assert layer.replicas[0]["w"] == materialize(f, plan, 3).replicas[0]["w"]
+    assert random_format([0, 1]) == random_format((0, 1))
+    assert SEEDED["variance_mc"](np.int64(2)) == SEEDED["variance_mc"](2)

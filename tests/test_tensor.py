@@ -73,6 +73,10 @@ class TestDenseTensor:
         with pytest.raises(ValueError):
             t.data[0] = 2.0
 
+    def test_not_equal_to_other_types(self):
+        t = DenseTensor.from_array(np.ones(()))
+        assert (t == 1) is False and t != 1.0
+
 
 @pytest.mark.parametrize("build", [
     lambda: DenseTensor((0,), np.zeros(0)),
@@ -237,6 +241,14 @@ class TestDummy:
             DummySpec(alpha=2, beta=5, stride=1, padding=0)
         with pytest.raises(InvalidDummySpec):
             DummySpec(alpha=3, beta=2, stride=0, padding=0)
+
+    @pytest.mark.parametrize("args", [("a", 3), (5.0, 3), (5, 3, None), (5, 3, 1, "0")])
+    def test_non_integer_parameters_rejected(self, args):
+        with pytest.raises(InvalidDummySpec, match="must be integers"):
+            DummySpec(*args)
+
+    def test_numpy_integer_parameters_accepted(self):
+        assert DummySpec(np.int64(5), np.int32(3)).alpha_prime == 3
 
     def test_enumerated_entries(self):
         d = build_dummy(DummySpec(alpha=3, beta=2)).array
