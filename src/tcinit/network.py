@@ -79,22 +79,22 @@ out as the whole batch gives them, bit for bit.
 
 :func:`_draw` fills arrays the caller gives it, so trials are drawn straight
 into their slices of a block's arrays.  The arrays a contraction's steps
-write live in a *workspace*, a dict owned by the caller of
-:func:`_contract`, never by a module or a cached plan: the channels-last
-input, each window step's zero-padded buffer, weight copy, sum and
-per-offset product, each GEMM step's result and the replica sum, each sized
-for one batch tile.  The plan assigns them statically, as TVM does
-(arXiv:1802.04799): GEMM results whose lives do not overlap share one
-buffer.  Passed again, the workspace hands back the same buffers.  Three
-kinds of array escape it: the result, an array of the whole batch that
-each tile's rows are copied into, the caller's destination or else a fresh
-one (the block runner of :mod:`tcinit.simulate` passes its own, and on the
-backward pass, where a result row is as long as an input row, the input
-itself: see :func:`_contract`); the copy numpy's ``reshape`` makes
-of a GEMM operand whose permuted axes no view can merge; and numpy's own
-ufunc buffers, which a window step's broadcast ``multiply`` (one summed
-entry) works through.  A ``matmul`` there would need none, but on cp's K = 1
-steps it took 598-844 us forward against 415-443 us (batch 16, BLAS at one
+write live in a *workspace*, held by a :class:`_Pool`, one pool per worker
+thread, owned by the caller of :func:`_contract`, never by a module or a
+cached plan: the channels-last input, each window step's zero-padded buffer,
+weight copy, sum and per-offset product, each GEMM step's result and the
+replica sum, each sized for one batch tile.  The plan assigns them
+statically, as TVM does (arXiv:1802.04799): GEMM results whose lives do not
+overlap share one buffer.  Passed again, the pool hands back the same
+buffers.  Three kinds of array escape it: the result, an array of the whole
+batch that each tile's rows are copied into, the caller's destination or
+else a fresh one (the block runner of :mod:`tcinit.simulate` passes its own,
+and on the backward pass, where a result row is as long as an input row, the
+input itself: see :func:`_contract`); the copy numpy's ``reshape`` makes of
+a GEMM operand whose permuted axes no view can merge; and numpy's own ufunc
+buffers, which a window step's broadcast ``multiply`` (one summed entry)
+works through.  A ``matmul`` there would need none, but on cp's K = 1 steps
+it took 598-844 us forward against 415-443 us (batch 16, BLAS at one
 thread), so the buffers stay.
 """
 
@@ -686,22 +686,49 @@ def _workspace_arrays(plan: _Plan) -> tuple:
     return [np.empty(s) for s in plan.buffers], held
 
 
-def _workspace(workspace: dict, plan: _Plan) -> tuple:
-    """The arrays ``workspace`` holds for ``plan``, made on first use.  It
-    holds one plan's arrays at a time, so a caller that runs plans in turn
-    holds the largest workspace of them, never their sum.  A plan hashes by
-    identity, so it is its own key.  Raises
+class _Pool:
+    """Every buffer one worker thread reuses: one plan's workspace (see
+    :func:`_workspace`) and the arrays its caller takes and gives back, which
+    a best-fit pool reuses instead of planning them ahead as :func:`_slots`
+    plans a workspace.  :meth:`take` views the smallest free buffer that
+    holds the shape asked for; only on a miss is a buffer made, and then the
+    free ones, all too small, are dropped.  So every buffer the pool holds
+    was in use at that last miss, and it never holds more than its caller
+    had in use at one time."""
+
+    def __init__(self):
+        self.free = []
+        self.plan = self.arrays = None
+
+    def take(self, shape) -> np.ndarray:
+        n = math.prod(shape)
+        fits = [i for i, buf in enumerate(self.free) if len(buf) >= n]
+        if fits:
+            buf = self.free.pop(min(fits, key=lambda i: len(self.free[i])))
+        else:
+            self.free.clear()
+            buf = np.empty(n)
+        return buf[:n].reshape(shape)
+
+    def give(self, a: np.ndarray) -> None:
+        """Take back ``a``, an array :meth:`take` gave or a view of one."""
+        self.free.append(a.base)
+
+
+def _workspace(pool: _Pool, plan: _Plan) -> tuple:
+    """The arrays ``pool`` holds for ``plan``, made on first use once the
+    last plan's are dropped, so a caller that runs plans in turn holds the
+    largest workspace of them, never their sum.  Raises
     :class:`~tcinit.errors.ResourceLimit` before making them when the plan's
-    largest array, or all of them together with the whole result, would
-    exceed the memory limit."""
-    held = workspace.get(plan)
-    if held is None:
+    largest array, or all of them with the whole result, would exceed the
+    memory limit."""
+    if pool.plan is not plan:
         _check_array((plan.largest,), "the largest array of a contraction")
         _check_array((plan.held + math.prod(plan.y_shape),),
                      "the workspace and result of a contraction")
-        workspace.clear()
-        held = workspace[plan] = _workspace_arrays(plan)
-    return held
+        pool.plan = pool.arrays = None
+        pool.arrays, pool.plan = _workspace_arrays(plan), plan
+    return pool.arrays
 
 
 def _trial_block(plans) -> int:
@@ -717,7 +744,7 @@ def _trial_block(plans) -> int:
 
 
 def _contract(f: LayerFormat, x: np.ndarray, replicas, backward: bool,
-              workspace: dict | None = None, out: np.ndarray | None = None) -> np.ndarray:
+              pool: _Pool | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Sum over replicas of one direction's compiled contraction.
 
     ``replicas`` holds one list of weight arrays per replica, in
@@ -728,9 +755,9 @@ def _contract(f: LayerFormat, x: np.ndarray, replicas, backward: bool,
     Per replica the registers start as the tile and the weights; each step
     reads its ``reads`` and appends its result, written into buffers the
     plan assigns it, and the last register is the replica's result.
-    Replicas are summed into one more buffer.  All of them are taken from
-    ``workspace``: a dict the caller owns and may pass again to reuse them,
-    by default a fresh one.  The result is ``out``, an array of the result's
+    Replicas are summed into one more buffer.  All of them are the workspace
+    of ``pool``, which the caller owns and may pass again to reuse them, by
+    default a fresh one.  The result is ``out``, an array of the result's
     shape, or by default one fresh array; each tile's rows are copied once
     from the last step's layout into its slice of it, in the output layout,
     so it never shares memory with the workspace.  ``out`` either shares no
@@ -740,8 +767,7 @@ def _contract(f: LayerFormat, x: np.ndarray, replicas, backward: bool,
     read them, and no other tile reads them.
     """
     plan = _plan(f, backward, x.shape)
-    workspace = {} if workspace is None else workspace
-    own, arrays = _workspace(workspace, plan)
+    own, arrays = _workspace(_Pool() if pool is None else pool, plan)
     # Not a step buffer: a window step's sum is reused by every replica.
     total = own[-1] if len(replicas) > 1 else None
     y = np.empty(plan.y_shape) if out is None else out
@@ -764,7 +790,7 @@ def _contract(f: LayerFormat, x: np.ndarray, replicas, backward: bool,
     return y
 
 
-def _apply(layer: MaterializedLayer, t: DenseTensor, backward: bool, workspace) -> DenseTensor:
+def _apply(layer: MaterializedLayer, t: DenseTensor, backward: bool) -> DenseTensor:
     f = layer.format
     name, side, expected = (("gradient", "output", f.output_mode_dims()) if backward
                             else ("input", "input", f.input_mode_dims()))
@@ -773,26 +799,20 @@ def _apply(layer: MaterializedLayer, t: DenseTensor, backward: bool, workspace) 
             f"{name} shape {t.shape[1:]} does not match layer {side} {expected}"
         )
     replicas = [[w[vid].array[None] for vid in f.weight_ids] for w in layer.replicas]
-    return DenseTensor.from_array(_contract(f, t.array[None], replicas, backward, workspace)[0])
+    return DenseTensor.from_array(_contract(f, t.array[None], replicas, backward)[0])
 
 
-def forward_apply(
-    layer: MaterializedLayer, x: DenseTensor, workspace: dict | None = None
-) -> DenseTensor:
+def forward_apply(layer: MaterializedLayer, x: DenseTensor) -> DenseTensor:
     """Pre-activation layer output for a batched input.
 
     ``x`` has shape ``(batch, *input mode dims)``; the result has shape
     ``(batch, *output channel dims, *output spatial dims)`` and sums the
-    ``phi`` replica outputs.  ``workspace``, a dict the caller owns, lends
-    the contraction its buffers from one call to the next; by default each
-    call makes its own.  The result never shares memory with it.
+    ``phi`` replica outputs.
     """
-    return _apply(layer, x, False, workspace)
+    return _apply(layer, x, False)
 
 
-def backward_apply(
-    layer: MaterializedLayer, grad: DenseTensor, workspace: dict | None = None
-) -> DenseTensor:
+def backward_apply(layer: MaterializedLayer, grad: DenseTensor) -> DenseTensor:
     """Gradient of the layer input given the gradient of the layer output.
 
     ``grad`` uses the layer-output axis convention and the result the
@@ -800,6 +820,6 @@ def backward_apply(
     ``build_backward_format(f)``, whose input layout is this layer's output
     layout: the gradient is read in stride-1 windows of its zero-expanded,
     padded form, each window meeting each replica's weights at the reversed
-    kernel offsets.  ``workspace`` is as in :func:`forward_apply`.
+    kernel offsets.
     """
-    return _apply(layer, grad, True, workspace)
+    return _apply(layer, grad, True)

@@ -11,15 +11,16 @@ thread, so no ``SeedSequence`` or generator is built per trial.  The traces
 and :func:`variance_mc` share one runner, :func:`_run`, whose blocks of
 trials have a size that depends on the layer shapes alone, never on the
 worker count; workers map over blocks, or over trials in :func:`scale_chain`.
-Each worker thread keeps, for the length of a call, one contraction
-workspace and one pool of whole-batch arrays (see :class:`_Pool`), which
-every block after the first reuses.  A statistic and the drawn output
-gradient work through a temporary of at most ``TRIAL_BLOCK_BYTES``, and a
-backward contraction writes into its own input where the shapes allow (see
-:func:`_passes`), so a block of the ``conv_depth`` benchmark stack makes
-no whole-batch array beyond its five kept post-activations.
-While a pool of more than one worker runs, numpy's bundled OpenBLAS is held
-at one thread, so that workers do not contend for cores.
+One pool per worker thread (see :class:`~tcinit.network._Pool`), kept for
+the length of a call, owns every buffer that thread reuses: the contraction
+workspace, the whole-batch arrays, the statistics' temporaries, the drawn
+gradient's buffer and :func:`scale_chain`'s weights.  A statistic and the
+drawn gradient work through a temporary of at most ``TRIAL_BLOCK_BYTES``,
+and a backward contraction writes into its own input where the shapes allow
+(see :func:`_passes`), so a block of the ``conv_depth`` benchmark stack
+makes no whole-batch array beyond its five kept post-activations.  While
+more than one worker runs, numpy's bundled OpenBLAS is held at one thread,
+so that workers do not contend for cores.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .graph import (
     predicted_output_variance,
 )
 from . import network
-from .network import _contract, _draw, _plan, _trial_block, _weight_specs
+from .network import _Pool, _contract, _draw, _plan, _trial_block, _weight_specs
 from .tensor import ACTIVATION_SCALE, _activation, _activation_grad, _check_array, _check_seed
 
 DEFAULT_CHAIN_DIMS = (96, 200, 400, 600, 800, 1000, 800, 600, 400, 200, 100)
@@ -188,33 +189,6 @@ def validate_network(net: NetworkSpec, trials: int = 1, workers: int = 1,
     return size
 
 
-class _Pool:
-    """The whole-batch arrays of a block runner, reused from one block to
-    the next by a dynamic best-fit pool, not planned ahead as a plan's
-    workspace is (see :func:`~tcinit.network._slots`).  :meth:`take` views
-    the smallest free buffer that holds the shape asked for; only when none
-    does is a buffer made, and then the free ones, all too small, are
-    dropped.  So every buffer the pool holds was in use at that last miss,
-    and it never holds more than its caller had in use at one time."""
-
-    def __init__(self):
-        self.free = []
-
-    def take(self, shape) -> np.ndarray:
-        n = math.prod(shape)
-        fits = [i for i, buf in enumerate(self.free) if len(buf) >= n]
-        if fits:
-            buf = self.free.pop(min(fits, key=lambda i: len(self.free[i])))
-        else:
-            self.free.clear()
-            buf = np.empty(n)
-        return buf[:n].reshape(shape)
-
-    def give(self, a: np.ndarray) -> None:
-        """Take back ``a``, an array :meth:`take` gave or a view of one."""
-        self.free.append(a.base)
-
-
 # numpy's pairwise summation adds a run of at most this many entries in one
 # unrolled loop, and halves only longer runs (its PW_BLOCKSIZE).
 _PAIRWISE_BLOCK = 128
@@ -287,10 +261,9 @@ def _saturation(a: np.ndarray, pool: _Pool) -> np.ndarray:
     return _row_mean(a, pool, ones)
 
 
-def _passes(net: NetworkSpec, weights, x: np.ndarray, pool: _Pool, workspace: dict,
-            measure, upstream=None):
+def _passes(net: NetworkSpec, weights, x: np.ndarray, pool: _Pool, measure, upstream=None):
     """Run a block of trials (``x`` and, per layer, one ``(phi, block, ...)``
-    array per weight vertex) through the stack, contracting in ``workspace``.
+    array per weight vertex) through the stack, contracting in ``pool``.
 
     Every whole-batch array is one of ``pool``'s and goes back to it once its
     role ends.  Forward, each layer contracts into a pool array, the
@@ -314,7 +287,7 @@ def _passes(net: NetworkSpec, weights, x: np.ndarray, pool: _Pool, workspace: di
     ticks = [time.perf_counter()]
     for i, (spec, w) in enumerate(zip(layers, weights)):
         f = spec.format
-        pre = _contract(f, x, list(zip(*w)), False, workspace,
+        pre = _contract(f, x, list(zip(*w)), False, pool,
                         pool.take((n, net.batch, *f.output_mode_dims())))
         row = measure[0](pool, x, pre)
         if i == 0 or upstream is None:
@@ -337,7 +310,7 @@ def _passes(net: NetworkSpec, weights, x: np.ndarray, pool: _Pool, workspace: di
                 pool.give(g)
             shape = (n, net.batch, *spec.format.input_mode_dims())
             in_place = math.prod(shape) == d.size
-            g = _contract(spec.format, d, list(zip(*weights[i])), True, workspace,
+            g = _contract(spec.format, d, list(zip(*weights[i])), True, pool,
                           d.reshape(shape) if in_place else pool.take(shape))
             if not in_place:
                 pool.give(d)
@@ -554,12 +527,12 @@ def _run(net: NetworkSpec, seed: int, trials: int, workers: int, measure, grad_v
     :func:`_seed_words`) in place into its slices of block arrays: a
     standard-normal input from the first, layer ``i``'s weights from child
     ``i + 1`` and, unless ``grad_var`` is None, a normal output gradient of
-    that variance from the last.  One workspace and one :class:`_Pool` per
-    worker thread live as long as the call, so when every layer has one
-    shape a block after the first makes no whole-batch array; with several
-    shapes a later block may still make one where the pool's best fit
-    misses.  A trial's figures depend neither on its block nor on
-    ``workers``."""
+    that variance from the last.  One pool per worker thread, which holds
+    the contraction workspace and the whole-batch arrays, lives as long as
+    the call, so when every layer has one shape a block after the first
+    makes no whole-batch array; with several shapes a later block may still
+    make one where the pool's best fit misses.  A trial's figures depend
+    neither on its block nor on ``workers``."""
     size = validate_network(net, trials, workers, grad_var is not None)
     inits = inits or [make_plan(s.format, s.mode, s.activation) for s in net.layers]
     specs = [_weight_specs(s.format, init) for s, init in zip(net.layers, inits)]
@@ -596,11 +569,10 @@ def _run(net: NetworkSpec, seed: int, trials: int, workers: int, measure, grad_v
                 _draw(_stream(local, w), slots, variances, init.distribution)
             weights.append(arrays)
         pool = vars(local).setdefault("pool", _Pool())
-        workspace = vars(local).setdefault("workspace", {})
         upstream = None if grad_var is None else (
             lambda post, activation: gradient(pool, words[:, -1], post, activation))
         x = normal(pool, words[:, 0], (net.batch, *net.input_shape))
-        rows, g = _passes(net, weights, x, pool, workspace, measure, upstream)
+        rows, g = _passes(net, weights, x, pool, measure, upstream)
         if g is not None:
             pool.give(g)
         return rows
@@ -665,7 +637,7 @@ def input_gradient(net: NetworkSpec, layers, x: np.ndarray, upstream: np.ndarray
     pool = _Pool()
     block = pool.take((1, *x.shape))
     np.copyto(block[0], x)
-    return _passes(net, weights, block, pool, {}, (lambda *_: (),) * 2,
+    return _passes(net, weights, block, pool, (lambda *_: (),) * 2,
                    lambda post, activation: _activation_grad(upstream, post, activation))[1][0]
 
 
@@ -759,19 +731,18 @@ def scale_chain(
                  f"the scales of {trials} trials and their concatenation")
 
     local = threading.local()
-    widest = max(a * b for a, b in zip(dims, dims[1:]))
 
     def one(streams):
         rng = _stream(local, streams[0][0])
-        # One weight buffer per thread: standard_normal fills it in C order,
-        # as it fills a fresh array of that shape.
-        if not hasattr(local, "w"):
-            local.w = np.empty(widest)
+        pool = vars(local).setdefault("pool", _Pool())
         x = rng.standard_normal((batch, dims[0]))
         scales = []
         for a, b in zip(dims, dims[1:]):
-            w = rng.standard_normal(out=local.w[:a * b].reshape(a, b))
+            # standard_normal fills the pool's view in C order, as it fills
+            # a fresh array of that shape.
+            w = rng.standard_normal(out=pool.take((a, b)))
             out = x @ w
+            pool.give(w)
             scales.append(out.var() / x.var())
             x = out
         return [scales]  # the rows of a block of one trial

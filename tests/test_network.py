@@ -814,8 +814,8 @@ edge r0 rank 1 b c
 
 
 class TestWorkspaceReuse:
-    """A workspace passed again gives what a fresh one gives: reused padded
-    buffers keep their pads and zero-inserted gaps at zero."""
+    """A pool's workspace passed again gives what a fresh one gives: reused
+    padded buffers keep their pads and zero-inserted gaps at zero."""
 
     LAYERS = {
         **CP_STRIDED,
@@ -833,24 +833,24 @@ class TestWorkspaceReuse:
         replicas = stacked_replicas(f, [layer])
         dims = f.output_mode_dims() if backward else f.input_mode_dims()
         first, second = np.random.default_rng(2).standard_normal((2, 1, 2) + dims)
-        workspace = {}
-        network._contract(f, first, replicas, backward, workspace=workspace)
-        assert workspace
-        got = network._contract(f, second, replicas, backward, workspace=workspace)
+        pool = network._Pool()
+        network._contract(f, first, replicas, backward, pool=pool)
+        assert pool.arrays
+        got = network._contract(f, second, replicas, backward, pool=pool)
         want = network._contract(f, second, replicas, backward)
         assert got.tobytes() == want.tobytes()
 
     def test_holds_one_plan_at_a_time(self):
-        # The other direction's plan replaces the first one's arrays, and
-        # the apply functions pass the workspace through.
+        # The other direction's plan replaces the first one's arrays.
         f = self.LAYERS["standard-s2"]
         layer = materialize(f, make_plan(f, "graph-in", "identity"), 0)
-        x = np.random.default_rng(3).standard_normal((2,) + f.input_mode_dims())
-        workspace = {}
-        y = forward_apply(layer, DenseTensor.from_array(x), workspace)
-        assert list(workspace) == [network._plan(f, False, (1, *x.shape))]
-        backward_apply(layer, y, workspace)
-        assert list(workspace) == [network._plan(f, True, (1, *y.shape))]
+        replicas = stacked_replicas(f, [layer])
+        x = np.random.default_rng(3).standard_normal((1, 2) + f.input_mode_dims())
+        pool = network._Pool()
+        y = network._contract(f, x, replicas, False, pool)
+        assert pool.plan is network._plan(f, False, x.shape)
+        network._contract(f, y, replicas, True, pool)
+        assert pool.plan is network._plan(f, True, y.shape)
 
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
     def test_over_limit_workspace_raises_before_running(self, backward, monkeypatch):
@@ -858,22 +858,20 @@ class TestWorkspaceReuse:
         # contraction would make are checked before any is made.
         f = builtin_format("standard", c_in=64, c_out=64, k=3, alpha=8)
         layer = materialize(f, make_plan(f, "graph-in", "identity"), 0)
+        replicas = stacked_replicas(f, [layer])
         dims = f.output_mode_dims() if backward else f.input_mode_dims()
-        x = DenseTensor.from_array(np.ones((1,) + dims))
+        x = np.ones((1, 1) + dims)
         monkeypatch.setattr(tensor, "MEMORY_LIMIT", 1000)
-        apply = backward_apply if backward else forward_apply
-        workspace = {}
+        pool = network._Pool()
         with pytest.raises(ResourceLimit, match="of a contraction"):
-            apply(layer, x, workspace)
-        assert workspace == {}
+            network._contract(f, x, replicas, backward, pool)
+        assert pool.plan is None and pool.arrays is None
 
 
 def workspace_arrays(held):
     """Every array a workspace holds, however its entries nest them."""
     if isinstance(held, np.ndarray):
         return [held]
-    if isinstance(held, dict):
-        held = list(held.values())
     if isinstance(held, (list, tuple)):
         return [a for item in held for a in workspace_arrays(item)]
     return []
@@ -914,13 +912,13 @@ class TestResultOwnsItsMemory:
             plan = network._plan(f, backward, (trials, 2) + dims)
             assert plan.exit == tuple(range(len(plan.exit))) and f.phi == 1
         first, second = np.random.default_rng(4).standard_normal((2, trials, 2, *dims))
-        workspace = {}
-        got = network._contract(f, first, replicas, backward, workspace)
+        pool = network._Pool()
+        got = network._contract(f, first, replicas, backward, pool)
         kept = got.copy()
-        arrays = workspace_arrays(workspace)
+        arrays = workspace_arrays(pool.arrays)
         assert arrays
         assert not any(np.shares_memory(got, a) for a in arrays)
-        network._contract(f, second, replicas, backward, workspace)
+        network._contract(f, second, replicas, backward, pool)
         assert got.tobytes() == kept.tobytes()
 
 

@@ -427,8 +427,7 @@ class TestBackwardTrace:
         x = pool.take((1, net.batch, *net.input_shape))
         x[...] = np.random.default_rng(0).standard_normal(x.shape)
         monkeypatch.setattr(simulate, "_contract", counting)
-        rows, g = simulate._passes(net, weights, x, pool, {}, (pre_stats, post_stats),
-                                   upstream)
+        rows, g = simulate._passes(net, weights, x, pool, (pre_stats, post_stats), upstream)
         assert rows.shape == (1, 3, 1) and g.shape == x.shape
 
         def whole(buffers):
