@@ -31,6 +31,7 @@ import logging
 import math
 import numbers
 import operator
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -53,7 +54,8 @@ from .graph import (
 )
 from . import network
 from .network import _Pool, _contract, _draw, _plan, _trial_block, _weight_specs
-from .tensor import ACTIVATION_SCALE, _activation, _activation_grad, _check_array, _check_seed
+from .tensor import (ACTIVATION_SCALE, _activation, _activation_grad, _check_array,
+                     _check_integers, _check_seed)
 
 DEFAULT_CHAIN_DIMS = (96, 200, 400, 600, 800, 1000, 800, 600, 400, 200, 100)
 SATURATION_THRESHOLD = 0.99
@@ -141,7 +143,10 @@ def validate_network(net: NetworkSpec, trials: int = 1, workers: int = 1,
     and for the ``min(workers, blocks)`` blocks run at once.  So must the
     statistics of all ``trials``, at most 4 figures per layer, twice: their
     chunks are concatenated (see :func:`_map_seeded`).  All of it raises
-    :class:`~tcinit.errors.ResourceLimit` before any draw."""
+    :class:`~tcinit.errors.ResourceLimit` before any draw, and a ``trials``,
+    ``workers`` or batch that is not an integer raises
+    :class:`~tcinit.errors.InvalidParams`."""
+    _check_integers(InvalidParams, trials=trials, workers=workers, batch=net.batch)
     if not net.layers:
         raise InvalidParams("network has no layers")
     if net.batch < 1:
@@ -619,9 +624,13 @@ def backward_trace(
     derivatives use the exact forward masks.  Each trial runs the stack
     forward once and backward once, and the activation statistics come
     from that forward pass: they equal those of :func:`forward_trace`, bit
-    for bit, so one call yields the full report.
+    for bit, so one call yields the full report.  Raises
+    :class:`~tcinit.errors.InvalidParams` before any draw when ``grad_var``
+    is not a finite real >= 0.
     """
-    return _trace(net, seed, trials, workers, grad_var)
+    if not isinstance(grad_var, numbers.Real) or not 0 <= grad_var <= sys.float_info.max:
+        raise InvalidParams(f"grad_var must be a finite real >= 0, got {grad_var!r}")
+    return _trace(net, seed, trials, workers, float(grad_var))
 
 
 def input_gradient(net: NetworkSpec, layers, x: np.ndarray, upstream: np.ndarray):
@@ -705,9 +714,12 @@ def scale_chain(
     :class:`~tcinit.errors.ResourceLimit` before any draw when an input,
     weight or step output, or the scales of all trials and their
     concatenation (see :func:`_map_seeded`), would not fit in memory, and
-    :class:`~tcinit.errors.InvalidParams` when a dim is not a whole number.
+    :class:`~tcinit.errors.InvalidParams` when a dim is not a whole number
+    or ``trials``, ``batch`` or ``workers`` is not an integer.  BLAS runs
+    at one thread, so the scales do not depend on its thread count.
     """
     _check_seed(seed, sequence=False)
+    _check_integers(InvalidParams, trials=trials, batch=batch, workers=workers)
     try:
         dims = tuple(dims)
         whole = all(isinstance(d, numbers.Real) and math.isfinite(d) and d == int(d)
@@ -747,7 +759,9 @@ def scale_chain(
             x = out
         return [scales]  # the rows of a block of one trial
 
-    rows = _map_seeded(one, seed, trials, None, workers)
+    # A GEMM split over BLAS threads may add its terms in another order.
+    with _one_blas_thread():
+        rows = _map_seeded(one, seed, trials, None, workers)
     table = []
     for t in range(len(dims) - 1):
         table.append(
@@ -772,13 +786,18 @@ def proposition_checks(seed: int, samples: int = 100_000) -> dict:
     tensors over ``d`` shared dims scales the variance by the product of the
     contracted dims.  Returns measured/expected pairs with pass flags.
     Raises :class:`~tcinit.errors.InvalidParams` when ``samples`` is not an
-    integer of at least 1.
+    integer of at least 1, and :class:`~tcinit.errors.ResourceLimit` before
+    drawing an array that would not fit in memory.
     """
     _check_seed(seed)
     if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
         raise InvalidParams(f"samples must be an integer >= 1, got {samples!r}")
     rng = np.random.default_rng(seed)
     checks = []
+
+    def size(*shape):
+        _check_array(shape, "a proposition-check sample")
+        return shape
 
     def add(name, measured, expected, tolerance):
         ratio = measured / expected if expected else measured
@@ -794,20 +813,20 @@ def proposition_checks(seed: int, samples: int = 100_000) -> dict:
         )
 
     # (a) additivity.
-    a = rng.standard_normal(samples)
-    b = rng.standard_normal(samples)
+    a = rng.standard_normal(size(samples))
+    b = rng.standard_normal(size(samples))
     add("sum of two unit-variance tensors", (a + b).var(), 2.0, 0.03)
     for case in range(3):
         v = rng.uniform(0.25, 2.0, size=3)
         total = sum(
-            rng.normal(0.0, np.sqrt(vi), size=samples) for vi in v
+            rng.normal(0.0, np.sqrt(vi), size=size(samples)) for vi in v
         )
         add(f"sum of three tensors #{case}", total.var(), float(v.sum()), 0.03)
 
     # (b) fixed contraction case: [4,5,6] x [6,7] over the shared dim 6.
     repeats = max(1, samples // (4 * 5 * 7))
-    x = rng.standard_normal((repeats, 4, 5, 6))
-    y = rng.normal(0.0, 0.5, size=(repeats, 6, 7))
+    x = rng.standard_normal(size(repeats, 4, 5, 6))
+    y = rng.normal(0.0, 0.5, size=size(repeats, 6, 7))
     z = np.einsum("rabk,rkc->rabc", x, y)
     add("contract [4,5,6] with [6,7] over dim 6", z.var(), 1.0 * 0.25 * 6, 0.05)
 
@@ -820,8 +839,8 @@ def proposition_checks(seed: int, samples: int = 100_000) -> dict:
         vx = float(rng.uniform(0.25, 2.0))
         vy = float(rng.uniform(0.25, 2.0))
         repeats = max(1, samples // (m * n))
-        x = rng.normal(0.0, np.sqrt(vx), size=(repeats, m) + shared)
-        y = rng.normal(0.0, np.sqrt(vy), size=(repeats,) + shared + (n,))
+        x = rng.normal(0.0, np.sqrt(vx), size=size(repeats, m, *shared))
+        y = rng.normal(0.0, np.sqrt(vy), size=size(repeats, *shared, n))
         letters = "ijk"[:d]
         z = np.einsum(f"rm{letters},r{letters}n->rmn", x, y)
         expected = vx * vy * float(np.prod(shared))

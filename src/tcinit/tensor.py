@@ -144,6 +144,16 @@ def _check_seed(seed, sequence: bool = True) -> None:
         raise InvalidParams(f"seed must be >= 0, got {seed!r}")
 
 
+def _check_integers(error, **values) -> None:
+    """Raise ``error`` naming the first of ``values`` that is not an integer
+    (``numbers.Integral``, so numpy integers too, but not ``bool``): Python's
+    and numpy's own checks would raise a raw ``TypeError`` for most such
+    values, and take 2.5 for 2."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise error(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DenseTensor:
     """A row-major multi-dimensional float64 array.
@@ -358,7 +368,7 @@ def multi_contract(
 
 def _pattern(shape, what: str, rule) -> DenseTensor:
     """The binary tensor of ``shape`` that is one where ``rule`` holds on its
-    three index grids.  Raises :class:`~tcinit.errors.ResourceLimit`, naming
+    index grids.  Raises :class:`~tcinit.errors.ResourceLimit`, naming
     it ``what``, before allocating a pattern past the memory limit."""
     _check_array(shape, what)
     return DenseTensor.from_array(rule(*np.ix_(*map(np.arange, shape))).astype(np.float64))
@@ -375,26 +385,27 @@ def build_dummy(spec: DummySpec) -> DenseTensor:
 
 
 def reversal_matrix(r: int) -> DenseTensor:
-    """Anti-diagonal permutation matrix of size ``r``."""
+    """Anti-diagonal permutation matrix ``R`` of size ``r`` (see
+    :func:`_pattern`)."""
+    _check_integers(InvalidShape, r=r)
     if r < 1:
         raise InvalidShape("r must be >= 1")
-    return DenseTensor.from_array(np.fliplr(np.eye(r)))
+    return _pattern((r, r), "the reversal matrix", lambda i, j: i + j == r - 1)
 
 
 def transformation_matrix(t: int, epsilon: int) -> DenseTensor:
-    """Stride-expansion matrix of shape ``[t, epsilon*(t-1)+1]``.
+    """Stride-expansion matrix ``T`` of shape ``[t, epsilon*(t-1)+1]``.
 
-    Entry ``(i, j)`` is one exactly when ``j = epsilon * i``.  Right
-    multiplication spreads a vector out with ``epsilon - 1`` zeros between
-    consecutive entries.
+    Entry ``(i, j)`` is one exactly when ``j = epsilon * i`` (see
+    :func:`_pattern`).  Right multiplication spreads a vector out with
+    ``epsilon - 1`` zeros between consecutive entries.
     """
+    _check_integers(InvalidShape, t=t, epsilon=epsilon)
     if t < 1 or epsilon < 1:
         raise InvalidShape("t and epsilon must be >= 1")
-    t_tilde = epsilon * (t - 1) + 1
-    _check_array((t, t_tilde), "the transformation matrix")
-    mat = np.zeros((t, t_tilde))
-    mat[np.arange(t), epsilon * np.arange(t)] = 1.0
-    return DenseTensor.from_array(mat)
+    # With t = 1, T is [1] for any epsilon, however large: leave it out.
+    return _pattern((t, epsilon * (t - 1) + 1), "the transformation matrix",
+                    lambda i, j: j == (epsilon if t > 1 else 1) * i)
 
 
 # The variance scale p_a of each activation, as the calculus uses it: tanh is

@@ -20,6 +20,23 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def at_one_and_two_blas_threads(runs):
+    """The stdout of ``main`` over each argv of ``runs``, in a subprocess
+    whose OpenBLAS runs 1 thread, then in one whose OpenBLAS runs 2."""
+    script = ("import json, sys\nfrom tcinit.cli import main\n"
+              "sys.exit(max([main(argv) for argv in json.loads(sys.argv[1])]))")
+    src = str(Path(tensor.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env,
+                              capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    return outs
+
+
 class TestAnalyze:
     def test_standard_conv_values(self, capsys):
         code, out, _ = run(
@@ -155,17 +172,7 @@ class TestSimulate:
              "-P", "k=3", "-P", "padding=1", "-P", "alpha=32", "--trials", "2",
              "--batch", "8", "--seed", "3"],
         ]
-        script = ("import json, sys\nfrom tcinit.cli import main\n"
-                  "sys.exit(max([main(argv) for argv in json.loads(sys.argv[1])]))")
-        src = str(Path(tensor.__file__).resolve().parents[1])
-        outs = []
-        for threads in ("1", "2"):
-            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
-                   "OMP_NUM_THREADS": threads}
-            done = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env,
-                                  capture_output=True, timeout=120)
-            assert done.returncode == 0, done.stderr
-            outs.append(done.stdout)
+        outs = at_one_and_two_blas_threads(runs)
         assert outs[0] == outs[1] and outs[0].count(b'"layers"') == 2
 
     def test_over_limit_input_exits_2(self, capsys):
@@ -403,6 +410,13 @@ class TestScaleChain:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
         assert out1.splitlines()[0] == "step,contracted_dim,mean,std"
+
+    def test_blas_thread_invariant_bytes(self):
+        # At two BLAS threads these chain widths split their GEMMs, which
+        # then add in another order unless BLAS is held at one thread.
+        outs = at_one_and_two_blas_threads(
+            [["scale-chain", "--seed", "0", "--trials", "5", "--dims", "200,400,600"]])
+        assert outs[0] == outs[1] and outs[0].count(b'"step"') == 2
 
     def test_requires_seed(self, capsys):
         with pytest.raises(SystemExit) as exc:

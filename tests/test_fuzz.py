@@ -1,6 +1,7 @@
 """Property tests: malformed input ends in a TcinitError, never a raw exception."""
 
 import io
+import math
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -12,7 +13,17 @@ from tcinit.errors import TcinitError
 from tcinit.formats import BUILTIN_NAMES, builtin_format, parse_format, validate
 from tcinit.graph import make_plan
 from tcinit.network import backward_apply, forward_apply, materialize
-from tcinit.tensor import DenseTensor
+from tcinit.simulate import (
+    LayerSpec,
+    NetworkSpec,
+    backward_trace,
+    forward_trace,
+    proposition_checks,
+    scale_chain,
+    validate_network,
+    variance_mc,
+)
+from tcinit.tensor import DenseTensor, reversal_matrix, transformation_matrix
 
 KEYS = (
     "c_in", "c_out", "rank", "ranks", "r0", "r1", "i_dims", "o_dims",
@@ -103,3 +114,57 @@ def test_format_text_runs_adjoint_or_raises_tcinit_error(text):
     assert y.shape == g.shape and gx.shape == x.shape
     scale = np.linalg.norm(y) * np.linalg.norm(g)
     assert abs(np.vdot(y, g) - np.vdot(x, gx)) <= 1e-10 * scale
+
+
+# Values of the wrong type or range for a size, count, seed or variance.
+BAD = (0, -1, 2.5, math.nan, math.inf, "a", None, (1, 2), True, 10**30)
+TT = builtin_format("tt", i_dims=(2, 3), o_dims=(3, 2), rank=2)
+TT_PLAN = make_plan(TT, "graph-in", "tanh")
+
+
+def _tt_net(batch):
+    return NetworkSpec((LayerSpec(TT, "tanh"),) * 2, TT.input_mode_dims(), batch)
+
+
+# Each entry point, and a good value of each argument the test draws.  Every
+# good trial count is at most 2, and a bad one never runs, so no call starts
+# more than two worker threads.
+ENTRY_POINTS = {
+    "reversal_matrix": (reversal_matrix, {"r": 3}),
+    "transformation_matrix": (transformation_matrix, {"t": 3, "epsilon": 2}),
+    "variance_mc": (lambda seed, trials, batch, workers:
+                    variance_mc(TT, TT_PLAN, seed, trials, batch, workers),
+                    {"seed": 0, "trials": 2, "batch": 2, "workers": 1}),
+    "forward_trace": (lambda seed, trials, batch, workers:
+                      forward_trace(_tt_net(batch), seed, trials, workers),
+                      {"seed": 0, "trials": 2, "batch": 2, "workers": 1}),
+    "backward_trace": (lambda seed, trials, batch, workers, grad_var:
+                       backward_trace(_tt_net(batch), seed, trials, workers, grad_var),
+                       {"seed": 0, "trials": 2, "batch": 2, "workers": 1, "grad_var": 1.0}),
+    "validate_network": (lambda trials, batch, workers:
+                         validate_network(_tt_net(batch), trials, workers),
+                         {"trials": 2, "batch": 2, "workers": 1}),
+    "scale_chain": (lambda seed, trials, batch, workers:
+                    scale_chain(seed, trials, (4, 3), batch, workers),
+                    {"seed": 0, "trials": 2, "batch": 2, "workers": 1}),
+    "proposition_checks": (proposition_checks, {"seed": 0, "samples": 64}),
+}
+
+
+@st.composite
+def entry_calls(draw):
+    """An entry point and its arguments, each the good one or drawn from BAD."""
+    name = draw(st.sampled_from(sorted(ENTRY_POINTS)))
+    call, good = ENTRY_POINTS[name]
+    kwargs = {k: draw(st.one_of(st.just(v), st.sampled_from(BAD))) for k, v in good.items()}
+    return call, kwargs
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(entry_calls())
+def test_runner_and_pattern_inputs_give_a_result_or_a_tcinit_error(entry):
+    call, kwargs = entry
+    try:
+        call(**kwargs)
+    except TcinitError:
+        pass

@@ -276,6 +276,18 @@ class TestForwardTrace:
 
 
 class TestBackwardTrace:
+    @pytest.mark.parametrize("grad_var", [-1.0, math.nan, math.inf, "a", None, 10**400])
+    def test_bad_grad_var_rejected_before_any_draw(self, grad_var, monkeypatch):
+        monkeypatch.setattr(simulate, "_stream", None)
+        with pytest.raises(InvalidParams, match="^grad_var must be a finite real >= 0, got "):
+            backward_trace(linear_net(depth=1), 0, 2, grad_var=grad_var)
+
+    def test_grad_var_of_any_real_type_runs(self):
+        want = backward_trace(linear_net(depth=1), 0, 2, grad_var=2.0)
+        assert backward_trace(linear_net(depth=1), 0, 2, grad_var=np.float64(2)) == want
+        assert backward_trace(linear_net(depth=1), 0, 2, grad_var=2) == want
+        assert backward_trace(linear_net(depth=1), 0, 2, grad_var=0).layers[0].grad_var == 0
+
     def test_zero_upstream_gradient(self):
         net = linear_net(depth=2)
         rep = backward_trace(net, seed=1, trials=2, grad_var=0.0)
@@ -1025,6 +1037,17 @@ class TestPropositions:
         report = proposition_checks(seed=0, samples=1)
         assert all(math.isfinite(c["measured"]) for c in report["checks"])
 
+    def test_over_limit_samples_raise_before_drawing(self):
+        with pytest.raises(ResourceLimit, match="a proposition-check sample"):
+            proposition_checks(seed=0, samples=10**30)
+
+    def test_each_array_is_checked_before_it_is_drawn(self, monkeypatch):
+        # The 1,000-sample arrays fit, but some contraction case draws an
+        # operand of more entries than that.
+        monkeypatch.setattr(tensor, "MEMORY_LIMIT", 8 * 1000)
+        with pytest.raises(ResourceLimit, match="a proposition-check sample"):
+            proposition_checks(seed=0, samples=1000)
+
 
 def _seeded_layer_args():
     f = builtin_format("standard", c_in=4, c_out=4, k=0)
@@ -1076,6 +1099,38 @@ def test_negative_seed_message_is_unchanged():
     with pytest.raises(InvalidParams) as exc:
         SEEDED["variance_mc"](-1)
     assert str(exc.value) == "seed must be >= 0, got -1"
+
+
+def _net_of_batch(batch):
+    return NetworkSpec(linear_net(depth=1).layers, (4, 6), batch)
+
+
+# Each runner entry point, called with (trials, batch, workers).
+RUNNERS = {
+    "variance_mc": lambda t, b, w: variance_mc(*_seeded_layer_args(), 0, t, b, w),
+    "forward_trace": lambda t, b, w: forward_trace(_net_of_batch(b), 0, t, w),
+    "backward_trace": lambda t, b, w: backward_trace(_net_of_batch(b), 0, t, w),
+    "validate_network": lambda t, b, w: validate_network(_net_of_batch(b), t, w),
+    "scale_chain": lambda t, b, w: scale_chain(0, t, (4, 4), b, w),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, "a", None, (1, 2), True])
+@pytest.mark.parametrize("name", ["trials", "batch", "workers"])
+@pytest.mark.parametrize("entry", sorted(RUNNERS))
+def test_count_of_wrong_type_rejected_before_any_draw(entry, name, value, monkeypatch):
+    monkeypatch.setattr(simulate, "_stream", None)
+    counts = {"trials": 1, "batch": 2, "workers": 1, name: value}
+    with pytest.raises(InvalidParams, match=f"^{name} must be an integer, got "):
+        RUNNERS[entry](*counts.values())
+
+
+@pytest.mark.parametrize("name", ["trials", "batch", "workers"])
+@pytest.mark.parametrize("entry", sorted(set(RUNNERS) - {"validate_network"}))
+def test_count_below_one_message_is_unchanged(entry, name):
+    counts = {"trials": 1, "batch": 2, "workers": 1, name: 0}
+    with pytest.raises(InvalidParams, match=f"^{name} must be >= 1$"):
+        RUNNERS[entry](*counts.values())
 
 
 def test_generator_and_sequence_seeds_still_pass():

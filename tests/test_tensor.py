@@ -91,6 +91,24 @@ def test_bad_shapes_raise_a_tcinit_error_that_is_a_value_error(build):
     assert isinstance(err.value, TcinitError) and isinstance(err.value, ValueError)
 
 
+@pytest.mark.parametrize("value", [2.5, "a", None, True])
+@pytest.mark.parametrize("build", [
+    lambda v: reversal_matrix(v),
+    lambda v: transformation_matrix(v, 1),
+    lambda v: transformation_matrix(2, v),
+], ids=["reversal", "transformation-t", "transformation-epsilon"])
+def test_special_matrix_sizes_of_wrong_type_raise_invalid_shape(build, value):
+    with pytest.raises(InvalidShape, match=r"^(r|t|epsilon) must be an integer, got "):
+        build(value)
+
+
+def test_special_matrix_value_messages_are_unchanged():
+    with pytest.raises(InvalidShape, match=r"^r must be >= 1$"):
+        reversal_matrix(-1)
+    with pytest.raises(InvalidShape, match=r"^t and epsilon must be >= 1$"):
+        transformation_matrix(np.int64(2), 0)
+
+
 class TestContract:
     def test_matrix_product(self):
         a = np.arange(6.0).reshape(2, 3)
@@ -312,6 +330,14 @@ class TestSpecialMatrices:
         b = np.array([1.0, 2.0, 3.0])
         assert np.array_equal(r.array @ b, [3.0, 2.0, 1.0])
         assert np.array_equal(reversal_matrix(1).array, [[1.0]])
+
+    @pytest.mark.parametrize("r", [10**6, 2**40])
+    def test_reversal_over_limit_raises(self, r):
+        with pytest.raises(ResourceLimit, match="the reversal matrix"):
+            reversal_matrix(r)
+
+    def test_transformation_of_one_row_for_any_epsilon(self):
+        assert np.array_equal(transformation_matrix(1, 10**30).array, [[1.0]])
 
     def test_reversal_involution(self):
         r = reversal_matrix(5).array
