@@ -6,21 +6,22 @@ sequence itself, or its ``spawn`` children), and results are reduced in
 trial order, so reports are byte-identical for any worker count.  The words
 those streams are seeded from are computed for a chunk of up to
 ``SEED_CHUNK`` trials at once, by numpy's NEP-19 ``SeedSequence`` hash over
-arrays, and each stream is seeded from them into one generator per worker
-thread, so no ``SeedSequence`` or generator is built per trial.  The traces
-and :func:`variance_mc` share one runner, :func:`_run`, whose blocks of
-trials have a size that depends on the layer shapes alone, never on the
-worker count; workers map over blocks, or over trials in :func:`scale_chain`.
-One pool per worker thread (see :class:`~tcinit.network._Pool`), kept for
-the length of a call, owns every buffer that thread reuses: the contraction
-workspace, the whole-batch arrays, the statistics' temporaries, the drawn
-gradient's buffer and :func:`scale_chain`'s weights.  A statistic and the
-drawn gradient work through a temporary of at most ``TRIAL_BLOCK_BYTES``,
-and a backward contraction writes into its own input where the shapes allow
-(see :func:`_passes`), so a block of the ``conv_depth`` benchmark stack
-makes no whole-batch array beyond its five kept post-activations.  While
-more than one worker runs, numpy's bundled OpenBLAS is held at one thread,
-so that workers do not contend for cores.
+arrays, and each stream is seeded from them into its worker's generator, so
+no ``SeedSequence`` or generator is built per trial.  The traces and
+:func:`variance_mc` share one runner, :func:`_run`, whose blocks of trials
+have a size that depends on the layer shapes alone, never on the worker
+count; :func:`scale_chain`'s blocks are single trials.  :func:`_map_seeded`
+runs every seeded call's blocks on its worker threads and gives each worker
+one pool (see :class:`~tcinit.network._Pool`) for the length of the call,
+which owns every buffer the worker reuses: the contraction workspace, the
+whole-batch arrays, the statistics' temporaries, the drawn gradient's buffer
+and :func:`scale_chain`'s weights.  A statistic and the drawn gradient work
+through a temporary of at most ``TRIAL_BLOCK_BYTES``, and a backward
+contraction writes into its own input where the shapes allow (see
+:func:`_passes`), so a block of the ``conv_depth`` benchmark stack makes no
+whole-batch array beyond its five kept post-activations.  numpy's bundled
+OpenBLAS runs at one thread for the whole of every seeded call, at any
+worker count, so reports do not depend on its thread count either.
 """
 
 from __future__ import annotations
@@ -381,18 +382,6 @@ def _one_blas_thread():
                 set_(_blas_before)
 
 
-def _map_trials(fn, items, workers: int) -> list:
-    """``fn`` over ``items`` (trials or trial blocks), results in order.
-    Raises :class:`~tcinit.errors.InvalidParams` when ``workers`` is below
-    1."""
-    if workers < 1:
-        raise InvalidParams("workers must be >= 1")
-    if workers > 1:
-        with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(fn, items))
-    return [fn(t) for t in items]
-
-
 # -- trial seed streams -------------------------------------------------------
 
 # The constants of numpy's SeedSequence hash and of PCG64's 128-bit LCG, both
@@ -481,43 +470,58 @@ def _seed_words(seed: int, trials: range, keys=None) -> np.ndarray:
     return np.concatenate(runs)
 
 
-def _stream(local, words: np.ndarray) -> np.random.Generator:
-    """The calling thread's generator in ``local`` (made on first use), set
-    to the state ``default_rng`` gives PCG64 from one stream's four
-    :func:`_seed_words`: PCG64's ``srandom`` of the 128-bit state ``s`` and
-    stream ``i``."""
+def _stream(rng: np.random.Generator, words: np.ndarray) -> np.random.Generator:
+    """``rng``, a PCG64 generator, set to the state ``default_rng`` gives
+    PCG64 from one stream's four :func:`_seed_words`: PCG64's ``srandom`` of
+    the 128-bit state ``s`` and stream ``i``."""
     s_hi, s_lo, i_hi, i_lo = words.tolist()
     inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
     state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-    if not hasattr(local, "rng"):
-        local.rng = np.random.Generator(np.random.PCG64())
-    local.rng.bit_generator.state = {
+    rng.bit_generator.state = {
         "bit_generator": "PCG64",
         "state": {"state": state, "inc": inc},
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return local.rng
+    return rng
 
 
 def _map_seeded(fn, seed: int, trials: int, keys, workers: int, size: int = 1) -> np.ndarray:
-    """The rows ``fn(words)`` gives for each block of ``size`` consecutive
-    trials of ``range(trials)``, ``words`` those trials' :func:`_seed_words`,
-    concatenated in order.  The words of a chunk of at most ``SEED_CHUNK``
-    trials (at least one block, in whole blocks) are computed before its
-    blocks are mapped, and its rows are joined once they are, so neither
-    the words nor the per-block results take memory in proportion to
-    ``trials``.  Raises :class:`~tcinit.errors.InvalidParams` when
-    ``trials`` is below 1."""
+    """The rows ``fn(pool, rng, words)`` gives for each block of ``size``
+    consecutive trials of ``range(trials)``, ``words`` those trials'
+    :func:`_seed_words`, concatenated in order.  Worker ``k`` of ``workers``
+    (at most one per block) runs every ``workers``-th block from the
+    ``k``-th with its own :class:`~tcinit.network._Pool` and PCG64 generator
+    (see :func:`_stream`), both kept for the call; one worker is the calling
+    thread.  BLAS runs at one thread for the whole call, at every worker
+    count: a GEMM split over BLAS threads may add its terms in another
+    order, and workers would contend with BLAS threads for cores.  The words
+    of a chunk of at most ``SEED_CHUNK`` trials (at least one block, in
+    whole blocks) are computed before its blocks are mapped, and its rows
+    are joined once they are, so neither the words nor the per-block results
+    take memory in proportion to ``trials``.  Raises
+    :class:`~tcinit.errors.InvalidParams` before any draw when ``seed`` is
+    not an integer >= 0 or ``trials`` or ``workers`` is below 1."""
+    _check_seed(seed, sequence=False)
     if trials < 1:
         raise InvalidParams("trials must be >= 1")
+    if workers < 1:
+        raise InvalidParams("workers must be >= 1")
+    workers = min(workers, -(-trials // size))
+    states = [(_Pool(), np.random.Generator(np.random.PCG64())) for _ in range(workers)]
     chunk = size * max(1, SEED_CHUNK // size)
     results = []
-    for lo in range(0, trials, chunk):
-        hi = min(lo + chunk, trials)
-        words = _seed_words(seed, range(lo, hi), keys)
-        blocks = [words[b:b + size] for b in range(0, hi - lo, size)]
-        results.append(np.concatenate(_map_trials(fn, blocks, workers)))
+    with _one_blas_thread(), ThreadPoolExecutor(workers) as ex:
+        for lo in range(0, trials, chunk):
+            hi = min(lo + chunk, trials)
+            words = _seed_words(seed, range(lo, hi), keys)
+            blocks = [words[b:b + size] for b in range(0, hi - lo, size)]
+            rows = [None] * len(blocks)
+            parts = (ex.map if workers > 1 else map)(
+                lambda k: [fn(*states[k], w) for w in blocks[k::workers]], range(workers))
+            for k, part in enumerate(parts):
+                rows[k::workers] = part
+            results.append(np.concatenate(rows))
     return np.concatenate(results)
 
 
@@ -532,24 +536,23 @@ def _run(net: NetworkSpec, seed: int, trials: int, workers: int, measure, grad_v
     :func:`_seed_words`) in place into its slices of block arrays: a
     standard-normal input from the first, layer ``i``'s weights from child
     ``i + 1`` and, unless ``grad_var`` is None, a normal output gradient of
-    that variance from the last.  One pool per worker thread, which holds
-    the contraction workspace and the whole-batch arrays, lives as long as
-    the call, so when every layer has one shape a block after the first
+    that variance from the last.  Each worker's pool (see
+    :func:`_map_seeded`), which holds the contraction workspace and the
+    whole-batch arrays, lives as long as the call, so when every layer has one shape a block after the first
     makes no whole-batch array; with several shapes a later block may still
     make one where the pool's best fit misses.  A trial's figures depend
     neither on its block nor on ``workers``."""
     size = validate_network(net, trials, workers, grad_var is not None)
     inits = inits or [make_plan(s.format, s.mode, s.activation) for s in net.layers]
     specs = [_weight_specs(s.format, init) for s, init in zip(net.layers, inits)]
-    local = threading.local()
 
-    def normal(pool, words, shape):
+    def normal(pool, rng, words, shape):
         out = pool.take((len(words), *shape))
         for t, w in enumerate(words):
-            _draw(_stream(local, w), [[out[t]]], [1.0], "normal")
+            _draw(_stream(rng, w), [[out[t]]], [1.0], "normal")
         return out
 
-    def gradient(pool, words, post, activation):
+    def gradient(pool, rng, words, post, activation):
         # Each trial's gradient is drawn span by span into one small buffer:
         # standard_normal fills the spans from the stream in turn, as it
         # fills the whole row, and every later step is elementwise.
@@ -557,7 +560,7 @@ def _run(net: NetworkSpec, seed: int, trials: int, workers: int, measure, grad_v
         span = min(rows.shape[1], _span(1))
         buf = pool.take((span,))
         for row, w in zip(rows, words):
-            rng = _stream(local, w)
+            _stream(rng, w)
             for lo in range(0, len(row), span):
                 part = row[lo:lo + span]
                 g = buf[:len(part)]
@@ -565,18 +568,17 @@ def _run(net: NetworkSpec, seed: int, trials: int, workers: int, measure, grad_v
                 _activation_grad(g, part, activation)
         pool.give(buf)
 
-    def block(words):
+    def block(pool, rng, words):
         weights = []
         for i, (spec, init, (shapes, variances)) in enumerate(zip(net.layers, inits, specs)):
             arrays = [np.empty((spec.format.phi, len(words), *s)) for s in shapes]
             for t, w in enumerate(words[:, 1 + i]):
                 slots = [[a[t] for a in replica] for replica in zip(*arrays)]
-                _draw(_stream(local, w), slots, variances, init.distribution)
+                _draw(_stream(rng, w), slots, variances, init.distribution)
             weights.append(arrays)
-        pool = vars(local).setdefault("pool", _Pool())
         upstream = None if grad_var is None else (
-            lambda post, activation: gradient(pool, words[:, -1], post, activation))
-        x = normal(pool, words[:, 0], (net.batch, *net.input_shape))
+            lambda post, activation: gradient(pool, rng, words[:, -1], post, activation))
+        x = normal(pool, rng, words[:, 0], (net.batch, *net.input_shape))
         rows, g = _passes(net, weights, x, pool, measure, upstream)
         if g is not None:
             pool.give(g)
@@ -590,8 +592,6 @@ def _trace(net: NetworkSpec, seed: int, trials: int, workers: int, grad_var=None
     """Mean and trial-to-trial std of the per-layer statistics of
     :func:`_run`: pre- and post-activation variance, saturation and gradient
     variance (0 unless ``grad_var`` is given)."""
-    _check_seed(seed, sequence=False)
-
     measure = (lambda pool, x, pre: (_var(pre, pool),),
                lambda pool, post: (_var(post, pool), _saturation(post, pool)))
     rows = _run(net, seed, trials, workers, measure, grad_var)
@@ -675,7 +675,6 @@ def variance_mc(
     would not fit in memory (see :func:`validate_network`), and
     :class:`~tcinit.errors.InvalidParams` when ``batch`` is below 1.
     """
-    _check_seed(seed, sequence=False)
     variances = _weight_specs(f, plan)[1]
     predicted = predicted_output_variance(
         extract_bg(f, FAN_IN), 1.0, variances, 1.0, f.phi
@@ -716,9 +715,9 @@ def scale_chain(
     concatenation (see :func:`_map_seeded`), would not fit in memory, and
     :class:`~tcinit.errors.InvalidParams` when a dim is not a whole number
     or ``trials``, ``batch`` or ``workers`` is not an integer.  BLAS runs
-    at one thread, so the scales do not depend on its thread count.
+    at one thread (see :func:`_map_seeded`), so the scales depend neither on
+    ``workers`` nor on its thread count.
     """
-    _check_seed(seed, sequence=False)
     _check_integers(InvalidParams, trials=trials, batch=batch, workers=workers)
     try:
         dims = tuple(dims)
@@ -742,11 +741,8 @@ def scale_chain(
     _check_array((2, trials, len(dims) - 1),
                  f"the scales of {trials} trials and their concatenation")
 
-    local = threading.local()
-
-    def one(streams):
-        rng = _stream(local, streams[0][0])
-        pool = vars(local).setdefault("pool", _Pool())
+    def one(pool, rng, streams):
+        _stream(rng, streams[0][0])
         x = rng.standard_normal((batch, dims[0]))
         scales = []
         for a, b in zip(dims, dims[1:]):
@@ -759,9 +755,7 @@ def scale_chain(
             x = out
         return [scales]  # the rows of a block of one trial
 
-    # A GEMM split over BLAS threads may add its terms in another order.
-    with _one_blas_thread():
-        rows = _map_seeded(one, seed, trials, None, workers)
+    rows = _map_seeded(one, seed, trials, None, workers)
     table = []
     for t in range(len(dims) - 1):
         table.append(

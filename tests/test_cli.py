@@ -175,6 +175,15 @@ class TestSimulate:
         outs = at_one_and_two_blas_threads(runs)
         assert outs[0] == outs[1] and outs[0].count(b'"layers"') == 2
 
+    def test_worker_count_invariant_bytes_at_two_blas_threads(self):
+        # A standard stack of 400 channels, whose GEMMs OpenBLAS splits over
+        # two threads, at one worker and at two.
+        argv = ["simulate", "--builtin", "standard", "-P", "c_in=400", "-P", "c_out=400",
+                "--batch", "32", "--depth", "2", "--trials", "4", "--seed", "0"]
+        outs = [out for workers in ("1", "2")
+                for out in at_one_and_two_blas_threads([[*argv, "--workers", workers]])]
+        assert outs[0].count(b'"layers"') == 1 and outs.count(outs[0]) == 4
+
     def test_over_limit_input_exits_2(self, capsys):
         # The batched input would take about 4e15 bytes.
         code, _, err = run(

@@ -692,10 +692,10 @@ class TestStreams:
     def test_states_and_draws_match_numpy(self, n, seed, trials):
         words = simulate._seed_words(seed, trials, None if n is None else range(n))
         assert words.shape == (len(trials), n or 1, 4)
-        local = threading.local()
+        generator = np.random.Generator(np.random.PCG64())
         for t, got in zip(trials, words):
             for stream, rng in zip(got, self.numpy_streams(seed, t, n), strict=True):
-                loaded = simulate._stream(local, stream)
+                loaded = simulate._stream(generator, stream)
                 assert loaded.bit_generator.state == rng.bit_generator.state
                 assert np.array_equal(loaded.standard_normal(5), rng.standard_normal(5))
                 assert np.array_equal(loaded.random(3), rng.random(3))
@@ -731,12 +731,13 @@ class TestStreams:
             chunks.append(len(trials))
             return list(trials)
 
-        def run(fn, items, workers):
-            blocks.extend(items)
-            return [np.ones((len(block), 1, 2)) for block in items]
+        def block(pool, rng, words):
+            blocks.append(words)
+            return np.ones((len(words), 1, 2))
 
+        map_seeded = simulate._map_seeded
         monkeypatch.setattr(simulate, "_seed_words", words)
-        monkeypatch.setattr(simulate, "_map_trials", run)
+        monkeypatch.setattr(simulate, "_map_seeded", lambda fn, *args: map_seeded(block, *args))
         trials = 10**6
         variance_mc(f, make_plan(f, "graph-in", "tanh"), 0, trials, batch=BLOCK_BATCH)
         assert max(chunks) <= simulate.SEED_CHUNK and sum(chunks) == trials
@@ -917,7 +918,9 @@ class TestBlasThreads:
             set_(before)
 
     def test_pool_runs_at_one_thread_and_restores_the_count(self, blas):
-        assert simulate._map_trials(lambda t: blas(), range(4), 2) == [1] * 4
+        rows = simulate._map_seeded(lambda pool, rng, words: [[blas()]] * len(words),
+                                    0, 4, None, 2)
+        assert rows.tolist() == [[1]] * 4
         assert blas() == 2
         f = builtin_format("tt", i_dims=(4, 4), o_dims=(4, 4), rank=3)
         variance_mc(f, make_plan(f, "graph-in", "tanh"), seed=0, trials=8, workers=2)
@@ -959,8 +962,14 @@ class TestBlasThreads:
         assert blas() == 2
         assert len(results) == 4 and all(r == results[0] for r in results)
 
-    def test_single_worker_leaves_the_count(self, blas):
-        assert simulate._map_trials(lambda t: blas(), range(2), 1) == [2] * 2
+    def test_single_worker_runs_at_one_thread_and_restores_the_count(self, blas):
+        # One worker is the calling thread, and BLAS runs at one thread there.
+        caller = threading.get_ident()
+        rows = simulate._map_seeded(
+            lambda pool, rng, words: [[blas(), threading.get_ident() == caller]] * len(words),
+            0, 2, None, 1)
+        assert rows.tolist() == [[1, 1]] * 2
+        assert blas() == 2
 
 
 class TestScaleChain:
@@ -987,7 +996,7 @@ class TestScaleChain:
         "dims,batch,word", [((4, 0), 2, "dims"), ((0, 4), 2, "dims"), ((4, 4), 0, "batch")]
     )
     def test_batch_or_dims_below_one_rejected_before_any_draw(self, dims, batch, word, monkeypatch):
-        monkeypatch.setattr(simulate, "_map_trials", None)
+        monkeypatch.setattr(simulate, "_map_seeded", None)
         with pytest.raises(InvalidParams, match=word):
             scale_chain(seed=0, trials=2, dims=dims, batch=batch)
 
@@ -996,7 +1005,7 @@ class TestScaleChain:
         "dims", [(2.5, 2), (2, float("nan")), (float("inf"), 2), "ab", (4, "4"), 4, (2j, 2)]
     )
     def test_non_integral_or_non_numeric_dims_rejected_before_any_draw(self, dims, monkeypatch):
-        monkeypatch.setattr(simulate, "_map_trials", None)
+        monkeypatch.setattr(simulate, "_map_seeded", None)
         with pytest.raises(InvalidParams, match="dims"):
             scale_chain(seed=0, trials=1, dims=dims)
 
@@ -1013,7 +1022,7 @@ class TestScaleChain:
 @pytest.mark.parametrize("workers", [0, -1])
 def test_workers_below_one_rejected(workers):
     with pytest.raises(InvalidParams, match="workers"):
-        simulate._map_trials(abs, range(2), workers)
+        simulate._map_seeded(None, 0, 2, None, workers)
 
 
 class TestPropositions:
