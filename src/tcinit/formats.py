@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, ParseError, ValidationError
-from .tensor import DummySpec, _check_seed
+from .tensor import DummySpec, _check_integers, _check_seed
 
 INPUT = "input"
 WEIGHT = "weight"
@@ -225,6 +225,10 @@ def validate(f: LayerFormat) -> None:
 
 
 def serialize_format(f: LayerFormat) -> str:
+    """The text grammar of ``f``; raises :class:`ValidationError` when ``f``
+    is not a :class:`LayerFormat`."""
+    if not isinstance(f, LayerFormat):
+        raise ValidationError(f"serialize_format needs a LayerFormat, got {f!r}")
     lines = [f"phi {f.phi}"]
     for v in f.vertices:
         lines.append(f"vertex {v.id} {v.kind}")
@@ -550,6 +554,10 @@ class RandomFormatConstraints:
     phi: int = 1
 
 
+# numpy draws an int64 below an exclusive high of at most 2**63.
+_DRAW_MAX = 2**63 - 1
+
+
 def random_format(
     seed: int, constraints: RandomFormatConstraints = RandomFormatConstraints()
 ) -> LayerFormat:
@@ -558,16 +566,30 @@ def random_format(
     Draws 4-8 weight vertices, 2-3 input-channel and 2-3 output-channel
     edges, and a random number of rank edges; any vertex left without an
     edge is attached with an extra rank edge.  Raises
-    :class:`~tcinit.errors.InvalidParams` naming the first field of
-    ``constraints`` that no format can meet.
+    :class:`~tcinit.errors.InvalidParams` when ``constraints`` is not a
+    :class:`RandomFormatConstraints`, and names the first of its fields
+    that no format can meet, that is not an integer (a pair of them for a
+    range) or that passes numpy's draw bound ``2**63 - 1``.
     """
     _check_seed(seed)
+    if not isinstance(constraints, RandomFormatConstraints):
+        raise InvalidParams(f"constraints must be RandomFormatConstraints, got {constraints!r}")
     for name in ("in_dim_range", "out_dim_range", "rank_dim_range"):
-        lo, hi = getattr(constraints, name)
+        pair = getattr(constraints, name)
+        if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+            raise InvalidParams(f"{name} must be a pair of integers, got {pair!r}")
+        _check_integers(InvalidParams, **{f"{name}[0]": pair[0], f"{name}[1]": pair[1]})
+        lo, hi = pair
         if not 1 <= lo <= hi:
             raise InvalidParams(f"{name} must have 1 <= low <= high, got {(lo, hi)}")
+        if hi > _DRAW_MAX:
+            raise InvalidParams(f"{name} must have high <= {_DRAW_MAX}, got {(lo, hi)}")
+    _check_integers(InvalidParams, max_rank_edges=constraints.max_rank_edges)
     if constraints.max_rank_edges < 0:
         raise InvalidParams(f"max_rank_edges must be >= 0, got {constraints.max_rank_edges}")
+    if constraints.max_rank_edges > _DRAW_MAX:
+        raise InvalidParams(
+            f"max_rank_edges must be <= {_DRAW_MAX}, got {constraints.max_rank_edges}")
     phi = constraints.phi
     if not isinstance(phi, int) or phi < 1:
         raise InvalidParams(f"phi must be an integer >= 1, got {phi!r}")

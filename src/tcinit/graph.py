@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 from .errors import InvalidParams
@@ -23,7 +25,7 @@ from .formats import (
     OUTPUT_CHANNEL,
     LayerFormat,
 )
-from .tensor import ACTIVATION_SCALE
+from .tensor import ACTIVATION_SCALE, _check_integers
 from .transform import build_backward_format
 
 FAN_IN = "fan-in"
@@ -115,18 +117,20 @@ def edge_product(bg: BackboneGraph) -> int:
     return prod
 
 
+def _float(n) -> float:
+    """``n`` as a float, or inf when it is past the float range."""
+    return float(n) if n <= sys.float_info.max else math.inf
+
+
 def _scaled_power(scale: float, factors, edge_prod: int, power: float) -> float:
     """``(scale * edge_prod) ** power``, ``scale`` being the caller's plain
-    product of ``factors``.
+    product of ``factors`` (with ``_float`` of an integer factor).
 
     Where that product is not a finite float (an exact ``edge_prod`` beyond
     the float range, or factors that overflow or underflow on the way), the
     power is taken in log space over ``factors`` and ``edge_prod``.
     """
-    try:
-        base = scale * float(edge_prod)
-    except OverflowError:
-        base = math.inf
+    base = scale * _float(edge_prod)
     if math.isfinite(base):
         return base ** power
     if not all(factors):
@@ -147,7 +151,7 @@ def predicted_output_variance(
 ) -> float:
     """Linear-output variance: p_a * phi * var(x) * prod(var(w)) * prod(e)."""
     vertex_vars = list(vertex_vars)
-    scale = p_a * phi * input_var * math.prod(vertex_vars, start=1.0)
+    scale = p_a * _float(phi) * input_var * math.prod(vertex_vars, start=1.0)
     return _scaled_power(scale, [p_a, phi, input_var, *vertex_vars], edge_product(bg), 1.0)
 
 
@@ -155,13 +159,20 @@ def graph_init_variance(bg: BackboneGraph, n: int, p_a: float, phi: int) -> floa
     """Equal per-vertex variance making the linear variance ratio exactly 1.
 
     ``n`` must equal the number of weight vertices in the graph; the result
-    is ``(p_a * phi * prod(e)) ** (-1/n)``.
+    is ``(p_a * phi * prod(e)) ** (-1/n)``.  Raises
+    :class:`~tcinit.errors.InvalidParams` unless ``p_a`` is a finite real > 0
+    and ``phi`` an integer >= 1.
     """
+    _check_integers(InvalidParams, n=n, phi=phi)
     if n < 1 or n != bg.weight_count:
         raise InvalidParams(
             f"n = {n} does not match the graph's {bg.weight_count} weight vertices"
         )
-    return _scaled_power(p_a * phi, [p_a, phi], edge_product(bg), -1.0 / n)
+    if not isinstance(p_a, numbers.Real) or not 0 < p_a <= sys.float_info.max:
+        raise InvalidParams(f"p_a must be a finite real > 0, got {p_a!r}")
+    if phi < 1:
+        raise InvalidParams(f"phi must be >= 1, got {phi}")
+    return _scaled_power(p_a * _float(phi), [p_a, phi], edge_product(bg), -1.0 / n)
 
 
 def _channel_products(f: LayerFormat) -> tuple[int, int, int]:

@@ -538,9 +538,10 @@ def _run(net: NetworkSpec, seed: int, trials: int, workers: int, measure, grad_v
     ``i + 1`` and, unless ``grad_var`` is None, a normal output gradient of
     that variance from the last.  Each worker's pool (see
     :func:`_map_seeded`), which holds the contraction workspace and the
-    whole-batch arrays, lives as long as the call, so when every layer has one shape a block after the first
-    makes no whole-batch array; with several shapes a later block may still
-    make one where the pool's best fit misses.  A trial's figures depend
+    whole-batch arrays, lives as long as the call, so when every layer has
+    one shape a block after the first makes no whole-batch array; with
+    several shapes a later block may still make one where the pool's best
+    fit misses.  A trial's figures depend
     neither on its block nor on ``workers``."""
     size = validate_network(net, trials, workers, grad_var is not None)
     inits = inits or [make_plan(s.format, s.mode, s.activation) for s in net.layers]
@@ -721,7 +722,8 @@ def scale_chain(
     _check_integers(InvalidParams, trials=trials, batch=batch, workers=workers)
     try:
         dims = tuple(dims)
-        whole = all(isinstance(d, numbers.Real) and math.isfinite(d) and d == int(d)
+        whole = all(isinstance(d, numbers.Integral)
+                    or isinstance(d, numbers.Real) and math.isfinite(d) and d == int(d)
                     for d in dims)
     except TypeError:
         whole = False

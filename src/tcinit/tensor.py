@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
 from string import ascii_letters
@@ -125,6 +127,12 @@ def _check_array(shape, what: str) -> None:
     exceed the memory limit; ``what`` names it in the message."""
     nbytes = 8 * math.prod(shape)
     if nbytes > MEMORY_LIMIT:
+        if nbytes > sys.float_info.max:
+            # A Decimal writes a size past the float range as a float would
+            # write one within it.  Imported here: importing decimal with the
+            # package would cost every run about 0.4 MB of resident memory.
+            from decimal import Decimal
+            nbytes = Decimal(nbytes)
         raise ResourceLimit(
             f"{what} needs {nbytes:.3e} bytes, over the limit of "
             f"{MEMORY_LIMIT:.3e} bytes ({MEMORY_SOURCE})"
@@ -166,12 +174,14 @@ class DenseTensor:
     data: np.ndarray
 
     def __post_init__(self):
-        shape = tuple(int(d) for d in self.shape)
+        try:
+            shape = tuple(map(operator.index, self.shape))
+        except TypeError:
+            raise InvalidShape(f"shape entries must be integers, got {self.shape!r}") from None
         if any(d < 1 for d in shape):
             raise InvalidShape(f"shape entries must be >= 1, got {shape}")
         flat = np.ascontiguousarray(self.data, dtype=np.float64).reshape(-1)
-        expected = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        if flat.size != expected:
+        if flat.size != math.prod(shape):
             raise InvalidShape(
                 f"data length {flat.size} does not match shape {shape}"
             )

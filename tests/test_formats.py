@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,11 @@ class TestParse:
         for seed in range(20):
             f = random_format(seed)
             assert parse_format(serialize_format(f)) == f
+
+    @pytest.mark.parametrize("f", [None, "phi 1\n"])
+    def test_serializing_a_non_format_raises_validation_error(self, f):
+        with pytest.raises(ValidationError, match="^serialize_format needs a LayerFormat, got "):
+            serialize_format(f)
 
     def test_comments_and_blank_lines(self):
         f = parse_format("# header\n\n" + MINIMAL_CONV + "\n# trailing\n")
@@ -384,8 +391,25 @@ class TestRandomFormat:
         ("in_dim_range", (0, 0), "in_dim_range must have 1 <= low <= high, got (0, 0)"),
         ("rank_dim_range", (5, 2), "rank_dim_range must have 1 <= low <= high, got (5, 2)"),
         ("max_rank_edges", -1, "max_rank_edges must be >= 0, got -1"),
+        ("in_dim_range", (2, math.inf), "in_dim_range[1] must be an integer, got inf"),
+        ("out_dim_range", (math.nan, 3), "out_dim_range[0] must be an integer, got nan"),
+        ("rank_dim_range", None, "rank_dim_range must be a pair of integers, got None"),
+        ("rank_dim_range", (2, 10**30),
+         f"rank_dim_range must have high <= {2**63 - 1}, got (2, {10**30})"),
+        ("max_rank_edges", 2.5, "max_rank_edges must be an integer, got 2.5"),
+        ("max_rank_edges", math.inf, "max_rank_edges must be an integer, got inf"),
+        ("max_rank_edges", 10**30, f"max_rank_edges must be <= {2**63 - 1}, got {10**30}"),
     ])
     def test_constraints_no_format_meets_rejected(self, field, value, message):
         with pytest.raises(InvalidParams) as err:
             random_format(0, RandomFormatConstraints(**{field: value}))
         assert str(err.value) == message
+
+    def test_constraints_at_the_draw_bound_run(self):
+        top = 2**63 - 1
+        f = random_format(0, RandomFormatConstraints(rank_dim_range=(top, top)))
+        assert all(e.dim == top for e in f.edges_of_kind(RANK))
+
+    def test_constraints_of_wrong_type_rejected(self):
+        with pytest.raises(InvalidParams, match="^constraints must be RandomFormatConstraints"):
+            random_format(0, None)

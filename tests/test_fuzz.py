@@ -10,8 +10,16 @@ from hypothesis import strategies as st
 
 from tcinit.cli import main
 from tcinit.errors import TcinitError
-from tcinit.formats import BUILTIN_NAMES, builtin_format, parse_format, validate
-from tcinit.graph import make_plan
+from tcinit.formats import (
+    BUILTIN_NAMES,
+    RandomFormatConstraints,
+    builtin_format,
+    parse_format,
+    random_format,
+    serialize_format,
+    validate,
+)
+from tcinit.graph import FAN_IN, extract_bg, graph_init_variance, make_plan
 from tcinit.network import backward_apply, forward_apply, materialize
 from tcinit.simulate import (
     LayerSpec,
@@ -23,7 +31,13 @@ from tcinit.simulate import (
     validate_network,
     variance_mc,
 )
-from tcinit.tensor import DenseTensor, reversal_matrix, transformation_matrix
+from tcinit.tensor import (
+    DenseTensor,
+    DummySpec,
+    build_dummy,
+    reversal_matrix,
+    transformation_matrix,
+)
 
 KEYS = (
     "c_in", "c_out", "rank", "ranks", "r0", "r1", "i_dims", "o_dims",
@@ -117,7 +131,7 @@ def test_format_text_runs_adjoint_or_raises_tcinit_error(text):
 
 
 # Values of the wrong type or range for a size, count, seed or variance.
-BAD = (0, -1, 2.5, math.nan, math.inf, "a", None, (1, 2), True, 10**30)
+BAD = (0, -1, 2.5, math.nan, math.inf, "a", None, (1, 2), True, 10**30, 10**400)
 TT = builtin_format("tt", i_dims=(2, 3), o_dims=(3, 2), rank=2)
 TT_PLAN = make_plan(TT, "graph-in", "tanh")
 
@@ -151,18 +165,49 @@ ENTRY_POINTS = {
 }
 
 
+TT_BG = extract_bg(TT, FAN_IN)
+# The tensor, graph and format entry points, as ENTRY_POINTS.
+VALUE_ENTRY_POINTS = {
+    "DenseTensor": (lambda rows, cols: DenseTensor((rows, cols), np.zeros(6)),
+                    {"rows": 2, "cols": 3}),
+    "graph_init_variance": (lambda n, p_a, phi: graph_init_variance(TT_BG, n, p_a, phi),
+                            {"n": TT_BG.weight_count, "p_a": 1.0, "phi": 1}),
+    "random_format": (lambda seed, low, high, max_rank_edges, phi: random_format(
+                          seed, RandomFormatConstraints((low, high), (2, 8), (2, high),
+                                                        max_rank_edges, phi)),
+                      {"seed": 0, "low": 2, "high": 6, "max_rank_edges": 6, "phi": 1}),
+    "random_format/constraints": (lambda constraints: random_format(0, constraints),
+                                  {"constraints": RandomFormatConstraints()}),
+    "serialize_format": (serialize_format, {"f": TT}),
+    "build_dummy": (lambda alpha, beta, stride, padding:
+                    build_dummy(DummySpec(alpha, beta, stride, padding)),
+                    {"alpha": 5, "beta": 3, "stride": 2, "padding": 1}),
+    "transformation_matrix": (transformation_matrix, {"t": 3, "epsilon": 2}),
+}
+
+
 @st.composite
-def entry_calls(draw):
+def entry_calls(draw, entry_points):
     """An entry point and its arguments, each the good one or drawn from BAD."""
-    name = draw(st.sampled_from(sorted(ENTRY_POINTS)))
-    call, good = ENTRY_POINTS[name]
+    name = draw(st.sampled_from(sorted(entry_points)))
+    call, good = entry_points[name]
     kwargs = {k: draw(st.one_of(st.just(v), st.sampled_from(BAD))) for k, v in good.items()}
     return call, kwargs
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(entry_calls())
+@given(entry_calls(ENTRY_POINTS))
 def test_runner_and_pattern_inputs_give_a_result_or_a_tcinit_error(entry):
+    call, kwargs = entry
+    try:
+        call(**kwargs)
+    except TcinitError:
+        pass
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(entry_calls(VALUE_ENTRY_POINTS))
+def test_tensor_graph_and_format_inputs_give_a_result_or_a_tcinit_error(entry):
     call, kwargs = entry
     try:
         call(**kwargs)

@@ -164,6 +164,23 @@ class TestGraphInit:
         with pytest.raises(InvalidParams):
             graph_init_variance(extract_bg(f, FAN_IN), 2, 1.0, 1)
 
+    @pytest.mark.parametrize("n,p_a,phi,message", [
+        (3, 0, 1, "p_a must be a finite real > 0, got 0"),
+        (3, -0.5, 1, "p_a must be a finite real > 0, got -0.5"),
+        (3, math.nan, 1, "p_a must be a finite real > 0, got nan"),
+        (3, math.inf, 1, "p_a must be a finite real > 0, got inf"),
+        (3, "a", 1, "p_a must be a finite real > 0, got 'a'"),
+        (3, 1.0, 0, "phi must be >= 1, got 0"),
+        (3, 1.0, 2.5, "phi must be an integer, got 2.5"),
+        ("a", 1.0, 1, "n must be an integer, got 'a'"),
+        (2, 1.0, 1, "n = 2 does not match the graph's 3 weight vertices"),
+    ])
+    def test_bad_arguments_raise_invalid_params(self, n, p_a, phi, message):
+        f = builtin_format("htk2", c_in=8, c_out=8, rank=4, k=3, alpha=8)
+        with pytest.raises(InvalidParams) as err:
+            graph_init_variance(extract_bg(f, FAN_IN), n, p_a, phi)
+        assert str(err.value) == message
+
 
 class TestPrediction:
     def test_graph_in_plan_preserves_variance(self):
@@ -209,6 +226,15 @@ class TestBeyondFloatRange:
         assert out == pytest.approx(0.7, rel=1e-9)
         assert predicted_output_variance(self.BG, 1.0, [0.0, 1.0], 1.0, 1) == 0.0
         assert predicted_output_variance(self.BG, 1.0, [1.0, 1.0], 1.0, 1) == math.inf
+
+    def test_phi_past_float_range(self):
+        # The unit closure holds for a phi that no float can hold.
+        f = builtin_format("htk2", c_in=96, c_out=96, rank=10, k=3, alpha=8)
+        bg, phi = extract_bg(f, FAN_IN), 4 * 10**399
+        sigma2 = graph_init_variance(bg, 3, 1.0, phi)
+        assert sigma2 == pytest.approx((4 * 86400) ** (-1 / 3) * 1e-133, rel=1e-9)
+        out = predicted_output_variance(bg, 0.7, [sigma2] * 3, 1.0, phi)
+        assert out == pytest.approx(0.7, rel=1e-9)
 
     def test_float_product_overflowing_to_inf(self):
         # 10**308 converts to a float, but 4 * 1e308 overflows.

@@ -674,6 +674,11 @@ class TestTrialBlocks:
         with pytest.raises(ResourceLimit):
             variance_mc(f, make_plan(f, "graph-in", "tanh"), seed=0, trials=1)
 
+    def test_batch_past_float_range_raises_resource_limit(self):
+        f = builtin_format("tt", i_dims=(2, 3), o_dims=(3, 2), rank=2)
+        with pytest.raises(ResourceLimit, match=r"batched network input needs 4\.800e\+401 bytes"):
+            variance_mc(f, make_plan(f, "graph-in", "tanh"), 0, 2, batch=10**400)
+
 
 class TestStreams:
     """Each trial's streams are numpy's own: ``SeedSequence([seed, t])`` or
@@ -1013,6 +1018,12 @@ class TestScaleChain:
         monkeypatch.setattr(simulate, "_seed_words", None)
         with pytest.raises(ResourceLimit, match="scales of 1000000000000 trials"):
             scale_chain(seed=0, trials=10**12, dims=(4, 4))
+
+    @pytest.mark.parametrize("dims,what", [((10**400, 2), "chain input"),
+                                           ((2, 10**400), "weight of chain step 1")])
+    def test_dims_past_float_range_raise_resource_limit(self, dims, what):
+        with pytest.raises(ResourceLimit, match=what):
+            scale_chain(seed=0, trials=1, dims=dims)
 
     def test_integral_dims_of_any_number_type_run(self):
         want = scale_chain(seed=0, trials=2, dims=(6, 4))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,10 +83,17 @@ class TestDenseTensor:
 @pytest.mark.parametrize("build", [
     lambda: DenseTensor((0,), np.zeros(0)),
     lambda: DenseTensor((2,), np.zeros(1)),
+    lambda: DenseTensor((10**400,), np.zeros(1)),
+    lambda: DenseTensor((math.nan,), np.zeros(1)),
+    lambda: DenseTensor((math.inf,), np.zeros(1)),
+    lambda: DenseTensor(("a",), np.zeros(1)),
+    lambda: DenseTensor((2.5,), np.zeros(2)),
+    lambda: DenseTensor(None, np.zeros(1)),
     lambda: reversal_matrix(0),
     lambda: transformation_matrix(0, 1),
     lambda: transformation_matrix(2, 0),
-], ids=["zero-dim", "data-length", "reversal", "transformation-t", "transformation-epsilon"])
+], ids=["zero-dim", "data-length", "past-int64", "nan", "inf", "str", "float", "none",
+        "reversal", "transformation-t", "transformation-epsilon"])
 def test_bad_shapes_raise_a_tcinit_error_that_is_a_value_error(build):
     with pytest.raises(InvalidShape) as err:
         build()
@@ -100,6 +109,20 @@ def test_bad_shapes_raise_a_tcinit_error_that_is_a_value_error(build):
 def test_special_matrix_sizes_of_wrong_type_raise_invalid_shape(build, value):
     with pytest.raises(InvalidShape, match=r"^(r|t|epsilon) must be an integer, got "):
         build(value)
+
+
+@pytest.mark.parametrize("build,text", [
+    (lambda: reversal_matrix(10**6), "the reversal matrix needs 8.000e+12 bytes"),
+    (lambda: reversal_matrix(10**200), "the reversal matrix needs 8.000e+400 bytes"),
+    (lambda: transformation_matrix(2, 10**400),
+     "the transformation matrix needs 1.600e+401 bytes"),
+    (lambda: build_dummy(DummySpec(10**200, 3)), "the pattern tensor needs 2.400e+401 bytes"),
+], ids=["in-float-range", "reversal", "transformation", "pattern"])
+def test_sizes_past_float_range_raise_resource_limit(build, text):
+    # The byte count is written as a float writes it, past its range too.
+    with pytest.raises(ResourceLimit) as err:
+        build()
+    assert str(err.value).startswith(text + ", over the limit of ")
 
 
 def test_special_matrix_value_messages_are_unchanged():

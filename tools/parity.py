@@ -36,6 +36,9 @@ stderr (``repr`` for ``variance_mc``):
   contents of the files it writes;
 * ``simulate/conv_depth/s0/out``: ``tcinit simulate`` with the conv_depth
   flags at seed 0 and ``--out STEM``, and both files it writes;
+* ``simulate/std400/w<workers>``: ``tcinit simulate`` on a depth-2 standard
+  stack of 400 channels, whose GEMMs OpenBLAS splits over its threads, at
+  ``--workers`` 1 and 2;
 * ``simulate/exit2/<case>``: the ``tcinit simulate`` runs of
   ``EXIT2_CASES``, each of which exits 2 on any machine with less than
   about 14 TB of memory.
@@ -104,6 +107,8 @@ CONV_DEPTH_FLAGS = ["--builtin", "htk2", "-P", "c_in=32", "-P", "c_out=32", "-P"
                     "-P", "k=3", "-P", "padding=1", "-P", "alpha=32", "--depth", "5",
                     "--act", "tanh", "--mode", "graph-in", "--batch", "16", "--trials", "2"]
 CONV_DEPTH_SEEDS = range(4)
+STD400_FLAGS = ["--builtin", "standard", "-P", "c_in=400", "-P", "c_out=400", "--batch", "32",
+                "--depth", "2", "--trials", "4", "--seed", "0"]
 
 # builtin, parameters, trials: the criterion-7 grid, run at batch 16.
 MC_CASES = (
@@ -217,6 +222,9 @@ def report_digests() -> dict[str, str]:
     out["randgen/s0"] = _sha(_cli_files("randgen", "--seed", "0", "--count", "3"))
     out["simulate/conv_depth/s0/out"] = _sha(_cli_files("simulate", *CONV_DEPTH_FLAGS,
                                                         "--seed", "0", "--out", "trace"))
+    for workers in (1, 2):
+        out[f"simulate/std400/w{workers}"] = _sha(_cli("simulate", *STD400_FLAGS,
+                                                       "--workers", str(workers)))
     for case, flags in EXIT2_CASES.items():
         out[f"simulate/exit2/{case}"] = _sha(_cli("simulate", *flags))
     return out
