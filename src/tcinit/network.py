@@ -79,27 +79,27 @@ out as the whole batch gives them, bit for bit.
 
 :func:`_draw` fills arrays the caller gives it, so trials are drawn straight
 into their slices of a block's arrays.  The arrays a contraction's steps
-write live in a *workspace*, held by a :class:`_Pool`, one pool per worker
-thread, owned by the caller of :func:`_contract`, never by a module or a
-cached plan: the channels-last input, each window step's zero-padded buffer,
-weight copy, sum and per-offset product, each GEMM step's result and the
-replica sum, each sized for one batch tile.  The plan assigns them
-statically, as TVM does (arXiv:1802.04799): GEMM results whose lives do not
-overlap share one buffer.  Passed again, the pool hands back the same
-buffers.  Three kinds of array escape it: the result, an array of the whole
-batch that each tile's rows are copied into, the caller's destination or
-else a fresh one (the block runner of :mod:`tcinit.simulate` passes its own,
-and on the backward pass, where a result row is as long as an input row, the
-input itself: see :func:`_contract`); the copy numpy's ``reshape`` makes of
-a GEMM operand whose permuted axes no view can merge; and numpy's own ufunc
-buffers, which a window step's broadcast ``multiply`` (one summed entry)
-works through.  A ``matmul`` there would need none, but on cp's K = 1 steps
-it took 598-844 us forward against 415-443 us (batch 16, BLAS at one
-thread), so the buffers stay.
+write live in a *workspace*, the first ``held`` entries of an
+:class:`_Arena`, a flat array owned by the caller of :func:`_contract`,
+never by a module or a cached plan: the channels-last input, each window
+step's zero-padded buffer, weight copy, sum and per-offset product, each
+GEMM step's result and the replica sum, each sized for one batch tile.
+:func:`_assign`, TVM's static memory planner (arXiv:1802.04799), gives each
+an offset, so that GEMM results whose lives do not overlap share memory;
+:mod:`tcinit.simulate` lays out a whole block's arrays by the same rule.
+Three kinds of array escape the arena: the result, copied tile by tile into
+the caller's destination or else a fresh array (see :func:`_contract`); the
+copy numpy's ``reshape`` makes of a GEMM operand whose permuted axes no view
+can merge; and numpy's own ufunc buffers, which a window step's broadcast
+``multiply`` (one summed entry) works through.  A ``matmul`` there would
+need none, but on cp's K = 1 steps it took 598-844 us forward against
+415-443 us (batch 16, BLAS at one thread), so the buffers stay.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import logging
 import math
 import sys
@@ -306,13 +306,12 @@ class _Gemm:
     buffers: tuple[tuple[int, ...], ...]
 
 
-def _shift_buffers(s: _Shift) -> tuple:
-    """The arrays of ``s.buffers``, zero, as views ready for :func:`_shift`:
-    the entries of the padded buffer the input fills, the weight copy, the
+def _shift_buffers(s: _Shift, padded, w_copy, out, *extra) -> tuple:
+    """The arrays of ``s.buffers`` as views ready for :func:`_shift`: the
+    padded buffer, the entries of it the input fills, the weight copy, the
     sum, the per-offset product (``None`` with one offset) and, per window
     offset, the strided slice of the padded buffer it reads, with the summed
     channels merged into the trailing axis, and the weight it meets."""
-    padded, w_copy, out, *extra = [np.zeros(shape) for shape in s.buffers]
     w = w_copy.reshape(s.w_shape)
     if s.reverses:
         w = w[(slice(None, None, -1),) * len(s.windows)]
@@ -325,13 +324,13 @@ def _shift_buffers(s: _Shift) -> tuple:
         # The summed channels trail the buffer unsliced, so this is a view.
         assert np.shares_memory(xs, padded)
         reads.append((xs, w[at]))
-    return padded[s.dst], w_copy, out, extra[0] if extra else None, reads
+    return padded, padded[s.dst], w_copy, out, extra[0] if extra else None, reads
 
 
 def _shift(x: np.ndarray, w: np.ndarray, s: _Shift, held: tuple) -> np.ndarray:
-    # Only ``dst`` is ever written, so a reused buffer's pads and gaps stay
-    # zero.
-    dst, w_copy, out, extra, reads = held
+    # Only ``dst`` is written, so the pads and gaps :func:`_contract` zeroes
+    # stay zero for every tile and replica of its call.
+    _, dst, w_copy, out, extra, reads = held
     np.copyto(dst, x.transpose(s.x_perm)[s.src])
     np.copyto(w_copy, w.transpose(s.w_perm))
     # With one summed entry each product is an outer product.
@@ -362,12 +361,11 @@ class _Plan:
     holds: its input rows, a weight or an array a step writes (its
     ``buffers``).  ``buffers`` are the shapes of the plan's own arrays: the
     channels-last input (with ``entry``), then the replica sum (with more
-    than one replica).  The results of GEMM steps share the ``slots``, flat
-    arrays of the given entries: ``slot_of`` gives each step's, ``None`` for
-    a window step, which holds its own.  ``held`` counts the entries of
-    every array a workspace holds for the plan, one tile's buffers; the
-    whole result and the arrays numpy makes on its own (GEMM operand copies,
-    ufunc buffers; see the module docstring) are not among them."""
+    than one replica).  ``at`` gives the offset in the workspace of each of
+    them and then of each step's ``buffers`` (see :func:`_slots`), and
+    ``held`` the entries the workspace spans, one tile's buffers; the whole
+    result and the arrays numpy makes on its own (GEMM operand copies, ufunc
+    buffers; see the module docstring) are not among them."""
 
     entry: tuple[int, ...] | None
     steps: tuple[_Gemm | _Shift, ...]
@@ -377,8 +375,7 @@ class _Plan:
     largest: int
     held: int
     buffers: tuple[tuple[int, ...], ...]
-    slots: tuple[int, ...]
-    slot_of: tuple[int | None, ...]
+    at: tuple[int, ...]
 
 
 # Plans are pairwise: with no memory cap numpy's greedy search never falls
@@ -575,9 +572,7 @@ def _compile(f: LayerFormat, backward: bool, wiring, path, windows, x_shape,
     exit_perm = tuple(last.index(c) for c in public)
     buffers = ((tuple(tile[i] for i in entry),) if entry else ()) + (
         (steps[-1].out_shape,) if f.phi > 1 else ())
-    slots, slot_of = _slots(steps)
-    own = [s for step, at in zip(steps, slot_of) if at is None for s in step.buffers]
-    held = sum(map(math.prod, (*own, *buffers))) + sum(slots)
+    at, held = _slots(steps, buffers)
     weights = ([dims[c] for c in t] for t in w_terms)
     step_buffers = (s for step in steps for s in step.buffers)
     largest = max(map(math.prod, (tile, *weights, *step_buffers)))
@@ -585,7 +580,7 @@ def _compile(f: LayerFormat, backward: bool, wiring, path, windows, x_shape,
                                            for shape in (step.buffers[0], step.out_shape)))))
     y_tile = [steps[-1].out_shape[i] for i in exit_perm]
     plan = _Plan(entry, steps, exit_perm, rows, (x_shape[0], x_shape[1], *y_tile[2:]),
-                 largest, held, buffers, slots, slot_of)
+                 largest, held, buffers, at)
     return plan, streamed
 
 
@@ -644,91 +639,70 @@ def _plan(f: LayerFormat, backward: bool, x_shape) -> _Plan:
     return plan
 
 
-def _slots(steps) -> tuple[tuple[int, ...], tuple[int | None, ...]]:
-    """Static buffer assignment for the results of GEMM steps, as in TVM's
-    memory planner (arXiv:1802.04799): a result lives from its step to the
-    step that reads it, the last one to the end, and results whose lives do
-    not overlap share one slot.  Returns each slot's entries and each step's
-    slot, ``None`` for a window step, which holds its own arrays because its
-    padded buffer must keep its zeros."""
-    sizes, slot_of, free = [], [], []
-    regs = [None] * (len(steps) + 1)  # the slot of each register's array
-    for step in steps:
-        read = [regs[r] for r in step.reads if regs[r] is not None]
-        slot = None
-        if isinstance(step, _Gemm):
-            entries = math.prod(step.buffers[0])
-            slot = max(free, key=sizes.__getitem__) if free else len(sizes)
-            if slot == len(sizes):
-                sizes.append(0)
-            else:
-                free.remove(slot)
-            sizes[slot] = max(sizes[slot], entries)
-        # An operand is read until its step is done: free its slot after.
-        free += read
-        regs.append(slot)
-        slot_of.append(slot)
-    return tuple(sizes), tuple(slot_of)
+def _assign(lives) -> tuple[tuple[int, ...], int]:
+    """Static offsets in one flat array for arrays of ``(entries, first,
+    last)`` lives, inclusive spans of steps, by the rule of TVM's memory
+    planner (arXiv:1802.04799): in order of their first step, each array
+    takes the largest slot whose arrays' lives have all ended, growing it to
+    fit, or else a new slot, so arrays whose lives do not overlap share
+    memory.  Returns each array's offset, in the order given, and the
+    entries of all slots."""
+    sizes, slot_of, free, busy = [], [None] * len(lives), [], []
+    for k in sorted(range(len(lives)), key=lambda k: lives[k][1]):
+        entries, first, last = lives[k]
+        while busy and busy[0][0] < first:
+            slot = heapq.heappop(busy)[1]
+            heapq.heappush(free, (-sizes[slot], slot))
+        slot = heapq.heappop(free)[1] if free else len(sizes)
+        if slot == len(sizes):
+            sizes.append(0)
+        sizes[slot] = max(sizes[slot], entries)
+        heapq.heappush(busy, (last, slot))
+        slot_of[k] = slot
+    starts = list(itertools.accumulate(sizes, initial=0))
+    return tuple(starts[slot] for slot in slot_of), starts[-1]
 
 
-def _workspace_arrays(plan: _Plan) -> tuple:
-    """Everything a workspace holds for ``plan``: its own arrays, then per
-    step those the step writes (see :func:`_shift_buffers`; a GEMM step's
-    output and result views of its slot)."""
-    slots = [np.empty(n) for n in plan.slots]
+def _slots(steps, own) -> tuple[tuple[int, ...], int]:
+    """The offsets and span of a plan's workspace (see :func:`_assign`): a
+    GEMM step's result lives from its step to the step that reads it, the
+    last one to the end.  The plan's ``own`` arrays and a window step's
+    arrays live throughout: its padded buffer keeps its zeros for the whole
+    call."""
+    # A pairwise path over the input and W weights takes W steps, so step
+    # k's result is register W + 1 + k.
+    end = len(steps)
+    read = {r - end - 1: j for j, step in enumerate(steps) for r in step.reads if r > end}
+    lives = [(math.prod(s), 0, end) for s in own]
+    for k, step in enumerate(steps):
+        gemm = isinstance(step, _Gemm)
+        lives += [(math.prod(s), k if gemm else 0, read.get(k, end) if gemm else end)
+                  for s in step.buffers]
+    return _assign(lives)
+
+
+def _workspace_arrays(plan: _Plan, memory: np.ndarray) -> tuple:
+    """Everything a workspace holds for ``plan``, as views of ``memory`` at
+    ``plan.at``: its own arrays, then per step those the step writes (see
+    :func:`_shift_buffers`; a GEMM step's output and result views)."""
+    shapes = [*plan.buffers, *(s for step in plan.steps for s in step.buffers)]
+    views = iter([memory[at:at + math.prod(s)].reshape(s) for at, s in zip(plan.at, shapes)])
+    own = [next(views) for _ in plan.buffers]
     held = []
-    for step, at in zip(plan.steps, plan.slot_of):
-        if isinstance(step, _Shift):
-            held.append(_shift_buffers(step))
-        else:
-            out = slots[at][:math.prod(step.buffers[0])].reshape(step.buffers[0])
-            held.append((out, out.reshape(step.out_shape)))
-    return [np.empty(s) for s in plan.buffers], held
+    for step in plan.steps:
+        arrays = [next(views) for _ in step.buffers]
+        held.append(_shift_buffers(step, *arrays) if isinstance(step, _Shift)
+                    else (arrays[0], arrays[0].reshape(step.out_shape)))
+    return own, held
 
 
-class _Pool:
-    """Every buffer one worker thread reuses: one plan's workspace (see
-    :func:`_workspace`) and the arrays its caller takes and gives back, which
-    a best-fit pool reuses instead of planning them ahead as :func:`_slots`
-    plans a workspace.  :meth:`take` views the smallest free buffer that
-    holds the shape asked for; only on a miss is a buffer made, and then the
-    free ones, all too small, are dropped.  So every buffer the pool holds
-    was in use at that last miss, and it never holds more than its caller
-    had in use at one time."""
+class _Arena:
+    """One flat array, ``memory``, and the views made of it, per key: a
+    plan's workspace (see :func:`_contract`), which starts at entry 0, or
+    whatever else its owner lays out after it.  One worker thread owns it."""
 
-    def __init__(self):
-        self.free = []
-        self.plan = self.arrays = None
-
-    def take(self, shape) -> np.ndarray:
-        n = math.prod(shape)
-        fits = [i for i, buf in enumerate(self.free) if len(buf) >= n]
-        if fits:
-            buf = self.free.pop(min(fits, key=lambda i: len(self.free[i])))
-        else:
-            self.free.clear()
-            buf = np.empty(n)
-        return buf[:n].reshape(shape)
-
-    def give(self, a: np.ndarray) -> None:
-        """Take back ``a``, an array :meth:`take` gave or a view of one."""
-        self.free.append(a.base)
-
-
-def _workspace(pool: _Pool, plan: _Plan) -> tuple:
-    """The arrays ``pool`` holds for ``plan``, made on first use once the
-    last plan's are dropped, so a caller that runs plans in turn holds the
-    largest workspace of them, never their sum.  Raises
-    :class:`~tcinit.errors.ResourceLimit` before making them when the plan's
-    largest array, or all of them with the whole result, would exceed the
-    memory limit."""
-    if pool.plan is not plan:
-        _check_array((plan.largest,), "the largest array of a contraction")
-        _check_array((plan.held + math.prod(plan.y_shape),),
-                     "the workspace and result of a contraction")
-        pool.plan = pool.arrays = None
-        pool.arrays, pool.plan = _workspace_arrays(plan), plan
-    return pool.arrays
+    def __init__(self, entries: int):
+        self.memory, self.views = np.empty(entries), {}
 
 
 def _trial_block(plans) -> int:
@@ -744,7 +718,7 @@ def _trial_block(plans) -> int:
 
 
 def _contract(f: LayerFormat, x: np.ndarray, replicas, backward: bool,
-              pool: _Pool | None = None, out: np.ndarray | None = None) -> np.ndarray:
+              arena: _Arena | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Sum over replicas of one direction's compiled contraction.
 
     ``replicas`` holds one list of weight arrays per replica, in
@@ -755,19 +729,31 @@ def _contract(f: LayerFormat, x: np.ndarray, replicas, backward: bool,
     Per replica the registers start as the tile and the weights; each step
     reads its ``reads`` and appends its result, written into buffers the
     plan assigns it, and the last register is the replica's result.
-    Replicas are summed into one more buffer.  All of them are the workspace
-    of ``pool``, which the caller owns and may pass again to reuse them, by
-    default a fresh one.  The result is ``out``, an array of the result's
-    shape, or by default one fresh array; each tile's rows are copied once
+    Replicas are summed into one more buffer.  All of them are views of the
+    first ``held`` entries of ``arena``, which the caller owns and may pass
+    again, by default a fresh one, checked with the result against the
+    memory limit.  Other arrays may use that memory between calls, so the
+    window steps' padded buffers are zeroed on entry.  The result is
+    ``out``, an array of the result's shape, or by default one fresh array;
+    each tile's rows are copied once
     from the last step's layout into its slice of it, in the output layout,
     so it never shares memory with the workspace.  ``out`` either shares no
-    memory with ``x`` or is ``x`` itself, reshaped, when a result batch row
-    holds as many entries as an input row: then a tile's result rows are the
-    memory of its input rows, written only after every step and replica has
-    read them, and no other tile reads them.
+    memory with ``x`` or is ``x``'s memory itself, reshaped, when a result
+    batch row holds as many entries as an input row: then a tile's result
+    rows are the memory of its input rows, written only after every step and
+    replica has read them, and no other tile reads them.
     """
     plan = _plan(f, backward, x.shape)
-    own, arrays = _workspace(_Pool() if pool is None else pool, plan)
+    if arena is None:
+        _check_array((plan.held + math.prod(plan.y_shape),),
+                     "the workspace and result of a contraction")
+        arena = _Arena(plan.held)
+    if plan not in arena.views:
+        arena.views[plan] = _workspace_arrays(plan, arena.memory)
+    own, arrays = arena.views[plan]
+    for step, held in zip(plan.steps, arrays):
+        if isinstance(step, _Shift):
+            held[0].fill(0.0)
     # Not a step buffer: a window step's sum is reused by every replica.
     total = own[-1] if len(replicas) > 1 else None
     y = np.empty(plan.y_shape) if out is None else out

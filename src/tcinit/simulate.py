@@ -12,16 +12,15 @@ no ``SeedSequence`` or generator is built per trial.  The traces and
 have a size that depends on the layer shapes alone, never on the worker
 count; :func:`scale_chain`'s blocks are single trials.  :func:`_map_seeded`
 runs every seeded call's blocks on its worker threads and gives each worker
-one pool (see :class:`~tcinit.network._Pool`) for the length of the call,
-which owns every buffer the worker reuses: the contraction workspace, the
-whole-batch arrays, the statistics' temporaries, the drawn gradient's buffer
-and :func:`scale_chain`'s weights.  A statistic and the drawn gradient work
-through a temporary of at most ``TRIAL_BLOCK_BYTES``, and a backward
-contraction writes into its own input where the shapes allow (see
-:func:`_passes`), so a block of the ``conv_depth`` benchmark stack makes no
-whole-batch array beyond its five kept post-activations.  numpy's bundled
-OpenBLAS runs at one thread for the whole of every seeded call, at any
-worker count, so reports do not depend on its thread count either.
+one arena (see :class:`~tcinit.network._Arena`), a flat array kept for the
+call, in which :func:`_layout` gives every array of a block a fixed offset by
+the static rule of a contraction's workspace (see
+:func:`~tcinit.network._assign`): the weights, the input, each layer's output
+and input gradient, one temporary for the statistics and the drawn gradient,
+and one contraction workspace.  :func:`scale_chain`'s weights are a view of
+its arena too.  numpy's bundled OpenBLAS runs at one thread for the whole of
+every seeded call, at any worker count, so reports do not depend on its
+thread count either.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from .graph import (
     predicted_output_variance,
 )
 from . import network
-from .network import _Pool, _contract, _draw, _plan, _trial_block, _weight_specs
+from .network import _Arena, _assign, _contract, _draw, _plan, _trial_block, _weight_specs
 from .tensor import (ACTIVATION_SCALE, _activation, _activation_grad, _check_array,
                      _check_integers, _check_seed)
 
@@ -119,11 +118,11 @@ def report_csv(report: TraceReport) -> str:
 # -- network wiring ---------------------------------------------------------
 
 
-def _kept_entries(f: LayerFormat, batch: int, backward: bool = True) -> int:
-    """Entries a trial keeps of layer ``f``: its replicas' weights and, for a
-    backward pass, the post-activation, the one array that pass reads."""
+def _kept_entries(f: LayerFormat, batch: int) -> int:
+    """Entries a trial keeps of layer ``f`` through a backward pass: its
+    replicas' weights and its post-activation."""
     weights = f.phi * sum(math.prod(f.weight_mode_dims(vid)) for vid in f.weight_ids)
-    return weights + (batch * math.prod(f.output_mode_dims()) if backward else 0)
+    return weights + batch * math.prod(f.output_mode_dims())
 
 
 def validate_network(net: NetworkSpec, trials: int = 1, workers: int = 1,
@@ -132,21 +131,36 @@ def validate_network(net: NetworkSpec, trials: int = 1, workers: int = 1,
     the layers chain and that ``trials`` fit in memory, forward and, with
     ``backward``, backward; return the trials per block (see
     :func:`~tcinit.network._trial_block`).  A layer object met again on the
-    same input shape only adds what it keeps: its checks ran the first time.
+    same input shape is checked once.
 
-    No array may exceed the memory limit: the batched input, a layer
-    output, the largest array of a plan (such as a window step's zero-padded
-    input) or the arrays its workspace holds at once, one batch tile's
-    buffers.  Compiling a plan allocates nothing.  Then a block's input and
-    what it keeps (see :func:`_kept_entries`) must fit, and so must they
-    with the largest workspace of any plan, that plan's result and two
-    result-sized temporaries, for a block of ``min(block, trials)`` trials
-    and for the ``min(workers, blocks)`` blocks run at once.  So must the
-    statistics of all ``trials``, at most 4 figures per layer, twice: their
-    chunks are concatenated (see :func:`_map_seeded`).  All of it raises
-    :class:`~tcinit.errors.ResourceLimit` before any draw, and a ``trials``,
-    ``workers`` or batch that is not an integer raises
-    :class:`~tcinit.errors.InvalidParams`."""
+    No array may exceed the memory limit: the batched input, a layer output
+    or the largest array of a plan (such as a window step's zero-padded
+    input); nor may a block's arena (see :func:`_layout`), exactly what it
+    holds, times the ``min(workers, blocks)`` blocks run at once, nor the
+    statistics of all ``trials``, at most 4 figures per layer, twice (see
+    :func:`_map_seeded`).  Each raises :class:`~tcinit.errors.ResourceLimit`
+    before any draw, and a ``trials``, ``workers`` or batch that is not an
+    integer raises :class:`~tcinit.errors.InvalidParams`.  Compiling a plan
+    allocates nothing."""
+    return _layout(net, trials, workers, backward)[0]
+
+
+def _layout(net: NetworkSpec, trials: int = 1, workers: int = 1, backward: bool = True):
+    """The walk of :func:`validate_network`: the trials per block and the
+    arena of a block of ``min(block, trials)`` trials, at least one, as
+    ``(total, roles)``, its entries and per role an offset and a shape:
+    ``"workspace"`` (at 0), ``"temporary"``, ``"input"``, ``("weight", i, r,
+    k)`` (replica ``r``, vertex ``k``), ``("output", i)`` and, with
+    ``backward``, ``("gradient", i)``, at layer ``i``'s input.
+
+    Forward layer ``i`` is step ``i``, backward layer ``i`` step ``2L - 1 -
+    i``, and :func:`~tcinit.network._assign` lays out each array over the
+    steps that use it (see :func:`_passes`): a weight from the draw to its
+    layer's last pass; the input for step 0; an output to the next layer's
+    step or, with ``backward``, its own backward one; a gradient to the
+    step below, unless it is as long as the output, whose memory it then
+    takes; the temporary (see :func:`_row_mean`) and the workspace, as large
+    as the largest plan's, throughout."""
     _check_integers(InvalidParams, trials=trials, workers=workers, batch=net.batch)
     if not net.layers:
         raise InvalidParams("network has no layers")
@@ -154,7 +168,7 @@ def validate_network(net: NetworkSpec, trials: int = 1, workers: int = 1,
         raise InvalidParams("batch must be >= 1")
     feed = tuple(net.input_shape)
     _check_array((net.batch, *feed), "the batched network input")
-    kept, plans, seen = math.prod((net.batch, *feed)), [], {}
+    rows, weights, plans, seen = [(net.batch, *feed)], [], [], {}
     for i, spec in enumerate(net.layers):
         key = id(spec), feed
         if key not in seen:
@@ -170,29 +184,57 @@ def validate_network(net: NetworkSpec, trials: int = 1, workers: int = 1,
                 )
             out = f.output_mode_dims()
             _check_array((net.batch, *out), f"the output of layer {i}")
-            seen[key] = out, _kept_entries(f, net.batch, backward)
+            seen[key] = out, [f.weight_mode_dims(vid) for vid in f.weight_ids]
             for direction, dims in (("forward", feed), ("backward", out))[:1 + backward]:
                 plan = _plan(f, direction == "backward", (1, net.batch, *dims))
                 _check_array((plan.largest,),
                              f"the largest array of layer {i}'s {direction} pass")
-                _check_array((plan.held,), f"the workspace of layer {i}'s {direction} pass")
                 plans.append(plan)
-        feed, entries = seen[key]
-        kept += entries
+        feed = seen[key][0]
+        rows.append((net.batch, *feed))
+        weights.append(seen[key][1])
     size = _trial_block(plans)
-    holds = kept + max(plan.held + 3 * math.prod(plan.y_shape) for plan in plans)
-    block = min(size, trials)
-    _check_array((block, kept), "the input, weights and kept activations of a trial block")
-    _check_array((block, holds),
-                 "the input, weights, kept activations, workspace and result of a trial block")
+    n, depth = max(1, min(size, trials)), len(net.layers)
+    end = depth * (1 + backward) - 1
+    temporary = max(n * min(max(map(math.prod, rows)), _span(n)),
+                    backward * min(math.prod(rows[-1]), _span(1)))
+    # Blocks of several trials tile no plan, and every array of an untiled
+    # plan leads with the trial axis, so n trials hold n times what one holds.
+    lives = {"workspace": ((n * max(plan.held for plan in plans),), 0, end),
+             "temporary": ((temporary,), 0, end), "input": ((n, *rows[0]), 0, 0)}
+    for i, spec in enumerate(net.layers):
+        back = 2 * depth - 1 - i
+        for r in range(spec.format.phi):
+            for k, shape in enumerate(weights[i]):
+                lives["weight", i, r, k] = ((n, *shape), 0, back if backward else i)
+        lives["output", i] = ((n, *rows[i + 1]), i, back if backward else min(i + 1, end))
+        if backward and math.prod(rows[i]) != math.prod(rows[i + 1]):
+            lives["gradient", i] = ((n, *rows[i]), back, min(back + 1, end))
+    at, total = _assign([(math.prod(shape), first, last) for shape, first, last in lives.values()])
+    roles = {role: (offset, life[0]) for (role, life), offset in zip(lives.items(), at)}
+    for i in range(depth if backward else 0):
+        roles.setdefault(("gradient", i), (roles["output", i][0], (n, *rows[i])))
     copies = min(workers, -(-trials // size))
-    if copies > 1:
-        _check_array((copies, block, holds),
-                     f"the inputs, weights, kept activations, workspaces and results of "
-                     f"{copies} trial blocks run at once")
+    _check_array((copies, total), "the arena of a trial block" if copies <= 1
+                 else f"the arenas of {copies} trial blocks run at once")
     _check_array((2, trials, len(net.layers), 4),
                  f"the statistics of {trials} trials and their concatenation")
-    return size
+    return size, (total, roles)
+
+
+def _views(net: NetworkSpec, layout, arena: _Arena, n: int) -> dict:
+    """The arrays of a block of ``n`` trials in ``arena`` laid out by
+    ``layout`` (see :func:`_layout`), made once per arena and ``n``: per
+    role, its first ``n`` trials, and under ``"weights"`` each layer's
+    weights, one list per replica."""
+    if n not in arena.views:
+        # Only the workspace and the temporary are flat, with no trial axis.
+        views = {role: arena.memory[at:at + math.prod(s)].reshape(s)[:n if len(s) > 1 else None]
+                 for role, (at, s) in layout[1].items()}
+        views["weights"] = [[[views["weight", i, r, k] for k in range(len(s.format.weight_ids))]
+                             for r in range(s.format.phi)] for i, s in enumerate(net.layers)]
+        arena.views[n] = views
+    return arena.views[n]
 
 
 # numpy's pairwise summation adds a run of at most this many entries in one
@@ -206,17 +248,16 @@ def _span(trials: int) -> int:
     return max(_PAIRWISE_BLOCK, network.TRIAL_BLOCK_BYTES // (8 * trials))
 
 
-def _row_mean(a: np.ndarray, pool: _Pool, fill) -> np.ndarray:
+def _row_mean(a: np.ndarray, tmp: np.ndarray, fill) -> np.ndarray:
     """Per-trial mean of what ``fill(part, tmp)`` writes into ``tmp`` from
     each column span ``part`` of ``a``, a block array seen as ``(trials,
-    entries)``, with one temporary taken from ``pool`` (see
-    :func:`_tree_sum`).  A row that fits :func:`_span` is one span, and the
-    temporary is as large as ``a``."""
+    entries)``, through the first ``trials * min(entries, _span(trials))``
+    entries of the flat temporary ``tmp`` (see :func:`_tree_sum`).  A row
+    that fits :func:`_span` is one span, and the temporary is as large as
+    ``a``."""
     a = a.reshape(len(a), -1)
     trials, n = a.shape
-    tmp = pool.take((trials * min(n, _span(trials)),))
-    sums = _tree_sum(a, tmp, fill, 0, n)
-    pool.give(tmp)
+    sums = _tree_sum(a, tmp[:trials * min(n, _span(trials))], fill, 0, n)
     return np.true_divide(sums, n, out=sums)
 
 
@@ -238,7 +279,7 @@ def _tree_sum(a: np.ndarray, tmp: np.ndarray, fill, lo: int, m: int) -> np.ndarr
     return _tree_sum(a, tmp, fill, lo, m2) + _tree_sum(a, tmp, fill, lo + m2, m - m2)
 
 
-def _var(a: np.ndarray, pool: _Pool) -> np.ndarray:
+def _var(a: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """Per-trial variance of a block array, bit for bit that of each trial's
     slice alone: numpy's own ufunc sequence for ``var``, its mean over the
     whole array and the mean of its squared deviations (see
@@ -251,10 +292,10 @@ def _var(a: np.ndarray, pool: _Pool) -> np.ndarray:
         np.subtract(part, mean, out=tmp)
         np.square(tmp, out=tmp)
 
-    return _row_mean(a, pool, squares)
+    return _row_mean(a, tmp, squares)
 
 
-def _saturation(a: np.ndarray, pool: _Pool) -> np.ndarray:
+def _saturation(a: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """Per-trial fraction of a block array's entries whose magnitude exceeds
     ``SATURATION_THRESHOLD``, bit for bit the mean of numpy's boolean
     comparison: the mean of the comparison's ones, written into a temporary
@@ -264,63 +305,47 @@ def _saturation(a: np.ndarray, pool: _Pool) -> np.ndarray:
         np.abs(part, out=tmp)
         np.greater(tmp, SATURATION_THRESHOLD, out=tmp)
 
-    return _row_mean(a, pool, ones)
+    return _row_mean(a, tmp, ones)
 
 
-def _passes(net: NetworkSpec, weights, x: np.ndarray, pool: _Pool, measure, upstream=None):
-    """Run a block of trials (``x`` and, per layer, one ``(phi, block, ...)``
-    array per weight vertex) through the stack, contracting in ``pool``.
+def _passes(net: NetworkSpec, views: dict, arena: _Arena, measure, upstream=None):
+    """Run a block of trials through the stack: ``views`` are its arrays in
+    ``arena`` (see :func:`_views`), the input and every weight filled, and
+    every contraction works in ``arena``'s workspace.
 
-    Every whole-batch array is one of ``pool``'s and goes back to it once its
-    role ends.  Forward, each layer contracts into a pool array, the
-    pre-activation; ``measure[0](pool, x, pre)`` gives per-trial statistics
-    of the layer's input and pre-activation, the activation then overwrites
-    ``pre`` in place (in-place activation storage, as in Chen et al.,
-    arXiv:1604.06174) and ``measure[1](pool, post)`` gives those of the
-    post-activation.  The input goes back once measured, and so does each
-    post-activation of a forward-only run.  With ``upstream``, backward
-    follows, reading the post-activations, the only arrays kept:
-    ``upstream(post, activation)`` writes the output gradient times the last
-    activation's derivative into the last post-activation, and each earlier
-    one is overwritten with the gradient times its own derivative.  Each is
-    then contracted into its own memory when a result batch row holds as
-    many entries as an input row (see :func:`~tcinit.network._contract`),
-    or else into a pool array, and given back.  Returns ``[block, layers, k
-    + 1]`` rows (the statistics, then the gradient's variance at the layer's
-    input, or 0) and the input gradient, a pool array, or None without
-    ``upstream``.  Logs each layer's pass seconds at DEBUG."""
-    layers, n, posts, stats, g = net.layers, len(x), [], [], None
+    Forward, each layer contracts into its output, the pre-activation;
+    ``measure[0](tmp, x, pre)`` gives per-trial statistics of the layer's
+    input and pre-activation through the temporary ``tmp``, the activation
+    overwrites ``pre`` in place (in-place activation storage, as in Chen et
+    al., arXiv:1604.06174) and ``measure[1](tmp, post)`` gives those of the
+    post-activation.  With ``upstream``, backward follows:
+    ``upstream(post, activation)`` writes the output gradient times the
+    last activation's derivative into the last post-activation, each earlier
+    one is overwritten with the gradient times its own derivative, and each
+    is contracted into the gradient at its layer's input, its own memory
+    where :func:`_layout` lets it (see :func:`~tcinit.network._contract`).
+    Returns ``[block, layers, k + 1]`` rows (the statistics, then the
+    gradient's variance at the layer's input, or 0) and the input gradient,
+    or None without ``upstream``.  Logs each layer's pass seconds at
+    DEBUG."""
+    layers, x, tmp = net.layers, views["input"], views["temporary"]
+    n, stats, g = len(x), [], None
     ticks = [time.perf_counter()]
-    for i, (spec, w) in enumerate(zip(layers, weights)):
-        f = spec.format
-        pre = _contract(f, x, list(zip(*w)), False, pool,
-                        pool.take((n, net.batch, *f.output_mode_dims())))
-        row = measure[0](pool, x, pre)
-        if i == 0 or upstream is None:
-            pool.give(x)
-        post = _activation(pre, spec.activation)
-        stats.append([*row, *measure[1](pool, post), np.zeros(n)])
-        if upstream is not None:
-            posts.append(post)
-        x = post
+    for i, spec in enumerate(layers):
+        pre = _contract(spec.format, x, views["weights"][i], False, arena, views["output", i])
+        row = measure[0](tmp, x, pre)
+        x = _activation(pre, spec.activation)
+        stats.append([*row, *measure[1](tmp, x), np.zeros(n)])
         ticks.append(time.perf_counter())
-    if upstream is None:
-        pool.give(x)
-    else:
+    if upstream is not None:
         for i in range(len(layers) - 1, -1, -1):
-            spec, d = layers[i], posts.pop()
+            spec, d = layers[i], views["output", i]
             if g is None:
                 upstream(d, spec.activation)
             else:
                 _activation_grad(g, d, spec.activation)
-                pool.give(g)
-            shape = (n, net.batch, *spec.format.input_mode_dims())
-            in_place = math.prod(shape) == d.size
-            g = _contract(spec.format, d, list(zip(*weights[i])), True, pool,
-                          d.reshape(shape) if in_place else pool.take(shape))
-            if not in_place:
-                pool.give(d)
-            stats[i][-1] = _var(g, pool)
+            g = _contract(spec.format, d, views["weights"][i], True, arena, views["gradient", i])
+            stats[i][-1] = _var(g, tmp)
             ticks.append(time.perf_counter())
     if _log.isEnabledFor(logging.DEBUG):
         spans = np.diff(ticks).tolist()
@@ -486,16 +511,17 @@ def _stream(rng: np.random.Generator, words: np.ndarray) -> np.random.Generator:
     return rng
 
 
-def _map_seeded(fn, seed: int, trials: int, keys, workers: int, size: int = 1) -> np.ndarray:
-    """The rows ``fn(pool, rng, words)`` gives for each block of ``size``
+def _map_seeded(fn, seed: int, trials: int, keys, workers: int, size: int = 1,
+                entries: int = 0) -> np.ndarray:
+    """The rows ``fn(arena, rng, words)`` gives for each block of ``size``
     consecutive trials of ``range(trials)``, ``words`` those trials'
     :func:`_seed_words`, concatenated in order.  Worker ``k`` of ``workers``
     (at most one per block) runs every ``workers``-th block from the
-    ``k``-th with its own :class:`~tcinit.network._Pool` and PCG64 generator
-    (see :func:`_stream`), both kept for the call; one worker is the calling
-    thread.  BLAS runs at one thread for the whole call, at every worker
-    count: a GEMM split over BLAS threads may add its terms in another
-    order, and workers would contend with BLAS threads for cores.  The words
+    ``k``-th with its own :class:`~tcinit.network._Arena` of ``entries``
+    entries and PCG64 generator (see :func:`_stream`), both kept for the
+    call; one worker is the calling thread.  BLAS runs at one thread for the
+    whole call at every worker count: a GEMM split over BLAS threads may add
+    its terms in another order, and workers would contend with them.  The words
     of a chunk of at most ``SEED_CHUNK`` trials (at least one block, in
     whole blocks) are computed before its blocks are mapped, and its rows
     are joined once they are, so neither the words nor the per-block results
@@ -508,7 +534,7 @@ def _map_seeded(fn, seed: int, trials: int, keys, workers: int, size: int = 1) -
     if workers < 1:
         raise InvalidParams("workers must be >= 1")
     workers = min(workers, -(-trials // size))
-    states = [(_Pool(), np.random.Generator(np.random.PCG64())) for _ in range(workers)]
+    states = [(_Arena(entries), np.random.Generator(np.random.PCG64())) for _ in range(workers)]
     chunk = size * max(1, SEED_CHUNK // size)
     results = []
     with _one_blas_thread(), ThreadPoolExecutor(workers) as ex:
@@ -536,65 +562,50 @@ def _run(net: NetworkSpec, seed: int, trials: int, workers: int, measure, grad_v
     :func:`_seed_words`) in place into its slices of block arrays: a
     standard-normal input from the first, layer ``i``'s weights from child
     ``i + 1`` and, unless ``grad_var`` is None, a normal output gradient of
-    that variance from the last.  Each worker's pool (see
-    :func:`_map_seeded`), which holds the contraction workspace and the
-    whole-batch arrays, lives as long as the call, so when every layer has
-    one shape a block after the first makes no whole-batch array; with
-    several shapes a later block may still make one where the pool's best
-    fit misses.  A trial's figures depend
-    neither on its block nor on ``workers``."""
-    size = validate_network(net, trials, workers, grad_var is not None)
+    that variance from the last.  Each worker's arena (see
+    :func:`_map_seeded`) holds a block laid out by :func:`_layout` for the
+    whole call.  A trial's figures depend neither on its block nor on
+    ``workers``."""
+    size, layout = _layout(net, trials, workers, grad_var is not None)
     inits = inits or [make_plan(s.format, s.mode, s.activation) for s in net.layers]
-    specs = [_weight_specs(s.format, init) for s, init in zip(net.layers, inits)]
+    variances = [_weight_specs(s.format, init)[1] for s, init in zip(net.layers, inits)]
 
-    def normal(pool, rng, words, shape):
-        out = pool.take((len(words), *shape))
-        for t, w in enumerate(words):
-            _draw(_stream(rng, w), [[out[t]]], [1.0], "normal")
-        return out
-
-    def gradient(pool, rng, words, post, activation):
-        # Each trial's gradient is drawn span by span into one small buffer:
+    def gradient(tmp, rng, words, post, activation):
+        # Each trial's gradient is drawn span by span into the temporary:
         # standard_normal fills the spans from the stream in turn, as it
         # fills the whole row, and every later step is elementwise.
         rows = post.reshape(len(post), -1)
         span = min(rows.shape[1], _span(1))
-        buf = pool.take((span,))
         for row, w in zip(rows, words):
             _stream(rng, w)
             for lo in range(0, len(row), span):
                 part = row[lo:lo + span]
-                g = buf[:len(part)]
+                g = tmp[:len(part)]
                 _draw(rng, [[g]], [grad_var], "normal")
                 _activation_grad(g, part, activation)
-        pool.give(buf)
 
-    def block(pool, rng, words):
-        weights = []
-        for i, (spec, init, (shapes, variances)) in enumerate(zip(net.layers, inits, specs)):
-            arrays = [np.empty((spec.format.phi, len(words), *s)) for s in shapes]
+    def block(arena, rng, words):
+        views = _views(net, layout, arena, len(words))
+        for i, (init, v) in enumerate(zip(inits, variances)):
             for t, w in enumerate(words[:, 1 + i]):
-                slots = [[a[t] for a in replica] for replica in zip(*arrays)]
-                _draw(_stream(rng, w), slots, variances, init.distribution)
-            weights.append(arrays)
-        upstream = None if grad_var is None else (
-            lambda post, activation: gradient(pool, rng, words[:, -1], post, activation))
-        x = normal(pool, rng, words[:, 0], (net.batch, *net.input_shape))
-        rows, g = _passes(net, weights, x, pool, measure, upstream)
-        if g is not None:
-            pool.give(g)
-        return rows
+                slots = [[a[t] for a in replica] for replica in views["weights"][i]]
+                _draw(_stream(rng, w), slots, v, init.distribution)
+        for t, w in enumerate(words[:, 0]):
+            _draw(_stream(rng, w), [[views["input"][t]]], [1.0], "normal")
+        upstream = None if grad_var is None else (lambda post, activation: gradient(
+            views["temporary"], rng, words[:, -1], post, activation))
+        return _passes(net, views, arena, measure, upstream)[0]
 
     keys = range(len(net.layers) + 1 + (grad_var is not None))
-    return _map_seeded(block, seed, trials, keys, workers, size)
+    return _map_seeded(block, seed, trials, keys, workers, size, layout[0])
 
 
 def _trace(net: NetworkSpec, seed: int, trials: int, workers: int, grad_var=None) -> TraceReport:
     """Mean and trial-to-trial std of the per-layer statistics of
     :func:`_run`: pre- and post-activation variance, saturation and gradient
     variance (0 unless ``grad_var`` is given)."""
-    measure = (lambda pool, x, pre: (_var(pre, pool),),
-               lambda pool, post: (_var(post, pool), _saturation(post, pool)))
+    measure = (lambda tmp, x, pre: (_var(pre, tmp),),
+               lambda tmp, post: (_var(post, tmp), _saturation(post, tmp)))
     rows = _run(net, seed, trials, workers, measure, grad_var)
     stats = zip(rows.mean(axis=0), rows.std(axis=0))
     layers = tuple(
@@ -638,16 +649,18 @@ def input_gradient(net: NetworkSpec, layers, x: np.ndarray, upstream: np.ndarray
     """Exact loss gradient at the network input for loss sum(upstream * a(y)).
 
     ``layers`` are materialized layers matching ``net``; used by gradient
-    verification.  The passes are those of the traces, as a block of one,
-    on a copy of ``x``; neither ``x`` nor ``upstream`` is written.  The
-    gradient has the shape of ``x``.
+    verification.  The passes are those of the traces, as a block of one in
+    an arena laid out by :func:`_layout`, on a copy of ``x`` and the layers'
+    own weights; neither ``x`` nor ``upstream`` is written.  The gradient
+    has the shape of ``x``.
     """
-    weights = [[np.stack([w[vid].array for w in layer.replicas])[:, None]
-                for vid in layer.format.weight_ids] for layer in layers]
-    pool = _Pool()
-    block = pool.take((1, *x.shape))
-    np.copyto(block[0], x)
-    return _passes(net, weights, block, pool, (lambda *_: (),) * 2,
+    layout = _layout(net)[1]
+    arena = _Arena(layout[0])
+    views = _views(net, layout, arena, 1)
+    views["weights"] = [[[w[vid].array[None] for vid in layer.format.weight_ids]
+                         for w in layer.replicas] for layer in layers]
+    np.copyto(views["input"][0], x)
+    return _passes(net, views, arena, (lambda *_: (),) * 2,
                    lambda post, activation: _activation_grad(upstream, post, activation))[1][0]
 
 
@@ -681,7 +694,7 @@ def variance_mc(
         extract_bg(f, FAN_IN), 1.0, variances, 1.0, f.phi
     )
     net = NetworkSpec((LayerSpec(f),), f.input_mode_dims(), batch)
-    measure = (lambda pool, x, pre: (_var(pre, pool) / _var(x, pool),), lambda *_: ())
+    measure = (lambda tmp, x, pre: (_var(pre, tmp) / _var(x, tmp),), lambda *_: ())
     rows = _run(net, seed, trials, workers, measure, inits=[plan])
     ratios = rows[:, 0, 0]
     return {
@@ -743,21 +756,21 @@ def scale_chain(
     _check_array((2, trials, len(dims) - 1),
                  f"the scales of {trials} trials and their concatenation")
 
-    def one(pool, rng, streams):
+    def one(arena, rng, streams):
         _stream(rng, streams[0][0])
         x = rng.standard_normal((batch, dims[0]))
         scales = []
         for a, b in zip(dims, dims[1:]):
-            # standard_normal fills the pool's view in C order, as it fills
+            # standard_normal fills the arena's view in C order, as it fills
             # a fresh array of that shape.
-            w = rng.standard_normal(out=pool.take((a, b)))
+            w = rng.standard_normal(out=arena.memory[:a * b].reshape(a, b))
             out = x @ w
-            pool.give(w)
             scales.append(out.var() / x.var())
             x = out
         return [scales]  # the rows of a block of one trial
 
-    rows = _map_seeded(one, seed, trials, None, workers)
+    rows = _map_seeded(one, seed, trials, None, workers, 1,
+                       max(a * b for a, b in zip(dims, dims[1:])))
     table = []
     for t in range(len(dims) - 1):
         table.append(

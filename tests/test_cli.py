@@ -196,8 +196,8 @@ class TestSimulate:
         assert "network input" in err and "limit" in err
 
     def test_over_limit_workspace_exits_2(self, capsys, monkeypatch):
-        # Every array of this layer fits under the limit, but the 14,720
-        # bytes its forward workspace holds at once do not.
+        # Every array of this layer fits under the limit, but with the
+        # 14,720 bytes its forward workspace holds at once its arena does not.
         monkeypatch.setattr(tensor, "MEMORY_LIMIT", 14000)
         monkeypatch.setattr(simulate, "_draw", None)
         monkeypatch.setattr(simulate, "_stream", None)
@@ -208,7 +208,7 @@ class TestSimulate:
             "--act", "identity", "--batch", "32", "--seed", "0", "--trials", "1",
         )
         assert code == 2
-        assert out == "" and "workspace of layer 0" in err and "limit" in err
+        assert out == "" and "arena of a trial block" in err and "limit" in err
 
     def test_shape_mismatch_exits_2(self, capsys):
         code, _, err = run(
@@ -280,13 +280,13 @@ class TestSimulate:
 
     def test_one_validation_walk_per_run(self, capsys, monkeypatch):
         walks = []
-        original = simulate.validate_network
+        original = simulate._layout
 
         def counting(net, *args, **kwargs):
             walks.append(len(net.layers))
             return original(net, *args, **kwargs)
 
-        monkeypatch.setattr(simulate, "validate_network", counting)
+        monkeypatch.setattr(simulate, "_layout", counting)
         code, _, _ = run(capsys, *self.ARGS, "--seed", "0")
         assert code == 0
         assert walks == [2]

@@ -579,18 +579,18 @@ class TestTrialAxis:
         # one worker, or one block, runs.
         f = builtin_format("standard", c_in=4, c_out=4, k=3, padding=1, alpha=16, phi=2)
         x_shape = (2,) + f.input_mode_dims()
-        plan = network._plan(f, False, (1, *x_shape))
         block = trial_block(f, x_shape)
-        # Per trial: the input, both replicas' [4, 4, 3, 3] weights, the
-        # workspace, the result and the two result-sized temporaries of its
-        # variance.
-        holds = math.prod(x_shape) + 2 * 4 * 4 * 3 * 3 + plan.held + 3 * math.prod(plan.y_shape)
-        monkeypatch.setattr(tensor, "MEMORY_LIMIT", 8 * block * holds)
+        # Per block: the input, both replicas' [4, 4, 3, 3] weights, the
+        # workspace, the result and the temporary of its variance, each at
+        # its offset in the block's arena.
+        net = simulate.NetworkSpec((simulate.LayerSpec(f),), f.input_mode_dims(), batch=2)
+        total, _ = simulate._layout(net, block, 1, backward=False)[1]
+        monkeypatch.setattr(tensor, "MEMORY_LIMIT", 8 * total)
         init = make_plan(f, "graph-in", "identity")
         variance_mc(f, init, seed=0, trials=2 * block, batch=2, workers=1)
         variance_mc(f, init, seed=0, trials=block, batch=2, workers=2)
         monkeypatch.setattr(simulate, "_draw", None)
-        with pytest.raises(ResourceLimit, match="results of 2 trial blocks run at once"):
+        with pytest.raises(ResourceLimit, match="arenas of 2 trial blocks run at once"):
             variance_mc(f, init, seed=0, trials=2 * block, batch=2, workers=2)
 
     def test_block_workspace_over_limit_raises_before_drawing(self, monkeypatch):
@@ -601,11 +601,12 @@ class TestTrialAxis:
         plan = network._plan(f, False, (1, *x_shape))
         buffers = [s for step in plan.steps for s in step.buffers] + list(plan.buffers)
         assert plan.held == sum(math.prod(s) for s in buffers)
-        block = trial_block(f, x_shape)
+        # Four trials run as one block, which the arena is laid out for.
+        block = min(trial_block(f, x_shape), 4)
         assert block * plan.largest < block * plan.held
         monkeypatch.setattr(tensor, "MEMORY_LIMIT", 8 * block * plan.largest)
         monkeypatch.setattr(simulate, "_draw", None)
-        with pytest.raises(ResourceLimit, match="workspace and result of a trial block"):
+        with pytest.raises(ResourceLimit, match="arena of a trial block"):
             variance_mc(f, make_plan(f, "graph-in", "identity"), seed=0, trials=4, batch=2)
 
     def test_block_weights_over_limit_raise_before_drawing(self, monkeypatch):
@@ -620,7 +621,7 @@ class TestTrialAxis:
         assert network._plan(f, False, (1, *x_shape)).held == 1024
         monkeypatch.setattr(tensor, "MEMORY_LIMIT", 524_296)
         monkeypatch.setattr(simulate, "_draw", None)
-        with pytest.raises(ResourceLimit, match="input, weights and kept activations of a trial block"):
+        with pytest.raises(ResourceLimit, match="arena of a trial block"):
             variance_mc(f, make_plan(f, "graph-in", "identity"), seed=0, trials=16, batch=8,
                         workers=1)
 
@@ -814,8 +815,8 @@ edge r0 rank 1 b c
 
 
 class TestWorkspaceReuse:
-    """A pool's workspace passed again gives what a fresh one gives: reused
-    padded buffers keep their pads and zero-inserted gaps at zero."""
+    """An arena passed again gives what a fresh one gives: padded buffers
+    whose memory other arrays wrote between calls are zeroed again."""
 
     LAYERS = {
         **CP_STRIDED,
@@ -833,24 +834,14 @@ class TestWorkspaceReuse:
         replicas = stacked_replicas(f, [layer])
         dims = f.output_mode_dims() if backward else f.input_mode_dims()
         first, second = np.random.default_rng(2).standard_normal((2, 1, 2) + dims)
-        pool = network._Pool()
-        network._contract(f, first, replicas, backward, pool=pool)
-        assert pool.arrays
-        got = network._contract(f, second, replicas, backward, pool=pool)
+        arena = network._Arena(network._plan(f, backward, first.shape).held)
+        network._contract(f, first, replicas, backward, arena)
+        assert arena.views
+        # Between calls the arena lends the memory to other arrays.
+        arena.memory[:] = np.nan
+        got = network._contract(f, second, replicas, backward, arena)
         want = network._contract(f, second, replicas, backward)
         assert got.tobytes() == want.tobytes()
-
-    def test_holds_one_plan_at_a_time(self):
-        # The other direction's plan replaces the first one's arrays.
-        f = self.LAYERS["standard-s2"]
-        layer = materialize(f, make_plan(f, "graph-in", "identity"), 0)
-        replicas = stacked_replicas(f, [layer])
-        x = np.random.default_rng(3).standard_normal((1, 2) + f.input_mode_dims())
-        pool = network._Pool()
-        y = network._contract(f, x, replicas, False, pool)
-        assert pool.plan is network._plan(f, False, x.shape)
-        network._contract(f, y, replicas, True, pool)
-        assert pool.plan is network._plan(f, True, y.shape)
 
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
     def test_over_limit_workspace_raises_before_running(self, backward, monkeypatch):
@@ -862,16 +853,17 @@ class TestWorkspaceReuse:
         dims = f.output_mode_dims() if backward else f.input_mode_dims()
         x = np.ones((1, 1) + dims)
         monkeypatch.setattr(tensor, "MEMORY_LIMIT", 1000)
-        pool = network._Pool()
+        monkeypatch.setattr(network, "_Arena", None)
         with pytest.raises(ResourceLimit, match="of a contraction"):
-            network._contract(f, x, replicas, backward, pool)
-        assert pool.plan is None and pool.arrays is None
+            network._contract(f, x, replicas, backward)
 
 
 def workspace_arrays(held):
     """Every array a workspace holds, however its entries nest them."""
     if isinstance(held, np.ndarray):
         return [held]
+    if isinstance(held, dict):
+        held = list(held.values())
     if isinstance(held, (list, tuple)):
         return [a for item in held for a in workspace_arrays(item)]
     return []
@@ -912,13 +904,13 @@ class TestResultOwnsItsMemory:
             plan = network._plan(f, backward, (trials, 2) + dims)
             assert plan.exit == tuple(range(len(plan.exit))) and f.phi == 1
         first, second = np.random.default_rng(4).standard_normal((2, trials, 2, *dims))
-        pool = network._Pool()
-        got = network._contract(f, first, replicas, backward, pool)
+        arena = network._Arena(network._plan(f, backward, first.shape).held)
+        got = network._contract(f, first, replicas, backward, arena)
         kept = got.copy()
-        arrays = workspace_arrays(pool.arrays)
-        assert arrays
-        assert not any(np.shares_memory(got, a) for a in arrays)
-        network._contract(f, second, replicas, backward, pool)
+        arrays = workspace_arrays(arena.views)
+        assert arrays and all(owner(a) is arena.memory for a in arrays)
+        assert not np.shares_memory(got, arena.memory)
+        network._contract(f, second, replicas, backward, arena)
         assert got.tobytes() == kept.tobytes()
 
 
@@ -930,9 +922,10 @@ def owner(a):
 
 
 class TestPlanSizes:
-    """A plan's ``held`` and ``largest`` state what its workspace allocates:
-    ``held`` the entries of every distinct array it holds, ``largest`` a
-    bound on each of them."""
+    """A plan's ``held`` and ``largest`` state what its workspace spans:
+    ``held`` the entries of the flat array every view it holds lies in,
+    ``largest`` a bound on each of them.  A block of trials that tiles no
+    plan spans as many times the entries of one trial."""
 
     FORMATS = {
         "conv_depth": (builtin_format("htk2", c_in=32, c_out=32, rank=8, k=3, padding=1,
@@ -950,10 +943,18 @@ class TestPlanSizes:
             dims = f.output_mode_dims() if backward else f.input_mode_dims()
             for trials in (1, 2):
                 plan = network._plan(f, backward, (trials, batch) + dims)
-                arrays = {id(a): a for a in map(owner, workspace_arrays(
-                    network._workspace_arrays(plan)))}.values()
-                assert plan.held == sum(a.size for a in arrays)
-                assert max(a.size for a in arrays) <= plan.largest
+                memory = np.zeros(plan.held)
+                views = workspace_arrays(network._workspace_arrays(plan, memory))
+                assert all(owner(a) is memory for a in views)
+                assert max(a.size for a in views) <= plan.largest
+                # Every entry of the flat array is some view's.
+                for a in views:
+                    a[...] = 1.0
+                assert memory.all()
+                if trials == 1:
+                    one = plan
+                elif one.rows == plan.rows == batch:
+                    assert plan.held == 2 * one.held
 
 
 class TestDraw:

@@ -1,11 +1,14 @@
 import dataclasses
 import gc
+import importlib.util
+import itertools
 import json
 import math
 import sys
 import threading
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,27 +141,28 @@ class TestValidation:
         # and the post-activation of every layer for the backward pass,
         # whatever the activation: with six layers 30,976 bytes and with
         # four 22,016.  With three it keeps 17,536 bytes, under the limit,
-        # but a pass holds them, its workspace, its 4,096-byte result and
-        # two result-sized temporaries at once: 44,544 bytes.
+        # but its arena also holds the workspace and the 4,096-byte
+        # temporary of its statistics, and the input's memory goes to the
+        # second output: 32,256 bytes.
         f = builtin_format("standard", c_in=4, c_out=4, k=3, spatial=1, alpha=4, padding=1)
         net = NetworkSpec((LayerSpec(f, act),) * depth, f.input_mode_dims(), batch=32)
+        kept = 8 * (depth * simulate._kept_entries(f, net.batch) + 32 * 4 * 4)
+        assert (kept <= 18000) == with_workspace
         monkeypatch.setattr(tensor, "MEMORY_LIMIT", 18000)
         monkeypatch.setattr(simulate, "_draw", None)
         monkeypatch.setattr(simulate, "_stream", None)
-        match = ("kept activations, workspace and result of a trial block" if with_workspace
-                 else "weights and kept activations of a trial block")
-        with pytest.raises(ResourceLimit, match=match):
+        with pytest.raises(ResourceLimit, match="arena of a trial block"):
             backward_trace(net, seed=0, trials=1)
 
     def test_over_limit_workspace_raises_before_drawing(self, monkeypatch):
-        # The same layer: every array and the activations fit, but the
-        # 14,720 bytes its forward workspace holds at once do not.
+        # The same layer: every array and the activations fit, but with the
+        # 14,720 bytes its forward workspace holds at once its arena does not.
         f = builtin_format("standard", c_in=4, c_out=4, k=3, spatial=1, alpha=4, padding=1)
         net = NetworkSpec((LayerSpec(f, "identity"),), f.input_mode_dims(), batch=32)
         monkeypatch.setattr(tensor, "MEMORY_LIMIT", 14000)
         monkeypatch.setattr(simulate, "_draw", None)
         monkeypatch.setattr(simulate, "_stream", None)
-        with pytest.raises(ResourceLimit, match="workspace of layer 0's forward pass"):
+        with pytest.raises(ResourceLimit, match="arena of a trial block"):
             forward_trace(net, seed=0, trials=1)
 
     def test_weights_one_trial_keeps_count_together(self, monkeypatch):
@@ -172,14 +176,14 @@ class TestValidation:
         monkeypatch.setattr(tensor, "MEMORY_LIMIT", 40000)
         monkeypatch.setattr(simulate, "_draw", None)
         monkeypatch.setattr(simulate, "_stream", None)
-        with pytest.raises(ResourceLimit, match="weights and kept activations of a trial block"):
+        with pytest.raises(ResourceLimit, match="arena of a trial block"):
             backward_trace(net, seed=0, trials=2, workers=1)
 
     def test_concurrent_trials_keep_count_together(self, monkeypatch):
-        # The same layer, in blocks of one trial: a trial keeps its
-        # 4,096-byte input and 384-byte weight and holds a 14,720-byte
-        # workspace, a 4,096-byte result and two result-sized temporaries,
-        # 31,488 bytes, but two blocks run at once by two workers hold twice
+        # The same layer, in blocks of one trial: a trial's arena holds its
+        # 4,096-byte input and 384-byte weight, a 14,720-byte workspace, a
+        # 4,096-byte result and the 4,096-byte temporary of its statistics,
+        # 27,392 bytes, but two blocks run at once by two workers hold twice
         # that.  One worker, or one trial, runs.
         f = builtin_format("standard", c_in=4, c_out=4, k=3, spatial=1, alpha=4, padding=1)
         net = NetworkSpec((LayerSpec(f, "identity"),), f.input_mode_dims(), batch=32)
@@ -188,7 +192,7 @@ class TestValidation:
         forward_trace(net, seed=0, trials=2, workers=1)
         forward_trace(net, seed=0, trials=1, workers=2)
         monkeypatch.setattr(simulate, "_stream", None)
-        with pytest.raises(ResourceLimit, match="results of 2 trial blocks run at once"):
+        with pytest.raises(ResourceLimit, match="arenas of 2 trial blocks run at once"):
             forward_trace(net, seed=0, trials=2, workers=2)
 
 
@@ -222,7 +226,7 @@ class TestOneWalk:
 
     # Per trial, a layer keeps 156 weight and 384 output entries: 4,320
     # bytes, 4.32e6 over the stack.  The first limit is over every array but
-    # under the kept total; the other two are under layer 0's largest array
+    # under the arena; the other two are under layer 0's largest array
     # (4,608 bytes) and its workspace (7,680 bytes).
     @pytest.mark.parametrize("limit", [2_000_000, 3_100, 5_000])
     def test_repeated_layer_raises_the_distinct_layers_text(self, limit, monkeypatch):
@@ -388,118 +392,86 @@ class TestBackwardTrace:
         assert input_gradient(net, layers, x, upstream).tobytes() == want.tobytes()
 
     def test_trial_keeps_only_the_post_activations(self, monkeypatch, trial_block_bytes):
-        # A block's whole-batch arrays are pool buffers, and at depth 3 they
-        # are the three kept post-activations alone.  The input's buffer goes
-        # back to the pool after the first layer, each activation overwrites
-        # its pre-activation, the output gradient is written into the last
-        # post-activation, and each backward contraction writes into its own
-        # input, which goes back once the layer below has read it.  A budget
-        # of one pairwise block (128 entries) keeps the statistics'
-        # temporaries below a row of 384.
+        # A block's whole-batch arrays are views of its arena, and at depth 3
+        # they take the memory of the three kept post-activations alone.  The
+        # input's memory goes to the second layer's output once the first
+        # layer has read it, each activation overwrites its pre-activation,
+        # the output gradient is written into the last post-activation, and
+        # each backward contraction writes into its own input, the gradient
+        # at the layer's input.  A budget of one pairwise block (128
+        # entries) keeps the statistics' temporary below a row of 384.
         trial_block_bytes(8 * simulate._PAIRWISE_BLOCK)
         net = linear_net(depth=3, act="tanh")
         row = net.batch * math.prod(net.input_shape)
+        layout = simulate._layout(net)[1]
+        total, roles = layout
+        assert len({at for at, shape in roles.values() if math.prod(shape) == row}) == 3
+        assert roles["input"][0] == roles["output", 1][0]
+        assert all(roles["gradient", i][0] == roles["output", i][0] for i in range(3))
+        assert roles["temporary"][1][0] < row
         plan = make_plan(net.layers[0].format, "graph-in", "tanh")
         layers = [materialize(s.format, plan, i) for i, s in enumerate(net.layers)]
-        weights = [[np.stack([w[vid].array for w in layer.replicas])[:, None]
-                    for vid in layer.format.weight_ids] for layer in layers]
-        made = []
-        pool = recording_pool(made)()
-        pres, posts, returned = [], [], []
-        contract = simulate._contract
+        arena = network._Arena(total)
+        views = simulate._views(net, layout, arena, 1)
+        views["weights"] = [[[w[vid].array[None] for vid in layer.format.weight_ids]
+                             for w in layer.replicas] for layer in layers]
+        views["input"][...] = np.random.default_rng(0).standard_normal(views["input"].shape)
+        contract, order = simulate._contract, []
 
-        def given_back(post, since):
-            return any(b is post.base for b in pool.given[since:])
-
-        def counting(f, x, replicas, backward, workspace, out):
-            assert any(out.base is b for b in made)
-            y = contract(f, x, replicas, backward, workspace, out)
-            assert y is out
+        def counting(f, x, replicas, backward, arena_, out):
+            assert arena_ is arena and np.shares_memory(out, arena.memory)
             if backward:
-                assert out.base is x.base
-                returned.append([given_back(p, since) for p, since in posts])
-            return y
-
-        def pre_stats(pool_, x, pre):
-            assert pool_ is pool
-            pres.append(pre)
-            return ()
-
-        def post_stats(pool_, post):
-            assert post is pres[-1]
-            posts.append((post, len(pool.given)))
-            return ()
+                assert out.size == x.size and np.shares_memory(out, x)
+                order.append(next(i for i in range(3) if x is views["output", i]))
+            return contract(f, x, replicas, backward, arena_, out)
 
         def upstream(post, activation):
-            # In use: the post-activations alone, and this is the last.
-            assert len(made) - len(pool.free) == 3 and not pool.free
-            assert post is posts[-1][0] and activation == "tanh"
+            assert post is views["output", 2] and activation == "tanh"
             tensor._activation_grad(np.ones(post.shape[1:]), post, activation)
 
-        x = pool.take((1, net.batch, *net.input_shape))
-        x[...] = np.random.default_rng(0).standard_normal(x.shape)
         monkeypatch.setattr(simulate, "_contract", counting)
-        rows, g = simulate._passes(net, weights, x, pool, (pre_stats, post_stats), upstream)
-        assert rows.shape == (1, 3, 1) and g.shape == x.shape
-
-        def whole(buffers):
-            # Each buffer is a whole-batch array or a temporary of one span.
-            assert all(len(b) == row or len(b) <= simulate._span(1) for b in buffers)
-            return sum(len(b) == row for b in buffers)
-
-        assert whole(made) <= 3
-        # Layer i's backward contraction runs once posts above i are given back.
-        assert returned == [[False, False, False], [False, False, True], [False, True, True]]
+        rows, g = simulate._passes(net, views, arena, (lambda *_: (),) * 2, upstream)
+        assert rows.shape == (1, 3, 1) and g.shape == views["input"].shape
+        assert order == [2, 1, 0]
         # The input gradient is the first post-activation's memory.
-        assert g.base is posts[0][0].base
-        assert all(given_back(p, since) for p, since in posts[1:])
+        assert np.shares_memory(g, views["output", 0])
         monkeypatch.undo()
-        # Through the runner, a second block makes no new buffer.
+        # Through the runner, a call makes one arena per worker, of the
+        # layout's total, for any number of blocks.
         trial_block_bytes(8 * simulate._PAIRWISE_BLOCK)
         monkeypatch.setattr(network, "MAX_TRIAL_BLOCK", 1)
-        monkeypatch.setattr(simulate, "_Pool", recording_pool(made))
-
-        def buffers(trials):
+        made = []
+        monkeypatch.setattr(simulate, "_Arena", recording_arena(made))
+        for trials in (1, 2):
             made.clear()
             simulate._run(net, 0, trials, 1, (lambda *_: (),) * 2, grad_var=1.0)
-            return len(made)
-
-        assert buffers(1) == buffers(2) and whole(made) <= 3
+            assert made == [total]
 
     def test_conv_depth_block_makes_only_its_post_activations(self, monkeypatch):
         # The benchmark's conv stack (htk2, 32 channels, 32x32, batch 16,
-        # five tanh layers): a trial's whole-batch arrays are its five kept
-        # post-activations, and every other pool buffer (the statistics'
-        # temporaries, the gradient's draw) holds at most TRIAL_BLOCK_BYTES.
+        # five tanh layers): a trial's whole-batch arrays take the memory of
+        # its five kept post-activations, the temporary of the statistics and
+        # the gradient's draw holds at most TRIAL_BLOCK_BYTES, and each
+        # worker makes one arena, of the layout's total.
         f = builtin_format("htk2", c_in=32, c_out=32, rank=8, k=3, padding=1, alpha=32)
         net = NetworkSpec((LayerSpec(f, "tanh"),) * 5, f.input_mode_dims(), batch=16)
         row = net.batch * math.prod(f.input_mode_dims())
+        total, roles = simulate._layout(net, 2)[1]
+        assert len({at for at, shape in roles.values() if math.prod(shape) >= row}) == 5
+        assert 8 * roles["temporary"][1][0] <= network.TRIAL_BLOCK_BYTES
         made = []
-        monkeypatch.setattr(simulate, "_Pool", recording_pool(made))
-        backward_trace(net, seed=1, trials=2)
-        sizes = sorted(len(b) for b in made)
-        assert 8 * max((s for s in sizes if s < row), default=0) <= network.TRIAL_BLOCK_BYTES
-        assert sum(s >= row for s in sizes) == 5
+        monkeypatch.setattr(simulate, "_Arena", recording_arena(made))
+        backward_trace(net, seed=1, trials=2, workers=2)
+        assert made == [total, total]
 
 
-def recording_pool(made):
-    """A block pool that appends each buffer it makes to ``made`` and keeps
-    each buffer it is given in ``given``, in order."""
+def recording_arena(made):
+    """An arena that appends its entries to ``made`` when it is made."""
 
-    class Recording(simulate._Pool):
-        def __init__(self):
-            super().__init__()
-            self.given = []
-
-        def take(self, shape):
-            a = super().take(shape)
-            if not any(a.base is b for b in made):
-                made.append(a.base)
-            return a
-
-        def give(self, a):
-            self.given.append(a.base)
-            super().give(a)
+    class Recording(network._Arena):
+        def __init__(self, entries):
+            super().__init__(entries)
+            made.append(entries)
 
     return Recording
 
@@ -656,8 +628,8 @@ class TestTrialBlocks:
     def test_block_result_counts_before_drawing(self, monkeypatch):
         # A block of 64 trials of this layer holds its input (4,096 bytes),
         # weights (32,768 bytes) and workspace (262,144 bytes): 299,008
-        # bytes.  Its result, [64, 8, 64], and the two result-sized
-        # temporaries of its variance take 786,432 bytes more.
+        # bytes.  Its result, [64, 8, 64], and the result-sized temporary of
+        # its variance take 524,288 bytes more.
         f = builtin_format("standard", c_in=1, c_out=64, k=0)
         x_shape = (8,) + f.input_mode_dims()
         assert trial_block(f, x_shape) == 64
@@ -665,7 +637,7 @@ class TestTrialBlocks:
         assert 8 * 64 * (math.prod(x_shape) + 64 + plan.held) == 299_008
         monkeypatch.setattr(tensor, "MEMORY_LIMIT", 299_008)
         monkeypatch.setattr(simulate, "_draw", None)
-        with pytest.raises(ResourceLimit, match="workspace and result of a trial block"):
+        with pytest.raises(ResourceLimit, match="arena of a trial block"):
             variance_mc(f, make_plan(f, "graph-in", "identity"), seed=0, trials=64, batch=8)
 
     def test_over_limit_block_raises_before_drawing(self):
@@ -808,29 +780,29 @@ class TestWorkspaceScope:
         assert retained < padded
 
 
+def _load_parity():
+    """``tools/parity.py``, whose layer grid the peak test samples."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "parity.py"
+    spec = importlib.util.spec_from_file_location("_tool_parity", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestBlockPool:
-    def test_take_views_the_smallest_fit_and_a_miss_drops_the_free(self):
-        pool = simulate._Pool()
-        a, b = pool.take((2, 3)), pool.take((4,))
-        pool.give(a)
-        pool.give(b)
-        c = pool.take((2, 2))
-        assert c.base is b.base and c.shape == (2, 2)
-        pool.give(c)
-        # No free buffer holds 9 entries: a new one is made, the rest dropped.
-        d = pool.take((3, 3))
-        assert len(pool.free) == 0 and d.base is not a.base and d.base is not b.base
+    """What a block holds: the statistics work through one temporary, and a
+    block's arena, laid out once, bounds what a run holds."""
 
     def test_statistics_have_numpys_bits(self):
         rng = np.random.default_rng(3)
         a = np.tanh(3.0 * rng.standard_normal((3, 16, 8, 32)))
-        pool = simulate._Pool()
+        tmp = np.full(a.size + 1, np.nan)
         flat = a.reshape(3, -1)
-        assert simulate._var(a, pool).tobytes() == flat.var(axis=1).tobytes()
+        assert simulate._var(a, tmp).tobytes() == flat.var(axis=1).tobytes()
         want = (np.abs(flat) > simulate.SATURATION_THRESHOLD).mean(axis=1)
-        assert 0 < want.min() and simulate._saturation(a, pool).tobytes() == want.tobytes()
-        # Both took one temporary and gave it back.
-        assert len(pool.free) == 1
+        assert 0 < want.min() and simulate._saturation(a, tmp).tobytes() == want.tobytes()
+        # Both worked through the temporary, as large as the array.
+        assert not np.isnan(tmp[:a.size]).any() and np.isnan(tmp[a.size:]).all()
 
     @pytest.mark.parametrize("length", ["span-1", "span", "span+1", "2**19", "odd", "2**19+1"])
     @pytest.mark.parametrize("trials", [1, 2, 3])
@@ -854,21 +826,35 @@ class TestBlockPool:
     def _check_statistics(trials, n):
         rng = np.random.default_rng(n + trials)
         a = np.tanh(3.0 * rng.standard_normal((trials, n))) + 0.25
-        pool = simulate._Pool()
-        assert simulate._var(a, pool).tobytes() == a.var(axis=1).tobytes()
+        used = trials * min(n, simulate._span(trials))
+        tmp = np.full(trials * n + 1, np.nan)
+        assert simulate._var(a, tmp).tobytes() == a.var(axis=1).tobytes()
         want = (np.abs(a) > simulate.SATURATION_THRESHOLD).mean(axis=1)
-        assert 0 < want.min() and simulate._saturation(a, pool).tobytes() == want.tobytes()
-        # Both took one temporary, a row or one span per trial, and gave it back.
-        assert [len(b) for b in pool.free] == [trials * min(n, simulate._span(trials))]
+        assert 0 < want.min() and simulate._saturation(a, tmp).tobytes() == want.tobytes()
+        # Both worked within a row or one span per trial of the temporary.
+        assert np.isnan(tmp[used:]).all()
+
+    def test_conv_depth_directions_share_one_workspace(self):
+        # A conv_depth layer's forward and backward plans take turns in one
+        # workspace at the front of the arena: it holds the larger of the
+        # two, and no other array lies in it.
+        f = builtin_format("htk2", c_in=32, c_out=32, rank=8, k=3, padding=1, alpha=32)
+        net = NetworkSpec((LayerSpec(f, "tanh"),) * 5, f.input_mode_dims(), batch=16)
+        dims = f.input_mode_dims()
+        held = [network._plan(f, backward, (1, 16, *dims)).held for backward in (False, True)]
+        total, roles = simulate._layout(net, 2)[1]
+        assert roles["workspace"] == (0, (max(held),))
+        assert min(at for role, (at, _) in roles.items() if role != "workspace") == max(held)
+        assert total < sum(held) + sum(math.prod(s) for role, (_, s) in roles.items()
+                                       if role != "workspace")
 
     def test_forward_peak_within_counted_bytes(self, monkeypatch):
         # The traced peak of one forward-only run (one _run call, three
-        # blocks) over layers of seven shapes stays within the bytes
+        # blocks) over layers of seven shapes stays within the arena
         # validate_network counts for a block plus an allowance for what it
         # leaves out (see the network module docstring): numpy's copies of
         # one GEMM step's two operands, the largest pair of any plan, and
-        # 64 KiB of ufunc buffers.  A pool that kept a free buffer of every
-        # shape it met would exceed it by about 0.2 MB.
+        # 64 KiB of ufunc buffers.
         chain = [(4, 6), (6, 8), (3, 5), (8, 8), (5, 7), (7, 3), (6, 6), (4, 6)]
         net = NetworkSpec(
             tuple(LayerSpec(builtin_format("tt", i_dims=a, o_dims=b, rank=3), "tanh")
@@ -879,7 +865,7 @@ class TestBlockPool:
         check = simulate._check_array
 
         def spy(shape, what):
-            if what.startswith("the input, weights, kept activations, workspace"):
+            if what == "the arena of a trial block":
                 counted.append(8 * math.prod(shape))
             check(shape, what)
 
@@ -903,7 +889,52 @@ class TestBlockPool:
         finally:
             tracemalloc.stop()
         assert len(counted) == 1
-        assert peak <= counted[0] + 8 * operands + (64 << 10)
+        assert counted[0] <= peak <= counted[0] + 8 * operands + (64 << 10)
+
+    def test_run_peak_within_the_arena_over_the_parity_grid(self, monkeypatch):
+        # One _run call per layer of a sample of tools/parity.py's grid (its
+        # small builtins and random_format(0..9), at its batches), forward
+        # only and backward, over two blocks of at most 4 trials, the second
+        # of one trial, so that the call stays short under tracemalloc: the
+        # traced peak holds the whole
+        # arena, and at most the arena plus an allowance for what the layout
+        # leaves out: numpy's copies of the largest pair of GEMM operands of
+        # any plan the call runs, and numpy's ufunc buffers, taken as two
+        # operands of np.getbufsize() doubles, which also covers the call's
+        # seed words and per-trial figures (about 20 KB at most here).
+        parity = _load_parity()
+        measure = (lambda tmp, x, pre: (simulate._var(pre, tmp),),
+                   lambda tmp, post: (simulate._var(post, tmp),
+                                      simulate._saturation(post, tmp)))
+        allowance = 2 * 8 * np.getbufsize()
+        ratios = []
+        monkeypatch.setattr(network, "MAX_TRIAL_BLOCK", 4)
+        simulate._map_seeded(lambda *_: [[0.0]], 0, 1, None, 1)  # loads what a call loads once
+        for name, f, batches in parity.grid():
+            if name in parity.SMALL_BUILTINS or name in {f"random{s}" for s in range(10)}:
+                for batch, backward in itertools.product(batches, (False, True)):
+                    net = NetworkSpec((LayerSpec(f, "tanh"),), f.input_mode_dims(), batch)
+                    size = validate_network(net, 1, 1, backward)
+                    trials, grad_var = size + 1, 1.0 if backward else None
+                    total = simulate._layout(net, trials, 1, backward)[1][0]
+                    directions = (False, True)[:1 + backward]
+                    # Compiles the plans of whole blocks; validate_network compiled
+                    # those of the last block, of one trial.
+                    operands = max([
+                        math.prod(step.a_shape) + math.prod(step.b_shape)
+                        for b in directions
+                        for step in network._plan(f, b, (size, batch, *(
+                            f.output_mode_dims() if b else f.input_mode_dims()))).steps
+                        if isinstance(step, network._Gemm)], default=0)
+                    tracemalloc.start()
+                    try:
+                        simulate._run(net, 0, trials, 1, measure, grad_var)
+                        peak = tracemalloc.get_traced_memory()[1]
+                    finally:
+                        tracemalloc.stop()
+                    assert 8 * total <= peak <= 8 * (total + operands) + allowance, name
+                    ratios.append(peak / (8 * total))
+        assert len(ratios) == 2 * 2 * 18
 
 
 class TestBlasThreads:

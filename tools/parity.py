@@ -5,8 +5,8 @@ layers and batches and records one sha256 of each output's bytes, keyed
 ``<layer>/<direction>/b<batch>``, one sha256 of the figures of the plan each
 runs, keyed ``plan/<layer>/<direction>/b<batch>``, and one sha256 of each
 seeded report below.  A plan's figures are its tile ``rows``, ``y_shape``,
-``largest``, ``held``, ``slots``, ``slot_of`` and each step's kind and
-``buffers``; how a step names its operands is left out.
+``largest``, ``held`` and each step's kind and ``buffers``; how a step names
+its operands and where its buffers lie in the workspace are left out.
 Two checkouts give the same file exactly when every output is byte-identical.
 
     PYTHONPATH=src python tools/parity.py --out parity.json
@@ -46,6 +46,13 @@ stderr (``repr`` for ``variance_mc``):
 And one sha256 per demo, keyed ``demo/<file>``: the standard output of each
 script under ``demos/``, run with ``PYTHONPATH`` set to the checkout's
 ``src``.
+
+And one sha256 per block layout, keyed ``block/<case>/<direction>``: the
+arena a trial block of ``simulate._layout`` holds (its total, and each
+role's offset and shape) for the ``conv_depth`` stack at 2 trials and, as
+``block/mc_small/<builtin>``, for the one-layer stack of each mc_small
+builtin at its trial count above, ``forward`` only and with ``backward``.  A
+checkout without ``simulate._layout`` has no such keys.
 
 ``--compare`` prints each key whose digest differs or that only one file
 holds, and exits 1 when there is any; it needs no ``tcinit`` import.
@@ -241,6 +248,28 @@ def demo_digests() -> dict[str, str]:
     return out
 
 
+def block_digests() -> dict[str, str]:
+    """One sha256 per block layout listed in the module docstring."""
+    from tcinit import simulate
+    from tcinit.formats import builtin_format
+
+    if not hasattr(simulate, "_layout"):
+        return {}
+    f = builtin_format("htk2", c_in=32, c_out=32, rank=8, k=3, padding=1, alpha=32)
+    cases = {"conv_depth": (simulate.NetworkSpec((simulate.LayerSpec(f, "tanh"),) * 5,
+                                                 f.input_mode_dims(), 16), 2)}
+    for name, params, trials in MC_CASES:
+        g = builtin_format(name, **params)
+        cases[f"mc_small/{name}"] = (
+            simulate.NetworkSpec((simulate.LayerSpec(g),), g.input_mode_dims(), 16), trials)
+    out = {}
+    for case, (net, trials) in cases.items():
+        for direction in ("forward", "backward"):
+            layout = simulate._layout(net, trials, 1, direction == "backward")[1]
+            out[f"block/{case}/{direction}"] = _sha(repr(layout))
+    return out
+
+
 def digests() -> dict[str, str]:
     """One sha256 per (layer, direction, batch) of the grid, of its output
     and of its plan, and per seeded report, from the ``tcinit`` on the
@@ -261,10 +290,10 @@ def digests() -> dict[str, str]:
                 y = apply(layer, DenseTensor.from_array(x)).array
                 out[f"{name}/{direction}/b{batch}"] = hashlib.sha256(y.tobytes()).hexdigest()
                 plan = _plan(f, direction == "backward", (1, batch, *dims))
-                figures = (plan.rows, plan.y_shape, plan.largest, plan.held, plan.slots,
-                           plan.slot_of, [(type(s).__name__, s.buffers) for s in plan.steps])
+                figures = (plan.rows, plan.y_shape, plan.largest, plan.held,
+                           [(type(s).__name__, s.buffers) for s in plan.steps])
                 out[f"plan/{name}/{direction}/b{batch}"] = _sha(repr(figures))
-    return {**out, **report_digests(), **demo_digests()}
+    return {**out, **report_digests(), **demo_digests(), **block_digests()}
 
 
 def compare(a: dict, b: dict) -> list[str]:
