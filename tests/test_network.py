@@ -921,6 +921,16 @@ def owner(a):
     return a
 
 
+def test_assign_takes_the_largest_slot_whose_lives_have_ended():
+    # In order of first step: a and b get slots of their own; at step 1 b's
+    # life has ended, so c takes b's slot and grows it to 3; at step 2 a's
+    # has, so d takes a's slot, the larger free one, and grows it to 5.
+    a, b, c, d = (4, 0, 1), (2, 0, 0), (3, 1, 2), (5, 2, 2)
+    assert network._assign([a, b, c, d]) == ((0, 5, 5, 0), 8)
+    # Lives that share a step never share memory.
+    assert network._assign([(4, 0, 1), (2, 1, 1)]) == ((0, 4), 6)
+
+
 class TestPlanSizes:
     """A plan's ``held`` and ``largest`` state what its workspace spans:
     ``held`` the entries of the flat array every view it holds lies in,
