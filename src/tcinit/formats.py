@@ -33,6 +33,7 @@ directives or kernel attributes are parse errors.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import re
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, ParseError, ValidationError
-from .tensor import DummySpec, _check_integers, _check_seed
+from .tensor import DummySpec, _check_integers, _check_seed, _shown
 
 INPUT = "input"
 WEIGHT = "weight"
@@ -140,8 +141,8 @@ class LayerFormat:
 
 def _padding_problem(eid: str, window) -> str:
     return (
-        f"kernel edge {eid!r} padding {window.padding} exceeds beta-1 = "
-        f"{window.beta - 1}; its backward pass is undefined"
+        f"kernel edge {eid!r} padding {_shown(window.padding, str)} exceeds beta-1 = "
+        f"{_shown(window.beta - 1, str)}; its backward pass is undefined"
     )
 
 
@@ -170,7 +171,7 @@ def validate(f: LayerFormat) -> None:
             problems.append(f"edge {e.id!r} has unknown kind {e.kind!r}")
             continue
         if e.dim < 1:
-            problems.append(f"edge {e.id!r} has non-positive dim {e.dim}")
+            problems.append(f"edge {e.id!r} has non-positive dim {_shown(e.dim, str)}")
         if not e.endpoints:
             problems.append(f"edge {e.id!r} has no endpoints")
         if len(set(e.endpoints)) != len(e.endpoints):
@@ -196,7 +197,8 @@ def validate(f: LayerFormat) -> None:
                 problems.append(f"kernel edge {e.id!r} carries no window spec")
             elif e.dim != e.window.beta:
                 problems.append(
-                    f"kernel edge {e.id!r} dim {e.dim} != window beta {e.window.beta}"
+                    f"kernel edge {e.id!r} dim {_shown(e.dim, str)} != window beta "
+                    f"{_shown(e.window.beta, str)}"
                 )
             elif e.window.padding > e.window.beta - 1:
                 problems.append(_padding_problem(e.id, e.window))
@@ -211,7 +213,7 @@ def validate(f: LayerFormat) -> None:
     if not f.edges_of_kind(OUTPUT_CHANNEL):
         problems.append("format has no output-channel edge")
     if not isinstance(f.phi, int) or f.phi < 1:
-        problems.append(f"phi must be an integer >= 1, got {f.phi!r}")
+        problems.append(f"phi must be an integer >= 1, got {_shown(f.phi)}")
 
     for v in f.vertices:
         if v.kind == WEIGHT and not f.edges_of(v.id):
@@ -362,7 +364,7 @@ def parse_ints(key: str, value) -> tuple[int, ...]:
         return tuple(int(v) if isinstance(v, str) else operator.index(v) for v in items)
     except (TypeError, ValueError):
         raise InvalidParams(
-            f"{key} must be an integer or comma-separated integers, got {value!r}"
+            f"{key} must be an integer or comma-separated integers, got {_shown(value)}"
         ) from None
 
 
@@ -415,14 +417,14 @@ def builtin_format(name: str, **params) -> LayerFormat:
         if many:
             return ints
         if len(ints) != 1:
-            raise InvalidParams(f"{key} must be one integer, got {value!r}")
+            raise InvalidParams(f"{key} must be one integer, got {_shown(value)}")
         return ints[0]
 
     phi = take("phi", 4 if name == "htk2" else 1)
     k = take("k", 0)
     spatial = take("spatial", 2 if k else 0)
     if spatial < 0:
-        raise InvalidParams(f"spatial must be >= 0, got {spatial}")
+        raise InvalidParams(f"spatial must be >= 0, got {_shown(spatial, str)}")
     if spatial and not k:
         raise InvalidParams("spatial > 0 requires a kernel size k")
     alpha = take("alpha", 8, many=True)
@@ -573,26 +575,30 @@ def random_format(
     """
     _check_seed(seed)
     if not isinstance(constraints, RandomFormatConstraints):
-        raise InvalidParams(f"constraints must be RandomFormatConstraints, got {constraints!r}")
+        raise InvalidParams(
+            f"constraints must be RandomFormatConstraints, got {_shown(constraints)}")
     for name in ("in_dim_range", "out_dim_range", "rank_dim_range"):
         pair = getattr(constraints, name)
         if not isinstance(pair, (tuple, list)) or len(pair) != 2:
-            raise InvalidParams(f"{name} must be a pair of integers, got {pair!r}")
+            raise InvalidParams(f"{name} must be a pair of integers, got {_shown(pair)}")
         _check_integers(InvalidParams, **{f"{name}[0]": pair[0], f"{name}[1]": pair[1]})
         lo, hi = pair
         if not 1 <= lo <= hi:
-            raise InvalidParams(f"{name} must have 1 <= low <= high, got {(lo, hi)}")
+            raise InvalidParams(f"{name} must have 1 <= low <= high, got {_shown((lo, hi), str)}")
         if hi > _DRAW_MAX:
-            raise InvalidParams(f"{name} must have high <= {_DRAW_MAX}, got {(lo, hi)}")
+            raise InvalidParams(
+                f"{name} must have high <= {_DRAW_MAX}, got {_shown((lo, hi), str)}")
     _check_integers(InvalidParams, max_rank_edges=constraints.max_rank_edges)
-    if constraints.max_rank_edges < 0:
-        raise InvalidParams(f"max_rank_edges must be >= 0, got {constraints.max_rank_edges}")
-    if constraints.max_rank_edges > _DRAW_MAX:
-        raise InvalidParams(
-            f"max_rank_edges must be <= {_DRAW_MAX}, got {constraints.max_rank_edges}")
+    edges_max = constraints.max_rank_edges
+    if edges_max < 0:
+        raise InvalidParams(f"max_rank_edges must be >= 0, got {_shown(edges_max, str)}")
+    # A rank edge takes about 25 us to draw and validate, so the most edges
+    # the bound lets a format draw take about 1 s.
+    if edges_max > 40_000:
+        raise InvalidParams(f"max_rank_edges must be <= 40000, got {_shown(edges_max, str)}")
     phi = constraints.phi
     if not isinstance(phi, int) or phi < 1:
-        raise InvalidParams(f"phi must be an integer >= 1, got {phi!r}")
+        raise InvalidParams(f"phi must be an integer >= 1, got {_shown(phi)}")
     rng = np.random.default_rng(seed)
 
     def draw(lo_hi):
@@ -612,10 +618,11 @@ def random_format(
             HyperEdge(f"o{j}", OUTPUT_CHANNEL, draw(constraints.out_dim_range), (tgt,))
         )
 
+    ranks = itertools.count()
+
     def rank(a, b):
         """A rank edge from ``a`` to ``b``, its dim drawn after both ends."""
-        ridx = sum(e.kind == RANK for e in edges)
-        edges.append(HyperEdge(f"r{ridx}", RANK, draw(constraints.rank_dim_range), (a, b)))
+        edges.append(HyperEdge(f"r{next(ranks)}", RANK, draw(constraints.rank_dim_range), (a, b)))
 
     for _ in range(int(rng.integers(0, constraints.max_rank_edges + 1))):
         a, b = rng.choice(n_w, size=2, replace=False)

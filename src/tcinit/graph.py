@@ -18,14 +18,14 @@ import numbers
 import sys
 from dataclasses import dataclass
 
-from .errors import InvalidParams
+from .errors import InvalidParams, ValidationError
 from .formats import (
     INPUT_CHANNEL,
     KERNEL,
     OUTPUT_CHANNEL,
     LayerFormat,
 )
-from .tensor import ACTIVATION_SCALE, _check_integers
+from .tensor import ACTIVATION_SCALE, _check_integers, _check_type, _shown
 from .transform import build_backward_format
 
 FAN_IN = "fan-in"
@@ -79,6 +79,7 @@ def extract_bg(f: LayerFormat, mode: str) -> BackboneGraph:
     the same vertex pair merge by multiplying dims.  Edges joining more than
     two vertices contribute their dim once, recorded on the first pair.
     """
+    _check_type(f, LayerFormat, ValidationError, "the format")
     if mode == FAN_IN:
         g = f
     elif mode == FAN_OUT:
@@ -142,6 +143,23 @@ def _scaled_power(scale: float, factors, edge_prod: int, power: float) -> float:
         return math.inf
 
 
+def _check_real(name: str, value, positive: bool = False) -> None:
+    """Raise :class:`~tcinit.errors.InvalidParams` unless ``value`` is a
+    finite real >= 0, or > 0 when ``positive``."""
+    if (not isinstance(value, numbers.Real) or not 0 <= value <= sys.float_info.max
+            or positive and value == 0):
+        raise InvalidParams(
+            f"{name} must be a finite real {'>' if positive else '>='} 0, got {_shown(value)}")
+
+
+def _check_phi(phi) -> None:
+    """Raise :class:`~tcinit.errors.InvalidParams` unless ``phi`` is an
+    integer >= 1."""
+    _check_integers(InvalidParams, phi=phi)
+    if phi < 1:
+        raise InvalidParams(f"phi must be >= 1, got {_shown(phi, str)}")
+
+
 def predicted_output_variance(
     bg: BackboneGraph,
     input_var: float,
@@ -149,8 +167,22 @@ def predicted_output_variance(
     p_a: float,
     phi: int,
 ) -> float:
-    """Linear-output variance: p_a * phi * var(x) * prod(var(w)) * prod(e)."""
-    vertex_vars = list(vertex_vars)
+    """Linear-output variance: p_a * phi * var(x) * prod(var(w)) * prod(e).
+
+    Raises :class:`~tcinit.errors.InvalidParams` unless ``bg`` is a
+    :class:`BackboneGraph`, ``input_var`` and each of the ``vertex_vars`` a
+    finite real >= 0, ``p_a`` a finite real > 0 and ``phi`` an integer >= 1,
+    as :func:`graph_init_variance` checks its arguments.
+    """
+    _check_type(bg, BackboneGraph, InvalidParams, "bg")
+    try:
+        vertex_vars = list(vertex_vars)
+    except TypeError:
+        raise InvalidParams(f"vertex_vars must be iterable, got {_shown(vertex_vars)}") from None
+    for name, value in (("input_var", input_var), *(("vertex_vars", v) for v in vertex_vars)):
+        _check_real(name, value)
+    _check_real("p_a", p_a, positive=True)
+    _check_phi(phi)
     scale = p_a * _float(phi) * input_var * math.prod(vertex_vars, start=1.0)
     return _scaled_power(scale, [p_a, phi, input_var, *vertex_vars], edge_product(bg), 1.0)
 
@@ -163,15 +195,14 @@ def graph_init_variance(bg: BackboneGraph, n: int, p_a: float, phi: int) -> floa
     :class:`~tcinit.errors.InvalidParams` unless ``p_a`` is a finite real > 0
     and ``phi`` an integer >= 1.
     """
+    _check_type(bg, BackboneGraph, InvalidParams, "bg")
     _check_integers(InvalidParams, n=n, phi=phi)
     if n < 1 or n != bg.weight_count:
         raise InvalidParams(
-            f"n = {n} does not match the graph's {bg.weight_count} weight vertices"
+            f"n = {_shown(n, str)} does not match the graph's {bg.weight_count} weight vertices"
         )
-    if not isinstance(p_a, numbers.Real) or not 0 < p_a <= sys.float_info.max:
-        raise InvalidParams(f"p_a must be a finite real > 0, got {p_a!r}")
-    if phi < 1:
-        raise InvalidParams(f"phi must be >= 1, got {phi}")
+    _check_real("p_a", p_a, positive=True)
+    _check_phi(phi)
     return _scaled_power(p_a * _float(phi), [p_a, phi], edge_product(bg), -1.0 / n)
 
 
@@ -191,6 +222,7 @@ def baseline_variance(f: LayerFormat, mode: str) -> dict[str, float]:
     all its incident edge dims except the last declared one, emulating
     framework-default initialization of each factor in isolation.
     """
+    _check_type(f, LayerFormat, ValidationError, "the format")
     if mode in DENSE_BASELINES:
         value = DENSE_BASELINES[mode](*_channel_products(f))
         return {vid: value for vid in f.weight_ids}
@@ -231,6 +263,7 @@ def make_plan(
     distribution: str = "normal",
 ) -> InitPlan:
     """Build an initialization plan for every weight vertex of ``f``."""
+    _check_type(f, LayerFormat, ValidationError, "the format")
     if activation not in ACTIVATION_SCALE:
         raise InvalidParams(f"unknown activation {activation!r}")
     p_a = ACTIVATION_SCALE[activation]

@@ -108,10 +108,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import PlanIncomplete, ShapeMismatch
+from .errors import InvalidParams, PlanIncomplete, ShapeMismatch, ValidationError
 from .formats import INPUT_CHANNEL, OUTPUT_CHANNEL, LayerFormat
 from .graph import InitPlan
-from .tensor import DenseTensor, _check_array, _check_seed, _letters
+from .tensor import DenseTensor, _check_array, _check_seed, _check_type, _letters, _shown
 from .transform import build_backward_format
 
 # Compiled plans kept per process.  A plan holds only subscripts and small
@@ -181,6 +181,8 @@ def materialize(f: LayerFormat, plan: InitPlan, rng) -> MaterializedLayer:
     :class:`~tcinit.errors.ResourceLimit` before any allocation when a
     weight would exceed the memory limit.
     """
+    _check_type(f, LayerFormat, ValidationError, "the format")
+    _check_type(plan, InitPlan, InvalidParams, "plan")
     if not isinstance(rng, np.random.Generator):
         _check_seed(rng)
     shapes, variances = _weight_specs(f, plan)
@@ -777,12 +779,14 @@ def _contract(f: LayerFormat, x: np.ndarray, replicas, backward: bool,
 
 
 def _apply(layer: MaterializedLayer, t: DenseTensor, backward: bool) -> DenseTensor:
+    _check_type(layer, MaterializedLayer, InvalidParams, "layer")
     f = layer.format
     name, side, expected = (("gradient", "output", f.output_mode_dims()) if backward
                             else ("input", "input", f.input_mode_dims()))
+    _check_type(t, DenseTensor, ShapeMismatch, name)
     if t.shape[1:] != expected:
         raise ShapeMismatch(
-            f"{name} shape {t.shape[1:]} does not match layer {side} {expected}"
+            f"{name} shape {t.shape[1:]} does not match layer {side} {_shown(expected, str)}"
         )
     replicas = [[w[vid].array[None] for vid in f.weight_ids] for w in layer.replicas]
     return DenseTensor.from_array(_contract(f, t.array[None], replicas, backward)[0])

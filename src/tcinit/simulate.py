@@ -55,7 +55,7 @@ from .graph import (
 from . import network
 from .network import _Arena, _assign, _contract, _draw, _plan, _trial_block, _weight_specs
 from .tensor import (ACTIVATION_SCALE, _activation, _activation_grad, _check_array,
-                     _check_integers, _check_seed)
+                     _check_integers, _check_seed, _shown)
 
 DEFAULT_CHAIN_DIMS = (96, 200, 400, 600, 800, 1000, 800, 600, 400, 200, 100)
 SATURATION_THRESHOLD = 0.99
@@ -179,8 +179,8 @@ def _layout(net: NetworkSpec, trials: int = 1, workers: int = 1, backward: bool 
             f = spec.format
             if feed != f.input_mode_dims():
                 raise ShapeMismatch(
-                    f"layer {i} expects input dims {f.input_mode_dims()} "
-                    f"(channels, then spatial) but receives {feed}"
+                    f"layer {i} expects input dims {_shown(f.input_mode_dims(), str)} "
+                    f"(channels, then spatial) but receives {_shown(feed, str)}"
                 )
             out = f.output_mode_dims()
             _check_array((net.batch, *out), f"the output of layer {i}")
@@ -216,9 +216,9 @@ def _layout(net: NetworkSpec, trials: int = 1, workers: int = 1, backward: bool 
         roles.setdefault(("gradient", i), (roles["output", i][0], (n, *rows[i])))
     copies = min(workers, -(-trials // size))
     _check_array((copies, total), "the arena of a trial block" if copies <= 1
-                 else f"the arenas of {copies} trial blocks run at once")
+                 else f"the arenas of {_shown(copies, str)} trial blocks run at once")
     _check_array((2, trials, len(net.layers), 4),
-                 f"the statistics of {trials} trials and their concatenation")
+                 f"the statistics of {_shown(trials, str)} trials and their concatenation")
     return size, (total, roles)
 
 
@@ -641,7 +641,7 @@ def backward_trace(
     is not a finite real >= 0.
     """
     if not isinstance(grad_var, numbers.Real) or not 0 <= grad_var <= sys.float_info.max:
-        raise InvalidParams(f"grad_var must be a finite real >= 0, got {grad_var!r}")
+        raise InvalidParams(f"grad_var must be a finite real >= 0, got {_shown(grad_var)}")
     return _trace(net, seed, trials, workers, float(grad_var))
 
 
@@ -741,12 +741,12 @@ def scale_chain(
     except TypeError:
         whole = False
     if not whole:
-        raise InvalidParams(f"chain dims must be whole numbers, got {dims!r}")
+        raise InvalidParams(f"chain dims must be whole numbers, got {_shown(dims)}")
     dims = tuple(map(int, dims))
     if len(dims) < 2:
         raise InvalidParams("chain needs at least two dims")
     if min(dims) < 1:
-        raise InvalidParams(f"chain dims must be >= 1, got {dims}")
+        raise InvalidParams(f"chain dims must be >= 1, got {_shown(dims, str)}")
     if batch < 1:
         raise InvalidParams("batch must be >= 1")
     _check_array((batch, dims[0]), "the chain input")
@@ -754,7 +754,7 @@ def scale_chain(
         _check_array((dims[t - 1], dims[t]), f"the weight of chain step {t}")
         _check_array((batch, dims[t]), f"the output of chain step {t}")
     _check_array((2, trials, len(dims) - 1),
-                 f"the scales of {trials} trials and their concatenation")
+                 f"the scales of {_shown(trials, str)} trials and their concatenation")
 
     def one(arena, rng, streams):
         _stream(rng, streams[0][0])
@@ -800,7 +800,7 @@ def proposition_checks(seed: int, samples: int = 100_000) -> dict:
     """
     _check_seed(seed)
     if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
-        raise InvalidParams(f"samples must be an integer >= 1, got {samples!r}")
+        raise InvalidParams(f"samples must be an integer >= 1, got {_shown(samples)}")
     rng = np.random.default_rng(seed)
     checks = []
 

@@ -127,16 +127,40 @@ def _check_array(shape, what: str) -> None:
     exceed the memory limit; ``what`` names it in the message."""
     nbytes = 8 * math.prod(shape)
     if nbytes > MEMORY_LIMIT:
-        if nbytes > sys.float_info.max:
-            # A Decimal writes a size past the float range as a float would
-            # write one within it.  Imported here: importing decimal with the
-            # package would cost every run about 0.4 MB of resident memory.
-            from decimal import Decimal
-            nbytes = Decimal(nbytes)
         raise ResourceLimit(
-            f"{what} needs {nbytes:.3e} bytes, over the limit of "
+            f"{what} needs {_sci(nbytes)} bytes, over the limit of "
             f"{MEMORY_LIMIT:.3e} bytes ({MEMORY_SOURCE})"
         )
+
+
+def _sci(n: int) -> str:
+    """The integer ``n`` written as ``{:.3e}`` writes a float, also past the
+    float range."""
+    if abs(n) > sys.float_info.max:
+        # A Decimal writes such a number as a float would write one within
+        # it.  Imported here: importing decimal with the package would cost
+        # every run about 0.4 MB of resident memory.
+        from decimal import Decimal
+        n = Decimal(n)
+    return f"{n:.3e}"
+
+
+def _shown(value, show=repr) -> str:
+    """``show(value)`` for a message, but with each integer of more digits
+    than Python converts to text (``sys.get_int_max_str_digits()``), alone
+    or in a tuple or list, written by :func:`_sci`; any other value that
+    cannot be shown is named by its type."""
+    try:
+        return show(value)
+    except ValueError:
+        if isinstance(value, (tuple, list)):
+            items = ", ".join(_shown(v, show) for v in value)
+            if isinstance(value, list):
+                return f"[{items}]"
+            return f"({items}{',' if len(value) == 1 else ''})"
+        if isinstance(value, numbers.Integral):
+            return _sci(int(value))
+        return f"<{type(value).__name__}>"
 
 
 def _check_seed(seed, sequence: bool = True) -> None:
@@ -147,9 +171,17 @@ def _check_seed(seed, sequence: bool = True) -> None:
     entries = seed if sequence and isinstance(seed, (list, tuple)) else (seed,)
     if not all(isinstance(s, numbers.Integral) for s in entries):
         kinds = "an integer or a list of them" if sequence else "an integer"
-        raise InvalidParams(f"seed must be {kinds}, got {seed!r}")
+        raise InvalidParams(f"seed must be {kinds}, got {_shown(seed)}")
     if any(s < 0 for s in entries):
-        raise InvalidParams(f"seed must be >= 0, got {seed!r}")
+        raise InvalidParams(f"seed must be >= 0, got {_shown(seed)}")
+
+
+def _check_type(value, kind, error, name: str) -> None:
+    """Raise ``error`` unless ``value`` is a ``kind``: an argument of the
+    wrong type raises the :class:`TcinitError` a wrong value of the right
+    type would, never the raw ``AttributeError`` its first use would."""
+    if not isinstance(value, kind):
+        raise error(f"{name} must be of type {kind.__name__}, got {type(value).__name__}")
 
 
 def _check_integers(error, **values) -> None:
@@ -159,7 +191,7 @@ def _check_integers(error, **values) -> None:
     values, and take 2.5 for 2."""
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise error(f"{name} must be an integer, got {value!r}")
+            raise error(f"{name} must be an integer, got {_shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -177,13 +209,14 @@ class DenseTensor:
         try:
             shape = tuple(map(operator.index, self.shape))
         except TypeError:
-            raise InvalidShape(f"shape entries must be integers, got {self.shape!r}") from None
+            raise InvalidShape(
+                f"shape entries must be integers, got {_shown(self.shape)}") from None
         if any(d < 1 for d in shape):
-            raise InvalidShape(f"shape entries must be >= 1, got {shape}")
+            raise InvalidShape(f"shape entries must be >= 1, got {_shown(shape, str)}")
         flat = np.ascontiguousarray(self.data, dtype=np.float64).reshape(-1)
         if flat.size != math.prod(shape):
             raise InvalidShape(
-                f"data length {flat.size} does not match shape {shape}"
+                f"data length {flat.size} does not match shape {_shown(shape, str)}"
             )
         flat.flags.writeable = False
         object.__setattr__(self, "shape", shape)
@@ -233,15 +266,18 @@ class DummySpec:
         a, b, s, p = self.alpha, self.beta, self.stride, self.padding
         if not all(isinstance(v, numbers.Integral) for v in (a, b, s, p)):
             raise InvalidDummySpec(
-                f"alpha={a!r}, beta={b!r}, stride={s!r}, padding={p!r} must be integers"
+                f"alpha={_shown(a)}, beta={_shown(b)}, stride={_shown(s)}, "
+                f"padding={_shown(p)} must be integers"
             )
         if a < 1 or b < 1 or s < 1 or p < 0:
             raise InvalidDummySpec(
-                f"alpha={a}, beta={b}, stride={s}, padding={p} out of range"
+                "alpha={}, beta={}, stride={}, padding={} out of range".format(
+                    *(_shown(v, str) for v in (a, b, s, p)))
             )
         if a + 2 * p < b:
             raise InvalidDummySpec(
-                f"window beta={b} exceeds padded input alpha={a} + 2*{p}"
+                "window beta={} exceeds padded input alpha={} + 2*{}".format(
+                    *(_shown(v, str) for v in (b, a, p)))
             )
 
     @property
@@ -255,12 +291,16 @@ class DummySpec:
 
 
 def _check_axes(t: DenseTensor, axes: Sequence[int], label: str) -> list[int]:
-    axes = [int(ax) for ax in axes]
+    _check_type(t, DenseTensor, InvalidShape, f"the {label}")
+    try:
+        axes = [operator.index(ax) for ax in axes]
+    except TypeError:
+        raise AxisOutOfRange(f"{label}: axes must be integers, got {_shown(axes)}") from None
     for ax in axes:
         if not 0 <= ax < t.rank:
-            raise AxisOutOfRange(f"{label}: axis {ax} out of range for rank {t.rank}")
+            raise AxisOutOfRange(f"{label}: axis {_shown(ax, str)} out of range for rank {t.rank}")
     if len(set(axes)) != len(axes):
-        raise DuplicateAxis(f"{label}: repeated axis in {axes}")
+        raise DuplicateAxis(f"{label}: repeated axis in {_shown(axes, str)}")
     return axes
 
 
@@ -305,24 +345,30 @@ def _letters(n: int) -> str:
 def _einsum_spec(shapes, groups, open_axes) -> str:
     """Einsum subscripts wiring tensors of the given shapes.
 
-    ``groups`` are the summation indices and ``open_axes`` the output
-    indices in order; each is a list of ``(tensor_index, axis)`` pairs that
-    share one letter.  Raises the typed errors documented on
-    :func:`multi_contract`.
+    ``groups`` are the summation indices, each a list of ``(tensor_index,
+    axis)`` pairs that share one letter, and ``open_axes`` the output
+    indices in order, one such pair each.  Raises the typed errors
+    documented on :func:`multi_contract`.
     """
-    indices = [list(g) for g in groups]
-    n_summed = len(indices)
-    indices += [list(g) for g in open_axes]
+    try:
+        indices = [[tuple(map(operator.index, pair)) for pair in g] for g in groups]
+        n_summed = len(indices)
+        indices += [[tuple(map(operator.index, pair))] for pair in open_axes]
+        if any(len(pair) != 2 for index in indices for pair in index):
+            raise TypeError
+    except TypeError:
+        raise AxisOutOfRange("groups and open axes must hold (tensor index, axis) "
+                             "pairs of integers") from None
     names = _letters(len(indices))
     letters: list[dict[int, str]] = [dict() for _ in shapes]
     for letter, index in zip(names, indices):
         dim = None
         for ti, ax in index:
             if not 0 <= ti < len(shapes):
-                raise AxisOutOfRange(f"tensor index {ti} out of range")
+                raise AxisOutOfRange(f"tensor index {_shown(ti, str)} out of range")
             shape = shapes[ti]
             if not 0 <= ax < len(shape):
-                raise AxisOutOfRange(f"axis {ax} out of range for rank {len(shape)}")
+                raise AxisOutOfRange(f"axis {_shown(ax, str)} out of range for rank {len(shape)}")
             if ax in letters[ti]:
                 raise DuplicateAxis(f"axis {ax} of tensor {ti} bound twice")
             if dim is None:
@@ -367,11 +413,16 @@ def multi_contract(
     exactly one group or in ``open_axes``.  The result equals any sequence of
     pairwise :func:`contract` calls realizing the same network; the actual
     contraction order is chosen internally.  More indices in total than
-    einsum has letters raise :class:`~tcinit.errors.TooManyIndices`.
+    einsum has letters raise :class:`~tcinit.errors.TooManyIndices`, an
+    operand that is not a :class:`DenseTensor` raises
+    :class:`~tcinit.errors.InvalidShape` and an index that is not a pair of
+    integers :class:`~tcinit.errors.AxisOutOfRange`.
     """
-    tensors = list(tensors)
-    open_groups = [[pair] for pair in open_axes]
-    spec = _einsum_spec([t.shape for t in tensors], groups, open_groups)
+    if not isinstance(tensors, (list, tuple)):
+        raise InvalidShape(f"tensors must be a list or tuple, got {type(tensors).__name__}")
+    for i, t in enumerate(tensors):
+        _check_type(t, DenseTensor, InvalidShape, f"tensors[{i}]")
+    spec = _einsum_spec([t.shape for t in tensors], groups, open_axes)
     return DenseTensor.from_array(np.einsum(spec, *[t.array for t in tensors],
                                             optimize=_OPTIMIZE))
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidPadding
+from .errors import InvalidDummySpec, InvalidPadding, ValidationError
 from .formats import (
     INPUT_CHANNEL,
     KERNEL,
@@ -36,7 +36,9 @@ from .formats import (
 from .tensor import (
     DenseTensor,
     DummySpec,
+    _check_type,
     _pattern,
+    _shown,
     build_dummy,
     contract,
     reversal_matrix,
@@ -60,8 +62,8 @@ class BackwardDummySpec:
     def __post_init__(self):
         if self.forward.padding > self.forward.beta - 1:
             raise InvalidPadding(
-                f"padding {self.forward.padding} exceeds beta-1 = "
-                f"{self.forward.beta - 1}; the backward construction is undefined"
+                f"padding {_shown(self.forward.padding, str)} exceeds beta-1 = "
+                f"{_shown(self.forward.beta - 1, str)}; the backward construction is undefined"
             )
 
     @property
@@ -144,6 +146,7 @@ def verify_theorem1(fwd: DummySpec) -> bool:
     contracted with the stride-expansion matrix on its middle mode and the
     reversal matrix on its kernel mode, entrywise with zero tolerance.
     """
+    _check_type(fwd, DummySpec, InvalidDummySpec, "fwd")
     p = build_dummy(fwd)
     pp = build_backward_dummy(backward_dummy(fwd))
     t = transformation_matrix(fwd.alpha_prime, fwd.stride)
@@ -163,6 +166,7 @@ def build_backward_format(f: LayerFormat) -> LayerFormat:
     backward window parameters; rank edges and the multiplicity are
     unchanged.  Applying the rewrite twice restores the original edge kinds.
     """
+    _check_type(f, LayerFormat, ValidationError, "the format")
     xid = f.input_vertex.id
     edges = []
     for e in f.edges:

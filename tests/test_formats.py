@@ -398,7 +398,8 @@ class TestRandomFormat:
          f"rank_dim_range must have high <= {2**63 - 1}, got (2, {10**30})"),
         ("max_rank_edges", 2.5, "max_rank_edges must be an integer, got 2.5"),
         ("max_rank_edges", math.inf, "max_rank_edges must be an integer, got inf"),
-        ("max_rank_edges", 10**30, f"max_rank_edges must be <= {2**63 - 1}, got {10**30}"),
+        ("max_rank_edges", 10**30, f"max_rank_edges must be <= 40000, got {10**30}"),
+        ("max_rank_edges", 40_001, "max_rank_edges must be <= 40000, got 40001"),
     ])
     def test_constraints_no_format_meets_rejected(self, field, value, message):
         with pytest.raises(InvalidParams) as err:

@@ -5,6 +5,7 @@ import math
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,14 @@ from tcinit.formats import (
     serialize_format,
     validate,
 )
-from tcinit.graph import FAN_IN, extract_bg, graph_init_variance, make_plan
+from tcinit.graph import (
+    FAN_IN,
+    baseline_variance,
+    extract_bg,
+    graph_init_variance,
+    make_plan,
+    predicted_output_variance,
+)
 from tcinit.network import backward_apply, forward_apply, materialize
 from tcinit.simulate import (
     LayerSpec,
@@ -35,9 +43,12 @@ from tcinit.tensor import (
     DenseTensor,
     DummySpec,
     build_dummy,
+    contract,
+    multi_contract,
     reversal_matrix,
     transformation_matrix,
 )
+from tcinit.transform import build_backward_format, verify_theorem1
 
 KEYS = (
     "c_in", "c_out", "rank", "ranks", "r0", "r1", "i_dims", "o_dims",
@@ -166,7 +177,9 @@ ENTRY_POINTS = {
 
 
 TT_BG = extract_bg(TT, FAN_IN)
-# The tensor, graph and format entry points, as ENTRY_POINTS.
+TT_LAYER = materialize(TT, TT_PLAN, 0)
+VEC = DenseTensor.from_array(np.ones(3))
+# The tensor, graph, format and layer entry points, as ENTRY_POINTS.
 VALUE_ENTRY_POINTS = {
     "DenseTensor": (lambda rows, cols: DenseTensor((rows, cols), np.zeros(6)),
                     {"rows": 2, "cols": 3}),
@@ -183,6 +196,21 @@ VALUE_ENTRY_POINTS = {
                     build_dummy(DummySpec(alpha, beta, stride, padding)),
                     {"alpha": 5, "beta": 3, "stride": 2, "padding": 1}),
     "transformation_matrix": (transformation_matrix, {"t": 3, "epsilon": 2}),
+    "materialize": (materialize, {"f": TT, "plan": TT_PLAN, "rng": 0}),
+    "make_plan": (make_plan, {"f": TT, "mode": "graph-in", "activation": "tanh"}),
+    "extract_bg": (extract_bg, {"f": TT, "mode": FAN_IN}),
+    "baseline_variance": (baseline_variance, {"f": TT, "mode": "xavier-in"}),
+    "build_backward_format": (build_backward_format, {"f": TT}),
+    "forward_apply": (forward_apply, {
+        "layer": TT_LAYER, "x": DenseTensor.from_array(np.ones((2, *TT.input_mode_dims())))}),
+    "backward_apply": (backward_apply, {
+        "layer": TT_LAYER, "grad": DenseTensor.from_array(np.ones((2, *TT.output_mode_dims())))}),
+    "verify_theorem1": (verify_theorem1, {"fwd": DummySpec(5, 3, 2, 1)}),
+    "contract": (contract, {"a": VEC, "axes_a": [0], "b": VEC, "axes_b": [0]}),
+    "multi_contract": (multi_contract, {"tensors": [VEC, VEC], "groups": [[(0, 0), (1, 0)]],
+                                        "open_axes": []}),
+    "predicted_output_variance": (predicted_output_variance, {
+        "bg": TT_BG, "input_var": 1.0, "vertex_vars": [1.0, 1.0], "p_a": 1.0, "phi": 1}),
 }
 
 
@@ -213,3 +241,27 @@ def test_tensor_graph_and_format_inputs_give_a_result_or_a_tcinit_error(entry):
         call(**kwargs)
     except TcinitError:
         pass
+
+
+HUGE = 10**5000
+# Calls whose message prints a caller's integer of more digits than Python
+# converts to text; each prints it as a size past the float range is printed.
+HUGE_CALLS = {
+    "DenseTensor": lambda: DenseTensor((HUGE,), np.zeros(1)),
+    "DummySpec": lambda: DummySpec(-HUGE, 3),
+    "seed": lambda: scale_chain(-HUGE, 2),
+    "scale_chain dims": lambda: scale_chain(0, 2, (4, -HUGE)),
+    "statistics": lambda: validate_network(
+        NetworkSpec((LayerSpec(TT, "tanh"),), TT.input_mode_dims(), 2), HUGE),
+    "samples": lambda: proposition_checks(0, -HUGE),
+    "grad_var": lambda: backward_trace(_tt_net(2), 0, 1, 1, HUGE),
+    "random_format": lambda: random_format(0, RandomFormatConstraints(max_rank_edges=HUGE)),
+    "graph_init_variance": lambda: graph_init_variance(TT_BG, HUGE, 1.0, 1),
+    "contract": lambda: contract(VEC, [HUGE], VEC, [0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_CALLS))
+def test_huge_integers_print_in_messages(name):
+    with pytest.raises(TcinitError, match=r"1\.000e\+5000"):
+        HUGE_CALLS[name]()
