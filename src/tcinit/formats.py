@@ -407,7 +407,7 @@ def builtin_format(name: str, **params) -> LayerFormat:
     """
     name = name.lower()
 
-    def take(key, default=None, many=False):
+    def param(key, default=None, many=False):
         """Pop ``key`` (or take ``default``) as a tuple of ints when ``many``,
         else as one int; with no default the parameter is required."""
         value = params.pop(key, default)
@@ -420,22 +420,22 @@ def builtin_format(name: str, **params) -> LayerFormat:
             raise InvalidParams(f"{key} must be one integer, got {_shown(value)}")
         return ints[0]
 
-    phi = take("phi", 4 if name == "htk2" else 1)
-    k = take("k", 0)
-    spatial = take("spatial", 2 if k else 0)
+    phi = param("phi", 4 if name == "htk2" else 1)
+    k = param("k", 0)
+    spatial = param("spatial", 2 if k else 0)
     if spatial < 0:
         raise InvalidParams(f"spatial must be >= 0, got {_shown(spatial, str)}")
     if spatial and not k:
         raise InvalidParams("spatial > 0 requires a kernel size k")
-    alpha = take("alpha", 8, many=True)
-    stride = take("stride", 1)
-    padding = take("padding", 0)
+    alpha = param("alpha", 8, many=True)
+    stride = param("stride", 1)
+    padding = param("padding", 0)
     x = Vertex("x", INPUT)
 
     def bond_ranks(cores: int, bonds: int):
         """``ranks`` (one per bond, or one for all) or else ``rank``; when
         both are given ``rank`` is left over and rejected as unused."""
-        ranks = take("ranks" if "ranks" in params else "rank", many=True)
+        ranks = param("ranks" if "ranks" in params else "rank", many=True)
         if len(ranks) == 1:
             ranks = ranks * bonds
         if len(ranks) != bonds:
@@ -443,7 +443,7 @@ def builtin_format(name: str, **params) -> LayerFormat:
         return ranks
 
     if name == "standard":
-        c_in, c_out = take("c_in"), take("c_out")
+        c_in, c_out = param("c_in"), param("c_out")
         v = [x, Vertex("w", WEIGHT)]
         e = [
             HyperEdge("cin", INPUT_CHANNEL, c_in, ("x", "w")),
@@ -451,7 +451,7 @@ def builtin_format(name: str, **params) -> LayerFormat:
             *_windows(["w"] * spatial, k, alpha, stride, padding),
         ]
     elif name == "lowrank":
-        c_in, c_out, r = take("c_in"), take("c_out"), take("rank")
+        c_in, c_out, r = param("c_in"), param("c_out"), param("rank")
         v = [x, Vertex("w0", WEIGHT), Vertex("w1", WEIGHT)]
         e = [
             HyperEdge("cin", INPUT_CHANNEL, c_in, ("x", "w0")),
@@ -460,9 +460,9 @@ def builtin_format(name: str, **params) -> LayerFormat:
             HyperEdge("cout", OUTPUT_CHANNEL, c_out, ("w1",)),
         ]
     elif name in ("tucker2", "htk2"):
-        c_in, c_out = take("c_in"), take("c_out")
-        r = take("rank") if "rank" in params else None
-        r0, r1 = take("r0", r), take("r1", r)
+        c_in, c_out = param("c_in"), param("c_out")
+        r = param("rank") if "rank" in params else None
+        r0, r1 = param("r0", r), param("r1", r)
         v = [x, Vertex("w0", WEIGHT), Vertex("w1", WEIGHT), Vertex("w2", WEIGHT)]
         e = [
             HyperEdge("cin", INPUT_CHANNEL, c_in, ("x", "w0")),
@@ -472,7 +472,7 @@ def builtin_format(name: str, **params) -> LayerFormat:
             HyperEdge("cout", OUTPUT_CHANNEL, c_out, ("w2",)),
         ]
     elif name == "cp":
-        c_in, c_out, r = take("c_in"), take("c_out"), take("rank")
+        c_in, c_out, r = param("c_in"), param("c_out"), param("rank")
         kernel_weights = [f"w_k{i}" for i in range(spatial)]
         shared = ["w_in", *kernel_weights, "w_out"]
         v = [x] + [Vertex(w, WEIGHT) for w in shared]
@@ -483,7 +483,7 @@ def builtin_format(name: str, **params) -> LayerFormat:
             HyperEdge("cout", OUTPUT_CHANNEL, c_out, ("w_out",)),
         ]
     elif name == "tt":
-        i_dims, o_dims = take("i_dims", many=True), take("o_dims", many=True)
+        i_dims, o_dims = param("i_dims", many=True), param("o_dims", many=True)
         if len(i_dims) != len(o_dims):
             raise InvalidParams("tt needs equally many input and output dims")
         m = len(i_dims)
@@ -498,7 +498,7 @@ def builtin_format(name: str, **params) -> LayerFormat:
         for j in range(m):
             e.append(HyperEdge(f"o{j}", OUTPUT_CHANNEL, o_dims[j], (f"w{j}",)))
     elif name == "tr":
-        i_dims, o_dims = take("i_dims", many=True), take("o_dims", many=True)
+        i_dims, o_dims = param("i_dims", many=True), param("o_dims", many=True)
         cores = len(i_dims) + len(o_dims) + (1 if spatial else 0)
         ranks = bond_ranks(cores, cores)
         names = [f"wi{j}" for j in range(len(i_dims))]
@@ -517,10 +517,10 @@ def builtin_format(name: str, **params) -> LayerFormat:
         for j, d in enumerate(o_dims):
             e.append(HyperEdge(f"o{j}", OUTPUT_CHANNEL, d, (f"wo{j}",)))
     elif name == "oddlike":
-        i_dims, o_dims = take("i_dims", many=True), take("o_dims", many=True)
+        i_dims, o_dims = param("i_dims", many=True), param("o_dims", many=True)
         if len(i_dims) != 2 or len(o_dims) != 2:
             raise InvalidParams("oddlike uses exactly two input and two output dims")
-        r = take("rank")
+        r = param("rank")
         v = [x] + [Vertex(f"w{j}", WEIGHT) for j in range(9)]
         e = [
             HyperEdge("i0", INPUT_CHANNEL, i_dims[0], ("x", "w0")),
