@@ -1,6 +1,7 @@
-"""The two tools that decide what a change may do: ``tools/parity.py``'s
-``compare`` (the byte-parity contract) and ``tools/uncovered.py``'s
-``uncovered`` (the statements no test runs)."""
+"""The tools that decide what a change may do: ``tools/parity.py``'s
+``compare`` (the byte-parity contract), ``tools/uncovered.py``'s
+``uncovered`` (the statements no test runs) and ``tools/codelines.py``'s
+``code_lines`` (the figure a simplification lowers)."""
 
 import importlib.util
 import json
@@ -30,6 +31,7 @@ def _load(name):
 
 parity = _load("parity")
 uncovered = _load("uncovered")
+codelines = _load("codelines")
 
 
 class TestParityCompare:
@@ -84,3 +86,36 @@ class TestUncovered:
 
     def test_nothing_run_lists_every_statement_with_bytecode(self):
         assert uncovered.uncovered(SOURCE, "m.py", set()) == [1, 3, 4, 5, 10, 11, 12]
+
+
+CODE = '''\
+"""Module docstring,
+over two lines."""
+# A comment line.
+import os  # a comment after code
+
+
+class C:
+    """Class docstring."""
+
+    def f(self):
+        """Function docstring."""
+        text = """a string that
+is not a docstring"""
+        return (
+            text
+        )
+'''
+
+
+class TestCodeLines:
+    def test_counts_lines_with_code_outside_docstrings(self):
+        # import, class, def, the two lines of the string, return and its
+        # two continuation lines.
+        assert codelines.code_lines(CODE) == 8
+
+    def test_prints_each_module_and_the_total(self, tmp_path, capsys):
+        (tmp_path / "b.py").write_text(CODE)
+        (tmp_path / "a.py").write_text("x = 1\n\n# done\n")
+        assert codelines.main([str(tmp_path)]) == 0
+        assert capsys.readouterr().out == "1 a.py\n8 b.py\n9 total\n"
