@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, ParseError, ValidationError
-from .tensor import DummySpec, _check_integers, _check_seed, _shown
+from .tensor import DummySpec, _check_integers, _check_seed, _is_integer, _shown
 
 INPUT = "input"
 WEIGHT = "weight"
@@ -131,9 +131,7 @@ class LayerFormat:
 
     def output_mode_dims(self) -> tuple[int, ...]:
         """Output channel dims then the output spatial length per window."""
-        dims = [e.dim for e in self.edges_of_kind(OUTPUT_CHANNEL)]
-        dims.extend(e.window.alpha_prime for e in self.kernel_edges)
-        return tuple(dims)
+        return self.out_channel_dims + tuple(e.window.alpha_prime for e in self.kernel_edges)
 
 
 # -- validation -----------------------------------------------------------
@@ -144,6 +142,21 @@ def _padding_problem(eid: str, window) -> str:
         f"kernel edge {eid!r} padding {_shown(window.padding, str)} exceeds beta-1 = "
         f"{_shown(window.beta - 1, str)}; its backward pass is undefined"
     )
+
+
+def _phi_problem(phi) -> str | None:
+    """What is wrong with ``phi`` as a layer's multiplicity, or None: it
+    must be an integer (see :func:`~tcinit.tensor._is_integer`) >= 1."""
+    if not _is_integer(phi) or phi < 1:
+        return f"phi must be an integer >= 1, got {_shown(phi)}"
+    return None
+
+
+def _check_phi(phi) -> None:
+    """Raise :class:`~tcinit.errors.InvalidParams` with
+    :func:`_phi_problem`'s text unless ``phi`` is an integer >= 1."""
+    if problem := _phi_problem(phi):
+        raise InvalidParams(problem)
 
 
 def validate(f: LayerFormat) -> None:
@@ -212,8 +225,8 @@ def validate(f: LayerFormat) -> None:
         problems.append("format has no input-channel edge")
     if not f.edges_of_kind(OUTPUT_CHANNEL):
         problems.append("format has no output-channel edge")
-    if not isinstance(f.phi, int) or f.phi < 1:
-        problems.append(f"phi must be an integer >= 1, got {_shown(f.phi)}")
+    if problem := _phi_problem(f.phi):
+        problems.append(problem)
 
     for v in f.vertices:
         if v.kind == WEIGHT and not f.edges_of(v.id):
@@ -596,9 +609,7 @@ def random_format(
     # the bound lets a format draw take about 1 s.
     if edges_max > 40_000:
         raise InvalidParams(f"max_rank_edges must be <= 40000, got {_shown(edges_max, str)}")
-    phi = constraints.phi
-    if not isinstance(phi, int) or phi < 1:
-        raise InvalidParams(f"phi must be an integer >= 1, got {_shown(phi)}")
+    _check_phi(constraints.phi)
     rng = np.random.default_rng(seed)
 
     def draw(lo_hi):
@@ -634,7 +645,7 @@ def random_format(
     fmt = LayerFormat(
         tuple([Vertex("x", INPUT)] + [Vertex(w, WEIGHT) for w in weights]),
         tuple(edges),
-        phi,
+        constraints.phi,
     )
     validate(fmt)
     return fmt

@@ -24,6 +24,7 @@ from .formats import (
     KERNEL,
     OUTPUT_CHANNEL,
     LayerFormat,
+    _check_phi,
 )
 from .tensor import ACTIVATION_SCALE, _check_integers, _check_type, _shown
 from .transform import build_backward_format
@@ -152,14 +153,6 @@ def _check_real(name: str, value, positive: bool = False) -> None:
             f"{name} must be a finite real {'>' if positive else '>='} 0, got {_shown(value)}")
 
 
-def _check_phi(phi) -> None:
-    """Raise :class:`~tcinit.errors.InvalidParams` unless ``phi`` is an
-    integer >= 1."""
-    _check_integers(InvalidParams, phi=phi)
-    if phi < 1:
-        raise InvalidParams(f"phi must be >= 1, got {_shown(phi, str)}")
-
-
 def predicted_output_variance(
     bg: BackboneGraph,
     input_var: float,
@@ -196,7 +189,7 @@ def graph_init_variance(bg: BackboneGraph, n: int, p_a: float, phi: int) -> floa
     and ``phi`` an integer >= 1.
     """
     _check_type(bg, BackboneGraph, InvalidParams, "bg")
-    _check_integers(InvalidParams, n=n, phi=phi)
+    _check_integers(InvalidParams, n=n)
     if n < 1 or n != bg.weight_count:
         raise InvalidParams(
             f"n = {_shown(n, str)} does not match the graph's {bg.weight_count} weight vertices"
@@ -250,10 +243,8 @@ class InitPlan:
     def __post_init__(self):
         if self.distribution not in ("normal", "uniform"):
             raise InvalidParams(f"unknown distribution {self.distribution!r}")
-        if not all(math.isfinite(v) for v in self.variances.values()):
-            raise InvalidParams("variances must be finite")
-        if any(v < 0 for v in self.variances.values()):
-            raise InvalidParams("variances must be nonnegative")
+        for vid, v in self.variances.items():
+            _check_real(f"variances[{_shown(vid)}]", v)
 
 
 def make_plan(

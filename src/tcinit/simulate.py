@@ -16,8 +16,8 @@ one arena (see :class:`~tcinit.network._Arena`), a flat array kept for the
 call, in which :func:`_layout` gives every array of a block a fixed offset by
 the static rule of a contraction's workspace (see
 :func:`~tcinit.network._assign`): the weights, the input, each layer's output
-and input gradient, one temporary for the statistics and the drawn gradient,
-and one contraction workspace.  :func:`scale_chain`'s weights are a view of
+and input gradient, and one contraction workspace, in which the statistics
+and the drawn gradient work between contractions.  :func:`scale_chain`'s weights are a view of
 its arena too.  numpy's bundled OpenBLAS runs at one thread for the whole of
 every seeded call, at any worker count, so reports do not depend on its
 thread count either.
@@ -31,7 +31,6 @@ import logging
 import math
 import numbers
 import operator
-import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -48,6 +47,7 @@ from .graph import (
     FAN_IN,
     PLAN_MODES,
     InitPlan,
+    _check_real,
     extract_bg,
     make_plan,
     predicted_output_variance,
@@ -55,7 +55,7 @@ from .graph import (
 from . import network
 from .network import _Arena, _assign, _contract, _draw, _plan, _trial_block, _weight_specs
 from .tensor import (ACTIVATION_SCALE, _activation, _activation_grad, _check_array,
-                     _check_integers, _check_seed, _shown)
+                     _check_counts, _check_seed, _is_integer, _shown)
 
 DEFAULT_CHAIN_DIMS = (96, 200, 400, 600, 800, 1000, 800, 600, 400, 200, 100)
 SATURATION_THRESHOLD = 0.99
@@ -139,9 +139,9 @@ def validate_network(net: NetworkSpec, trials: int = 1, workers: int = 1,
     holds, times the ``min(workers, blocks)`` blocks run at once, nor the
     statistics of all ``trials``, at most 4 figures per layer, twice (see
     :func:`_map_seeded`).  Each raises :class:`~tcinit.errors.ResourceLimit`
-    before any draw, and a ``trials``, ``workers`` or batch that is not an
-    integer raises :class:`~tcinit.errors.InvalidParams`.  Compiling a plan
-    allocates nothing."""
+    before any draw, and a batch, ``trials`` or ``workers`` that is not an
+    integer >= 1 raises :class:`~tcinit.errors.InvalidParams`.  Compiling a
+    plan allocates nothing."""
     return _layout(net, trials, workers, backward)[0]
 
 
@@ -149,9 +149,9 @@ def _layout(net: NetworkSpec, trials: int = 1, workers: int = 1, backward: bool 
     """The walk of :func:`validate_network`: the trials per block and the
     arena of a block of ``min(block, trials)`` trials, at least one, as
     ``(total, roles)``, its entries and per role an offset and a shape:
-    ``"workspace"`` (at 0), ``"temporary"``, ``"input"``, ``("weight", i, r,
-    k)`` (replica ``r``, vertex ``k``), ``("output", i)`` and, with
-    ``backward``, ``("gradient", i)``, at layer ``i``'s input.
+    ``"workspace"`` (at 0), ``"input"``, ``("weight", i, r, k)`` (replica
+    ``r``, vertex ``k``), ``("output", i)`` and, with ``backward``,
+    ``("gradient", i)``, at layer ``i``'s input.
 
     Forward layer ``i`` is step ``i``, backward layer ``i`` step ``2L - 1 -
     i``, and :func:`~tcinit.network._assign` lays out each array over the
@@ -159,13 +159,12 @@ def _layout(net: NetworkSpec, trials: int = 1, workers: int = 1, backward: bool 
     layer's last pass; the input for step 0; an output to the next layer's
     step or, with ``backward``, its own backward one; a gradient to the
     step below, unless it is as long as the output, whose memory it then
-    takes; the temporary (see :func:`_row_mean`) and the workspace, as large
-    as the largest plan's, throughout."""
-    _check_integers(InvalidParams, trials=trials, workers=workers, batch=net.batch)
+    takes; the workspace throughout, as large as the largest plan's and as
+    the statistics and the drawn gradient take between contractions (see
+    :func:`_row_mean`)."""
+    _check_counts(InvalidParams, batch=net.batch, trials=trials, workers=workers)
     if not net.layers:
         raise InvalidParams("network has no layers")
-    if net.batch < 1:
-        raise InvalidParams("batch must be >= 1")
     feed = tuple(net.input_shape)
     _check_array((net.batch, *feed), "the batched network input")
     rows, weights, plans, seen = [(net.batch, *feed)], [], [], {}
@@ -196,12 +195,12 @@ def _layout(net: NetworkSpec, trials: int = 1, workers: int = 1, backward: bool 
     size = _trial_block(plans)
     n, depth = max(1, min(size, trials)), len(net.layers)
     end = depth * (1 + backward) - 1
-    temporary = max(n * min(max(map(math.prod, rows)), _span(n)),
-                    backward * min(math.prod(rows[-1]), _span(1)))
+    scratch = max(n * min(max(map(math.prod, rows)), _span(n)),
+                  backward * min(math.prod(rows[-1]), _span(1)))
     # Blocks of several trials tile no plan, and every array of an untiled
     # plan leads with the trial axis, so n trials hold n times what one holds.
-    lives = {"workspace": ((n * max(plan.held for plan in plans),), 0, end),
-             "temporary": ((temporary,), 0, end), "input": ((n, *rows[0]), 0, 0)}
+    lives = {"workspace": ((max(n * max(plan.held for plan in plans), scratch),), 0, end),
+             "input": ((n, *rows[0]), 0, 0)}
     for i, spec in enumerate(net.layers):
         back = 2 * depth - 1 - i
         for r in range(spec.format.phi):
@@ -228,7 +227,7 @@ def _views(net: NetworkSpec, layout, arena: _Arena, n: int) -> dict:
     role, its first ``n`` trials, and under ``"weights"`` each layer's
     weights, one list per replica."""
     if n not in arena.views:
-        # Only the workspace and the temporary are flat, with no trial axis.
+        # Only the workspace is flat, with no trial axis.
         views = {role: arena.memory[at:at + math.prod(s)].reshape(s)[:n if len(s) > 1 else None]
                  for role, (at, s) in layout[1].items()}
         views["weights"] = [[[views["weight", i, r, k] for k in range(len(s.format.weight_ids))]
@@ -243,7 +242,7 @@ _PAIRWISE_BLOCK = 128
 
 
 def _span(trials: int) -> int:
-    """Entries per trial of a temporary of ``trials`` trials that stays
+    """Entries per trial of a scratch span of ``trials`` trials that stays
     within ``TRIAL_BLOCK_BYTES``, or one pairwise block if more."""
     return max(_PAIRWISE_BLOCK, network.TRIAL_BLOCK_BYTES // (8 * trials))
 
@@ -252,8 +251,8 @@ def _row_mean(a: np.ndarray, tmp: np.ndarray, fill) -> np.ndarray:
     """Per-trial mean of what ``fill(part, tmp)`` writes into ``tmp`` from
     each column span ``part`` of ``a``, a block array seen as ``(trials,
     entries)``, through the first ``trials * min(entries, _span(trials))``
-    entries of the flat temporary ``tmp`` (see :func:`_tree_sum`).  A row
-    that fits :func:`_span` is one span, and the temporary is as large as
+    entries of the flat scratch ``tmp`` (see :func:`_tree_sum`).  A row
+    that fits :func:`_span` is one span, and the scratch is as large as
     ``a``."""
     a = a.reshape(len(a), -1)
     trials, n = a.shape
@@ -298,7 +297,7 @@ def _var(a: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 def _saturation(a: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """Per-trial fraction of a block array's entries whose magnitude exceeds
     ``SATURATION_THRESHOLD``, bit for bit the mean of numpy's boolean
-    comparison: the mean of the comparison's ones, written into a temporary
+    comparison: the mean of the comparison's ones, written into a scratch
     span by span (see :func:`_row_mean`) and summed exactly."""
 
     def ones(part, tmp):
@@ -315,8 +314,8 @@ def _passes(net: NetworkSpec, views: dict, arena: _Arena, measure, upstream=None
 
     Forward, each layer contracts into its output, the pre-activation;
     ``measure[0](tmp, x, pre)`` gives per-trial statistics of the layer's
-    input and pre-activation through the temporary ``tmp``, the activation
-    overwrites ``pre`` in place (in-place activation storage, as in Chen et
+    input and pre-activation through ``tmp``, the workspace, free between
+    contractions (see :func:`_layout`); the activation overwrites ``pre`` in place (in-place activation storage, as in Chen et
     al., arXiv:1604.06174) and ``measure[1](tmp, post)`` gives those of the
     post-activation.  With ``upstream``, backward follows:
     ``upstream(post, activation)`` writes the output gradient times the
@@ -328,7 +327,7 @@ def _passes(net: NetworkSpec, views: dict, arena: _Arena, measure, upstream=None
     gradient's variance at the layer's input, or 0) and the input gradient,
     or None without ``upstream``.  Logs each layer's pass seconds at
     DEBUG."""
-    layers, x, tmp = net.layers, views["input"], views["temporary"]
+    layers, x, tmp = net.layers, views["input"], views["workspace"]
     n, stats, g = len(x), [], None
     ticks = [time.perf_counter()]
     for i, spec in enumerate(layers):
@@ -527,12 +526,8 @@ def _map_seeded(fn, seed: int, trials: int, keys, workers: int, size: int = 1,
     are joined once they are, so neither the words nor the per-block results
     take memory in proportion to ``trials``.  Raises
     :class:`~tcinit.errors.InvalidParams` before any draw when ``seed`` is
-    not an integer >= 0 or ``trials`` or ``workers`` is below 1."""
+    not an integer >= 0; the callers check ``trials`` and ``workers``."""
     _check_seed(seed, sequence=False)
-    if trials < 1:
-        raise InvalidParams("trials must be >= 1")
-    if workers < 1:
-        raise InvalidParams("workers must be >= 1")
     workers = min(workers, -(-trials // size))
     states = [(_Arena(entries), np.random.Generator(np.random.PCG64())) for _ in range(workers)]
     chunk = size * max(1, SEED_CHUNK // size)
@@ -571,7 +566,7 @@ def _run(net: NetworkSpec, seed: int, trials: int, workers: int, measure, grad_v
     variances = [_weight_specs(s.format, init)[1] for s, init in zip(net.layers, inits)]
 
     def gradient(tmp, rng, words, post, activation):
-        # Each trial's gradient is drawn span by span into the temporary:
+        # Each trial's gradient is drawn span by span into the workspace:
         # standard_normal fills the spans from the stream in turn, as it
         # fills the whole row, and every later step is elementwise.
         rows = post.reshape(len(post), -1)
@@ -593,7 +588,7 @@ def _run(net: NetworkSpec, seed: int, trials: int, workers: int, measure, grad_v
         for t, w in enumerate(words[:, 0]):
             _draw(_stream(rng, w), [[views["input"][t]]], [1.0], "normal")
         upstream = None if grad_var is None else (lambda post, activation: gradient(
-            views["temporary"], rng, words[:, -1], post, activation))
+            views["workspace"], rng, words[:, -1], post, activation))
         return _passes(net, views, arena, measure, upstream)[0]
 
     keys = range(len(net.layers) + 1 + (grad_var is not None))
@@ -640,8 +635,7 @@ def backward_trace(
     :class:`~tcinit.errors.InvalidParams` before any draw when ``grad_var``
     is not a finite real >= 0.
     """
-    if not isinstance(grad_var, numbers.Real) or not 0 <= grad_var <= sys.float_info.max:
-        raise InvalidParams(f"grad_var must be a finite real >= 0, got {_shown(grad_var)}")
+    _check_real("grad_var", grad_var)
     return _trace(net, seed, trials, workers, float(grad_var))
 
 
@@ -728,11 +722,11 @@ def scale_chain(
     weight or step output, or the scales of all trials and their
     concatenation (see :func:`_map_seeded`), would not fit in memory, and
     :class:`~tcinit.errors.InvalidParams` when a dim is not a whole number
-    or ``trials``, ``batch`` or ``workers`` is not an integer.  BLAS runs
+    or ``batch``, ``trials`` or ``workers`` is not an integer >= 1.  BLAS runs
     at one thread (see :func:`_map_seeded`), so the scales depend neither on
     ``workers`` nor on its thread count.
     """
-    _check_integers(InvalidParams, trials=trials, batch=batch, workers=workers)
+    _check_counts(InvalidParams, batch=batch, trials=trials, workers=workers)
     try:
         dims = tuple(dims)
         whole = all(isinstance(d, numbers.Integral)
@@ -747,8 +741,6 @@ def scale_chain(
         raise InvalidParams("chain needs at least two dims")
     if min(dims) < 1:
         raise InvalidParams(f"chain dims must be >= 1, got {_shown(dims, str)}")
-    if batch < 1:
-        raise InvalidParams("batch must be >= 1")
     _check_array((batch, dims[0]), "the chain input")
     for t in range(1, len(dims)):
         _check_array((dims[t - 1], dims[t]), f"the weight of chain step {t}")
@@ -799,7 +791,7 @@ def proposition_checks(seed: int, samples: int = 100_000) -> dict:
     drawing an array that would not fit in memory.
     """
     _check_seed(seed)
-    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
+    if not _is_integer(samples) or samples < 1:
         raise InvalidParams(f"samples must be an integer >= 1, got {_shown(samples)}")
     rng = np.random.default_rng(seed)
     checks = []

@@ -184,14 +184,28 @@ def _check_type(value, kind, error, name: str) -> None:
         raise error(f"{name} must be of type {kind.__name__}, got {type(value).__name__}")
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer: a ``numbers.Integral``, so numpy
+    integers too, but not a ``bool``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_integers(error, **values) -> None:
     """Raise ``error`` naming the first of ``values`` that is not an integer
-    (``numbers.Integral``, so numpy integers too, but not ``bool``): Python's
-    and numpy's own checks would raise a raw ``TypeError`` for most such
-    values, and take 2.5 for 2."""
+    (see :func:`_is_integer`): Python's and numpy's own checks would raise a
+    raw ``TypeError`` for most such values, and take 2.5 for 2."""
     for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        if not _is_integer(value):
             raise error(f"{name} must be an integer, got {_shown(value)}")
+
+
+def _check_counts(error, **values) -> None:
+    """Raise ``error`` naming the first of ``values`` that is not an integer
+    (see :func:`_check_integers`), then the first below 1."""
+    _check_integers(error, **values)
+    for name, value in values.items():
+        if value < 1:
+            raise error(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -448,9 +462,7 @@ def build_dummy(spec: DummySpec) -> DenseTensor:
 def reversal_matrix(r: int) -> DenseTensor:
     """Anti-diagonal permutation matrix ``R`` of size ``r`` (see
     :func:`_pattern`)."""
-    _check_integers(InvalidShape, r=r)
-    if r < 1:
-        raise InvalidShape("r must be >= 1")
+    _check_counts(InvalidShape, r=r)
     return _pattern((r, r), "the reversal matrix", lambda i, j: i + j == r - 1)
 
 

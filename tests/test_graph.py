@@ -170,8 +170,8 @@ class TestGraphInit:
         (3, math.nan, 1, "p_a must be a finite real > 0, got nan"),
         (3, math.inf, 1, "p_a must be a finite real > 0, got inf"),
         (3, "a", 1, "p_a must be a finite real > 0, got 'a'"),
-        (3, 1.0, 0, "phi must be >= 1, got 0"),
-        (3, 1.0, 2.5, "phi must be an integer, got 2.5"),
+        (3, 1.0, 0, "phi must be an integer >= 1, got 0"),
+        (3, 1.0, 2.5, "phi must be an integer >= 1, got 2.5"),
         ("a", 1.0, 1, "n must be an integer, got 'a'"),
         (2, 1.0, 1, "n = 2 does not match the graph's 3 weight vertices"),
     ])
@@ -290,7 +290,8 @@ class TestPlans:
         (lambda f: extract_bg(f, "sideways"), "unknown backbone mode 'sideways'"),
         (lambda f: InitPlan("graph-in", 1.0, 1, {"w": 1.0}, "laplace"),
          "unknown distribution 'laplace'"),
-        (lambda f: InitPlan("graph-in", 1.0, 1, {"w": -1.0}), "variances must be nonnegative"),
+        (lambda f: InitPlan("graph-in", 1.0, 1, {"w": -1.0}),
+         "variances['w'] must be a finite real >= 0, got -1.0"),
         (lambda f: make_plan(f, "graph-in", "gelu"), "unknown activation 'gelu'"),
         (lambda f: make_plan(f, "lecun"), "unknown plan mode 'lecun'"),
     ], ids=["side", "distribution", "variance", "activation", "mode"])
@@ -304,7 +305,7 @@ class TestPlans:
     def test_non_finite_variance_rejected(self, v):
         with pytest.raises(InvalidParams) as err:
             InitPlan("graph-in", 1.0, 1, {"w": 1.0, "v": v})
-        assert str(err.value) == "variances must be finite"
+        assert str(err.value) == f"variances['v'] must be a finite real >= 0, got {v!r}"
 
     def test_activation_scales(self):
         f = builtin_format("standard", c_in=4, c_out=4, k=3, alpha=8)

@@ -399,7 +399,8 @@ class TestBackwardTrace:
         # the output gradient is written into the last post-activation, and
         # each backward contraction writes into its own input, the gradient
         # at the layer's input.  A budget of one pairwise block (128
-        # entries) keeps the statistics' temporary below a row of 384.
+        # entries) keeps the statistics' scratch below a row of 384, so it
+        # grows the workspace, which it works in, to no row.
         trial_block_bytes(8 * simulate._PAIRWISE_BLOCK)
         net = linear_net(depth=3, act="tanh")
         row = net.batch * math.prod(net.input_shape)
@@ -408,7 +409,9 @@ class TestBackwardTrace:
         assert len({at for at, shape in roles.values() if math.prod(shape) == row}) == 3
         assert roles["input"][0] == roles["output", 1][0]
         assert all(roles["gradient", i][0] == roles["output", i][0] for i in range(3))
-        assert roles["temporary"][1][0] < row
+        held = max(network._plan(s.format, b, (1, net.batch, *net.input_shape)).held
+                   for s in net.layers for b in (False, True))
+        assert roles["workspace"][1][0] <= max(held, row - 1)
         plan = make_plan(net.layers[0].format, "graph-in", "tanh")
         layers = [materialize(s.format, plan, i) for i, s in enumerate(net.layers)]
         arena = network._Arena(total)
@@ -450,15 +453,18 @@ class TestBackwardTrace:
     def test_conv_depth_block_makes_only_its_post_activations(self, monkeypatch):
         # The benchmark's conv stack (htk2, 32 channels, 32x32, batch 16,
         # five tanh layers): a trial's whole-batch arrays take the memory of
-        # its five kept post-activations, the temporary of the statistics and
-        # the gradient's draw holds at most TRIAL_BLOCK_BYTES, and each
-        # worker makes one arena, of the layout's total.
+        # its five kept post-activations, the scratch of the statistics and
+        # the gradient's draw, in the workspace, holds at most
+        # TRIAL_BLOCK_BYTES, and each worker makes one arena, of the
+        # layout's total.
         f = builtin_format("htk2", c_in=32, c_out=32, rank=8, k=3, padding=1, alpha=32)
         net = NetworkSpec((LayerSpec(f, "tanh"),) * 5, f.input_mode_dims(), batch=16)
         row = net.batch * math.prod(f.input_mode_dims())
-        total, roles = simulate._layout(net, 2)[1]
+        size, (total, roles) = simulate._layout(net, 2)
         assert len({at for at, shape in roles.values() if math.prod(shape) >= row}) == 5
-        assert 8 * roles["temporary"][1][0] <= network.TRIAL_BLOCK_BYTES
+        held = min(size, 2) * max(network._plan(f, b, (1, net.batch, *net.input_shape)).held
+                                  for b in (False, True))
+        assert 8 * roles["workspace"][1][0] <= max(8 * held, network.TRIAL_BLOCK_BYTES)
         made = []
         monkeypatch.setattr(simulate, "_Arena", recording_arena(made))
         backward_trace(net, seed=1, trials=2, workers=2)
@@ -1062,9 +1068,10 @@ class TestScaleChain:
 
 
 @pytest.mark.parametrize("workers", [0, -1])
-def test_workers_below_one_rejected(workers):
-    with pytest.raises(InvalidParams, match="workers"):
-        simulate._map_seeded(None, 0, 2, None, workers)
+def test_workers_below_one_rejected(workers, monkeypatch):
+    monkeypatch.setattr(simulate, "_stream", None)
+    with pytest.raises(InvalidParams, match="^workers must be >= 1$"):
+        forward_trace(linear_net(), 0, 2, workers)
 
 
 class TestPropositions:
@@ -1177,7 +1184,7 @@ def test_count_of_wrong_type_rejected_before_any_draw(entry, name, value, monkey
 
 
 @pytest.mark.parametrize("name", ["trials", "batch", "workers"])
-@pytest.mark.parametrize("entry", sorted(set(RUNNERS) - {"validate_network"}))
+@pytest.mark.parametrize("entry", sorted(RUNNERS))
 def test_count_below_one_message_is_unchanged(entry, name):
     counts = {"trials": 1, "batch": 2, "workers": 1, name: 0}
     with pytest.raises(InvalidParams, match=f"^{name} must be >= 1$"):
