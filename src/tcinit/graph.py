@@ -243,6 +243,7 @@ class InitPlan:
     def __post_init__(self):
         if self.distribution not in ("normal", "uniform"):
             raise InvalidParams(f"unknown distribution {self.distribution!r}")
+        _check_type(self.variances, dict, InvalidParams, "variances")
         for vid, v in self.variances.items():
             _check_real(f"variances[{_shown(vid)}]", v)
 
@@ -272,6 +273,7 @@ def make_plan(
 def backbone_report(bg: BackboneGraph) -> dict:
     """JSON-ready encoding of a backbone graph: its vertices, adjacency rows
     and edge product."""
+    _check_type(bg, BackboneGraph, InvalidParams, "bg")
     return {
         "vertices": list(bg.vertex_ids),
         "adjacency": [list(row) for row in bg.adjacency],
@@ -281,6 +283,7 @@ def backbone_report(bg: BackboneGraph) -> dict:
 
 def plan_report(f: LayerFormat, plan: InitPlan) -> dict:
     """JSON-ready summary of a plan and the backbone graph it derives from."""
+    _check_type(plan, InitPlan, InvalidParams, "plan")
     side = GRAPH_SIDES.get(plan.mode, FAN_IN)
     bg = extract_bg(f, side)
     return {

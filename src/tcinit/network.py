@@ -146,7 +146,11 @@ class MaterializedLayer:
 
 
 def _weight_specs(f: LayerFormat, plan: InitPlan):
-    """Shapes and planned variances of the weight vertices, in order."""
+    """Shapes and planned variances of the weight vertices, in order;
+    raises the :class:`~tcinit.errors.TcinitError` of a wrong value for an
+    ``f`` or ``plan`` of the wrong type."""
+    _check_type(f, LayerFormat, ValidationError, "the format")
+    _check_type(plan, InitPlan, InvalidParams, "plan")
     missing = [vid for vid in f.weight_ids if vid not in plan.variances]
     if missing:
         raise PlanIncomplete(f"plan assigns no variance to vertices {missing}")
@@ -181,11 +185,9 @@ def materialize(f: LayerFormat, plan: InitPlan, rng) -> MaterializedLayer:
     :class:`~tcinit.errors.ResourceLimit` before any allocation when a
     weight would exceed the memory limit.
     """
-    _check_type(f, LayerFormat, ValidationError, "the format")
-    _check_type(plan, InitPlan, InvalidParams, "plan")
+    shapes, variances = _weight_specs(f, plan)
     if not isinstance(rng, np.random.Generator):
         _check_seed(rng)
-    shapes, variances = _weight_specs(f, plan)
     for vid, shape in zip(f.weight_ids, shapes):
         _check_array(shape, f"the weight of vertex {vid!r}")
     replicas = [[np.empty(s) for s in shapes] for _ in range(f.phi)]

@@ -17,10 +17,10 @@ call, in which :func:`_layout` gives every array of a block a fixed offset by
 the static rule of a contraction's workspace (see
 :func:`~tcinit.network._assign`): the weights, the input, each layer's output
 and input gradient, and one contraction workspace, in which the statistics
-and the drawn gradient work between contractions.  :func:`scale_chain`'s weights are a view of
-its arena too.  numpy's bundled OpenBLAS runs at one thread for the whole of
-every seeded call, at any worker count, so reports do not depend on its
-thread count either.
+and the drawn gradient work between contractions.  :func:`scale_chain`'s
+weights are a view of its arena too.  numpy's bundled OpenBLAS runs at one
+thread for the whole of every seeded call, at any worker count, so reports
+do not depend on its thread count either.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidParams, ShapeMismatch
+from .errors import InvalidParams, ShapeMismatch, ValidationError
 from .formats import LayerFormat
 from .graph import (
     FAN_IN,
@@ -55,7 +55,7 @@ from .graph import (
 from . import network
 from .network import _Arena, _assign, _contract, _draw, _plan, _trial_block, _weight_specs
 from .tensor import (ACTIVATION_SCALE, _activation, _activation_grad, _check_array,
-                     _check_counts, _check_seed, _is_integer, _shown)
+                     _check_counts, _check_seed, _check_type, _is_integer, _shown)
 
 DEFAULT_CHAIN_DIMS = (96, 200, 400, 600, 800, 1000, 800, 600, 400, 200, 100)
 SATURATION_THRESHOLD = 0.99
@@ -140,8 +140,13 @@ def validate_network(net: NetworkSpec, trials: int = 1, workers: int = 1,
     statistics of all ``trials``, at most 4 figures per layer, twice (see
     :func:`_map_seeded`).  Each raises :class:`~tcinit.errors.ResourceLimit`
     before any draw, and a batch, ``trials`` or ``workers`` that is not an
-    integer >= 1 raises :class:`~tcinit.errors.InvalidParams`.  Compiling a
-    plan allocates nothing."""
+    integer >= 1 raises :class:`~tcinit.errors.InvalidParams`, as do a
+    ``net`` that is not a :class:`NetworkSpec` and a layer that is not a
+    :class:`LayerSpec`; a layer format that is not a
+    :class:`~tcinit.formats.LayerFormat` raises
+    :class:`~tcinit.errors.ValidationError` and an ``input_shape`` that is
+    not a sequence of integers :class:`~tcinit.errors.ShapeMismatch`.
+    Compiling a plan allocates nothing."""
     return _layout(net, trials, workers, backward)[0]
 
 
@@ -162,15 +167,24 @@ def _layout(net: NetworkSpec, trials: int = 1, workers: int = 1, backward: bool 
     takes; the workspace throughout, as large as the largest plan's and as
     the statistics and the drawn gradient take between contractions (see
     :func:`_row_mean`)."""
+    _check_type(net, NetworkSpec, InvalidParams, "net")
     _check_counts(InvalidParams, batch=net.batch, trials=trials, workers=workers)
+    if not isinstance(net.layers, (tuple, list)):
+        raise InvalidParams(f"layers must be a tuple or list, got {type(net.layers).__name__}")
     if not net.layers:
         raise InvalidParams("network has no layers")
-    feed = tuple(net.input_shape)
+    try:
+        feed = tuple(map(operator.index, net.input_shape))
+    except TypeError:
+        raise ShapeMismatch(
+            f"input_shape must be a tuple of integers, got {_shown(net.input_shape)}") from None
     _check_array((net.batch, *feed), "the batched network input")
     rows, weights, plans, seen = [(net.batch, *feed)], [], [], {}
     for i, spec in enumerate(net.layers):
         key = id(spec), feed
         if key not in seen:
+            _check_type(spec, LayerSpec, InvalidParams, f"layer {i}")
+            _check_type(spec.format, LayerFormat, ValidationError, f"layer {i}'s format")
             if spec.activation not in ACTIVATION_SCALE:
                 raise InvalidParams(f"layer {i} has unknown activation {spec.activation!r}")
             if spec.mode not in PLAN_MODES:
@@ -315,9 +329,9 @@ def _passes(net: NetworkSpec, views: dict, arena: _Arena, measure, upstream=None
     Forward, each layer contracts into its output, the pre-activation;
     ``measure[0](tmp, x, pre)`` gives per-trial statistics of the layer's
     input and pre-activation through ``tmp``, the workspace, free between
-    contractions (see :func:`_layout`); the activation overwrites ``pre`` in place (in-place activation storage, as in Chen et
-    al., arXiv:1604.06174) and ``measure[1](tmp, post)`` gives those of the
-    post-activation.  With ``upstream``, backward follows:
+    contractions (see :func:`_layout`); the activation overwrites ``pre`` in
+    place (in-place activation storage, as in Chen et al., arXiv:1604.06174)
+    and ``measure[1](tmp, post)`` gives those of the post-activation.  With ``upstream``, backward follows:
     ``upstream(post, activation)`` writes the output gradient times the
     last activation's derivative into the last post-activation, each earlier
     one is overwritten with the gradient times its own derivative, and each

@@ -60,6 +60,7 @@ class BackwardDummySpec:
     forward: DummySpec
 
     def __post_init__(self):
+        _check_type(self.forward, DummySpec, InvalidDummySpec, "the forward window")
         if self.forward.padding > self.forward.beta - 1:
             raise InvalidPadding(
                 f"padding {_shown(self.forward.padding, str)} exceeds beta-1 = "
@@ -110,6 +111,7 @@ def build_backward_dummy(spec: BackwardDummySpec) -> DenseTensor:
     Entry ``(j, jt, k)`` is one exactly when ``jt = j + k - padding`` with
     ``padding = beta - p - 1``.  The third axis indexes the reversed kernel.
     """
+    _check_type(spec, BackwardDummySpec, InvalidDummySpec, "spec")
     return _pattern((spec.forward.alpha, spec.grad_expanded, spec.beta),
                     "the backward pattern", lambda j, jt, k: jt == j + k - spec.padding)
 
@@ -121,8 +123,8 @@ def backward_pattern(spec: BackwardDummySpec) -> DenseTensor:
     axis 2 the reversed kernel, matching the ``[input, output, window]``
     layout of :func:`~tcinit.tensor.build_dummy`.
     """
-    t = transformation_matrix(spec.alpha, spec.forward.stride)
-    return contract(t, [1], build_backward_dummy(spec), [1])
+    pattern = build_backward_dummy(spec)
+    return contract(transformation_matrix(spec.alpha, spec.forward.stride), [1], pattern, [1])
 
 
 def theorem1_grid():

@@ -22,10 +22,13 @@ from tcinit.formats import (
 )
 from tcinit.graph import (
     FAN_IN,
+    InitPlan,
+    backbone_report,
     baseline_variance,
     extract_bg,
     graph_init_variance,
     make_plan,
+    plan_report,
     predicted_output_variance,
 )
 from tcinit.network import backward_apply, forward_apply, materialize
@@ -48,7 +51,13 @@ from tcinit.tensor import (
     reversal_matrix,
     transformation_matrix,
 )
-from tcinit.transform import build_backward_format, verify_theorem1
+from tcinit.transform import (
+    backward_dummy,
+    backward_pattern,
+    build_backward_dummy,
+    build_backward_format,
+    verify_theorem1,
+)
 
 KEYS = (
     "c_in", "c_out", "rank", "ranks", "r0", "r1", "i_dims", "o_dims",
@@ -143,12 +152,14 @@ def test_format_text_runs_adjoint_or_raises_tcinit_error(text):
 
 # Values of the wrong type or range for a size, count, seed or variance.
 BAD = (0, -1, 2.5, math.nan, math.inf, "a", None, (1, 2), True, 10**30, 10**400)
-TT = builtin_format("tt", i_dims=(2, 3), o_dims=(3, 2), rank=2)
+# Its output dims equal its input dims, so a stack of it chains.
+TT = builtin_format("tt", i_dims=(2, 3), o_dims=(2, 3), rank=2)
 TT_PLAN = make_plan(TT, "graph-in", "tanh")
+TT_LAYER_SPEC = LayerSpec(TT, "tanh")
 
 
 def _tt_net(batch):
-    return NetworkSpec((LayerSpec(TT, "tanh"),) * 2, TT.input_mode_dims(), batch)
+    return NetworkSpec((TT_LAYER_SPEC,) * 2, TT.input_mode_dims(), batch)
 
 
 # Each entry point, and a good value of each argument the test draws.  Every
@@ -179,6 +190,7 @@ ENTRY_POINTS = {
 TT_BG = extract_bg(TT, FAN_IN)
 TT_LAYER = materialize(TT, TT_PLAN, 0)
 VEC = DenseTensor.from_array(np.ones(3))
+WINDOW = DummySpec(5, 3, 2, 1)
 # The tensor, graph, format and layer entry points, as ENTRY_POINTS.
 VALUE_ENTRY_POINTS = {
     "DenseTensor": (lambda rows, cols: DenseTensor((rows, cols), np.zeros(6)),
@@ -205,13 +217,41 @@ VALUE_ENTRY_POINTS = {
         "layer": TT_LAYER, "x": DenseTensor.from_array(np.ones((2, *TT.input_mode_dims())))}),
     "backward_apply": (backward_apply, {
         "layer": TT_LAYER, "grad": DenseTensor.from_array(np.ones((2, *TT.output_mode_dims())))}),
-    "verify_theorem1": (verify_theorem1, {"fwd": DummySpec(5, 3, 2, 1)}),
+    "verify_theorem1": (verify_theorem1, {"fwd": WINDOW}),
+    "backward_dummy": (backward_dummy, {"fwd": WINDOW}),
+    "build_backward_dummy": (build_backward_dummy, {"spec": backward_dummy(WINDOW)}),
+    "backward_pattern": (backward_pattern, {"spec": backward_dummy(WINDOW)}),
+    "plan_report": (plan_report, {"f": TT, "plan": TT_PLAN}),
+    "backbone_report": (backbone_report, {"bg": TT_BG}),
+    "InitPlan": (lambda variances: InitPlan("graph-in", 1.0, 1, variances),
+                 {"variances": dict(TT_PLAN.variances)}),
+    "variance_mc/inputs": (lambda f, plan: variance_mc(f, plan, 0, 2, 2),
+                           {"f": TT, "plan": TT_PLAN}),
+    "validate_network/spec": (lambda net: validate_network(net),
+                              {"net": _tt_net(2)}),
+    "validate_network/layer": (lambda layer, input_shape: validate_network(
+                                   NetworkSpec((layer,), input_shape, 2)),
+                               {"layer": TT_LAYER_SPEC, "input_shape": TT.input_mode_dims()}),
+    "validate_network/format": (lambda f: validate_network(
+                                    NetworkSpec((LayerSpec(f, "tanh"),), TT.input_mode_dims(), 2)),
+                                {"f": TT}),
     "contract": (contract, {"a": VEC, "axes_a": [0], "b": VEC, "axes_b": [0]}),
     "multi_contract": (multi_contract, {"tensors": [VEC, VEC], "groups": [[(0, 0), (1, 0)]],
                                         "open_axes": []}),
     "predicted_output_variance": (predicted_output_variance, {
         "bg": TT_BG, "input_var": 1.0, "vertex_vars": [1.0, 1.0], "p_a": 1.0, "phi": 1}),
 }
+
+
+GOOD_CALLS = {**ENTRY_POINTS, **VALUE_ENTRY_POINTS}
+
+
+@pytest.mark.parametrize("name", sorted(GOOD_CALLS))
+def test_good_arguments_give_a_result(name):
+    # So that the drawn calls reach the code they fuzz: a good argument set
+    # never ends in a TcinitError.
+    call, good = GOOD_CALLS[name]
+    assert call(**good) is not None
 
 
 @st.composite
