@@ -242,6 +242,15 @@ class TestValidate:
         with pytest.raises(ValidationError):
             validate(LayerFormat(f.vertices, f.edges, 0))
 
+    def test_numpy_integer_phi_validates_and_bool_phi_does_not(self):
+        # One phi rule for validate, random_format and the graph calculus:
+        # make_plan takes a numpy integer phi, and none of them a bool.
+        f = self._base()
+        validate(LayerFormat(f.vertices, f.edges, np.int64(2)))
+        with pytest.raises(ValidationError) as err:
+            validate(LayerFormat(f.vertices, f.edges, True))
+        assert err.value.violations == ["phi must be an integer >= 1, got True"]
+
     def test_violations_are_listed(self):
         f = self._base()
         bad = LayerFormat(
@@ -388,6 +397,7 @@ class TestRandomFormat:
 
     @pytest.mark.parametrize("field,value,message", [
         ("phi", 0, "phi must be an integer >= 1, got 0"),
+        ("phi", True, "phi must be an integer >= 1, got True"),
         ("in_dim_range", (0, 0), "in_dim_range must have 1 <= low <= high, got (0, 0)"),
         ("rank_dim_range", (5, 2), "rank_dim_range must have 1 <= low <= high, got (5, 2)"),
         ("max_rank_edges", -1, "max_rank_edges must be >= 0, got -1"),

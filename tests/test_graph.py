@@ -27,6 +27,8 @@ from tcinit.graph import (
     plan_report_json,
     predicted_output_variance,
 )
+from tcinit.network import MaterializedLayer, backward_apply
+from tcinit.tensor import DenseTensor
 
 DESK_BUILTINS = [
     ("standard", dict(c_in=16, c_out=16, k=3, alpha=8)),
@@ -203,6 +205,27 @@ class TestPrediction:
         out = predicted_output_variance(bg, 1.0, [sigma2] * 3, 1.0, 4)
         assert out == pytest.approx(4 * 10 * 10 / (9 * 96) ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("stride,factor", [(1, 1.0), (2, 4 / 9), (3, 1 / 9)])
+    def test_strided_graph_out_gradient_meets_ceil_beta_over_s_taps(self, stride, factor):
+        # Exact second moments, no Monte Carlo: for zero-mean independent
+        # weights, a backward pass with each weight the constant of its
+        # planned variance and ones as the output gradient gives E[g^2] at
+        # every input position.  The calculus counts all beta = 3 taps of
+        # each kernel axis, but the zero-expanded gradient meets at most
+        # ceil(beta / s) of them, so the largest position reads
+        # (ceil(3 / s) / 3)^2 of the graph-out prediction.
+        f = builtin_format("standard", c_in=4, c_out=4, k=3, alpha=12, padding=1,
+                           stride=stride)
+        plan = make_plan(f, "graph-out", "identity")
+        variances = [plan.variances[vid] for vid in f.weight_ids]
+        constants = {vid: DenseTensor.from_array(np.full(f.weight_mode_dims(vid), v))
+                     for vid, v in zip(f.weight_ids, variances)}
+        layer = MaterializedLayer(f, plan, (constants,) * f.phi)
+        ones = DenseTensor.from_array(np.ones((1, *f.output_mode_dims())))
+        exact = backward_apply(layer, ones).array
+        predicted = predicted_output_variance(extract_bg(f, FAN_OUT), 1.0, variances, 1.0, f.phi)
+        assert exact.max() / predicted == pytest.approx(factor, rel=1e-12)
+
 
 class TestBeyondFloatRange:
     # Edge product 10**400 exceeds the float range (about 1.8e308).
@@ -299,6 +322,16 @@ class TestPlans:
         f = builtin_format("standard", c_in=4, c_out=4, k=3, alpha=8)
         with pytest.raises(InvalidParams) as err:
             build(f)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("variances,message", [
+        ({"w": "a"}, "variances['w'] must be a finite real >= 0, got 'a'"),
+        ({"w": None}, "variances['w'] must be a finite real >= 0, got None"),
+        (None, "variances must be of type dict, got NoneType"),
+    ], ids=["text", "none", "not-a-dict"])
+    def test_non_real_variances_rejected(self, variances, message):
+        with pytest.raises(InvalidParams) as err:
+            InitPlan("graph-in", 1.0, 1, variances)
         assert str(err.value) == message
 
     @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])

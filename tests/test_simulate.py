@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from tcinit import network, simulate, tensor
-from tcinit.errors import InvalidParams, ResourceLimit, ShapeMismatch
+from tcinit.errors import InvalidParams, ResourceLimit, ShapeMismatch, ValidationError
 from tcinit.formats import builtin_format, parse_format, random_format
 from tcinit.graph import InitPlan, make_plan
 from tcinit.network import backward_apply, forward_apply, materialize
@@ -80,6 +80,30 @@ class TestValidation:
     def test_rejects_no_batch(self):
         with pytest.raises(InvalidParams, match="batch must be >= 1"):
             validate_network(NetworkSpec(linear_net().layers, (4, 6), batch=0))
+
+    @pytest.mark.parametrize("trials,workers,name", [
+        (0, 1, "trials"), (1, 0, "workers"), (-5, -5, "trials"),
+    ])
+    def test_rejects_counts_below_one(self, trials, workers, name):
+        # The run the block size is for would reject them too.
+        with pytest.raises(InvalidParams, match=f"^{name} must be >= 1$"):
+            validate_network(linear_net(), trials, workers)
+
+    @pytest.mark.parametrize("build,error,message", [
+        (lambda f: None, InvalidParams, "net must be of type NetworkSpec, got NoneType"),
+        (lambda f: NetworkSpec((f,), (4, 6)), InvalidParams,
+         "layer 0 must be of type LayerSpec, got LayerFormat"),
+        (lambda f: NetworkSpec((LayerSpec(None),), (4, 6)), ValidationError,
+         "layer 0's format must be of type LayerFormat, got NoneType"),
+        (lambda f: NetworkSpec((LayerSpec(f),), None), ShapeMismatch,
+         "input_shape must be a tuple of integers, got None"),
+        (lambda f: NetworkSpec(LayerSpec(f), (4, 6)), InvalidParams,
+         "layers must be a tuple or list, got LayerSpec"),
+    ], ids=["net", "layer", "format", "input-shape", "layers"])
+    def test_wrong_types_raise_the_error_of_a_wrong_value(self, build, error, message):
+        with pytest.raises(error) as err:
+            validate_network(build(linear_net().layers[0].format))
+        assert str(err.value) == message
 
     @pytest.mark.parametrize(
         "act,mode,bad", [("sigmoid", "graph-in", "activation 'sigmoid'"),
@@ -469,6 +493,33 @@ class TestBackwardTrace:
         monkeypatch.setattr(simulate, "_Arena", recording_arena(made))
         backward_trace(net, seed=1, trials=2, workers=2)
         assert made == [total, total]
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    @pytest.mark.parametrize("case,trials", [("conv_depth", 2), ("linear", 64), ("conv", 64)])
+    def test_statistics_and_gradient_work_in_the_workspace(self, case, trials, backward):
+        # A block has no temporary of its own: the statistics and the drawn
+        # gradient run between contractions, in the workspace region, which
+        # is at least as large as the temporary was: a row, or a span, per
+        # trial of the largest row, and the last row's span for the draw.
+        if case == "conv_depth":
+            f = builtin_format("htk2", c_in=32, c_out=32, rank=8, k=3, padding=1, alpha=32)
+            net = NetworkSpec((LayerSpec(f, "tanh"),) * 5, f.input_mode_dims(), batch=16)
+        elif case == "conv":
+            f = builtin_format("standard", c_in=4, c_out=4, k=3, alpha=8, padding=1)
+            net = NetworkSpec((LayerSpec(f, "tanh"),) * 2, f.input_mode_dims(), batch=16)
+        else:
+            net = linear_net(depth=3, act="tanh")
+        size, (total, roles) = simulate._layout(net, trials, 1, backward)
+        n = min(size, trials)
+        rows = [net.batch * math.prod(net.input_shape)]
+        rows += [net.batch * math.prod(s.format.output_mode_dims()) for s in net.layers]
+        temporary = max(n * min(max(rows), simulate._span(n)),
+                        backward * min(rows[-1], simulate._span(1)))
+        held = max(network._plan(s.format, b, (1, net.batch, *(
+            s.format.output_mode_dims() if b else s.format.input_mode_dims()))).held
+            for s in net.layers for b in (False, True)[:1 + backward])
+        assert "temporary" not in roles
+        assert roles["workspace"] == (0, (max(n * held, temporary),))
 
 
 def recording_arena(made):
