@@ -13,6 +13,7 @@ so the figure moves with code alone.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import sys
@@ -49,10 +50,11 @@ def code_lines(source: str) -> int:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    package = Path(argv[0]) if argv else _PACKAGE
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("dir", nargs="?", type=Path, default=_PACKAGE,
+                        help="the package directory (default: src/tcinit)")
     total = 0
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(parser.parse_args(argv).dir.glob("*.py")):
         n = code_lines(path.read_text())
         total += n
         print(f"{n} {path.name}")
