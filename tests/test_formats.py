@@ -397,7 +397,6 @@ class TestRandomFormat:
 
     @pytest.mark.parametrize("field,value,message", [
         ("phi", 0, "phi must be an integer >= 1, got 0"),
-        ("phi", True, "phi must be an integer >= 1, got True"),
         ("in_dim_range", (0, 0), "in_dim_range must have 1 <= low <= high, got (0, 0)"),
         ("rank_dim_range", (5, 2), "rank_dim_range must have 1 <= low <= high, got (5, 2)"),
         ("max_rank_edges", -1, "max_rank_edges must be >= 0, got -1"),
@@ -410,6 +409,7 @@ class TestRandomFormat:
         ("max_rank_edges", math.inf, "max_rank_edges must be an integer, got inf"),
         ("max_rank_edges", 10**30, f"max_rank_edges must be <= 40000, got {10**30}"),
         ("max_rank_edges", 40_001, "max_rank_edges must be <= 40000, got 40001"),
+        ("phi", True, "phi must be an integer >= 1, got True"),
     ])
     def test_constraints_no_format_meets_rejected(self, field, value, message):
         with pytest.raises(InvalidParams) as err:
