@@ -15,7 +15,19 @@ kernel edges whose offsets that step contracts, and then, per window offset,
 multiplies a strided slice of the buffer by the weight's slice at that
 offset with one ``matmul`` and sums the products.  Indices kept on both
 sides ride as ``matmul`` batch axes, so cp's per-edge kernel weights run as
-separable 1-D passes with its rank index as a batch axis.  Summed per offset,
+separable 1-D passes with its rank index as a batch axis.  The buffer holds
+its axes kept on both sides first and its summed channels last; between
+them, when the last kernel edge the step contracts reads at stride 1 (every
+backward step and every stride-1 forward step), come the positions the step
+slices, then the axes it takes whole: the batch rows and the positions of
+kernel edges it does not contract.  The last sliced position's slice then
+merges with all of those as a view, so one ``matmul`` per offset makes one
+GEMM per trial and leading window position, the batch rows among its rows,
+not one per batch row as well.  A forward step at stride > 1 reads every
+``s``-th position, which no view merges with the axes after it, so it keeps
+the batch rows ahead of its positions.  The step's result keeps its
+buffer's order: the next GEMM reads it as a view, and the plan's exit
+permutation puts the output in its layout.  Summed per offset,
 an output's terms are added in another order than the dense pattern
 contraction adds them, so the two agree within the forward-error bound of
 summation (Higham, *Accuracy and Stability of Numerical Algorithms*, §3.1),
@@ -77,8 +89,8 @@ loop tiling.  Every tile follows the path searched at the whole batch and
 splits GEMM dimensions only into whole micro-kernel blocks, so its rows come
 out as the whole batch gives them, bit for bit.
 
-:func:`_draw` fills arrays the caller gives it, so trials are drawn straight
-into their slices of a block's arrays.  The arrays a contraction's steps
+:func:`_draw` fills arrays the caller gives it, one row per draw, so trials
+are drawn straight into their rows of a block's arrays.  The arrays a contraction's steps
 write live in a *workspace*, the first ``held`` entries of an
 :class:`_Arena`, a flat array owned by the caller of :func:`_contract`,
 never by a module or a cached plan: the channels-last input, each window
@@ -158,22 +170,42 @@ def _weight_specs(f: LayerFormat, plan: InitPlan):
     return shapes, [plan.variances[vid] for vid in f.weight_ids]
 
 
-def _draw(rng, slots, variances, distribution: str) -> None:
-    """Fill ``slots`` (per replica, one array per variance) in place from
-    ``rng``, replica by replica and array by array, with the arithmetic of
-    ``rng.normal(0, sqrt(v))`` (``0 + scale * z``, which turns -0.0 into 0.0)
-    and ``rng.uniform(-h, h)`` (``low + (high - low) * u``), bit for bit."""
-    for replica in slots:
-        for slot, v in zip(replica, variances):
-            if distribution == "uniform":
+def _weight_views(block: np.ndarray, shapes, phi: int) -> list[list[np.ndarray]]:
+    """Per replica, one view of ``block`` per weight shape: each row of
+    ``block``, ``(n, phi * sum of the shapes' entries)``, holds one draw's
+    weights replica by replica, then vertex by vertex.  Each view is a
+    column span of every row, of shape ``(n, *shape)``, with no copy."""
+    shapes = list(shapes) * phi
+    at = itertools.accumulate(map(math.prod, shapes), initial=0)
+    views = [block[:, a:a + math.prod(s)].reshape(len(block), *s) for a, s in zip(at, shapes)]
+    per = len(shapes) // phi
+    return [views[r * per:(r + 1) * per] for r in range(phi)]
+
+
+def _draw(streams, block: np.ndarray, views, variances, distribution: str) -> None:
+    """Fill ``block`` in place: each row with one call of the next generator
+    of ``streams``, then ``views`` (per replica, one view of ``block`` per
+    variance) with the arithmetic of ``rng.normal(0, sqrt(v))`` (``0 + scale
+    * z``, which turns -0.0 into 0.0) and ``rng.uniform(-h, h)`` (``low +
+    (high - low) * u``), bit for bit: a generator fills a row as it fills
+    the row's views one after another, and every later step is elementwise,
+    so one call per view scales all rows at once.  For the normal, the ``+
+    0`` runs once over the whole of ``block``, which the views tile; with no
+    views the rows are standard normal (the exact product by ``sqrt(1)`` is
+    left out)."""
+    uniform = distribution == "uniform"
+    for rng, row in zip(streams, block):
+        (rng.random if uniform else rng.standard_normal)(out=row)
+    for replica in views:
+        for view, v in zip(replica, variances):
+            if uniform:
                 half = np.sqrt(3.0 * v)
-                rng.random(out=slot)
-                slot *= half - -half
-                slot += -half
+                view *= half - -half
+                view += -half
             else:
-                rng.standard_normal(out=slot)
-                slot *= np.sqrt(v)
-                slot += 0.0
+                view *= np.sqrt(v)
+    if not uniform:
+        block += 0.0
 
 
 def materialize(f: LayerFormat, plan: InitPlan, rng) -> MaterializedLayer:
@@ -181,22 +213,27 @@ def materialize(f: LayerFormat, plan: InitPlan, rng) -> MaterializedLayer:
 
     ``rng`` is a seed or a numpy Generator.  Each replica's weight for
     vertex ``v`` has the shape of its incident-edge dims in declaration
-    order; entries are i.i.d. zero mean with the planned variance.  Raises
+    order; entries are i.i.d. zero mean with the planned variance.  The
+    weights are drawn as the block runner draws a trial's, into one array
+    (see :func:`_draw`), of which each is a view.  Raises
     :class:`~tcinit.errors.ResourceLimit` before any allocation when a
-    weight would exceed the memory limit.
+    weight, or all of them together, would exceed the memory limit.
     """
     shapes, variances = _weight_specs(f, plan)
     if not isinstance(rng, np.random.Generator):
         _check_seed(rng)
     for vid, shape in zip(f.weight_ids, shapes):
         _check_array(shape, f"the weight of vertex {vid!r}")
-    replicas = [[np.empty(s) for s in shapes] for _ in range(f.phi)]
-    _draw(np.random.default_rng(rng), replicas, variances, plan.distribution)
+    entries = f.phi * sum(map(math.prod, shapes))
+    _check_array((entries,), "the weights of all replicas")
+    block = np.empty((1, entries))
+    replicas = _weight_views(block, shapes, f.phi)
+    _draw([np.random.default_rng(rng)], block, replicas, variances, plan.distribution)
     return MaterializedLayer(
         f,
         plan,
         tuple(
-            {vid: DenseTensor.from_array(w) for vid, w in zip(f.weight_ids, weights)}
+            {vid: DenseTensor.from_array(w[0]) for vid, w in zip(f.weight_ids, weights)}
             for weights in replicas
         ),
     )
@@ -256,18 +293,23 @@ class _Shift:
     ``f.weight_ids`` order and W + 1 + k step k's result.
 
     The input side is copied once into a zero buffer of shape ``buffers[0]``,
-    laid out as (kept on both sides, input only, summed) axes: ``x_perm``
-    orders its axes, ``src`` selects the entries that fit and ``dst`` places
-    them behind ``padding`` zeros with ``dilation - 1`` zeros between
-    entries, along the axes of the kernel edges this step contracts.  The
-    weight side is copied once with those edges' offsets leading
-    (``w_perm``, ``w_shape``).  Then, per window offset, a strided slice of
-    the buffer, with the summed channels merged into its trailing axis
-    (``slice_shape``), is multiplied by the weight at that offset with one
-    ``matmul``, kept indices riding as batch axes, and the products are
-    summed.  ``windows`` holds, per contracted edge, its buffer axis, window
-    size, stride and window count.  A backward step ``reverses`` the kernel
-    (``R``): the slice at offset ``j`` meets the weight at ``beta - 1 - j``.
+    laid out as (kept on both sides, input only, summed) axes, the input-only
+    ones led by the positions the step slices when its last contracted
+    kernel edge reads at stride 1 (see the module docstring), and otherwise
+    in the input side's order: ``x_perm`` orders its axes, ``src`` selects
+    the entries that fit and ``dst`` places them behind ``padding`` zeros
+    with ``dilation - 1`` zeros between entries, along the axes of the
+    kernel edges this step contracts.  The weight side is copied once with
+    those edges' offsets leading (``w_perm``, ``w_shape``).  Then, per window
+    offset, a strided slice of the buffer, with the summed channels merged
+    into its trailing axis and the last sliced position merged with every
+    input-only axis after it into the GEMM rows (``slice_shape``), is
+    multiplied by the weight at that offset with one ``matmul``, kept
+    indices and the leading positions riding as batch axes, and the products
+    are summed.  ``windows`` holds, per contracted edge, its buffer axis,
+    window size, stride and window count.  A backward step ``reverses`` the
+    kernel (``R``): the slice at offset ``j`` meets the weight at ``beta - 1
+    - j``.
 
     ``buffers`` are the shapes of the arrays the step writes: the padded
     input, the weight copy, the sum, then, with more than one offset, each
@@ -325,7 +367,8 @@ def _shift_buffers(s: _Shift, padded, w_copy, out, *extra) -> tuple:
         for (ax, _, stride, count), i in zip(s.windows, at):
             where[ax] = slice(i, i + stride * (count - 1) + 1, stride)
         xs = padded[tuple(where)].reshape(s.slice_shape)
-        # The summed channels trail the buffer unsliced, so this is a view.
+        # The summed channels, and at stride 1 every axis after the last
+        # sliced position, trail the buffer unsliced, so this is a view.
         assert np.shares_memory(xs, padded)
         reads.append((xs, w[at]))
     return padded, padded[s.dst], w_copy, out, extra[0] if extra else None, reads
@@ -411,10 +454,21 @@ def _compile_shift(reads, tx: str, tw: str, x_axes: str, w_axes: str, live, size
     and ``w_axes``, over ``windows``, a list of (position letter, offset
     letter, window spec) of the kernel edges whose offsets ``tw`` holds.
     Updates ``size`` to the positions' window counts and returns the step and
-    its result term, also its axis order."""
+    its result term, also its axis order.
+
+    When the last of ``windows`` reads at stride 1, the positions it slices
+    lead the input-only axes, ahead of those it takes whole, so that the
+    last sliced position merges with all of them into the rows of one GEMM
+    (see :class:`_Shift`)."""
     offs = "".join(o for _, o, _ in windows)
     bat, summed, x_only, w_only = _groups(tx, tw, live)
     w_only = [c for c in w_only if c not in offs]
+    sliced = [pos for pos, _, _ in windows]
+    # The axis of bat + x_only where the GEMM rows start.
+    row_axis = len(bat) + len(x_only) - 1
+    if windows[-1][2].stride == 1:
+        x_only = sliced + [c for c in x_only if c not in sliced]
+        row_axis = len(bat) + len(sliced) - 1
     order = bat + x_only + summed
     padded = [size[c] for c in order]
     src, dst = [slice(None)] * len(order), [slice(None)] * len(order)
@@ -435,7 +489,8 @@ def _compile_shift(reads, tx: str, tw: str, x_axes: str, w_axes: str, live, size
     betas = tuple(w.beta for _, _, w in windows)
     w_order = list(offs) + bat + summed + w_only
     out = "".join(bat + x_only + w_only)
-    slice_shape = (*dims(bat + x_only), k)
+    lead = bat + x_only
+    slice_shape = (*dims(lead[:row_axis]), math.prod(dims(lead[row_axis:])), k)
     total = (*slice_shape[:-1], n)
     extra = [total] if math.prod(betas) > 1 else []
     shift = _Shift(
@@ -444,7 +499,7 @@ def _compile_shift(reads, tx: str, tw: str, x_axes: str, w_axes: str, live, size
         tuple(src),
         tuple(dst),
         tuple(w_axes.index(c) for c in w_order),
-        (*betas, *dims(bat), *[1] * (len(x_only) - 1), k, n),
+        (*betas, *dims(bat), *[1] * (row_axis - len(bat)), k, n),
         slice_shape,
         tuple(axes),
         reverses,
@@ -620,7 +675,9 @@ def _plan(f: LayerFormat, backward: bool, x_shape) -> _Plan:
 
     Each compile logs one DEBUG record on the ``tcinit`` logger: the
     direction, the whole input shape, ``rows``, ``largest``, ``held`` and the
-    kind of each step."""
+    kind of each step.  Its ``gemms_per_offset`` and ``rows_per_gemm``
+    attributes list, per window step, the GEMMs one ``matmul`` of a window
+    offset makes and the rows of each (see :class:`_Shift`)."""
     ef = build_backward_format(f) if backward else f
     assert len(x_shape) == len(ef.input_mode_dims()) + 2, f"{x_shape} has no trial axis"
     windows = tuple(e.window for e in ef.kernel_edges)
@@ -637,9 +694,12 @@ def _plan(f: LayerFormat, backward: bool, x_shape) -> _Plan:
                 plan = tile
                 if 8 * streamed <= TRIAL_BLOCK_BYTES:
                     break
+    shifts = [s.slice_shape for s in plan.steps if isinstance(s, _Shift)]
     _log.debug("plan %s x%s: rows=%d largest=%d held=%d steps=%s",
                "backward" if backward else "forward", x_shape, plan.rows, plan.largest,
-               plan.held, ",".join(type(s).__name__[1:].lower() for s in plan.steps))
+               plan.held, ",".join(type(s).__name__[1:].lower() for s in plan.steps),
+               extra={"gemms_per_offset": [math.prod(s[:-2]) for s in shifts],
+                      "rows_per_gemm": [s[-2] for s in shifts]})
     return plan
 
 

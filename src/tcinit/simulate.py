@@ -53,7 +53,8 @@ from .graph import (
     predicted_output_variance,
 )
 from . import network
-from .network import _Arena, _assign, _contract, _draw, _plan, _trial_block, _weight_specs
+from .network import (_Arena, _assign, _contract, _draw, _plan, _trial_block, _weight_specs,
+                      _weight_views)
 from .tensor import (ACTIVATION_SCALE, _activation, _activation_grad, _check_array,
                      _check_counts, _check_seed, _check_type, _is_integer, _shown)
 
@@ -154,14 +155,16 @@ def _layout(net: NetworkSpec, trials: int = 1, workers: int = 1, backward: bool 
     """The walk of :func:`validate_network`: the trials per block and the
     arena of a block of ``min(block, trials)`` trials, at least one, as
     ``(total, roles)``, its entries and per role an offset and a shape:
-    ``"workspace"`` (at 0), ``"input"``, ``("weight", i, r, k)`` (replica
-    ``r``, vertex ``k``), ``("output", i)`` and, with ``backward``,
-    ``("gradient", i)``, at layer ``i``'s input.
+    ``"workspace"`` (at 0), ``"input"``, ``("weights", i)``, ``("output",
+    i)`` and, with ``backward``, ``("gradient", i)``, at layer ``i``'s input.
+    ``("weights", i)`` is ``(trials, phi * sum of |w_v|)``: each trial's row
+    holds layer ``i``'s weights in the order they are drawn, replica by
+    replica, then vertex by vertex (see :func:`_views`).
 
     Forward layer ``i`` is step ``i``, backward layer ``i`` step ``2L - 1 -
     i``, and :func:`~tcinit.network._assign` lays out each array over the
-    steps that use it (see :func:`_passes`): a weight from the draw to its
-    layer's last pass; the input for step 0; an output to the next layer's
+    steps that use it (see :func:`_passes`): a layer's weights from the draw
+    to its last pass; the input for step 0; an output to the next layer's
     step or, with ``backward``, its own backward one; a gradient to the
     step below, unless it is as long as the output, whose memory it then
     takes; the workspace throughout, as large as the largest plan's and as
@@ -217,9 +220,8 @@ def _layout(net: NetworkSpec, trials: int = 1, workers: int = 1, backward: bool 
              "input": ((n, *rows[0]), 0, 0)}
     for i, spec in enumerate(net.layers):
         back = 2 * depth - 1 - i
-        for r in range(spec.format.phi):
-            for k, shape in enumerate(weights[i]):
-                lives["weight", i, r, k] = ((n, *shape), 0, back if backward else i)
+        entries = spec.format.phi * sum(map(math.prod, weights[i]))
+        lives["weights", i] = ((n, entries), 0, back if backward else i)
         lives["output", i] = ((n, *rows[i + 1]), i, back if backward else min(i + 1, end))
         if backward and math.prod(rows[i]) != math.prod(rows[i + 1]):
             lives["gradient", i] = ((n, *rows[i]), back, min(back + 1, end))
@@ -239,13 +241,17 @@ def _views(net: NetworkSpec, layout, arena: _Arena, n: int) -> dict:
     """The arrays of a block of ``n`` trials in ``arena`` laid out by
     ``layout`` (see :func:`_layout`), made once per arena and ``n``: per
     role, its first ``n`` trials, and under ``"weights"`` each layer's
-    weights, one list per replica."""
+    weights, one list per replica of one ``(n, *shape)`` view per vertex,
+    the column spans of its ``("weights", i)`` rows, with no copy (see
+    :func:`~tcinit.network._weight_views`)."""
     if n not in arena.views:
         # Only the workspace is flat, with no trial axis.
         views = {role: arena.memory[at:at + math.prod(s)].reshape(s)[:n if len(s) > 1 else None]
                  for role, (at, s) in layout[1].items()}
-        views["weights"] = [[[views["weight", i, r, k] for k in range(len(s.format.weight_ids))]
-                             for r in range(s.format.phi)] for i, s in enumerate(net.layers)]
+        views["weights"] = [
+            _weight_views(views["weights", i], map(s.format.weight_mode_dims, s.format.weight_ids),
+                          s.format.phi)
+            for i, s in enumerate(net.layers)]
         arena.views[n] = views
     return arena.views[n]
 
@@ -568,10 +574,15 @@ def _run(net: NetworkSpec, seed: int, trials: int, workers: int, measure, grad_v
     in :func:`_passes`.
 
     Trial ``t`` draws from the children of ``SeedSequence([seed, t])`` (see
-    :func:`_seed_words`) in place into its slices of block arrays: a
+    :func:`_seed_words`) in place into its rows of block arrays: a
     standard-normal input from the first, layer ``i``'s weights from child
-    ``i + 1`` and, unless ``grad_var`` is None, a normal output gradient of
-    that variance from the last.  Each worker's arena (see
+    ``i + 1`` into its row of the ``("weights", i)`` role and, unless
+    ``grad_var`` is None, a normal output gradient of that variance from the
+    last.  Each trial and stream takes one fill of its row, and the block
+    one affine step per layer (see :func:`~tcinit.network._draw`): a scale
+    per weight view (see :func:`_views`) and one ``+ 0`` over all of the
+    layer's weights for the normal, or a scale and a shift per view for the
+    uniform; the input takes only the ``+ 0``.  Each worker's arena (see
     :func:`_map_seeded`) holds a block laid out by :func:`_layout` for the
     whole call.  A trial's figures depend neither on its block nor on
     ``workers``."""
@@ -590,17 +601,17 @@ def _run(net: NetworkSpec, seed: int, trials: int, workers: int, measure, grad_v
             for lo in range(0, len(row), span):
                 part = row[lo:lo + span]
                 g = tmp[:len(part)]
-                _draw(rng, [[g]], [grad_var], "normal")
+                _draw([rng], g[None], [[g]], [grad_var], "normal")
                 _activation_grad(g, part, activation)
 
     def block(arena, rng, words):
+        # One fill per trial and stream, then one affine step per block.
         views = _views(net, layout, arena, len(words))
         for i, (init, v) in enumerate(zip(inits, variances)):
-            for t, w in enumerate(words[:, 1 + i]):
-                slots = [[a[t] for a in replica] for replica in views["weights"][i]]
-                _draw(_stream(rng, w), slots, v, init.distribution)
-        for t, w in enumerate(words[:, 0]):
-            _draw(_stream(rng, w), [[views["input"][t]]], [1.0], "normal")
+            streams = (_stream(rng, w) for w in words[:, 1 + i])
+            _draw(streams, views["weights", i], views["weights"][i], v, init.distribution)
+        x = views["input"]
+        _draw((_stream(rng, w) for w in words[:, 0]), x.reshape(len(x), -1), (), (), "normal")
         upstream = None if grad_var is None else (lambda post, activation: gradient(
             views["workspace"], rng, words[:, -1], post, activation))
         return _passes(net, views, arena, measure, upstream)[0]

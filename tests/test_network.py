@@ -968,15 +968,17 @@ class TestPlanSizes:
 
 
 class TestDraw:
-    """``_draw`` fills its slots in place with the arithmetic of numpy's
-    ``normal`` and ``uniform``, replica by replica, array by array."""
+    """``_draw`` fills a row of weights in place with the arithmetic of
+    numpy's ``normal`` and ``uniform``, replica by replica, array by array."""
 
     @pytest.mark.parametrize("distribution", ["normal", "uniform"])
     @pytest.mark.parametrize("seed", [0, 1, 17, 2**40 + 3])
     def test_equals_numpy_samplers(self, seed, distribution):
         shapes, variances = [(3, 4), (7,), (2, 3, 5), (4, 4)], [0.0, 1e-3, 1.0, 7.3]
-        slots = [[np.empty(s) for s in shapes] for _ in range(2)]
-        network._draw(np.random.default_rng(seed), slots, variances, distribution)
+        block = np.empty((1, 2 * sum(map(math.prod, shapes))))
+        views = network._weight_views(block, shapes, 2)
+        network._draw([np.random.default_rng(seed)], block, views, variances, distribution)
+        slots = [[view[0] for view in replica] for replica in views]
         rng = np.random.default_rng(seed)
         for replica in slots:
             for slot, shape, v in zip(replica, shapes, variances):
@@ -1107,6 +1109,9 @@ class TestBatchTiles:
             f"plan forward x(1, 16, 32, 32, 32): rows=2 largest={plan.largest} "
             f"held={plan.held} steps=gemm,shift,gemm"
         )
+        # Its one window step makes 32 GEMMs of 64 rows per offset: one per
+        # window row, each over a window row's 32 positions of both batch rows.
+        assert (record.gemms_per_offset, record.rows_per_gemm) == ([32], [64])
 
     def test_simulate_output_does_not_depend_on_debug_logging(self, capsys, caplog):
         argv = ["simulate", "--builtin", "htk2", "-P", "c_in=32", "-P", "c_out=32",
@@ -1129,6 +1134,36 @@ class TestBatchTiles:
             assert len(record.forward_s) == len(record.backward_s) == 5
             assert all(t > 0 for t in record.forward_s + record.backward_s)
         assert outputs[0] == outputs[1]
+
+
+class TestWindowGemms:
+    """A window step whose last contracted kernel edge reads at stride 1
+    lays out its padded buffer with the positions it slices first, so one
+    ``matmul`` per offset makes one GEMM per trial and leading window
+    position, its rows the last sliced position's windows times the batch
+    rows; a stride-2 forward step keeps the batch rows ahead of its
+    positions, one GEMM per trial, batch row and window row."""
+
+    CRITERION7_HTK2 = builtin_format("htk2", c_in=24, c_out=24, r0=8, r1=8, k=3, alpha=8)
+    STRIDED = builtin_format("standard", c_in=8, c_out=8, k=3, alpha=24, padding=1, stride=2)
+
+    # name: (format, backward, trials, slice_shape of the one window step),
+    # all at batch 16.  slice_shape is (trials, GEMM batch..., rows, summed).
+    CASES = {
+        "criterion7-htk2-forward": (CRITERION7_HTK2, False, 2, (2, 6, 96, 8)),
+        "criterion7-htk2-backward": (CRITERION7_HTK2, True, 2, (2, 8, 128, 8)),
+        "conv_depth-forward": (CONV_DEPTH_LAYER, False, 1, (1, 32, 64, 8)),
+        "conv_depth-backward": (CONV_DEPTH_LAYER, True, 1, (1, 32, 64, 8)),
+        "standard-stride2-forward": (STRIDED, False, 1, (1, 8, 12, 12, 8)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_slice_shape(self, name):
+        f, backward, trials, want = self.CASES[name]
+        dims = f.output_mode_dims() if backward else f.input_mode_dims()
+        [step] = [s for s in network._plan(f, backward, (trials, 16, *dims)).steps
+                  if isinstance(s, network._Shift)]
+        assert step.slice_shape == want
 
 
 def parity_grid():

@@ -709,6 +709,67 @@ class TestTrialBlocks:
             variance_mc(f, make_plan(f, "graph-in", "tanh"), 0, 2, batch=10**400)
 
 
+DRAW_FORMATS = {
+    "oddlike": builtin_format("oddlike", **BLOCK_FORMATS["oddlike"]),
+    "htk2-phi4": builtin_format("htk2", **BLOCK_FORMATS["htk2"], phi=4),
+}
+
+
+class TestBlockDraws:
+    """The runner draws a block's weights and inputs, one fill per trial and
+    stream and one affine step per block, bit for bit as ``materialize`` and
+    numpy's samplers draw one trial's from its streams, whatever the block."""
+
+    @staticmethod
+    def plan(f, kind):
+        if kind == "zero":
+            return InitPlan("graph-in", 1.0, f.phi, {vid: 0.0 for vid in f.weight_ids})
+        return make_plan(f, "graph-in", "tanh", kind)
+
+    @staticmethod
+    def numpy_weights(f, plan, rng):
+        out = []
+        for _ in range(f.phi):
+            for vid in f.weight_ids:
+                v, shape = plan.variances[vid], f.weight_mode_dims(vid)
+                half = np.sqrt(3.0 * v)
+                out.append(rng.uniform(-half, half, shape) if plan.distribution == "uniform"
+                           else rng.normal(0.0, np.sqrt(v), shape))
+        return out
+
+    @pytest.mark.parametrize("kind", ["normal", "uniform", "zero"])
+    @pytest.mark.parametrize("name,block,trials", [("oddlike", 64, 65), ("htk2-phi4", 2, 3),
+                                                   ("htk2-phi4", 1, 2)])
+    def test_equal_materialize_and_numpy(self, name, block, trials, kind, monkeypatch):
+        f = DRAW_FORMATS[name]
+        plan = self.plan(f, kind)
+        net = NetworkSpec((LayerSpec(f),), f.input_mode_dims(), BLOCK_BATCH)
+        monkeypatch.setattr(network, "MAX_TRIAL_BLOCK", block)
+        assert validate_network(net, trials, backward=False) == block
+        drawn, sizes = [], []
+
+        def passes(net_, views, arena, measure, upstream=None):
+            n = len(views["input"])
+            sizes.append(n)
+            for t in range(n):
+                drawn.append((views["input"][t].copy(),
+                              [w[t].copy() for replica in views["weights"][0] for w in replica]))
+            return np.zeros((n, 1, 1)), None
+
+        monkeypatch.setattr(simulate, "_passes", passes)
+        simulate._run(net, 7, trials, 1, None, inits=[plan])
+        assert sizes == [block] * (trials // block) + [trials % block] * (trials % block > 0)
+        for t, (x, weights) in enumerate(drawn):
+            k_in, k_w = np.random.SeedSequence([7, t]).spawn(2)
+            want = np.random.default_rng(k_in).standard_normal(x.shape)
+            assert x.tobytes() == want.tobytes()
+            layer = materialize(f, plan, np.random.default_rng(k_w))
+            made = [w[vid].array for w in layer.replicas for vid in f.weight_ids]
+            sampled = self.numpy_weights(f, plan, np.random.default_rng(k_w))
+            for got, one, other in zip(weights, made, sampled, strict=True):
+                assert got.tobytes() == one.tobytes() == other.tobytes()
+
+
 class TestStreams:
     """Each trial's streams are numpy's own: ``SeedSequence([seed, t])`` or
     its ``spawn`` children, seeded into ``default_rng``, bit for bit."""
