@@ -241,8 +241,10 @@ class InitPlan:
     distribution: str = "normal"
 
     def __post_init__(self):
-        if self.distribution not in ("normal", "uniform"):
-            raise InvalidParams(f"unknown distribution {self.distribution!r}")
+        # An array compares entrywise, so the type is tested first.
+        d = self.distribution
+        if not isinstance(d, str) or d not in ("normal", "uniform"):
+            raise InvalidParams(f"unknown distribution {_shown(d)}")
         _check_type(self.variances, dict, InvalidParams, "variances")
         for vid, v in self.variances.items():
             _check_real(f"variances[{_shown(vid)}]", v)

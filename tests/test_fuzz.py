@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcinit.cli import main
-from tcinit.errors import TcinitError
+from tcinit.errors import InvalidParams, TcinitError
 from tcinit.formats import (
     BUILTIN_NAMES,
     RandomFormatConstraints,
@@ -29,6 +29,7 @@ from tcinit.graph import (
     graph_init_variance,
     make_plan,
     plan_report,
+    plan_report_json,
     predicted_output_variance,
 )
 from tcinit.network import backward_apply, forward_apply, materialize
@@ -187,6 +188,10 @@ ENTRY_POINTS = {
 }
 
 
+def _drawn_and_reported(plan):
+    return variance_mc(TT, plan, 0, 2, 2), plan_report_json(TT, plan)
+
+
 TT_BG = extract_bg(TT, FAN_IN)
 TT_LAYER = materialize(TT, TT_PLAN, 0)
 VEC = DenseTensor.from_array(np.ones(3))
@@ -225,6 +230,12 @@ VALUE_ENTRY_POINTS = {
     "backbone_report": (backbone_report, {"bg": TT_BG}),
     "InitPlan": (lambda variances: InitPlan("graph-in", 1.0, 1, variances),
                  {"variances": dict(TT_PLAN.variances)}),
+    # A plan is drawn from and reported, so a wrong distribution that got
+    # through would end in the runner or in json.
+    "InitPlan/distribution": (lambda distribution: _drawn_and_reported(
+                                  InitPlan("graph-in", 1.0, 1, dict(TT_PLAN.variances),
+                                           distribution)),
+                              {"distribution": "uniform"}),
     "variance_mc/inputs": (lambda f, plan: variance_mc(f, plan, 0, 2, 2),
                            {"f": TT, "plan": TT_PLAN}),
     "validate_network/spec": (lambda net: validate_network(net),
@@ -281,6 +292,19 @@ def test_tensor_graph_and_format_inputs_give_a_result_or_a_tcinit_error(entry):
         call(**kwargs)
     except TcinitError:
         pass
+
+
+# Arrays compare entrywise, and a 0-d one holding a name equals it.
+BAD_DISTRIBUTIONS = (np.array(["normal", "uniform"]), np.array("uniform"), np.array(["normal"]),
+                     "Normal", b"normal", *BAD)
+
+
+@pytest.mark.parametrize("distribution", BAD_DISTRIBUTIONS,
+                         ids=[f"bad{i}" for i in range(len(BAD_DISTRIBUTIONS))])
+def test_distribution_is_one_of_two_names(distribution):
+    call, _ = VALUE_ENTRY_POINTS["InitPlan/distribution"]
+    with pytest.raises(InvalidParams, match="unknown distribution"):
+        call(distribution)
 
 
 HUGE = 10**5000
