@@ -39,6 +39,11 @@ stderr (``repr`` for ``variance_mc``):
 * ``simulate/std400/w<workers>``: ``tcinit simulate`` on a depth-2 standard
   stack of 400 channels, whose GEMMs OpenBLAS splits over its threads, at
   ``--workers`` 1 and 2;
+* ``simulate/strided/s<seed>``: ``tcinit simulate`` on one stride-2
+  ``standard`` layer under ``graph-out`` at seeds 0 and 1, whose forward
+  window step reads at stride 2 and keeps the batch rows out of its GEMM
+  rows; a second such layer would not chain, since its output is half as
+  wide as its input;
 * ``simulate/exit2/<case>``: the ``tcinit simulate`` runs of
   ``EXIT2_CASES``, each of which exits 2 on any machine with less than
   about 14 TB of memory.
@@ -116,6 +121,10 @@ CONV_DEPTH_FLAGS = ["--builtin", "htk2", "-P", "c_in=32", "-P", "c_out=32", "-P"
 CONV_DEPTH_SEEDS = range(4)
 STD400_FLAGS = ["--builtin", "standard", "-P", "c_in=400", "-P", "c_out=400", "--batch", "32",
                 "--depth", "2", "--trials", "4", "--seed", "0"]
+STRIDED_FLAGS = ["--builtin", "standard", "-P", "c_in=8", "-P", "c_out=8", "-P", "k=3",
+                 "-P", "alpha=24", "-P", "padding=1", "-P", "stride=2", "--mode", "graph-out",
+                 "--trials", "4"]
+STRIDED_SEEDS = (0, 1)
 
 # builtin, parameters, trials: the criterion-7 grid, run at batch 16.
 MC_CASES = (
@@ -232,6 +241,9 @@ def report_digests() -> dict[str, str]:
     for workers in (1, 2):
         out[f"simulate/std400/w{workers}"] = _sha(_cli("simulate", *STD400_FLAGS,
                                                        "--workers", str(workers)))
+    for seed in STRIDED_SEEDS:
+        out[f"simulate/strided/s{seed}"] = _sha(_cli("simulate", *STRIDED_FLAGS,
+                                                     "--seed", str(seed)))
     for case, flags in EXIT2_CASES.items():
         out[f"simulate/exit2/{case}"] = _sha(_cli("simulate", *flags))
     return out
