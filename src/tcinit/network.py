@@ -90,12 +90,13 @@ splits GEMM dimensions only into whole micro-kernel blocks, so its rows come
 out as the whole batch gives them, bit for bit.
 
 :func:`_draw` fills arrays the caller gives it, one row per draw, so trials
-are drawn straight into their rows of a block's arrays.  The arrays a contraction's steps
-write live in a *workspace*, the first ``held`` entries of an
-:class:`_Arena`, a flat array owned by the caller of :func:`_contract`,
-never by a module or a cached plan: the channels-last input, each window
-step's zero-padded buffer, weight copy, sum and per-offset product, each
-GEMM step's result and the replica sum, each sized for one batch tile.
+are drawn straight into their rows of a block's arrays.  The arrays a
+contraction's steps write live in a *workspace*, the first ``held`` entries
+of an :class:`_Arena`, a flat array owned by the caller of
+:func:`_contract`, never by a module or a cached plan: the channels-last
+input, each window step's zero-padded buffer, weight copy, sum and
+per-offset product, each GEMM step's result and the replica sum, each sized
+for one batch tile.
 :func:`_assign`, TVM's static memory planner (arXiv:1802.04799), gives each
 an offset, so that GEMM results whose lives do not overlap share memory;
 :mod:`tcinit.simulate` lays out a whole block's arrays by the same rule.
